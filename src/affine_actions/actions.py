@@ -10,12 +10,12 @@ The action is irreducible exactly when every solution of this homogeneous
 system has U = 0; in that case the solutions are precisely the translations
 along the fixed space of the representation. When some solution has U != 0,
 a proper invariant affine subspace is extracted from a spectral projector of
-U*U, and that witness is re-verified before being returned.
+U*U, and that witness is certified (see ``certify``) before being returned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .linalg import (
     unvec,
     vec,
 )
-from .reps import Cocycle, Representation
+from .reps import Cocycle, Representation, fixed_subspace, intertwiner_system
 from .words import Word
 
 
@@ -155,22 +155,45 @@ class CommutantPair:
         return frobenius(self.deviation)
 
 
-def _commutant_system(action: AffineAction) -> np.ndarray:
-    """Rows of the homogeneous system in the unknown (vec U, t).
+def cocycle_norm(*actions: AffineAction) -> float:
+    """max ||b(s)|| over every generator value of the given actions."""
+    return max((float(np.linalg.norm(b)) for a in actions for b in a.cocycle.values), default=0.0)
 
-    Value rows are divided by 1 + ||b(s)|| so that huge or tiny cocycles do
-    not skew the rank decision; row scaling leaves the null space intact.
+
+def unit_scale(tol: ToleranceProfile, *actions: AffineAction) -> float:
+    """The common scale s the cocycles are divided by before a solve.
+
+    Dividing every cocycle by s = max ||b(s)|| conjugates each action by the
+    dilation v -> v/s, so verdicts do not depend on the magnitude of b;
+    translations and subspace base points found at unit scale are multiplied
+    back by s. Near-zero policy: when max ||b(s)|| <= eps_residual the
+    cocycle is zero at the residual tolerance, s = 1 and the actions are
+    solved unscaled.
     """
-    d = action.dim
-    eye = np.eye(d, dtype=action.rep.dtype)
-    blocks = []
-    for m, b in zip(action.rep.matrices, action.cocycle.values):
-        commute = np.hstack([np.kron(eye, m.T) - np.kron(m, eye), np.zeros((d * d, d), dtype=m.dtype)])
-        value = np.hstack([np.kron(eye, b[None, :]), -(m - eye)]) / (1.0 + np.linalg.norm(b))
-        blocks.extend([commute, value])
-    if not blocks:
-        return np.zeros((0, d * d + d), dtype=action.rep.dtype)
-    return np.vstack(blocks)
+    s = cocycle_norm(*actions)
+    return s if s > tol.eps_residual else 1.0
+
+
+def certification_scale(parts, *actions: AffineAction) -> float:
+    """||U|| + ||t|| + max ||b(s)||, the scale of the certification bound.
+
+    ``parts`` are the pieces of the certified map (for a subspace, its base
+    point); the cocycle scale is taken over all given actions.
+    """
+    return sum(float(np.linalg.norm(p)) for p in parts) + cocycle_norm(*actions)
+
+
+def certify(residual: float, scale: float, tol: ToleranceProfile, what: str) -> float:
+    """Return ``residual`` if it meets the certification bound, else raise.
+
+    The one bound for every result the library certifies is
+    residual <= eps_residual * (1 + scale) with scale from
+    ``certification_scale``, so the bound reads the same at every magnitude
+    of the data.
+    """
+    if not residual_ok(residual, scale, tol.eps_residual):
+        raise InternalCheckError(f"{what} failed certification (residual {residual:.3e})")
+    return residual
 
 
 def _split_solution(column: np.ndarray, dim: int) -> CommutantPair:
@@ -178,14 +201,19 @@ def _split_solution(column: np.ndarray, dim: int) -> CommutantPair:
 
 
 def affine_commutant(action: AffineAction, tol: ToleranceProfile | None = None) -> list[CommutantPair]:
-    """Orthonormal basis of the solution space {(U, t)} of the commutant system.
+    """Basis of the solution space {(U, t)} of the commutant system.
 
     The full affine commutant of the action is { v -> (I+U)v + t } over the
-    span of the returned pairs.
+    span of the returned pairs. The system is solved with the cocycle at unit
+    scale (see ``unit_scale``); the basis is orthonormal in the coordinates
+    (vec U, t/s).
     """
     tol = tol or action.tol
-    basis = null_space_basis(_commutant_system(action), tol)
-    return [_split_solution(basis[:, k], action.dim) for k in range(basis.shape[1])]
+    s = unit_scale(tol, action)
+    values = [b / s for b in action.cocycle.values]
+    basis = null_space_basis(intertwiner_system(action.rep, action.rep, values, values)[0], tol)
+    d = action.dim
+    return [CommutantPair(unvec(col[: d * d], d, d), s * col[d * d :]) for col in basis.T]
 
 
 def commutant_residual(action: AffineAction, pair_or_map) -> float:
@@ -203,10 +231,12 @@ def commutant_residual(action: AffineAction, pair_or_map) -> float:
 class IrreducibilityVerdict:
     """Outcome of the commutant decision, with verified witness data.
 
-    Reducible verdicts carry an affine commutant element with U != 0 and the
-    invariant affine subspace extracted from it. Irreducible verdicts carry
-    an orthonormal basis of the representation's fixed space: the commutant
-    then consists exactly of the translations along it.
+    Reducible verdicts carry an affine commutant element with U != 0, the
+    invariant affine subspace extracted from it, and the residuals both were
+    certified with (``witness_commutant``, ``subspace_invariance``).
+    Irreducible verdicts carry an orthonormal basis of the representation's
+    fixed space: the commutant then consists exactly of the translations
+    along it.
     """
 
     reducible: bool
@@ -214,6 +244,7 @@ class IrreducibilityVerdict:
     witness_map: AffineMap | None = None
     witness_subspace: AffineSubspace | None = None
     translation_directions: np.ndarray | None = None
+    residuals: dict[str, float] = field(default_factory=dict)
 
     @property
     def irreducible(self) -> bool:
@@ -255,47 +286,47 @@ def check_invariance(action: AffineAction, subspace: AffineSubspace, tol: Tolera
 def invariant_subspace_from_witness(
     action: AffineAction, witness: AffineMap, tol: ToleranceProfile | None = None
 ) -> AffineSubspace:
-    """Proper invariant affine subspace extracted from a commutant element.
+    """Proper invariant affine subspace extracted from a supplied commutant element.
 
-    With U = T - I nonzero, the top eigenspace of U*U carries a projector E
-    commuting with the representation; the projected cocycle is forced to be
-    the coboundary of v0 = (U*U|_ImE)^-1 E U* t, so {x : Ex = -v0} is
-    invariant. The result is re-verified and never returned silently broken.
+    A witness that is the identity or fails the commutant equations raises
+    WitnessError; the extracted subspace is certified (see ``certify``).
     """
     tol = tol or action.tol
-    u = witness.deviation
-    t = witness.translation
+    u, t = witness.deviation, witness.translation
     if frobenius(u) <= tol.eps_residual:
         raise WitnessError("witness has linear part equal to the identity (U = 0)")
     residual = commutant_residual(action, witness)
-    if not residual_ok(residual, frobenius(u) + float(np.linalg.norm(t)), tol.eps_residual):
+    if not residual_ok(residual, certification_scale((u, t), action), tol.eps_residual):
         raise WitnessError(f"witness fails the commutant equations (residual {residual:.3e})")
+    return _certified_subspace(action, u, t, tol)[0]
 
-    gram = u.conj().T @ u
-    top_value, top_basis = hermitian_eigensystem(gram, tol)[-1]
+
+def _projector_base_point(basis: np.ndarray, u: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """v0 = (U*U|_ImE)^-1 E U* t for E the projector onto span(basis).
+
+    The cocycle projected by E is the coboundary of v0.
+    """
+    compressed = basis.conj().T @ (u.conj().T @ u) @ basis
+    return basis @ np.linalg.solve(compressed, basis.conj().T @ (u.conj().T @ t))
+
+
+def _certified_subspace(
+    action: AffineAction, u: np.ndarray, t: np.ndarray, tol: ToleranceProfile
+) -> tuple[AffineSubspace, float]:
+    """K = {x : Ex = -v0} and its certified invariance residual.
+
+    With U = T - I nonzero, the top eigenspace of U*U carries a projector E
+    commuting with the representation, so K is invariant.
+    """
+    top_value, top_basis = hermitian_eigensystem(u.conj().T @ u, tol)[-1]
     if top_value <= tol.eps_eig:
         raise InternalCheckError("top eigenvalue of U*U is numerically indistinguishable from zero")
-    return _subspace_from_projector(action, top_basis, u, t, tol)
-
-
-def _subspace_from_projector(
-    action: AffineAction,
-    basis: np.ndarray,
-    u: np.ndarray,
-    t: np.ndarray,
-    tol: ToleranceProfile,
-) -> AffineSubspace:
-    """K = {x : Ex = -v0} for E the projector onto span(basis)."""
-    compressed = basis.conj().T @ (u.conj().T @ u) @ basis
-    v0 = basis @ np.linalg.solve(compressed, basis.conj().T @ (u.conj().T @ t))
-    directions = null_space_basis(basis.conj().T, tol)
-    subspace = AffineSubspace(-v0, directions)
+    v0 = _projector_base_point(top_basis, u, t)
+    subspace = AffineSubspace(-v0, null_space_basis(top_basis.conj().T, tol))
     if subspace.dim >= action.dim:
         raise InternalCheckError("extracted subspace is not proper")
-    defect = check_invariance(action, subspace, tol)
-    if not residual_ok(defect, 1.0 + float(np.linalg.norm(v0)), tol.eps_residual):
-        raise InternalCheckError(f"extracted subspace is not invariant (defect {defect:.3e})")
-    return subspace
+    scale = certification_scale((v0,), action)
+    return subspace, certify(check_invariance(action, subspace, tol), scale, tol, "extracted subspace")
 
 
 def _normalized_witness(pair: CommutantPair) -> AffineMap:
@@ -317,22 +348,23 @@ def decide_irreducibility(action: AffineAction, tol: ToleranceProfile | None = N
     equivalent to the scale-free test used here: the solution space is no
     larger than the fixed space. The generator equations suffice because
     commuting with each generator map forces commuting with every word
-    (tested as a property, not assumed). Reducible verdicts attach the
-    max-norm witness and its extracted invariant subspace; irreducible
-    verdicts are checked against the fixed space (the commutant must be
-    exactly the translations along it).
+    (tested as a property, not assumed). The commutant is solved at unit
+    cocycle scale, so the verdict is invariant under b -> lambda b.
+    Reducible verdicts attach the max-norm witness and its extracted
+    invariant subspace, both certified; a witness failing certification
+    raises InternalCheckError. Irreducible verdicts are checked against the
+    fixed space (the commutant must be exactly the translations along it).
     """
     tol = tol or action.tol
     pairs = affine_commutant(action, tol)
-
-    from .reps import fixed_subspace
-
     fixed = fixed_subspace(action.rep, tol)
     if len(pairs) > fixed.shape[1]:
-        best = max(pairs, key=lambda p: p.deviation_norm)
-        witness = _normalized_witness(best)
-        subspace = invariant_subspace_from_witness(action, witness, tol)
-        return IrreducibilityVerdict(True, tuple(pairs), witness, subspace)
+        witness = _normalized_witness(max(pairs, key=lambda p: p.deviation_norm))
+        u, t = witness.deviation, witness.translation
+        scale = certification_scale((u, t), action)
+        residuals = {"witness_commutant": certify(commutant_residual(action, witness), scale, tol, "witness map")}
+        subspace, residuals["subspace_invariance"] = _certified_subspace(action, u, t, tol)
+        return IrreducibilityVerdict(True, tuple(pairs), witness, subspace, residuals=residuals)
 
     if len(pairs) != fixed.shape[1]:
         raise InternalCheckError(
@@ -340,7 +372,8 @@ def decide_irreducibility(action: AffineAction, tol: ToleranceProfile | None = N
         )
     for pair in pairs:
         off = pair.translation - fixed @ (fixed.conj().T @ pair.translation)
-        if not residual_ok(float(np.linalg.norm(off)), 1.0, tol.eps_residual):
+        t_norm = float(np.linalg.norm(pair.translation))
+        if not residual_ok(float(np.linalg.norm(off)), t_norm, tol.eps_residual):
             raise InternalCheckError("commutant translation leaves the fixed space")
     return IrreducibilityVerdict(False, tuple(pairs), translation_directions=fixed)
 
@@ -401,11 +434,16 @@ def conjugate_by_translation(action: AffineAction, vector) -> AffineAction:
 
 @dataclass(frozen=True)
 class EquivalenceResult:
-    """Search outcome for an invertible affine intertwiner."""
+    """Search outcome for an invertible affine intertwiner.
+
+    A found intertwiner carries the residual it was certified with
+    (``intertwining``).
+    """
 
     equivalent: bool
     intertwiner: AffineMap | None
     probabilistic: bool
+    residuals: dict[str, float] = field(default_factory=dict)
 
     def __bool__(self) -> bool:
         return self.equivalent
@@ -428,8 +466,9 @@ def check_equivalence(
 ) -> EquivalenceResult:
     """Search the intertwiner system for an invertible solution.
 
-    Solves {T pi1(s) = pi2(s) T, T b1(s) - (pi2(s)-I)t = b2(s)} exactly,
-    then samples the affine solution set for an invertible T. An unsolvable
+    Solves {T pi1(s) = pi2(s) T, T b1(s) - (pi2(s)-I)t = b2(s)} exactly, with
+    both cocycles divided by one common scale (see ``unit_scale``), then
+    samples the affine solution set for an invertible T. An unsolvable
     system is a definite NotFound; exhausted sampling is probabilistic.
     """
     if a1.presentation != a2.presentation:
@@ -438,24 +477,12 @@ def check_equivalence(
         raise ActionError("equivalence requires a common scalar field")
     tol = tol or a1.tol
     d1, d2 = a1.dim, a2.dim
-    eye1, eye2 = np.eye(d1, dtype=a1.rep.dtype), np.eye(d2, dtype=a2.rep.dtype)
-    rows, rhs = [], []
-    for (m1, b1), (m2, b2) in zip(
-        zip(a1.rep.matrices, a1.cocycle.values), zip(a2.rep.matrices, a2.cocycle.values)
-    ):
-        rows.append(np.hstack([np.kron(eye2, m1.T) - np.kron(m2, eye1), np.zeros((d2 * d1, d2), dtype=m1.dtype)]))
-        rhs.append(np.zeros(d2 * d1, dtype=m1.dtype))
-        # equilibrate the value rows so cocycle magnitude cannot skew ranks
-        weight = 1.0 / (1.0 + max(np.linalg.norm(b1), np.linalg.norm(b2)))
-        rows.append(weight * np.hstack([np.kron(eye2, b1[None, :]), -(m2 - eye2)]))
-        rhs.append(weight * b2)
-    if not rows:
-        rows.append(np.zeros((0, d2 * d1 + d2), dtype=a1.rep.dtype))
-        rhs.append(np.zeros(0, dtype=a1.rep.dtype))
-    solution = solve_affine_system(np.vstack(rows), np.concatenate(rhs), tol)
-    if solution is None:
-        return EquivalenceResult(False, None, probabilistic=False)
-    if d1 != d2:
+    s = unit_scale(tol, a1, a2)
+    matrix, rhs = intertwiner_system(
+        a1.rep, a2.rep, [b / s for b in a1.cocycle.values], [b / s for b in a2.cocycle.values]
+    )
+    solution = solve_affine_system(matrix, rhs, tol)
+    if solution is None or d1 != d2:
         return EquivalenceResult(False, None, probabilistic=False)
 
     rng = np.random.default_rng(seed)
@@ -468,10 +495,10 @@ def check_equivalence(
         singular = np.linalg.svd(t_mat, compute_uv=False)
         if numerical_rank(singular, tol) < d1:
             continue
-        mapping = AffineMap(t_mat, column[d2 * d1 :])
-        scale = max(frobenius(t_mat), float(np.linalg.norm(mapping.translation)), 1.0)
-        if residual_ok(intertwining_residual(a1, a2, mapping), scale, tol.eps_residual):
-            return EquivalenceResult(True, mapping, probabilistic=False)
+        mapping = AffineMap(t_mat, s * column[d2 * d1 :])
+        residual = intertwining_residual(a1, a2, mapping)
+        if residual_ok(residual, certification_scale((t_mat, mapping.translation), a1, a2), tol.eps_residual):
+            return EquivalenceResult(True, mapping, False, {"intertwining": residual})
     return EquivalenceResult(False, None, probabilistic=True)
 
 
@@ -480,12 +507,14 @@ class EquivalentProjections:
     """Equivalent projected actions witnessing reducibility of a direct sum.
 
     ``intertwiner`` maps the first projected action to the second, in the
-    coordinates of ``v1_basis`` and ``v2_basis``.
+    coordinates of ``v1_basis`` and ``v2_basis``; ``residuals`` holds the
+    residual it was certified with (``intertwining``).
     """
 
     v1_basis: np.ndarray
     v2_basis: np.ndarray
     intertwiner: AffineMap
+    residuals: dict[str, float] = field(default_factory=dict)
 
     def ambient_map(self) -> AffineMap:
         """The intertwiner as a map between the ambient subspaces."""
@@ -541,7 +570,10 @@ def analyze_direct_sum(
     subspace K, transverse to both summands, on which the cocycle is a
     coboundary; the graph map of K intertwines the projected actions. K is
     found among eigenspaces of U*U over commutant elements; every returned
-    intertwiner is verified against the projected generator maps.
+    intertwiner is certified against the projected generator maps. The
+    decision divides both cocycles by the one scale of the sum (see
+    ``unit_scale``); the extraction is linear in the commutant translations,
+    which come back multiplied by that scale, so it needs no rescaling.
     """
     sum_action = direct_sum(a1, a2)
     tol = tol or sum_action.tol
@@ -562,7 +594,7 @@ def analyze_direct_sum(
         for value, basis in reversed(clusters):
             if value <= tol.eps_eig:
                 continue
-            projections = _try_graph_extraction(a1, a2, sum_action, pair, basis, tol)
+            projections = _try_graph_extraction(a1, a2, pair, basis, tol)
             if projections is not None:
                 return DirectSumAnalysis(sum_action, verdict, projections)
     raise InternalCheckError(
@@ -574,17 +606,14 @@ def analyze_direct_sum(
 def _try_graph_extraction(
     a1: AffineAction,
     a2: AffineAction,
-    sum_action: AffineAction,
     pair: CommutantPair,
     basis: np.ndarray,
     tol: ToleranceProfile,
 ) -> EquivalentProjections | None:
     """Attempt the graph-map construction on one U*U eigenspace."""
     d1 = a1.dim
-    u, t = pair.deviation, pair.translation
     k = basis.shape[1]
-    compressed = basis.conj().T @ (u.conj().T @ u) @ basis
-    v0 = basis @ np.linalg.solve(compressed, basis.conj().T @ (u.conj().T @ t))
+    v0 = _projector_base_point(basis, pair.deviation, pair.translation)
 
     q1, q2 = basis[:d1], basis[d1:]
     if min(q1.shape) == 0 or min(q2.shape) == 0:
@@ -616,7 +645,7 @@ def _try_graph_extraction(
         p2 = project_action(a2, w2, tol)
     except ValueError:  # non-invariant basis or near-tolerance rep validation
         return None
-    scale = max(frobenius(mapping.linear), float(np.linalg.norm(mapping.translation)), 1.0)
-    if residual_ok(intertwining_residual(p1, p2, mapping), scale, tol.eps_residual):
-        return EquivalentProjections(w1, w2, mapping)
+    residual = intertwining_residual(p1, p2, mapping)
+    if residual_ok(residual, certification_scale((linear, mapping.translation), a1, a2), tol.eps_residual):
+        return EquivalentProjections(w1, w2, mapping, {"intertwining": residual})
     return None

@@ -1,9 +1,9 @@
 """File-driven command line interface.
 
-Every verb reads JSON problem files, re-verifies any witness it is about to
-print, and emits either a human-readable report (default, stdout) or a
-machine-readable result document (``--machine``, stdout only, diagnostics on
-stderr). Exit codes are stable:
+Every verb reads JSON problem files, prints witnesses together with the
+residuals the library certified them with, and emits either a human-readable
+report (default, stdout) or a machine-readable result document
+(``--machine``, stdout only, diagnostics on stderr). Exit codes are stable:
 
     0   affirmative verdict (pass / Irreducible / Equivalent / Quadratic / found)
     10  negative verdict (fail / Reducible / NotFound / ViolatedAt / ProbablyNo)
@@ -23,17 +23,16 @@ from pathlib import Path
 import numpy as np
 
 from .actions import (
-    AffineAction,
     InternalCheckError,
     affine_commutant,
     analyze_direct_sum,
+    certification_scale,
+    certify,
     check_equivalence,
     check_invariance,
     commutant_residual,
     decide_irreducibility,
     fixed_points,
-    intertwining_residual,
-    project_action,
 )
 from .constructions import (
     check_center_translations,
@@ -69,8 +68,8 @@ class CliInputError(Exception):
     pass
 
 
-def _resolve_tol(problem: ProblemFile | None, args) -> ToleranceProfile:
-    base = problem.tolerances if problem is not None and problem.tolerances else ToleranceProfile()
+def _resolve_tol(problem: ProblemFile, args) -> ToleranceProfile:
+    base = problem.tolerances or ToleranceProfile()
     try:
         return ToleranceProfile(
             eps_rank=args.tol_rank if args.tol_rank is not None else base.eps_rank,
@@ -81,32 +80,20 @@ def _resolve_tol(problem: ProblemFile | None, args) -> ToleranceProfile:
         raise CliInputError(str(exc)) from exc
 
 
-def _resolve_seed(problem: ProblemFile | None, args) -> int:
+def _resolve_seed(problem: ProblemFile, args) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
-    if problem is not None and problem.seed is not None:
-        return problem.seed
-    return 0
-
-
-def _load(path: str) -> ProblemFile:
-    return load_problem(path)
-
-
-def _verify_subspace(action: AffineAction, subspace, tol: ToleranceProfile) -> float:
-    defect = check_invariance(action, subspace, tol)
-    if not residual_ok(defect, 1.0 + float(np.linalg.norm(subspace.base)), tol.eps_residual):
-        raise InternalCheckError(f"witness subspace failed re-verification (defect {defect:.3e})")
-    return defect
+    return problem.seed if problem.seed is not None else 0
 
 
 # ---------------------------------------------------------------------------
-# verb handlers: each returns (exit_code, document, human_lines)
+# verb handlers: each takes the parsed arguments, the first problem file, the
+# resolved tolerance and the built action of every problem file (none for
+# verify, which must inspect invalid actions), and returns
+# (exit_code, document, human_lines)
 
 
-def _cmd_verify(args):
-    problem = _load(args.file)
-    tol = _resolve_tol(problem, args)
+def _cmd_verify(args, problem, tol):
     rep = Representation(
         problem.presentation, problem.field, problem.matrices, dim=problem.dim, tol=tol, validate=False
     )
@@ -140,26 +127,16 @@ def _cmd_verify(args):
     return (EXIT_OK if passed else EXIT_NEGATIVE), doc, lines
 
 
-def _cmd_irreducible(args):
-    problem = _load(args.file)
-    tol = _resolve_tol(problem, args)
-    action = problem.build_action(tol)
+def _cmd_irreducible(args, problem, tol, action):
     verdict = decide_irreducibility(action, tol)
     doc = {"verdict": verdict.tag, "commutant_dimension": len(verdict.commutant)}
     lines = [f"irreducible: {verdict.tag}"]
     if verdict.reducible:
-        witness_defect = commutant_residual(action, verdict.witness_map)
-        if not residual_ok(witness_defect, 1.0, tol.eps_residual):
-            raise InternalCheckError("witness commutant element failed re-verification")
-        subspace_defect = _verify_subspace(action, verdict.witness_subspace, tol)
         doc["witness"] = {
             "commutant_map": affine_map_to_json(verdict.witness_map, action.field),
             "invariant_subspace": subspace_to_json(verdict.witness_subspace, action.field),
         }
-        doc["residuals"] = {
-            "witness_commutant": witness_defect,
-            "subspace_invariance": subspace_defect,
-        }
+        doc["residuals"] = dict(verdict.residuals)
         lines.append(
             f"  invariant subspace: base {np.round(verdict.witness_subspace.base, 6).tolist()}"
             f", dim {verdict.witness_subspace.dim}"
@@ -173,16 +150,13 @@ def _cmd_irreducible(args):
     return (EXIT_NEGATIVE if verdict.reducible else EXIT_OK), doc, lines
 
 
-def _cmd_commutant(args):
-    problem = _load(args.file)
-    tol = _resolve_tol(problem, args)
-    action = problem.build_action(tol)
+def _cmd_commutant(args, problem, tol, action):
     pairs = affine_commutant(action, tol)
     worst = 0.0
     serialized = []
     for pair in pairs:
-        defect = commutant_residual(action, pair)
-        worst = max(worst, defect)
+        scale = certification_scale((pair.deviation, pair.translation), action)
+        worst = max(worst, certify(commutant_residual(action, pair), scale, tol, "commutant basis element"))
         serialized.append(
             {
                 "deviation": array_to_json(pair.deviation, action.field),
@@ -190,8 +164,6 @@ def _cmd_commutant(args):
                 "deviation_norm": pair.deviation_norm,
             }
         )
-    if not residual_ok(worst, 1.0, tol.eps_residual):
-        raise InternalCheckError("commutant basis failed re-verification")
     doc = {
         "verdict": "computed",
         "dimension": len(pairs),
@@ -206,14 +178,12 @@ def _cmd_commutant(args):
     return EXIT_OK, doc, lines
 
 
-def _cmd_fixed_points(args):
-    problem = _load(args.file)
-    tol = _resolve_tol(problem, args)
-    action = problem.build_action(tol)
+def _cmd_fixed_points(args, problem, tol, action):
     subspace = fixed_points(action, tol)
     if subspace is None:
         return EXIT_NEGATIVE, {"verdict": "Empty", "probabilistic": False}, ["fixed-points: Empty"]
-    defect = _verify_subspace(action, subspace, tol)
+    scale = certification_scale((subspace.base,), action)
+    defect = certify(check_invariance(action, subspace, tol), scale, tol, "fixed-point subspace")
     doc = {
         "verdict": "FixedPoints",
         "subspace": subspace_to_json(subspace, action.field),
@@ -227,10 +197,7 @@ def _cmd_fixed_points(args):
     return EXIT_OK, doc, lines
 
 
-def _cmd_cohomology(args):
-    problem = _load(args.file)
-    tol = _resolve_tol(problem, args)
-    action = problem.build_action(tol)
+def _cmd_cohomology(args, problem, tol, action):
     basis = first_cohomology(action.rep, tol)
     nz, nb, nh = basis.dims
     worst = max(
@@ -252,18 +219,13 @@ def _cmd_cohomology(args):
     return EXIT_OK, doc, lines
 
 
-def _cmd_exists_irreducible(args):
-    problem = _load(args.file)
-    tol = _resolve_tol(problem, args)
-    action = problem.build_action(tol)
+def _cmd_exists_irreducible(args, problem, tol, action):
+    # the search returns only witnesses whose action decide_irreducibility
+    # found Irreducible
     result = search_irreducible_cocycle(
         action.rep, trials=args.trials, seed=_resolve_seed(problem, args), tol=tol
     )
     if result.found:
-        witness_action = AffineAction(action.rep, result.witness)
-        verdict = decide_irreducibility(witness_action, tol)
-        if verdict.reducible:
-            raise InternalCheckError("separating witness failed the irreducibility re-check")
         doc = {
             "verdict": "Yes",
             "witness_cocycle": {
@@ -281,20 +243,12 @@ def _cmd_exists_irreducible(args):
     ]
 
 
-def _cmd_direct_sum(args):
-    p1, p2 = _load(args.file), _load(args.file2)
-    tol = _resolve_tol(p1, args)
-    a1, a2 = p1.build_action(tol), p2.build_action(tol)
-    analysis = analyze_direct_sum(a1, a2, tol, seed=_resolve_seed(p1, args))
+def _cmd_direct_sum(args, problem, tol, a1, a2):
+    analysis = analyze_direct_sum(a1, a2, tol, seed=_resolve_seed(problem, args))
     if analysis.irreducible:
         doc = {"verdict": "IrreducibleSum", "probabilistic": False}
         return EXIT_OK, doc, ["direct-sum: IrreducibleSum"]
     proj = analysis.projections
-    projected1 = project_action(a1, proj.v1_basis, tol)
-    projected2 = project_action(a2, proj.v2_basis, tol)
-    defect = intertwining_residual(projected1, projected2, proj.intertwiner)
-    if not residual_ok(defect, 1.0, tol.eps_residual):
-        raise InternalCheckError("projection intertwiner failed re-verification")
     doc = {
         "verdict": "EquivalentProjections",
         "witness": {
@@ -304,29 +258,24 @@ def _cmd_direct_sum(args):
             "intertwiner": affine_map_to_json(proj.intertwiner, a1.field),
             "ambient_intertwiner": affine_map_to_json(proj.ambient_map(), a1.field),
         },
-        "residuals": {"intertwining": defect},
+        "residuals": dict(proj.residuals),
         "probabilistic": False,
     }
     lines = [
         "direct-sum: Reducible (equivalent projected actions)",
-        f"  projected dimension {proj.v1_basis.shape[1]}, intertwining defect {defect:.3e}",
+        f"  projected dimension {proj.v1_basis.shape[1]}, "
+        f"intertwining defect {proj.residuals['intertwining']:.3e}",
     ]
     return EXIT_NEGATIVE, doc, lines
 
 
-def _cmd_equivalence(args):
-    p1, p2 = _load(args.file), _load(args.file2)
-    tol = _resolve_tol(p1, args)
-    a1, a2 = p1.build_action(tol), p2.build_action(tol)
-    result = check_equivalence(a1, a2, trials=args.trials, seed=_resolve_seed(p1, args), tol=tol)
+def _cmd_equivalence(args, problem, tol, a1, a2):
+    result = check_equivalence(a1, a2, trials=args.trials, seed=_resolve_seed(problem, args), tol=tol)
     if result.equivalent:
-        defect = intertwining_residual(a1, a2, result.intertwiner)
-        if not residual_ok(defect, 1.0, tol.eps_residual):
-            raise InternalCheckError("equivalence intertwiner failed re-verification")
         doc = {
             "verdict": "Equivalent",
             "intertwiner": affine_map_to_json(result.intertwiner, a1.field),
-            "residuals": {"intertwining": defect},
+            "residuals": dict(result.residuals),
             "probabilistic": False,
         }
         return EXIT_OK, doc, ["equivalence: Equivalent"]
@@ -335,12 +284,9 @@ def _cmd_equivalence(args):
     return EXIT_NEGATIVE, doc, [f"equivalence: NotFound{note}"]
 
 
-def _cmd_restrict(args):
-    problem = _load(args.file)
-    tol = _resolve_tol(problem, args)
+def _cmd_restrict(args, problem, tol, action):
     if problem.subgroup is None:
         raise CliInputError("restrict requires a 'subgroup' section in the problem file")
-    action = problem.build_action(tol)
     restricted = restrict_action(action, problem.subgroup)
     verdict = decide_irreducibility(restricted, tol)
     doc = {
@@ -352,11 +298,8 @@ def _cmd_restrict(args):
     return (EXIT_NEGATIVE if verdict.reducible else EXIT_OK), doc, lines
 
 
-def _cmd_induce(args):
-    problem = _load(args.file)
+def _cmd_induce(args, problem, tol, action):
     setup = load_induction_setup(args.setup)
-    tol = _resolve_tol(problem, args)
-    action = problem.build_action(tol)
     induced = induce_action(action, setup, tol)
     verdict = decide_irreducibility(induced, tol)
     doc = {
@@ -366,7 +309,6 @@ def _cmd_induce(args):
         "probabilistic": False,
     }
     if verdict.reducible:
-        _verify_subspace(induced, verdict.witness_subspace, tol)
         doc["witness"] = {
             "invariant_subspace": subspace_to_json(verdict.witness_subspace, induced.field)
         }
@@ -377,10 +319,7 @@ def _cmd_induce(args):
     return (EXIT_NEGATIVE if verdict.reducible else EXIT_OK), doc, lines
 
 
-def _cmd_center_check(args):
-    problem = _load(args.file)
-    tol = _resolve_tol(problem, args)
-    action = problem.build_action(tol)
+def _cmd_center_check(args, problem, tol, action):
     report = check_center_translations(action, problem.central_words, tol)
     doc = {
         "verdict": "pass" if report.passed else "fail",
@@ -394,10 +333,7 @@ def _cmd_center_check(args):
     return (EXIT_OK if report.passed else EXIT_NEGATIVE), doc, lines
 
 
-def _cmd_abelian_test(args):
-    problem = _load(args.file)
-    tol = _resolve_tol(problem, args)
-    action = problem.build_action(tol)
+def _cmd_abelian_test(args, problem, tol, action):
     result = quadratic_form_test(action, window=args.window, tol=tol)
     verdict = decide_irreducibility(action, tol)
     agree = result.quadratic == verdict.irreducible
@@ -415,10 +351,7 @@ def _cmd_abelian_test(args):
     return (EXIT_OK if result.quadratic else EXIT_NEGATIVE), doc, lines
 
 
-def _cmd_nilpotent_check(args):
-    problem = _load(args.file)
-    tol = _resolve_tol(problem, args)
-    action = problem.build_action(tol)
+def _cmd_nilpotent_check(args, problem, tol, action):
     report = check_translation_characterization(action, "nilpotent", tol)
     doc = {
         "verdict": "pass" if report.passed else "fail",
@@ -432,10 +365,7 @@ def _cmd_nilpotent_check(args):
     return (EXIT_OK if report.passed else EXIT_NEGATIVE), doc, lines
 
 
-def _cmd_orbit_probe(args):
-    problem = _load(args.file)
-    tol = _resolve_tol(problem, args)
-    action = problem.build_action(tol)
+def _cmd_orbit_probe(args, problem, tol, action):
     origin = np.zeros(action.dim)
     report = orbit_hull_probe(
         action,
@@ -522,25 +452,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dispatch(args):
+    """Load the problem file(s), resolve the tolerance, build the actions, run the verb."""
+    paths = [args.file, args.file2] if args.command in _TWO_FILE_VERBS else [args.file]
+    problems = [load_problem(path) for path in paths]
+    tol = _resolve_tol(problems[0], args)
+    actions = [] if args.command == "verify" else [p.build_action(tol) for p in problems]
+    return _HANDLERS[args.command](args, problems[0], tol, *actions)
+
+
 def _run_one(args) -> tuple[int, dict]:
-    handler = _HANDLERS[args.command]
     start = time.perf_counter()
+    lines = []
     try:
-        code, payload, lines = handler(args)
+        code, payload, lines = _dispatch(args)
     except (ProblemFileError, OSError) as exc:
-        return EXIT_USAGE, {"error": str(exc), "verdict": "error"}
-    except CliInputError as exc:
-        return EXIT_INPUT, {"error": str(exc), "verdict": "error"}
+        code, payload = EXIT_USAGE, {"error": str(exc), "verdict": "error"}
+    except (CliInputError, ValueError) as exc:
+        code, payload = EXIT_INPUT, {"error": str(exc), "verdict": "error"}
     except InternalCheckError as exc:
-        return EXIT_INTERNAL, {"error": str(exc), "verdict": "error"}
-    except ValueError as exc:
-        return EXIT_INPUT, {"error": str(exc), "verdict": "error"}
-    elapsed = time.perf_counter() - start
+        code, payload = EXIT_INTERNAL, {"error": str(exc), "verdict": "error"}
     doc = {
         "format_version": FORMAT_VERSION,
         "command": args.command,
         "arguments": _echo_arguments(args),
-        "wall_time_s": elapsed,
+        "wall_time_s": time.perf_counter() - start,
         "exit_code": code,
     }
     doc.update(payload)

@@ -25,7 +25,7 @@ from .linalg import (
     numerical_rank,
     residual_ok,
 )
-from .reps import Representation
+from .reps import Representation, fixed_subspace
 from .words import CosetTable, GroupPresentation, Word, free_presentation, validate_coset_table
 
 
@@ -190,8 +190,6 @@ def check_center_translations(
     Each word must first commute with every generator at the representation
     level; failing that is a precondition error for that word.
     """
-    from .reps import fixed_subspace
-
     tol = tol or action.tol
     presentation = action.presentation
     words = [w if isinstance(w, Word) else presentation.parse_word(w) for w in central_words]

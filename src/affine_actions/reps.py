@@ -195,6 +195,33 @@ def fixed_subspace(rep: Representation, tol: ToleranceProfile | None = None) -> 
     return null_space_basis(stacked, tol)
 
 
+def intertwiner_system(rep1: Representation, rep2: Representation, values1=None, values2=None):
+    """Rows and right-hand side of the intertwiner system for T: V1 -> V2.
+
+        T pi1(s) = pi2(s) T,      T b1(s) - (pi2(s) - I) t = b2(s)      for all generators s,
+
+    in the unknown (vec T, t). Without cocycle values only the commuting rows
+    are built, in the unknown vec T. With rep1 = rep2 and equal values the
+    homogeneous system is the affine commutant in (vec U, t), U = T - I.
+    """
+    d1, d2 = rep1.dim, rep2.dim
+    dtype = rep1.dtype
+    eye1, eye2 = np.eye(d1, dtype=dtype), np.eye(d2, dtype=dtype)
+    affine = values1 is not None
+    cols = d2 * d1 + (d2 if affine else 0)
+    blocks, rhs = [np.zeros((0, cols), dtype=dtype)], [np.zeros(0, dtype=dtype)]
+    # row-major vec: vec(T M) = (I (x) M^T) vec(T), vec(M T) = (M (x) I) vec(T)
+    for i, (m1, m2) in enumerate(zip(rep1.matrices, rep2.matrices)):
+        blocks.append(
+            np.hstack([np.kron(eye2, m1.T) - np.kron(m2, eye1), np.zeros((d2 * d1, cols - d2 * d1), dtype=dtype)])
+        )
+        rhs.append(np.zeros(d2 * d1, dtype=dtype))
+        if affine:
+            blocks.append(np.hstack([np.kron(eye2, values1[i][None, :]), -(m2 - eye2)]))
+            rhs.append(values2[i])
+    return np.vstack(blocks), np.concatenate(rhs)
+
+
 def commutant_basis(rep: Representation, tol: ToleranceProfile | None = None) -> list[np.ndarray]:
     """Basis over the declared field of {T : T pi(s) = pi(s) T for all s}.
 
@@ -203,13 +230,7 @@ def commutant_basis(rep: Representation, tol: ToleranceProfile | None = None) ->
     """
     tol = tol or rep.tol
     d = rep.dim
-    eye = np.eye(d, dtype=rep.dtype)
-    if rep.presentation.num_generators == 0:
-        basis = np.eye(d * d, dtype=rep.dtype)
-        return [unvec(basis[:, k], d, d) for k in range(d * d)]
-    # row-major vec: vec(T M) = (I (x) M^T) vec(T), vec(M T) = (M (x) I) vec(T)
-    blocks = [np.kron(eye, m.T) - np.kron(m, eye) for m in rep.matrices]
-    basis = null_space_basis(np.vstack(blocks), tol)
+    basis = null_space_basis(intertwiner_system(rep, rep)[0], tol)
     return [unvec(basis[:, k], d, d) for k in range(basis.shape[1])]
 
 

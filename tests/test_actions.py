@@ -428,17 +428,20 @@ def test_analyze_mixed_dimension_sum_with_shared_component():
 
 def test_verdict_invariant_under_cocycle_scaling():
     # rescaling the cocycle rescales the translation unknowns only; the
-    # deviation space and hence the verdict must not move across magnitudes
+    # deviation space and hence the verdict must not move across magnitudes,
+    # and the double of every scaled action stays reducible with projections
     samples = [glide_action(), dihedral_action(), translation_action()]
     rep = random_free_rep(f2_group(), 2, "complex", RNG)
     samples.append(random_action(rep, RNG))
     for action in samples:
         base = decide_irreducibility(action).reducible
-        for scale in (1e-6, 1e-3, 1e3, 1e6):
+        for scale in (1e-6, 1e-3, 1e3, 1e6, 1e9):
             scaled = AffineAction.from_values(
                 action.rep, [scale * v for v in action.cocycle.values]
             )
             assert decide_irreducibility(scaled).reducible == base, scale
+            analysis = analyze_direct_sum(scaled, scaled)
+            assert analysis.verdict.reducible and analysis.projections is not None, scale
 
 
 def test_analyze_disjoint_pair_irreducible():

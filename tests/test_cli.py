@@ -6,10 +6,17 @@ import sys
 import numpy as np
 import pytest
 
+from affine_actions import direct_sum
 from affine_actions.cli import main
-from affine_actions.problem_io import load_problem, problem_from_dict, problem_to_dict
+from affine_actions.problem_io import (
+    action_to_problem,
+    load_problem,
+    problem_from_dict,
+    problem_to_dict,
+    save_problem,
+)
 
-from helpers import FIXTURES
+from helpers import FIXTURES, f2_group, random_action, random_free_rep
 
 
 def run_cli(args, capsys):
@@ -82,6 +89,19 @@ def test_irreducible_exit_codes_and_witness(capsys):
     assert code == 0
     assert doc["verdict"] == "Irreducible"
     assert doc["fixed_space_dimension"] == 0
+
+
+def test_irreducible_on_large_cocycle_double(tmp_path, capsys):
+    # a valid reducible input at cocycle scale 1e9: the verdict and its
+    # certified witness must not depend on the magnitude of b
+    rng = np.random.default_rng(7)
+    half = random_action(random_free_rep(f2_group(), 4, "real", rng), rng, scale=1e9)
+    path = tmp_path / "double.json"
+    save_problem(action_to_problem(direct_sum(half, half)), path)
+    code, doc = run_machine(["irreducible", path], capsys)
+    assert code == 10
+    assert doc["verdict"] == "Reducible"
+    assert doc["witness"]["invariant_subspace"]["dim"] < 8
 
 
 def test_irreducible_human_output_not_json(capsys):
@@ -289,6 +309,11 @@ def test_result_documents_carry_standard_fields(capsys):
     for key in ("format_version", "command", "arguments", "wall_time_s", "exit_code", "probabilistic"):
         assert key in doc
     assert doc["exit_code"] == code
+
+    code, doc = run_machine(["irreducible", "/nonexistent/problem.json"], capsys)
+    for key in ("format_version", "command", "arguments", "wall_time_s", "exit_code", "error"):
+        assert key in doc
+    assert doc["exit_code"] == 11
 
 
 def test_console_script_entry_point():
