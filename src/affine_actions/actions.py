@@ -211,7 +211,8 @@ def affine_commutant(action: AffineAction, tol: ToleranceProfile | None = None) 
     tol = tol or action.tol
     s = unit_scale(tol, action)
     values = [b / s for b in action.cocycle.values]
-    basis = null_space_basis(intertwiner_system(action.rep, action.rep, values, values)[0], tol)
+    matrix, _, lift = intertwiner_system(action.rep, action.rep, values, values, tol)
+    basis = lift(null_space_basis(matrix, tol))
     d = action.dim
     return [CommutantPair(unvec(col[: d * d], d, d), s * col[d * d :]) for col in basis.T]
 
@@ -478,19 +479,18 @@ def check_equivalence(
     tol = tol or a1.tol
     d1, d2 = a1.dim, a2.dim
     s = unit_scale(tol, a1, a2)
-    matrix, rhs = intertwiner_system(
-        a1.rep, a2.rep, [b / s for b in a1.cocycle.values], [b / s for b in a2.cocycle.values]
+    matrix, rhs, lift = intertwiner_system(
+        a1.rep, a2.rep, [b / s for b in a1.cocycle.values], [b / s for b in a2.cocycle.values], tol
     )
     solution = solve_affine_system(matrix, rhs, tol)
     if solution is None or d1 != d2:
         return EquivalenceResult(False, None, probabilistic=False)
 
     rng = np.random.default_rng(seed)
-    candidates = [solution.particular]
-    for _ in range(trials):
-        coeffs = random_vector(solution.dim, a1.field, rng)
-        candidates.append(solution.particular + solution.homogeneous @ coeffs)
-    for column in candidates:
+    coeffs = [np.zeros(solution.dim, dtype=matrix.dtype)]
+    coeffs += [random_vector(solution.dim, a1.field, rng) for _ in range(trials)]
+    candidates = lift(solution.particular[:, None] + solution.homogeneous @ np.column_stack(coeffs))
+    for column in candidates.T:
         t_mat = unvec(column[: d2 * d1], d2, d1)
         singular = np.linalg.svd(t_mat, compute_uv=False)
         if numerical_rank(singular, tol) < d1:

@@ -79,12 +79,16 @@ def null_space_basis(matrix: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) ->
     """Orthonormal basis (as columns) of the numerical null space.
 
     The basis dimension is ``cols - rank`` with rank decided by the relative
-    singular-value cutoff ``eps_rank * sigma_max``.
+    singular-value cutoff ``eps_rank * sigma_max``. A tall matrix is reduced
+    to its ``cols x cols`` triangular factor first: R has the same singular
+    values and right singular vectors, and no ``rows x rows`` factor is formed.
     """
     matrix = np.atleast_2d(np.asarray(matrix))
     rows, cols = matrix.shape
     if rows == 0 or cols == 0:
         return np.eye(cols, dtype=matrix.dtype)
+    if rows > cols:
+        matrix = np.linalg.qr(matrix, mode="r")
     _, s, vh = np.linalg.svd(matrix, full_matrices=True)
     rank = numerical_rank(s, tol)
     return vh[rank:].conj().T

@@ -195,42 +195,100 @@ def fixed_subspace(rep: Representation, tol: ToleranceProfile | None = None) -> 
     return null_space_basis(stacked, tol)
 
 
-def intertwiner_system(rep1: Representation, rep2: Representation, values1=None, values2=None):
-    """Rows and right-hand side of the intertwiner system for T: V1 -> V2.
+def _first_generator_eigenbasis(rep: Representation) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and orthonormal eigenvectors of H = pi(s0) + pi(s0)*.
 
-        T pi1(s) = pi2(s) T,      T b1(s) - (pi2(s) - I) t = b2(s)      for all generators s,
-
-    in the unknown (vec T, t). Without cocycle values only the commuting rows
-    are built, in the unknown vec T. With rep1 = rep2 and equal values the
-    homogeneous system is the affine commutant in (vec U, t), U = T - I.
+    Without generators H is taken to be 0: one eigenvalue, basis I.
     """
+    if not rep.matrices:
+        return np.zeros(rep.dim), np.eye(rep.dim, dtype=rep.dtype)
+    m = rep.matrices[0]
+    return np.linalg.eigh(m + m.conj().T)
+
+
+def intertwiner_system(
+    rep1: Representation,
+    rep2: Representation,
+    values1=None,
+    values2=None,
+    tol: ToleranceProfile | None = None,
+):
+    """Intertwiner system for T: V1 -> V2 in the eigenbasis of the first generator.
+
+        T pi1(s) = pi2(s) T,      T b1(s) - (pi2(s) - I) t = b2(s)      for all generators s.
+
+    Returns ``(matrix, rhs, lift)``. The unknowns are reduced coordinates:
+    with Q1, Q2 eigenbases of H = pi(s0) + pi(s0)*, an intertwiner has
+    T~ = Q2* T Q1 supported on pairs (p, q) whose H-eigenvalues share a
+    cluster (T pi1(s0) = pi2(s0) T implies T H1 = H2 T for isometries), so
+    only those entries of T~ and, with cocycle values, t~ = Q2* t are
+    unknowns. Clusters are chains over the union of both spectra with links
+    of width sqrt(max(eps_eig, eps_rank, eps_residual)), far wider than the
+    eigenvalue shifts of an isometry accepted at the profile's tolerances:
+    splitting an eigenspace would lose solutions, while a wide cluster only
+    relaxes the restriction. The rows are every generator's equations,
+    s0 included, multiplied by Q2*, so residuals keep their size.
+
+    ``lift`` maps reduced solution columns to columns (vec T, t) (row-major
+    vec; without cocycle values just vec T). It is an isometric embedding,
+    so orthonormal null-space bases stay orthonormal. With rep1 = rep2 and
+    equal values the homogeneous system is the affine commutant in
+    (vec U, t), U = T - I. For real representations Q and the system are real.
+    """
+    tol = tol or rep1.tol
     d1, d2 = rep1.dim, rep2.dim
     dtype = rep1.dtype
-    eye1, eye2 = np.eye(d1, dtype=dtype), np.eye(d2, dtype=dtype)
+    (lam1, q1), (lam2, q2) = _first_generator_eigenbasis(rep1), _first_generator_eigenbasis(rep2)
+    spectrum = np.concatenate([lam1, lam2])
+    order = np.argsort(spectrum, kind="stable")
+    width = np.sqrt(max(tol.eps_eig, tol.eps_rank, tol.eps_residual))
+    labels = np.empty(d1 + d2, dtype=int)
+    labels[order] = np.concatenate([[0], np.cumsum(np.diff(spectrum[order]) > width)])
+    rows_p, cols_q = np.nonzero(labels[d1:, None] == labels[None, :d1])
+    k = len(rows_p)
+    idx = np.arange(k)
+
     affine = values1 is not None
-    cols = d2 * d1 + (d2 if affine else 0)
-    blocks, rhs = [np.zeros((0, cols), dtype=dtype)], [np.zeros(0, dtype=dtype)]
-    # row-major vec: vec(T M) = (I (x) M^T) vec(T), vec(M T) = (M (x) I) vec(T)
+    cols = k + (d2 if affine else 0)
+    per_gen = d2 * d1 + (d2 if affine else 0)
+    gens = len(rep1.matrices)
+    matrix = np.zeros((gens, per_gen, cols), dtype=dtype)
+    rhs = np.zeros((gens, per_gen), dtype=dtype)
     for i, (m1, m2) in enumerate(zip(rep1.matrices, rep2.matrices)):
-        blocks.append(
-            np.hstack([np.kron(eye2, m1.T) - np.kron(m2, eye1), np.zeros((d2 * d1, cols - d2 * d1), dtype=dtype)])
-        )
-        rhs.append(np.zeros(d2 * d1, dtype=dtype))
+        p1, p2 = q1.conj().T @ m1 @ q1, q2.conj().T @ m2 @ q2
+        # the unknown for pair (p, q) is T~ = e_p e_q^T, and T~ P1 - P2 T~ is
+        # P1[q, :] in row p minus P2[:, p] in column q
+        commuting = matrix[i, : d2 * d1].reshape(d2, d1, cols)
+        commuting[rows_p, :, idx] = p1[cols_q, :]
+        commuting[:, cols_q, idx] -= p2[:, rows_p]
         if affine:
-            blocks.append(np.hstack([np.kron(eye2, values1[i][None, :]), -(m2 - eye2)]))
-            rhs.append(values2[i])
-    return np.vstack(blocks), np.concatenate(rhs)
+            value_rows = matrix[i, d2 * d1 :]
+            value_rows[rows_p, idx] = (q1.conj().T @ values1[i])[cols_q]
+            value_rows[:, k:] = np.eye(d2) - p2
+            rhs[i, d2 * d1 :] = q2.conj().T @ values2[i]
+
+    def lift(columns: np.ndarray) -> np.ndarray:
+        n = columns.shape[1]
+        reduced = np.zeros((n, d2, d1), dtype=np.result_type(columns, q1, q2))
+        reduced[:, rows_p, cols_q] = columns[:k].T
+        full = (q2 @ reduced @ q1.conj().T).reshape(n, d2 * d1).T
+        return np.vstack([full, q2 @ columns[k:]]) if affine else full
+
+    return matrix.reshape(gens * per_gen, cols), rhs.reshape(-1), lift
 
 
 def commutant_basis(rep: Representation, tol: ToleranceProfile | None = None) -> list[np.ndarray]:
     """Basis over the declared field of {T : T pi(s) = pi(s) T for all s}.
 
     Real representations get the real commutant; complex ones the complex
-    commutant. The identity always lies in the returned span.
+    commutant. The identity always lies in the returned span. The basis is
+    the lifted null space of the commuting rows of ``intertwiner_system``
+    (reduced over the first generator's eigenspaces), orthonormal in vec T.
     """
     tol = tol or rep.tol
     d = rep.dim
-    basis = null_space_basis(intertwiner_system(rep, rep)[0], tol)
+    matrix, _, lift = intertwiner_system(rep, rep, tol=tol)
+    basis = lift(null_space_basis(matrix, tol))
     return [unvec(basis[:, k], d, d) for k in range(basis.shape[1])]
 
 

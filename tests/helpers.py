@@ -1,7 +1,8 @@
 """Shared builders for the test suite: presentations, random isometric
-representations by group class, random cocycles, and the brute-force
-joint-eigenspace oracle used to cross-check the commutant decision on
-abelian groups."""
+representations by group class, random cocycles, the dense Kronecker form of
+the intertwiner system used as the reference for the reduced solver, and the
+brute-force joint-eigenspace oracle used to cross-check the commutant
+decision on abelian groups."""
 
 from __future__ import annotations
 
@@ -324,6 +325,36 @@ def total_random_abelian_action(rng) -> AffineAction | None:
     if np.linalg.matrix_rank(values, tol=1e-6) < dim:
         return None
     return action
+
+
+# -- reference intertwiner system ------------------------------------------
+
+
+def kronecker_intertwiner_system(rep1: Representation, rep2: Representation, values1=None, values2=None):
+    """Dense rows and right-hand side of the intertwiner system for T: V1 -> V2.
+
+        T pi1(s) = pi2(s) T,      T b1(s) - (pi2(s) - I) t = b2(s)      for all generators s,
+
+    in the full unknown (vec T, t), row-major vec; without cocycle values only
+    the commuting rows, in vec T. This is the d^2-unknown form the library's
+    reduced solver is checked against.
+    """
+    d1, d2 = rep1.dim, rep2.dim
+    dtype = rep1.dtype
+    eye1, eye2 = np.eye(d1, dtype=dtype), np.eye(d2, dtype=dtype)
+    affine = values1 is not None
+    cols = d2 * d1 + (d2 if affine else 0)
+    blocks, rhs = [np.zeros((0, cols), dtype=dtype)], [np.zeros(0, dtype=dtype)]
+    # row-major vec: vec(T M) = (I (x) M^T) vec(T), vec(M T) = (M (x) I) vec(T)
+    for i, (m1, m2) in enumerate(zip(rep1.matrices, rep2.matrices)):
+        blocks.append(
+            np.hstack([np.kron(eye2, m1.T) - np.kron(m2, eye1), np.zeros((d2 * d1, cols - d2 * d1), dtype=dtype)])
+        )
+        rhs.append(np.zeros(d2 * d1, dtype=dtype))
+        if affine:
+            blocks.append(np.hstack([np.kron(eye2, values1[i][None, :]), -(m2 - eye2)]))
+            rhs.append(values2[i])
+    return np.vstack(blocks), np.concatenate(rhs)
 
 
 # -- brute-force oracle for abelian actions ---------------------------------

@@ -7,6 +7,7 @@ from affine_actions.linalg import (
     as_field_array,
     hermitian_eigensystem,
     null_space_basis,
+    numerical_rank,
     orthonormal_columns,
     solve_affine_system,
 )
@@ -62,6 +63,38 @@ def test_null_space_residual_and_orthonormality_random(field):
             assert np.linalg.norm(mat @ basis, axis=0).max() <= DEFAULT_TOL.eps_residual * (1 + norm)
             gram = basis.conj().T @ basis
             assert np.linalg.norm(gram - np.eye(basis.shape[1])) <= DEFAULT_TOL.eps_residual
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_null_space_of_tall_matrix_matches_direct_svd(field):
+    # tall inputs go through QR first; the rank decision and the null space
+    # must be those of a direct full SVD of the same matrix
+    for _ in range(25):
+        cols = int(RNG.integers(1, 9))
+        rows = cols + int(RNG.integers(1, 30))
+        rank = int(RNG.integers(0, cols + 1))
+        left, right = RNG.standard_normal((rows, rank)), RNG.standard_normal((rank, cols))
+        if field == "complex":
+            left = left + 1j * RNG.standard_normal((rows, rank))
+        mat = left @ right
+        _, s, vh = np.linalg.svd(mat, full_matrices=True)
+        expected = vh[numerical_rank(s, DEFAULT_TOL) :].conj().T
+        basis = null_space_basis(mat)
+        assert basis.shape == expected.shape == (cols, cols - rank)
+        r = np.linalg.qr(mat, mode="r")
+        assert np.allclose(np.linalg.svd(r, compute_uv=False), s, rtol=0, atol=1e-12 * max(s[0], 1.0))
+        assert np.linalg.norm(basis.conj().T @ basis - np.eye(cols - rank)) <= DEFAULT_TOL.eps_residual
+        # same subspace: the projectors agree
+        assert np.linalg.norm(basis @ basis.conj().T - expected @ expected.conj().T) <= DEFAULT_TOL.eps_residual
+        if basis.shape[1]:
+            assert np.linalg.norm(mat @ basis, axis=0).max() <= DEFAULT_TOL.eps_residual * (1 + np.linalg.norm(mat))
+
+
+def test_null_space_of_tall_matrix_keeps_real_dtype():
+    mat = np.vstack([np.eye(3)[:, :2] @ np.ones((2, 4)), np.zeros((5, 4))])
+    basis = null_space_basis(mat)
+    assert basis.dtype == np.float64
+    assert basis.shape == (4, 3)
 
 
 def test_solve_affine_identity():
