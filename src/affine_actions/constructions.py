@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import AffineAction, decide_irreducibility
+from .actions import AffineAction, decide_irreducibility, unit_scale
 from .linalg import (
     REAL,
     ToleranceProfile,
@@ -25,7 +25,7 @@ from .linalg import (
     numerical_rank,
     residual_ok,
 )
-from .reps import Representation, fixed_subspace
+from .reps import Cocycle, Representation, fixed_subspace
 from .words import CosetTable, GroupPresentation, Word, free_presentation, validate_coset_table
 
 
@@ -254,17 +254,14 @@ def is_free_abelian(presentation: GroupPresentation) -> bool:
     return seen == needed
 
 
-def _lattice_word(exponents: tuple[int, ...]) -> Word:
-    letters = []
-    for index, power in enumerate(exponents):
-        sign = 1 if power >= 0 else -1
-        letters.extend(((index, sign),) * abs(power))
-    return Word(tuple(letters))
-
-
 @dataclass(frozen=True)
 class QuadraticFormResult:
-    """Parallelogram-identity scan of x -> ||b(x)||^2 over a lattice window."""
+    """Parallelogram-identity scan of x -> ||b(x)||^2 over a lattice window.
+
+    ``max_defect`` is the largest parallelogram defect scanned, in the
+    caller's units (those of ||b||^2); on a violation it is the defect of
+    the violating pair, since every pair scanned before it passed.
+    """
 
     quadratic: bool
     violation: tuple[tuple[int, ...], tuple[int, ...]] | None
@@ -276,6 +273,32 @@ class QuadraticFormResult:
         return "Quadratic" if self.quadratic else "ViolatedAt"
 
 
+def _psi_grid(cocycle: Cocycle, k: int, reach: int) -> np.ndarray:
+    """psi(x) = ||b(x)||^2 on the cube [-reach, reach]^k, indexed by x + reach.
+
+    The word of x is t1^x1 ... tk^xk, so x is its parent (x with the last
+    nonzero coordinate one step nearer 0) plus one letter. A depth-first walk
+    over the coordinates applies one ``Cocycle.step`` per point and keeps
+    one state per coordinate; the values are those of ``Cocycle.extend``.
+    """
+    rep = cocycle.representation
+    psi = np.empty((2 * reach + 1,) * k)
+
+    def walk(depth, index, value, prefix):
+        if depth == k:
+            psi[index] = float(np.linalg.norm(value) ** 2)
+            return
+        walk(depth + 1, index + (reach,), value, prefix)
+        for sign in (1, -1):
+            v, p = value, prefix
+            for power in range(1, reach + 1):
+                v, p = cocycle.step(v, p, depth, sign)
+                walk(depth + 1, index + (reach + sign * power,), v, p)
+
+    walk(0, (), np.zeros(rep.dim, dtype=rep.dtype), np.eye(rep.dim, dtype=rep.dtype))
+    return psi
+
+
 def quadratic_form_test(
     action: AffineAction, window: int = 3, tol: ToleranceProfile | None = None
 ) -> QuadraticFormResult:
@@ -284,6 +307,15 @@ def quadratic_form_test(
     Requires the cocycle values to span the whole space (totality); under
     that hypothesis the identity holds on the lattice iff the action is
     irreducible, which is what the accompanying property suite asserts.
+
+    The pairs (x, y) of [-window, window]^k are scanned row by row in a fixed
+    order (nearest the origin first) and the first pair whose defect
+    |psi(x+y) + psi(x-y) - 2 psi(x) - 2 psi(y)| exceeds
+    eps_residual * (1 + max psi) is reported. The cocycle is divided by
+    ``unit_scale`` first, so the result does not depend on the magnitude of
+    b; ``max_defect`` is multiplied back by s^2. Near-zero policy: when
+    max ||b(s)|| <= eps_residual, s = 1, and values that small normally
+    fall under the rank cutoff and fail the totality check.
     """
     tol = tol or action.tol
     presentation = action.presentation
@@ -292,31 +324,35 @@ def quadratic_form_test(
     if window < 1:
         raise ConstructionError("window must be >= 1")
     k = presentation.num_generators
-    values = np.column_stack(action.cocycle.values) if k else np.zeros((action.dim, 0))
+    s = unit_scale(tol, action)
+    cocycle = Cocycle(action.rep, [b / s for b in action.cocycle.values], validate=False)
+    values = np.column_stack(cocycle.values) if k else np.zeros((action.dim, 0))
     singular = np.linalg.svd(values, compute_uv=False) if min(values.shape) else np.zeros(0)
     if numerical_rank(singular, tol) < action.dim:
         raise ConstructionError("cocycle values do not span the space (totality fails)")
 
-    span = range(-2 * window, 2 * window + 1)
-    psi = {
-        x: float(np.linalg.norm(action.cocycle.extend(_lattice_word(x))) ** 2)
-        for x in itertools.product(span, repeat=k)
-    }
-    scale = max(psi.values(), default=0.0)
+    reach = 2 * window
+    psi = _psi_grid(cocycle, k, reach).ravel()
+    scale = float(psi.max())
     inner = sorted(
         itertools.product(range(-window, window + 1), repeat=k),
         key=lambda x: (max(map(abs, x), default=0), sum(map(abs, x)), tuple(-c for c in x)),
     )
+    # flat index of x in the grid is centre + x . strides, so x + y and x - y
+    # are index sums and differences
+    strides = (2 * reach + 1) ** np.arange(k - 1, -1, -1)
+    offsets = np.array(inner) @ strides
+    centre = reach * int(strides.sum())
+    psi_y = psi[centre + offsets]
     max_defect = 0.0
-    for x in inner:
-        for y in inner:
-            plus = tuple(a + b for a, b in zip(x, y))
-            minus = tuple(a - b for a, b in zip(x, y))
-            defect = abs(psi[plus] + psi[minus] - 2.0 * (psi[x] + psi[y]))
-            max_defect = max(max_defect, defect)
-            if not residual_ok(defect, scale, tol.eps_residual):
-                return QuadraticFormResult(False, (x, y), window, defect)
-    return QuadraticFormResult(True, None, window, max_defect)
+    for x, fx in zip(inner, centre + offsets):
+        defect = np.abs(psi[fx + offsets] + psi[fx - offsets] - 2.0 * (psi[fx] + psi_y))
+        failed = ~residual_ok(defect, scale, tol.eps_residual)  # NaN fails too
+        if failed.any():
+            j = int(np.argmax(failed))
+            return QuadraticFormResult(False, (x, inner[j]), window, float(defect[j]) * s**2)
+        max_defect = max(max_defect, float(defect.max()))
+    return QuadraticFormResult(True, None, window, max_defect * s**2)
 
 
 _HEISENBERG_CLASS = "heisenberg"
@@ -430,25 +466,34 @@ class OrbitHullReport:
         return [p for p in self.probes if p.hull_distance > threshold]
 
 
-def _hull_distance(points: np.ndarray, target: np.ndarray, iterations: int = 256) -> float:
-    """Distance from target to conv(points) by nearest-vertex refinement."""
-    gaps = points - target
-    current = gaps[int(np.argmin(np.einsum("ij,ij->i", gaps, gaps)))]
-    for step in range(1, iterations + 1):
-        scores = gaps @ current
-        best = gaps[int(np.argmin(scores))]
-        # Frank-Wolfe gap: current is (near) optimal when no vertex improves
-        if current @ (current - best) <= 1e-14:
+def _hull_distances(points: np.ndarray, targets: np.ndarray, iterations: int = 256) -> np.ndarray:
+    """Distance from each target to conv(points) by Frank-Wolfe iteration.
+
+    All targets iterate together: one (active targets) x (points) score
+    matrix per step. Each target starts at its nearest point and stops on
+    its own when no vertex improves it (Frank-Wolfe gap <= 1e-14), when the
+    step direction vanishes, when the step length is 0, or at the cap.
+    """
+    current = np.empty_like(targets)
+    for i, q in enumerate(targets):
+        gaps = points - q
+        current[i] = gaps[int(np.argmin(np.einsum("ij,ij->i", gaps, gaps)))]
+    active = np.arange(len(targets))
+    for _ in range(iterations):
+        if not active.size:
             break
-        direction = best - current
-        denom = float(direction @ direction)
-        if denom == 0.0:
-            break
-        gamma = min(1.0, max(0.0, float(-(current @ direction)) / denom))
-        if gamma == 0.0:
-            break
-        current = current + gamma * direction
-    return float(np.linalg.norm(current))
+        gaps = current[active]
+        # argmin over vertices of (p - q) . gap; q . gap is constant per row
+        best = points[np.argmin(gaps @ points.T, axis=1)] - targets[active]
+        direction = best - gaps
+        fw_gap = np.einsum("ij,ij->i", gaps, gaps - best)
+        denom = np.einsum("ij,ij->i", direction, direction)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gamma = np.clip(-np.einsum("ij,ij->i", gaps, direction) / denom, 0.0, 1.0)
+        moving = ~(fw_gap <= 1e-14) & (denom != 0.0) & (gamma > 0.0)
+        active = active[moving]
+        current[active] = gaps[moving] + gamma[moving, None] * direction[moving]
+    return np.linalg.norm(current, axis=1)
 
 
 def _probe_grid(dim: int, radius: float, rng: np.random.Generator) -> np.ndarray:
@@ -496,8 +541,9 @@ def orbit_hull_probe(
             word = Word(letters)
         points.append(action.evaluate(word)(origin))
     cloud = np.array(points)
+    grid = _probe_grid(action.dim, radius, rng)
     probes = tuple(
-        ProbeResult(tuple(float(c) for c in q), _hull_distance(cloud, q))
-        for q in _probe_grid(action.dim, radius, rng)
+        ProbeResult(tuple(float(c) for c in q), float(dist))
+        for q, dist in zip(grid, _hull_distances(cloud, grid))
     )
     return OrbitHullReport(len(points), probes)

@@ -154,15 +154,22 @@ class Cocycle:
         value = np.zeros(rep.dim, dtype=rep.dtype)
         prefix = np.eye(rep.dim, dtype=rep.dtype)
         for gen, sign in word.letters:
-            m = rep.matrices[gen]
-            if sign > 0:
-                value = value + prefix @ self.values[gen]
-                prefix = prefix @ m
-            else:
-                minv = m.conj().T
-                value = value - prefix @ (minv @ self.values[gen])
-                prefix = prefix @ minv
+            value, prefix = self.step(value, prefix, gen, sign)
         return value
+
+    def step(self, value: np.ndarray, prefix: np.ndarray, gen: int, sign: int):
+        """One letter of the chain rule: (b(w), pi(w)) -> (b(w s), pi(w s)).
+
+        ``s`` is generator ``gen`` for ``sign > 0`` and its inverse otherwise,
+        with b(s^-1) = -pi(s)^-1 b(s) and pi(s)^-1 = pi(s)* (isometry).
+        ``extend`` and the lattice walk of ``quadratic_form_test`` both apply
+        these steps from (0, I), so one word gives the same bits in either.
+        """
+        m = self.representation.matrices[gen]
+        if sign > 0:
+            return value + prefix @ self.values[gen], prefix @ m
+        minv = m.conj().T
+        return value - prefix @ (minv @ self.values[gen]), prefix @ minv
 
     def coordinates(self) -> np.ndarray:
         """Concatenated generator values."""

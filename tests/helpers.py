@@ -1,8 +1,9 @@
 """Shared builders for the test suite: presentations, random isometric
 representations by group class, random cocycles, the dense Kronecker form of
-the intertwiner system used as the reference for the reduced solver, and the
-brute-force joint-eigenspace oracle used to cross-check the commutant
-decision on abelian groups."""
+the intertwiner system used as the reference for the reduced solver, the
+pair-by-pair parallelogram scan and per-probe Frank-Wolfe loop used as the
+references for the lattice scans, and the brute-force joint-eigenspace
+oracle used to cross-check the commutant decision on abelian groups."""
 
 from __future__ import annotations
 
@@ -15,10 +16,15 @@ from affine_actions import (
     AffineAction,
     Cocycle,
     GroupPresentation,
+    OrbitHullReport,
+    QuadraticFormResult,
     Representation,
     ToleranceProfile,
+    Word,
     first_cohomology,
 )
+from affine_actions.constructions import ProbeResult
+from affine_actions.linalg import residual_ok
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -31,6 +37,11 @@ def z_group() -> GroupPresentation:
 
 def z2_group() -> GroupPresentation:
     return GroupPresentation(["t1", "t2"], ["t1 t2 t1^-1 t2^-1"])
+
+
+def free_abelian_group(k: int) -> GroupPresentation:
+    names = [f"t{i + 1}" for i in range(k)]
+    return GroupPresentation(names, [f"{a} {b} {a}^-1 {b}^-1" for i, a in enumerate(names) for b in names[i + 1 :]])
 
 
 def f2_group() -> GroupPresentation:
@@ -308,6 +319,16 @@ def random_action_for(presentation: GroupPresentation, dim: int, field: str, rng
     return random_action(rep, rng)
 
 
+def permuted(action: AffineAction, perm: list[int]) -> AffineAction:
+    """The same action with the generators relabelled in the order ``perm``."""
+    pres = action.presentation
+    relabelled = GroupPresentation(
+        [pres.generators[i] for i in perm], [pres.format_word(r) for r in pres.relators]
+    )
+    rep = Representation(relabelled, action.field, [action.rep.matrices[i] for i in perm], dim=action.dim)
+    return AffineAction.from_values(rep, [action.cocycle.values[i] for i in perm])
+
+
 def total_random_abelian_action(rng) -> AffineAction | None:
     """Random free-abelian action whose cocycle values span the space, or
     None when the sample misses totality. Half the samples have identity
@@ -325,6 +346,91 @@ def total_random_abelian_action(rng) -> AffineAction | None:
     if np.linalg.matrix_rank(values, tol=1e-6) < dim:
         return None
     return action
+
+
+# -- reference lattice scans ------------------------------------------------
+
+
+def _lattice_word(exponents: tuple[int, ...]) -> Word:
+    letters = []
+    for index, power in enumerate(exponents):
+        sign = 1 if power >= 0 else -1
+        letters.extend(((index, sign),) * abs(power))
+    return Word(tuple(letters))
+
+
+def reference_quadratic_form_test(action: AffineAction, window: int = 3, tol: ToleranceProfile = TOL):
+    """The parallelogram scan pair by pair: psi from one ``Cocycle.extend`` of
+    t1^x1 ... tk^xk per lattice point, then every pair (x, y) of the inner
+    window in the library's scan order. The action is used as given, with
+    no unit scaling and no totality check, so callers pass a total,
+    unit-scaled action."""
+    k = action.presentation.num_generators
+    span = range(-2 * window, 2 * window + 1)
+    psi = {
+        x: float(np.linalg.norm(action.cocycle.extend(_lattice_word(x))) ** 2)
+        for x in itertools.product(span, repeat=k)
+    }
+    scale = max(psi.values(), default=0.0)
+    inner = sorted(
+        itertools.product(range(-window, window + 1), repeat=k),
+        key=lambda x: (max(map(abs, x), default=0), sum(map(abs, x)), tuple(-c for c in x)),
+    )
+    max_defect = 0.0
+    for x in inner:
+        for y in inner:
+            plus = tuple(a + b for a, b in zip(x, y))
+            minus = tuple(a - b for a, b in zip(x, y))
+            defect = abs(psi[plus] + psi[minus] - 2.0 * (psi[x] + psi[y]))
+            max_defect = max(max_defect, defect)
+            if not residual_ok(defect, scale, tol.eps_residual):
+                return QuadraticFormResult(False, (x, y), window, defect)
+    return QuadraticFormResult(True, None, window, max_defect)
+
+
+def reference_hull_distance(points: np.ndarray, target: np.ndarray, iterations: int = 256) -> float:
+    """Distance from one target to conv(points) by Frank-Wolfe iteration."""
+    gaps = points - target
+    current = gaps[int(np.argmin(np.einsum("ij,ij->i", gaps, gaps)))]
+    for _ in range(iterations):
+        best = gaps[int(np.argmin(gaps @ current))]
+        if current @ (current - best) <= 1e-14:
+            break
+        direction = best - current
+        denom = float(direction @ direction)
+        if denom == 0.0:
+            break
+        gamma = min(1.0, max(0.0, float(-(current @ direction)) / denom))
+        if gamma == 0.0:
+            break
+        current = current + gamma * direction
+    return float(np.linalg.norm(current))
+
+
+def reference_orbit_hull_probe(
+    action: AffineAction, origin, budget: int, radius: float, seed: int, max_word_length: int = 12
+) -> OrbitHullReport:
+    """The orbit probe with one Frank-Wolfe loop per probe: the same random
+    words and probe grid, drawn in the same order, as the library."""
+    rng = np.random.default_rng(seed)
+    g = action.presentation.num_generators
+    points = [np.asarray(origin, dtype=float)]
+    for _ in range(budget):
+        length = int(rng.integers(0, max_word_length + 1))
+        letters = ()
+        if g and length:
+            letters = tuple((int(rng.integers(0, g)), 1 if rng.random() < 0.5 else -1) for _ in range(length))
+        points.append(action.evaluate(Word(letters))(points[0]))
+    cloud = np.array(points)
+    axis = np.linspace(-radius, radius, 5)
+    if action.dim <= 3:
+        grid = np.array(list(itertools.product(axis, repeat=action.dim)))
+    else:
+        grid = rng.standard_normal((200, action.dim))
+        grid *= radius * rng.random((200, 1)) ** (1.0 / action.dim) / np.linalg.norm(grid, axis=1, keepdims=True)
+    grid = grid[np.linalg.norm(grid, axis=1) <= radius + 1e-12]
+    probes = tuple(ProbeResult(tuple(float(c) for c in q), reference_hull_distance(cloud, q)) for q in grid)
+    return OrbitHullReport(len(points), probes)
 
 
 # -- reference intertwiner system ------------------------------------------

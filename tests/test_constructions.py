@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from affine_actions import (
     AffineAction,
@@ -14,18 +17,29 @@ from affine_actions import (
     decide_irreducibility,
     fixed_points,
     induce_action,
+    QuadraticFormResult,
     orbit_hull_probe,
     quadratic_form_test,
     restrict_action,
 )
+from affine_actions.actions import unit_scale
 from affine_actions.constructions import ConstructionError, fixture_class, is_free_abelian
+from affine_actions.problem_io import load_problem
 from affine_actions.reps import CocycleError, RepresentationError
 
 from helpers import (
+    FIXTURES,
+    TOL,
     dihedral_group,
+    free_abelian_group,
     heisenberg_group,
+    permuted,
     random_action,
+    random_field_vector,
     random_heisenberg_rep,
+    random_isometry,
+    reference_orbit_hull_probe,
+    reference_quadratic_form_test,
     total_random_abelian_action,
     z2_group,
     z_group,
@@ -408,3 +422,198 @@ def test_orbit_probe_induced_action_stays_on_diagonal():
 def test_orbit_probe_rejects_complex_actions():
     with pytest.raises(ConstructionError):
         orbit_hull_probe(dihedral_action(), np.zeros(1), budget=5, radius=1.0)
+
+
+# -- lattice scans: ψ walk and row scan, batched Frank-Wolfe ------------------
+
+
+def spanning_translations(k: int, field: str, rng) -> AffineAction:
+    """Identity linear part and k random translations of F^k: irreducible, psi is a quadratic form."""
+    rep = Representation(free_abelian_group(k), field, [np.eye(k)] * k, dim=k)
+    return AffineAction.from_values(rep, [random_field_vector(k, field, rng) for _ in range(k)])
+
+
+def rotating_coboundary(angles, field: str, v) -> AffineAction:
+    """Commuting rotations (phases of C^1, or plane rotations of R^2) with the
+    coboundary of v: reducible, and psi(x) = 2|v|^2 (1 - cos(x . angles)) is
+    not a quadratic form."""
+    if field == "complex":
+        mats = [np.exp(1j * a) * np.eye(1) for a in angles]
+    else:
+        mats = [np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]]) for a in angles]
+    rep = Representation(free_abelian_group(len(angles)), field, mats, dim=mats[0].shape[0])
+    return AffineAction.from_values(rep, [m @ v - v for m in mats])
+
+
+def scaled(action: AffineAction, factor: float) -> AffineAction:
+    return AffineAction.from_values(action.rep, [factor * b for b in action.cocycle.values])
+
+
+def scan_inputs(k: int, field: str, rng) -> list[AffineAction]:
+    """Spanning translations (full scan) and rotating coboundaries at wide and
+    at narrow angles; the narrow ones pass the first pairs of the scan and
+    violate further on, so the scan order decides which pair is reported."""
+    actions = [spanning_translations(k, field, rng)]
+    if field == "real" and k == 1:
+        # one plane rotation does not span R^2; the sign flip is the rotation of R^1
+        rep = Representation(free_abelian_group(1), "real", [-np.eye(1)])
+        return actions + [AffineAction.from_values(rep, [rng.standard_normal(1)])]
+    for low, high in ((0.3, np.pi - 0.3), (1e-4, 1e-3)):
+        v = random_field_vector(1 if field == "complex" else 2, field, rng)
+        actions.append(rotating_coboundary(rng.uniform(low, high, size=k), field, v))
+    return actions
+
+
+def assert_matches_reference_scan(action: AffineAction, window: int) -> QuadraticFormResult:
+    # the reference runs on the unit-scaled action; max_defect comes back in caller units
+    s = unit_scale(TOL, action)
+    unit = AffineAction.from_values(action.rep, [b / s for b in action.cocycle.values])
+    reference = reference_quadratic_form_test(unit, window)
+    result = quadratic_form_test(action, window)
+    assert result == dataclasses.replace(reference, max_defect=reference.max_defect * s**2)
+    return result
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize(
+    "k,window", [(k, w) for k in (1, 2, 3) for w in (1, 2, 3)] + [(4, 1), (4, 2)]
+)
+def test_quadratic_scan_matches_pairwise_reference(k, window, field):
+    rng = np.random.default_rng(100 * k + 10 * window + (field == "complex"))
+    results = [assert_matches_reference_scan(a, window) for a in scan_inputs(k, field, rng)]
+    assert results[0].quadratic
+    assert not any(r.quadratic for r in results[1:])
+
+
+def test_quadratic_scan_matches_reference_on_random_abelian_actions():
+    rng = np.random.default_rng(55)
+    tags = set()
+    checked = 0
+    while checked < 24:
+        action = total_random_abelian_action(rng)
+        if action is None:
+            continue
+        tags.add(assert_matches_reference_scan(action, 1 + checked % 3).tag)
+        checked += 1
+    assert tags == {"Quadratic", "ViolatedAt"}
+
+
+def test_quadratic_scan_reports_first_violation_in_scan_order():
+    # narrow angles: the row of the origin always passes, the row of
+    # (1, 0, ..., 0) is scanned next, and the narrow rotations pass it too
+    rng = np.random.default_rng(21)
+    late = 0
+    for field in ("real", "complex"):
+        for k in (2, 3):
+            for window in (2, 3):
+                result = assert_matches_reference_scan(scan_inputs(k, field, rng)[2], window)
+                late += result.violation[0] != (1,) + (0,) * (k - 1)
+    assert late > 0
+
+
+@pytest.mark.parametrize("factor", [1e-6, 1.0, 1e3, 1e9])
+def test_quadratic_form_invariant_under_dilation(factor):
+    translations = spanning_translations(2, "real", np.random.default_rng(5))
+    assert quadratic_form_test(scaled(translations, factor)).quadratic
+    rotating = rotating_coboundary([0.7, 1.9], "real", np.array([1.0, 0.5]))
+    base = quadratic_form_test(rotating)
+    result = quadratic_form_test(scaled(rotating, factor))
+    assert decide_irreducibility(scaled(rotating, factor)).reducible
+    assert not result.quadratic
+    assert result.violation == base.violation
+    # max_defect is reported in the caller's units, those of ||b||^2
+    assert result.max_defect == pytest.approx(factor**2 * base.max_defect, rel=1e-9)
+
+
+def test_quadratic_form_near_zero_cocycle_fails_totality():
+    # max ||b(s)|| <= eps_residual: s = 1, and values of size 1e-9 have rank 0
+    rotating = rotating_coboundary([0.7, 1.9], "real", np.array([1.0, 0.5]))
+    with pytest.raises(ConstructionError, match="totality"):
+        quadratic_form_test(scaled(rotating, 1e-9))
+
+
+def test_quadratic_form_k4_window3_translations():
+    action = spanning_translations(4, "real", np.random.default_rng(43))
+    result = quadratic_form_test(action, window=3)
+    assert result.quadratic
+    assert result.violation is None and result.window == 3
+
+
+def invariance_input(seed: int) -> AffineAction:
+    rng = np.random.default_rng(seed)
+    kind = seed % 3
+    if kind == 0:
+        return spanning_translations(int(rng.integers(1, 4)), "real", rng)
+    if kind == 1:
+        return rotating_coboundary(rng.uniform(0.3, np.pi - 0.3, size=int(rng.integers(2, 4))), "real", rng.standard_normal(2))
+    while (action := total_random_abelian_action(rng)) is None:
+        pass
+    return action
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+def test_quadratic_flag_invariant_under_generator_permutation(seed, perm_seed):
+    action = invariance_input(seed)
+    perm = list(np.random.default_rng(perm_seed).permutation(action.presentation.num_generators))
+    assert quadratic_form_test(permuted(action, perm), 2).quadratic == quadratic_form_test(action, 2).quadratic
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+def test_quadratic_flag_invariant_under_change_of_basis(seed, basis_seed):
+    action = invariance_input(seed)
+    q = random_isometry(action.dim, action.field, np.random.default_rng(basis_seed))
+    rep = Representation(
+        action.presentation, action.field, [q @ m @ q.conj().T for m in action.rep.matrices], dim=action.dim
+    )
+    other = AffineAction.from_values(rep, [q @ b for b in action.cocycle.values])
+    assert quadratic_form_test(other, 2).quadratic == quadratic_form_test(action, 2).quadratic
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(-6.0, 9.0))
+def test_quadratic_flag_invariant_under_cocycle_scaling(seed, log_scale):
+    action = invariance_input(seed)
+    other = scaled(action, 10.0**log_scale)
+    assert quadratic_form_test(other, 2).quadratic == quadratic_form_test(action, 2).quadratic
+
+
+def cubic_lattice_action(dim: int) -> AffineAction:
+    """Z^dim acting by translations along a seeded orthonormal frame."""
+    frame = random_isometry(dim, "real", np.random.default_rng(dim))
+    rep = Representation(free_abelian_group(dim), "real", [np.eye(dim)] * dim, dim=dim)
+    return AffineAction.from_values(rep, list(frame.T))
+
+
+ORBIT_CASES = {
+    # (action, budget, radius, seed): the calls of the orbit tests above and of the CLI test
+    "glide": (glide_action, 150, 5.0, 5),
+    "glide-cli": (lambda: load_problem(FIXTURES / "glide.json").build_action(), 60, 4.0, 2),
+    "translation": (z_translation_action, 150, 5.0, 5),
+    # every orbit point is the origin: a one-point hull, and every probe stops at step 1
+    "zero-cocycle": (lambda: z_translation_action(value=0.0), 5, 3.0, 1),
+    "induced": (lambda: induce_action(z_translation_action(), c2xz_setup()), 120, 4.0, 9),
+    # a negative radius leaves no probe inside the ball
+    "empty-grid": (glide_action, 10, -1.0, 3),
+    "cubic-d2": (lambda: cubic_lattice_action(2), 400, 5.0, 1),
+    "cubic-d3": (lambda: cubic_lattice_action(3), 400, 5.0, 1),
+    "cubic-d6": (lambda: cubic_lattice_action(6), 400, 5.0, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+def test_orbit_probe_matches_per_probe_reference(case):
+    build, budget, radius, seed = ORBIT_CASES[case]
+    action = build()
+    origin = np.zeros(action.dim)
+    reference = reference_orbit_hull_probe(action, origin, budget, radius, seed)
+    report = orbit_hull_probe(action, origin, budget=budget, radius=radius, seed=seed)
+    assert report.orbit_size == reference.orbit_size == budget + 1
+    assert [p.point for p in report.probes] == [p.point for p in reference.probes]
+    for probe, expected in zip(report.probes, reference.probes):
+        assert abs(probe.hull_distance - expected.hull_distance) <= 1e-9
+    if case == "empty-grid":
+        assert report.probes == () and report.max_distance == 0.0
+    if case == "zero-cocycle":
+        assert all(p.hull_distance == abs(p.point[0]) for p in report.probes)

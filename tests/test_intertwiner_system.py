@@ -30,6 +30,7 @@ from helpers import (
     f2_group,
     identity_rep,
     kronecker_intertwiner_system,
+    permuted,
     random_abelian_rep,
     random_action,
     random_c3_rep,
@@ -139,16 +140,6 @@ cases = st.tuples(
     st.integers(0, 2**32 - 1),
     st.booleans(),
 )
-
-
-def permuted(action: AffineAction, perm: list[int]) -> AffineAction:
-    """The same action with the generators relabelled in the order ``perm``."""
-    pres = action.presentation
-    relabelled = GroupPresentation(
-        [pres.generators[i] for i in perm], [pres.format_word(r) for r in pres.relators]
-    )
-    rep = Representation(relabelled, action.field, [action.rep.matrices[i] for i in perm], dim=action.dim)
-    return AffineAction.from_values(rep, [action.cocycle.values[i] for i in perm])
 
 
 @settings(max_examples=40, deadline=None)
