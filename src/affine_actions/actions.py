@@ -74,10 +74,6 @@ class AffineMap:
         return self.linear - np.eye(self.linear.shape[0])
 
 
-def affine_map_distance(a: AffineMap, b: AffineMap) -> float:
-    return max(frobenius(a.linear - b.linear), float(np.linalg.norm(a.translation - b.translation)))
-
-
 @dataclass(frozen=True)
 class AffineSubspace:
     """base + span(directions); directions form an orthonormal column set."""
@@ -131,7 +127,9 @@ class AffineAction:
         return self.rep.tol
 
     def evaluate(self, word: Word) -> AffineMap:
-        return AffineMap(self.rep.evaluate(word), self.cocycle.extend(word))
+        """The map of a word, from one chain-rule walk (``Cocycle.walk``)."""
+        value, linear = self.cocycle.walk(word)
+        return AffineMap(linear, value)
 
     def generator_maps(self) -> list[AffineMap]:
         return [AffineMap(m, v) for m, v in zip(self.rep.matrices, self.cocycle.values)]
@@ -183,15 +181,15 @@ def certification_scale(parts, *actions: AffineAction) -> float:
     return sum(float(np.linalg.norm(p)) for p in parts) + cocycle_norm(*actions)
 
 
-def certify(residual: float, scale: float, tol: ToleranceProfile, what: str) -> float:
+def certify(residual: float, parts, action: AffineAction, tol: ToleranceProfile, what: str) -> float:
     """Return ``residual`` if it meets the certification bound, else raise.
 
     The one bound for every result the library certifies is
-    residual <= eps_residual * (1 + scale) with scale from
-    ``certification_scale``, so the bound reads the same at every magnitude
-    of the data.
+    residual <= eps_residual * (1 + scale) with scale the
+    ``certification_scale`` of the result's ``parts`` on ``action``, so the
+    bound reads the same at every magnitude of the data.
     """
-    if not residual_ok(residual, scale, tol.eps_residual):
+    if not residual_ok(residual, certification_scale(parts, action), tol.eps_residual):
         raise InternalCheckError(f"{what} failed certification (residual {residual:.3e})")
     return residual
 
@@ -200,13 +198,22 @@ def _split_solution(column: np.ndarray, dim: int) -> CommutantPair:
     return CommutantPair(unvec(column[: dim * dim], dim, dim), column[dim * dim :])
 
 
-def affine_commutant(action: AffineAction, tol: ToleranceProfile | None = None) -> list[CommutantPair]:
+@dataclass(frozen=True)
+class AffineCommutant:
+    """Certified basis pairs of the commutant system, with the worst of the
+    residuals they were certified with (``worst_equation_defect``)."""
+
+    pairs: tuple[CommutantPair, ...]
+    residuals: dict[str, float]
+
+
+def affine_commutant(action: AffineAction, tol: ToleranceProfile | None = None) -> AffineCommutant:
     """Basis of the solution space {(U, t)} of the commutant system.
 
     The full affine commutant of the action is { v -> (I+U)v + t } over the
     span of the returned pairs. The system is solved with the cocycle at unit
     scale (see ``unit_scale``); the basis is orthonormal in the coordinates
-    (vec U, t/s).
+    (vec U, t/s). Each pair is certified; one failing raises InternalCheckError.
     """
     tol = tol or action.tol
     s = unit_scale(tol, action)
@@ -214,7 +221,12 @@ def affine_commutant(action: AffineAction, tol: ToleranceProfile | None = None) 
     matrix, _, lift = intertwiner_system(action.rep, action.rep, values, values, tol)
     basis = lift(null_space_basis(matrix, tol))
     d = action.dim
-    return [CommutantPair(unvec(col[: d * d], d, d), s * col[d * d :]) for col in basis.T]
+    pairs = tuple(CommutantPair(unvec(col[: d * d], d, d), s * col[d * d :]) for col in basis.T)
+    residuals = [
+        certify(commutant_residual(action, p), (p.deviation, p.translation), action, tol, "commutant basis element")
+        for p in pairs
+    ]
+    return AffineCommutant(pairs, {"worst_equation_defect": max(residuals, default=0.0)})
 
 
 def commutant_residual(action: AffineAction, pair_or_map) -> float:
@@ -256,23 +268,28 @@ class IrreducibilityVerdict:
         return "Reducible" if self.reducible else "Irreducible"
 
 
-def fixed_points(action: AffineAction, tol: ToleranceProfile | None = None) -> AffineSubspace | None:
-    """All points fixed by every generator, or None when there are none."""
+@dataclass(frozen=True)
+class FixedPoints:
+    """The subspace of points fixed by every generator (None if empty), with
+    the residual it was certified invariant with (``invariance``)."""
+
+    subspace: AffineSubspace | None
+    residuals: dict[str, float] = field(default_factory=dict)
+
+
+def fixed_points(action: AffineAction, tol: ToleranceProfile | None = None) -> FixedPoints:
+    """All points fixed by every generator, certified invariant."""
     tol = tol or action.tol
-    d = action.dim
-    if action.presentation.num_generators == 0:
-        return AffineSubspace(np.zeros(d, dtype=action.rep.dtype), np.eye(d, dtype=action.rep.dtype))
-    matrix = np.vstack([m - np.eye(d) for m in action.rep.matrices])
-    rhs = np.concatenate([-b for b in action.cocycle.values])
-    solution = solve_affine_system(matrix, rhs, tol)
+    solution = solve_affine_system(action.rep.boundary_map(), -action.cocycle.coordinates(), tol)
     if solution is None:
-        return None
-    return AffineSubspace(solution.particular, solution.homogeneous)
+        return FixedPoints(None)
+    subspace = AffineSubspace(solution.particular, solution.homogeneous)
+    defect = certify(check_invariance(action, subspace, tol), (subspace.base,), action, tol, "fixed-point subspace")
+    return FixedPoints(subspace, {"invariance": defect})
 
 
 def check_invariance(action: AffineAction, subspace: AffineSubspace, tol: ToleranceProfile | None = None) -> float:
     """Worst defect of alpha(s)K inside K over all generators."""
-    tol = tol or action.tol
     worst = 0.0
     d_mat = subspace.directions
     for m, b in zip(action.rep.matrices, action.cocycle.values):
@@ -326,8 +343,7 @@ def _certified_subspace(
     subspace = AffineSubspace(-v0, null_space_basis(top_basis.conj().T, tol))
     if subspace.dim >= action.dim:
         raise InternalCheckError("extracted subspace is not proper")
-    scale = certification_scale((v0,), action)
-    return subspace, certify(check_invariance(action, subspace, tol), scale, tol, "extracted subspace")
+    return subspace, certify(check_invariance(action, subspace, tol), (v0,), action, tol, "extracted subspace")
 
 
 def _normalized_witness(pair: CommutantPair) -> AffineMap:
@@ -357,15 +373,15 @@ def decide_irreducibility(action: AffineAction, tol: ToleranceProfile | None = N
     fixed space (the commutant must be exactly the translations along it).
     """
     tol = tol or action.tol
-    pairs = affine_commutant(action, tol)
+    pairs = affine_commutant(action, tol).pairs
     fixed = fixed_subspace(action.rep, tol)
     if len(pairs) > fixed.shape[1]:
         witness = _normalized_witness(max(pairs, key=lambda p: p.deviation_norm))
         u, t = witness.deviation, witness.translation
-        scale = certification_scale((u, t), action)
-        residuals = {"witness_commutant": certify(commutant_residual(action, witness), scale, tol, "witness map")}
+        residual = commutant_residual(action, witness)
+        residuals = {"witness_commutant": certify(residual, (u, t), action, tol, "witness map")}
         subspace, residuals["subspace_invariance"] = _certified_subspace(action, u, t, tol)
-        return IrreducibilityVerdict(True, tuple(pairs), witness, subspace, residuals=residuals)
+        return IrreducibilityVerdict(True, pairs, witness, subspace, residuals=residuals)
 
     if len(pairs) != fixed.shape[1]:
         raise InternalCheckError(
@@ -376,7 +392,7 @@ def decide_irreducibility(action: AffineAction, tol: ToleranceProfile | None = N
         t_norm = float(np.linalg.norm(pair.translation))
         if not residual_ok(float(np.linalg.norm(off)), t_norm, tol.eps_residual):
             raise InternalCheckError("commutant translation leaves the fixed space")
-    return IrreducibilityVerdict(False, tuple(pairs), translation_directions=fixed)
+    return IrreducibilityVerdict(False, pairs, translation_directions=fixed)
 
 
 def project_action(action: AffineAction, basis: np.ndarray, tol: ToleranceProfile | None = None) -> AffineAction:
@@ -454,7 +470,10 @@ def intertwining_residual(a1: AffineAction, a2: AffineAction, mapping: AffineMap
     """Worst defect of mapping à alpha1(s) = alpha2(s) à mapping over generators."""
     worst = 0.0
     for g1, g2 in zip(a1.generator_maps(), a2.generator_maps()):
-        worst = max(worst, affine_map_distance(mapping.compose(g1), g2.compose(mapping)))
+        left, right = mapping.compose(g1), g2.compose(mapping)
+        worst = max(
+            worst, frobenius(left.linear - right.linear), frobenius(left.translation - right.translation)
+        )
     return worst
 
 
@@ -469,9 +488,13 @@ def check_equivalence(
 
     Solves {T pi1(s) = pi2(s) T, T b1(s) - (pi2(s)-I)t = b2(s)} exactly, with
     both cocycles divided by one common scale (see ``unit_scale``), then
-    samples the affine solution set for an invertible T. An unsolvable
-    system is a definite NotFound; exhausted sampling is probabilistic.
+    samples the affine solution set for an invertible T: the particular
+    solution, then ``trials`` random ones (``trials = 0`` tries the
+    particular solution only). An unsolvable system is a definite NotFound;
+    exhausted sampling is probabilistic.
     """
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     if a1.presentation != a2.presentation:
         raise ActionError("equivalence requires identical presentations")
     if a1.field != a2.field:

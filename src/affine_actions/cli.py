@@ -10,6 +10,10 @@ report (default, stdout) or a machine-readable result document
     11  usage errors (missing files, malformed JSON, bad flags)
     12  invalid inputs (schema, invariant, or precondition violations)
     13  internal consistency failure (a certified result failed re-checking)
+
+Each verb is one entry of ``VERBS``; the parser, ``--batch`` and the
+dispatch are derived from that table. The verbs only format library
+results: every residual they print was computed by the library.
 """
 
 from __future__ import annotations
@@ -18,7 +22,9 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -26,11 +32,7 @@ from .actions import (
     InternalCheckError,
     affine_commutant,
     analyze_direct_sum,
-    certification_scale,
-    certify,
     check_equivalence,
-    check_invariance,
-    commutant_residual,
     decide_irreducibility,
     fixed_points,
 )
@@ -42,20 +44,19 @@ from .constructions import (
     quadratic_form_test,
     restrict_action,
 )
-from .linalg import ToleranceProfile, residual_ok
 from .problem_io import (
     FORMAT_VERSION,
-    ProblemFile,
     ProblemFileError,
     action_to_problem,
     affine_map_to_json,
     array_to_json,
+    by_generator,
     load_induction_setup,
     load_problem,
     problem_to_dict,
     subspace_to_json,
 )
-from .reps import Cocycle, Representation, first_cohomology, search_irreducible_cocycle
+from .reps import first_cohomology, search_irreducible_cocycle
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 10
@@ -64,70 +65,34 @@ EXIT_INPUT = 12
 EXIT_INTERNAL = 13
 
 
-class CliInputError(Exception):
-    pass
-
-
-def _resolve_tol(problem: ProblemFile, args) -> ToleranceProfile:
-    base = problem.tolerances or ToleranceProfile()
-    try:
-        return ToleranceProfile(
-            eps_rank=args.tol_rank if args.tol_rank is not None else base.eps_rank,
-            eps_residual=args.tol_residual if args.tol_residual is not None else base.eps_residual,
-            eps_eig=args.tol_eig if args.tol_eig is not None else base.eps_eig,
-        )
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
-
-
-def _resolve_seed(problem: ProblemFile, args) -> int:
-    if getattr(args, "seed", None) is not None:
+def _seed(problem, args) -> int:
+    if args.seed is not None:
         return args.seed
     return problem.seed if problem.seed is not None else 0
 
 
 # ---------------------------------------------------------------------------
-# verb handlers: each takes the parsed arguments, the first problem file, the
-# resolved tolerance and the built action of every problem file (none for
-# verify, which must inspect invalid actions), and returns
-# (exit_code, document, human_lines)
+# formatters: each takes the parsed arguments, the first problem file, the
+# resolved tolerance and the verb's inputs (the built action of every problem
+# file, then the induction setup; nothing for verify, which must inspect
+# invalid data) and returns (affirmative, document, human_lines)
 
 
-def _cmd_verify(args, problem, tol):
-    rep = Representation(
-        problem.presentation, problem.field, problem.matrices, dim=problem.dim, tol=tol, validate=False
+def _verify(args, problem, tol):
+    report = problem.validate(tol)[0]
+    res = report.residuals
+    lines = [f"verify: {'pass' if report.passed else 'FAIL'}"]
+    lines += [f"  {name}: {'ok' if ok else 'FAILED'}" for name, ok in report.checks.items()]
+    lines.append(f"  max isometry defect: {max(res['isometry_defects'], default=0.0):.3e}")
+    lines.append(
+        f"  max relator defect: rep {max(res['representation_relator_defects'], default=0.0):.3e}, "
+        f"cocycle {max(res['cocycle_relator_defects'], default=0.0):.3e}"
     )
-    cocycle = Cocycle(rep, problem.cocycle_values, tol, validate=False)
-    iso = rep.isometry_defects()
-    rep_rel = [rep.relator_residual(r) for r in problem.presentation.relators]
-    coc_rel = cocycle.relator_residuals()
-    scale = max((float(np.linalg.norm(v)) for v in cocycle.values), default=0.0)
-    checks = {
-        "isometry": all(residual_ok(d, 1.0, tol.eps_residual) for d in iso),
-        "representation_relators": all(
-            residual_ok(d, np.sqrt(problem.dim), tol.eps_residual) for d in rep_rel
-        ),
-        "cocycle_relators": all(residual_ok(d, scale, tol.eps_residual) for d in coc_rel),
-    }
-    passed = all(checks.values())
-    doc = {
-        "verdict": "pass" if passed else "fail",
-        "checks": checks,
-        "residuals": {
-            "isometry_defects": iso,
-            "representation_relator_defects": rep_rel,
-            "cocycle_relator_defects": coc_rel,
-        },
-    }
-    lines = [f"verify: {'pass' if passed else 'FAIL'}"]
-    for name, ok in checks.items():
-        lines.append(f"  {name}: {'ok' if ok else 'FAILED'}")
-    lines.append(f"  max isometry defect: {max(iso, default=0.0):.3e}")
-    lines.append(f"  max relator defect: rep {max(rep_rel, default=0.0):.3e}, cocycle {max(coc_rel, default=0.0):.3e}")
-    return (EXIT_OK if passed else EXIT_NEGATIVE), doc, lines
+    doc = {"verdict": "pass" if report.passed else "fail", "checks": report.checks, "residuals": res}
+    return report.passed, doc, lines
 
 
-def _cmd_irreducible(args, problem, tol, action):
+def _irreducible(args, problem, tol, action):
     verdict = decide_irreducibility(action, tol)
     doc = {"verdict": verdict.tag, "commutant_dimension": len(verdict.commutant)}
     lines = [f"irreducible: {verdict.tag}"]
@@ -146,108 +111,84 @@ def _cmd_irreducible(args, problem, tol, action):
         doc["translation_directions"] = array_to_json(fixed, action.field)
         doc["fixed_space_dimension"] = int(fixed.shape[1])
         lines.append(f"  commutant = translations along a {fixed.shape[1]}-dimensional fixed space")
-    doc["probabilistic"] = False
-    return (EXIT_NEGATIVE if verdict.reducible else EXIT_OK), doc, lines
+    return verdict.irreducible, doc, lines
 
 
-def _cmd_commutant(args, problem, tol, action):
-    pairs = affine_commutant(action, tol)
-    worst = 0.0
-    serialized = []
-    for pair in pairs:
-        scale = certification_scale((pair.deviation, pair.translation), action)
-        worst = max(worst, certify(commutant_residual(action, pair), scale, tol, "commutant basis element"))
-        serialized.append(
-            {
-                "deviation": array_to_json(pair.deviation, action.field),
-                "translation": array_to_json(pair.translation, action.field),
-                "deviation_norm": pair.deviation_norm,
-            }
-        )
+def _commutant(args, problem, tol, action):
+    commutant = affine_commutant(action, tol)
+    basis = [
+        {
+            "deviation": array_to_json(pair.deviation, action.field),
+            "translation": array_to_json(pair.translation, action.field),
+            "deviation_norm": pair.deviation_norm,
+        }
+        for pair in commutant.pairs
+    ]
     doc = {
         "verdict": "computed",
-        "dimension": len(pairs),
-        "basis": serialized,
-        "residuals": {"worst_equation_defect": worst},
-        "probabilistic": False,
+        "dimension": len(basis),
+        "basis": basis,
+        "residuals": dict(commutant.residuals),
     }
-    lines = [f"commutant: dimension {len(pairs)}"]
-    lines.extend(
-        f"  pair {i}: |U| = {p.deviation_norm:.6f}" for i, p in enumerate(pairs)
-    )
-    return EXIT_OK, doc, lines
+    lines = [f"commutant: dimension {len(basis)}"]
+    lines += [f"  pair {i}: |U| = {p.deviation_norm:.6f}" for i, p in enumerate(commutant.pairs)]
+    return True, doc, lines
 
 
-def _cmd_fixed_points(args, problem, tol, action):
-    subspace = fixed_points(action, tol)
+def _fixed_points(args, problem, tol, action):
+    result = fixed_points(action, tol)
+    subspace = result.subspace
     if subspace is None:
-        return EXIT_NEGATIVE, {"verdict": "Empty", "probabilistic": False}, ["fixed-points: Empty"]
-    scale = certification_scale((subspace.base,), action)
-    defect = certify(check_invariance(action, subspace, tol), scale, tol, "fixed-point subspace")
+        return False, {"verdict": "Empty"}, ["fixed-points: Empty"]
     doc = {
         "verdict": "FixedPoints",
         "subspace": subspace_to_json(subspace, action.field),
-        "residuals": {"invariance": defect},
-        "probabilistic": False,
+        "residuals": dict(result.residuals),
     }
     lines = [
         "fixed-points: nonempty",
         f"  base {np.round(subspace.base, 6).tolist()}, dimension {subspace.dim}",
     ]
-    return EXIT_OK, doc, lines
+    return True, doc, lines
 
 
-def _cmd_cohomology(args, problem, tol, action):
+def _cohomology(args, problem, tol, action):
     basis = first_cohomology(action.rep, tol)
     nz, nb, nh = basis.dims
-    worst = max(
-        (max(c.relator_residuals(), default=0.0) for c in basis.cocycle_basis), default=0.0
-    )
     doc = {
         "verdict": {"cocycles": nz, "coboundaries": nb, "classes": nh},
         "class_representatives": [
-            {
-                name: array_to_json(v, action.field)
-                for name, v in zip(problem.presentation.generators, cocycle.values)
-            }
+            by_generator(action.presentation, cocycle.values, action.field)
             for cocycle in basis.class_representatives
         ],
-        "residuals": {"worst_cocycle_relator_defect": worst},
-        "probabilistic": False,
+        "residuals": dict(basis.residuals),
     }
-    lines = [f"cohomology: dim Z1 = {nz}, dim B1 = {nb}, dim H1 = {nh}"]
-    return EXIT_OK, doc, lines
+    return True, doc, [f"cohomology: dim Z1 = {nz}, dim B1 = {nb}, dim H1 = {nh}"]
 
 
-def _cmd_exists_irreducible(args, problem, tol, action):
+def _exists_irreducible(args, problem, tol, action):
     # the search returns only witnesses whose action decide_irreducibility
     # found Irreducible
     result = search_irreducible_cocycle(
-        action.rep, trials=args.trials, seed=_resolve_seed(problem, args), tol=tol
+        action.rep, trials=args.trials, seed=_seed(problem, args), tol=tol
     )
     if result.found:
         doc = {
             "verdict": "Yes",
-            "witness_cocycle": {
-                name: array_to_json(v, action.field)
-                for name, v in zip(problem.presentation.generators, result.witness.values)
-            },
+            "witness_cocycle": by_generator(action.presentation, result.witness.values, action.field),
             "trials_used": result.trials_used,
-            "probabilistic": False,
         }
-        lines = [f"exists-irreducible: Yes (trial {result.trials_used})"]
-        return EXIT_OK, doc, lines
+        return True, doc, [f"exists-irreducible: Yes (trial {result.trials_used})"]
     doc = {"verdict": "ProbablyNo", "trials_used": result.trials_used, "probabilistic": True}
-    return EXIT_NEGATIVE, doc, [
+    return False, doc, [
         f"exists-irreducible: ProbablyNo after {result.trials_used} trials (probabilistic)"
     ]
 
 
-def _cmd_direct_sum(args, problem, tol, a1, a2):
-    analysis = analyze_direct_sum(a1, a2, tol, seed=_resolve_seed(problem, args))
+def _direct_sum(args, problem, tol, a1, a2):
+    analysis = analyze_direct_sum(a1, a2, tol, seed=_seed(problem, args))
     if analysis.irreducible:
-        doc = {"verdict": "IrreducibleSum", "probabilistic": False}
-        return EXIT_OK, doc, ["direct-sum: IrreducibleSum"]
+        return True, {"verdict": "IrreducibleSum"}, ["direct-sum: IrreducibleSum"]
     proj = analysis.projections
     doc = {
         "verdict": "EquivalentProjections",
@@ -259,54 +200,49 @@ def _cmd_direct_sum(args, problem, tol, a1, a2):
             "ambient_intertwiner": affine_map_to_json(proj.ambient_map(), a1.field),
         },
         "residuals": dict(proj.residuals),
-        "probabilistic": False,
     }
     lines = [
         "direct-sum: Reducible (equivalent projected actions)",
         f"  projected dimension {proj.v1_basis.shape[1]}, "
         f"intertwining defect {proj.residuals['intertwining']:.3e}",
     ]
-    return EXIT_NEGATIVE, doc, lines
+    return False, doc, lines
 
 
-def _cmd_equivalence(args, problem, tol, a1, a2):
-    result = check_equivalence(a1, a2, trials=args.trials, seed=_resolve_seed(problem, args), tol=tol)
+def _equivalence(args, problem, tol, a1, a2):
+    result = check_equivalence(a1, a2, trials=args.trials, seed=_seed(problem, args), tol=tol)
     if result.equivalent:
         doc = {
             "verdict": "Equivalent",
             "intertwiner": affine_map_to_json(result.intertwiner, a1.field),
             "residuals": dict(result.residuals),
-            "probabilistic": False,
         }
-        return EXIT_OK, doc, ["equivalence: Equivalent"]
+        return True, doc, ["equivalence: Equivalent"]
     doc = {"verdict": "NotFound", "probabilistic": result.probabilistic}
     note = " (probabilistic)" if result.probabilistic else " (system unsolvable)"
-    return EXIT_NEGATIVE, doc, [f"equivalence: NotFound{note}"]
+    return False, doc, [f"equivalence: NotFound{note}"]
 
 
-def _cmd_restrict(args, problem, tol, action):
+def _restrict(args, problem, tol, action):
     if problem.subgroup is None:
-        raise CliInputError("restrict requires a 'subgroup' section in the problem file")
+        raise ValueError("restrict requires a 'subgroup' section in the problem file")
     restricted = restrict_action(action, problem.subgroup)
     verdict = decide_irreducibility(restricted, tol)
     doc = {
         "verdict": verdict.tag,
         "restricted_action": problem_to_dict(action_to_problem(restricted)),
-        "probabilistic": False,
     }
     lines = [f"restrict: verdict {verdict.tag} on {restricted.dim}-dimensional restricted action"]
-    return (EXIT_NEGATIVE if verdict.reducible else EXIT_OK), doc, lines
+    return verdict.irreducible, doc, lines
 
 
-def _cmd_induce(args, problem, tol, action):
-    setup = load_induction_setup(args.setup)
+def _induce(args, problem, tol, action, setup):
     induced = induce_action(action, setup, tol)
     verdict = decide_irreducibility(induced, tol)
     doc = {
         "verdict": verdict.tag,
         "induced_action": problem_to_dict(action_to_problem(induced)),
         "cosets": setup.table.num_cosets,
-        "probabilistic": False,
     }
     if verdict.reducible:
         doc["witness"] = {
@@ -316,24 +252,31 @@ def _cmd_induce(args, problem, tol, action):
         f"induce: {setup.table.num_cosets} cosets, induced dimension {induced.dim}",
         f"  verdict {verdict.tag}",
     ]
-    return (EXIT_NEGATIVE if verdict.reducible else EXIT_OK), doc, lines
+    return verdict.irreducible, doc, lines
 
 
-def _cmd_center_check(args, problem, tol, action):
-    report = check_center_translations(action, problem.central_words, tol)
+def _property_report(verb: str, report, note: str = ""):
+    """The document and lines of a ``PropertyReport``: one entry per check."""
     doc = {
         "verdict": "pass" if report.passed else "fail",
-        "checks": [
-            {"name": c.name, "passed": c.passed, "detail": c.detail} for c in report.checks
-        ],
-        "probabilistic": False,
+        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in report.checks],
     }
-    lines = [f"center-check: {'pass' if report.passed else 'FAIL'} ({len(problem.central_words)} central words)"]
-    lines.extend(f"  {c.name}: {'ok' if c.passed else 'FAILED ' + c.detail}" for c in report.checks)
-    return (EXIT_OK if report.passed else EXIT_NEGATIVE), doc, lines
+    lines = [f"{verb}: {'pass' if report.passed else 'FAIL'}{note}"]
+    lines += [f"  {c.name}: {'ok' if c.passed else 'FAILED ' + c.detail}" for c in report.checks]
+    return report.passed, doc, lines
 
 
-def _cmd_abelian_test(args, problem, tol, action):
+def _center_check(args, problem, tol, action):
+    report = check_center_translations(action, problem.central_words, tol)
+    return _property_report("center-check", report, f" ({len(problem.central_words)} central words)")
+
+
+def _nilpotent_check(args, problem, tol, action):
+    report = check_translation_characterization(action, "nilpotent", tol)
+    return _property_report("nilpotent-check", report)
+
+
+def _abelian_test(args, problem, tol, action):
     result = quadratic_form_test(action, window=args.window, tol=tol)
     verdict = decide_irreducibility(action, tol)
     agree = result.quadratic == verdict.irreducible
@@ -344,38 +287,16 @@ def _cmd_abelian_test(args, problem, tol, action):
         "irreducibility": verdict.tag,
         "verdicts_agree": agree,
         "max_parallelogram_defect": result.max_defect,
-        "probabilistic": False,
     }
     lines = [f"abelian-test: {result.tag}" + (f" at {result.violation}" if result.violation else "")]
     lines.append(f"  irreducibility verdict: {verdict.tag} (agreement: {agree})")
-    return (EXIT_OK if result.quadratic else EXIT_NEGATIVE), doc, lines
+    return result.quadratic, doc, lines
 
 
-def _cmd_nilpotent_check(args, problem, tol, action):
-    report = check_translation_characterization(action, "nilpotent", tol)
-    doc = {
-        "verdict": "pass" if report.passed else "fail",
-        "checks": [
-            {"name": c.name, "passed": c.passed, "detail": c.detail} for c in report.checks
-        ],
-        "probabilistic": False,
-    }
-    lines = [f"nilpotent-check: {'pass' if report.passed else 'FAIL'}"]
-    lines.extend(f"  {c.name}: {'ok' if c.passed else 'FAILED'}" for c in report.checks)
-    return (EXIT_OK if report.passed else EXIT_NEGATIVE), doc, lines
-
-
-def _cmd_orbit_probe(args, problem, tol, action):
-    origin = np.zeros(action.dim)
+def _orbit_probe(args, problem, tol, action):
     report = orbit_hull_probe(
-        action,
-        origin,
-        budget=args.budget,
-        radius=args.radius,
-        seed=_resolve_seed(problem, args),
-        tol=tol,
+        action, np.zeros(action.dim), budget=args.budget, radius=args.radius, seed=_seed(problem, args)
     )
-    distances = [p.hull_distance for p in report.probes]
     doc = {
         "verdict": "evidence",
         "orbit_size": report.orbit_size,
@@ -387,37 +308,70 @@ def _cmd_orbit_probe(args, problem, tol, action):
         f"orbit-probe: {report.orbit_size} orbit points, {len(report.probes)} probes "
         f"in radius {args.radius} (Monte-Carlo evidence only)",
         f"  max hull distance {report.max_distance:.4f}, "
-        f"mean {float(np.mean(distances)) if distances else 0.0:.4f}",
+        f"mean {report.mean_distance:.4f}",
     ]
-    return EXIT_OK, doc, lines
+    return True, doc, lines
 
 
-_HANDLERS = {
-    "verify": _cmd_verify,
-    "irreducible": _cmd_irreducible,
-    "commutant": _cmd_commutant,
-    "fixed-points": _cmd_fixed_points,
-    "cohomology": _cmd_cohomology,
-    "exists-irreducible": _cmd_exists_irreducible,
-    "direct-sum": _cmd_direct_sum,
-    "equivalence": _cmd_equivalence,
-    "restrict": _cmd_restrict,
-    "induce": _cmd_induce,
-    "center-check": _cmd_center_check,
-    "abelian-test": _cmd_abelian_test,
-    "nilpotent-check": _cmd_nilpotent_check,
-    "orbit-probe": _cmd_orbit_probe,
+# ---------------------------------------------------------------------------
+# the verb table
+
+
+@dataclass(frozen=True)
+class Verb:
+    """One verb: its formatter, its input files and its extra flags.
+
+    ``files`` is 1 (one problem file, or ``--batch`` over a directory), 2
+    (two problem files) or "setup" (a problem file and an induction setup
+    file). ``flags`` name entries of ``FLAGS``. ``builds`` is False only for
+    ``verify``, which reports on data that may not build an action.
+    """
+
+    run: Callable
+    files: int | str = 1
+    flags: tuple[str, ...] = ()
+    builds: bool = True
+
+
+VERBS = {
+    "verify": Verb(_verify, builds=False),
+    "irreducible": Verb(_irreducible),
+    "commutant": Verb(_commutant),
+    "fixed-points": Verb(_fixed_points),
+    "cohomology": Verb(_cohomology),
+    "exists-irreducible": Verb(_exists_irreducible, flags=("trials", "seed")),
+    "direct-sum": Verb(_direct_sum, files=2, flags=("seed",)),
+    "equivalence": Verb(_equivalence, files=2, flags=("trials", "seed")),
+    "restrict": Verb(_restrict),
+    "induce": Verb(_induce, files="setup"),
+    "center-check": Verb(_center_check),
+    "abelian-test": Verb(_abelian_test, flags=("window",)),
+    "nilpotent-check": Verb(_nilpotent_check),
+    "orbit-probe": Verb(_orbit_probe, flags=("seed", "budget", "radius")),
 }
 
-_TWO_FILE_VERBS = {"direct-sum", "equivalence"}
-_BATCHABLE = set(_HANDLERS) - _TWO_FILE_VERBS - {"induce"}
+FLAGS = {
+    "batch": {"default": None, "help": "process every *.json file in a directory"},
+    "tol-rank": {"type": float, "default": None, "help": "relative singular-value cutoff"},
+    "tol-residual": {"type": float, "default": None, "help": "residual bound for identity checks"},
+    "tol-eig": {"type": float, "default": None, "help": "eigenvalue clustering width"},
+    "machine": {"action": "store_true", "help": "emit only the JSON result document"},
+    "trials": {"type": int, "default": 20},
+    "seed": {"type": int, "default": None},
+    "window": {"type": int, "default": 3},
+    "budget": {"type": int, "default": 200},
+    "radius": {"type": float, "default": 5.0},
+}
+_COMMON_FLAGS = ("tol-rank", "tol-residual", "tol-eig", "machine")
 
-
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol-rank", type=float, default=None, help="relative singular-value cutoff")
-    sub.add_argument("--tol-residual", type=float, default=None, help="residual bound for identity checks")
-    sub.add_argument("--tol-eig", type=float, default=None, help="eigenvalue clustering width")
-    sub.add_argument("--machine", action="store_true", help="emit only the JSON result document")
+_POSITIONALS = {
+    1: [("file", "problem file")],
+    2: [("file", "first problem file"), ("file2", "second problem file")],
+    "setup": [
+        ("file", "problem file with the subgroup action"),
+        ("setup", "induction setup file (ambient, subgroup, coset table)"),
+    ],
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -426,120 +380,90 @@ def build_parser() -> argparse.ArgumentParser:
         description="Irreducibility and structure of affine isometric actions of finitely presented groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name in _HANDLERS:
+    for name, verb in VERBS.items():
         p = sub.add_parser(name)
-        if name == "induce":
-            p.add_argument("file", help="problem file with the subgroup action")
-            p.add_argument("setup", help="induction setup file (ambient, subgroup, coset table)")
-        elif name in _TWO_FILE_VERBS:
-            p.add_argument("file", help="first problem file")
-            p.add_argument("file2", help="second problem file")
-        else:
-            p.add_argument("file", nargs="?", help="problem file")
-            if name in _BATCHABLE:
-                p.add_argument("--batch", default=None, help="process every *.json file in a directory")
-        _add_common_flags(p)
-        if name in ("exists-irreducible", "equivalence"):
-            p.add_argument("--trials", type=int, default=20)
-        if name in ("exists-irreducible", "equivalence", "direct-sum", "orbit-probe"):
-            p.add_argument("--seed", type=int, default=None)
-        if name == "abelian-test":
-            p.add_argument("--window", type=int, default=3)
-        if name == "orbit-probe":
-            p.add_argument("--budget", type=int, default=200)
-            p.add_argument("--radius", type=float, default=5.0)
+        for dest, help_text in _POSITIONALS[verb.files]:
+            p.add_argument(dest, nargs="?" if verb.files == 1 else None, help=help_text)
+        batch = ("batch",) if verb.files == 1 else ()
+        for flag in batch + _COMMON_FLAGS + verb.flags:
+            p.add_argument(f"--{flag}", **FLAGS[flag])
     return parser
 
 
 def _dispatch(args):
     """Load the problem file(s), resolve the tolerance, build the actions, run the verb."""
-    paths = [args.file, args.file2] if args.command in _TWO_FILE_VERBS else [args.file]
-    problems = [load_problem(path) for path in paths]
-    tol = _resolve_tol(problems[0], args)
-    actions = [] if args.command == "verify" else [p.build_action(tol) for p in problems]
-    return _HANDLERS[args.command](args, problems[0], tol, *actions)
+    verb = VERBS[args.command]
+    problems = [load_problem(args.file)] + ([load_problem(args.file2)] if verb.files == 2 else [])
+    tol = problems[0].tolerance(args.tol_rank, args.tol_residual, args.tol_eig)
+    inputs = [p.build_action(tol) for p in problems] if verb.builds else []
+    if verb.files == "setup":
+        inputs.append(load_induction_setup(args.setup))
+    return verb.run(args, problems[0], tol, *inputs)
 
 
-def _run_one(args) -> tuple[int, dict]:
+def _run_one(args) -> tuple[int, dict, list[str]]:
+    """Exit code, result document and human lines of one call."""
     start = time.perf_counter()
     lines = []
     try:
-        code, payload, lines = _dispatch(args)
+        affirmative, payload, lines = _dispatch(args)
+        code = EXIT_OK if affirmative else EXIT_NEGATIVE
+        payload.setdefault("probabilistic", False)
     except (ProblemFileError, OSError) as exc:
         code, payload = EXIT_USAGE, {"error": str(exc), "verdict": "error"}
-    except (CliInputError, ValueError) as exc:
+    except ValueError as exc:
         code, payload = EXIT_INPUT, {"error": str(exc), "verdict": "error"}
     except InternalCheckError as exc:
         code, payload = EXIT_INTERNAL, {"error": str(exc), "verdict": "error"}
+    skip = {"command", "machine"}
     doc = {
         "format_version": FORMAT_VERSION,
         "command": args.command,
-        "arguments": _echo_arguments(args),
+        "arguments": {k: v for k, v in vars(args).items() if k not in skip and v is not None},
         "wall_time_s": time.perf_counter() - start,
         "exit_code": code,
     }
     doc.update(payload)
-    doc["_human"] = lines
-    return code, doc
-
-
-def _echo_arguments(args) -> dict:
-    skip = {"command", "machine"}
-    return {
-        key: value
-        for key, value in vars(args).items()
-        if key not in skip and value is not None and not key.startswith("_")
-    }
-
-
-def _emit(doc: dict, machine: bool, stream=None) -> None:
-    stream = stream or sys.stdout
-    lines = doc.pop("_human", [])
-    if machine:
-        json.dump(doc, stream)
-        stream.write("\n")
-    else:
-        if "error" in doc:
-            print(f"error: {doc['error']}", file=stream)
-        for line in lines:
-            print(line, file=stream)
+    return code, doc, lines
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
 
-    batch_dir = getattr(args, "batch", None)
-    if batch_dir is not None:
-        if args.file is not None:
-            print("error: --batch replaces the positional file argument", file=sys.stderr)
-            return EXIT_USAGE
-        files = sorted(Path(batch_dir).glob("*.json"))
-        if not files:
-            print(f"error: no .json files in {batch_dir}", file=sys.stderr)
-            return EXIT_USAGE
-        worst = EXIT_OK
-        for path in files:
-            args.file = str(path)
-            code, doc = _run_one(args)
-            doc["file"] = str(path)
-            if not args.machine:
-                print(f"== {path}")
-            _emit(doc, args.machine)
-            worst = max(worst, code)
-        return worst
-
-    if getattr(args, "file", None) is None:
-        print("error: a problem file is required", file=sys.stderr)
+    batch = getattr(args, "batch", None)
+    files = [args.file] if batch is None else [str(p) for p in sorted(Path(batch).glob("*.json"))]
+    error = None
+    if batch is not None and args.file is not None:
+        error = "--batch replaces the positional file argument"
+    elif not files:
+        error = f"no .json files in {batch}"
+    elif files == [None]:
+        error = "a problem file is required"
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
         return EXIT_USAGE
-    code, doc = _run_one(args)
-    _emit(doc, args.machine)
-    return code
+
+    worst = EXIT_OK
+    for path in files:
+        args.file = path
+        code, doc, lines = _run_one(args)
+        worst = max(worst, code)
+        if batch is not None:
+            doc["file"] = path
+        if args.machine:
+            print(json.dumps(doc))
+            continue
+        if batch is not None:
+            print(f"== {path}")
+        if "error" in doc:
+            print(f"error: {doc['error']}")
+        for line in lines:
+            print(line)
+    return worst
 
 
 if __name__ == "__main__":

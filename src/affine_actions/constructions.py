@@ -26,7 +26,15 @@ from .linalg import (
     residual_ok,
 )
 from .reps import Cocycle, Representation, fixed_subspace
-from .words import CosetTable, GroupPresentation, Word, free_presentation, validate_coset_table
+from .words import (
+    CosetTable,
+    GroupPresentation,
+    PropertyCheck,
+    PropertyReport,
+    Word,
+    free_presentation,
+    validate_coset_table,
+)
 
 
 class ConstructionError(ValueError):
@@ -70,26 +78,6 @@ class InducedSetup:
     table: CosetTable
 
 
-@dataclass(frozen=True)
-class PropertyCheck:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class PropertyReport:
-    name: str
-    checks: tuple[PropertyCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> list[PropertyCheck]:
-        return [c for c in self.checks if not c.passed]
-
-
 def restrict_action(action: AffineAction, sub: SubgroupSpec) -> AffineAction:
     """Action of the subgroup, over the free presentation on its generators."""
     if sub.ambient != action.presentation:
@@ -99,10 +87,9 @@ def restrict_action(action: AffineAction, sub: SubgroupSpec) -> AffineAction:
     else:
         names = tuple(f"h{i}" for i in range(len(sub.generator_words)))
     free = free_presentation(names)
-    matrices = tuple(action.rep.evaluate(w) for w in sub.generator_words)
-    rep = Representation(free, action.field, matrices, dim=action.dim, tol=action.tol)
-    values = tuple(action.cocycle.extend(w) for w in sub.generator_words)
-    return AffineAction.from_values(rep, values)
+    maps = [action.evaluate(w) for w in sub.generator_words]
+    rep = Representation(free, action.field, [m.linear for m in maps], dim=action.dim, tol=action.tol)
+    return AffineAction.from_values(rep, [m.translation for m in maps])
 
 
 def induce_action(action: AffineAction, setup: InducedSetup, tol: ToleranceProfile | None = None) -> AffineAction:
@@ -129,11 +116,10 @@ def induce_action(action: AffineAction, setup: InducedSetup, tol: ToleranceProfi
     for perm, schreier_row in zip(setup.table.action, setup.table.schreier):
         big = np.zeros((n * d, n * d), dtype=dtype)
         vec_parts = np.zeros(n * d, dtype=dtype)
-        for y in range(n):
-            x = perm[y]
-            setup.subgroup.check_word(schreier_row[y])
-            big[x * d : (x + 1) * d, y * d : (y + 1) * d] = action.rep.evaluate(schreier_row[y])
-            vec_parts[x * d : (x + 1) * d] = action.cocycle.extend(schreier_row[y])
+        for y, x in enumerate(perm):
+            block = action.evaluate(schreier_row[y])
+            big[x * d : (x + 1) * d, y * d : (y + 1) * d] = block.linear
+            vec_parts[x * d : (x + 1) * d] = block.translation
         matrices.append(big)
         values.append(vec_parts)
     rep = Representation(setup.ambient, action.field, matrices, dim=n * d, tol=tol)
@@ -205,7 +191,7 @@ def check_center_translations(
     fixed = fixed_subspace(action.rep, tol)
     for i, word in enumerate(words):
         label = presentation.format_word(word)
-        matrix = action.rep.evaluate(word)
+        value, matrix = action.cocycle.walk(word)
         central_defect = max(
             (frobenius(matrix @ m - m @ matrix) for m in action.rep.matrices), default=0.0
         )
@@ -219,7 +205,6 @@ def check_center_translations(
             )
             continue
         linear_defect = frobenius(matrix - np.eye(action.dim))
-        value = action.cocycle.extend(word)
         off_fixed = float(np.linalg.norm(value - fixed @ (fixed.conj().T @ value)))
         ok = residual_ok(linear_defect, 1.0, tol.eps_residual) and residual_ok(
             off_fixed, float(np.linalg.norm(value)), tol.eps_residual
@@ -271,6 +256,13 @@ class QuadraticFormResult:
     @property
     def tag(self) -> str:
         return "Quadratic" if self.quadratic else "ViolatedAt"
+
+
+def _spans(vectors, dim: int, tol: ToleranceProfile) -> bool:
+    """Whether the vectors span the whole space, at the rank cutoff."""
+    matrix = np.column_stack(vectors) if vectors else np.zeros((dim, 0))
+    singular = np.linalg.svd(matrix, compute_uv=False) if min(matrix.shape) else np.zeros(0)
+    return numerical_rank(singular, tol) == dim
 
 
 def _psi_grid(cocycle: Cocycle, k: int, reach: int) -> np.ndarray:
@@ -326,9 +318,7 @@ def quadratic_form_test(
     k = presentation.num_generators
     s = unit_scale(tol, action)
     cocycle = Cocycle(action.rep, [b / s for b in action.cocycle.values], validate=False)
-    values = np.column_stack(cocycle.values) if k else np.zeros((action.dim, 0))
-    singular = np.linalg.svd(values, compute_uv=False) if min(values.shape) else np.zeros(0)
-    if numerical_rank(singular, tol) < action.dim:
+    if not _spans(cocycle.values, action.dim, tol):
         raise ConstructionError("cocycle values do not span the space (totality fails)")
 
     reach = 2 * window
@@ -434,10 +424,7 @@ def check_translation_characterization(
             f"max generator deviation from identity {worst:.3e}",
         )
     )
-    values = np.column_stack(action.cocycle.values) if action.cocycle.values else np.zeros((action.dim, 0))
-    singular = np.linalg.svd(values, compute_uv=False) if min(values.shape) else np.zeros(0)
-    spanning = numerical_rank(singular, tol) == action.dim
-    checks.append(PropertyCheck("cocycle-spans", spanning))
+    checks.append(PropertyCheck("cocycle-spans", _spans(action.cocycle.values, action.dim, tol)))
     return PropertyReport("translation-characterization", tuple(checks))
 
 
@@ -462,8 +449,9 @@ class OrbitHullReport:
     def max_distance(self) -> float:
         return max((p.hull_distance for p in self.probes), default=0.0)
 
-    def far_probes(self, threshold: float) -> list[ProbeResult]:
-        return [p for p in self.probes if p.hull_distance > threshold]
+    @property
+    def mean_distance(self) -> float:
+        return float(np.mean([p.hull_distance for p in self.probes])) if self.probes else 0.0
 
 
 def _hull_distances(points: np.ndarray, targets: np.ndarray, iterations: int = 256) -> np.ndarray:
@@ -513,19 +501,21 @@ def orbit_hull_probe(
     radius: float = 5.0,
     seed: int | None = 0,
     max_word_length: int = 12,
-    tol: ToleranceProfile | None = None,
 ) -> OrbitHullReport:
     """Sample the orbit of a point and measure probe distances to its hull.
 
     Irreducible finite-dimensional real actions have enveloping orbits, so
     persistent positive distances inside the sampled ball are (Monte-Carlo)
     evidence of reducibility; small distances everywhere are evidence the
-    hull fills the ball.
+    hull fills the ball. The probes lie in the ball of ``radius`` about the
+    origin, so the radius must be finite and positive.
     """
     if action.field != REAL:
         raise ConstructionError("orbit probe is defined for real actions")
     if budget < 1:
         raise ConstructionError("budget must be >= 1")
+    if not (np.isfinite(radius) and radius > 0):
+        raise ConstructionError(f"radius must be finite and > 0, got {radius}")
     origin = as_field_array(origin, REAL)
     rng = np.random.default_rng(seed)
     g = action.presentation.num_generators

@@ -10,7 +10,7 @@ and undeclared names are errors with a pointer to the offending key.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from .actions import AffineAction, AffineMap, AffineSubspace
 from .constructions import InducedSetup, SubgroupSpec
 from .linalg import COMPLEX, REAL, ToleranceProfile
-from .reps import Cocycle, Representation
+from .reps import Cocycle, Representation, ValidityReport, validity_report
 from .words import CosetTable, GroupPresentation, Word
 
 FORMAT_VERSION = "1"
@@ -46,6 +46,11 @@ def _scalar_from_json(value, field: str, where: str):
 
 def array_to_json(array: np.ndarray, field: str) -> list:
     return [_scalar_to_json(v, field) for v in np.asarray(array).reshape(-1)]
+
+
+def by_generator(presentation: GroupPresentation, arrays, field: str) -> dict:
+    """Per-generator arrays (matrices or cocycle values) keyed by generator name."""
+    return {name: array_to_json(a, field) for name, a in zip(presentation.generators, arrays)}
 
 
 def array_from_json(data, field: str, shape: tuple[int, ...], where: str) -> np.ndarray:
@@ -140,10 +145,27 @@ class ProblemFile:
     central_words: tuple[Word, ...] = ()
     seed: int | None = None
 
+    def tolerance(self, eps_rank=None, eps_residual=None, eps_eig=None) -> ToleranceProfile:
+        """The file's profile (or the default) with the given fields overridden."""
+        overrides = {"eps_rank": eps_rank, "eps_residual": eps_residual, "eps_eig": eps_eig}
+        base = self.tolerances or ToleranceProfile()
+        return replace(base, **{k: v for k, v in overrides.items() if v is not None})
+
+    def validate(self, tol: ToleranceProfile | None = None) -> tuple[ValidityReport, AffineAction]:
+        """The validity report of the data and the action built from it, valid or not."""
+        tol = tol or self.tolerance()
+        rep = Representation(
+            self.presentation, self.field, self.matrices, dim=self.dim, tol=tol, validate=False
+        )
+        cocycle = Cocycle(rep, self.cocycle_values, tol, validate=False)
+        return validity_report(tol, rep, cocycle), AffineAction(rep, cocycle)
+
     def build_action(self, tol: ToleranceProfile | None = None) -> AffineAction:
-        tol = tol or self.tolerances or ToleranceProfile()
-        rep = Representation(self.presentation, self.field, self.matrices, dim=self.dim, tol=tol)
-        return AffineAction(rep, Cocycle(rep, self.cocycle_values, tol))
+        """The action, if it passes ``validate``; else its first failure is raised."""
+        report, action = self.validate(tol)
+        if report.failure is not None:
+            raise report.failure
+        return action
 
 
 _KNOWN_KEYS = {
@@ -249,14 +271,8 @@ def problem_to_dict(problem: ProblemFile) -> dict:
         "field": problem.field,
         "presentation": presentation_to_json(problem.presentation),
         "dim": problem.dim,
-        "matrices": {
-            name: array_to_json(m, problem.field)
-            for name, m in zip(problem.presentation.generators, problem.matrices)
-        },
-        "cocycle": {
-            name: array_to_json(v, problem.field)
-            for name, v in zip(problem.presentation.generators, problem.cocycle_values)
-        },
+        "matrices": by_generator(problem.presentation, problem.matrices, problem.field),
+        "cocycle": by_generator(problem.presentation, problem.cocycle_values, problem.field),
     }
     if problem.tolerances is not None:
         data["tolerances"] = {
@@ -316,15 +332,6 @@ def load_induction_setup(path: str | Path) -> InducedSetup:
     except ProblemFileError as exc:
         raise ProblemFileError(f"{path}: {exc}") from exc
     return InducedSetup(ambient, subgroup, table)
-
-
-def induction_setup_to_dict(setup: InducedSetup) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "ambient": presentation_to_json(setup.ambient),
-        "subgroup": presentation_to_json(setup.subgroup),
-        "coset_table": coset_table_to_json(setup.table, setup.ambient, setup.subgroup),
-    }
 
 
 def action_to_problem(action: AffineAction, tolerances: ToleranceProfile | None = None) -> ProblemFile:

@@ -15,6 +15,7 @@ representatives are chosen orthogonal to the coboundaries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,29 +67,19 @@ class Representation:
             raise RepresentationError("dimension is required for a generator-free presentation")
         if dim < 1:
             raise RepresentationError("dimension must be >= 1")
-        eye = np.eye(dim)
         for name, m in zip(presentation.generators, matrices):
             if m.shape != (dim, dim):
                 raise RepresentationError(f"matrix for {name!r} has shape {m.shape}, expected {(dim, dim)}")
-            defect = frobenius(m.conj().T @ m - eye)
-            if validate and not residual_ok(defect, 1.0, tol.eps_residual):
-                raise RepresentationError(f"matrix for {name!r} is not an isometry (defect {defect:.3e})")
         self.presentation = presentation
         self.field = field
         self.matrices = matrices
         self.dim = dim
         self.tol = tol
-        if validate:
-            for i, relator in enumerate(presentation.relators):
-                defect = frobenius(self.evaluate(relator) - eye)
-                if not residual_ok(defect, np.sqrt(dim), tol.eps_residual):
-                    raise RepresentationError(
-                        f"relator {i} does not evaluate to the identity (defect {defect:.3e})"
-                    )
-
-    def isometry_defects(self) -> list[float]:
-        eye = np.eye(self.dim)
-        return [frobenius(m.conj().T @ m - eye) for m in self.matrices]
+        eye = np.eye(dim)
+        self.isometry_defects = tuple(frobenius(m.conj().T @ m - eye) for m in matrices)
+        self.relator_defects = tuple(frobenius(self.evaluate(r) - eye) for r in presentation.relators)
+        if validate and (failure := validity_report(tol, rep=self).failure):
+            raise failure
 
     @property
     def dtype(self) -> np.dtype:
@@ -103,8 +94,10 @@ class Representation:
             result = result @ (m if sign > 0 else m.conj().T)
         return result
 
-    def relator_residual(self, word: Word) -> float:
-        return frobenius(self.evaluate(word) - np.eye(self.dim))
+    def boundary_map(self) -> np.ndarray:
+        """The (g*d, d) matrix of v -> (pi(s) v - v)_s; its null space is the fixed space."""
+        eye = np.eye(self.dim)
+        return np.vstack([np.zeros((0, self.dim), self.dtype)] + [m - eye for m in self.matrices])
 
     def __repr__(self) -> str:
         return (
@@ -134,36 +127,34 @@ class Cocycle:
                 raise CocycleError(f"value has shape {v.shape}, expected ({representation.dim},)")
         self.representation = representation
         self.values = values
-        if validate:
-            scale = max((float(np.linalg.norm(v)) for v in values), default=0.0)
-            for i, relator in enumerate(representation.presentation.relators):
-                defect = float(np.linalg.norm(self.extend(relator)))
-                if not residual_ok(defect, scale, tol.eps_residual):
-                    raise CocycleError(f"relator {i} has cocycle residual {defect:.3e}")
-
-    def relator_residuals(self) -> list[float]:
-        return [
-            float(np.linalg.norm(self.extend(r)))
-            for r in self.representation.presentation.relators
-        ]
+        self.relator_defects = tuple(
+            float(np.linalg.norm(self.extend(r))) for r in representation.presentation.relators
+        )
+        if validate and (failure := validity_report(tol, cocycle=self).failure):
+            raise failure
 
     def extend(self, word: Word) -> np.ndarray:
         """Value on an arbitrary word via b(uv) = b(u) + pi(u) b(v)."""
+        return self.walk(word)[0]
+
+    def walk(self, word: Word) -> tuple[np.ndarray, np.ndarray]:
+        """(b(w), pi(w)): one ``step`` per letter of the word from (0, I)."""
         rep = self.representation
         rep.presentation.check_word(word)
         value = np.zeros(rep.dim, dtype=rep.dtype)
         prefix = np.eye(rep.dim, dtype=rep.dtype)
         for gen, sign in word.letters:
             value, prefix = self.step(value, prefix, gen, sign)
-        return value
+        return value, prefix
 
     def step(self, value: np.ndarray, prefix: np.ndarray, gen: int, sign: int):
         """One letter of the chain rule: (b(w), pi(w)) -> (b(w s), pi(w s)).
 
         ``s`` is generator ``gen`` for ``sign > 0`` and its inverse otherwise,
         with b(s^-1) = -pi(s)^-1 b(s) and pi(s)^-1 = pi(s)* (isometry).
-        ``extend`` and the lattice walk of ``quadratic_form_test`` both apply
-        these steps from (0, I), so one word gives the same bits in either.
+        ``walk`` (so ``extend`` and ``AffineAction.evaluate``) and the lattice
+        walk of ``quadratic_form_test`` all apply these steps from (0, I), so
+        one word gives the same bits in each.
         """
         m = self.representation.matrices[gen]
         if sign > 0:
@@ -181,6 +172,61 @@ class Cocycle:
         return f"Cocycle(dim={self.representation.dim}, generators={len(self.values)})"
 
 
+@dataclass(frozen=True)
+class ValidityReport:
+    """Each check's verdict, its defects per generator or relator, and the
+    first violated bound as the error a validating constructor raises."""
+
+    checks: dict[str, bool]
+    residuals: dict[str, list[float]]
+    failure: ValueError | None
+
+    @property
+    def passed(self) -> bool:
+        return self.failure is None
+
+
+def validity_report(
+    tol: ToleranceProfile, rep: Representation | None = None, cocycle: Cocycle | None = None
+) -> ValidityReport:
+    """Check the stored defects against the three validity bounds, in this order:
+
+        isometry                 ||pi(s)* pi(s) - I||_F <= eps_residual (1 + 1)
+        representation relators  ||pi(r) - I||_F        <= eps_residual (1 + sqrt d)
+        cocycle relators         ||b(r)||               <= eps_residual (1 + max_s ||b(s)||)
+
+    The first two need ``rep``, the last ``cocycle``. Validating constructors
+    raise the report's failure; the CLI ``verify`` verb prints the report.
+    """
+    bounds = []  # (check, residuals key, defects, scale, error, message of defect i)
+    if rep is not None:
+        names = rep.presentation.generators
+        bounds.append((
+            "isometry", "isometry_defects", rep.isometry_defects, 1.0, RepresentationError,
+            lambda i, d: f"matrix for {names[i]!r} is not an isometry (defect {d:.3e})",
+        ))
+        bounds.append((
+            "representation_relators", "representation_relator_defects", rep.relator_defects,
+            math.sqrt(rep.dim), RepresentationError,
+            lambda i, d: f"relator {i} does not evaluate to the identity (defect {d:.3e})",
+        ))
+    if cocycle is not None:
+        defects = cocycle.relator_defects  # the scale is only needed with relators
+        scale = max((float(np.linalg.norm(v)) for v in cocycle.values), default=0.0) if defects else 0.0
+        bounds.append((
+            "cocycle_relators", "cocycle_relator_defects", defects, scale, CocycleError,
+            lambda i, d: f"relator {i} has cocycle residual {d:.3e}",
+        ))
+    checks, residuals, failure = {}, {}, None
+    for check, key, defects, scale, error, message in bounds:
+        bad = [i for i, d in enumerate(defects) if not residual_ok(d, scale, tol.eps_residual)]
+        checks[check] = not bad
+        residuals[key] = list(defects)
+        if bad and failure is None:
+            failure = error(message(bad[0], defects[bad[0]]))
+    return ValidityReport(checks, residuals, failure)
+
+
 def cocycle_from_coordinates(rep: Representation, coords: np.ndarray) -> Cocycle:
     d, g = rep.dim, rep.presentation.num_generators
     coords = np.asarray(coords).reshape(g * d)
@@ -195,11 +241,7 @@ def coboundary(rep: Representation, vector) -> Cocycle:
 
 def fixed_subspace(rep: Representation, tol: ToleranceProfile | None = None) -> np.ndarray:
     """Orthonormal basis of the joint fixed space of all generator matrices."""
-    tol = tol or rep.tol
-    if rep.presentation.num_generators == 0:
-        return np.eye(rep.dim, dtype=rep.dtype)
-    stacked = np.vstack([m - np.eye(rep.dim) for m in rep.matrices])
-    return null_space_basis(stacked, tol)
+    return null_space_basis(rep.boundary_map(), tol or rep.tol)
 
 
 def _first_generator_eigenbasis(rep: Representation) -> tuple[np.ndarray, np.ndarray]:
@@ -327,12 +369,15 @@ class CohomologyBasis:
 
     ``class_representatives`` are cocycles whose coordinate vectors are
     orthonormal and orthogonal to the coboundary span, so class coordinates
-    of any cocycle z are simply <h_i, z>.
+    of any cocycle z are simply <h_i, z>. Every basis cocycle passed the
+    cocycle-relator bound (``validity_report``); ``residuals`` holds the
+    largest relator defect among them (``worst_cocycle_relator_defect``).
     """
 
     cocycle_basis: tuple[Cocycle, ...]
     coboundary_basis: tuple[Cocycle, ...]
     class_representatives: tuple[Cocycle, ...]
+    residuals: dict[str, float]
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -358,14 +403,8 @@ class CohomologyBasis:
 def first_cohomology(rep: Representation, tol: ToleranceProfile | None = None) -> CohomologyBasis:
     """Cocycle space, coboundary space, and orthogonal class representatives."""
     tol = tol or rep.tol
-    d, g = rep.dim, rep.presentation.num_generators
     z_basis = null_space_basis(_relator_coefficient_matrix(rep), tol)  # (g*d, nz)
-
-    if g:
-        boundary_map = np.vstack([m - np.eye(d) for m in rep.matrices])  # (g*d, d)
-    else:
-        boundary_map = np.zeros((0, d), dtype=rep.dtype)
-    b_basis = orthonormal_columns(boundary_map, tol)
+    b_basis = orthonormal_columns(rep.boundary_map(), tol)
 
     # class representatives: orthogonal complement of the coboundaries inside
     # the cocycle space; computed as the null space of the pairing B*Z whose
@@ -377,10 +416,13 @@ def first_cohomology(rep: Representation, tol: ToleranceProfile | None = None) -
     else:
         h_basis = z_basis
 
+    cocycles = tuple(cocycle_from_coordinates(rep, z_basis[:, k]) for k in range(z_basis.shape[1]))
+    worst = max((max(c.relator_defects, default=0.0) for c in cocycles), default=0.0)
     return CohomologyBasis(
-        tuple(cocycle_from_coordinates(rep, z_basis[:, k]) for k in range(z_basis.shape[1])),
+        cocycles,
         tuple(cocycle_from_coordinates(rep, b_basis[:, k]) for k in range(b_basis.shape[1])),
         tuple(cocycle_from_coordinates(rep, h_basis[:, k]) for k in range(h_basis.shape[1])),
+        {"worst_cocycle_relator_defect": worst},
     )
 
 

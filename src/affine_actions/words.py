@@ -182,21 +182,24 @@ class CosetTable:
 
 
 @dataclass(frozen=True)
-class TableCheck:
+class PropertyCheck:
     name: str
     passed: bool
     detail: str = ""
 
 
 @dataclass(frozen=True)
-class CosetTableReport:
-    checks: tuple[TableCheck, ...]
+class PropertyReport:
+    """Named checks; the report passes when every check does."""
+
+    name: str
+    checks: tuple[PropertyCheck, ...]
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self) -> list[TableCheck]:
+    def failures(self) -> list[PropertyCheck]:
         return [c for c in self.checks if not c.passed]
 
 
@@ -211,7 +214,7 @@ def _apply_word_to_coset(word: Word, action: Sequence[Sequence[int]], x: int) ->
     return x
 
 
-def validate_coset_table(presentation: GroupPresentation, table: CosetTable) -> CosetTableReport:
+def validate_coset_table(presentation: GroupPresentation, table: CosetTable) -> PropertyReport:
     """Check the combinatorial invariants of a user-supplied coset table.
 
     Verifies shapes, bijectivity of each generator permutation, triviality
@@ -219,7 +222,7 @@ def validate_coset_table(presentation: GroupPresentation, table: CosetTable) -> 
     correctness is *not* decided here; it is validated downstream against a
     representation (induced relator residuals).
     """
-    checks: list[TableCheck] = []
+    checks: list[PropertyCheck] = []
     n = table.num_cosets
     m = presentation.num_generators
 
@@ -239,12 +242,12 @@ def validate_coset_table(presentation: GroupPresentation, table: CosetTable) -> 
             f"expected one permutation and one schreier row per generator "
             f"({m}), got {len(table.action)} and {len(table.schreier)}"
         )
-    checks.append(TableCheck("shapes", shape_ok, detail))
+    checks.append(PropertyCheck("shapes", shape_ok, detail))
     if not shape_ok:
-        return CosetTableReport(tuple(checks))
+        return PropertyReport("coset-table", tuple(checks))
 
     checks.append(
-        TableCheck(
+        PropertyCheck(
             "transversal-base",
             not table.transversal[0],
             "" if not table.transversal[0] else "transversal entry 0 must be the empty word",
@@ -252,15 +255,15 @@ def validate_coset_table(presentation: GroupPresentation, table: CosetTable) -> 
     )
     for x, word in enumerate(table.transversal):
         if word.max_generator() >= m:
-            checks.append(TableCheck("transversal-words", False, f"entry {x} uses undeclared generator"))
+            checks.append(PropertyCheck("transversal-words", False, f"entry {x} uses undeclared generator"))
             break
     else:
-        checks.append(TableCheck("transversal-words", True))
+        checks.append(PropertyCheck("transversal-words", True))
 
     bijective = all(sorted(row) == list(range(n)) for row in table.action)
-    checks.append(TableCheck("permutations-bijective", bijective))
+    checks.append(PropertyCheck("permutations-bijective", bijective))
     if not bijective:
-        return CosetTableReport(tuple(checks))
+        return PropertyReport("coset-table", tuple(checks))
 
     bad_relator = ""
     for r_idx, relator in enumerate(presentation.relators):
@@ -270,7 +273,7 @@ def validate_coset_table(presentation: GroupPresentation, table: CosetTable) -> 
                 break
         if bad_relator:
             break
-    checks.append(TableCheck("relators-act-trivially", not bad_relator, bad_relator))
+    checks.append(PropertyCheck("relators-act-trivially", not bad_relator, bad_relator))
 
     orbit = {0}
     frontier = [0]
@@ -282,10 +285,10 @@ def validate_coset_table(presentation: GroupPresentation, table: CosetTable) -> 
                     orbit.add(y)
                     frontier.append(y)
     checks.append(
-        TableCheck(
+        PropertyCheck(
             "transitive",
             len(orbit) == n,
             "" if len(orbit) == n else f"orbit of coset 0 has size {len(orbit)} of {n}",
         )
     )
-    return CosetTableReport(tuple(checks))
+    return PropertyReport("coset-table", tuple(checks))

@@ -305,6 +305,20 @@ def random_free_rep(presentation: GroupPresentation, dim: int, field: str, rng) 
     return Representation(presentation, field, mats, dim=dim)
 
 
+# every representation family of these helpers, by name: (rng, dim, field) -> rep
+FAMILIES = {
+    "z": lambda rng, d, f: random_free_rep(z_group(), d, f, rng),
+    "f2": lambda rng, d, f: random_free_rep(f2_group(), d, f, rng),
+    "z-abelian": lambda rng, d, f: random_abelian_rep(z_group(), d, f, rng),
+    "z2-abelian": lambda rng, d, f: random_abelian_rep(z2_group(), d, f, rng),
+    "z2-identity": lambda rng, d, f: identity_rep(z2_group(), d, f),
+    "heisenberg": lambda rng, d, f: random_heisenberg_rep(d, f, rng),
+    "c3": lambda rng, d, f: random_c3_rep(d, f, rng),
+    "s3": lambda rng, d, f: random_s3_rep(d, f, rng),
+    "dihedral": lambda rng, d, f: random_dihedral_rep(d, f, rng),
+}
+
+
 def random_action_for(presentation: GroupPresentation, dim: int, field: str, rng) -> AffineAction:
     """Random action for the presentations used across the suites."""
     names = presentation.generators

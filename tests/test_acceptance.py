@@ -250,7 +250,7 @@ def test_criterion_09_finite_group_vanishing():
             basis = first_cohomology(rep)
             assert basis.dims[2] == 0, f"sample {i}: dim H1 = {basis.dims[2]}"
             action = random_action(rep, rng)
-            assert fixed_points(action) is not None, f"sample {i}: no fixed point"
+            assert fixed_points(action).subspace is not None, f"sample {i}: no fixed point"
 
 
 def _fixture_actions():

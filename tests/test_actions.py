@@ -4,6 +4,7 @@ import pytest
 from affine_actions import (
     AffineAction,
     AffineMap,
+    GroupPresentation,
     Representation,
     Word,
     WitnessError,
@@ -21,9 +22,11 @@ from affine_actions import (
     invariant_subspace_from_witness,
     project_action,
 )
-from affine_actions.actions import ActionError
+from affine_actions.actions import ActionError, certification_scale
 
 from helpers import (
+    FAMILIES,
+    TOL,
     abelian_oracle_is_irreducible,
     dihedral_group,
     f2_group,
@@ -95,25 +98,25 @@ def test_fixed_points_of_coboundary_action():
     v = random_field_vector(3, "complex", RNG)
     values = [m @ v - v for m in rep.matrices]
     action = AffineAction.from_values(rep, values)
-    subspace = fixed_points(action)
+    subspace = fixed_points(action).subspace
     assert subspace is not None
     assert subspace.contains(-v)
 
 
 def test_fixed_points_glide_empty():
-    assert fixed_points(glide_action()) is None
+    assert fixed_points(glide_action()).subspace is None
 
 
 def test_fixed_points_trivial_action_whole_space():
     z = z_group()
     rep = Representation(z, "real", [np.eye(2)])
     action = AffineAction.from_values(rep, [np.zeros(2)])
-    subspace = fixed_points(action)
+    subspace = fixed_points(action).subspace
     assert subspace is not None and subspace.dim == 2
 
 
 def test_affine_commutant_glide_structure():
-    pairs = affine_commutant(glide_action())
+    pairs = affine_commutant(glide_action()).pairs
     assert len(pairs) == 2
     for pair in pairs:
         u, t = pair.deviation, pair.translation
@@ -123,19 +126,19 @@ def test_affine_commutant_glide_structure():
 
 
 def test_affine_commutant_dihedral_trivial():
-    assert affine_commutant(dihedral_action()) == []
+    assert affine_commutant(dihedral_action()).pairs == ()
 
 
 def test_affine_commutant_everything_for_point_mass():
     z = z_group()
     rep = Representation(z, "complex", [np.eye(1, dtype=complex)])
     action = AffineAction.from_values(rep, [np.zeros(1, dtype=complex)])
-    assert len(affine_commutant(action)) == 2  # all (U, t) on C^1
+    assert len(affine_commutant(action).pairs) == 2  # all (U, t) on C^1
 
 
 def test_commutant_elements_commute_with_random_words():
     action = glide_action()
-    pairs = affine_commutant(action)
+    pairs = affine_commutant(action).pairs
     for _ in range(20):
         word = Word(tuple((0, int(RNG.choice([1, -1]))) for _ in range(int(RNG.integers(0, 6)))))
         mapping = action.evaluate(word)
@@ -219,7 +222,7 @@ def test_project_glide_onto_vertical_axis():
     assert np.allclose(projected.cocycle.values[0], [2.0])
     verdict = decide_irreducibility(projected)
     assert verdict.reducible  # fixed point at y = 1
-    sub = fixed_points(projected)
+    sub = fixed_points(projected).subspace
     assert sub is not None and abs(sub.base[0] - 1.0) < 1e-10
 
 
@@ -553,3 +556,57 @@ def test_commutant_decision_matches_abelian_oracle_sample():
         assert ours == oracle
         agreements += 1
     assert agreements == 30
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_evaluate_is_one_walk_bitwise(family, field):
+    # one chain-rule walk gives the bits of the two separate walks
+    rng = np.random.default_rng(len(family) + (field == "complex"))
+    for _ in range(4):
+        dim = 3 if family == "heisenberg" else int(rng.integers(1, 5))
+        action = random_action(FAMILIES[family](rng, dim, field), rng)
+        g = action.presentation.num_generators
+        for length in (0, 1, 2, 5, 11):
+            word = Word(tuple((int(rng.integers(0, g)), int(rng.choice([1, -1]))) for _ in range(length)))
+            mapping = action.evaluate(word)
+            assert np.array_equal(mapping.linear, action.rep.evaluate(word))
+            assert np.array_equal(mapping.translation, action.cocycle.extend(word))
+            assert mapping.linear.dtype == action.rep.dtype
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_affine_commutant_carries_certified_residual(family):
+    rng = np.random.default_rng(len(family))
+    half = random_action(FAMILIES[family](rng, 3 if family == "heisenberg" else 2, "complex"), rng)
+    for action in (half, direct_sum(half, half)):
+        commutant = affine_commutant(action)
+        residuals = [commutant_residual(action, p) for p in commutant.pairs]
+        assert commutant.residuals == {"worst_equation_defect": max(residuals, default=0.0)}
+        for pair, residual in zip(commutant.pairs, residuals):
+            scale = certification_scale((pair.deviation, pair.translation), action)
+            assert residual <= TOL.eps_residual * (1.0 + scale)
+
+
+def test_fixed_points_carry_certified_residual():
+    rep = random_free_rep(f2_group(), 3, "real", RNG)
+    v = random_field_vector(3, "real", RNG)
+    action = AffineAction.from_values(rep, [m @ v - v for m in rep.matrices])
+    result = fixed_points(action)
+    assert result.residuals == {"invariance": check_invariance(action, result.subspace)}
+    assert result.residuals["invariance"] <= 1e-12
+    assert fixed_points(glide_action()).residuals == {}
+
+
+def test_fixed_points_without_generators_is_everything():
+    rep = Representation(GroupPresentation([]), "complex", [], dim=2)
+    result = fixed_points(AffineAction.from_values(rep, []))
+    assert result.subspace.dim == 2 and np.array_equal(result.subspace.base, np.zeros(2))
+    assert result.residuals == {"invariance": 0.0}
+
+
+def test_check_equivalence_refuses_negative_trials():
+    with pytest.raises(ValueError, match="trials"):
+        check_equivalence(translation_action(1.0), translation_action(2.0), trials=-3)
+    # no trials: only the particular solution is tried, which here is invertible
+    assert check_equivalence(translation_action(1.0), translation_action(2.0), trials=0).equivalent

@@ -1,4 +1,6 @@
+import argparse
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 from affine_actions import direct_sum
-from affine_actions.cli import main
+from affine_actions.cli import VERBS, build_parser, main
 from affine_actions.problem_io import (
     action_to_problem,
     load_problem,
@@ -325,3 +327,74 @@ def test_console_script_entry_point():
     )
     assert result.returncode == 0
     assert "Irreducible" in result.stdout
+
+
+# one file per validity bound, each violating only that bound
+PERTURBED = {
+    "non_isometry": ("glide.json", {"matrices": {"t": [2.0, 0.0, 0.0, 1.0]}}, "isometry"),
+    # a quarter turn, so s s s is not the identity; b = 0 keeps the cocycle relator
+    "broken_rep_relator": (
+        "c3_rotation.json",
+        {"matrices": {"s": [0.0, -1.0, 1.0, 0.0]}, "cocycle": {"s": [0.0, 0.0]}},
+        "representation_relators",
+    ),
+    # with pi(s) = +1 the relator s s forces b(s s) = 2 b(s) = 0
+    "broken_cocycle_relator": (
+        "dihedral.json",
+        {"matrices": {"s": [[1.0, 0.0]]}, "cocycle": {"s": [[0.5, 0.0]]}},
+        "cocycle_relators",
+    ),
+}
+
+
+def test_verify_passes_iff_build_action_succeeds(tmp_path, capsys):
+    paths = [p for p in sorted(FIXTURES.glob("*.json")) if p.name != "c2xz_setup.json"]
+    failing = {}
+    for name, (fixture, changes, check) in PERTURBED.items():
+        data = json.loads((FIXTURES / fixture).read_text())
+        for section, values in changes.items():
+            data[section].update(values)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        paths.append(path)
+        failing[path] = check
+    for path in paths:
+        code, doc = run_machine(["verify", path], capsys)
+        try:
+            load_problem(path).build_action()
+            built = True
+        except ValueError:
+            built = False
+        assert built == (code == 0) == (doc["verdict"] == "pass") == (path not in failing), path
+        if path in failing:
+            assert [name for name, ok in doc["checks"].items() if not ok] == [failing[path]]
+
+
+@pytest.mark.parametrize("radius", ["-1", "0", "nan"])
+def test_orbit_probe_refuses_radius_that_is_not_finite_and_positive(radius, capsys):
+    code, doc = run_machine(["orbit-probe", FIXTURES / "glide.json", "--radius", radius], capsys)
+    assert code == 12 and doc["verdict"] == "error"
+    assert "radius" in doc["error"]
+
+
+def test_equivalence_refuses_negative_trials(capsys):
+    args = ["equivalence", FIXTURES / "z_translation.json", FIXTURES / "z_even_translation.json"]
+    code, doc = run_machine(args + ["--trials", "-3"], capsys)
+    assert code == 12 and "trials" in doc["error"]
+    code, doc = run_machine(args + ["--trials", "0"], capsys)
+    assert code == 0 and doc["verdict"] == "Equivalent"
+
+
+def test_readme_lists_every_verb_and_flag():
+    readme = (FIXTURES.parent / "README.md").read_text()
+    verb_block = readme.split("exposes one verb per operation:")[1].split("```")[1]
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(verb_block.split()) == sorted(subparsers.choices) == sorted(VERBS)
+    flags = {
+        option
+        for parser in subparsers.choices.values()
+        for action in parser._actions
+        for option in action.option_strings
+    } - {"-h", "--help"}
+    flags_paragraph = readme.split("\nFlags:")[1].split("\n\n")[0]
+    assert set(re.findall(r"`(--[a-z-]+)", flags_paragraph)) == flags

@@ -1,0 +1,146 @@
+"""The CLI contract: exit codes and ``--machine`` documents stay as recorded.
+
+``cli_contract.json`` holds, for every call below, the exit code, the
+``--machine`` document (without ``wall_time_s`` and the ``arguments`` echo)
+and the first line of the human output, as recorded before the CLI became
+one verb table. Each call must keep its exit code, its key paths, its
+non-float leaves (the verdict among them) and its first human line, with
+floats equal within ``1e-9 (1 + |x|)``. The deliberate differences are
+listed in ``REFUSED`` and ``ADDED_KEYS``.
+
+Calls run from the repository root with relative fixture paths, so the
+documents hold no machine-specific paths. To re-record (only when the
+contract changes on purpose):
+
+    PYTHONPATH=src python tests/test_cli_contract.py --record
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from affine_actions.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+SNAPSHOT = Path(__file__).resolve().parent / "cli_contract.json"
+
+ONE_FILE_VERBS = (
+    "verify", "irreducible", "commutant", "fixed-points", "cohomology", "exists-irreducible",
+    "restrict", "center-check", "abelian-test", "nilpotent-check", "orbit-probe",
+)
+PROBLEMS = sorted(
+    f"fixtures/{p.name}" for p in (ROOT / "fixtures").glob("*.json") if p.name != "c2xz_setup.json"
+)
+CALLS = (
+    [[verb, path] for verb in ONE_FILE_VERBS for path in PROBLEMS]
+    + [[verb, path, path] for verb in ("direct-sum", "equivalence") for path in PROBLEMS]
+    + [
+        ["direct-sum", "fixtures/f2_character.json", "fixtures/f2_irred2d_b1.json"],
+        ["equivalence", "fixtures/z_translation.json", "fixtures/z_even_translation.json"],
+        ["equivalence", "fixtures/z_translation.json", "fixtures/z_flip.json"],
+        ["equivalence", "fixtures/z_translation.json", "fixtures/z_even_translation.json", "--trials", "0"],
+        ["equivalence", "fixtures/z_translation.json", "fixtures/z_even_translation.json", "--trials", "-3"],
+        ["induce", "fixtures/z_translation.json", "fixtures/c2xz_setup.json"],
+        ["orbit-probe", "fixtures/glide.json", "--budget", "60", "--radius", "4.0", "--seed", "2"],
+        ["orbit-probe", "fixtures/glide.json", "--radius", "-1"],
+        ["orbit-probe", "fixtures/glide.json", "--radius", "0"],
+        ["orbit-probe", "fixtures/glide.json", "--radius", "nan"],
+        ["abelian-test", "fixtures/z2_translations.json", "--window", "1"],
+        ["exists-irreducible", "fixtures/z_trivial_c1.json", "--trials", "0"],
+        ["irreducible", "fixtures/glide.json", "--tol-residual", "1e-6"],
+        ["irreducible", "fixtures/glide.json", "--tol-rank", "0.5"],
+        ["irreducible", "fixtures/no_such_problem.json"],
+    ]
+)
+
+# calls the recorded CLI accepted and that are now refused as invalid input
+# (exit 12): a radius that is not finite and positive leaves the orbit probe
+# without probes, and a negative trial count drew no samples
+REFUSED = {
+    "orbit-probe fixtures/glide.json --radius -1",
+    "orbit-probe fixtures/glide.json --radius 0",
+    "orbit-probe fixtures/glide.json --radius nan",
+    "equivalence fixtures/z_translation.json fixtures/z_even_translation.json --trials -3",
+}
+# keys a verb's documents gained: every result document now says whether it
+# is probabilistic
+ADDED_KEYS = {"verify": {"probabilistic": False}}
+
+
+def run(argv: list[str]) -> tuple[int, dict, str]:
+    """Exit code, machine document and first human line of one call."""
+    docs = []
+    for machine in (True, False):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv + (["--machine"] if machine else []))
+        docs.append(out.getvalue())
+    doc = json.loads(docs[0])
+    doc.pop("wall_time_s")
+    doc.pop("arguments")
+    return code, doc, (docs[1].splitlines() or [""])[0]
+
+
+def leaves(node, path=()):
+    """{key path: leaf} of a JSON document; list indices are path entries."""
+    if isinstance(node, dict):
+        return {p: v for k, child in node.items() for p, v in leaves(child, path + (k,)).items()}
+    if isinstance(node, list):
+        return {p: v for i, child in enumerate(node) for p, v in leaves(child, path + (i,)).items()}
+    return {path: node}
+
+
+def same_leaf(old, new) -> bool:
+    if isinstance(old, float) and isinstance(new, float):
+        if math.isnan(old) or math.isnan(new):
+            return math.isnan(old) and math.isnan(new)
+        return abs(old - new) <= 1e-9 * (1.0 + abs(old))
+    return type(old) is type(new) and old == new
+
+
+def _recorded():
+    return {" ".join(entry["argv"]): entry for entry in json.loads(SNAPSHOT.read_text())}
+
+
+@pytest.mark.parametrize("argv", CALLS, ids=" ".join)
+def test_cli_contract(argv, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    key = " ".join(argv)
+    entry = _recorded()[key]
+    code, doc, first_line = run(argv)
+    if key in REFUSED:
+        assert entry["exit_code"] == 0
+        assert code == 12 and doc["exit_code"] == 12 and doc["verdict"] == "error"
+        return
+    expected = dict(entry["doc"], **ADDED_KEYS.get(argv[0], {}))
+    assert code == entry["exit_code"]
+    old, new = leaves(expected), leaves(doc)
+    assert sorted(map(str, new)) == sorted(map(str, old))
+    bad = {p: (old[p], new[p]) for p in old if not same_leaf(old[p], new[p])}
+    assert not bad
+    assert first_line == entry["first_line"]
+
+
+def test_snapshot_covers_every_call():
+    assert sorted(_recorded()) == sorted(" ".join(argv) for argv in CALLS)
+
+
+def record() -> None:
+    os.chdir(ROOT)
+    entries = []
+    for argv in CALLS:
+        code, doc, first_line = run(argv)
+        entries.append({"argv": argv, "exit_code": code, "doc": doc, "first_line": first_line})
+    SNAPSHOT.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+    record()

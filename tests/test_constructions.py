@@ -23,7 +23,7 @@ from affine_actions import (
     restrict_action,
 )
 from affine_actions.actions import unit_scale
-from affine_actions.constructions import ConstructionError, fixture_class, is_free_abelian
+from affine_actions.constructions import ConstructionError, _hull_distances, fixture_class, is_free_abelian
 from affine_actions.problem_io import load_problem
 from affine_actions.reps import CocycleError, RepresentationError
 
@@ -131,7 +131,7 @@ def test_induce_zero_cocycle_gives_permutation_action_with_fixed_point():
     induced = induce_action(action, c2xz_setup())
     assert np.linalg.norm(np.concatenate(induced.cocycle.values)) < 1e-12
     assert decide_irreducibility(induced).reducible
-    assert fixed_points(induced) is not None
+    assert fixed_points(induced).subspace is not None
 
 
 def test_induce_translations_up_the_dihedral_tower():
@@ -424,6 +424,14 @@ def test_orbit_probe_rejects_complex_actions():
         orbit_hull_probe(dihedral_action(), np.zeros(1), budget=5, radius=1.0)
 
 
+@pytest.mark.parametrize("radius", [-1.0, 0.0, float("nan"), float("inf"), -float("inf")])
+def test_orbit_probe_refuses_radius_that_is_not_finite_and_positive(radius):
+    # such a ball holds no probe (or only the origin), so the report would
+    # read like a hull that fills it
+    with pytest.raises(ConstructionError, match="radius"):
+        orbit_hull_probe(glide_action(), np.zeros(2), budget=5, radius=radius)
+
+
 # -- lattice scans: ψ walk and row scan, batched Frank-Wolfe ------------------
 
 
@@ -594,7 +602,7 @@ ORBIT_CASES = {
     # every orbit point is the origin: a one-point hull, and every probe stops at step 1
     "zero-cocycle": (lambda: z_translation_action(value=0.0), 5, 3.0, 1),
     "induced": (lambda: induce_action(z_translation_action(), c2xz_setup()), 120, 4.0, 9),
-    # a negative radius leaves no probe inside the ball
+    # a negative radius leaves no probe inside the ball: the library refuses it
     "empty-grid": (glide_action, 10, -1.0, 3),
     "cubic-d2": (lambda: cubic_lattice_action(2), 400, 5.0, 1),
     "cubic-d3": (lambda: cubic_lattice_action(3), 400, 5.0, 1),
@@ -608,12 +616,18 @@ def test_orbit_probe_matches_per_probe_reference(case):
     action = build()
     origin = np.zeros(action.dim)
     reference = reference_orbit_hull_probe(action, origin, budget, radius, seed)
+    if case == "empty-grid":
+        assert reference.probes == () and reference.orbit_size == budget + 1
+        with pytest.raises(ConstructionError, match="radius"):
+            orbit_hull_probe(action, origin, budget=budget, radius=radius, seed=seed)
+        # the batched Frank-Wolfe loop still takes an empty set of targets
+        cloud = origin[None, :]
+        assert _hull_distances(cloud, np.zeros((0, action.dim))).shape == (0,)
+        return
     report = orbit_hull_probe(action, origin, budget=budget, radius=radius, seed=seed)
     assert report.orbit_size == reference.orbit_size == budget + 1
     assert [p.point for p in report.probes] == [p.point for p in reference.probes]
     for probe, expected in zip(report.probes, reference.probes):
         assert abs(probe.hull_distance - expected.hull_distance) <= 1e-9
-    if case == "empty-grid":
-        assert report.probes == () and report.max_distance == 0.0
     if case == "zero-cocycle":
         assert all(p.hull_distance == abs(p.point[0]) for p in report.probes)

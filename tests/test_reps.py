@@ -12,7 +12,7 @@ from affine_actions import (
     fixed_subspace,
     search_irreducible_cocycle,
 )
-from affine_actions.reps import CocycleError, RepresentationError
+from affine_actions.reps import CocycleError, RepresentationError, validity_report
 
 from helpers import (
     TOL,
@@ -290,3 +290,51 @@ def test_cohomology_z2_nontrivial_character_vanishes():
         z2, "complex", [np.array([[np.exp(0.7j)]]), np.array([[np.exp(1.9j)]])]
     )
     assert first_cohomology(rep).dims == (1, 1, 0)
+
+
+def test_validity_report_keeps_the_constructor_order_and_messages():
+    # a non-isometry that also breaks the relator s s: the isometry failure comes first
+    pres = dihedral_group()
+    mats = [np.eye(1, dtype=complex), np.array([[2.0j]])]
+    rep = Representation(pres, "complex", mats, validate=False)
+    report = validity_report(TOL, rep)
+    assert report.checks == {"isometry": False, "representation_relators": False}
+    assert report.residuals == {
+        "isometry_defects": list(rep.isometry_defects),
+        "representation_relator_defects": list(rep.relator_defects),
+    }
+    assert str(report.failure) == "matrix for 's' is not an isometry (defect 3.000e+00)"
+    assert not report.passed
+    with pytest.raises(RepresentationError, match=r"^matrix for 's' is not an isometry \(defect 3.000e\+00\)$"):
+        Representation(pres, "complex", mats)
+
+    # isometries with (st)^2 a nontrivial rotation: relator 1 fails
+    angle = 0.3
+    rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    report = validity_report(TOL, Representation(pres, "real", [rot, np.eye(2)], validate=False))
+    assert report.checks == {"isometry": True, "representation_relators": False}
+    assert str(report.failure).startswith("relator 1 does not evaluate to the identity (defect ")
+    with pytest.raises(RepresentationError, match=r"^relator 1 does not evaluate"):
+        Representation(pres, "real", [rot, np.eye(2)])
+
+
+def test_validity_report_of_a_cocycle():
+    dih = dihedral_group()
+    rep = Representation(dih, "complex", [-np.eye(1, dtype=complex), np.eye(1, dtype=complex)])
+    values = [np.array([0.0 + 0j]), np.array([0.5 + 0j])]
+    cocycle = Cocycle(rep, values, validate=False)
+    report = validity_report(TOL, rep, cocycle)
+    assert report.checks == {"isometry": True, "representation_relators": True, "cocycle_relators": False}
+    assert report.residuals["cocycle_relator_defects"] == [1.0, 0.0]
+    assert str(report.failure) == "relator 0 has cocycle residual 1.000e+00"
+    with pytest.raises(CocycleError, match=r"^relator 0 has cocycle residual 1.000e\+00$"):
+        Cocycle(rep, values)
+    assert validity_report(TOL, cocycle=Cocycle(rep, [np.array([1.0 + 0j]), np.zeros(1)])).passed
+
+
+def test_first_cohomology_reports_its_worst_relator_defect():
+    rep = random_c3_rep(4, "real", RNG)
+    basis = first_cohomology(rep)
+    worst = max((max(c.relator_defects, default=0.0) for c in basis.cocycle_basis), default=0.0)
+    assert basis.residuals == {"worst_cocycle_relator_defect": worst}
+    assert worst <= 1e-12
