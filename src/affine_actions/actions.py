@@ -284,11 +284,11 @@ def fixed_points(action: AffineAction, tol: ToleranceProfile | None = None) -> F
     if solution is None:
         return FixedPoints(None)
     subspace = AffineSubspace(solution.particular, solution.homogeneous)
-    defect = certify(check_invariance(action, subspace, tol), (subspace.base,), action, tol, "fixed-point subspace")
+    defect = certify(check_invariance(action, subspace), (subspace.base,), action, tol, "fixed-point subspace")
     return FixedPoints(subspace, {"invariance": defect})
 
 
-def check_invariance(action: AffineAction, subspace: AffineSubspace, tol: ToleranceProfile | None = None) -> float:
+def check_invariance(action: AffineAction, subspace: AffineSubspace) -> float:
     """Worst defect of alpha(s)K inside K over all generators."""
     worst = 0.0
     d_mat = subspace.directions
@@ -343,7 +343,7 @@ def _certified_subspace(
     subspace = AffineSubspace(-v0, null_space_basis(top_basis.conj().T, tol))
     if subspace.dim >= action.dim:
         raise InternalCheckError("extracted subspace is not proper")
-    return subspace, certify(check_invariance(action, subspace, tol), (v0,), action, tol, "extracted subspace")
+    return subspace, certify(check_invariance(action, subspace), (v0,), action, tol, "extracted subspace")
 
 
 def _normalized_witness(pair: CommutantPair) -> AffineMap:

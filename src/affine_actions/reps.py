@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -107,7 +108,13 @@ class Representation:
 
 
 class Cocycle:
-    """One vector per generator, extended to all words by the chain rule."""
+    """One vector per generator, extended to all words by the chain rule.
+
+    ``relator_defects`` are ||b(r)|| per relator, walked with ``extend``
+    unless the caller already computed them from the same values (as
+    ``first_cohomology`` does for its basis columns in one product); either
+    way they are held to the cocycle-relator bound when ``validate`` is set.
+    """
 
     def __init__(
         self,
@@ -115,6 +122,7 @@ class Cocycle:
         values,
         tol: ToleranceProfile | None = None,
         validate: bool = True,
+        relator_defects: tuple[float, ...] | None = None,
     ) -> None:
         tol = tol or representation.tol
         values = tuple(as_field_array(v, representation.field) for v in values)
@@ -127,9 +135,11 @@ class Cocycle:
                 raise CocycleError(f"value has shape {v.shape}, expected ({representation.dim},)")
         self.representation = representation
         self.values = values
-        self.relator_defects = tuple(
-            float(np.linalg.norm(self.extend(r))) for r in representation.presentation.relators
-        )
+        if relator_defects is None:
+            relator_defects = tuple(
+                float(np.linalg.norm(self.extend(r))) for r in representation.presentation.relators
+            )
+        self.relator_defects = relator_defects
         if validate and (failure := validity_report(tol, cocycle=self).failure):
             raise failure
 
@@ -198,33 +208,64 @@ def validity_report(
     The first two need ``rep``, the last ``cocycle``. Validating constructors
     raise the report's failure; the CLI ``verify`` verb prints the report.
     """
-    bounds = []  # (check, residuals key, defects, scale, error, message of defect i)
+    bounds = []  # (check, residuals key, defects, scale, error for defect i)
     if rep is not None:
         names = rep.presentation.generators
         bounds.append((
-            "isometry", "isometry_defects", rep.isometry_defects, 1.0, RepresentationError,
-            lambda i, d: f"matrix for {names[i]!r} is not an isometry (defect {d:.3e})",
+            "isometry", "isometry_defects", rep.isometry_defects, 1.0,
+            lambda i, d: RepresentationError(f"matrix for {names[i]!r} is not an isometry (defect {d:.3e})"),
         ))
         bounds.append((
             "representation_relators", "representation_relator_defects", rep.relator_defects,
-            math.sqrt(rep.dim), RepresentationError,
-            lambda i, d: f"relator {i} does not evaluate to the identity (defect {d:.3e})",
+            math.sqrt(rep.dim),
+            lambda i, d: RepresentationError(f"relator {i} does not evaluate to the identity (defect {d:.3e})"),
         ))
     if cocycle is not None:
         defects = cocycle.relator_defects  # the scale is only needed with relators
-        scale = max((float(np.linalg.norm(v)) for v in cocycle.values), default=0.0) if defects else 0.0
-        bounds.append((
-            "cocycle_relators", "cocycle_relator_defects", defects, scale, CocycleError,
-            lambda i, d: f"relator {i} has cocycle residual {d:.3e}",
-        ))
+        if defects:
+            values = cocycle.coordinates().reshape(len(cocycle.values), cocycle.representation.dim, 1)
+            scale = float(_cocycle_scale(values)[0])
+        else:
+            scale = 0.0
+        bounds.append(("cocycle_relators", "cocycle_relator_defects", defects, scale, _cocycle_relator_error))
     checks, residuals, failure = {}, {}, None
-    for check, key, defects, scale, error, message in bounds:
+    for check, key, defects, scale, error in bounds:
         bad = [i for i, d in enumerate(defects) if not residual_ok(d, scale, tol.eps_residual)]
         checks[check] = not bad
         residuals[key] = list(defects)
         if bad and failure is None:
-            failure = error(message(bad[0], defects[bad[0]]))
+            failure = error(bad[0], defects[bad[0]])
     return ValidityReport(checks, residuals, failure)
+
+
+def _cocycle_scale(values: np.ndarray) -> np.ndarray:
+    """max_s ||b(s)|| of n cocycles given as (g, d, n) generator values: the
+    scale of the cocycle-relator bound."""
+    return np.linalg.norm(values, axis=1).max(axis=0, initial=0.0)
+
+
+def _cocycle_relator_error(relator: int, defect: float) -> CocycleError:
+    return CocycleError(f"relator {relator} has cocycle residual {defect:.3e}")
+
+
+def _certified_relator_defects(
+    relators: np.ndarray, columns: np.ndarray, dim: int, tol: ToleranceProfile
+) -> np.ndarray:
+    """Defects ||b(r)||, one row per relator, of the cocycle-value columns
+    (g*d, n), from one product with the relator coefficient matrix.
+
+    Every column is held to the cocycle-relator bound of ``validity_report``;
+    the first violating column raises its ``CocycleError``.
+    """
+    n = columns.shape[1]
+    defects = np.linalg.norm((relators @ columns).reshape(relators.shape[0] // dim, dim, n), axis=1)
+    if defects.size:
+        scales = _cocycle_scale(columns.reshape(columns.shape[0] // dim, dim, n))
+        bad = np.argwhere(~residual_ok(defects, scales, tol.eps_residual).T)
+        if bad.size:
+            column, relator = bad[0]
+            raise _cocycle_relator_error(int(relator), float(defects[relator, column]))
+    return defects
 
 
 def cocycle_from_coordinates(rep: Representation, coords: np.ndarray) -> Cocycle:
@@ -363,47 +404,75 @@ def _relator_coefficient_matrix(rep: Representation) -> np.ndarray:
     return np.vstack(rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CohomologyBasis:
-    """Bases for cocycles, coboundaries, and class representatives.
+    """Bases for cocycles, coboundaries and class representatives of H^1.
 
-    ``class_representatives`` are cocycles whose coordinate vectors are
-    orthonormal and orthogonal to the coboundary span, so class coordinates
-    of any cocycle z are simply <h_i, z>. Every basis cocycle passed the
-    cocycle-relator bound (``validity_report``); ``residuals`` holds the
-    largest relator defect among them (``worst_cocycle_relator_defect``).
+    Each basis is an orthonormal (g*d, n) matrix of cocycle-value coordinates
+    (generator values concatenated): ``cocycles`` spans the cocycle space,
+    ``coboundaries`` the coboundaries, and ``classes`` (C) the orthogonal
+    complement of the coboundaries among the cocycles, so the class
+    coordinates of a cocycle z are C* z. ``first_cohomology`` held every
+    column to the cocycle-relator bound (``validity_report``) in one product;
+    ``relator_defects`` keeps those defects, one (relators, n) array per
+    basis, and ``residuals`` the largest over the cocycle basis
+    (``worst_cocycle_relator_defect``).
+
+    ``cocycle_basis``, ``coboundary_basis`` and ``class_representatives``
+    are the same columns as tuples of ``Cocycle``, built on first access and
+    carrying the certified defects.
     """
 
-    cocycle_basis: tuple[Cocycle, ...]
-    coboundary_basis: tuple[Cocycle, ...]
-    class_representatives: tuple[Cocycle, ...]
+    representation: Representation
+    cocycles: np.ndarray
+    coboundaries: np.ndarray
+    classes: np.ndarray
+    relator_defects: tuple[np.ndarray, np.ndarray, np.ndarray]
     residuals: dict[str, float]
 
     @property
     def dims(self) -> tuple[int, int, int]:
-        return (
-            len(self.cocycle_basis),
-            len(self.coboundary_basis),
-            len(self.class_representatives),
+        return (self.cocycles.shape[1], self.coboundaries.shape[1], self.classes.shape[1])
+
+    @cached_property
+    def cocycle_basis(self) -> tuple[Cocycle, ...]:
+        return self._views(self.cocycles, self.relator_defects[0])
+
+    @cached_property
+    def coboundary_basis(self) -> tuple[Cocycle, ...]:
+        return self._views(self.coboundaries, self.relator_defects[1])
+
+    @cached_property
+    def class_representatives(self) -> tuple[Cocycle, ...]:
+        return self._views(self.classes, self.relator_defects[2])
+
+    def _views(self, columns: np.ndarray, defects: np.ndarray) -> tuple[Cocycle, ...]:
+        rep = self.representation
+        shape = (rep.presentation.num_generators, rep.dim)
+        return tuple(
+            Cocycle(rep, tuple(columns[:, k].reshape(shape)), relator_defects=tuple(defects[:, k].tolist()))
+            for k in range(columns.shape[1])
         )
 
     def class_coordinates(self, cocycle: Cocycle) -> np.ndarray:
-        coords = cocycle.coordinates()
-        return np.array([h.coordinates().conj() @ coords for h in self.class_representatives])
+        return self.classes.conj().T @ cocycle.coordinates()
 
     def cocycle_from_class(self, coefficients: np.ndarray) -> Cocycle:
-        reps = self.class_representatives
-        if len(reps) == 0:
+        if not self.classes.shape[1]:
             raise ValueError("cohomology is trivial; no class representatives")
-        rep = reps[0].representation
-        coords = sum(c * h.coordinates() for c, h in zip(coefficients, reps))
-        return cocycle_from_coordinates(rep, coords)
+        return cocycle_from_coordinates(self.representation, self.classes @ coefficients)
 
 
 def first_cohomology(rep: Representation, tol: ToleranceProfile | None = None) -> CohomologyBasis:
-    """Cocycle space, coboundary space, and orthogonal class representatives."""
+    """Cocycle space, coboundary space, and orthogonal class representatives.
+
+    All basis columns are certified in one product with the relator
+    coefficient matrix; a column over the cocycle-relator bound raises
+    CocycleError.
+    """
     tol = tol or rep.tol
-    z_basis = null_space_basis(_relator_coefficient_matrix(rep), tol)  # (g*d, nz)
+    relators = _relator_coefficient_matrix(rep)
+    z_basis = null_space_basis(relators, tol)  # (g*d, nz)
     b_basis = orthonormal_columns(rep.boundary_map(), tol)
 
     # class representatives: orthogonal complement of the coboundaries inside
@@ -416,14 +485,10 @@ def first_cohomology(rep: Representation, tol: ToleranceProfile | None = None) -
     else:
         h_basis = z_basis
 
-    cocycles = tuple(cocycle_from_coordinates(rep, z_basis[:, k]) for k in range(z_basis.shape[1]))
-    worst = max((max(c.relator_defects, default=0.0) for c in cocycles), default=0.0)
-    return CohomologyBasis(
-        cocycles,
-        tuple(cocycle_from_coordinates(rep, b_basis[:, k]) for k in range(b_basis.shape[1])),
-        tuple(cocycle_from_coordinates(rep, h_basis[:, k]) for k in range(h_basis.shape[1])),
-        {"worst_cocycle_relator_defect": worst},
-    )
+    defects = _certified_relator_defects(relators, np.hstack([z_basis, b_basis, h_basis]), rep.dim, tol)
+    per_basis = tuple(np.split(defects, [z_basis.shape[1], z_basis.shape[1] + b_basis.shape[1]], axis=1))
+    worst = float(per_basis[0].max(initial=0.0))
+    return CohomologyBasis(rep, z_basis, b_basis, h_basis, per_basis, {"worst_cocycle_relator_defect": worst})
 
 
 def commutant_action_on_classes(
@@ -434,22 +499,25 @@ def commutant_action_on_classes(
 ) -> list[np.ndarray]:
     """Matrices of the commutant acting on cohomology-class coordinates.
 
-    An operator T commuting with the representation maps cocycles to
-    cocycles by acting on values; the induced map on classes is expressed in
-    the representative coordinates (coboundary components project away).
+    An operator T commuting with the representation maps a cocycle b to the
+    cocycle T b (acting on each generator value); in class coordinates this
+    is C* (I_g (x) T) C, with C the class matrix of ``basis`` (coboundary
+    components project away). All elements are applied at once, by one
+    einsum over the (g, d, h) view of C, and one product with C* gives every
+    matrix. The moved classes are held to the cocycle-relator bound in one
+    product with the relator coefficient matrix, so an element that does not
+    commute with the representation raises CocycleError. No (g*d)^2 matrix
+    is formed.
     """
     tol = tol or rep.tol
     if commutant is None:
         commutant = commutant_basis(rep, tol)
-    h = len(basis.class_representatives)
-    out = []
-    for t_mat in commutant:
-        action = np.zeros((h, h), dtype=rep.dtype)
-        for j, h_j in enumerate(basis.class_representatives):
-            moved = Cocycle(rep, tuple(t_mat @ v for v in h_j.values))
-            action[:, j] = basis.class_coordinates(moved)
-        out.append(action)
-    return out
+    g, d, h = rep.presentation.num_generators, rep.dim, basis.classes.shape[1]
+    ops = as_field_array(commutant, rep.field).reshape(-1, d, d)
+    moved = np.einsum("tij,gjk->gitk", ops, basis.classes.reshape(g, d, h)).reshape(g * d, len(ops) * h)
+    _certified_relator_defects(_relator_coefficient_matrix(rep), moved, d, tol)
+    action = (basis.classes.conj().T @ moved).reshape(h, len(ops), h)
+    return list(action.transpose(1, 0, 2))
 
 
 @dataclass(frozen=True)
@@ -485,7 +553,7 @@ def search_irreducible_cocycle(
         raise ValueError("trials must be >= 1")
     tol = tol or rep.tol
     basis = first_cohomology(rep, tol)
-    h = len(basis.class_representatives)
+    h = basis.dims[2]
     if h == 0:
         return CocycleSearchResult(False, None, 0)
     commutant = commutant_basis(rep, tol)

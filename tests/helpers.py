@@ -1,9 +1,11 @@
 """Shared builders for the test suite: presentations, random isometric
 representations by group class, random cocycles, the dense Kronecker form of
 the intertwiner system used as the reference for the reduced solver, the
-pair-by-pair parallelogram scan and per-probe Frank-Wolfe loop used as the
-references for the lattice scans, and the brute-force joint-eigenspace
-oracle used to cross-check the commutant decision on abelian groups."""
+per-class commutant action and the search run on it used as the references
+for the array-backed cocycle search, the pair-by-pair parallelogram scan and
+per-probe Frank-Wolfe loop used as the references for the lattice scans, and
+the brute-force joint-eigenspace oracle used to cross-check the commutant
+decision on abelian groups."""
 
 from __future__ import annotations
 
@@ -21,10 +23,12 @@ from affine_actions import (
     Representation,
     ToleranceProfile,
     Word,
+    commutant_basis,
+    decide_irreducibility,
     first_cohomology,
 )
 from affine_actions.constructions import ProbeResult
-from affine_actions.linalg import residual_ok
+from affine_actions.linalg import numerical_rank, random_vector, residual_ok
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -445,6 +449,53 @@ def reference_orbit_hull_probe(
     grid = grid[np.linalg.norm(grid, axis=1) <= radius + 1e-12]
     probes = tuple(ProbeResult(tuple(float(c) for c in q), reference_hull_distance(cloud, q)) for q in grid)
     return OrbitHullReport(len(points), probes)
+
+
+# -- reference cocycle search ----------------------------------------------
+
+
+def doubled_rep(rep: Representation) -> Representation:
+    """rho (+) rho, block diagonal."""
+    return Representation(rep.presentation, rep.field, [np.kron(np.eye(2), m) for m in rep.matrices], dim=2 * rep.dim)
+
+
+def reference_commutant_action_on_classes(rep: Representation, basis, commutant) -> list[np.ndarray]:
+    """The commutant acting on class coordinates one class at a time: each
+    moved class T h_j is built as a validated ``Cocycle`` and projected on
+    every representative."""
+    reps = basis.class_representatives
+    out = []
+    for t_mat in commutant:
+        action = np.zeros((len(reps), len(reps)), dtype=rep.dtype)
+        for j, h_j in enumerate(reps):
+            moved = Cocycle(rep, tuple(t_mat @ v for v in h_j.values)).coordinates()
+            action[:, j] = [h_i.coordinates().conj() @ moved for h_i in reps]
+        out.append(action)
+    return out
+
+
+def reference_search_irreducible_cocycle(rep: Representation, trials: int, seed: int):
+    """``(found, witness coordinates or None, trials_used)`` of the randomized
+    search run on the per-class action matrices, with the witness summed
+    from the representatives."""
+    basis = first_cohomology(rep)
+    reps = basis.class_representatives
+    if not reps:
+        return False, None, 0
+    commutant = commutant_basis(rep)
+    action_mats = reference_commutant_action_on_classes(rep, basis, commutant)
+    rng = np.random.default_rng(seed)
+    for trial in range(trials):
+        xi = random_vector(len(reps), rep.field, rng)
+        s = np.linalg.svd(np.column_stack([m @ xi for m in action_mats]), compute_uv=False)
+        if numerical_rank(s, TOL) < len(commutant):
+            continue
+        coords = sum(c * h.coordinates() for c, h in zip(xi, reps))
+        d = rep.dim
+        witness = Cocycle(rep, tuple(coords[i * d : (i + 1) * d] for i in range(len(rep.matrices))))
+        if not decide_irreducibility(AffineAction(rep, witness)).reducible:
+            return True, coords, trial + 1
+    return False, None, trials
 
 
 # -- reference intertwiner system ------------------------------------------

@@ -15,14 +15,19 @@ from affine_actions import (
 from affine_actions.reps import CocycleError, RepresentationError, validity_report
 
 from helpers import (
+    FAMILIES,
     TOL,
     dihedral_group,
+    doubled_rep,
     f2_group,
     heisenberg_group,
     random_c3_rep,
     random_cocycle,
     random_free_rep,
     random_s3_rep,
+    reference_commutant_action_on_classes,
+    reference_search_irreducible_cocycle,
+    z2_group,
     z_group,
 )
 
@@ -338,3 +343,105 @@ def test_first_cohomology_reports_its_worst_relator_defect():
     worst = max((max(c.relator_defects, default=0.0) for c in basis.cocycle_basis), default=0.0)
     assert basis.residuals == {"worst_cocycle_relator_defect": worst}
     assert worst <= 1e-12
+
+
+def _family_reps(family, field):
+    """A few representations of the family with their doubles rho (+) rho."""
+    rng = np.random.default_rng(len(family) + 7 * (field == "complex"))
+    for dim in (1, 2, 3):
+        half = FAMILIES[family](rng, 3 if family == "heisenberg" else dim, field)
+        yield half
+        yield doubled_rep(half)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_class_action_matches_per_class_reference(family, field):
+    for rep in _family_reps(family, field):
+        basis = first_cohomology(rep)
+        commutant = commutant_basis(rep)
+        got = commutant_action_on_classes(rep, basis, commutant)
+        want = reference_commutant_action_on_classes(rep, basis, commutant)
+        assert len(got) == len(want) == len(commutant)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape == (basis.dims[2],) * 2
+            assert a.dtype == rep.dtype
+            assert np.max(np.abs(a - b), initial=0.0) <= 1e-10
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_search_matches_per_class_reference(family, field):
+    for rep in _family_reps(family, field):
+        for seed in range(5):
+            result = search_irreducible_cocycle(rep, trials=5, seed=seed)
+            found, coords, trials_used = reference_search_irreducible_cocycle(rep, 5, seed)
+            assert (result.found, result.trials_used) == (found, trials_used)
+            if found:
+                assert np.max(np.abs(result.witness.coordinates() - coords)) <= 1e-10
+
+
+def test_search_reference_covers_found_and_exhausted_searches():
+    # the differential search test sees both outcomes and nontrivial classes
+    outcomes = set()
+    for family in ("f2", "z2-identity", "heisenberg"):
+        for rep in _family_reps(family, "complex"):
+            found, _, trials_used = reference_search_irreducible_cocycle(rep, 5, 0)
+            outcomes.add((found, trials_used == 5))
+    assert {(True, False), (False, True)} <= outcomes
+
+
+SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+NON_COMMUTING = {
+    # rho = chi (+) trivial; H^1 lives on one summand and the swap moves it
+    # onto the other, where the relators forbid it
+    "dihedral": (dihedral_group(), [np.eye(2), np.diag([-1.0, 1.0])]),
+    "heisenberg": (heisenberg_group(), [np.diag([np.exp(0.7j), 1.0]), np.eye(2), np.eye(2)]),
+    "z2": (z2_group(), [np.diag([np.exp(0.7j), 1.0]), np.diag([np.exp(1.9j), 1.0])]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_COMMUTING))
+def test_class_action_rejects_a_non_commuting_operator(name):
+    presentation, mats = NON_COMMUTING[name]
+    field = "complex" if any(np.iscomplexobj(m) for m in mats) else "real"
+    rep = Representation(presentation, field, mats, dim=2)
+    basis = first_cohomology(rep)
+    assert basis.dims[2] > 0
+    assert max(np.linalg.norm(SWAP @ m - m @ SWAP) for m in mats) > 0.1
+    identity = commutant_action_on_classes(rep, basis, commutant=[np.eye(2)])
+    assert np.allclose(identity[0], np.eye(basis.dims[2]))
+    with pytest.raises(CocycleError, match=r"^relator \d+ has cocycle residual "):
+        commutant_action_on_classes(rep, basis, commutant=[np.eye(2), SWAP])
+    with pytest.raises(CocycleError, match=r"^relator \d+ has cocycle residual "):
+        reference_commutant_action_on_classes(rep, basis, [SWAP])
+
+
+def test_class_action_refuses_complex_operators_on_a_real_representation():
+    rep = trivial_rep(2, "real")
+    with pytest.raises(ValueError, match="^complex data supplied for a real-field object$"):
+        commutant_action_on_classes(rep, first_cohomology(rep), commutant=[1j * np.eye(2)])
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_cohomology_views_carry_the_certified_columns(family):
+    for field in ("real", "complex"):
+        for rep in _family_reps(family, field):
+            basis = first_cohomology(rep)
+            bases = (basis.cocycle_basis, basis.coboundary_basis, basis.class_representatives)
+            matrices = (basis.cocycles, basis.coboundaries, basis.classes)
+            assert basis.dims == tuple(m.shape[1] for m in matrices)
+            for views, columns, defects in zip(bases, matrices, basis.relator_defects):
+                assert len(views) == columns.shape[1]
+                for k, view in enumerate(views):
+                    assert np.array_equal(view.coordinates(), columns[:, k])
+                    assert view.relator_defects == tuple(defects[:, k])
+                    # the batched certificate agrees with the chain-rule walk
+                    walked = Cocycle(rep, view.values).relator_defects
+                    assert np.allclose(walked, view.relator_defects, rtol=0.0, atol=1e-12)
+            walked_worst = max(
+                (max(Cocycle(rep, c.values).relator_defects, default=0.0) for c in basis.cocycle_basis),
+                default=0.0,
+            )
+            assert abs(basis.residuals["worst_cocycle_relator_defect"] - walked_worst) <= 1e-12
