@@ -218,8 +218,8 @@ def affine_commutant(action: AffineAction, tol: ToleranceProfile | None = None) 
     tol = tol or action.tol
     s = unit_scale(tol, action)
     values = [b / s for b in action.cocycle.values]
-    matrix, _, lift = intertwiner_system(action.rep, action.rep, values, values, tol)
-    basis = lift(null_space_basis(matrix, tol))
+    gram, apply, lift = intertwiner_system(action.rep, action.rep, values, tol=tol)
+    basis = lift(null_space_basis(gram, tol, apply))
     d = action.dim
     pairs = tuple(CommutantPair(unvec(col[: d * d], d, d), s * col[d * d :]) for col in basis.T)
     residuals = [
@@ -502,15 +502,15 @@ def check_equivalence(
     tol = tol or a1.tol
     d1, d2 = a1.dim, a2.dim
     s = unit_scale(tol, a1, a2)
-    matrix, rhs, lift = intertwiner_system(
+    gram, apply, lift = intertwiner_system(
         a1.rep, a2.rep, [b / s for b in a1.cocycle.values], [b / s for b in a2.cocycle.values], tol
     )
-    solution = solve_affine_system(matrix, rhs, tol)
+    solution = solve_affine_system(gram, None, tol, apply)
     if solution is None or d1 != d2:
         return EquivalenceResult(False, None, probabilistic=False)
 
     rng = np.random.default_rng(seed)
-    coeffs = [np.zeros(solution.dim, dtype=matrix.dtype)]
+    coeffs = [np.zeros(solution.dim, dtype=gram.dtype)]
     coeffs += [random_vector(solution.dim, a1.field, rng) for _ in range(trials)]
     candidates = lift(solution.particular[:, None] + solution.homogeneous @ np.column_stack(coeffs))
     for column in candidates.T:

@@ -32,7 +32,6 @@ from .linalg import (
     orthonormal_columns,
     random_vector,
     residual_ok,
-    unvec,
 )
 from .words import GroupPresentation, Word
 
@@ -79,12 +78,33 @@ class Representation:
         eye = np.eye(dim)
         self.isometry_defects = tuple(frobenius(m.conj().T @ m - eye) for m in matrices)
         self.relator_defects = tuple(frobenius(self.evaluate(r) - eye) for r in presentation.relators)
+        self._commutants: dict[ToleranceProfile, tuple[np.ndarray, ...]] = {}  # see commutant_basis
         if validate and (failure := validity_report(tol, rep=self).failure):
             raise failure
 
     @property
     def dtype(self) -> np.dtype:
         return np.dtype(np.float64 if self.field == REAL else np.complex128)
+
+    @cached_property
+    def generic_eigenbasis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(eigenvalues, Q, P)`` of the generic Hermitian element
+
+            H = Z + Z*,    Z = sum_s w_s pi(s),
+
+        that is sum_s c_s (pi(s) + pi(s)*) + c'_s i (pi(s) - pi(s)*) for the
+        fixed weights w_s = c_s + i c'_s of ``_generic_weights``, with Q its
+        orthonormal eigenvectors and P the ``(g, d, d)`` stack of
+        Q* pi(s) Q. The weights satisfy sum |c_s| + |c'_s| = 1, so an
+        isometry defect moves H's eigenvalues by at most twice the largest
+        generator defect. Real input has c' = 0, so Q stays real. Without
+        generators H = 0 and Q = I. Computed once per representation; the
+        arrays are read-only.
+        """
+        mats = np.asarray(self.matrices, dtype=self.dtype).reshape(-1, self.dim, self.dim)
+        z = np.einsum("s,sij->ij", _generic_weights(len(mats), self.field), mats)
+        values, q = np.linalg.eigh(z + z.conj().T)
+        return _read_only(values), _read_only(q), _read_only(q.conj().T @ mats @ q)
 
     def evaluate(self, word: Word) -> np.ndarray:
         """Matrix of a word; inverse letters use the adjoint (isometry)."""
@@ -285,15 +305,28 @@ def fixed_subspace(rep: Representation, tol: ToleranceProfile | None = None) -> 
     return null_space_basis(rep.boundary_map(), tol or rep.tol)
 
 
-def _first_generator_eigenbasis(rep: Representation) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and orthonormal eigenvectors of H = pi(s0) + pi(s0)*.
+_GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
-    Without generators H is taken to be 0: one eigenvalue, basis I.
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _generic_weights(generators: int, field: str) -> np.ndarray:
+    """The weights w_s = c_s + i c'_s of the generic Hermitian element.
+
+    The coefficients c_0, .., c_{g-1}, c'_0, .., c'_{g-1} are 1/(j + phi) for
+    j = 0, 1, .. (phi the golden ratio), scaled to sum to 1; real input has
+    no c'. They are fixed constants, not random draws, so every solve of a
+    representation reduces over the same element.
     """
-    if not rep.matrices:
-        return np.zeros(rep.dim), np.eye(rep.dim, dtype=rep.dtype)
-    m = rep.matrices[0]
-    return np.linalg.eigh(m + m.conj().T)
+    count = generators if field == REAL else 2 * generators
+    coefficients = 1.0 / (np.arange(count) + _GOLDEN)
+    coefficients /= coefficients.sum()
+    if field != REAL:
+        coefficients = coefficients[:generators] + 1j * coefficients[generators:]
+    return coefficients
 
 
 def intertwiner_system(
@@ -303,68 +336,122 @@ def intertwiner_system(
     values2=None,
     tol: ToleranceProfile | None = None,
 ):
-    """Intertwiner system for T: V1 -> V2 in the eigenbasis of the first generator.
+    """Intertwiner system for T: V1 -> V2, reduced and in Gram form.
 
         T pi1(s) = pi2(s) T,      T b1(s) - (pi2(s) - I) t = b2(s)      for all generators s.
 
-    Returns ``(matrix, rhs, lift)``. The unknowns are reduced coordinates:
-    with Q1, Q2 eigenbases of H = pi(s0) + pi(s0)*, an intertwiner has
-    T~ = Q2* T Q1 supported on pairs (p, q) whose H-eigenvalues share a
-    cluster (T pi1(s0) = pi2(s0) T implies T H1 = H2 T for isometries), so
-    only those entries of T~ and, with cocycle values, t~ = Q2* t are
-    unknowns. Clusters are chains over the union of both spectra with links
-    of width sqrt(max(eps_eig, eps_rank, eps_residual)), far wider than the
-    eigenvalue shifts of an isometry accepted at the profile's tolerances:
-    splitting an eigenspace would lose solutions, while a wide cluster only
-    relaxes the restriction. The rows are every generator's equations,
-    s0 included, multiplied by Q2*, so residuals keep their size.
+    Returns ``(gram, apply, lift)``. The unknowns are reduced coordinates:
+    with Q1, Q2 eigenbases of the generic Hermitian element H of each
+    representation (``Representation.generic_eigenbasis``), every
+    intertwiner has T~ = Q2* T Q1 supported on pairs (p, q) whose
+    H-eigenvalues share a cluster (T pi1(s) = pi2(s) T and, for isometries,
+    T pi1(s)* = pi2(s)* T imply T H1 = H2 T), so only those entries of T~
+    and, with cocycle values, t~ = Q2* t are unknowns. Clusters are chains
+    over the union of both spectra with links of the profile's
+    ``cluster_width``, far wider than the eigenvalue shifts of an isometry
+    accepted at its tolerances: splitting an eigenspace would lose
+    solutions, while a wide cluster only relaxes the restriction.
 
-    ``lift`` maps reduced solution columns to columns (vec T, t) (row-major
-    vec; without cocycle values just vec T). It is an isometric embedding,
-    so orthonormal null-space bases stay orthonormal. With rep1 = rep2 and
-    equal values the homogeneous system is the affine commutant in
-    (vec U, t), U = T - I. For real representations Q and the system are real.
+    The system A has every generator's equations multiplied by Q2*, so
+    residuals keep their size, but it is never formed: ``gram`` is A*A,
+    assembled from P_s = Q* pi(s) Q and beta_s = Q* b(s) (README "How the
+    commutant is solved"), ``apply(X)`` is A X and ``apply(Y, adjoint=True)``
+    is A* Y, as 2-D arrays, for ``linalg.null_space_basis`` and
+    ``linalg.solve_affine_system``. Without ``values2`` the system is
+    homogeneous (with ``values1`` it is the affine commutant in (U, t) when
+    rep1 = rep2); with ``values2`` as well its right-hand side
+    c = (0, beta2) is appended as the last unknown's column -c, for
+    ``linalg.solve_affine_system``.
+
+    ``lift`` maps reduced solution columns (without the appended unknown) to
+    columns (vec T, t) (row-major vec; without cocycle values just vec T).
+    It is an isometric embedding, so orthonormal bases stay orthonormal. For
+    real representations Q and the system are real.
     """
     tol = tol or rep1.tol
     d1, d2 = rep1.dim, rep2.dim
-    dtype = rep1.dtype
-    (lam1, q1), (lam2, q2) = _first_generator_eigenbasis(rep1), _first_generator_eigenbasis(rep2)
+    (lam1, q1, p1), (lam2, q2, p2) = rep1.generic_eigenbasis, rep2.generic_eigenbasis
     spectrum = np.concatenate([lam1, lam2])
     order = np.argsort(spectrum, kind="stable")
-    width = np.sqrt(max(tol.eps_eig, tol.eps_rank, tol.eps_residual))
     labels = np.empty(d1 + d2, dtype=int)
-    labels[order] = np.concatenate([[0], np.cumsum(np.diff(spectrum[order]) > width)])
+    labels[order] = np.concatenate([[0], np.cumsum(np.diff(spectrum[order]) > tol.cluster_width)])
     rows_p, cols_q = np.nonzero(labels[d1:, None] == labels[None, :d1])
-    k = len(rows_p)
-    idx = np.arange(k)
+    k, g = len(rows_p), len(p1)
 
-    affine = values1 is not None
-    cols = k + (d2 if affine else 0)
-    per_gen = d2 * d1 + (d2 if affine else 0)
-    gens = len(rep1.matrices)
-    matrix = np.zeros((gens, per_gen, cols), dtype=dtype)
-    rhs = np.zeros((gens, per_gen), dtype=dtype)
-    for i, (m1, m2) in enumerate(zip(rep1.matrices, rep2.matrices)):
-        p1, p2 = q1.conj().T @ m1 @ q1, q2.conj().T @ m2 @ q2
-        # the unknown for pair (p, q) is T~ = e_p e_q^T, and T~ P1 - P2 T~ is
-        # P1[q, :] in row p minus P2[:, p] in column q
-        commuting = matrix[i, : d2 * d1].reshape(d2, d1, cols)
-        commuting[rows_p, :, idx] = p1[cols_q, :]
-        commuting[:, cols_q, idx] -= p2[:, rows_p]
+    affine, augmented = values1 is not None, values2 is not None
+    size = k + (d2 if affine else 0) + (1 if augmented else 0)
+    gram = np.empty((size, size), dtype=np.result_type(p1, p2))
+
+    # commuting rows: the unknown e_p e_q^T gives E_pq P1 - P2 E_pq, so
+    # <A_j, A_j'> = d_pp' (P1 P1*)[q', q] - P2[p, p'] conj(P1[q, q'])
+    #               - conj(P2[p', p]) P1[q', q] + d_qq' (P2* P2)[p, p']
+    # summed over generators; the value rows add d_pp' conj(beta1[q]) beta1[q']
+    rows1 = p1.transpose(1, 0, 2).reshape(d1, g * d1)
+    left = (rows1 @ rows1.conj().T).T
+    right = p2.reshape(g * d2, d2).conj().T @ p2.reshape(g * d2, d2)
+    if affine:
+        beta1 = np.reshape(values1, (g, d1)) @ q1.conj()
+        left += beta1.conj().T @ beta1
+    cross = np.einsum("sjk,sjk->jk", p2[:, rows_p][:, :, rows_p], p1[:, cols_q][:, :, cols_q].conj())
+    block = gram[:k, :k]
+    np.multiply(rows_p[:, None] == rows_p[None, :], left[cols_q[:, None], cols_q[None, :]], out=block)
+    block += (cols_q[:, None] == cols_q[None, :]) * right[rows_p[:, None], rows_p[None, :]]
+    block -= cross
+    block -= cross.conj().T
+    if affine:
+        # value rows: e_p beta1[q] for the unknown (p, q), I - P2 for t~
+        shifted = np.eye(d2) - p2
+        stacked = shifted.reshape(g * d2, d2)
+        coupling = np.einsum("sj,sjc->jc", beta1[:, cols_q].conj(), shifted[:, rows_p, :])
+        gram[:k, k : k + d2] = coupling
+        gram[k : k + d2, :k] = coupling.conj().T
+        gram[k : k + d2, k : k + d2] = stacked.conj().T @ stacked
+    if augmented:
+        beta2 = np.reshape(values2, (g, d2)) @ q2.conj()
+        gram[:k, -1] = -np.sum(beta1[:, cols_q].conj() * beta2[:, rows_p], axis=0)
+        gram[k:-1, -1] = -(stacked.conj().T @ beta2.reshape(-1))
+        gram[-1, :-1] = gram[:-1, -1].conj()
+        gram[-1, -1] = np.vdot(beta2, beta2)
+
+    def apply(columns: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        if adjoint:
+            return apply_adjoint(columns)
+        n = columns.shape[1]
+        reduced = np.zeros((n, d2, d1), dtype=np.result_type(columns, p1))
+        reduced[:, rows_p, cols_q] = columns[:k].T
+        out = (reduced @ p1[:, None] - p2[:, None] @ reduced).reshape(g, n, d2 * d1)
         if affine:
-            value_rows = matrix[i, d2 * d1 :]
-            value_rows[rows_p, idx] = (q1.conj().T @ values1[i])[cols_q]
-            value_rows[:, k:] = np.eye(d2) - p2
-            rhs[i, d2 * d1 :] = q2.conj().T @ values2[i]
+            value = np.einsum("nij,sj->sni", reduced, beta1) + np.einsum("sij,jn->sni", shifted, columns[k : k + d2])
+            if augmented:
+                value -= beta2[:, None, :] * columns[-1][None, :, None]
+            out = np.concatenate([out, value], axis=2)
+        return out.transpose(0, 2, 1).reshape(g * out.shape[2], n)
+
+    def apply_adjoint(rows: np.ndarray) -> np.ndarray:
+        # the adjoints of T~ -> T~ P1 - P2 T~, T~ -> T~ beta1, t~ -> (I - P2) t~
+        # and the last unknown's -beta2, summed over generators
+        n = rows.shape[1]
+        blocks = rows.reshape(g, d2 * (d1 + affine), n).transpose(0, 2, 1)
+        commuting = blocks[:, :, : d2 * d1].reshape(g, n, d2, d1)
+        p1h, p2h = p1.conj().transpose(0, 2, 1)[:, None], p2.conj().transpose(0, 2, 1)[:, None]
+        full = np.sum(commuting @ p1h - p2h @ commuting, axis=0)
+        if not affine:
+            return full[:, rows_p, cols_q].T
+        value = blocks[:, :, d2 * d1 :]
+        full += np.einsum("sni,sj->nij", value, beta1.conj())
+        parts = [full[:, rows_p, cols_q].T, np.einsum("sij,sni->jn", shifted.conj(), value)]
+        if augmented:
+            parts.append(-np.einsum("si,sni->n", beta2.conj(), value)[None])
+        return np.vstack(parts)
 
     def lift(columns: np.ndarray) -> np.ndarray:
         n = columns.shape[1]
         reduced = np.zeros((n, d2, d1), dtype=np.result_type(columns, q1, q2))
         reduced[:, rows_p, cols_q] = columns[:k].T
         full = (q2 @ reduced @ q1.conj().T).reshape(n, d2 * d1).T
-        return np.vstack([full, q2 @ columns[k:]]) if affine else full
+        return np.vstack([full, q2 @ columns[k : k + d2]]) if affine else full
 
-    return matrix.reshape(gens * per_gen, cols), rhs.reshape(-1), lift
+    return gram, apply, lift
 
 
 def commutant_basis(rep: Representation, tol: ToleranceProfile | None = None) -> list[np.ndarray]:
@@ -372,14 +459,18 @@ def commutant_basis(rep: Representation, tol: ToleranceProfile | None = None) ->
 
     Real representations get the real commutant; complex ones the complex
     commutant. The identity always lies in the returned span. The basis is
-    the lifted null space of the commuting rows of ``intertwiner_system``
-    (reduced over the first generator's eigenspaces), orthonormal in vec T.
+    the lifted null space of the commuting rows of ``intertwiner_system``,
+    orthonormal in vec T. It is solved once per tolerance profile and kept on
+    the representation; the elements are read-only arrays.
     """
     tol = tol or rep.tol
-    d = rep.dim
-    matrix, _, lift = intertwiner_system(rep, rep, tol=tol)
-    basis = lift(null_space_basis(matrix, tol))
-    return [unvec(basis[:, k], d, d) for k in range(basis.shape[1])]
+    basis = rep._commutants.get(tol)
+    if basis is None:
+        gram, apply, lift = intertwiner_system(rep, rep, tol=tol)
+        columns = lift(null_space_basis(gram, tol, apply))
+        basis = tuple(_read_only(columns.T.reshape(-1, rep.dim, rep.dim)))
+        rep._commutants[tol] = basis
+    return list(basis)
 
 
 def _relator_coefficient_matrix(rep: Representation) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Shared builders for the test suite: presentations, random isometric
 representations by group class, random cocycles, the dense Kronecker form of
-the intertwiner system used as the reference for the reduced solver, the
+the intertwiner system and its row-stacked first-generator reduction with a
+QR null space, used as the references for the Gram-matrix solver, the
 per-class commutant action and the search run on it used as the references
 for the array-backed cocycle search, the pair-by-pair parallelogram scan and
 per-probe Frank-Wolfe loop used as the references for the lattice scans, and
@@ -526,6 +527,90 @@ def kronecker_intertwiner_system(rep1: Representation, rep2: Representation, val
             blocks.append(np.hstack([np.kron(eye2, values1[i][None, :]), -(m2 - eye2)]))
             rhs.append(values2[i])
     return np.vstack(blocks), np.concatenate(rhs)
+
+
+def row_stacked_intertwiner_system(rep1: Representation, rep2: Representation, values1=None, values2=None, tol=TOL):
+    """The same system reduced over the first generator and stacked row by row.
+
+    Returns ``(matrix, rhs, lift)``: with Q1, Q2 eigenbases of
+    H = pi(s0) + pi(s0)* (I without generators), the unknowns are the
+    entries of T~ = Q2* T Q1 on pairs whose H-eigenvalues share a cluster of
+    width ``tol.cluster_width``, plus t~ = Q2* t with cocycle values; the
+    rows are every generator's equations multiplied by Q2*, g (d2 d1 + d2)
+    of them. ``lift`` maps reduced columns to (vec T, t). This is the solver
+    the Gram-matrix path replaced, kept as its reference together with
+    ``qr_null_space``.
+    """
+    d1, d2 = rep1.dim, rep2.dim
+    dtype = rep1.dtype
+
+    def eigenbasis(rep):
+        if not rep.matrices:
+            return np.zeros(rep.dim), np.eye(rep.dim, dtype=rep.dtype)
+        m = rep.matrices[0]
+        return np.linalg.eigh(m + m.conj().T)
+
+    (lam1, q1), (lam2, q2) = eigenbasis(rep1), eigenbasis(rep2)
+    spectrum = np.concatenate([lam1, lam2])
+    order = np.argsort(spectrum, kind="stable")
+    labels = np.empty(d1 + d2, dtype=int)
+    labels[order] = np.concatenate([[0], np.cumsum(np.diff(spectrum[order]) > tol.cluster_width)])
+    rows_p, cols_q = np.nonzero(labels[d1:, None] == labels[None, :d1])
+    k = len(rows_p)
+    idx = np.arange(k)
+
+    affine = values1 is not None
+    cols = k + (d2 if affine else 0)
+    per_gen = d2 * d1 + (d2 if affine else 0)
+    gens = len(rep1.matrices)
+    matrix = np.zeros((gens, per_gen, cols), dtype=dtype)
+    rhs = np.zeros((gens, per_gen), dtype=dtype)
+    for i, (m1, m2) in enumerate(zip(rep1.matrices, rep2.matrices)):
+        p1, p2 = q1.conj().T @ m1 @ q1, q2.conj().T @ m2 @ q2
+        # the unknown for pair (p, q) is T~ = e_p e_q^T, and T~ P1 - P2 T~ is
+        # P1[q, :] in row p minus P2[:, p] in column q
+        commuting = matrix[i, : d2 * d1].reshape(d2, d1, cols)
+        commuting[rows_p, :, idx] = p1[cols_q, :]
+        commuting[:, cols_q, idx] -= p2[:, rows_p]
+        if affine:
+            value_rows = matrix[i, d2 * d1 :]
+            value_rows[rows_p, idx] = (q1.conj().T @ values1[i])[cols_q]
+            value_rows[:, k:] = np.eye(d2) - p2
+            if values2 is not None:
+                rhs[i, d2 * d1 :] = q2.conj().T @ values2[i]
+
+    def lift(columns: np.ndarray) -> np.ndarray:
+        n = columns.shape[1]
+        reduced = np.zeros((n, d2, d1), dtype=np.result_type(columns, q1, q2))
+        reduced[:, rows_p, cols_q] = columns[:k].T
+        full = (q2 @ reduced @ q1.conj().T).reshape(n, d2 * d1).T
+        return np.vstack([full, q2 @ columns[k:]]) if affine else full
+
+    return matrix.reshape(gens * per_gen, cols), rhs.reshape(-1), lift
+
+
+def qr_null_space(matrix: np.ndarray, tol: ToleranceProfile = TOL) -> np.ndarray:
+    """Null space of an explicit matrix by QR (when tall) and a full SVD of
+    the triangular factor, decided by ``numerical_rank``: the rank decision
+    the Gram-matrix path must reproduce."""
+    matrix = np.atleast_2d(matrix)
+    if matrix.shape[0] == 0 or matrix.shape[1] == 0:
+        return np.eye(matrix.shape[1], dtype=matrix.dtype)
+    if matrix.shape[0] > matrix.shape[1]:
+        matrix = np.linalg.qr(matrix, mode="r")
+    _, s, vh = np.linalg.svd(matrix, full_matrices=True)
+    return vh[numerical_rank(s, tol) :].conj().T
+
+
+def lstsq_solve(matrix: np.ndarray, rhs: np.ndarray, tol: ToleranceProfile = TOL):
+    """``A x = c`` as it was solved before the Gram form: ``numpy.linalg.lstsq``
+    for the particular solution, consistent when its residual is within
+    ``eps_residual (1 + ||c||)``, and ``qr_null_space`` for the homogeneous
+    part. Returns ``(particular, homogeneous)`` or None."""
+    particular, *_ = np.linalg.lstsq(matrix, rhs, rcond=None)
+    if not residual_ok(float(np.linalg.norm(matrix @ particular - rhs)), float(np.linalg.norm(rhs)), tol.eps_residual):
+        return None
+    return particular, qr_null_space(matrix, tol)
 
 
 # -- brute-force oracle for abelian actions ---------------------------------

@@ -27,7 +27,19 @@ from pathlib import Path
 
 import pytest
 
+from affine_actions import (
+    AffineMap,
+    AffineSubspace,
+    CommutantPair,
+    check_invariance,
+    commutant_residual,
+    intertwining_residual,
+    project_action,
+)
+from affine_actions.actions import certification_scale
 from affine_actions.cli import main
+from affine_actions.linalg import residual_ok
+from affine_actions.problem_io import array_from_json, load_problem
 
 ROOT = Path(__file__).resolve().parent.parent
 SNAPSHOT = Path(__file__).resolve().parent / "cli_contract.json"
@@ -73,6 +85,20 @@ REFUSED = {
 # keys a verb's documents gained: every result document now says whether it
 # is probabilistic
 ADDED_KEYS = {"verify": {"probabilistic": False}}
+
+
+# calls re-recorded when the commutant solve moved to the Gram matrix of a
+# generic Hermitian element: a null-space basis is not unique, so only float
+# leaves under "witness" or "basis" changed
+RERECORDED = (
+    ["irreducible", "fixtures/c3_rotation.json"],
+    ["commutant", "fixtures/c3_rotation.json"],
+    ["commutant", "fixtures/glide.json"],
+    ["direct-sum", "fixtures/c3_rotation.json", "fixtures/c3_rotation.json"],
+    ["direct-sum", "fixtures/f2_irred2d_b1.json", "fixtures/f2_irred2d_b1.json"],
+    ["direct-sum", "fixtures/f2_irred2d_b2.json", "fixtures/f2_irred2d_b2.json"],
+    ["direct-sum", "fixtures/glide.json", "fixtures/glide.json"],
+)
 
 
 def run(argv: list[str]) -> tuple[int, dict, str]:
@@ -127,6 +153,43 @@ def test_cli_contract(argv, monkeypatch):
     bad = {p: (old[p], new[p]) for p in old if not same_leaf(old[p], new[p])}
     assert not bad
     assert first_line == entry["first_line"]
+
+
+@pytest.mark.parametrize("argv", RERECORDED, ids=" ".join)
+def test_rerecorded_witnesses_reverify(argv, monkeypatch):
+    """The recorded witness of each re-recorded call satisfies its defining
+    equations under the certification bound ``eps_residual (1 + scale)``."""
+    monkeypatch.chdir(ROOT)
+    doc = _recorded()[" ".join(argv)]["doc"]
+    action = load_problem(argv[1]).build_action()
+    field, d, tol = action.field, action.dim, action.tol
+
+    def array(data, shape):
+        return array_from_json(data, field, tuple(shape), "recorded")
+
+    def certified(residual, parts, *actions):
+        return residual_ok(residual, certification_scale(parts, *actions), tol.eps_residual)
+
+    if argv[0] == "commutant":
+        assert doc["basis"]
+        for element in doc["basis"]:
+            pair = CommutantPair(array(element["deviation"], (d, d)), array(element["translation"], (d,)))
+            assert certified(commutant_residual(action, pair), (pair.deviation, pair.translation), action)
+    elif argv[0] == "irreducible":
+        recorded = doc["witness"]["commutant_map"]
+        witness = AffineMap(array(recorded["linear"], recorded["shape"]), array(recorded["translation"], (d,)))
+        assert certified(commutant_residual(action, witness), (witness.deviation, witness.translation), action)
+        recorded = doc["witness"]["invariant_subspace"]
+        subspace = AffineSubspace(array(recorded["base"], (d,)), array(recorded["directions"], (d, recorded["dim"])))
+        assert certified(check_invariance(action, subspace), (subspace.base,), action)
+    else:
+        other = load_problem(argv[2]).build_action()
+        witness, k = doc["witness"], doc["witness"]["v_dim"]
+        p1 = project_action(action, array(witness["v1_basis"], (action.dim, k)))
+        p2 = project_action(other, array(witness["v2_basis"], (other.dim, k)))
+        recorded = witness["intertwiner"]
+        mapping = AffineMap(array(recorded["linear"], recorded["shape"]), array(recorded["translation"], (k,)))
+        assert certified(intertwining_residual(p1, p2, mapping), (mapping.linear, mapping.translation), action, other)
 
 
 def test_snapshot_covers_every_call():

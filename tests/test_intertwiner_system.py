@@ -1,6 +1,8 @@
-"""The reduced intertwiner system: agreement with the dense Kronecker
-reference, invariance of the decision under the symmetries the maths
-guarantees, the edge cases of the eigenbasis reduction, and large d."""
+"""The reduced intertwiner system in Gram form: agreement with the dense
+Kronecker reference and with the row-stacked first-generator reduction it
+replaced, invariance of the decision under the symmetries the maths
+guarantees, the edge cases of the eigenbasis reduction, near-degenerate
+spectra and isometry defects, and large d."""
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from affine_actions import (
     AffineAction,
+    Cocycle,
     GroupPresentation,
     Representation,
     ToleranceProfile,
@@ -15,27 +18,34 @@ from affine_actions import (
     analyze_direct_sum,
     check_equivalence,
     commutant_basis,
+    conjugate_by_translation,
     decide_irreducibility,
     direct_sum,
+    fixed_points,
     fixed_subspace,
     intertwining_residual,
 )
 from affine_actions.actions import unit_scale
-from affine_actions.linalg import numerical_rank
-from affine_actions.reps import intertwiner_system
+from affine_actions.linalg import null_space_basis, numerical_rank, solve_affine_system
+from affine_actions.reps import _generic_weights, intertwiner_system
 
 from helpers import (
     FAMILIES,
     TOL,
     dihedral_group,
     f2_group,
+    free_abelian_group,
     kronecker_intertwiner_system,
+    lstsq_solve,
     permuted,
+    qr_null_space,
     random_action,
     random_dihedral_rep,
     random_field_vector,
     random_free_rep,
     random_isometry,
+    random_orthogonal,
+    row_stacked_intertwiner_system,
     z_group,
 )
 
@@ -96,19 +106,69 @@ def test_reduced_system_matches_kronecker_reference(family, field, double):
                 assert np.linalg.norm(stacked.conj().T @ stacked - np.eye(len(columns))) <= 1e-10, (family, seed)
 
 
+def same_subspace(a: np.ndarray, b: np.ndarray) -> float:
+    """Distance between the orthogonal projectors onto two column spans."""
+    return float(np.linalg.norm(a @ a.conj().T - b @ b.conj().T))
+
+
+@pytest.mark.parametrize("double", [False, True], ids=["single", "double"])
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_gram_path_matches_row_stacked_qr_reference(family, field, double):
+    for seed in range(12):
+        action = family_action(family, field, seed, double)
+        rep = action.rep
+        s = unit_scale(TOL, action)
+        values = [b / s for b in action.cocycle.values]
+        for vals in (None, values):
+            gram, apply, lift = intertwiner_system(rep, rep, vals)
+            matrix, _, ref_lift = row_stacked_intertwiner_system(rep, rep, vals)
+            basis, reference = lift(null_space_basis(gram, TOL, apply)), ref_lift(qr_null_space(matrix))
+            assert basis.shape == reference.shape, (family, seed)
+            assert same_subspace(basis, reference) <= 1e-8, (family, seed)
+        # the inhomogeneous system of the equivalence search, against itself:
+        # the same solution set as the least-squares solve, and a particular
+        # solution orthogonal to the homogeneous part
+        gram, apply, lift = intertwiner_system(rep, rep, values, values)
+        matrix, rhs, ref_lift = row_stacked_intertwiner_system(rep, rep, values, values)
+        solution, reference = solve_affine_system(gram, None, TOL, apply), lstsq_solve(matrix, rhs)
+        assert solution is not None and reference is not None, (family, seed)
+        homogeneous, ref_homogeneous = lift(solution.homogeneous), ref_lift(reference[1])
+        assert homogeneous.shape == ref_homogeneous.shape, (family, seed)
+        assert same_subspace(homogeneous, ref_homogeneous) <= 1e-8, (family, seed)
+        offset = lift(solution.particular[:, None])[:, 0] - ref_lift(reference[0][:, None])[:, 0]
+        assert np.linalg.norm(offset - homogeneous @ (homogeneous.conj().T @ offset)) <= 1e-8, (family, seed)
+        assert np.linalg.norm(solution.homogeneous.conj().T @ solution.particular) <= 1e-8, (family, seed)
+
+
+def test_gram_matrix_is_the_system_gram_matrix():
+    # A*A from the assembled entries against A applied to the identity
+    for seed, (family, field) in enumerate([("f2", "real"), ("f2", "complex"), ("dihedral", "complex"), ("s3", "real")]):
+        action = family_action(family, field, seed, double=seed % 2 == 1)
+        rep, values = action.rep, action.cocycle.values
+        for vals1, vals2 in ((None, None), (values, None), (values, values)):
+            gram, apply, _ = intertwiner_system(rep, rep, vals1, vals2)
+            matrix = apply(np.eye(len(gram), dtype=gram.dtype))
+            assert matrix.dtype == rep.dtype
+            assert np.linalg.norm(gram - matrix.conj().T @ matrix) <= 1e-13 * max(1.0, np.linalg.norm(gram))
+            # the adjoint action is A* on any block of rows
+            rows = np.random.default_rng(seed).standard_normal((len(matrix), 3)).astype(gram.dtype)
+            adjoint = apply(rows, adjoint=True)
+            assert np.linalg.norm(adjoint - matrix.conj().T @ rows) <= 1e-13 * max(1.0, np.linalg.norm(gram))
+
+
 def test_reduced_system_has_fewer_unknowns_on_generic_input():
     rng = np.random.default_rng(3)
-    for field, per_coordinate in (("real", 2), ("complex", 1)):
+    for field in ("real", "complex"):
         action = random_action(random_free_rep(f2_group(), 10, field, rng), rng)
         values = action.cocycle.values
-        matrix, rhs, _ = intertwiner_system(action.rep, action.rep, values, values)
-        # a generic unitary has simple eigenvalues, so H does too; a real
-        # orthogonal matrix pairs e^{+-i theta} into one eigenvalue of H
-        # (except at +-1), so its clusters have size at most 2
-        assert matrix.shape[0] == 2 * (100 + 10)
-        assert 10 + 10 <= matrix.shape[1] <= per_coordinate * 10 + 10
-        assert rhs.shape == (matrix.shape[0],)
-        assert matrix.dtype == action.rep.dtype
+        gram, apply, _ = intertwiner_system(action.rep, action.rep, values, values)
+        # generic isometries give the generic Hermitian element a simple
+        # spectrum: one unknown per coordinate of T~, d for t~, one for the
+        # right-hand side
+        assert gram.shape == (10 + 10 + 1, 10 + 10 + 1)
+        assert gram.dtype == action.rep.dtype
+        assert apply(np.eye(21, dtype=gram.dtype)).shape == (2 * (100 + 10), 21)
 
 
 # -- invariance of the decision ---------------------------------------------
@@ -163,30 +223,47 @@ def test_verdict_invariant_under_cocycle_scaling(case, log_scale):
 
 def test_no_generators_keeps_every_unknown():
     rep = Representation(GroupPresentation([]), "complex", [], dim=3)
-    matrix, rhs, lift = intertwiner_system(rep, rep, [], [])
-    assert matrix.shape == (0, 12) and rhs.shape == (0,)
-    # Q = I and one cluster: the lift is the identity embedding
+    gram, apply, lift = intertwiner_system(rep, rep, [], [])
+    # H = 0, so Q = I and one cluster: nine entries of T~, three of t~, and
+    # the right-hand side; no equations, so A*A = 0 and every unknown is null
+    assert gram.shape == (13, 13) and not gram.any()
+    assert apply(np.eye(13)).shape == (0, 13)
     assert np.allclose(lift(np.eye(12)), np.eye(12))
+    assert null_space_basis(gram, TOL, apply).shape == (13, 13)
     assert len(commutant_basis(rep)) == 9
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
-def test_scalar_first_generator_is_one_cluster(field):
+def test_scalar_first_generator_keeps_at_most_2d_unknowns(field):
+    # pi(s0) = -I made the first generator's eigenbasis one cluster of d^2
+    # unknowns; the generic element takes the other generators' spectrum
     rng = np.random.default_rng(5)
     d = 4
     mats = [-np.eye(d), random_isometry(d, field, rng), random_isometry(d, field, rng)]
     rep = Representation(GroupPresentation(["a", "b", "c"]), field, mats, dim=d)
-    matrix, _, _ = intertwiner_system(rep, rep)
-    assert matrix.shape[1] == d * d
-    assert len(commutant_basis(rep)) == 1
+    gram, _, _ = intertwiner_system(rep, rep)
+    assert gram.shape[0] <= 2 * d
+    reference, _ = reference_null_space(kronecker_intertwiner_system(rep, rep)[0])
+    assert len(commutant_basis(rep)) == reference.shape[1] == 1
 
 
-def test_conjugate_phases_share_a_cluster_but_not_the_commutant():
+def test_scalar_first_generator_at_d32_is_decided_in_the_reduced_space():
+    rng = np.random.default_rng(6)
+    d = 32
+    mats = [-np.eye(d), random_isometry(d, "real", rng), random_isometry(d, "real", rng)]
+    rep = Representation(GroupPresentation(["a", "b", "c"]), "real", mats, dim=d)
+    action = AffineAction.from_values(rep, [rng.standard_normal(d) for _ in range(3)])
+    assert intertwiner_system(rep, rep, action.cocycle.values)[0].shape[0] <= 3 * d
+    assert decide_irreducibility(action).irreducible
+
+
+def test_conjugate_phases_fall_in_two_clusters():
     theta = 0.7
     rep = Representation(z_group(), "complex", [np.diag([np.exp(1j * theta), np.exp(-1j * theta)])])
-    matrix, _, _ = intertwiner_system(rep, rep)
-    # H = 2 cos(theta) I: both coordinates in one cluster, four unknowns
-    assert matrix.shape[1] == 4
+    gram, _, _ = intertwiner_system(rep, rep)
+    # the first generator's H = 2 cos(theta) I merged both coordinates; the
+    # generic element's i (pi - pi*) term separates them: two unknowns
+    assert gram.shape == (2, 2)
     basis = commutant_basis(rep)
     assert len(basis) == 2
     for element in basis:
@@ -237,13 +314,138 @@ def test_equivalence_between_different_dimensions_is_definitely_not_found():
         assert not result.equivalent and not result.probabilistic
 
 
+PROFILES = {
+    "default": TOL,
+    "tight": ToleranceProfile(1e-12, 1e-12, 1e-12),
+    "rank-below-residual": ToleranceProfile(eps_rank=1e-12, eps_residual=1e-6),
+    "rank-above-residual": ToleranceProfile(eps_rank=1e-6, eps_residual=1e-12),
+}
+
+
+def rotation(theta: float) -> np.ndarray:
+    return np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+@pytest.mark.parametrize("theta", [1e-5, 2e-4, 5e-4, 1e-3, 1e-2])
+def test_small_angle_equivalence_is_decided_as_the_least_squares_reference(theta, profile):
+    # pi(s) - I has singular values ~ theta on the rotation plane, so the
+    # translation of the equivalence with a coboundary conjugate is ~ 1/theta:
+    # the part of the solution solved through A*A must still meet the
+    # residual bound, as the row-stacked least-squares solve does
+    tol = PROFILES[profile]
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        q = random_orthogonal(6, rng)
+        block = np.zeros((6, 6))
+        block[:2, :2], block[2:, 2:] = rotation(theta), random_orthogonal(4, rng)
+        rep = Representation(z_group(), "real", [q @ block @ q.T], tol=tol)
+        action = random_action(rep, rng)
+        shift = q @ np.concatenate([rng.standard_normal(2) / theta, rng.standard_normal(4)])
+        other = conjugate_by_translation(action, shift)
+        s = unit_scale(tol, action, other)
+        values1, values2 = [b / s for b in action.cocycle.values], [b / s for b in other.cocycle.values]
+        gram, apply, _ = intertwiner_system(rep, other.rep, values1, values2, tol)
+        matrix, rhs, _ = row_stacked_intertwiner_system(rep, other.rep, values1, values2, tol)
+        assert lstsq_solve(matrix, rhs, tol) is not None, (seed, profile)
+        solution = solve_affine_system(gram, None, tol, apply)
+        assert solution is not None, (seed, profile)
+        residual = np.linalg.norm(apply(np.append(solution.particular, 1.0)[:, None]))
+        assert residual <= tol.eps_residual * (1 + np.linalg.norm(rhs)), (seed, profile)
+        assert check_equivalence(action, other, tol=tol).equivalent, (seed, profile)
+
+
+def test_consistency_is_decided_by_eps_residual_alone():
+    # a Z^2 cocycle 1e-7 away from a coboundary, under eps_rank = 1e-12 and
+    # eps_residual = 1e-6: the fixed-point equations and the equivalence with
+    # a perturbed conjugate are consistent within eps_residual, although the
+    # right-hand side is independent of A's columns far above the rank cutoff
+    tol = PROFILES["rank-below-residual"]
+    rep = Representation(free_abelian_group(2), "real", [rotation(0.7), rotation(1.9)], tol=tol)
+    center = np.array([0.3, -1.2])
+    values = [(m - np.eye(2)) @ center for m in rep.matrices]
+    values[1] = values[1] + np.array([1e-7, 0.0])
+    action = AffineAction(rep, Cocycle(rep, values, tol=tol))
+    assert 1e-8 < action.cocycle.relator_defects[0] < 1e-6
+    fixed = fixed_points(action, tol)
+    assert fixed.subspace is not None and fixed.subspace.dim == 0
+    assert np.linalg.norm(fixed.subspace.base + center) <= 1e-6
+    moved = conjugate_by_translation(action, np.array([1.0, 2.0]))
+    perturbed = [b + np.array([0.0, 1e-7]) for b in moved.cocycle.values]
+    other = AffineAction(rep, Cocycle(rep, perturbed, tol=tol))
+    assert check_equivalence(action, other, tol=tol).equivalent
+
+
+# -- near-degenerate spectra and isometry defects ---------------------------
+
+
+@pytest.mark.parametrize("gap_in_widths", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("multiplicity", [1, 2])
+def test_near_degenerate_generic_spectrum(gap_in_widths, multiplicity):
+    # pi = diag(e^{i theta1} I_m, e^{i theta2} I_m) on Z, with the phases
+    # placed so the generic element's two eigenvalues lie gap * w apart:
+    # below w they share a cluster, above it they do not, and the commutant
+    # must be the reference's either way
+    w = TOL.cluster_width
+    weight = complex(_generic_weights(1, "complex")[0])
+    # H = 2 Re(weight e^{i theta}) = 2 |weight| cos(theta + arg weight)
+    alpha = np.pi / 2 - np.arcsin(np.array([0.0, gap_in_widths * w]) / (2 * abs(weight)))
+    phases = np.repeat(np.exp(1j * (alpha - np.angle(weight))), multiplicity)
+    rep = Representation(z_group(), "complex", [np.diag(phases)])
+    lam = rep.generic_eigenbasis[0]
+    assert abs((lam[-1] - lam[0]) / (gap_in_widths * w) - 1.0) < 1e-6
+    gram, _, _ = intertwiner_system(rep, rep)
+    d = 2 * multiplicity
+    if gap_in_widths != 1.0:  # at exactly w roundoff picks the side
+        assert gram.shape[0] == (d * d if gap_in_widths < 1 else d * d // 2)
+    rng = np.random.default_rng(int(10 * gap_in_widths) + multiplicity)
+    action = AffineAction.from_values(rep, [random_field_vector(d, "complex", rng)])
+    for act in (action, direct_sum(action, action)):
+        s = unit_scale(TOL, act)
+        values = [b / s for b in act.cocycle.values]
+        reference, _ = reference_null_space(kronecker_intertwiner_system(act.rep, act.rep, values, values)[0])
+        linear, _ = reference_null_space(kronecker_intertwiner_system(act.rep, act.rep)[0])
+        assert commutant_dim(act) == reference.shape[1]
+        assert len(commutant_basis(act.rep)) == linear.shape[1]
+
+
+@pytest.mark.parametrize("defect_in_eps", [0.3, 0.9])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_isometry_defects_near_eps_residual(field, defect_in_eps):
+    # generators moved off the isometries by a fraction of the validity
+    # bound 2 eps_residual (of the double, whose defect is sqrt 2 times the
+    # half's): the defects shift the generic element's spectrum, the clusters
+    # absorb the shift, and the verdicts and dimensions are the dense
+    # reference's
+    for seed in range(6):
+        rng = np.random.default_rng(100 + seed)
+        d = int(rng.integers(2, 6))
+        mats = []
+        for m in random_free_rep(f2_group(), d, field, rng).matrices:
+            noise = random_isometry(d, field, rng) - np.eye(d)
+            mats.append(m + defect_in_eps * TOL.eps_residual / np.sqrt(2) * noise / np.linalg.norm(noise))
+        rep = Representation(f2_group(), field, mats)
+        assert max(rep.isometry_defects) > 0.2 * defect_in_eps * TOL.eps_residual
+        half = random_action(rep, rng)
+        for action in (half, direct_sum(half, half)):
+            s = unit_scale(TOL, action)
+            values = [b / s for b in action.cocycle.values]
+            reference, _ = reference_null_space(kronecker_intertwiner_system(action.rep, action.rep, values, values)[0])
+            linear, _ = reference_null_space(kronecker_intertwiner_system(action.rep, action.rep)[0])
+            assert commutant_dim(action) == reference.shape[1], seed
+            assert len(commutant_basis(action.rep)) == linear.shape[1], seed
+            assert decide_irreducibility(action).reducible == (action is not half), seed
+
+
 # -- large d ---------------------------------------------------------------
 
 
 def test_large_real_f2_action_is_irreducible():
+    # d = 512: the dense system would have 2 (512^2 + 512) rows (README
+    # "How the commutant is solved" has the time and memory)
     rng = np.random.default_rng(1)
-    rep = random_free_rep(f2_group(), 96, "real", rng)
-    action = AffineAction.from_values(rep, [rng.standard_normal(96) for _ in range(2)])
+    rep = random_free_rep(f2_group(), 512, "real", rng)
+    action = AffineAction.from_values(rep, [rng.standard_normal(512) for _ in range(2)])
     verdict = decide_irreducibility(action)
     assert verdict.irreducible
     assert len(verdict.commutant) == 0
@@ -251,8 +453,8 @@ def test_large_real_f2_action_is_irreducible():
 
 def test_large_double_is_reducible_with_projections():
     rng = np.random.default_rng(2)
-    rep = random_free_rep(f2_group(), 48, "real", rng)
-    action = AffineAction.from_values(rep, [rng.standard_normal(48) for _ in range(2)])
+    rep = random_free_rep(f2_group(), 256, "real", rng)
+    action = AffineAction.from_values(rep, [rng.standard_normal(256) for _ in range(2)])
     analysis = analyze_direct_sum(action, action)
     assert analysis.verdict.reducible
     assert analysis.projections is not None

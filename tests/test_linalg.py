@@ -5,12 +5,15 @@ from affine_actions.linalg import (
     DEFAULT_TOL,
     ToleranceProfile,
     as_field_array,
+    explicit_operator,
     hermitian_eigensystem,
     null_space_basis,
     numerical_rank,
     orthonormal_columns,
     solve_affine_system,
 )
+
+from helpers import lstsq_solve
 
 RNG = np.random.default_rng(7)
 
@@ -67,8 +70,8 @@ def test_null_space_residual_and_orthonormality_random(field):
 
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_null_space_of_tall_matrix_matches_direct_svd(field):
-    # tall inputs go through QR first; the rank decision and the null space
-    # must be those of a direct full SVD of the same matrix
+    # tall inputs are decided through their Gram matrix; the rank decision
+    # and the null space must be those of a direct full SVD of the same matrix
     for _ in range(25):
         cols = int(RNG.integers(1, 9))
         rows = cols + int(RNG.integers(1, 30))
@@ -88,6 +91,117 @@ def test_null_space_of_tall_matrix_matches_direct_svd(field):
         assert np.linalg.norm(basis @ basis.conj().T - expected @ expected.conj().T) <= DEFAULT_TOL.eps_residual
         if basis.shape[1]:
             assert np.linalg.norm(mat @ basis, axis=0).max() <= DEFAULT_TOL.eps_residual * (1 + np.linalg.norm(mat))
+
+
+def planted(rows: int, singular_values, field: str, rng) -> np.ndarray:
+    """A rows x len(singular_values) matrix with exactly these singular values."""
+    cols = len(singular_values)
+    left = rng.standard_normal((rows, cols)) + (1j * rng.standard_normal((rows, cols)) if field == "complex" else 0)
+    right = rng.standard_normal((cols, cols)) + (1j * rng.standard_normal((cols, cols)) if field == "complex" else 0)
+    return np.linalg.qr(left)[0] @ np.diag(singular_values) @ np.linalg.qr(right)[0].conj().T
+
+
+@pytest.mark.parametrize("sigma_max", [0.5, 1.0, 40.0])
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("form", ["explicit", "gram"])
+def test_planted_singular_values_are_decided_as_a_full_svd_decides(form, field, sigma_max):
+    # sigma_max * 1e-6 lies above the cutoff eps_rank * max(sigma_max, 1) and
+    # must be kept in the rank; sigma_max * 1e-10 lies below it and must be
+    # null, as for a full SVD of the explicit matrix
+    rng = np.random.default_rng(int(sigma_max * 10) + (field == "complex"))
+    values = sigma_max * np.array([1.0, 0.3, 1e-3, 1e-6, 1e-10, 0.0])
+    mat = planted(40, values, field, rng)
+    _, s, vh = np.linalg.svd(mat, full_matrices=True)
+    expected = vh[numerical_rank(s, DEFAULT_TOL) :].conj().T
+    gram = mat.conj().T @ mat
+    basis = null_space_basis(mat) if form == "explicit" else null_space_basis(gram, DEFAULT_TOL, mat.__matmul__)
+    assert expected.shape[1] == 2
+    assert basis.shape == expected.shape
+    assert np.linalg.norm(basis @ basis.conj().T - expected @ expected.conj().T) <= 1e-8
+    assert np.linalg.norm(mat @ basis) <= DEFAULT_TOL.eps_rank * max(sigma_max, 1.0)
+
+
+@pytest.mark.parametrize("form", ["explicit", "gram"])
+def test_small_operator_keeps_the_cutoff_floor(form):
+    # sigma_max < 1: the cutoff is eps_rank * 1, so 5e-9 is null although it
+    # is far above eps_rank * sigma_max; the candidate threshold carries the
+    # same floor, or that direction would never reach the rank decision
+    rng = np.random.default_rng(3)
+    mat = planted(120, np.array([2e-5] * 100 + [5e-9]), "real", rng)
+    basis = null_space_basis(mat) if form == "explicit" else null_space_basis(mat.T @ mat, DEFAULT_TOL, mat.__matmul__)
+    assert basis.shape == (101, 1)
+    assert np.linalg.norm(mat @ basis) <= 1e-8
+
+
+def test_null_space_of_implicit_zero_operator_is_everything():
+    # no rows: A*A = 0, every unknown is a candidate and null
+    basis = null_space_basis(np.zeros((4, 4)), DEFAULT_TOL, lambda columns: np.zeros((0, columns.shape[1])))
+    assert basis.shape == (4, 4)
+    assert np.allclose(basis.conj().T @ basis, np.eye(4))
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_solve_affine_gram_form_matches_explicit(field):
+    for _ in range(20):
+        rows, cols = int(RNG.integers(1, 12)), int(RNG.integers(1, 6))
+        mat = planted(max(rows, cols), RNG.standard_normal(cols) * (RNG.random(cols) < 0.7), field, RNG)
+        rhs = mat @ RNG.standard_normal(cols) if RNG.random() < 0.8 else RNG.standard_normal(mat.shape[0])
+        augmented = np.column_stack([mat, -rhs])
+        explicit = solve_affine_system(mat, rhs)
+        implicit = solve_affine_system(augmented.conj().T @ augmented, None, DEFAULT_TOL, explicit_operator(augmented))
+        assert (explicit is None) == (implicit is None)
+        if explicit is None:
+            continue
+        assert np.linalg.norm(explicit.particular - implicit.particular) <= 1e-8 * (1 + np.linalg.norm(rhs))
+        assert explicit.dim == implicit.dim
+        h1, h2 = explicit.homogeneous, implicit.homogeneous
+        assert np.linalg.norm(h1 @ h1.conj().T - h2 @ h2.conj().T) <= 1e-8
+        # the particular solution is the minimum-norm one
+        assert np.linalg.norm(h2.conj().T @ implicit.particular) <= 1e-8 * (1 + np.linalg.norm(implicit.particular))
+
+
+def test_null_space_without_columns():
+    for basis in (
+        null_space_basis(np.zeros((5, 0))),
+        null_space_basis(np.zeros((0, 0)), DEFAULT_TOL, lambda columns: np.zeros((3, columns.shape[1]))),
+    ):
+        assert basis.shape == (0, 0)
+
+
+LSTSQ_PROFILES = [
+    ToleranceProfile(),
+    ToleranceProfile(eps_rank=1e-12, eps_residual=1e-6),
+    ToleranceProfile(eps_rank=1e-6, eps_residual=1e-12),
+]
+
+
+@pytest.mark.parametrize("tol", LSTSQ_PROFILES, ids=["default", "rank-below-residual", "rank-above-residual"])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_solve_affine_consistency_is_the_least_squares_rule(field, tol):
+    # the verdict is that of lstsq with the residual bound, whatever eps_rank
+    # is: singular values on both sides of each cutoff, and right-hand sides
+    # 0.1 and 10 times the bound out of the column space
+    rng = np.random.default_rng(11 + (field == "complex"))
+    verdicts = set()
+    for _ in range(30):
+        values = np.array([3.0, 1.0, 1e-3, 1e-5, 1e-9, 1e-11, 0.0])
+        mat = planted(12, rng.permutation(values), field, rng)
+        rhs = mat @ planted(7, np.ones(1), field, rng)[:, 0]
+        if rng.random() < 2 / 3:
+            left = np.linalg.svd(mat)[0][:, 7:]
+            miss = left @ planted(5, np.ones(1), field, rng)[:, 0]
+            rhs = rhs + rng.choice([0.1, 10.0]) * tol.eps_residual * (1 + np.linalg.norm(rhs)) * miss
+        reference = lstsq_solve(mat, rhs, tol)
+        solution = solve_affine_system(mat, rhs, tol)
+        assert (solution is None) == (reference is None)
+        verdicts.add(solution is None)
+        if solution is not None:
+            assert np.linalg.norm(mat @ solution.particular - rhs) <= tol.eps_residual * (1 + np.linalg.norm(rhs))
+            # the null vectors are those of the reference up to the noise
+            # of the smallest gap, so compare dimension and residual
+            assert solution.dim == reference[1].shape[1]
+            assert np.linalg.norm(mat @ solution.homogeneous) <= tol.eps_rank * values[0]
+    assert verdicts == {True, False}
 
 
 def test_null_space_of_tall_matrix_keeps_real_dtype():

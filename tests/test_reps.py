@@ -158,6 +158,68 @@ def test_commutant_identity_in_span():
     assert np.linalg.norm(stacked @ coeffs - target) < 1e-10
 
 
+def counting_solves(monkeypatch) -> list:
+    """Record every intertwiner system the commutant and the decisions build."""
+    from affine_actions import reps
+
+    calls = []
+    original = reps.intertwiner_system
+
+    def counted(rep1, rep2, values1=None, values2=None, tol=None):
+        calls.append((rep1, values1 is None))
+        return original(rep1, rep2, values1, values2, tol)
+
+    monkeypatch.setattr(reps, "intertwiner_system", counted)
+    return calls
+
+
+def test_commutant_is_solved_once_per_representation(monkeypatch):
+    calls = counting_solves(monkeypatch)
+    rep = random_free_rep(f2_group(), 4, "complex", RNG)
+    first, second = commutant_basis(rep), commutant_basis(rep, TOL)
+    assert len(calls) == 1
+    assert all(a is b for a, b in zip(first, second))
+
+
+def test_cached_commutant_equals_a_fresh_solve():
+    rep = random_free_rep(f2_group(), 4, "real", RNG)
+    commutant_basis(rep)
+    fresh = Representation(rep.presentation, rep.field, rep.matrices)
+    for cached, new in zip(commutant_basis(rep), commutant_basis(fresh), strict=True):
+        assert np.array_equal(cached, new)
+
+
+def test_commutant_cache_is_keyed_by_tolerance(monkeypatch):
+    from affine_actions import ToleranceProfile
+
+    calls = counting_solves(monkeypatch)
+    rep = doubled_rep(random_free_rep(f2_group(), 3, "real", RNG))
+    loose = ToleranceProfile(eps_rank=1e-6)
+    assert len(commutant_basis(rep)) == len(commutant_basis(rep, loose)) == 4
+    commutant_basis(rep)
+    commutant_basis(rep, loose)
+    assert len(calls) == 2
+
+
+def test_cached_commutant_is_read_only():
+    rep = random_free_rep(f2_group(), 3, "complex", RNG)
+    basis = commutant_basis(rep)
+    with pytest.raises(ValueError):
+        basis[0][0, 0] = 1.0
+    basis.clear()  # the returned list is the caller's own
+    assert len(commutant_basis(rep)) == 1
+    for array in rep.generic_eigenbasis:
+        assert not array.flags.writeable
+
+
+def test_search_reuses_the_cached_commutant(monkeypatch):
+    rep = doubled_rep(random_free_rep(f2_group(), 3, "real", RNG))
+    commutant_basis(rep)
+    calls = counting_solves(monkeypatch)
+    search_irreducible_cocycle(rep, trials=5, seed=1)
+    assert not any(linear for _, linear in calls)  # no second commutant solve
+
+
 def test_commutant_commutes_with_random_words():
     rep = random_free_rep(f2_group(), 3, "complex", RNG)
     basis = commutant_basis(rep)
