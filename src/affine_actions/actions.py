@@ -34,7 +34,7 @@ from .linalg import (
     unvec,
     vec,
 )
-from .reps import Cocycle, Representation, fixed_subspace, intertwiner_system
+from .reps import Cocycle, Representation, fixed_subspace, intertwiner_system, validity_report
 from .words import Word
 
 
@@ -425,11 +425,20 @@ def project_action(action: AffineAction, basis: np.ndarray, tol: ToleranceProfil
 
 
 def direct_sum(a1: AffineAction, a2: AffineAction) -> AffineAction:
-    """Block-diagonal representation with concatenated cocycle values."""
+    """Block-diagonal representation with concatenated cocycle values.
+
+    Each summand is held to its own validity bounds; the sum is not
+    re-validated, since its defects combine the summands' (the block
+    isometry defect is sqrt 2 times that of two equal summands) while the
+    isometry bound does not grow with the number of blocks.
+    """
     if a1.presentation != a2.presentation:
         raise ActionError("direct sum requires identical presentations")
     if a1.field != a2.field:
         raise ActionError("direct sum requires a common scalar field")
+    for summand in (a1, a2):
+        if failure := validity_report(summand.tol, summand.rep, summand.cocycle).failure:
+            raise failure
     d1, d2 = a1.dim, a2.dim
     matrices = []
     for m1, m2 in zip(a1.rep.matrices, a2.rep.matrices):
@@ -437,9 +446,9 @@ def direct_sum(a1: AffineAction, a2: AffineAction) -> AffineAction:
         block[:d1, :d1] = m1
         block[d1:, d1:] = m2
         matrices.append(block)
-    rep = Representation(a1.presentation, a1.field, matrices, dim=d1 + d2, tol=a1.tol)
+    rep = Representation(a1.presentation, a1.field, matrices, dim=d1 + d2, tol=a1.tol, validate=False)
     values = tuple(np.concatenate([v1, v2]) for v1, v2 in zip(a1.cocycle.values, a2.cocycle.values))
-    return AffineAction.from_values(rep, values)
+    return AffineAction(rep, Cocycle(rep, values, validate=False))
 
 
 def conjugate_by_translation(action: AffineAction, vector) -> AffineAction:

@@ -12,13 +12,15 @@ report (default, stdout) or a machine-readable result document
     13  internal consistency failure (a certified result failed re-checking)
 
 Each verb is one entry of ``VERBS``; the parser, ``--batch`` and the
-dispatch are derived from that table. The verbs only format library
-results: every residual they print was computed by the library.
+dispatch are derived from that table, and the parser is built once per
+process. The verbs only format library results: every residual they print
+was computed by the library.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -374,7 +376,10 @@ _POSITIONALS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser derived from the verb table, built on first use and then
+    shared by every call in the process; callers must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="affine-actions",
         description="Irreducibility and structure of affine isometric actions of finitely presented groups.",

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from affine_actions import direct_sum
+from affine_actions import Representation, analyze_direct_sum, direct_sum
 from affine_actions.cli import VERBS, build_parser, main
 from affine_actions.problem_io import (
     action_to_problem,
@@ -17,6 +17,7 @@ from affine_actions.problem_io import (
     problem_to_dict,
     save_problem,
 )
+from affine_actions.reps import RepresentationError
 
 from helpers import FIXTURES, f2_group, random_action, random_free_rep
 
@@ -398,3 +399,114 @@ def test_readme_lists_every_verb_and_flag():
     } - {"-h", "--help"}
     flags_paragraph = readme.split("\nFlags:")[1].split("\n\n")[0]
     assert set(re.findall(r"`(--[a-z-]+)", flags_paragraph)) == flags
+
+
+# -- the shared parser --------------------------------------------------------
+
+
+def test_build_parser_returns_one_shared_parser():
+    assert build_parser() is build_parser()
+
+
+def test_parser_is_built_on_first_use_not_at_import():
+    code = "import affine_actions.cli as c; print(c.build_parser.cache_info().currsize)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "0"
+
+
+def _normal_doc(args, capsys):
+    code, doc = run_machine(args, capsys)
+    doc.pop("wall_time_s")
+    return code, doc
+
+
+def test_shared_parser_carries_no_flag_values_between_calls(capsys):
+    glide = FIXTURES / "glide.json"
+    code, doc = run_machine(["orbit-probe", glide, "--budget", "60", "--seed", "2"], capsys)
+    assert code == 0 and doc["arguments"]["budget"] == 60 and doc["arguments"]["seed"] == 2
+    code, doc = run_machine(["orbit-probe", glide], capsys)
+    assert code == 0 and doc["arguments"]["budget"] == 200 and "seed" not in doc["arguments"]
+
+
+@pytest.mark.parametrize(
+    "first, first_code",
+    [(["irreducible", "--no-such-flag"], 11), (["no-such-verb"], 11), (["irreducible", "--help"], 0)],
+    ids=["bad-flag", "bad-verb", "help"],
+)
+def test_parser_exits_leave_the_next_call_unchanged(first, first_code, capsys):
+    args = ["irreducible", FIXTURES / "glide.json"]
+    expected = _normal_doc(args, capsys)
+    assert main(first) == first_code
+    capsys.readouterr()
+    assert _normal_doc(args, capsys) == expected
+
+
+def test_batch_call_leaves_no_file_key_in_the_next_call(tmp_path, capsys):
+    shutil.copy(FIXTURES / "dihedral.json", tmp_path / "dihedral.json")
+    code, out, _ = run_cli(["irreducible", "--batch", tmp_path, "--machine"], capsys)
+    assert code == 0 and "file" in json.loads(out)
+    code, doc = run_machine(["irreducible", FIXTURES / "dihedral.json"], capsys)
+    assert code == 0 and "file" not in doc and "batch" not in doc["arguments"]
+
+
+def test_warm_calls_construct_no_parser(monkeypatch, capsys):
+    # counts every ArgumentParser, the subparsers included; timing-free
+    run_cli(["verify", FIXTURES / "glide.json"], capsys)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    calls = [
+        ["irreducible", FIXTURES / "dihedral.json"],
+        ["commutant", FIXTURES / "glide.json"],
+        ["orbit-probe", FIXTURES / "glide.json", "--budget", "60"],
+        ["direct-sum", FIXTURES / "dihedral.json", FIXTURES / "dihedral.json"],
+        ["induce", FIXTURES / "z_translation.json", FIXTURES / "c2xz_setup.json"],
+    ]
+    for args in calls:
+        code, _ = run_machine(args, capsys)
+        assert code in (0, 10)
+    assert built == []
+
+
+# -- direct sums of summands near the isometry bound ----------------------------
+
+
+def _off_isometry_action(defect_in_eps, validate=True):
+    """A real F2 action on R^3 whose generators have isometry defect
+    defect_in_eps * eps_residual: each is a rotation scaled by (1 + t)."""
+    rng = np.random.default_rng(5)
+    rep = random_free_rep(f2_group(), 3, "real", rng)
+    # ||((1 + t)^2 - 1) I||_F = defect for t below
+    t = np.sqrt(1 + defect_in_eps * rep.tol.eps_residual / np.sqrt(3)) - 1
+    scaled = Representation(f2_group(), "real", [(1 + t) * m for m in rep.matrices], validate=validate)
+    return random_action(scaled, rng)
+
+
+def test_direct_sum_accepts_summands_near_the_isometry_bound(tmp_path, capsys):
+    # the sum's isometry defect is sqrt 2 * 1.6 eps, above the one-block bound
+    # 2 eps; each summand is within its own bound
+    action = _off_isometry_action(1.6)
+    assert max(action.rep.isometry_defects) == pytest.approx(1.6 * action.tol.eps_residual, rel=1e-3)
+    path = tmp_path / "near.json"
+    save_problem(action_to_problem(action), path)
+    code, doc = run_machine(["direct-sum", path, path], capsys)
+    assert code in (0, 10) and doc["verdict"] != "error", doc.get("error")
+    assert analyze_direct_sum(action, action).sum_action.dim == 6
+
+
+def test_direct_sum_refuses_a_summand_beyond_the_isometry_bound(tmp_path, capsys):
+    action = _off_isometry_action(3.0, validate=False)
+    with pytest.raises(RepresentationError, match="not an isometry"):
+        analyze_direct_sum(action, action)
+    with pytest.raises(RepresentationError, match="not an isometry"):
+        direct_sum(_off_isometry_action(0.5), action)
+    path = tmp_path / "far.json"
+    save_problem(action_to_problem(action), path)
+    code, doc = run_machine(["direct-sum", path, path], capsys)
+    assert code == 12 and "not an isometry" in doc["error"]

@@ -13,6 +13,10 @@ documents hold no machine-specific paths. To re-record (only when the
 contract changes on purpose):
 
     PYTHONPATH=src python tests/test_cli_contract.py --record
+
+Re-recording rewrites only the entries whose call no longer passes the
+comparison above; the ``REFUSED`` calls and every passing call keep their
+recorded entry.
 """
 
 from __future__ import annotations
@@ -136,23 +140,36 @@ def _recorded():
     return {" ".join(entry["argv"]): entry for entry in json.loads(SNAPSHOT.read_text())}
 
 
+def mismatch(argv: list[str], entry: dict, result: tuple[int, dict, str]) -> str | None:
+    """Why a call's result breaks its recorded entry, or None if it keeps the
+    exit code, the key paths, every leaf and the first human line."""
+    code, doc, first_line = result
+    if code != entry["exit_code"]:
+        return f"exit code {code}, recorded {entry['exit_code']}"
+    old = leaves(dict(entry["doc"], **ADDED_KEYS.get(argv[0], {})))
+    new = leaves(doc)
+    if sorted(map(str, new)) != sorted(map(str, old)):
+        return f"key paths differ: {sorted(map(str, set(new) ^ set(old)))}"
+    bad = {p: (old[p], new[p]) for p in old if not same_leaf(old[p], new[p])}
+    if bad:
+        return f"leaves differ: {bad}"
+    if first_line != entry["first_line"]:
+        return f"first line {first_line!r}, recorded {entry['first_line']!r}"
+    return None
+
+
 @pytest.mark.parametrize("argv", CALLS, ids=" ".join)
 def test_cli_contract(argv, monkeypatch):
     monkeypatch.chdir(ROOT)
     key = " ".join(argv)
     entry = _recorded()[key]
-    code, doc, first_line = run(argv)
+    result = run(argv)
     if key in REFUSED:
+        code, doc, _ = result
         assert entry["exit_code"] == 0
         assert code == 12 and doc["exit_code"] == 12 and doc["verdict"] == "error"
         return
-    expected = dict(entry["doc"], **ADDED_KEYS.get(argv[0], {}))
-    assert code == entry["exit_code"]
-    old, new = leaves(expected), leaves(doc)
-    assert sorted(map(str, new)) == sorted(map(str, old))
-    bad = {p: (old[p], new[p]) for p in old if not same_leaf(old[p], new[p])}
-    assert not bad
-    assert first_line == entry["first_line"]
+    assert mismatch(argv, entry, result) is None
 
 
 @pytest.mark.parametrize("argv", RERECORDED, ids=" ".join)
@@ -196,13 +213,35 @@ def test_snapshot_covers_every_call():
     assert sorted(_recorded()) == sorted(" ".join(argv) for argv in CALLS)
 
 
-def record() -> None:
-    os.chdir(ROOT)
+def merged_snapshot(recorded: dict[str, dict]) -> list[dict]:
+    """The snapshot after re-recording: a call in ``REFUSED`` or one whose
+    result still passes ``mismatch`` keeps its recorded entry; the others
+    (and calls not yet recorded) take their new result."""
     entries = []
     for argv in CALLS:
-        code, doc, first_line = run(argv)
-        entries.append({"argv": argv, "exit_code": code, "doc": doc, "first_line": first_line})
-    SNAPSHOT.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")
+        key = " ".join(argv)
+        entry = recorded.get(key)
+        if entry is None or key not in REFUSED:
+            result = run(argv)
+            if entry is None or mismatch(argv, entry, result) is not None:
+                code, doc, first_line = result
+                entry = {"argv": argv, "exit_code": code, "doc": doc, "first_line": first_line}
+        entries.append(entry)
+    return entries
+
+
+def dump(entries: list[dict]) -> str:
+    return "[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n"
+
+
+def test_rerecording_keeps_the_snapshot(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert dump(merged_snapshot(_recorded())) == SNAPSHOT.read_text()
+
+
+def record() -> None:
+    os.chdir(ROOT)
+    SNAPSHOT.write_text(dump(merged_snapshot(_recorded())))
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
