@@ -12,6 +12,7 @@ Heisenberg-like) plus a Monte-Carlo convex-hull probe of orbits.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,25 @@ from .words import (
 
 class ConstructionError(ValueError):
     """Invalid inputs to a structural construction."""
+
+
+# working-memory bounds: defect elements per block of rows of the
+# parallelogram scan, and prefix elements per block of orbit words
+_SCAN_BLOCK_ELEMENTS = 4096
+_ORBIT_BLOCK_ELEMENTS = 1 << 16
+
+
+def _positive_int(name: str, value) -> int:
+    """``value`` as a plain int >= 1; bools and non-integral numbers are refused."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise ConstructionError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ConstructionError(f"{name} must be >= 1")
+    return value
 
 
 @dataclass(frozen=True)
@@ -265,30 +285,60 @@ def _spans(vectors, dim: int, tol: ToleranceProfile) -> bool:
     return numerical_rank(singular, tol) == dim
 
 
+def _squared_norms(values: np.ndarray) -> list[float]:
+    """``float(np.linalg.norm(v) ** 2)`` for each row ``v``, with the same bits.
+
+    ``norm`` takes the square root of the dot product of ``v`` with itself
+    (of its real and imaginary parts, summed, for complex ``v``); the row
+    dots below are the same BLAS dots, and the square is a Python float
+    power as in the scalar expression (an array power can round differently).
+    """
+    def dots(x):
+        return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
+
+    squares = dots(values.real) + dots(values.imag) if np.iscomplexobj(values) else dots(values)
+    return [r**2 for r in np.sqrt(squares).tolist()]
+
+
+def _powers(cocycle: Cocycle, values: np.ndarray, prefixes: np.ndarray, gen: int, reach: int):
+    """(column, b, pi) of every state times s^p for p in [-reach, reach].
+
+    ``column`` is p + reach. Each side takes one stacked ``Cocycle.step`` per
+    power, and only its current layer is held.
+    """
+    yield reach, values, prefixes
+    for sign in (1, -1):
+        v, p = values, prefixes
+        for power in range(1, reach + 1):
+            v, p = cocycle.step(v, p, gen, sign)
+            yield reach + sign * power, v, p
+
+
 def _psi_grid(cocycle: Cocycle, k: int, reach: int) -> np.ndarray:
     """psi(x) = ||b(x)||^2 on the cube [-reach, reach]^k, indexed by x + reach.
 
-    The word of x is t1^x1 ... tk^xk, so x is its parent (x with the last
-    nonzero coordinate one step nearer 0) plus one letter. A depth-first walk
-    over the coordinates applies one ``Cocycle.step`` per point and keeps
-    one state per coordinate; the values are those of ``Cocycle.extend``.
+    The word of x is t1^x1 ... tk^xk. The grid is filled one coordinate at a
+    time: the states (b(w), pi(w)) of all points of the first j coordinates
+    take their powers of t_{j+1} together, so each point costs one row of
+    one stacked ``Cocycle.step``, in the order ``Cocycle.extend`` applies
+    them. The last coordinate reduces each layer to squared norms as it is
+    made, so at most (2 reach + 1)^(k-1) prefixes are alive at once.
     """
     rep = cocycle.representation
-    psi = np.empty((2 * reach + 1,) * k)
-
-    def walk(depth, index, value, prefix):
-        if depth == k:
-            psi[index] = float(np.linalg.norm(value) ** 2)
-            return
-        walk(depth + 1, index + (reach,), value, prefix)
-        for sign in (1, -1):
-            v, p = value, prefix
-            for power in range(1, reach + 1):
-                v, p = cocycle.step(v, p, depth, sign)
-                walk(depth + 1, index + (reach + sign * power,), v, p)
-
-    walk(0, (), np.zeros(rep.dim, dtype=rep.dtype), np.eye(rep.dim, dtype=rep.dtype))
-    return psi
+    side = 2 * reach + 1
+    values = np.zeros((1, rep.dim), dtype=rep.dtype)
+    prefixes = np.eye(rep.dim, dtype=rep.dtype)[None]
+    for gen in range(k - 1):
+        next_values = np.empty((len(values), side, rep.dim), dtype=rep.dtype)
+        next_prefixes = np.empty((len(values), side, rep.dim, rep.dim), dtype=rep.dtype)
+        for column, v, p in _powers(cocycle, values, prefixes, gen, reach):
+            next_values[:, column], next_prefixes[:, column] = v, p
+        values = next_values.reshape(-1, rep.dim)
+        prefixes = next_prefixes.reshape(-1, rep.dim, rep.dim)
+    psi = np.empty((len(values), side))
+    for column, v, _ in _powers(cocycle, values, prefixes, k - 1, reach):
+        psi[:, column] = _squared_norms(v)
+    return psi.reshape((side,) * k)
 
 
 def quadratic_form_test(
@@ -301,7 +351,8 @@ def quadratic_form_test(
     irreducible, which is what the accompanying property suite asserts.
 
     The pairs (x, y) of [-window, window]^k are scanned row by row in a fixed
-    order (nearest the origin first) and the first pair whose defect
+    order (nearest the origin first, in blocks of about
+    ``_SCAN_BLOCK_ELEMENTS`` defects) and the first pair whose defect
     |psi(x+y) + psi(x-y) - 2 psi(x) - 2 psi(y)| exceeds
     eps_residual * (1 + max psi) is reported. The cocycle is divided by
     ``unit_scale`` first, so the result does not depend on the magnitude of
@@ -313,8 +364,7 @@ def quadratic_form_test(
     presentation = action.presentation
     if not is_free_abelian(presentation):
         raise ConstructionError("quadratic form test requires a free abelian presentation")
-    if window < 1:
-        raise ConstructionError("window must be >= 1")
+    window = _positive_int("window", window)
     k = presentation.num_generators
     s = unit_scale(tol, action)
     cocycle = Cocycle(action.rep, [b / s for b in action.cocycle.values], validate=False)
@@ -324,23 +374,27 @@ def quadratic_form_test(
     reach = 2 * window
     psi = _psi_grid(cocycle, k, reach).ravel()
     scale = float(psi.max())
-    inner = sorted(
-        itertools.product(range(-window, window + 1), repeat=k),
-        key=lambda x: (max(map(abs, x), default=0), sum(map(abs, x)), tuple(-c for c in x)),
-    )
+    inner = np.array(list(itertools.product(range(-window, window + 1), repeat=k)))
+    size = np.abs(inner)
+    # nearest the origin first: by max |x|, then sum |x|, then -x
+    inner = inner[np.lexsort(np.vstack([-inner[:, ::-1].T, size.sum(axis=1), size.max(axis=1)]))]
     # flat index of x in the grid is centre + x . strides, so x + y and x - y
     # are index sums and differences
     strides = (2 * reach + 1) ** np.arange(k - 1, -1, -1)
-    offsets = np.array(inner) @ strides
-    centre = reach * int(strides.sum())
-    psi_y = psi[centre + offsets]
+    offsets = inner @ strides
+    rows = reach * int(strides.sum()) + offsets
+    psi_y = psi[rows]
+    block = max(1, _SCAN_BLOCK_ELEMENTS // len(offsets))
     max_defect = 0.0
-    for x, fx in zip(inner, centre + offsets):
+    for start in range(0, len(rows), block):
+        fx = rows[start : start + block, None]
         defect = np.abs(psi[fx + offsets] + psi[fx - offsets] - 2.0 * (psi[fx] + psi_y))
         failed = ~residual_ok(defect, scale, tol.eps_residual)  # NaN fails too
         if failed.any():
-            j = int(np.argmax(failed))
-            return QuadraticFormResult(False, (x, inner[j]), window, float(defect[j]) * s**2)
+            # the flat argmax is the first failing row's first failing column
+            i, j = np.unravel_index(np.argmax(failed), failed.shape)
+            pair = (tuple(inner[start + i].tolist()), tuple(inner[j].tolist()))
+            return QuadraticFormResult(False, pair, window, float(defect[i, j]) * s**2)
         max_defect = max(max_defect, float(defect.max()))
     return QuadraticFormResult(True, None, window, max_defect * s**2)
 
@@ -512,28 +566,60 @@ def orbit_hull_probe(
     """
     if action.field != REAL:
         raise ConstructionError("orbit probe is defined for real actions")
-    if budget < 1:
-        raise ConstructionError("budget must be >= 1")
+    budget = _positive_int("budget", budget)
     if not (np.isfinite(radius) and radius > 0):
         raise ConstructionError(f"radius must be finite and > 0, got {radius}")
     origin = as_field_array(origin, REAL)
+    if origin.shape != (action.dim,):
+        raise ConstructionError(f"origin has shape {origin.shape}, expected ({action.dim},)")
     rng = np.random.default_rng(seed)
-    g = action.presentation.num_generators
-    points = [origin]
-    for _ in range(budget):
-        length = int(rng.integers(0, max_word_length + 1))
-        if g == 0 or length == 0:
-            word = Word()
-        else:
-            letters = tuple(
-                (int(rng.integers(0, g)), 1 if rng.random() < 0.5 else -1) for _ in range(length)
-            )
-            word = Word(letters)
-        points.append(action.evaluate(word)(origin))
-    cloud = np.array(points)
+    cloud = _orbit_cloud(action, origin, budget, rng, max_word_length)
     grid = _probe_grid(action.dim, radius, rng)
     probes = tuple(
         ProbeResult(tuple(float(c) for c in q), float(dist))
         for q, dist in zip(grid, _hull_distances(cloud, grid))
     )
-    return OrbitHullReport(len(points), probes)
+    return OrbitHullReport(len(cloud), probes)
+
+
+def _orbit_cloud(
+    action: AffineAction, origin: np.ndarray, budget: int, rng: np.random.Generator, max_word_length: int
+) -> np.ndarray:
+    """The origin, then its images under ``budget`` random words.
+
+    Each word has a uniform length in [0, max_word_length] and uniform
+    letters, drawn in that order, and is freely reduced. The words are
+    walked in blocks of at most ``_ORBIT_BLOCK_ELEMENTS`` prefix elements,
+    together by letter position: the rows sharing a letter take one stacked
+    ``Cocycle.step``, so each point has the bits of
+    ``action.evaluate(word)(origin)``.
+    """
+    g = action.presentation.num_generators
+    d = action.dim
+    cloud = np.empty((budget + 1, d))
+    cloud[0] = origin
+    block = max(1, _ORBIT_BLOCK_ELEMENTS // d**2)
+    for start in range(0, budget, block):
+        n = min(block, budget - start)
+        # letter (gen, sign) as code 2 gen + (sign < 0); -1 past the word's end
+        codes = np.full((n, max_word_length), -1)
+        for row in range(n):
+            length = int(rng.integers(0, max_word_length + 1))
+            if g and length:
+                letters = tuple(
+                    (int(rng.integers(0, g)), 1 if rng.random() < 0.5 else -1) for _ in range(length)
+                )
+                reduced = [2 * gen + (sign < 0) for gen, sign in Word(letters).letters]
+                codes[row, : len(reduced)] = reduced
+        values = np.zeros((n, d))
+        prefixes = np.tile(np.eye(d), (n, 1, 1))
+        for column in codes.T:
+            for code in range(2 * g):
+                rows = np.flatnonzero(column == code)
+                if rows.size:
+                    gen, inverse = divmod(code, 2)
+                    values[rows], prefixes[rows] = action.cocycle.step(
+                        values[rows], prefixes[rows], gen, -1 if inverse else 1
+                    )
+        cloud[1 + start : 1 + start + n] = prefixes @ origin + values
+    return cloud

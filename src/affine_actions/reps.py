@@ -182,9 +182,12 @@ class Cocycle:
 
         ``s`` is generator ``gen`` for ``sign > 0`` and its inverse otherwise,
         with b(s^-1) = -pi(s)^-1 b(s) and pi(s)^-1 = pi(s)* (isometry).
-        ``walk`` (so ``extend`` and ``AffineAction.evaluate``) and the lattice
-        walk of ``quadratic_form_test`` all apply these steps from (0, I), so
-        one word gives the same bits in each.
+        It also takes stacks: values of shape ``(n, d)`` with prefixes of
+        shape ``(n, d, d)`` step as n states at once, each row with the bits
+        of its own step. ``walk`` (so ``extend`` and ``AffineAction.evaluate``),
+        the psi fill of ``quadratic_form_test`` and the orbit sample of
+        ``orbit_hull_probe`` all apply these steps from (0, I), so one word
+        gives the same bits in each.
         """
         m = self.representation.matrices[gen]
         if sign > 0:

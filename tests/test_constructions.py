@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -18,17 +19,27 @@ from affine_actions import (
     fixed_points,
     induce_action,
     QuadraticFormResult,
+    Word,
     orbit_hull_probe,
     quadratic_form_test,
     restrict_action,
 )
 from affine_actions.actions import unit_scale
-from affine_actions.constructions import ConstructionError, _hull_distances, fixture_class, is_free_abelian
+from affine_actions import constructions
+from affine_actions.constructions import (
+    ConstructionError,
+    _hull_distances,
+    _orbit_cloud,
+    _psi_grid,
+    fixture_class,
+    is_free_abelian,
+)
 from affine_actions.problem_io import load_problem
 from affine_actions.reps import CocycleError, RepresentationError
 
 from helpers import (
     FIXTURES,
+    _lattice_word,
     TOL,
     dihedral_group,
     free_abelian_group,
@@ -631,3 +642,132 @@ def test_orbit_probe_matches_per_probe_reference(case):
         assert abs(probe.hull_distance - expected.hull_distance) <= 1e-9
     if case == "zero-cocycle":
         assert all(p.hull_distance == abs(p.point[0]) for p in report.probes)
+
+
+# -- stacked walks against the per-point walks, and block edges ---------------
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("k,reach", [(1, 6), (2, 4), (3, 3), (4, 2)])
+def test_psi_grid_equals_one_extend_per_point(k, reach, field):
+    rng = np.random.default_rng(200 + 10 * k + (field == "complex"))
+    actions = scan_inputs(k, field, rng)
+    if k <= 2:
+        while len(actions) < 6:
+            action = total_random_abelian_action(rng)
+            if action is not None and action.presentation.num_generators == k:
+                actions.append(action)
+    for action in actions:
+        psi = _psi_grid(action.cocycle, k, reach)
+        expected = np.empty_like(psi)
+        for x in itertools.product(range(-reach, reach + 1), repeat=k):
+            value = action.cocycle.extend(_lattice_word(x))
+            expected[tuple(c + reach for c in x)] = float(np.linalg.norm(value) ** 2)
+        assert np.array_equal(psi, expected)
+
+
+def per_word_cloud(action: AffineAction, origin, budget: int, seed: int, max_word_length: int = 12):
+    """One ``action.evaluate`` per word, drawn as the orbit probe draws them."""
+    rng = np.random.default_rng(seed)
+    g = action.presentation.num_generators
+    points = [origin]
+    for _ in range(budget):
+        length = int(rng.integers(0, max_word_length + 1))
+        letters = ()
+        if g and length:
+            letters = tuple((int(rng.integers(0, g)), 1 if rng.random() < 0.5 else -1) for _ in range(length))
+        points.append(action.evaluate(Word(letters))(origin))
+    return np.array(points)
+
+
+@pytest.mark.parametrize("words_per_block", [None, 1, 7])
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+def test_orbit_cloud_equals_one_evaluate_per_word(case, words_per_block, monkeypatch):
+    build, budget, _, seed = ORBIT_CASES[case]
+    action = build()
+    if words_per_block is not None:
+        monkeypatch.setattr(constructions, "_ORBIT_BLOCK_ELEMENTS", words_per_block * action.dim**2)
+    for origin in (np.zeros(action.dim), np.random.default_rng(seed).standard_normal(action.dim)):
+        cloud = _orbit_cloud(action, origin, budget, np.random.default_rng(seed), 12)
+        assert np.array_equal(cloud, per_word_cloud(action, origin, budget, seed))
+
+
+def test_orbit_probe_one_word_past_a_whole_block():
+    action = cubic_lattice_action(6)
+    block = constructions._ORBIT_BLOCK_ELEMENTS // action.dim**2
+    origin = np.random.default_rng(3).standard_normal(action.dim)
+    budget = block + 1
+    cloud = _orbit_cloud(action, origin, budget, np.random.default_rng(4), 12)
+    assert np.array_equal(cloud, per_word_cloud(action, origin, budget, 4))
+    report = orbit_hull_probe(action, origin, budget=budget, radius=3.0, seed=4)
+    reference = reference_orbit_hull_probe(action, origin, budget, 3.0, 4)
+    assert report.orbit_size == reference.orbit_size == budget + 1
+    assert [p.point for p in report.probes] == [p.point for p in reference.probes]
+    for probe, expected in zip(report.probes, reference.probes):
+        assert abs(probe.hull_distance - expected.hull_distance) <= 1e-9
+
+
+def scan_order(k: int, window: int) -> dict[tuple[int, ...], int]:
+    inner = sorted(
+        itertools.product(range(-window, window + 1), repeat=k),
+        key=lambda x: (max(map(abs, x), default=0), sum(map(abs, x)), tuple(-c for c in x)),
+    )
+    return {x: i for i, x in enumerate(inner)}
+
+
+@pytest.mark.parametrize("window", [2, 3])
+def test_scan_violation_after_the_first_block_on_its_first_and_last_row(window):
+    # narrow rotations of R^2 violate at rows spread over the scan; keep the
+    # first draws whose violating row opens a later block and closes one
+    k = 4
+    order = scan_order(k, window)
+    block = max(1, constructions._SCAN_BLOCK_ELEMENTS // len(order))
+    rng = np.random.default_rng(90 + window)
+    wanted = {0: None, block - 1: None}
+    for _ in range(400):
+        low = 10 ** rng.uniform(-5, -3)
+        action = rotating_coboundary(rng.uniform(low, 3 * low, size=k), "real", rng.standard_normal(2))
+        result = quadratic_form_test(action, window)
+        row = None if result.quadratic else order[result.violation[0]]
+        # the reference scans row * (2w+1)^k pairs in Python: keep it small
+        if row is not None and block <= row < 300 and wanted.get(row % block, 0) is None:
+            wanted[row % block] = action
+        if all(a is not None for a in wanted.values()):
+            break
+    assert all(a is not None for a in wanted.values())
+    for action in wanted.values():
+        assert not assert_matches_reference_scan(action, window).quadratic
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 2, 5])
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("k,window", [(2, 2), (3, 1), (3, 2)])
+def test_quadratic_scan_matches_reference_at_small_blocks(k, window, field, rows_per_block, monkeypatch):
+    monkeypatch.setattr(constructions, "_SCAN_BLOCK_ELEMENTS", rows_per_block * (2 * window + 1) ** k)
+    rng = np.random.default_rng(300 + 10 * k + window)
+    for action in scan_inputs(k, field, rng):
+        assert_matches_reference_scan(action, window)
+
+
+@pytest.mark.parametrize("origin", [np.zeros((2, 1)), np.zeros(3), 0.0])
+def test_orbit_probe_refuses_an_origin_of_the_wrong_shape(origin):
+    with pytest.raises(ConstructionError, match="origin has shape"):
+        orbit_hull_probe(glide_action(), origin, budget=5)
+
+
+@pytest.mark.parametrize("value", [True, False, 2.0, 2.5, "2", None])
+def test_lattice_tests_refuse_non_integer_counts(value):
+    with pytest.raises(ConstructionError, match="window must be an integer"):
+        quadratic_form_test(spanning_translations(2, "real", np.random.default_rng(1)), window=value)
+    with pytest.raises(ConstructionError, match="budget must be an integer"):
+        orbit_hull_probe(glide_action(), np.zeros(2), budget=value)
+
+
+def test_lattice_tests_store_plain_int_counts():
+    action = spanning_translations(2, "real", np.random.default_rng(1))
+    result = quadratic_form_test(action, window=np.int64(2))
+    assert type(result.window) is int and result == quadratic_form_test(action, window=2)
+    report = orbit_hull_probe(glide_action(), np.zeros(2), budget=np.int32(5), seed=1)
+    assert report.orbit_size == 6 and report == orbit_hull_probe(glide_action(), np.zeros(2), budget=5, seed=1)
+    with pytest.raises(ConstructionError, match="window must be >= 1"):
+        quadratic_form_test(action, window=np.int64(0))

@@ -23,6 +23,7 @@ from helpers import (
     heisenberg_group,
     random_c3_rep,
     random_cocycle,
+    random_field_vector,
     random_free_rep,
     random_s3_rep,
     reference_commutant_action_on_classes,
@@ -113,6 +114,24 @@ def test_cocycle_chain_rule_random_words():
         lhs = b.extend(u * v)
         rhs = b.extend(u) + rep.evaluate(u) @ b.extend(v)
         assert np.linalg.norm(lhs - rhs) < 1e-10
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_stacked_step_equals_per_slice_steps(dim, field):
+    # the lattice tests step stacks of states; each row must keep the bits of its own step
+    rng = np.random.default_rng(10 * dim + (field == "complex"))
+    rep = random_free_rep(f2_group(), dim, field, rng)
+    b = Cocycle(rep, [random_field_vector(dim, field, rng) for _ in range(2)])
+    values = np.stack([random_field_vector(dim, field, rng) for _ in range(7)])
+    prefixes = np.stack([rep.evaluate(Word(((i % 2, 1), (1 - i % 2, -1)) * i)) for i in range(7)])
+    for gen in (0, 1):
+        for sign in (1, -1):
+            stacked_values, stacked_prefixes = b.step(values, prefixes, gen, sign)
+            for i in range(len(values)):
+                value, prefix = b.step(values[i], prefixes[i], gen, sign)
+                assert np.array_equal(stacked_values[i], value)
+                assert np.array_equal(stacked_prefixes[i], prefix)
 
 
 def test_fixed_subspace_examples():
