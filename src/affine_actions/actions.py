@@ -34,7 +34,15 @@ from .linalg import (
     unvec,
     vec,
 )
-from .reps import Cocycle, Representation, fixed_subspace, intertwiner_system, validity_report
+from .reps import (
+    Cocycle,
+    Representation,
+    boundary_split,
+    commutant_basis,
+    fixed_subspace,
+    intertwiner_system,
+    validity_report,
+)
 from .words import Word
 
 
@@ -198,6 +206,13 @@ def _split_solution(column: np.ndarray, dim: int) -> CommutantPair:
     return CommutantPair(unvec(column[: dim * dim], dim, dim), column[dim * dim :])
 
 
+def _moved_values(ops: np.ndarray, action: AffineAction, scale: float) -> np.ndarray:
+    """The (g d2, n) matrix whose column j stacks T_j b(s) / scale over the
+    generators s, for a (n, d2, d) stack of operators T_j."""
+    values = action.cocycle.coordinates().reshape(-1, action.dim) / scale
+    return (ops @ values.T).transpose(2, 1, 0).reshape(len(values) * ops.shape[1], len(ops))
+
+
 @dataclass(frozen=True)
 class AffineCommutant:
     """Certified basis pairs of the commutant system, with the worst of the
@@ -211,17 +226,29 @@ def affine_commutant(action: AffineAction, tol: ToleranceProfile | None = None) 
     """Basis of the solution space {(U, t)} of the commutant system.
 
     The full affine commutant of the action is { v -> (I+U)v + t } over the
-    span of the returned pairs. The system is solved with the cocycle at unit
-    scale (see ``unit_scale``); the basis is orthonormal in the coordinates
-    (vec U, t/s). Each pair is certified; one failing raises InternalCheckError.
+    span of the returned pairs. It is solved through the affine Schur lemma
+    (U in the commutant pi', U b a coboundary) in three stages (README "How
+    the commutant is solved"): pi' = span U_j (``commutant_basis``) and the
+    boundary map B (``boundary_split``) once per representation, then per
+    cocycle the x with [U_j b]_j x in range(B), with t = B+ U b, and the
+    pairs (0, f) for f in the fixed space. The cocycle is taken at unit
+    scale (see ``unit_scale``); the basis is orthonormal in (vec U, t/s).
+    Each pair is certified; one failing raises InternalCheckError.
     """
     tol = tol or action.tol
+    rep, d = action.rep, action.dim
     s = unit_scale(tol, action)
-    values = [b / s for b in action.cocycle.values]
-    gram, apply, lift = intertwiner_system(action.rep, action.rep, values, tol=tol)
-    basis = lift(null_space_basis(gram, tol, apply))
-    d = action.dim
-    pairs = tuple(CommutantPair(unvec(col[: d * d], d, d), s * col[d * d :]) for col in basis.T)
+    ops = np.asarray(commutant_basis(rep, tol))
+    split = boundary_split(rep, tol)
+    moved = _moved_values(ops, action, s)
+    coefficients = null_space_basis(moved - split.image @ (split.image.conj().T @ moved), tol)
+    pairs = tuple(CommutantPair(np.zeros((d, d), rep.dtype), s * f) for f in split.kernel.T)
+    if coefficients.shape[1]:
+        # the t = B+ U b lie off the fixed space, so only these pairs need
+        # orthonormalizing in (vec U, t/s); vec U is isometric in x
+        stacked = np.linalg.qr(np.vstack([coefficients, split.pinv @ (moved @ coefficients)]))[0]
+        deviations = (stacked[: len(ops)].T @ ops.reshape(len(ops), d * d)).reshape(-1, d, d)
+        pairs = tuple(CommutantPair(u, s * t) for u, t in zip(deviations, stacked[len(ops) :].T)) + pairs
     residuals = [
         certify(commutant_residual(action, p), (p.deviation, p.translation), action, tol, "commutant basis element")
         for p in pairs
@@ -360,13 +387,18 @@ def _normalized_witness(pair: CommutantPair) -> AffineMap:
 def decide_irreducibility(action: AffineAction, tol: ToleranceProfile | None = None) -> IrreducibilityVerdict:
     """Decide irreducibility via the affine commutant.
 
-    Irreducible iff every solution pair has U = 0. Since pure-translation
-    solutions (U = 0) force their vector into the fixed space, that is
-    equivalent to the scale-free test used here: the solution space is no
-    larger than the fixed space. The generator equations suffice because
-    commuting with each generator map forces commuting with every word
-    (tested as a property, not assumed). The commutant is solved at unit
-    cocycle scale, so the verdict is invariant under b -> lambda b.
+    Irreducible iff every solution pair has U = 0 (the affine Schur lemma:
+    no nonzero U in the commutant of pi sends b to a coboundary). Since
+    pure-translation solutions (U = 0) force their vector into the fixed
+    space, that is equivalent to the scale-free test used here: the solution
+    space is no larger than the fixed space. The generator equations suffice
+    because commuting with each generator map forces commuting with every
+    word (tested as a property, not assumed). The commutant of pi and the
+    split of the boundary map, with the fixed space, are solved once per
+    representation and reused by every cocycle over it; only the small
+    annihilator test of ``affine_commutant`` runs per cocycle. The commutant
+    is solved at unit cocycle scale, so the verdict is invariant under
+    b -> lambda b.
     Reducible verdicts attach the max-norm witness and its extracted
     invariant subspace, both certified; a witness failing certification
     raises InternalCheckError. Irreducible verdicts are checked against the
@@ -486,6 +518,23 @@ def intertwining_residual(a1: AffineAction, a2: AffineAction, mapping: AffineMap
     return worst
 
 
+def equivalence_system(a1: AffineAction, a2: AffineAction, scale: float, tol: ToleranceProfile):
+    """``(homs, system, rhs)``: a Hom(pi1, pi2) basis T_j, orthonormal in
+    vec T, as a (h, d2, d1) stack, and the system
+    sum_j x_j T_j b1(s) - (pi2(s) - I) t = b2(s) in (x, t~), both cocycles
+    divided by ``scale``. As in ``intertwiner_system``, t~ = Q2* t and the
+    equations are multiplied by Q2*, which keeps a translation of order
+    1/theta along a rotation plane of angle theta off the other entries
+    (README "How the commutant is solved").
+    """
+    gram, apply, lift = intertwiner_system(a1.rep, a2.rep, tol)
+    _, q2, p2 = a2.rep.generic_eigenbasis
+    homs = lift(null_space_basis(gram, tol, apply)).T.reshape(-1, a2.dim, a1.dim)
+    shifted = (p2 - np.eye(a2.dim)).reshape(-1, a2.dim)
+    rhs = (a2.cocycle.coordinates().reshape(-1, a2.dim) / scale) @ q2.conj()
+    return homs, np.hstack([_moved_values(q2.conj().T @ homs, a1, scale), -shifted]), rhs.reshape(-1)
+
+
 def check_equivalence(
     a1: AffineAction,
     a2: AffineAction,
@@ -496,11 +545,15 @@ def check_equivalence(
     """Search the intertwiner system for an invertible solution.
 
     Solves {T pi1(s) = pi2(s) T, T b1(s) - (pi2(s)-I)t = b2(s)} exactly, with
-    both cocycles divided by one common scale (see ``unit_scale``), then
-    samples the affine solution set for an invertible T: the particular
-    solution, then ``trials`` random ones (``trials = 0`` tries the
-    particular solution only). An unsolvable system is a definite NotFound;
-    exhausted sampling is probabilistic.
+    both cocycles divided by one common scale (see ``unit_scale``), in two
+    steps: a basis T_j of Hom(pi1, pi2) from the homogeneous
+    ``intertwiner_system``, then the small explicit system
+    sum_j x_j T_j b1(s) - (pi2(s) - I) t = b2(s) in (x, t) with
+    ``solve_affine_system``. It then samples the affine solution set for an
+    invertible T: the particular solution, then ``trials`` random ones
+    (``trials = 0`` tries the particular solution only). Different
+    dimensions and an unsolvable system are a definite NotFound; exhausted
+    sampling is probabilistic.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
@@ -508,26 +561,27 @@ def check_equivalence(
         raise ActionError("equivalence requires identical presentations")
     if a1.field != a2.field:
         raise ActionError("equivalence requires a common scalar field")
-    tol = tol or a1.tol
-    d1, d2 = a1.dim, a2.dim
-    s = unit_scale(tol, a1, a2)
-    gram, apply, lift = intertwiner_system(
-        a1.rep, a2.rep, [b / s for b in a1.cocycle.values], [b / s for b in a2.cocycle.values], tol
-    )
-    solution = solve_affine_system(gram, None, tol, apply)
-    if solution is None or d1 != d2:
+    if a1.dim != a2.dim:
         return EquivalenceResult(False, None, probabilistic=False)
+    tol = tol or a1.tol
+    d = a1.dim
+    s = unit_scale(tol, a1, a2)
+    homs, system, rhs = equivalence_system(a1, a2, s, tol)
+    solution = solve_affine_system(system, rhs, tol)
+    if solution is None:
+        return EquivalenceResult(False, None, probabilistic=False)
+    q2 = a2.rep.generic_eigenbasis[1]
 
     rng = np.random.default_rng(seed)
-    coeffs = [np.zeros(solution.dim, dtype=gram.dtype)]
+    coeffs = [np.zeros(solution.dim, dtype=system.dtype)]
     coeffs += [random_vector(solution.dim, a1.field, rng) for _ in range(trials)]
-    candidates = lift(solution.particular[:, None] + solution.homogeneous @ np.column_stack(coeffs))
+    candidates = solution.particular[:, None] + solution.homogeneous @ np.column_stack(coeffs)
     for column in candidates.T:
-        t_mat = unvec(column[: d2 * d1], d2, d1)
+        t_mat = np.tensordot(column[: len(homs)], homs, 1)
         singular = np.linalg.svd(t_mat, compute_uv=False)
-        if numerical_rank(singular, tol) < d1:
+        if numerical_rank(singular, tol) < d:
             continue
-        mapping = AffineMap(t_mat, s * column[d2 * d1 :])
+        mapping = AffineMap(t_mat, s * (q2 @ column[len(homs) :]))
         residual = intertwining_residual(a1, a2, mapping)
         if residual_ok(residual, certification_scale((t_mat, mapping.translation), a1, a2), tol.eps_residual):
             return EquivalenceResult(True, mapping, False, {"intertwining": residual})

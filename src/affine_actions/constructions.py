@@ -367,7 +367,12 @@ def quadratic_form_test(
     window = _positive_int("window", window)
     k = presentation.num_generators
     s = unit_scale(tol, action)
-    cocycle = Cocycle(action.rep, [b / s for b in action.cocycle.values], validate=False)
+    cocycle = Cocycle(
+        action.rep,
+        [b / s for b in action.cocycle.values],
+        validate=False,
+        relator_defects=tuple(r / s for r in action.cocycle.relator_defects),
+    )
     if not _spans(cocycle.values, action.dim, tol):
         raise ConstructionError("cocycle values do not span the space (totality fails)")
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -70,9 +69,6 @@ class ToleranceProfile:
 
 DEFAULT_TOL = ToleranceProfile()
 
-# refinement steps of solve_affine_system after each first solve
-_REFINEMENTS = 2
-
 
 def residual_ok(residual: float, scale: float, eps: float) -> bool:
     return residual <= eps * (1.0 + scale)
@@ -105,8 +101,15 @@ def null_space_basis(matrix: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL, ap
     2-D array of A times the columns of X) and ``matrix`` is its Gram matrix
     A*A. The dimension is ``cols - rank`` with rank decided by
     ``numerical_rank`` at ``eps_rank * max(sigma_max, 1)``. A wide A goes to
-    a full SVD, a tall or implicit one through ``GramSplit``, and no
-    ``rows x rows`` factor is formed.
+    a full SVD; a tall or implicit one is split along the eigenvectors of
+    A*A, and no ``rows x rows`` factor is formed. The candidates are the
+    eigenvectors with eigenvalue at most ``w^2 * max(lambda_max, 1)`` (w the
+    profile's ``cluster_width``). They and the other eigenvectors span
+    invariant subspaces of A*A, so A's singular values split between them,
+    and those on the others exceed ``w * max(sigma_max, 1)``, far above the
+    rank cutoff: the rank decided on the SVD of A on the candidates alone,
+    with sigma_max = sqrt(lambda_max), is the one a full SVD of A would make
+    (README "How the commutant is solved").
     """
     matrix = np.atleast_2d(np.asarray(matrix))
     if 0 in matrix.shape:
@@ -115,66 +118,48 @@ def null_space_basis(matrix: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL, ap
         if matrix.shape[0] <= matrix.shape[1]:
             _, s, vh = np.linalg.svd(matrix, full_matrices=True)
             return vh[numerical_rank(s, tol) :].conj().T
-        matrix, apply = matrix.conj().T @ matrix, explicit_operator(matrix)
-    return GramSplit.of(matrix, apply, tol).null_space(tol)
+        explicit = matrix
+        matrix, apply = explicit.conj().T @ explicit, lambda columns: explicit @ columns
+    values, vectors = np.linalg.eigh(matrix)
+    top = max(float(values.max(initial=0.0)), 0.0)
+    sigma_max = math.sqrt(top)
+    candidates = vectors[:, values <= tol.cluster_width**2 * max(top, 1.0)]
+    image = apply(candidates)
+    if np.linalg.norm(image) <= tol.eps_rank * max(sigma_max, 1.0):
+        # ||A C||_F bounds every singular value on the candidates: the SVD
+        # would find all of them null
+        return candidates
+    _, s, vh = np.linalg.svd(image, full_matrices=image.shape[0] < image.shape[1])
+    return candidates @ vh[numerical_rank(s, tol, sigma_max) :].conj().T
 
 
 @dataclass(frozen=True)
-class GramSplit:
-    """An operator A split along the eigenvectors of its Gram matrix A*A.
+class RangeSplit:
+    """A matrix A split by one SVD at the ``numerical_rank`` cutoff.
 
-    ``candidates`` are the eigenvectors with eigenvalue at most
-    ``w^2 * max(lambda_max, 1)`` (w the profile's ``cluster_width``), and
-    ``image`` is A applied to them; ``complement`` holds the other
-    eigenvectors, with eigenvalues ``complement_values``. Both span
-    invariant subspaces of A*A, so A's singular values split between them,
-    and those of the complement exceed ``w * max(sigma_max, 1)``, far above
-    the rank cutoff: the rank decided on the SVD of ``image`` alone, with
-    sigma_max = sqrt(lambda_max), is the one a full SVD of A would make
-    (README "How the commutant is solved").
+    ``image`` and ``kernel`` are orthonormal columns spanning the range and
+    the null space of A, and ``pinv`` is A+ over the kept singular values:
+    ``pinv @ y`` is the minimum-norm least-squares solution of A x = y, and
+    it lies in the kernel's orthogonal complement. The SVD is thin unless A
+    is wide, so ``image`` is ``orthonormal_columns(A)``. The arrays are
+    read-only.
     """
 
-    candidates: np.ndarray
     image: np.ndarray
-    complement: np.ndarray
-    complement_values: np.ndarray
-    sigma_max: float
+    kernel: np.ndarray
+    pinv: np.ndarray
 
     @classmethod
-    def of(cls, gram: np.ndarray, apply, tol: ToleranceProfile) -> GramSplit:
-        values, vectors = np.linalg.eigh(gram)
-        top = max(float(values.max(initial=0.0)), 0.0)
-        small = values <= tol.cluster_width**2 * max(top, 1.0)
-        candidates = vectors[:, small]
-        return cls(candidates, apply(candidates), vectors[:, ~small], values[~small], math.sqrt(top))
+    def of(cls, matrix: np.ndarray, tol: ToleranceProfile) -> RangeSplit:
+        u, s, vh = np.linalg.svd(matrix, full_matrices=matrix.shape[0] < matrix.shape[1])
+        rank = numerical_rank(s, tol)
+        u, kept = u[:, :rank], vh[:rank].conj().T
+        return cls(read_only(u), read_only(vh[rank:].conj().T), read_only(kept @ (u.conj().T / s[:rank, None])))
 
-    @cached_property
-    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return np.linalg.svd(self.image, full_matrices=self.image.shape[0] < self.image.shape[1])
 
-    def null_space(self, tol: ToleranceProfile) -> np.ndarray:
-        if np.linalg.norm(self.image) <= tol.eps_rank * max(self.sigma_max, 1.0):
-            # ||A C||_F bounds every singular value on the candidates: the
-            # SVD would find all of them null
-            return self.candidates
-        _, s, vh = self.svd
-        return self.candidates @ vh[numerical_rank(s, tol, self.sigma_max) :].conj().T
-
-    def least_squares(self, apply, rhs: np.ndarray, count: int) -> np.ndarray:
-        """Minimum-norm least-squares solution of ``A x = rhs`` over the
-        complement and the leading ``count`` singular directions of the
-        candidates; ``apply(Y, adjoint=True)`` must give A* Y.
-
-        The complement is solved through A*A, whose eigenvalues there are at
-        least w^2 lambda_max; the candidates through the SVD of A on them,
-        applied to what the complement part leaves of ``rhs``.
-        """
-        normal = self.complement.conj().T @ apply(rhs[:, None], adjoint=True)[:, 0]
-        x = self.complement @ (normal / self.complement_values)
-        rest = rhs - apply(x[:, None])[:, 0]
-        u, s, vh = self.svd
-        u, s, vh = u[:, :count], s[:count], vh[:count]
-        return x + self.candidates @ (vh.conj().T @ ((u.conj().T @ rest) / s))
+def read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def orthonormal_columns(matrix: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
@@ -198,62 +183,31 @@ class AffineSolution:
         return self.homogeneous.shape[1]
 
 
-def solve_affine_system(
-    matrix: np.ndarray, rhs: np.ndarray | None, tol: ToleranceProfile = DEFAULT_TOL, apply=None
-) -> AffineSolution | None:
+def solve_affine_system(matrix: np.ndarray, rhs: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> AffineSolution | None:
     """Full solution set of ``A x = c``, or None when inconsistent.
 
-    The system is ``matrix`` = A and ``rhs`` = c, or, with ``apply``, the
-    Gram matrix ``matrix`` of the augmented operator M = [A, -c] and its
-    action: ``apply(X)`` is M X and ``apply(Y, adjoint=True)`` is M* Y
-    (``rhs`` is then None). The system is consistent when a least-squares
+    One SVD of A decides it. The system is consistent when a least-squares
     solution x has exact residual ``||A x - c||`` within
     ``eps_residual * (1 + ||c||)``, whatever eps_rank is: x is first the
-    minimum-norm one over A's directions above the rank cutoff, orthogonal
-    to the homogeneous part (A's null space at that cutoff); if that misses
-    the bound, x also uses the directions below the cutoff that
+    minimum-norm one over A's singular directions above the rank cutoff,
+    orthogonal to the homogeneous part (A's null space at that cutoff); if
+    that misses the bound, x also uses the directions below the cutoff that
     ``numpy.linalg.lstsq`` resolves (singular values above
-    ``eps_machine * size * sigma_max``). Each x is refined on its exact
-    residual (``GramSplit.least_squares`` solves part of it through A*A,
-    which costs up to eps_machine / w^2 of its accuracy, and a step wins
-    that factor back) while the residual at least halves.
+    ``eps_machine * max(rows, cols) * sigma_max``).
     """
-    if apply is None:
-        matrix, rhs = np.atleast_2d(np.asarray(matrix)), np.asarray(rhs)
-        if matrix.shape[0] != rhs.shape[0]:
-            raise ValueError(f"incompatible shapes {matrix.shape} and {rhs.shape}")
-        augmented = np.column_stack([matrix, -rhs]).astype(np.result_type(matrix, rhs))
-        matrix, apply = augmented.conj().T @ augmented, explicit_operator(augmented)
-
-    def system(columns: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        # A: the augmented operator without its last column
-        if adjoint:
-            return apply(columns, adjoint=True)[:-1]
-        return apply(np.vstack([columns, np.zeros((1, columns.shape[1]), dtype=columns.dtype)]))
-
-    size = len(matrix) - 1
-    rhs = -apply(np.eye(size + 1, dtype=matrix.dtype)[:, -1:])[:, 0]
+    matrix, rhs = np.atleast_2d(np.asarray(matrix)), np.asarray(rhs)
+    if matrix.shape[0] != rhs.shape[0]:
+        raise ValueError(f"incompatible shapes {matrix.shape} and {rhs.shape}")
+    u, s, vh = np.linalg.svd(matrix, full_matrices=matrix.shape[0] < matrix.shape[1])
+    rank = numerical_rank(s, tol)
+    resolved = int(np.sum(s > np.finfo(float).eps * max(matrix.shape) * s.max(initial=0.0)))
+    coordinates = u.conj().T @ rhs
     bound = tol.eps_residual * (1.0 + float(np.linalg.norm(rhs)))
-    split = GramSplit.of(matrix[:-1, :-1], system, tol)
-    singular = split.svd[1]
-    rank = numerical_rank(singular, tol, split.sigma_max)
-    resolved = int(np.sum(singular > np.finfo(float).eps * max(len(rhs), size) * split.sigma_max))
     for count in (rank, resolved) if resolved > rank else (rank,):
-        particular, residual, error = 0.0, rhs, math.inf
-        for _ in range(_REFINEMENTS + 1):
-            particular = particular + split.least_squares(system, residual, count)
-            residual = rhs - system(particular[:, None])[:, 0]
-            error, previous = float(np.linalg.norm(residual)), error
-            if error <= bound:
-                return AffineSolution(particular, split.null_space(tol))
-            if error > previous / 2:
-                break
+        particular = vh[:count].conj().T @ (coordinates[:count] / s[:count])
+        if float(np.linalg.norm(matrix @ particular - rhs)) <= bound:
+            return AffineSolution(particular, vh[rank:].conj().T)
     return None
-
-
-def explicit_operator(matrix: np.ndarray):
-    """``apply`` for an explicit matrix: X -> A X, or A* Y with ``adjoint``."""
-    return lambda columns, adjoint=False: (matrix.conj().T if adjoint else matrix) @ columns
 
 
 def hermitian_eigensystem(

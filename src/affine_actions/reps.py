@@ -24,13 +24,14 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     REAL,
+    RangeSplit,
     ToleranceProfile,
     as_field_array,
     frobenius,
     null_space_basis,
     numerical_rank,
-    orthonormal_columns,
     random_vector,
+    read_only,
     residual_ok,
 )
 from .words import GroupPresentation, Word
@@ -79,6 +80,7 @@ class Representation:
         self.isometry_defects = tuple(frobenius(m.conj().T @ m - eye) for m in matrices)
         self.relator_defects = tuple(frobenius(self.evaluate(r) - eye) for r in presentation.relators)
         self._commutants: dict[ToleranceProfile, tuple[np.ndarray, ...]] = {}  # see commutant_basis
+        self._boundaries: dict[ToleranceProfile, RangeSplit] = {}  # see boundary_split
         if validate and (failure := validity_report(tol, rep=self).failure):
             raise failure
 
@@ -104,7 +106,7 @@ class Representation:
         mats = np.asarray(self.matrices, dtype=self.dtype).reshape(-1, self.dim, self.dim)
         z = np.einsum("s,sij->ij", _generic_weights(len(mats), self.field), mats)
         values, q = np.linalg.eigh(z + z.conj().T)
-        return _read_only(values), _read_only(q), _read_only(q.conj().T @ mats @ q)
+        return read_only(values), read_only(q), read_only(q.conj().T @ mats @ q)
 
     def evaluate(self, word: Word) -> np.ndarray:
         """Matrix of a word; inverse letters use the adjoint (isometry)."""
@@ -304,16 +306,27 @@ def coboundary(rep: Representation, vector) -> Cocycle:
 
 
 def fixed_subspace(rep: Representation, tol: ToleranceProfile | None = None) -> np.ndarray:
-    """Orthonormal basis of the joint fixed space of all generator matrices."""
-    return null_space_basis(rep.boundary_map(), tol or rep.tol)
+    """Orthonormal basis of the joint fixed space of all generator matrices
+    (the kernel of ``boundary_split``; read-only)."""
+    return boundary_split(rep, tol).kernel
+
+
+def boundary_split(rep: Representation, tol: ToleranceProfile | None = None) -> RangeSplit:
+    """The boundary map B = [pi(s) - I]_s split by one thin SVD.
+
+    Its ``image`` spans the coboundaries, its ``kernel`` is the fixed space
+    and ``pinv`` is B+, which solves (pi(s) - I) t = y(s) for y in the
+    image. It is solved once per tolerance profile and kept on the
+    representation, like ``commutant_basis``; the arrays are read-only.
+    """
+    tol = tol or rep.tol
+    split = rep._boundaries.get(tol)
+    if split is None:
+        split = rep._boundaries[tol] = RangeSplit.of(rep.boundary_map(), tol)
+    return split
 
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
 
 
 def _generic_weights(generators: int, field: str) -> np.ndarray:
@@ -332,16 +345,10 @@ def _generic_weights(generators: int, field: str) -> np.ndarray:
     return coefficients
 
 
-def intertwiner_system(
-    rep1: Representation,
-    rep2: Representation,
-    values1=None,
-    values2=None,
-    tol: ToleranceProfile | None = None,
-):
+def intertwiner_system(rep1: Representation, rep2: Representation, tol: ToleranceProfile | None = None):
     """Intertwiner system for T: V1 -> V2, reduced and in Gram form.
 
-        T pi1(s) = pi2(s) T,      T b1(s) - (pi2(s) - I) t = b2(s)      for all generators s.
+        T pi1(s) = pi2(s) T      for all generators s.
 
     Returns ``(gram, apply, lift)``. The unknowns are reduced coordinates:
     with Q1, Q2 eigenbases of the generic Hermitian element H of each
@@ -349,26 +356,22 @@ def intertwiner_system(
     intertwiner has T~ = Q2* T Q1 supported on pairs (p, q) whose
     H-eigenvalues share a cluster (T pi1(s) = pi2(s) T and, for isometries,
     T pi1(s)* = pi2(s)* T imply T H1 = H2 T), so only those entries of T~
-    and, with cocycle values, t~ = Q2* t are unknowns. Clusters are chains
-    over the union of both spectra with links of the profile's
-    ``cluster_width``, far wider than the eigenvalue shifts of an isometry
-    accepted at its tolerances: splitting an eigenspace would lose
-    solutions, while a wide cluster only relaxes the restriction.
+    are unknowns. Clusters are chains over the union of both spectra with
+    links of the profile's ``cluster_width``, far wider than the eigenvalue
+    shifts of an isometry accepted at its tolerances: splitting an
+    eigenspace would lose solutions, while a wide cluster only relaxes the
+    restriction.
 
     The system A has every generator's equations multiplied by Q2*, so
     residuals keep their size, but it is never formed: ``gram`` is A*A,
-    assembled from P_s = Q* pi(s) Q and beta_s = Q* b(s) (README "How the
-    commutant is solved"), ``apply(X)`` is A X and ``apply(Y, adjoint=True)``
-    is A* Y, as 2-D arrays, for ``linalg.null_space_basis`` and
-    ``linalg.solve_affine_system``. Without ``values2`` the system is
-    homogeneous (with ``values1`` it is the affine commutant in (U, t) when
-    rep1 = rep2); with ``values2`` as well its right-hand side
-    c = (0, beta2) is appended as the last unknown's column -c, for
-    ``linalg.solve_affine_system``.
+    assembled from P_s = Q* pi(s) Q (README "How the commutant is solved"),
+    and ``apply(X)`` is A X, as 2-D arrays, for ``linalg.null_space_basis``.
+    The cocycle equations are not part of it: ``affine_commutant`` and
+    ``check_equivalence`` solve them in the coefficients of the
+    Hom(pi1, pi2) basis this system gives.
 
-    ``lift`` maps reduced solution columns (without the appended unknown) to
-    columns (vec T, t) (row-major vec; without cocycle values just vec T).
-    It is an isometric embedding, so orthonormal bases stay orthonormal. For
+    ``lift`` maps reduced solution columns to columns vec T (row-major). It
+    is an isometric embedding, so orthonormal bases stay orthonormal. For
     real representations Q and the system are real.
     """
     tol = tol or rep1.tol
@@ -379,80 +382,33 @@ def intertwiner_system(
     labels = np.empty(d1 + d2, dtype=int)
     labels[order] = np.concatenate([[0], np.cumsum(np.diff(spectrum[order]) > tol.cluster_width)])
     rows_p, cols_q = np.nonzero(labels[d1:, None] == labels[None, :d1])
-    k, g = len(rows_p), len(p1)
+    g = len(p1)
 
-    affine, augmented = values1 is not None, values2 is not None
-    size = k + (d2 if affine else 0) + (1 if augmented else 0)
-    gram = np.empty((size, size), dtype=np.result_type(p1, p2))
-
-    # commuting rows: the unknown e_p e_q^T gives E_pq P1 - P2 E_pq, so
+    # the unknown e_p e_q^T gives E_pq P1 - P2 E_pq, so
     # <A_j, A_j'> = d_pp' (P1 P1*)[q', q] - P2[p, p'] conj(P1[q, q'])
     #               - conj(P2[p', p]) P1[q', q] + d_qq' (P2* P2)[p, p']
-    # summed over generators; the value rows add d_pp' conj(beta1[q]) beta1[q']
+    # summed over generators
     rows1 = p1.transpose(1, 0, 2).reshape(d1, g * d1)
     left = (rows1 @ rows1.conj().T).T
     right = p2.reshape(g * d2, d2).conj().T @ p2.reshape(g * d2, d2)
-    if affine:
-        beta1 = np.reshape(values1, (g, d1)) @ q1.conj()
-        left += beta1.conj().T @ beta1
     cross = np.einsum("sjk,sjk->jk", p2[:, rows_p][:, :, rows_p], p1[:, cols_q][:, :, cols_q].conj())
-    block = gram[:k, :k]
-    np.multiply(rows_p[:, None] == rows_p[None, :], left[cols_q[:, None], cols_q[None, :]], out=block)
-    block += (cols_q[:, None] == cols_q[None, :]) * right[rows_p[:, None], rows_p[None, :]]
-    block -= cross
-    block -= cross.conj().T
-    if affine:
-        # value rows: e_p beta1[q] for the unknown (p, q), I - P2 for t~
-        shifted = np.eye(d2) - p2
-        stacked = shifted.reshape(g * d2, d2)
-        coupling = np.einsum("sj,sjc->jc", beta1[:, cols_q].conj(), shifted[:, rows_p, :])
-        gram[:k, k : k + d2] = coupling
-        gram[k : k + d2, :k] = coupling.conj().T
-        gram[k : k + d2, k : k + d2] = stacked.conj().T @ stacked
-    if augmented:
-        beta2 = np.reshape(values2, (g, d2)) @ q2.conj()
-        gram[:k, -1] = -np.sum(beta1[:, cols_q].conj() * beta2[:, rows_p], axis=0)
-        gram[k:-1, -1] = -(stacked.conj().T @ beta2.reshape(-1))
-        gram[-1, :-1] = gram[:-1, -1].conj()
-        gram[-1, -1] = np.vdot(beta2, beta2)
+    gram = (rows_p[:, None] == rows_p[None, :]) * left[cols_q[:, None], cols_q[None, :]]
+    gram = gram + (cols_q[:, None] == cols_q[None, :]) * right[rows_p[:, None], rows_p[None, :]]
+    gram -= cross
+    gram -= cross.conj().T
 
-    def apply(columns: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        if adjoint:
-            return apply_adjoint(columns)
+    def apply(columns: np.ndarray) -> np.ndarray:
         n = columns.shape[1]
         reduced = np.zeros((n, d2, d1), dtype=np.result_type(columns, p1))
-        reduced[:, rows_p, cols_q] = columns[:k].T
+        reduced[:, rows_p, cols_q] = columns.T
         out = (reduced @ p1[:, None] - p2[:, None] @ reduced).reshape(g, n, d2 * d1)
-        if affine:
-            value = np.einsum("nij,sj->sni", reduced, beta1) + np.einsum("sij,jn->sni", shifted, columns[k : k + d2])
-            if augmented:
-                value -= beta2[:, None, :] * columns[-1][None, :, None]
-            out = np.concatenate([out, value], axis=2)
-        return out.transpose(0, 2, 1).reshape(g * out.shape[2], n)
-
-    def apply_adjoint(rows: np.ndarray) -> np.ndarray:
-        # the adjoints of T~ -> T~ P1 - P2 T~, T~ -> T~ beta1, t~ -> (I - P2) t~
-        # and the last unknown's -beta2, summed over generators
-        n = rows.shape[1]
-        blocks = rows.reshape(g, d2 * (d1 + affine), n).transpose(0, 2, 1)
-        commuting = blocks[:, :, : d2 * d1].reshape(g, n, d2, d1)
-        p1h, p2h = p1.conj().transpose(0, 2, 1)[:, None], p2.conj().transpose(0, 2, 1)[:, None]
-        full = np.sum(commuting @ p1h - p2h @ commuting, axis=0)
-        if not affine:
-            return full[:, rows_p, cols_q].T
-        value = blocks[:, :, d2 * d1 :]
-        full += np.einsum("sni,sj->nij", value, beta1.conj())
-        parts = [full[:, rows_p, cols_q].T, np.einsum("sij,sni->jn", shifted.conj(), value)]
-        if augmented:
-            parts.append(-np.einsum("si,sni->n", beta2.conj(), value)[None])
-        return np.vstack(parts)
+        return out.transpose(0, 2, 1).reshape(g * d2 * d1, n)
 
     def lift(columns: np.ndarray) -> np.ndarray:
         n = columns.shape[1]
         reduced = np.zeros((n, d2, d1), dtype=np.result_type(columns, q1, q2))
-        reduced[:, rows_p, cols_q] = columns[:k].T
-        full = (q2 @ reduced @ q1.conj().T).reshape(n, d2 * d1).T
-        return np.vstack([full, q2 @ columns[k : k + d2]]) if affine else full
+        reduced[:, rows_p, cols_q] = columns.T
+        return (q2 @ reduced @ q1.conj().T).reshape(n, d2 * d1).T
 
     return gram, apply, lift
 
@@ -471,7 +427,7 @@ def commutant_basis(rep: Representation, tol: ToleranceProfile | None = None) ->
     if basis is None:
         gram, apply, lift = intertwiner_system(rep, rep, tol=tol)
         columns = lift(null_space_basis(gram, tol, apply))
-        basis = tuple(_read_only(columns.T.reshape(-1, rep.dim, rep.dim)))
+        basis = tuple(read_only(columns.T.reshape(-1, rep.dim, rep.dim)))
         rep._commutants[tol] = basis
     return list(basis)
 
@@ -567,7 +523,7 @@ def first_cohomology(rep: Representation, tol: ToleranceProfile | None = None) -
     tol = tol or rep.tol
     relators = _relator_coefficient_matrix(rep)
     z_basis = null_space_basis(relators, tol)  # (g*d, nz)
-    b_basis = orthonormal_columns(rep.boundary_map(), tol)
+    b_basis = boundary_split(rep, tol).image
 
     # class representatives: orthogonal complement of the coboundaries inside
     # the cocycle space; computed as the null space of the pairing B*Z whose
@@ -640,6 +596,13 @@ def search_irreducible_cocycle(
     irreducibility decision on the assembled action. A negative answer after
     all trials is probabilistic (the separating set is either empty or
     generic, so one generic sample decides with probability 1).
+
+    The screen is batched: the ``trials`` samples are drawn first, in the
+    order one draw per trial took them from the same random stream, and one
+    batched SVD ranks every map; the trials are then taken in order. A
+    confirmation reuses the commutant and the boundary split cached on the
+    representation and runs only the per-cocycle stage of
+    ``affine_commutant``.
     """
     from .actions import AffineAction, decide_irreducibility
 
@@ -651,12 +614,12 @@ def search_irreducible_cocycle(
     if h == 0:
         return CocycleSearchResult(False, None, 0)
     commutant = commutant_basis(rep, tol)
-    action_mats = commutant_action_on_classes(rep, basis, commutant, tol)
+    action_mats = np.asarray(commutant_action_on_classes(rep, basis, commutant, tol))
     rng = np.random.default_rng(seed)
-    for trial in range(trials):
-        xi = random_vector(h, rep.field, rng)
-        annihilator_map = np.column_stack([m @ xi for m in action_mats])
-        s = np.linalg.svd(annihilator_map, compute_uv=False)
+    samples = np.array([random_vector(h, rep.field, rng) for _ in range(trials)])
+    # maps[trial] has the columns S_j xi for the commutant elements S_j
+    maps = (action_mats @ samples.T).transpose(2, 1, 0)
+    for trial, (xi, s) in enumerate(zip(samples, np.linalg.svd(maps, compute_uv=False))):
         if numerical_rank(s, tol) < len(commutant):
             continue
         witness = basis.cocycle_from_class(xi)

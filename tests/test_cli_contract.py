@@ -92,16 +92,24 @@ ADDED_KEYS = {"verify": {"probabilistic": False}}
 
 
 # calls re-recorded when the commutant solve moved to the Gram matrix of a
-# generic Hermitian element: a null-space basis is not unique, so only float
-# leaves under "witness" or "basis" changed
+# generic Hermitian element, and again (all but "commutant glide", plus the
+# dihedral and z2_translations doubles and the c2_flip equivalence) when it
+# was split into the commutant of pi, the boundary map and a per-cocycle
+# annihilator, and the equivalence search into a Hom basis and a small
+# explicit system: a null-space basis is not unique (the c2_flip intertwiner
+# is a sample along one with the opposite sign), so only float leaves under
+# "witness", "basis" or "intertwiner" changed
 RERECORDED = (
     ["irreducible", "fixtures/c3_rotation.json"],
     ["commutant", "fixtures/c3_rotation.json"],
     ["commutant", "fixtures/glide.json"],
     ["direct-sum", "fixtures/c3_rotation.json", "fixtures/c3_rotation.json"],
+    ["direct-sum", "fixtures/dihedral.json", "fixtures/dihedral.json"],
     ["direct-sum", "fixtures/f2_irred2d_b1.json", "fixtures/f2_irred2d_b1.json"],
     ["direct-sum", "fixtures/f2_irred2d_b2.json", "fixtures/f2_irred2d_b2.json"],
     ["direct-sum", "fixtures/glide.json", "fixtures/glide.json"],
+    ["direct-sum", "fixtures/z2_translations.json", "fixtures/z2_translations.json"],
+    ["equivalence", "fixtures/c2_flip.json", "fixtures/c2_flip.json"],
 )
 
 
@@ -199,6 +207,11 @@ def test_rerecorded_witnesses_reverify(argv, monkeypatch):
         recorded = doc["witness"]["invariant_subspace"]
         subspace = AffineSubspace(array(recorded["base"], (d,)), array(recorded["directions"], (d, recorded["dim"])))
         assert certified(check_invariance(action, subspace), (subspace.base,), action)
+    elif argv[0] == "equivalence":
+        other = load_problem(argv[2]).build_action()
+        recorded = doc["intertwiner"]
+        mapping = AffineMap(array(recorded["linear"], recorded["shape"]), array(recorded["translation"], (other.dim,)))
+        assert certified(intertwining_residual(action, other, mapping), (mapping.linear, mapping.translation), action, other)
     else:
         other = load_problem(argv[2]).build_action()
         witness, k = doc["witness"], doc["witness"]["v_dim"]

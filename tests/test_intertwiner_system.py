@@ -25,7 +25,7 @@ from affine_actions import (
     fixed_subspace,
     intertwining_residual,
 )
-from affine_actions.actions import unit_scale
+from affine_actions.actions import equivalence_system, unit_scale
 from affine_actions.linalg import null_space_basis, numerical_rank, solve_affine_system
 from affine_actions.reps import _generic_weights, intertwiner_system
 
@@ -111,6 +111,12 @@ def same_subspace(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a @ a.conj().T - b @ b.conj().T))
 
 
+def in_full_unknowns(a2: AffineAction, homs: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """(x, t~) columns of ``equivalence_system`` as (vec T, t) columns."""
+    q2 = a2.rep.generic_eigenbasis[1]
+    return np.vstack([homs.reshape(len(homs), -1).T @ columns[: len(homs)], q2 @ columns[len(homs) :]])
+
+
 @pytest.mark.parametrize("double", [False, True], ids=["single", "double"])
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -120,23 +126,31 @@ def test_gram_path_matches_row_stacked_qr_reference(family, field, double):
         rep = action.rep
         s = unit_scale(TOL, action)
         values = [b / s for b in action.cocycle.values]
-        for vals in (None, values):
-            gram, apply, lift = intertwiner_system(rep, rep, vals)
-            matrix, _, ref_lift = row_stacked_intertwiner_system(rep, rep, vals)
-            basis, reference = lift(null_space_basis(gram, TOL, apply)), ref_lift(qr_null_space(matrix))
-            assert basis.shape == reference.shape, (family, seed)
-            assert same_subspace(basis, reference) <= 1e-8, (family, seed)
-        # the inhomogeneous system of the equivalence search, against itself:
-        # the same solution set as the least-squares solve, and a particular
-        # solution orthogonal to the homogeneous part
-        gram, apply, lift = intertwiner_system(rep, rep, values, values)
+        gram, apply, lift = intertwiner_system(rep, rep)
+        matrix, _, ref_lift = row_stacked_intertwiner_system(rep, rep)
+        basis, reference = lift(null_space_basis(gram, TOL, apply)), ref_lift(qr_null_space(matrix))
+        assert basis.shape == reference.shape, (family, seed)
+        assert same_subspace(basis, reference) <= 1e-8, (family, seed)
+        # the staged affine commutant spans the joint system's null space
+        matrix, _, ref_lift = row_stacked_intertwiner_system(rep, rep, values)
+        reference = ref_lift(qr_null_space(matrix))
+        pairs = affine_commutant(action).pairs
+        basis = np.array([np.concatenate([p.deviation.reshape(-1), p.translation / s]) for p in pairs]).T
+        basis = basis.reshape(len(reference), len(pairs))
+        assert basis.shape == reference.shape, (family, seed)
+        assert same_subspace(basis, reference) <= 1e-8, (family, seed)
+        # the two-step system of the equivalence search has the solution set
+        # of the joint least-squares solve, and a particular solution
+        # orthogonal to its homogeneous part
+        homs, system, rhs = equivalence_system(action, action, s, TOL)
+        solution = solve_affine_system(system, rhs)
         matrix, rhs, ref_lift = row_stacked_intertwiner_system(rep, rep, values, values)
-        solution, reference = solve_affine_system(gram, None, TOL, apply), lstsq_solve(matrix, rhs)
+        reference = lstsq_solve(matrix, rhs)
         assert solution is not None and reference is not None, (family, seed)
-        homogeneous, ref_homogeneous = lift(solution.homogeneous), ref_lift(reference[1])
+        homogeneous, ref_homogeneous = in_full_unknowns(action, homs, solution.homogeneous), ref_lift(reference[1])
         assert homogeneous.shape == ref_homogeneous.shape, (family, seed)
         assert same_subspace(homogeneous, ref_homogeneous) <= 1e-8, (family, seed)
-        offset = lift(solution.particular[:, None])[:, 0] - ref_lift(reference[0][:, None])[:, 0]
+        offset = in_full_unknowns(action, homs, solution.particular[:, None])[:, 0] - ref_lift(reference[0][:, None])[:, 0]
         assert np.linalg.norm(offset - homogeneous @ (homogeneous.conj().T @ offset)) <= 1e-8, (family, seed)
         assert np.linalg.norm(solution.homogeneous.conj().T @ solution.particular) <= 1e-8, (family, seed)
 
@@ -144,31 +158,23 @@ def test_gram_path_matches_row_stacked_qr_reference(family, field, double):
 def test_gram_matrix_is_the_system_gram_matrix():
     # A*A from the assembled entries against A applied to the identity
     for seed, (family, field) in enumerate([("f2", "real"), ("f2", "complex"), ("dihedral", "complex"), ("s3", "real")]):
-        action = family_action(family, field, seed, double=seed % 2 == 1)
-        rep, values = action.rep, action.cocycle.values
-        for vals1, vals2 in ((None, None), (values, None), (values, values)):
-            gram, apply, _ = intertwiner_system(rep, rep, vals1, vals2)
-            matrix = apply(np.eye(len(gram), dtype=gram.dtype))
-            assert matrix.dtype == rep.dtype
-            assert np.linalg.norm(gram - matrix.conj().T @ matrix) <= 1e-13 * max(1.0, np.linalg.norm(gram))
-            # the adjoint action is A* on any block of rows
-            rows = np.random.default_rng(seed).standard_normal((len(matrix), 3)).astype(gram.dtype)
-            adjoint = apply(rows, adjoint=True)
-            assert np.linalg.norm(adjoint - matrix.conj().T @ rows) <= 1e-13 * max(1.0, np.linalg.norm(gram))
+        rep = family_action(family, field, seed, double=seed % 2 == 1).rep
+        gram, apply, _ = intertwiner_system(rep, rep)
+        matrix = apply(np.eye(len(gram), dtype=gram.dtype))
+        assert matrix.dtype == rep.dtype
+        assert np.linalg.norm(gram - matrix.conj().T @ matrix) <= 1e-13 * max(1.0, np.linalg.norm(gram))
 
 
 def test_reduced_system_has_fewer_unknowns_on_generic_input():
     rng = np.random.default_rng(3)
     for field in ("real", "complex"):
-        action = random_action(random_free_rep(f2_group(), 10, field, rng), rng)
-        values = action.cocycle.values
-        gram, apply, _ = intertwiner_system(action.rep, action.rep, values, values)
+        rep = random_free_rep(f2_group(), 10, field, rng)
+        gram, apply, _ = intertwiner_system(rep, rep)
         # generic isometries give the generic Hermitian element a simple
-        # spectrum: one unknown per coordinate of T~, d for t~, one for the
-        # right-hand side
-        assert gram.shape == (10 + 10 + 1, 10 + 10 + 1)
-        assert gram.dtype == action.rep.dtype
-        assert apply(np.eye(21, dtype=gram.dtype)).shape == (2 * (100 + 10), 21)
+        # spectrum: one unknown per coordinate of T~
+        assert gram.shape == (10, 10)
+        assert gram.dtype == rep.dtype
+        assert apply(np.eye(10, dtype=gram.dtype)).shape == (2 * 100, 10)
 
 
 # -- invariance of the decision ---------------------------------------------
@@ -223,14 +229,17 @@ def test_verdict_invariant_under_cocycle_scaling(case, log_scale):
 
 def test_no_generators_keeps_every_unknown():
     rep = Representation(GroupPresentation([]), "complex", [], dim=3)
-    gram, apply, lift = intertwiner_system(rep, rep, [], [])
-    # H = 0, so Q = I and one cluster: nine entries of T~, three of t~, and
-    # the right-hand side; no equations, so A*A = 0 and every unknown is null
-    assert gram.shape == (13, 13) and not gram.any()
-    assert apply(np.eye(13)).shape == (0, 13)
-    assert np.allclose(lift(np.eye(12)), np.eye(12))
-    assert null_space_basis(gram, TOL, apply).shape == (13, 13)
+    gram, apply, lift = intertwiner_system(rep, rep)
+    # H = 0, so Q = I and one cluster: nine entries of T~; no equations, so
+    # A*A = 0 and every unknown is null
+    assert gram.shape == (9, 9) and not gram.any()
+    assert apply(np.eye(9)).shape == (0, 9)
+    assert np.allclose(lift(np.eye(9)), np.eye(9))
+    assert null_space_basis(gram, TOL, apply).shape == (9, 9)
     assert len(commutant_basis(rep)) == 9
+    # every (U, t) commutes with the empty action: nine U and three t
+    assert fixed_subspace(rep).shape == (3, 3)
+    assert commutant_dim(AffineAction.from_values(rep, [])) == 12
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -253,7 +262,7 @@ def test_scalar_first_generator_at_d32_is_decided_in_the_reduced_space():
     mats = [-np.eye(d), random_isometry(d, "real", rng), random_isometry(d, "real", rng)]
     rep = Representation(GroupPresentation(["a", "b", "c"]), "real", mats, dim=d)
     action = AffineAction.from_values(rep, [rng.standard_normal(d) for _ in range(3)])
-    assert intertwiner_system(rep, rep, action.cocycle.values)[0].shape[0] <= 3 * d
+    assert intertwiner_system(rep, rep)[0].shape[0] <= 2 * d
     assert decide_irreducibility(action).irreducible
 
 
@@ -345,12 +354,12 @@ def test_small_angle_equivalence_is_decided_as_the_least_squares_reference(theta
         other = conjugate_by_translation(action, shift)
         s = unit_scale(tol, action, other)
         values1, values2 = [b / s for b in action.cocycle.values], [b / s for b in other.cocycle.values]
-        gram, apply, _ = intertwiner_system(rep, other.rep, values1, values2, tol)
         matrix, rhs, _ = row_stacked_intertwiner_system(rep, other.rep, values1, values2, tol)
         assert lstsq_solve(matrix, rhs, tol) is not None, (seed, profile)
-        solution = solve_affine_system(gram, None, tol, apply)
+        _, system, rhs = equivalence_system(action, other, s, tol)
+        solution = solve_affine_system(system, rhs, tol)
         assert solution is not None, (seed, profile)
-        residual = np.linalg.norm(apply(np.append(solution.particular, 1.0)[:, None]))
+        residual = np.linalg.norm(system @ solution.particular - rhs)
         assert residual <= tol.eps_residual * (1 + np.linalg.norm(rhs)), (seed, profile)
         assert check_equivalence(action, other, tol=tol).equivalent, (seed, profile)
 

@@ -2,17 +2,21 @@ import numpy as np
 import pytest
 
 from affine_actions import (
+    AffineAction,
     Cocycle,
     GroupPresentation,
     Representation,
+    ToleranceProfile,
     Word,
     commutant_action_on_classes,
     commutant_basis,
+    decide_irreducibility,
     first_cohomology,
     fixed_subspace,
     search_irreducible_cocycle,
 )
-from affine_actions.reps import CocycleError, RepresentationError, validity_report
+from affine_actions.linalg import orthonormal_columns
+from affine_actions.reps import CocycleError, RepresentationError, boundary_split, validity_report
 
 from helpers import (
     FAMILIES,
@@ -23,6 +27,7 @@ from helpers import (
     heisenberg_group,
     random_c3_rep,
     random_cocycle,
+    random_dihedral_rep,
     random_field_vector,
     random_free_rep,
     random_s3_rep,
@@ -178,17 +183,25 @@ def test_commutant_identity_in_span():
 
 
 def counting_solves(monkeypatch) -> list:
-    """Record every intertwiner system the commutant and the decisions build."""
+    """Record every commutant solve (an ``intertwiner_system`` build) and
+    every boundary split (``RangeSplit.of``) as ("commutant", rep1) and
+    ("boundary", matrix shape)."""
     from affine_actions import reps
+    from affine_actions.linalg import RangeSplit
 
     calls = []
-    original = reps.intertwiner_system
+    system, split = reps.intertwiner_system, RangeSplit.of
 
-    def counted(rep1, rep2, values1=None, values2=None, tol=None):
-        calls.append((rep1, values1 is None))
-        return original(rep1, rep2, values1, values2, tol)
+    def counted_system(rep1, rep2, tol=None):
+        calls.append(("commutant", rep1))
+        return system(rep1, rep2, tol)
 
-    monkeypatch.setattr(reps, "intertwiner_system", counted)
+    def counted_split(cls, matrix, tol):
+        calls.append(("boundary", matrix.shape))
+        return split(matrix, tol)
+
+    monkeypatch.setattr(reps, "intertwiner_system", counted_system)
+    monkeypatch.setattr(RangeSplit, "of", classmethod(counted_split))
     return calls
 
 
@@ -236,7 +249,68 @@ def test_search_reuses_the_cached_commutant(monkeypatch):
     commutant_basis(rep)
     calls = counting_solves(monkeypatch)
     search_irreducible_cocycle(rep, trials=5, seed=1)
-    assert not any(linear for _, linear in calls)  # no second commutant solve
+    # no second commutant solve, and one boundary split for the cohomology
+    # and every confirmation
+    assert [kind for kind, _ in calls] == ["boundary"]
+
+
+def test_second_decision_on_a_representation_solves_nothing_again(monkeypatch):
+    rep = doubled_rep(random_free_rep(f2_group(), 3, "complex", RNG))
+    decide_irreducibility(AffineAction(rep, random_cocycle(rep, RNG)))
+    calls = counting_solves(monkeypatch)
+    for _ in range(2):
+        decide_irreducibility(AffineAction(rep, random_cocycle(rep, RNG)))
+    assert calls == []  # neither the commutant nor the boundary map again
+
+
+def test_boundary_split_is_keyed_by_tolerance(monkeypatch):
+    calls = counting_solves(monkeypatch)
+    rep = random_free_rep(f2_group(), 3, "real", RNG)
+    loose = ToleranceProfile(eps_rank=1e-6)
+    default, other = boundary_split(rep), boundary_split(rep, loose)
+    assert other is not default
+    assert boundary_split(rep, TOL) is default and boundary_split(rep, loose) is other
+    assert [kind for kind, _ in calls] == ["boundary", "boundary"]
+
+
+def test_boundary_split_is_one_read_only_thin_svd():
+    # Z on R^3 by a rotation of a plane, fixing a line
+    mat = np.eye(3)
+    mat[:2, :2] = ROT90
+    rep = Representation(z_group(), "real", [mat])
+    split, boundary = boundary_split(rep), rep.boundary_map()
+    for array in (split.image, split.kernel, split.pinv):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[...] = 0.0
+    assert fixed_subspace(rep) is split.kernel
+    assert np.array_equal(split.image, orthonormal_columns(boundary))
+    assert split.kernel.shape == (3, 1) and abs(abs(split.kernel[2, 0]) - 1.0) < 1e-15
+    assert np.allclose(split.pinv, np.linalg.pinv(boundary), atol=1e-14)
+
+
+def rho_sum(rho: Representation, copies: int) -> Representation:
+    """rho (+) ... (+) rho, block diagonal."""
+    mats = [np.kron(np.eye(copies), m) for m in rho.matrices]
+    return Representation(rho.presentation, rho.field, mats, dim=copies * rho.dim)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_batched_screen_matches_the_reference_search(field):
+    # rho^(+k) is found iff k copies fit in H^1(rho): both outcomes occur
+    rng = np.random.default_rng(21 + (field == "complex"))
+    outcomes = set()
+    for rho in (random_free_rep(f2_group(), 2, field, rng), random_dihedral_rep(2, field, rng)):
+        for copies in (1, 2, 3):
+            rep = rho_sum(rho, copies)
+            for seed in range(4):
+                result = search_irreducible_cocycle(rep, trials=20, seed=seed)
+                found, coords, trials_used = reference_search_irreducible_cocycle(rep, 20, seed)
+                assert (result.found, result.trials_used) == (found, trials_used), (copies, seed)
+                if found:
+                    assert np.max(np.abs(result.witness.coordinates() - coords)) <= 1e-12
+                outcomes.add(found)
+    assert outcomes == {True, False}
 
 
 def test_commutant_commutes_with_random_words():
