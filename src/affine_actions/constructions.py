@@ -519,27 +519,35 @@ def _hull_distances(points: np.ndarray, targets: np.ndarray, iterations: int = 2
     All targets iterate together: one (active targets) x (points) score
     matrix per step. Each target starts at its nearest point and stops on
     its own when no vertex improves it (Frank-Wolfe gap <= 1e-14), when the
-    step direction vanishes, when the step length is 0, or at the cap.
+    step direction vanishes, when the step length is 0, or at the cap. The
+    active block ``gaps`` is updated in place while every target in it
+    moves; it is written back and gathered anew only when some target stops.
     """
     current = np.empty_like(targets)
     for i, q in enumerate(targets):
         gaps = points - q
         current[i] = gaps[int(np.argmin(np.einsum("ij,ij->i", gaps, gaps)))]
     active = np.arange(len(targets))
-    for _ in range(iterations):
-        if not active.size:
-            break
-        gaps = current[active]
-        # argmin over vertices of (p - q) . gap; q . gap is constant per row
-        best = points[np.argmin(gaps @ points.T, axis=1)] - targets[active]
-        direction = best - gaps
-        fw_gap = np.einsum("ij,ij->i", gaps, gaps - best)
-        denom = np.einsum("ij,ij->i", direction, direction)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    gaps, anchors = current, targets
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(iterations):
+            if not active.size:
+                break
+            # argmin over vertices of (p - q) . gap; q . gap is constant per row
+            best = points[np.argmin(gaps @ points.T, axis=1)] - anchors
+            direction = best - gaps
+            fw_gap = np.einsum("ij,ij->i", gaps, gaps - best)
+            denom = np.einsum("ij,ij->i", direction, direction)
             gamma = np.clip(-np.einsum("ij,ij->i", gaps, direction) / denom, 0.0, 1.0)
-        moving = ~(fw_gap <= 1e-14) & (denom != 0.0) & (gamma > 0.0)
-        active = active[moving]
-        current[active] = gaps[moving] + gamma[moving, None] * direction[moving]
+            moving = ~(fw_gap <= 1e-14) & (denom != 0.0) & (gamma > 0.0)
+            if moving.all():
+                gaps += gamma[:, None] * direction
+                continue
+            current[active] = gaps
+            active = active[moving]
+            gaps = gaps[moving] + gamma[moving, None] * direction[moving]
+            anchors = targets[active]
+    current[active] = gaps
     return np.linalg.norm(current, axis=1)
 
 
@@ -568,6 +576,10 @@ def orbit_hull_probe(
     evidence of reducibility; small distances everywhere are evidence the
     hull fills the ball. The probes lie in the ball of ``radius`` about the
     origin, so the radius must be finite and positive.
+
+    The generator seeded by ``seed`` draws every word first, in three calls
+    (``_orbit_cloud``), and then, for ``dim > 3``, the random probe grid;
+    for ``dim <= 3`` the grid is the fixed 5-point lattice per axis.
     """
     if action.field != REAL:
         raise ConstructionError("orbit probe is defined for real actions")
@@ -593,32 +605,36 @@ def _orbit_cloud(
     """The origin, then its images under ``budget`` random words.
 
     Each word has a uniform length in [0, max_word_length] and uniform
-    letters, drawn in that order, and is freely reduced. The words are
-    walked in blocks of at most ``_ORBIT_BLOCK_ELEMENTS`` prefix elements,
-    together by letter position: the rows sharing a letter take one stacked
+    letters. The whole budget is drawn in three generator calls, in this
+    order: every length, then every letter's generator, then every letter's
+    inversion (``random() < 0.5``); the letters fill the words row by row.
+    The words are freely reduced by ``_free_reduce_codes`` and walked in
+    blocks of at most ``_ORBIT_BLOCK_ELEMENTS`` prefix elements, together
+    by letter position: the rows sharing a letter take one stacked
     ``Cocycle.step``, so each point has the bits of
     ``action.evaluate(word)(origin)``.
     """
     g = action.presentation.num_generators
     d = action.dim
+    lengths = rng.integers(0, max_word_length + 1, size=budget)
+    total = int(lengths.sum())
+    # letter (gen, sign) as code 2 gen + (sign < 0); -1 past the word's end;
+    # the smallest signed type that holds every code and -2
+    codes = np.full((budget, max_word_length), -1, dtype=np.min_scalar_type(-2 * g - 2))
+    if g and total:
+        letters = rng.integers(0, g, size=total)
+        letters *= 2
+        letters += rng.random(total) < 0.5
+        codes[np.arange(max_word_length) < lengths[:, None]] = letters
+    codes = _free_reduce_codes(codes)
     cloud = np.empty((budget + 1, d))
     cloud[0] = origin
     block = max(1, _ORBIT_BLOCK_ELEMENTS // d**2)
     for start in range(0, budget, block):
         n = min(block, budget - start)
-        # letter (gen, sign) as code 2 gen + (sign < 0); -1 past the word's end
-        codes = np.full((n, max_word_length), -1)
-        for row in range(n):
-            length = int(rng.integers(0, max_word_length + 1))
-            if g and length:
-                letters = tuple(
-                    (int(rng.integers(0, g)), 1 if rng.random() < 0.5 else -1) for _ in range(length)
-                )
-                reduced = [2 * gen + (sign < 0) for gen, sign in Word(letters).letters]
-                codes[row, : len(reduced)] = reduced
         values = np.zeros((n, d))
         prefixes = np.tile(np.eye(d), (n, 1, 1))
-        for column in codes.T:
+        for column in codes[start : start + n].T:
             for code in range(2 * g):
                 rows = np.flatnonzero(column == code)
                 if rows.size:
@@ -628,3 +644,26 @@ def _orbit_cloud(
                     )
         cloud[1 + start : 1 + start + n] = prefixes @ origin + values
     return cloud
+
+
+def _free_reduce_codes(codes: np.ndarray) -> np.ndarray:
+    """Free reduction of every row of a letter-code array, as ``Word`` reduces.
+
+    Codes are ``2 gen + inverse``, so a letter's inverse is ``code ^ 1``;
+    -1 pads each row past its word. One pass over the columns keeps a stack
+    per row: a letter equal to ``top ^ 1`` pops the stack, any other letter
+    is pushed. The reduced words come back left-aligned and padded with -1.
+    """
+    n, width = codes.shape
+    # column 0 is a sentinel (-2 ^ 1 = -1 never equals a letter); top indexes the top letter
+    stack = np.full((n, width + 1), -2, dtype=codes.dtype)
+    top = np.zeros(n, dtype=np.intp)
+    rows = np.arange(n)
+    for column in codes.T:
+        letter = column >= 0
+        pop = letter & (column == stack[rows, top] ^ 1)
+        push = letter & ~pop
+        top += push
+        top -= pop
+        stack[rows[push], top[push]] = column[push]
+    return np.where(np.arange(width) < top[:, None], stack[:, 1:], -1)

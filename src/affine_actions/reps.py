@@ -81,6 +81,7 @@ class Representation:
         self.relator_defects = tuple(frobenius(self.evaluate(r) - eye) for r in presentation.relators)
         self._commutants: dict[ToleranceProfile, tuple[np.ndarray, ...]] = {}  # see commutant_basis
         self._boundaries: dict[ToleranceProfile, RangeSplit] = {}  # see boundary_split
+        self._cohomology: dict[ToleranceProfile, tuple] = {}  # see first_cohomology
         if validate and (failure := validity_report(tol, rep=self).failure):
             raise failure
 
@@ -466,7 +467,9 @@ class CohomologyBasis:
     column to the cocycle-relator bound (``validity_report``) in one product;
     ``relator_defects`` keeps those defects, one (relators, n) array per
     basis, and ``residuals`` the largest over the cocycle basis
-    (``worst_cocycle_relator_defect``).
+    (``worst_cocycle_relator_defect``). The arrays are shared by every
+    caller on the representation, so they are read-only, and ``residuals``
+    is a fresh dict on each access.
 
     ``cocycle_basis``, ``coboundary_basis`` and ``class_representatives``
     are the same columns as tuples of ``Cocycle``, built on first access and
@@ -478,7 +481,10 @@ class CohomologyBasis:
     coboundaries: np.ndarray
     classes: np.ndarray
     relator_defects: tuple[np.ndarray, np.ndarray, np.ndarray]
-    residuals: dict[str, float]
+
+    @property
+    def residuals(self) -> dict[str, float]:
+        return {"worst_cocycle_relator_defect": float(self.relator_defects[0].max(initial=0.0))}
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -518,9 +524,14 @@ def first_cohomology(rep: Representation, tol: ToleranceProfile | None = None) -
 
     All basis columns are certified in one product with the relator
     coefficient matrix; a column over the cocycle-relator bound raises
-    CocycleError.
+    CocycleError. It is solved once per tolerance profile and its arrays
+    are kept on the representation, like ``commutant_basis``; each call
+    wraps them in a new ``CohomologyBasis`` (the representation does not
+    hold one, which would tie the two in a reference cycle).
     """
     tol = tol or rep.tol
+    if (solved := rep._cohomology.get(tol)) is not None:
+        return CohomologyBasis(rep, *solved)
     relators = _relator_coefficient_matrix(rep)
     z_basis = null_space_basis(relators, tol)  # (g*d, nz)
     b_basis = boundary_split(rep, tol).image
@@ -536,9 +547,10 @@ def first_cohomology(rep: Representation, tol: ToleranceProfile | None = None) -
         h_basis = z_basis
 
     defects = _certified_relator_defects(relators, np.hstack([z_basis, b_basis, h_basis]), rep.dim, tol)
-    per_basis = tuple(np.split(defects, [z_basis.shape[1], z_basis.shape[1] + b_basis.shape[1]], axis=1))
-    worst = float(per_basis[0].max(initial=0.0))
-    return CohomologyBasis(rep, z_basis, b_basis, h_basis, per_basis, {"worst_cocycle_relator_defect": worst})
+    ends = [z_basis.shape[1], z_basis.shape[1] + b_basis.shape[1]]
+    per_basis = tuple(np.split(read_only(defects), ends, axis=1))
+    solved = rep._cohomology[tol] = (read_only(z_basis), b_basis, read_only(h_basis), per_basis)
+    return CohomologyBasis(rep, *solved)
 
 
 def commutant_action_on_classes(

@@ -426,21 +426,64 @@ def reference_hull_distance(points: np.ndarray, target: np.ndarray, iterations: 
     return float(np.linalg.norm(current))
 
 
+def reference_batched_hull_distances(points: np.ndarray, targets: np.ndarray, iterations: int = 256) -> np.ndarray:
+    """The batched Frank-Wolfe loop as first written: the active rows are
+    gathered from ``current`` and scattered back on every step. The library's
+    loop must give the same bits."""
+    current = np.empty_like(targets)
+    for i, q in enumerate(targets):
+        gaps = points - q
+        current[i] = gaps[int(np.argmin(np.einsum("ij,ij->i", gaps, gaps)))]
+    active = np.arange(len(targets))
+    for _ in range(iterations):
+        if not active.size:
+            break
+        gaps = current[active]
+        best = points[np.argmin(gaps @ points.T, axis=1)] - targets[active]
+        direction = best - gaps
+        fw_gap = np.einsum("ij,ij->i", gaps, gaps - best)
+        denom = np.einsum("ij,ij->i", direction, direction)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gamma = np.clip(-np.einsum("ij,ij->i", gaps, direction) / denom, 0.0, 1.0)
+        moving = ~(fw_gap <= 1e-14) & (denom != 0.0) & (gamma > 0.0)
+        active = active[moving]
+        current[active] = gaps[moving] + gamma[moving, None] * direction[moving]
+    return np.linalg.norm(current, axis=1)
+
+
+def draw_orbit_words(
+    rng: np.random.Generator, budget: int, num_generators: int, max_word_length: int = 12
+) -> list[tuple[tuple[int, int], ...]]:
+    """The orbit probe's random words, unreduced, as tuples of (gen, +-1).
+
+    Three generator calls, as the library makes them: every length, then
+    every letter's generator, then every letter's inversion
+    (``random() < 0.5``); a plain loop deals the letters to the words in order.
+    """
+    lengths = rng.integers(0, max_word_length + 1, size=budget).tolist()
+    total = sum(lengths)
+    if not (num_generators and total):
+        return [()] * budget
+    gens = rng.integers(0, num_generators, size=total).tolist()
+    inverse = (rng.random(total) < 0.5).tolist()
+    words, start = [], 0
+    for length in lengths:
+        letters = zip(gens[start : start + length], inverse[start : start + length])
+        words.append(tuple((gen, -1 if inv else 1) for gen, inv in letters))
+        start += length
+    return words
+
+
 def reference_orbit_hull_probe(
     action: AffineAction, origin, budget: int, radius: float, seed: int, max_word_length: int = 12
 ) -> OrbitHullReport:
-    """The orbit probe with one Frank-Wolfe loop per probe: the same random
-    words and probe grid, drawn in the same order, as the library."""
+    """The orbit probe with one ``action.evaluate`` per word and one
+    Frank-Wolfe loop per probe: the same random words and probe grid, drawn
+    in the same order, as the library."""
     rng = np.random.default_rng(seed)
-    g = action.presentation.num_generators
-    points = [np.asarray(origin, dtype=float)]
-    for _ in range(budget):
-        length = int(rng.integers(0, max_word_length + 1))
-        letters = ()
-        if g and length:
-            letters = tuple((int(rng.integers(0, g)), 1 if rng.random() < 0.5 else -1) for _ in range(length))
-        points.append(action.evaluate(Word(letters))(points[0]))
-    cloud = np.array(points)
+    origin = np.asarray(origin, dtype=float)
+    words = draw_orbit_words(rng, budget, action.presentation.num_generators, max_word_length)
+    cloud = np.array([origin] + [action.evaluate(Word(letters))(origin) for letters in words])
     axis = np.linspace(-radius, radius, 5)
     if action.dim <= 3:
         grid = np.array(list(itertools.product(axis, repeat=action.dim)))
@@ -449,7 +492,7 @@ def reference_orbit_hull_probe(
         grid *= radius * rng.random((200, 1)) ** (1.0 / action.dim) / np.linalg.norm(grid, axis=1, keepdims=True)
     grid = grid[np.linalg.norm(grid, axis=1) <= radius + 1e-12]
     probes = tuple(ProbeResult(tuple(float(c) for c in q), reference_hull_distance(cloud, q)) for q in grid)
-    return OrbitHullReport(len(points), probes)
+    return OrbitHullReport(len(cloud), probes)
 
 
 # -- reference cocycle search ----------------------------------------------

@@ -42,6 +42,7 @@ from helpers import (
     _lattice_word,
     TOL,
     dihedral_group,
+    draw_orbit_words,
     free_abelian_group,
     heisenberg_group,
     permuted,
@@ -49,6 +50,7 @@ from helpers import (
     random_field_vector,
     random_heisenberg_rep,
     random_isometry,
+    reference_batched_hull_distances,
     reference_orbit_hull_probe,
     reference_quadratic_form_test,
     total_random_abelian_action,
@@ -669,15 +671,8 @@ def test_psi_grid_equals_one_extend_per_point(k, reach, field):
 def per_word_cloud(action: AffineAction, origin, budget: int, seed: int, max_word_length: int = 12):
     """One ``action.evaluate`` per word, drawn as the orbit probe draws them."""
     rng = np.random.default_rng(seed)
-    g = action.presentation.num_generators
-    points = [origin]
-    for _ in range(budget):
-        length = int(rng.integers(0, max_word_length + 1))
-        letters = ()
-        if g and length:
-            letters = tuple((int(rng.integers(0, g)), 1 if rng.random() < 0.5 else -1) for _ in range(length))
-        points.append(action.evaluate(Word(letters))(origin))
-    return np.array(points)
+    words = draw_orbit_words(rng, budget, action.presentation.num_generators, max_word_length)
+    return np.array([origin] + [action.evaluate(Word(letters))(origin) for letters in words])
 
 
 @pytest.mark.parametrize("words_per_block", [None, 1, 7])
@@ -705,6 +700,83 @@ def test_orbit_probe_one_word_past_a_whole_block():
     assert [p.point for p in report.probes] == [p.point for p in reference.probes]
     for probe, expected in zip(report.probes, reference.probes):
         assert abs(probe.hull_distance - expected.hull_distance) <= 1e-9
+
+
+def letter_codes(letters) -> list[int]:
+    return [2 * gen + (sign < 0) for gen, sign in letters]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 6])
+def test_free_reduce_codes_equals_word_reduction(g):
+    rng = np.random.default_rng(500 + g)
+    width = 12
+    a, b = 0, g - 1
+    words = [
+        (),
+        tuple((int(rng.integers(0, g)), 1) for _ in range(width)),
+        # a b b^-1 a^-1 cancels fully; longer words with nested pairs reduce to b and to nothing
+        ((a, 1), (b, 1), (b, -1), (a, -1)),
+        ((a, -1), (b, 1), (b, 1), (b, -1), (b, -1), (a, 1), (b, 1)),
+        ((b, 1), (a, 1), (b, -1), (b, 1), (a, -1), (a, 1), (b, 1), (b, -1), (a, -1), (b, -1)),
+    ]
+    half = tuple((int(rng.integers(0, g)), int(rng.choice([1, -1]))) for _ in range(width // 2))
+    words.append(half + tuple((gen, -sign) for gen, sign in reversed(half)))
+    for _ in range(300):
+        length = int(rng.integers(0, width + 1))
+        words.append(tuple((int(rng.integers(0, g)), int(rng.choice([1, -1]))) for _ in range(length)))
+    codes = np.full((len(words), width), -1)
+    expected = np.full((len(words), width), -1)
+    for row, letters in enumerate(words):
+        codes[row, : len(letters)] = letter_codes(letters)
+        reduced = letter_codes(Word(letters).letters)
+        expected[row, : len(reduced)] = reduced
+    assert (expected[[0, 2, 4, 5]] == -1).all() and (expected[3, 1:] == -1).all()
+    assert np.array_equal(constructions._free_reduce_codes(codes), expected)
+
+
+def test_orbit_cloud_without_generators_is_the_origin_repeated():
+    rep = Representation(GroupPresentation([]), "real", [], dim=2)
+    action = AffineAction.from_values(rep, [])
+    origin = np.array([1.5, -2.0])
+    cloud = _orbit_cloud(action, origin, 40, np.random.default_rng(3), 12)
+    assert np.array_equal(cloud, np.tile(origin, (41, 1)))
+    assert np.array_equal(cloud, per_word_cloud(action, origin, 40, 3))
+
+
+class CountingGenerator:
+    """Forwards ``integers`` and ``random`` to a seeded generator and counts the calls."""
+
+    def __init__(self, seed: int) -> None:
+        self.rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+    def random(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.random(*args, **kwargs)
+
+
+def test_orbit_cloud_draws_every_word_in_at_most_three_calls():
+    action = cubic_lattice_action(3)
+    calls = []
+    for budget in (10, 1000):
+        rng = CountingGenerator(11)
+        _orbit_cloud(action, np.zeros(3), budget, rng, 12)
+        calls.append(rng.calls)
+    assert calls[0] == calls[1] <= 3
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+def test_hull_distances_equal_the_gather_every_step_loop(case):
+    build, budget, radius, seed = ORBIT_CASES[case]
+    action = build()
+    rng = np.random.default_rng(seed)
+    cloud = _orbit_cloud(action, np.zeros(action.dim), budget, rng, 12)
+    grid = constructions._probe_grid(action.dim, radius, rng)
+    assert np.array_equal(_hull_distances(cloud, grid), reference_batched_hull_distances(cloud, grid))
 
 
 def scan_order(k: int, window: int) -> dict[tuple[int, ...], int]:

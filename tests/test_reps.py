@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -287,6 +290,77 @@ def test_boundary_split_is_one_read_only_thin_svd():
     assert np.array_equal(split.image, orthonormal_columns(boundary))
     assert split.kernel.shape == (3, 1) and abs(abs(split.kernel[2, 0]) - 1.0) < 1e-15
     assert np.allclose(split.pinv, np.linalg.pinv(boundary), atol=1e-14)
+
+
+def test_a_representation_with_filled_caches_is_freed_by_reference_counting():
+    # the caches hold arrays only: no cycle keeps a dropped representation
+    # (and everything solved on it) alive until the cyclic collector runs
+    rep = Representation(dihedral_group(), "real", [np.eye(1), -np.eye(1)])
+    gc.disable()
+    try:
+        first_cohomology(rep)
+        search_irreducible_cocycle(rep, trials=2, seed=0)
+        ref = weakref.ref(rep)
+        del rep
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def counting_relator_solves(monkeypatch, rep: Representation) -> list:
+    """Record every null-space solve of the relator coefficient matrix of ``rep``."""
+    from affine_actions import reps
+
+    relators = reps._relator_coefficient_matrix(rep)
+    calls, solve = [], reps.null_space_basis
+
+    def counted(matrix, *args, **kwargs):
+        if matrix.shape == relators.shape and np.array_equal(matrix, relators):
+            calls.append(matrix.shape)
+        return solve(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(reps, "null_space_basis", counted)
+    return calls
+
+
+def cohomology_arrays(basis) -> tuple[np.ndarray, ...]:
+    return (basis.cocycles, basis.coboundaries, basis.classes, *basis.relator_defects)
+
+
+def test_cohomology_is_solved_once_per_representation(monkeypatch):
+    # the character t -> 1, s -> -1 of the infinite dihedral group: H^1 is one class
+    rep = Representation(dihedral_group(), "real", [np.eye(1), -np.eye(1)])
+    calls = counting_relator_solves(monkeypatch, rep)
+    basis = first_cohomology(rep)
+    assert basis.dims == (2, 1, 1) and len(calls) == 1
+    assert search_irreducible_cocycle(rep, trials=5, seed=1).found
+    assert search_irreducible_cocycle(rep, trials=5, seed=2).found
+    again = first_cohomology(rep, TOL)
+    assert all(a is b for a, b in zip(cohomology_arrays(again), cohomology_arrays(basis), strict=True))
+    assert len(calls) == 1
+
+
+def test_cohomology_cache_is_keyed_by_tolerance(monkeypatch):
+    rep = random_dihedral_rep(3, "complex", np.random.default_rng(5))
+    calls = counting_relator_solves(monkeypatch, rep)
+    loose = ToleranceProfile(eps_rank=1e-6)
+    default, other = first_cohomology(rep), first_cohomology(rep, loose)
+    assert other.classes is not default.classes and other.dims == default.dims
+    assert first_cohomology(rep).classes is default.classes
+    assert first_cohomology(rep, loose).classes is other.classes
+    assert len(calls) == 2
+
+
+def test_cached_cohomology_cannot_be_changed_by_a_caller():
+    rep = doubled_rep(random_free_rep(f2_group(), 2, "complex", RNG))
+    basis = first_cohomology(rep)
+    for array in cohomology_arrays(basis):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[...] = 0.0
+    worst = basis.residuals["worst_cocycle_relator_defect"]
+    basis.residuals["worst_cocycle_relator_defect"] = 1.0
+    assert first_cohomology(rep).residuals == {"worst_cocycle_relator_defect": worst}
 
 
 def rho_sum(rho: Representation, copies: int) -> Representation:
