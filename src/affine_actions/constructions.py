@@ -48,16 +48,16 @@ _SCAN_BLOCK_ELEMENTS = 4096
 _ORBIT_BLOCK_ELEMENTS = 1 << 16
 
 
-def _positive_int(name: str, value) -> int:
-    """``value`` as a plain int >= 1; bools and non-integral numbers are refused."""
+def _int_at_least(name: str, value, minimum: int) -> int:
+    """``value`` as a plain int >= minimum; bools and non-integral numbers are refused."""
     try:
         if isinstance(value, bool):
             raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ConstructionError(f"{name} must be an integer, got {value!r}") from None
-    if value < 1:
-        raise ConstructionError(f"{name} must be >= 1")
+    if value < minimum:
+        raise ConstructionError(f"{name} must be >= {minimum}")
     return value
 
 
@@ -364,7 +364,7 @@ def quadratic_form_test(
     presentation = action.presentation
     if not is_free_abelian(presentation):
         raise ConstructionError("quadratic form test requires a free abelian presentation")
-    window = _positive_int("window", window)
+    window = _int_at_least("window", window, 1)
     k = presentation.num_generators
     s = unit_scale(tol, action)
     cocycle = Cocycle(
@@ -497,8 +497,10 @@ class ProbeResult:
 class OrbitHullReport:
     """Monte-Carlo evidence about the convex hull of one orbit.
 
-    Distances come from an iterative nearest-point scheme and are evidence
-    only; they never prove that orbits are enveloping.
+    Each distance is the exact distance from a probe to the convex hull of
+    the sampled orbit (Wolfe's min-norm-point method, up to roundoff). The
+    sample is random, so the distances are evidence only; they never prove
+    that orbits are enveloping.
     """
 
     orbit_size: int
@@ -513,52 +515,140 @@ class OrbitHullReport:
         return float(np.mean([p.hull_distance for p in self.probes])) if self.probes else 0.0
 
 
-def _hull_distances(points: np.ndarray, targets: np.ndarray, iterations: int = 256) -> np.ndarray:
-    """Distance from each target to conv(points) by Frank-Wolfe iteration.
+# Wolfe's stop rule: a target is done when ||x||^2 - <x, y_s> <= _HULL_STOP *
+# max_j ||y_j||^2, with x its nearest point so far and y_s the best vertex,
+# both taken relative to the target at unit scale; and a safety cap on the
+# major cycles of one target (the method ends in finitely many, 3-12 on
+# orbit clouds)
+_HULL_STOP = 1e-12
+_HULL_MAJOR_CYCLES = 256
 
-    All targets iterate together: one (active targets) x (points) score
-    matrix per step. Each target starts at its nearest point and stops on
-    its own when no vertex improves it (Frank-Wolfe gap <= 1e-14), when the
-    step direction vanishes, when the step length is 0, or at the cap. The
-    active block ``gaps`` is updated in place while every target in it
-    moves; it is written back and gathered anew only when some target stops.
+
+def _hull_distances(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Distance from each target to conv(points) (see ``_min_norm_points``)."""
+    return _min_norm_points(points, targets)[0]
+
+
+def _min_norm_points(points: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Wolfe's min-norm-point method for every target: (distances, corral, weights).
+
+    P. Wolfe, "Finding the nearest point in a polytope", Math. Programming
+    11 (1976). Relative to a target q the vertices are y_j = p_j - q, and
+    x = sum_k w_k y_k is a convex combination of a *corral* of at most d + 1
+    affinely independent vertices. A major cycle scores every vertex by
+    <x, y_j> (one (active targets) x (points) matrix for all targets), stops
+    the target by ``_HULL_STOP``, when the best vertex is already in its
+    corral, or at ``_HULL_MAJOR_CYCLES``, and otherwise adds that vertex. A
+    minor cycle solves, for every target that needs one at once, the KKT
+    system [[Y Y^T, 1], [1^T, 0]] of the corral's affine minimizer (empty
+    slots of the padded (n, d + 2) corral are identity rows); when a weight
+    is <= 0 it steps back to the boundary of the corral and drops the vertex
+    that reached it. The problem is solved at unit scale (centred on the
+    middle of the bounding box of points and targets, divided by its largest
+    half-width), so the Gram matrices neither overflow nor underflow and the
+    distances are equivariant under (P, Q) -> (lam P + c, lam Q + c).
+
+    Row i of ``corral`` (point indices) and ``weights`` (0 on empty slots)
+    gives the nearest point sum_k weights[i, k] points[corral[i, k]].
     """
-    current = np.empty_like(targets)
-    for i, q in enumerate(targets):
-        gaps = points - q
-        current[i] = gaps[int(np.argmin(np.einsum("ij,ij->i", gaps, gaps)))]
-    active = np.arange(len(targets))
-    gaps, anchors = current, targets
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(iterations):
-            if not active.size:
-                break
-            # argmin over vertices of (p - q) . gap; q . gap is constant per row
-            best = points[np.argmin(gaps @ points.T, axis=1)] - anchors
-            direction = best - gaps
-            fw_gap = np.einsum("ij,ij->i", gaps, gaps - best)
-            denom = np.einsum("ij,ij->i", direction, direction)
-            gamma = np.clip(-np.einsum("ij,ij->i", gaps, direction) / denom, 0.0, 1.0)
-            moving = ~(fw_gap <= 1e-14) & (denom != 0.0) & (gamma > 0.0)
-            if moving.all():
-                gaps += gamma[:, None] * direction
-                continue
-            current[active] = gaps
-            active = active[moving]
-            gaps = gaps[moving] + gamma[moving, None] * direction[moving]
-            anchors = targets[active]
-    current[active] = gaps
-    return np.linalg.norm(current, axis=1)
+    n, d = targets.shape
+    corral = np.zeros((n, d + 2), dtype=np.intp)
+    weights = np.zeros((n, d + 2))
+    weights[:, 0] = 1.0
+    if not n:
+        return np.zeros(0), corral, weights
+    lo = np.minimum(points.min(axis=0), targets.min(axis=0)) / 2
+    hi = np.maximum(points.max(axis=0), targets.max(axis=0)) / 2
+    scale = float(np.max(hi - lo, initial=0.0))
+    if not scale > 0.0:
+        return np.zeros(n), corral, weights
+    points = points - (lo + hi)
+    points /= scale
+    targets = targets - (lo + hi)
+    targets /= scale
+    # squared distances |p - q|^2 by expansion: the start vertex and the stop scale
+    sq = targets @ points.T
+    sq *= -2.0
+    sq += np.einsum("ij,ij->i", targets, targets)[:, None]
+    sq += np.einsum("ij,ij->i", points, points)
+    tol = _HULL_STOP * sq.max(axis=1)
+    corral[:, 0] = np.argmin(sq, axis=1)
+    del sq
+    inside = np.zeros((n, d + 2), dtype=bool)
+    inside[:, 0] = True
+    nearest = points[corral[:, 0]] - targets
+    active = np.arange(n)
+    for _ in range(_HULL_MAJOR_CYCLES):
+        x = nearest[active]
+        # <x, p_j - q> = <x, p_j> - <x, q>, and <x, q> does not move the argmin
+        best = np.argmin(x @ points.T, axis=1)
+        gap = np.einsum("ij,ij->i", x, x - (points[best] - targets[active]))
+        known = ((corral[active] == best[:, None]) & inside[active]).any(axis=1)
+        go = (gap > tol[active]) & ~known
+        active, best = active[go], best[go]
+        if not active.size:
+            break
+        slot = np.argmin(inside[active], axis=1)
+        corral[active, slot] = best
+        inside[active, slot] = True
+        _minor_cycles(points, targets, corral, weights, inside, active)
+        vertices = points[corral[active]] - targets[active, None, :]
+        nearest[active] = np.einsum("ik,ikj->ij", weights[active], vertices)
+    return np.linalg.norm(nearest, axis=1) * scale, corral, weights
+
+
+def _minor_cycles(points, targets, corral, weights, inside, rows) -> None:
+    """Wolfe's minor cycles for the given rows, updating their corrals in place.
+
+    Each pass solves the affine minimizers of all rows still in the loop
+    with one batched solve. A row whose minimizer has positive weights on
+    its whole corral takes them and leaves; the others move from their
+    convex weights toward the minimizer until a weight reaches 0, drop that
+    vertex (and any other weight that is not positive) and go round again.
+    """
+    k = corral.shape[1]
+    diag = np.arange(k)
+    while rows.size:
+        mask = inside[rows]
+        vertices = points[corral[rows]] - targets[rows, None, :]
+        kkt = np.zeros((rows.size, k + 1, k + 1))
+        kkt[:, :k, :k] = vertices @ vertices.transpose(0, 2, 1)
+        kkt[:, :k, :k] *= mask[:, :, None] & mask[:, None, :]
+        kkt[:, diag, diag] += ~mask
+        kkt[:, :k, k] = mask
+        kkt[:, k, :k] = mask
+        rhs = np.zeros((rows.size, k + 1, 1))
+        rhs[:, k] = 1.0
+        affine = np.linalg.solve(kkt, rhs)[:, :k, 0]
+        low = mask & (affine <= 0.0)
+        done = ~low.any(axis=1)
+        weights[rows[done]] = np.where(mask[done], affine[done], 0.0)
+        rows, affine, low = rows[~done], affine[~done], low[~done]
+        current = weights[rows]
+        # the step theta = min w_i / (w_i - a_i) over the weights a_i <= 0; a
+        # zero denominator means w_i = a_i = 0, a step of 0
+        step = current - affine
+        ratio = np.divide(current, step, out=np.zeros_like(current), where=step > 0.0)
+        ratio[~low] = np.inf
+        blocking = np.argmin(ratio, axis=1)
+        theta = ratio[np.arange(rows.size), blocking][:, None]
+        current = theta * affine + (1.0 - theta) * current
+        current[np.arange(rows.size), blocking] = 0.0
+        inside[rows] &= current > 0.0
+        weights[rows] = np.where(inside[rows], current, 0.0)
 
 
 def _probe_grid(dim: int, radius: float, rng: np.random.Generator) -> np.ndarray:
+    """The probes in the ball of ``radius``: the 5-point lattice per axis for
+    ``dim <= 3``, else 200 uniform random points. The ball is tested at unit
+    scale, so no squared coordinate overflows or underflows."""
     axis = np.linspace(-radius, radius, 5)
     if dim <= 3:
         grid = np.array(list(itertools.product(axis, repeat=dim)))
     else:
         grid = rng.standard_normal((200, dim))
         grid *= radius * rng.random((200, 1)) ** (1.0 / dim) / np.linalg.norm(grid, axis=1, keepdims=True)
-    return grid[np.linalg.norm(grid, axis=1) <= radius + 1e-12]
+    return grid[np.linalg.norm(grid / radius, axis=1) <= 1.0 + 1e-12]
 
 
 def orbit_hull_probe(
@@ -575,17 +665,25 @@ def orbit_hull_probe(
     persistent positive distances inside the sampled ball are (Monte-Carlo)
     evidence of reducibility; small distances everywhere are evidence the
     hull fills the ball. The probes lie in the ball of ``radius`` about the
-    origin, so the radius must be finite and positive.
+    origin, so the radius must be positive and the probe axis
+    ``linspace(-radius, radius, 5)`` finite (a radius above about 4.5e307
+    overflows it). ``max_word_length`` is a non-negative integer; at 0 every
+    orbit point is the origin.
 
     The generator seeded by ``seed`` draws every word first, in three calls
     (``_orbit_cloud``), and then, for ``dim > 3``, the random probe grid;
-    for ``dim <= 3`` the grid is the fixed 5-point lattice per axis.
+    for ``dim <= 3`` the grid is the fixed 5-point lattice per axis. Each
+    probe's distance to the hull of the whole sample is solved exactly by
+    ``_hull_distances``.
     """
     if action.field != REAL:
         raise ConstructionError("orbit probe is defined for real actions")
-    budget = _positive_int("budget", budget)
-    if not (np.isfinite(radius) and radius > 0):
-        raise ConstructionError(f"radius must be finite and > 0, got {radius}")
+    budget = _int_at_least("budget", budget, 1)
+    max_word_length = _int_at_least("max_word_length", max_word_length, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        axis_finite = np.isfinite(np.linspace(-radius, radius, 5)).all()
+    if not (radius > 0 and axis_finite):
+        raise ConstructionError(f"radius must be > 0 with a finite probe axis, got {radius}")
     origin = as_field_array(origin, REAL)
     if origin.shape != (action.dim,):
         raise ConstructionError(f"origin has shape {origin.shape}, expected ({action.dim},)")

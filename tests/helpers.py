@@ -408,7 +408,8 @@ def reference_quadratic_form_test(action: AffineAction, window: int = 3, tol: To
 
 
 def reference_hull_distance(points: np.ndarray, target: np.ndarray, iterations: int = 256) -> float:
-    """Distance from one target to conv(points) by Frank-Wolfe iteration."""
+    """Distance from one target to conv(points) by Frank-Wolfe iteration: an
+    upper bound on the exact distance, since every iterate is a hull point."""
     gaps = points - target
     current = gaps[int(np.argmin(np.einsum("ij,ij->i", gaps, gaps)))]
     for _ in range(iterations):
@@ -427,9 +428,9 @@ def reference_hull_distance(points: np.ndarray, target: np.ndarray, iterations: 
 
 
 def reference_batched_hull_distances(points: np.ndarray, targets: np.ndarray, iterations: int = 256) -> np.ndarray:
-    """The batched Frank-Wolfe loop as first written: the active rows are
-    gathered from ``current`` and scattered back on every step. The library's
-    loop must give the same bits."""
+    """The batched Frank-Wolfe loop the orbit probe once used, capped at 256
+    steps: the active rows are gathered from ``current`` and scattered back on
+    every step. Like ``reference_hull_distance`` it gives upper bounds."""
     current = np.empty_like(targets)
     for i, q in enumerate(targets):
         gaps = points - q
@@ -449,6 +450,57 @@ def reference_batched_hull_distances(points: np.ndarray, targets: np.ndarray, it
         active = active[moving]
         current[active] = gaps[moving] + gamma[moving, None] * direction[moving]
     return np.linalg.norm(current, axis=1)
+
+
+def lawson_hanson(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin ||a x - b|| over x >= 0 by Lawson and Hanson's active-set method
+    ("Solving Least Squares Problems", 1974, ch. 23), with ``lstsq`` on the
+    passive columns."""
+    m, n = a.shape
+    tol = 10 * max(m, n) * np.finfo(float).eps
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    for _ in range(3 * n):
+        dual = a.T @ (b - a @ x)
+        dual[passive] = -np.inf
+        j = int(np.argmax(dual))
+        if dual[j] <= tol:
+            break
+        passive[j] = True
+        while True:
+            z = np.zeros(n)
+            z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            if (z[passive] > 0).all():
+                break
+            low = passive & (z <= 0)
+            step = x[low] - z[low]
+            alpha = np.min(np.divide(x[low], step, out=np.zeros_like(step), where=step > 0))
+            x = x + alpha * (z - x)
+            passive &= x > 0
+            x[~passive] = 0.0
+        x = z
+    return x
+
+
+def reference_nnls_hull_distance(points: np.ndarray, target: np.ndarray) -> float:
+    """Exact distance from one target to conv(points), independent of the
+    library's method: with y_j = (p_j - q) / s, the nonnegative least-squares
+    problem min ||[Y^T; 1^T] mu - [0; 1]|| over mu >= 0 has the solution
+    mu = t lambda*, with lambda* the convex weights of the nearest hull point
+    and t = 1 / (1 + |x*|^2), so the distance is s ||Y^T mu|| / sum(mu).
+    The dual test of ``lawson_hanson`` is absolute, so a distance below
+    about 3e-7 s may come out too large (s is the largest coordinate of
+    p_j - q); the orbit test cases are far from that regime."""
+    gaps = points - target
+    scale = float(np.abs(gaps).max(initial=0.0))
+    if scale == 0.0:
+        return 0.0
+    gaps = gaps / scale
+    a = np.vstack([gaps.T, np.ones(len(gaps))])
+    b = np.zeros(len(a))
+    b[-1] = 1.0
+    mu = lawson_hanson(a, b)
+    return float(np.linalg.norm(gaps.T @ mu) / mu.sum()) * scale
 
 
 def draw_orbit_words(
@@ -478,8 +530,9 @@ def reference_orbit_hull_probe(
     action: AffineAction, origin, budget: int, radius: float, seed: int, max_word_length: int = 12
 ) -> OrbitHullReport:
     """The orbit probe with one ``action.evaluate`` per word and one
-    Frank-Wolfe loop per probe: the same random words and probe grid, drawn
-    in the same order, as the library."""
+    nonnegative least-squares solve per probe (``reference_nnls_hull_distance``):
+    the same random words and probe grid, drawn in the same order, as the
+    library."""
     rng = np.random.default_rng(seed)
     origin = np.asarray(origin, dtype=float)
     words = draw_orbit_words(rng, budget, action.presentation.num_generators, max_word_length)
@@ -491,7 +544,7 @@ def reference_orbit_hull_probe(
         grid = rng.standard_normal((200, action.dim))
         grid *= radius * rng.random((200, 1)) ** (1.0 / action.dim) / np.linalg.norm(grid, axis=1, keepdims=True)
     grid = grid[np.linalg.norm(grid, axis=1) <= radius + 1e-12]
-    probes = tuple(ProbeResult(tuple(float(c) for c in q), reference_hull_distance(cloud, q)) for q in grid)
+    probes = tuple(ProbeResult(tuple(float(c) for c in q), reference_nnls_hull_distance(cloud, q)) for q in grid)
     return OrbitHullReport(len(cloud), probes)
 
 

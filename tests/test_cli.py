@@ -371,8 +371,9 @@ def test_verify_passes_iff_build_action_succeeds(tmp_path, capsys):
             assert [name for name, ok in doc["checks"].items() if not ok] == [failing[path]]
 
 
-@pytest.mark.parametrize("radius", ["-1", "0", "nan"])
+@pytest.mark.parametrize("radius", ["-1", "0", "nan", "1e308"])
 def test_orbit_probe_refuses_radius_that_is_not_finite_and_positive(radius, capsys):
+    # at 1e308 the probe axis linspace(-r, r, 5) overflows, which left no probe
     code, doc = run_machine(["orbit-probe", FIXTURES / "glide.json", "--radius", radius], capsys)
     assert code == 12 and doc["verdict"] == "error"
     assert "radius" in doc["error"]

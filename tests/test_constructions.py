@@ -28,7 +28,9 @@ from affine_actions.actions import unit_scale
 from affine_actions import constructions
 from affine_actions.constructions import (
     ConstructionError,
+    _HULL_STOP,
     _hull_distances,
+    _min_norm_points,
     _orbit_cloud,
     _psi_grid,
     fixture_class,
@@ -51,12 +53,18 @@ from helpers import (
     random_heisenberg_rep,
     random_isometry,
     reference_batched_hull_distances,
+    reference_hull_distance,
+    reference_nnls_hull_distance,
     reference_orbit_hull_probe,
     reference_quadratic_form_test,
     total_random_abelian_action,
     z2_group,
     z_group,
 )
+
+# an overflow or invalid value in the orbit probe fails the test instead of
+# hiding behind a finite-looking or infinite distance
+WARNINGS_FAIL = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 RNG = np.random.default_rng(37)
 
@@ -404,6 +412,7 @@ def test_heisenberg_random_actions_never_irreducible_with_nontrivial_linear_part
         assert not (verdict.irreducible and worst > 1e-8)
 
 
+@WARNINGS_FAIL
 def test_orbit_probe_glide_sees_bounded_vertical_hull():
     report = orbit_hull_probe(glide_action(), np.zeros(2), budget=150, radius=5.0, seed=5)
     far = [p for p in report.probes if abs(p.point[1] - 1.0) > 2.0]
@@ -411,17 +420,20 @@ def test_orbit_probe_glide_sees_bounded_vertical_hull():
     assert all(p.hull_distance > 0.5 for p in far)
 
 
+@WARNINGS_FAIL
 def test_orbit_probe_translations_fill_the_line():
     report = orbit_hull_probe(z_translation_action(), np.zeros(1), budget=150, radius=5.0, seed=5)
     assert report.max_distance < 1e-6
 
 
+@WARNINGS_FAIL
 def test_orbit_probe_fixed_point_action_measures_plain_distance():
     report = orbit_hull_probe(z_translation_action(value=0.0), np.zeros(1), budget=5, radius=3.0, seed=1)
     for probe in report.probes:
         assert abs(probe.hull_distance - abs(probe.point[0])) < 1e-9
 
 
+@WARNINGS_FAIL
 def test_orbit_probe_induced_action_stays_on_diagonal():
     # the induced C2xZ action moves the origin only along the diagonal, so
     # off-diagonal probes stay far from the hull
@@ -432,11 +444,13 @@ def test_orbit_probe_induced_action_stays_on_diagonal():
     assert all(p.hull_distance > 1.0 for p in off_diagonal)
 
 
+@WARNINGS_FAIL
 def test_orbit_probe_rejects_complex_actions():
     with pytest.raises(ConstructionError):
         orbit_hull_probe(dihedral_action(), np.zeros(1), budget=5, radius=1.0)
 
 
+@WARNINGS_FAIL
 @pytest.mark.parametrize("radius", [-1.0, 0.0, float("nan"), float("inf"), -float("inf")])
 def test_orbit_probe_refuses_radius_that_is_not_finite_and_positive(radius):
     # such a ball holds no probe (or only the origin), so the report would
@@ -445,7 +459,7 @@ def test_orbit_probe_refuses_radius_that_is_not_finite_and_positive(radius):
         orbit_hull_probe(glide_action(), np.zeros(2), budget=5, radius=radius)
 
 
-# -- lattice scans: ψ walk and row scan, batched Frank-Wolfe ------------------
+# -- lattice scans: ψ walk and row scan; orbit probes against NNLS ------------
 
 
 def spanning_translations(k: int, field: str, rng) -> AffineAction:
@@ -623,6 +637,7 @@ ORBIT_CASES = {
 }
 
 
+@WARNINGS_FAIL
 @pytest.mark.parametrize("case", sorted(ORBIT_CASES))
 def test_orbit_probe_matches_per_probe_reference(case):
     build, budget, radius, seed = ORBIT_CASES[case]
@@ -633,7 +648,7 @@ def test_orbit_probe_matches_per_probe_reference(case):
         assert reference.probes == () and reference.orbit_size == budget + 1
         with pytest.raises(ConstructionError, match="radius"):
             orbit_hull_probe(action, origin, budget=budget, radius=radius, seed=seed)
-        # the batched Frank-Wolfe loop still takes an empty set of targets
+        # the hull solve still takes an empty set of targets
         cloud = origin[None, :]
         assert _hull_distances(cloud, np.zeros((0, action.dim))).shape == (0,)
         return
@@ -641,7 +656,7 @@ def test_orbit_probe_matches_per_probe_reference(case):
     assert report.orbit_size == reference.orbit_size == budget + 1
     assert [p.point for p in report.probes] == [p.point for p in reference.probes]
     for probe, expected in zip(report.probes, reference.probes):
-        assert abs(probe.hull_distance - expected.hull_distance) <= 1e-9
+        assert abs(probe.hull_distance - expected.hull_distance) <= 1e-12 * (radius + expected.hull_distance)
     if case == "zero-cocycle":
         assert all(p.hull_distance == abs(p.point[0]) for p in report.probes)
 
@@ -675,6 +690,7 @@ def per_word_cloud(action: AffineAction, origin, budget: int, seed: int, max_wor
     return np.array([origin] + [action.evaluate(Word(letters))(origin) for letters in words])
 
 
+@WARNINGS_FAIL
 @pytest.mark.parametrize("words_per_block", [None, 1, 7])
 @pytest.mark.parametrize("case", sorted(ORBIT_CASES))
 def test_orbit_cloud_equals_one_evaluate_per_word(case, words_per_block, monkeypatch):
@@ -687,6 +703,7 @@ def test_orbit_cloud_equals_one_evaluate_per_word(case, words_per_block, monkeyp
         assert np.array_equal(cloud, per_word_cloud(action, origin, budget, seed))
 
 
+@WARNINGS_FAIL
 def test_orbit_probe_one_word_past_a_whole_block():
     action = cubic_lattice_action(6)
     block = constructions._ORBIT_BLOCK_ELEMENTS // action.dim**2
@@ -699,7 +716,7 @@ def test_orbit_probe_one_word_past_a_whole_block():
     assert report.orbit_size == reference.orbit_size == budget + 1
     assert [p.point for p in report.probes] == [p.point for p in reference.probes]
     for probe, expected in zip(report.probes, reference.probes):
-        assert abs(probe.hull_distance - expected.hull_distance) <= 1e-9
+        assert abs(probe.hull_distance - expected.hull_distance) <= 1e-12 * (3.0 + expected.hull_distance)
 
 
 def letter_codes(letters) -> list[int]:
@@ -734,6 +751,7 @@ def test_free_reduce_codes_equals_word_reduction(g):
     assert np.array_equal(constructions._free_reduce_codes(codes), expected)
 
 
+@WARNINGS_FAIL
 def test_orbit_cloud_without_generators_is_the_origin_repeated():
     rep = Representation(GroupPresentation([]), "real", [], dim=2)
     action = AffineAction.from_values(rep, [])
@@ -759,6 +777,7 @@ class CountingGenerator:
         return self.rng.random(*args, **kwargs)
 
 
+@WARNINGS_FAIL
 def test_orbit_cloud_draws_every_word_in_at_most_three_calls():
     action = cubic_lattice_action(3)
     calls = []
@@ -769,14 +788,159 @@ def test_orbit_cloud_draws_every_word_in_at_most_three_calls():
     assert calls[0] == calls[1] <= 3
 
 
-@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
-def test_hull_distances_equal_the_gather_every_step_loop(case):
+def orbit_case_problem(case: str) -> tuple[np.ndarray, np.ndarray]:
+    """The orbit cloud and probe grid of one ``ORBIT_CASES`` entry, drawn as
+    the orbit probe draws them."""
     build, budget, radius, seed = ORBIT_CASES[case]
     action = build()
     rng = np.random.default_rng(seed)
     cloud = _orbit_cloud(action, np.zeros(action.dim), budget, rng, 12)
-    grid = constructions._probe_grid(action.dim, radius, rng)
-    assert np.array_equal(_hull_distances(cloud, grid), reference_batched_hull_distances(cloud, grid))
+    return cloud, constructions._probe_grid(action.dim, radius, rng)
+
+
+# the orbit cases whose radius the probe accepts
+HULL_CASES = sorted(set(ORBIT_CASES) - {"empty-grid"})
+
+
+def problem_scale(points: np.ndarray, targets: np.ndarray) -> float:
+    return float(max(np.abs(points).max(), np.abs(targets).max()))
+
+
+@WARNINGS_FAIL
+@pytest.mark.parametrize("case", HULL_CASES)
+def test_hull_distances_match_nnls_and_never_exceed_frank_wolfe(case):
+    # every probe agrees with an independent per-probe NNLS solve, and the
+    # capped Frank-Wolfe loops, whose iterates are hull points, bound it above
+    cloud, grid = orbit_case_problem(case)
+    scale = problem_scale(cloud, grid)
+    distances = _hull_distances(cloud, grid)
+    exact = np.array([reference_nnls_hull_distance(cloud, q) for q in grid])
+    assert np.all(np.abs(distances - exact) <= 1e-12 * scale)
+    assert np.all(distances <= reference_batched_hull_distances(cloud, grid) + 1e-12 * scale)
+    frank_wolfe = np.array([reference_hull_distance(cloud, q) for q in grid])
+    assert np.all(distances <= frank_wolfe + 1e-12 * scale)
+
+
+def unit_cube_problem(d: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices of [0, 1]^d, interior points and repeats; targets outside,
+    inside and on the faces of the cube."""
+    vertices = np.array(list(itertools.product([0.0, 1.0], repeat=d)))
+    interior = rng.random((20, d))
+    points = rng.permutation(np.vstack([vertices, interior, vertices[:3], interior[:3]]))
+    targets = rng.uniform(-1.5, 2.5, size=(150, d))
+    on_faces = rng.random((20, d))
+    on_faces[np.arange(20), rng.integers(0, d, 20)] = rng.integers(0, 2, 20)
+    return points, np.vstack([targets, rng.random((20, d)), on_faces, vertices[:2]])
+
+
+@WARNINGS_FAIL
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
+def test_hull_distances_to_the_unit_cube(d):
+    points, targets = unit_cube_problem(d, np.random.default_rng(700 + d))
+    expected = np.linalg.norm(targets - np.clip(targets, 0.0, 1.0), axis=1)
+    assert np.all(np.abs(_hull_distances(points, targets) - expected) <= 1e-12 * problem_scale(points, targets))
+
+
+@WARNINGS_FAIL
+def test_hull_distances_to_one_point_and_to_a_segment():
+    rng = np.random.default_rng(710)
+    targets = rng.uniform(-4.0, 4.0, size=(60, 3))
+    point = np.array([[0.5, -1.0, 2.0]])
+    expected = np.linalg.norm(targets - point, axis=1)
+    assert np.all(np.abs(_hull_distances(point, targets) - expected) <= 1e-12 * 6.0)
+    # a collinear cloud in R^3: the hull is the segment between its extreme points
+    base, direction = np.array([1.0, 2.0, -1.0]), np.array([0.6, -0.8, 0.0])
+    t = np.concatenate([rng.uniform(-2.0, 3.0, 40), [-2.0, 3.0, 0.5, 0.5]])
+    points = base + t[:, None] * direction
+    along = np.clip((targets - base) @ direction, -2.0, 3.0)
+    expected = np.linalg.norm(targets - base - along[:, None] * direction, axis=1)
+    assert np.all(np.abs(_hull_distances(points, targets) - expected) <= 1e-12 * problem_scale(points, targets))
+
+
+@WARNINGS_FAIL
+@pytest.mark.parametrize("case", ["cube-d3", "cube-d6"] + HULL_CASES)
+def test_hull_distances_carry_a_certificate(case):
+    # the corral weights give a hull point at the reported distance (an upper
+    # bound), and the best vertex for it gives the separating bound
+    # max(0, <x, s - q>) / |x| from below; Wolfe's stop leaves at most
+    # sqrt(_HULL_STOP) max_j |p_j - q| between the two
+    if case.startswith("cube"):
+        points, targets = unit_cube_problem(int(case[-1]), np.random.default_rng(720))
+    else:
+        points, targets = orbit_case_problem(case)
+    scale = problem_scale(points, targets)
+    distances, corral, weights = _min_norm_points(points, targets)
+    assert np.all(weights >= 0.0) and np.allclose(weights.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    offsets = np.einsum("ik,ikj->ij", weights, points[corral]) - targets
+    assert np.all(np.abs(np.linalg.norm(offsets, axis=1) - distances) <= 1e-12 * scale)
+    for x, q, reported in zip(offsets, targets, distances):
+        gaps = points - q
+        norm = float(np.linalg.norm(x))
+        lower = max(0.0, float(np.min(gaps @ x))) / norm if norm else 0.0
+        slack = np.sqrt(_HULL_STOP) * float(np.linalg.norm(gaps, axis=1).max())
+        assert lower - 1e-12 * scale <= reported <= lower + slack + 1e-12 * scale
+
+
+@WARNINGS_FAIL
+@pytest.mark.parametrize("factor", [1e-150, 1.0, 1e150])
+def test_hull_distances_are_equivariant_under_scaling_and_shifts(factor):
+    points, targets = orbit_case_problem("cubic-d3")
+    distances = _hull_distances(points, targets)
+    shift = factor * np.array([3.0, -7.0, 0.5])
+    moved = _hull_distances(factor * points + shift, factor * targets + shift)
+    assert np.all(np.isfinite(moved))
+    assert np.all(np.abs(moved - factor * distances) <= 1e-12 * factor * problem_scale(points, targets))
+
+
+@WARNINGS_FAIL
+def test_orbit_probe_far_from_the_origin_gives_finite_distances():
+    origin = np.array([1e300, 1e300])
+    report = orbit_hull_probe(glide_action(), origin, budget=40, radius=5.0, seed=3)
+    reference = reference_orbit_hull_probe(glide_action(), origin, 40, 5.0, 3)
+    assert all(np.isfinite(p.hull_distance) and p.hull_distance > 1e299 for p in report.probes)
+    for probe, expected in zip(report.probes, reference.probes):
+        assert abs(probe.hull_distance - expected.hull_distance) <= 1e-12 * 1e300
+
+
+@WARNINGS_FAIL
+@pytest.mark.parametrize("radius", [1e-300, 1e-160, 1.0, 5.0, 1e160, 1e300])
+def test_probe_grid_keeps_every_ball_point_at_any_radius(radius):
+    # the ball test runs at unit scale: squared coordinates would underflow
+    # at 1e-160 (keeping the corners) and overflow at 1e160 (keeping the origin only)
+    counts = []
+    for d in (1, 2, 3):
+        report = orbit_hull_probe(cubic_lattice_action(d), np.zeros(d), budget=20, radius=radius, seed=1)
+        assert all(np.isfinite(p.hull_distance) for p in report.probes)
+        counts.append(len(report.probes))
+    assert counts == [5, 13, 33]
+
+
+@WARNINGS_FAIL
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_orbit_probe_refuses_a_radius_whose_probe_axis_overflows(d):
+    with pytest.raises(ConstructionError, match="radius"):
+        orbit_hull_probe(cubic_lattice_action(d), np.zeros(d), budget=5, radius=1e308)
+
+
+@WARNINGS_FAIL
+@pytest.mark.parametrize("value", [-1, 2.5, True, "3", None])
+def test_orbit_probe_refuses_a_bad_max_word_length(value):
+    with pytest.raises(ConstructionError, match="max_word_length must be"):
+        orbit_hull_probe(glide_action(), np.zeros(2), budget=5, max_word_length=value)
+
+
+@WARNINGS_FAIL
+def test_orbit_probe_takes_integer_max_word_lengths():
+    origin = np.array([0.5, -1.0])
+    report = orbit_hull_probe(glide_action(), origin, budget=7, seed=2, max_word_length=np.int64(3))
+    assert report == orbit_hull_probe(glide_action(), origin, budget=7, seed=2, max_word_length=3)
+    # words of length 0: the cloud is the origin budget + 1 times
+    cloud = _orbit_cloud(glide_action(), origin, 7, np.random.default_rng(2), 0)
+    assert np.array_equal(cloud, np.tile(origin, (8, 1)))
+    report = orbit_hull_probe(glide_action(), origin, budget=7, seed=2, max_word_length=0)
+    assert report.orbit_size == 8
+    for probe in report.probes:
+        assert abs(probe.hull_distance - np.linalg.norm(np.array(probe.point) - origin)) <= 1e-12 * 6.0
 
 
 def scan_order(k: int, window: int) -> dict[tuple[int, ...], int]:
@@ -821,12 +985,14 @@ def test_quadratic_scan_matches_reference_at_small_blocks(k, window, field, rows
         assert_matches_reference_scan(action, window)
 
 
+@WARNINGS_FAIL
 @pytest.mark.parametrize("origin", [np.zeros((2, 1)), np.zeros(3), 0.0])
 def test_orbit_probe_refuses_an_origin_of_the_wrong_shape(origin):
     with pytest.raises(ConstructionError, match="origin has shape"):
         orbit_hull_probe(glide_action(), origin, budget=5)
 
 
+@WARNINGS_FAIL
 @pytest.mark.parametrize("value", [True, False, 2.0, 2.5, "2", None])
 def test_lattice_tests_refuse_non_integer_counts(value):
     with pytest.raises(ConstructionError, match="window must be an integer"):
@@ -835,6 +1001,7 @@ def test_lattice_tests_refuse_non_integer_counts(value):
         orbit_hull_probe(glide_action(), np.zeros(2), budget=value)
 
 
+@WARNINGS_FAIL
 def test_lattice_tests_store_plain_int_counts():
     action = spanning_translations(2, "real", np.random.default_rng(1))
     result = quadratic_form_test(action, window=np.int64(2))
