@@ -15,6 +15,7 @@ U*U, and that witness is certified (see ``certify``) before being returned.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,12 +24,14 @@ from .linalg import (
     DEFAULT_TOL,
     ToleranceProfile,
     as_field_array,
+    checked_seed,
     frobenius,
     hermitian_eigensystem,
+    int_at_least,
     null_space_basis,
     numerical_rank,
     orthonormal_columns,
-    random_vector,
+    random_vectors,
     residual_ok,
     solve_affine_system,
     unvec,
@@ -555,8 +558,8 @@ def check_equivalence(
     dimensions and an unsolvable system are a definite NotFound; exhausted
     sampling is probabilistic.
     """
-    if trials < 0:
-        raise ValueError("trials must be >= 0")
+    trials = int_at_least("trials", trials, 0)
+    seed = checked_seed(seed)
     if a1.presentation != a2.presentation:
         raise ActionError("equivalence requires identical presentations")
     if a1.field != a2.field:
@@ -572,10 +575,9 @@ def check_equivalence(
         return EquivalenceResult(False, None, probabilistic=False)
     q2 = a2.rep.generic_eigenbasis[1]
 
-    rng = np.random.default_rng(seed)
-    coeffs = [np.zeros(solution.dim, dtype=system.dtype)]
-    coeffs += [random_vector(solution.dim, a1.field, rng) for _ in range(trials)]
-    candidates = solution.particular[:, None] + solution.homogeneous @ np.column_stack(coeffs)
+    samples = random_vectors(trials, solution.dim, a1.field, np.random.default_rng(seed))
+    coeffs = np.column_stack([np.zeros(solution.dim, dtype=system.dtype), samples.T])
+    candidates = solution.particular[:, None] + solution.homogeneous @ coeffs
     for column in candidates.T:
         t_mat = np.tensordot(column[: len(homs)], homs, 1)
         singular = np.linalg.svd(t_mat, compute_uv=False)
@@ -621,13 +623,15 @@ class DirectSumAnalysis:
 
 def _extraction_candidates(
     action: AffineAction, pairs: list[CommutantPair], d1: int, seed: int | None
-) -> list[CommutantPair]:
-    """Commutant elements to try for the transverse-subspace extraction."""
+) -> Iterator[CommutantPair]:
+    """Commutant elements to try for the transverse-subspace extraction, made
+    only as they are asked for: the projected swap (when both summands have
+    dimension d1), the pairs by decreasing deviation, then 10 random
+    combinations."""
     d = action.dim
     if not pairs:
-        return []
+        return
     columns = np.column_stack([np.concatenate([vec(p.deviation), p.translation]) for p in pairs])
-    candidates: list[CommutantPair] = []
     if 2 * d1 == d:
         # the coordinate-swap element certifies the diagonal whenever the two
         # summands literally coincide; its projection onto the solution space
@@ -635,13 +639,10 @@ def _extraction_candidates(
         eye = np.eye(d1)
         swap_dev = np.block([[-eye, eye], [eye, -eye]]).astype(action.rep.dtype)
         target = np.concatenate([vec(swap_dev), np.zeros(d, dtype=action.rep.dtype)])
-        candidates.append(_split_solution(columns @ (columns.conj().T @ target), d))
-    candidates.extend(sorted(pairs, key=lambda p: -p.deviation_norm))
-    rng = np.random.default_rng(seed)
-    for _ in range(10):
-        coeffs = random_vector(len(pairs), action.field, rng)
-        candidates.append(_split_solution(columns @ coeffs, d))
-    return candidates
+        yield _split_solution(columns @ (columns.conj().T @ target), d)
+    yield from sorted(pairs, key=lambda p: -p.deviation_norm)
+    for coeffs in random_vectors(10, len(pairs), action.field, np.random.default_rng(seed)):
+        yield _split_solution(columns @ coeffs, d)
 
 
 def analyze_direct_sum(
@@ -661,6 +662,7 @@ def analyze_direct_sum(
     ``unit_scale``); the extraction is linear in the commutant translations,
     which come back multiplied by that scale, so it needs no rescaling.
     """
+    seed = checked_seed(seed)
     sum_action = direct_sum(a1, a2)
     tol = tol or sum_action.tol
     verdict = decide_irreducibility(sum_action, tol)

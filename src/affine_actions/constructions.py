@@ -12,7 +12,6 @@ Heisenberg-like) plus a Monte-Carlo convex-hull probe of orbits.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,7 @@ from .linalg import (
     ToleranceProfile,
     as_field_array,
     frobenius,
+    int_at_least,
     numerical_rank,
     residual_ok,
 )
@@ -46,19 +46,6 @@ class ConstructionError(ValueError):
 # parallelogram scan, and prefix elements per block of orbit words
 _SCAN_BLOCK_ELEMENTS = 4096
 _ORBIT_BLOCK_ELEMENTS = 1 << 16
-
-
-def _int_at_least(name: str, value, minimum: int) -> int:
-    """``value`` as a plain int >= minimum; bools and non-integral numbers are refused."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        value = operator.index(value)
-    except TypeError:
-        raise ConstructionError(f"{name} must be an integer, got {value!r}") from None
-    if value < minimum:
-        raise ConstructionError(f"{name} must be >= {minimum}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -364,7 +351,7 @@ def quadratic_form_test(
     presentation = action.presentation
     if not is_free_abelian(presentation):
         raise ConstructionError("quadratic form test requires a free abelian presentation")
-    window = _int_at_least("window", window, 1)
+    window = int_at_least("window", window, 1, ConstructionError)
     k = presentation.num_generators
     s = unit_scale(tol, action)
     cocycle = Cocycle(
@@ -678,8 +665,8 @@ def orbit_hull_probe(
     """
     if action.field != REAL:
         raise ConstructionError("orbit probe is defined for real actions")
-    budget = _int_at_least("budget", budget, 1)
-    max_word_length = _int_at_least("max_word_length", max_word_length, 0)
+    budget = int_at_least("budget", budget, 1, ConstructionError)
+    max_word_length = int_at_least("max_word_length", max_word_length, 0, ConstructionError)
     with np.errstate(over="ignore", invalid="ignore"):
         axis_finite = np.isfinite(np.linspace(-radius, radius, 5)).all()
     if not (radius > 0 and axis_finite):

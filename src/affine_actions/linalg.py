@@ -10,6 +10,7 @@ complex.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,7 +248,32 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return np.asarray(v).reshape(rows, cols)
 
 
-def random_vector(dim: int, field: str, rng: np.random.Generator) -> np.ndarray:
+def random_vectors(count: int, dim: int, field: str, rng: np.random.Generator) -> np.ndarray:
+    """``count`` standard Gaussian rows of length ``dim`` from one generator call.
+
+    A complex row takes its real parts, then its imaginary parts, each pair
+    scaled by 1/sqrt 2, so row k has the bits the k-th of ``count``
+    successive one-row draws would have had.
+    """
     if field == COMPLEX:
-        return (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) / np.sqrt(2.0)
-    return rng.standard_normal(dim)
+        z = rng.standard_normal((count, 2, dim))
+        return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
+    return rng.standard_normal((count, dim))
+
+
+def int_at_least(name: str, value, minimum: int, error: type[ValueError] = ValueError) -> int:
+    """``value`` as a plain int >= minimum; bools and non-integral numbers are refused."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise error(f"{name} must be >= {minimum}")
+    return value
+
+
+def checked_seed(seed) -> int | None:
+    """A seed for ``np.random.default_rng``: None or a non-negative integer."""
+    return None if seed is None else int_at_least("seed", seed, 0)

@@ -27,10 +27,12 @@ from .linalg import (
     RangeSplit,
     ToleranceProfile,
     as_field_array,
+    checked_seed,
     frobenius,
+    int_at_least,
     null_space_basis,
     numerical_rank,
-    random_vector,
+    random_vectors,
     read_only,
     residual_ok,
 )
@@ -609,30 +611,34 @@ def search_irreducible_cocycle(
     all trials is probabilistic (the separating set is either empty or
     generic, so one generic sample decides with probability 1).
 
-    The screen is batched: the ``trials`` samples are drawn first, in the
-    order one draw per trial took them from the same random stream, and one
-    batched SVD ranks every map; the trials are then taken in order. A
-    confirmation reuses the commutant and the boundary split cached on the
-    representation and runs only the per-cocycle stage of
-    ``affine_commutant``.
+    The map S -> S.xi goes from the c-dimensional commutant into the
+    h-dimensional H^1, so it has full rank for no xi when c > h: such a
+    search ends at once, with the answer and ``trials_used`` of an exhausted
+    one, and draws nothing. Otherwise the ``trials`` samples come from one
+    generator call (the bits of one draw per trial), one product gives every
+    map, and the trials are screened in order, one SVD each, up to the first
+    candidate the confirmation finds irreducible. A confirmation reuses the
+    commutant and the boundary split cached on the representation and runs
+    only the per-cocycle stage of ``affine_commutant``.
     """
     from .actions import AffineAction, decide_irreducibility
 
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = int_at_least("trials", trials, 1)
+    seed = checked_seed(seed)
     tol = tol or rep.tol
     basis = first_cohomology(rep, tol)
     h = basis.dims[2]
     if h == 0:
         return CocycleSearchResult(False, None, 0)
     commutant = commutant_basis(rep, tol)
+    if len(commutant) > h:
+        return CocycleSearchResult(False, None, trials)
     action_mats = np.asarray(commutant_action_on_classes(rep, basis, commutant, tol))
-    rng = np.random.default_rng(seed)
-    samples = np.array([random_vector(h, rep.field, rng) for _ in range(trials)])
+    samples = random_vectors(trials, h, rep.field, np.random.default_rng(seed))
     # maps[trial] has the columns S_j xi for the commutant elements S_j
     maps = (action_mats @ samples.T).transpose(2, 1, 0)
-    for trial, (xi, s) in enumerate(zip(samples, np.linalg.svd(maps, compute_uv=False))):
-        if numerical_rank(s, tol) < len(commutant):
+    for trial, xi in enumerate(samples):
+        if numerical_rank(np.linalg.svd(maps[trial], compute_uv=False), tol) < len(commutant):
             continue
         witness = basis.cocycle_from_class(xi)
         verdict = decide_irreducibility(AffineAction(rep, witness), tol)

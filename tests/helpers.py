@@ -29,7 +29,7 @@ from affine_actions import (
     first_cohomology,
 )
 from affine_actions.constructions import ProbeResult
-from affine_actions.linalg import numerical_rank, random_vector, residual_ok
+from affine_actions.linalg import COMPLEX, numerical_rank, residual_ok
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -569,6 +569,14 @@ def reference_commutant_action_on_classes(rep: Representation, basis, commutant)
             action[:, j] = [h_i.coordinates().conj() @ moved for h_i in reps]
         out.append(action)
     return out
+
+
+def random_vector(dim: int, field: str, rng: np.random.Generator) -> np.ndarray:
+    """One Gaussian sample per call: the per-trial draw the library's one-call
+    ``random_vectors`` must reproduce bit for bit."""
+    if field == COMPLEX:
+        return (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) / np.sqrt(2.0)
+    return rng.standard_normal(dim)
 
 
 def reference_search_irreducible_cocycle(rep: Representation, trials: int, seed: int):

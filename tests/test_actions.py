@@ -22,7 +22,7 @@ from affine_actions import (
     invariant_subspace_from_witness,
     project_action,
 )
-from affine_actions.actions import ActionError, certification_scale
+from affine_actions.actions import ActionError, _extraction_candidates, certification_scale, direct_sum
 
 from helpers import (
     FAMILIES,
@@ -35,6 +35,7 @@ from helpers import (
     random_action_for,
     random_field_vector,
     random_free_rep,
+    random_vector,
     z2_group,
     z_group,
 )
@@ -394,6 +395,32 @@ def test_analyze_double_action_yields_identity_intertwiner():
     ambient = proj.ambient_map()
     assert np.linalg.norm(ambient.linear - np.eye(1)) < 1e-8
     assert np.linalg.norm(ambient.translation) < 1e-8
+
+
+def test_a_double_is_analyzed_from_the_swap_without_a_random_draw(monkeypatch):
+    draws = []
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: draws.append(args))
+    action = random_action(random_free_rep(f2_group(), 3, "complex", RNG), RNG)
+    analysis = analyze_direct_sum(action, action, seed=5)
+    assert analysis.projections is not None and draws == []
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_extraction_candidates_are_the_swap_the_pairs_then_per_call_draws(field):
+    action = random_action(random_free_rep(f2_group(), 2, field, RNG), RNG)
+    doubled = AffineAction.from_values(action.rep, [2.0 * v for v in action.cocycle.values])
+    for a2 in (action, doubled):  # both sums are reducible
+        pairs = list(decide_irreducibility(direct_sum(action, a2)).commutant)
+        got = list(_extraction_candidates(direct_sum(action, a2), pairs, 2, seed=7))
+        rng = np.random.default_rng(7)
+        columns = np.column_stack([np.concatenate([p.deviation.ravel(), p.translation]) for p in pairs])
+        draws = [columns @ random_vector(len(pairs), field, rng) for _ in range(10)]
+        assert len(got) == 1 + len(pairs) + 10
+        assert [p.deviation_norm for p in got[1 : 1 + len(pairs)]] == sorted(
+            (p.deviation_norm for p in pairs), reverse=True
+        )
+        for pair, column in zip(got[-10:], draws):
+            assert np.array_equal(np.concatenate([pair.deviation.ravel(), pair.translation]), column)
 
 
 def test_analyze_dependent_translations_scaling_intertwiner():

@@ -387,6 +387,19 @@ def test_equivalence_refuses_negative_trials(capsys):
     assert code == 0 and doc["verdict"] == "Equivalent"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["exists-irreducible", "z_flip.json"],  # H^1 = 0: the search draws nothing
+        ["equivalence", "z_translation.json", "z_even_translation.json"],
+        ["direct-sum", "z_translation.json", "z_translation.json"],  # decided by the swap
+    ],
+)
+def test_a_negative_seed_is_refused_even_when_nothing_is_drawn(capsys, args):
+    code, doc = run_machine([args[0]] + [FIXTURES / name for name in args[1:]] + ["--seed", "-1"], capsys)
+    assert code == 12 and doc["error"] == "seed must be >= 0"
+
+
 def test_readme_lists_every_verb_and_flag():
     readme = (FIXTURES.parent / "README.md").read_text()
     verb_block = readme.split("exposes one verb per operation:")[1].split("```")[1]

@@ -11,6 +11,8 @@ from affine_actions import (
     Representation,
     ToleranceProfile,
     Word,
+    analyze_direct_sum,
+    check_equivalence,
     commutant_action_on_classes,
     commutant_basis,
     decide_irreducibility,
@@ -18,7 +20,9 @@ from affine_actions import (
     fixed_subspace,
     search_irreducible_cocycle,
 )
-from affine_actions.linalg import orthonormal_columns
+from affine_actions import actions as actions_module
+from affine_actions import reps as reps_module
+from affine_actions.linalg import orthonormal_columns, random_vectors
 from affine_actions.reps import CocycleError, RepresentationError, boundary_split, validity_report
 
 from helpers import (
@@ -34,6 +38,7 @@ from helpers import (
     random_field_vector,
     random_free_rep,
     random_s3_rep,
+    random_vector,
     reference_commutant_action_on_classes,
     reference_search_irreducible_cocycle,
     z2_group,
@@ -370,7 +375,7 @@ def rho_sum(rho: Representation, copies: int) -> Representation:
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
-def test_batched_screen_matches_the_reference_search(field):
+def test_in_order_screen_matches_the_reference_search(field):
     # rho^(+k) is found iff k copies fit in H^1(rho): both outcomes occur
     rng = np.random.default_rng(21 + (field == "complex"))
     outcomes = set()
@@ -385,6 +390,148 @@ def test_batched_screen_matches_the_reference_search(field):
                     assert np.max(np.abs(result.witness.coordinates() - coords)) <= 1e-12
                 outcomes.add(found)
     assert outcomes == {True, False}
+
+
+def block_rep(presentation: GroupPresentation, field: str, blocks) -> Representation:
+    """The direct sum of the given per-generator matrix lists, block diagonal."""
+    dtype = complex if field == "complex" else float
+    mats = []
+    for parts in zip(*blocks):
+        dim = sum(p.shape[0] for p in parts)
+        mat, at = np.zeros((dim, dim), dtype=dtype), 0
+        for p in parts:
+            mat[at : at + p.shape[0], at : at + p.shape[0]] = p
+            at += p.shape[0]
+        mats.append(mat)
+    return Representation(presentation, field, mats)
+
+
+def dihedral_character_and_rotations(field: str, characters: int, rotations: int) -> Representation:
+    """chi^(+characters) (+) rot^(+rotations) on the infinite dihedral group,
+    with chi: t -> 1, s -> -1 and rot a plane rotation for t, a flip for s."""
+    c, s = np.cos(1.1), np.sin(1.1)
+    chi = [np.eye(1), -np.eye(1)]
+    rot = [np.array([[c, -s], [s, c]]), np.diag([1.0, -1.0])]
+    return block_rep(dihedral_group(), field, [chi] * characters + [rot] * rotations)
+
+
+def counting(monkeypatch, module, name: str) -> list:
+    """Replace ``module.name`` by a wrapper recording each call's result."""
+    results, original = [], getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, wrapper)
+    return results
+
+
+def count_exceeds_cohomology_reps():
+    # commutant dimension c > h = dim H^1, so no class is separating
+    rng = np.random.default_rng(23)
+    for field in ("real", "complex"):
+        yield rho_sum(random_free_rep(f2_group(), 3, field, rng), 4)  # h = 12, c = 16
+        yield dihedral_character_and_rotations(field, 3, 0)  # h = 3, c = 9
+        yield dihedral_character_and_rotations(field, 1, 2)  # h = 1, c = 5
+    yield rho_sum(random_free_rep(f2_group(), 2, "complex", rng), 3)  # h = 6, c = 9
+
+
+def test_a_commutant_larger_than_h1_ends_the_search_before_any_draw(monkeypatch):
+    for rep in count_exceeds_cohomology_reps():
+        h, c = first_cohomology(rep).dims[2], len(commutant_basis(rep))
+        assert 0 < h < c
+        moves = counting(monkeypatch, reps_module, "commutant_action_on_classes")
+        draws = counting(monkeypatch, np.random, "default_rng")
+        result = search_irreducible_cocycle(rep, trials=20, seed=3)
+        assert moves == [] and draws == []
+        monkeypatch.undo()
+        found, _, trials_used = reference_search_irreducible_cocycle(rep, 20, 3)
+        assert (result.found, result.witness, result.trials_used) == (found, None, trials_used) == (False, None, 20)
+
+
+def test_a_search_the_count_admits_still_runs_every_trial(monkeypatch):
+    # F2 on chi (+) chi (+) rho3 with chi: a -> -1, b -> 1: h = 1 + 1 + 3 = 5
+    # equals c = 4 + 1, yet no class is separating, since the two copies of
+    # chi share one class line
+    rho3 = random_free_rep(f2_group(), 3, "real", np.random.default_rng(29))
+    chi = [-np.eye(1), np.eye(1)]
+    rep = block_rep(f2_group(), "real", [chi, chi, list(rho3.matrices)])
+    assert first_cohomology(rep).dims[2] == len(commutant_basis(rep)) == 5
+    moves = counting(monkeypatch, reps_module, "commutant_action_on_classes")
+    ranks = counting(monkeypatch, reps_module, "numerical_rank")
+    result = search_irreducible_cocycle(rep, trials=20, seed=0)
+    assert (result.found, result.trials_used) == (False, 20)
+    assert reference_search_irreducible_cocycle(rep, 20, 0)[::2] == (False, 20)
+    assert len(moves) == 1 and len(ranks) == 20 and max(ranks) < 5
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_a_found_search_screens_and_confirms_only_up_to_its_trial(monkeypatch, field):
+    rng = np.random.default_rng(31)
+    for rep in (
+        rho_sum(random_free_rep(f2_group(), 3, field, rng), 2),
+        rho_sum(random_free_rep(f2_group(), 4, field, rng), 4),
+        dihedral_character_and_rotations(field, 1, 0),
+        Representation(z2_group(), field, [np.eye(1)] * 2),  # h = 2, c = 1
+    ):
+        c, h = len(commutant_basis(rep)), first_cohomology(rep).dims[2]
+        spectra = counting(monkeypatch, np.linalg, "svd")
+        ranks = counting(monkeypatch, reps_module, "numerical_rank")
+        verdicts = counting(monkeypatch, actions_module, "decide_irreducibility")
+        result = search_irreducible_cocycle(rep, trials=20, seed=5)
+        monkeypatch.undo()
+        # one (h, c) map per screened trial, none beyond the confirmed one
+        assert result.found and [s.shape for s in spectra] == [(min(h, c),)] * result.trials_used
+        assert len(ranks) == result.trials_used
+        assert len(verdicts) == sum(rank == c for rank in ranks)
+        assert [v.reducible for v in verdicts][-1] is False
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_one_call_draws_have_the_bits_of_one_draw_per_trial(field):
+    for trials, dim in ((1, 1), (20, 5), (7, 12), (3, 0)):
+        one_call, per_trial = np.random.default_rng(trials), np.random.default_rng(trials)
+        drawn = random_vectors(trials, dim, field, one_call)
+        expected = np.array([random_vector(dim, field, per_trial) for _ in range(trials)]).reshape(trials, dim)
+        assert drawn.dtype == expected.dtype and drawn.shape == (trials, dim)
+        assert np.array_equal(drawn.view(np.float64), expected.view(np.float64))
+        assert one_call.standard_normal() == per_trial.standard_normal()  # the same stream position
+
+
+BAD_COUNTS = [2.5, True, "3", None, np.float64(3.0)]
+BAD_SEEDS = [-1, 2.5, True, "0", np.float64(1.0)]
+
+
+def test_search_and_equivalence_counts_and_seeds_must_be_integers():
+    rep = Representation(z_group(), "real", [np.eye(1)])
+    action = AffineAction.from_values(rep, [np.array([1.0])])
+    for trials in BAD_COUNTS + [0, -1]:
+        with pytest.raises(ValueError, match="trials"):
+            search_irreducible_cocycle(rep, trials=trials)
+    for trials in BAD_COUNTS + [-1]:
+        with pytest.raises(ValueError, match="trials"):
+            check_equivalence(action, action, trials=trials)
+    for seed in BAD_SEEDS:
+        with pytest.raises(ValueError, match="seed"):
+            search_irreducible_cocycle(rep, seed=seed)
+        with pytest.raises(ValueError, match="seed"):
+            check_equivalence(action, action, seed=seed)
+        with pytest.raises(ValueError, match="seed"):
+            analyze_direct_sum(action, action, seed=seed)
+
+
+def test_numpy_integer_counts_and_seeds_still_work():
+    rep = rho_sum(random_free_rep(f2_group(), 2, "complex", np.random.default_rng(37)), 3)  # c > h
+    result = search_irreducible_cocycle(rep, trials=np.int64(7), seed=np.int64(2))
+    assert result.trials_used == 7 and type(result.trials_used) is int
+    rep = Representation(z2_group(), "real", [np.eye(1)] * 2)
+    found = search_irreducible_cocycle(rep, trials=np.int32(4), seed=np.uint8(9))
+    assert found.trials_used == search_irreducible_cocycle(rep, trials=4, seed=9).trials_used == 1
+    assert np.array_equal(found.witness.coordinates(), search_irreducible_cocycle(rep, 4, 9).witness.coordinates())
+    action = AffineAction.from_values(Representation(z_group(), "real", [np.eye(1)]), [np.array([1.0])])
+    assert check_equivalence(action, action, trials=np.int64(0), seed=np.int64(1)).equivalent
+    assert analyze_direct_sum(action, action, seed=np.int64(4)).verdict.reducible
 
 
 def test_commutant_commutes_with_random_words():
