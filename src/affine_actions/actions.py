@@ -43,7 +43,7 @@ from .reps import (
     boundary_split,
     commutant_basis,
     fixed_subspace,
-    intertwiner_system,
+    hom_basis,
     validity_report,
 )
 from .words import Word
@@ -466,6 +466,12 @@ def direct_sum(a1: AffineAction, a2: AffineAction) -> AffineAction:
     re-validated, since its defects combine the summands' (the block
     isometry defect is sqrt 2 times that of two equal summands) while the
     isometry bound does not grow with the number of blocks.
+
+    The sum's representation keeps its two summand representations, so its
+    generic eigenbasis, commutant and boundary split are assembled from the
+    summands' cached solves (see ``reps.commutant_basis``). Summands whose
+    matrices are equal bit for bit are kept as the first one twice, so
+    a (+) a solves pi once, also when a is loaded twice.
     """
     if a1.presentation != a2.presentation:
         raise ActionError("direct sum requires identical presentations")
@@ -474,14 +480,18 @@ def direct_sum(a1: AffineAction, a2: AffineAction) -> AffineAction:
     for summand in (a1, a2):
         if failure := validity_report(summand.tol, summand.rep, summand.cocycle).failure:
             raise failure
-    d1, d2 = a1.dim, a2.dim
+    r1, r2 = a1.rep, a2.rep
+    d1, d2 = r1.dim, r2.dim
     matrices = []
-    for m1, m2 in zip(a1.rep.matrices, a2.rep.matrices):
+    for m1, m2 in zip(r1.matrices, r2.matrices):
         block = np.zeros((d1 + d2, d1 + d2), dtype=m1.dtype)
         block[:d1, :d1] = m1
         block[d1:, d1:] = m2
         matrices.append(block)
     rep = Representation(a1.presentation, a1.field, matrices, dim=d1 + d2, tol=a1.tol, validate=False)
+    if d1 == d2 and all(np.array_equal(m1, m2) for m1, m2 in zip(r1.matrices, r2.matrices)):
+        r2 = r1
+    rep._summands = (r1, r2)
     values = tuple(np.concatenate([v1, v2]) for v1, v2 in zip(a1.cocycle.values, a2.cocycle.values))
     return AffineAction(rep, Cocycle(rep, values, validate=False))
 
@@ -522,17 +532,16 @@ def intertwining_residual(a1: AffineAction, a2: AffineAction, mapping: AffineMap
 
 
 def equivalence_system(a1: AffineAction, a2: AffineAction, scale: float, tol: ToleranceProfile):
-    """``(homs, system, rhs)``: a Hom(pi1, pi2) basis T_j, orthonormal in
-    vec T, as a (h, d2, d1) stack, and the system
+    """``(homs, system, rhs)``: the Hom(pi1, pi2) basis T_j of
+    ``reps.hom_basis``, and the system
     sum_j x_j T_j b1(s) - (pi2(s) - I) t = b2(s) in (x, t~), both cocycles
     divided by ``scale``. As in ``intertwiner_system``, t~ = Q2* t and the
     equations are multiplied by Q2*, which keeps a translation of order
     1/theta along a rotation plane of angle theta off the other entries
     (README "How the commutant is solved").
     """
-    gram, apply, lift = intertwiner_system(a1.rep, a2.rep, tol)
+    homs = hom_basis(a1.rep, a2.rep, tol)
     _, q2, p2 = a2.rep.generic_eigenbasis
-    homs = lift(null_space_basis(gram, tol, apply)).T.reshape(-1, a2.dim, a1.dim)
     shifted = (p2 - np.eye(a2.dim)).reshape(-1, a2.dim)
     rhs = (a2.cocycle.coordinates().reshape(-1, a2.dim) / scale) @ q2.conj()
     return homs, np.hstack([_moved_values(q2.conj().T @ homs, a1, scale), -shifted]), rhs.reshape(-1)

@@ -21,6 +21,7 @@ from .linalg import (
     REAL,
     ToleranceProfile,
     as_field_array,
+    checked_seed,
     frobenius,
     int_at_least,
     numerical_rank,
@@ -655,7 +656,8 @@ def orbit_hull_probe(
     origin, so the radius must be positive and the probe axis
     ``linspace(-radius, radius, 5)`` finite (a radius above about 4.5e307
     overflows it). ``max_word_length`` is a non-negative integer; at 0 every
-    orbit point is the origin.
+    orbit point is the origin. ``seed`` is None or a non-negative integer
+    (``linalg.checked_seed``).
 
     The generator seeded by ``seed`` draws every word first, in three calls
     (``_orbit_cloud``), and then, for ``dim > 3``, the random probe grid;
@@ -667,6 +669,7 @@ def orbit_hull_probe(
         raise ConstructionError("orbit probe is defined for real actions")
     budget = int_at_least("budget", budget, 1, ConstructionError)
     max_word_length = int_at_least("max_word_length", max_word_length, 0, ConstructionError)
+    seed = checked_seed(seed, ConstructionError)
     with np.errstate(over="ignore", invalid="ignore"):
         axis_finite = np.isfinite(np.linspace(-radius, radius, 5)).all()
     if not (radius > 0 and axis_finite):

@@ -274,6 +274,6 @@ def int_at_least(name: str, value, minimum: int, error: type[ValueError] = Value
     return value
 
 
-def checked_seed(seed) -> int | None:
+def checked_seed(seed, error: type[ValueError] = ValueError) -> int | None:
     """A seed for ``np.random.default_rng``: None or a non-negative integer."""
-    return None if seed is None else int_at_least("seed", seed, 0)
+    return None if seed is None else int_at_least("seed", seed, 0, error)

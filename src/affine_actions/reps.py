@@ -84,6 +84,7 @@ class Representation:
         self._commutants: dict[ToleranceProfile, tuple[np.ndarray, ...]] = {}  # see commutant_basis
         self._boundaries: dict[ToleranceProfile, RangeSplit] = {}  # see boundary_split
         self._cohomology: dict[ToleranceProfile, tuple] = {}  # see first_cohomology
+        self._summands: tuple[Representation, Representation] | None = None  # see actions.direct_sum
         if validate and (failure := validity_report(tol, rep=self).failure):
             raise failure
 
@@ -105,7 +106,17 @@ class Representation:
         generator defect. Real input has c' = 0, so Q stays real. Without
         generators H = 0 and Q = I. Computed once per representation; the
         arrays are read-only.
+
+        The weights depend only on g and the field, so a direct sum
+        pi1 (+) pi2 has H = diag(H1, H2): its eigenbasis is assembled from
+        the summands' as (concat(lambda1, lambda2), diag(Q1, Q2),
+        diag(P1, P2)), with no eigensolve at the sum's dimension. The
+        eigenvalues are then not sorted; ``intertwiner_system`` sorts them.
         """
+        if self._summands is not None:
+            (lam1, q1, p1), (lam2, q2, p2) = (r.generic_eigenbasis for r in self._summands)
+            parts = (np.concatenate([lam1, lam2]), _block_diagonal(q1, q2), _block_diagonal(p1, p2))
+            return tuple(read_only(a) for a in parts)
         mats = np.asarray(self.matrices, dtype=self.dtype).reshape(-1, self.dim, self.dim)
         z = np.einsum("s,sij->ij", _generic_weights(len(mats), self.field), mats)
         values, q = np.linalg.eigh(z + z.conj().T)
@@ -321,12 +332,46 @@ def boundary_split(rep: Representation, tol: ToleranceProfile | None = None) -> 
     and ``pinv`` is B+, which solves (pi(s) - I) t = y(s) for y in the
     image. It is solved once per tolerance profile and kept on the
     representation, like ``commutant_basis``; the arrays are read-only.
+
+    For a direct sum (``actions.direct_sum``) B is diag(B1, B2) with its
+    rows interleaved generator by generator, so the split is assembled from
+    the summands' splits, each rank decided at its own block's sigma_max:
+    ``image`` and ``kernel`` hold the summands' columns block-diagonally
+    (the first summand's first) and ``pinv`` is diag(B1+, B2+) with its
+    columns interleaved the same way.
     """
     tol = tol or rep.tol
     split = rep._boundaries.get(tol)
     if split is None:
-        split = rep._boundaries[tol] = RangeSplit.of(rep.boundary_map(), tol)
+        if rep._summands is None:
+            split = RangeSplit.of(rep.boundary_map(), tol)
+        else:
+            split = _sum_boundary_split(rep, tol)
+        rep._boundaries[tol] = split
     return split
+
+
+def _sum_boundary_split(rep: Representation, tol: ToleranceProfile) -> RangeSplit:
+    g = rep.presentation.num_generators
+    splits = [(r.dim, boundary_split(r, tol)) for r in rep._summands]
+    # per generator: each summand's rows of the image and columns of B+
+    image = _block_diagonal(*(s.image.reshape(g, d, s.image.shape[1]) for d, s in splits))
+    pinv = _block_diagonal(*(s.pinv.reshape(d, g, d).transpose(1, 0, 2) for d, s in splits))
+    return RangeSplit(
+        read_only(image.reshape(g * rep.dim, image.shape[2])),
+        read_only(_block_diagonal(*(s.kernel for _, s in splits))),
+        read_only(pinv.transpose(1, 0, 2).reshape(rep.dim, g * rep.dim)),
+    )
+
+
+def _block_diagonal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a and b on the diagonal of their last two axes, zeros elsewhere; any
+    leading axes are shared."""
+    (m1, n1), (m2, n2) = a.shape[-2:], b.shape[-2:]
+    out = np.zeros(a.shape[:-2] + (m1 + m2, n1 + n2), dtype=np.result_type(a, b))
+    out[..., :m1, :n1] = a
+    out[..., m1:, n1:] = b
+    return out
 
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -416,23 +461,63 @@ def intertwiner_system(rep1: Representation, rep2: Representation, tol: Toleranc
     return gram, apply, lift
 
 
+def hom_basis(rep1: Representation, rep2: Representation, tol: ToleranceProfile | None = None) -> np.ndarray:
+    """Basis of Hom(pi1, pi2) = {T : T pi1(s) = pi2(s) T for all s} as a
+    ``(h, d2, d1)`` stack, orthonormal in vec T: the lifted null space of
+    ``intertwiner_system``."""
+    gram, apply, lift = intertwiner_system(rep1, rep2, tol)
+    return lift(null_space_basis(gram, tol or rep1.tol, apply)).T.reshape(-1, rep2.dim, rep1.dim)
+
+
 def commutant_basis(rep: Representation, tol: ToleranceProfile | None = None) -> list[np.ndarray]:
     """Basis over the declared field of {T : T pi(s) = pi(s) T for all s}.
 
     Real representations get the real commutant; complex ones the complex
     commutant. The identity always lies in the returned span. The basis is
-    the lifted null space of the commuting rows of ``intertwiner_system``,
-    orthonormal in vec T. It is solved once per tolerance profile and kept on
-    the representation; the elements are read-only arrays.
+    ``hom_basis(rep, rep)``, orthonormal in vec T. It is solved once per
+    tolerance profile and kept on the representation; the elements are
+    read-only arrays.
+
+    A direct sum pi1 (+) pi2 (``actions.direct_sum``) has the block
+    commutant [[pi1', Hom(pi2, pi1)], [Hom(pi1, pi2), pi2']]: each element
+    is one basis element of one block, placed in a zero matrix, in that
+    block order. pi1' and pi2' are the summands' cached bases,
+    Hom(pi1, pi2) takes one ``hom_basis`` solve, and Hom(pi2, pi1) is its
+    adjoints (T pi1 = pi2 T gives T* pi2 = pi1 T* for isometries). When
+    both summands are one representation every block is its pi' and
+    nothing is solved.
     """
     tol = tol or rep.tol
     basis = rep._commutants.get(tol)
     if basis is None:
-        gram, apply, lift = intertwiner_system(rep, rep, tol=tol)
-        columns = lift(null_space_basis(gram, tol, apply))
-        basis = tuple(read_only(columns.T.reshape(-1, rep.dim, rep.dim)))
+        if rep._summands is None:
+            basis = tuple(read_only(hom_basis(rep, rep, tol)))
+        else:
+            basis = tuple(read_only(_sum_commutant(*rep._summands, tol)))
         rep._commutants[tol] = basis
     return list(basis)
+
+
+def _sum_commutant(rep1: Representation, rep2: Representation, tol: ToleranceProfile) -> np.ndarray:
+    d1 = rep1.dim
+    first = np.asarray(commutant_basis(rep1, tol))
+    if rep1 is rep2:
+        homs, second = first, first
+    else:
+        homs, second = hom_basis(rep1, rep2, tol), np.asarray(commutant_basis(rep2, tol))
+    blocks = (
+        (first, slice(None, d1), slice(None, d1)),
+        (homs.conj().transpose(0, 2, 1), slice(None, d1), slice(d1, None)),
+        (homs, slice(d1, None), slice(None, d1)),
+        (second, slice(d1, None), slice(d1, None)),
+    )
+    size = d1 + rep2.dim
+    basis = np.zeros((sum(len(b) for b, _, _ in blocks), size, size), dtype=rep1.dtype)
+    start = 0
+    for block, rows, cols in blocks:
+        basis[start : start + len(block), rows, cols] = block
+        start += len(block)
+    return basis
 
 
 def _relator_coefficient_matrix(rep: Representation) -> np.ndarray:

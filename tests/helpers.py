@@ -551,6 +551,29 @@ def reference_orbit_hull_probe(
 # -- reference cocycle search ----------------------------------------------
 
 
+def counting_solves(monkeypatch) -> list:
+    """Record every commutant solve (an ``intertwiner_system`` build) and
+    every boundary split (``RangeSplit.of``) as ("commutant", rep1) and
+    ("boundary", matrix shape)."""
+    from affine_actions import reps
+    from affine_actions.linalg import RangeSplit
+
+    calls = []
+    system, split = reps.intertwiner_system, RangeSplit.of
+
+    def counted_system(rep1, rep2, tol=None):
+        calls.append(("commutant", rep1))
+        return system(rep1, rep2, tol)
+
+    def counted_split(cls, matrix, tol):
+        calls.append(("boundary", matrix.shape))
+        return split(matrix, tol)
+
+    monkeypatch.setattr(reps, "intertwiner_system", counted_system)
+    monkeypatch.setattr(RangeSplit, "of", classmethod(counted_split))
+    return calls
+
+
 def doubled_rep(rep: Representation) -> Representation:
     """rho (+) rho, block diagonal."""
     return Representation(rep.presentation, rep.field, [np.kron(np.eye(2), m) for m in rep.matrices], dim=2 * rep.dim)

@@ -393,6 +393,7 @@ def test_equivalence_refuses_negative_trials(capsys):
         ["exists-irreducible", "z_flip.json"],  # H^1 = 0: the search draws nothing
         ["equivalence", "z_translation.json", "z_even_translation.json"],
         ["direct-sum", "z_translation.json", "z_translation.json"],  # decided by the swap
+        ["orbit-probe", "glide.json"],
     ],
 )
 def test_a_negative_seed_is_refused_even_when_nothing_is_drawn(capsys, args):

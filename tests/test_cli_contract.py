@@ -96,9 +96,11 @@ ADDED_KEYS = {"verify": {"probabilistic": False}}
 # dihedral and z2_translations doubles and the c2_flip equivalence) when it
 # was split into the commutant of pi, the boundary map and a per-cocycle
 # annihilator, and the equivalence search into a Hom basis and a small
-# explicit system: a null-space basis is not unique (the c2_flip intertwiner
-# is a sample along one with the opposite sign), so only float leaves under
-# "witness", "basis" or "intertwiner" changed
+# explicit system, and the doubles but the dihedral one once more when a
+# direct sum's commutant came to be assembled from its summands' blocks: a
+# null-space basis is not unique (the c2_flip intertwiner is a sample along
+# one with the opposite sign), so only float leaves under "witness", "basis"
+# or "intertwiner" changed
 RERECORDED = (
     ["irreducible", "fixtures/c3_rotation.json"],
     ["commutant", "fixtures/c3_rotation.json"],

@@ -930,6 +930,24 @@ def test_orbit_probe_refuses_a_bad_max_word_length(value):
 
 
 @WARNINGS_FAIL
+@pytest.mark.parametrize("seed", [-1, 2.5, True, "3"])
+def test_orbit_probe_refuses_a_bad_seed(seed):
+    with pytest.raises(ConstructionError, match="seed must be"):
+        orbit_hull_probe(glide_action(), np.zeros(2), budget=5, seed=seed)
+
+
+@WARNINGS_FAIL
+def test_orbit_probe_takes_integer_seeds_with_an_unchanged_stream():
+    # d = 6 draws its probe grid from the seeded stream after the words
+    action, origin = cubic_lattice_action(6), np.zeros(6)
+    report = orbit_hull_probe(action, origin, budget=40, seed=np.int64(2))
+    assert report == orbit_hull_probe(action, origin, budget=40, seed=2)
+    reference = reference_orbit_hull_probe(action, origin, 40, 5.0, 2)
+    assert [p.point for p in report.probes] == [p.point for p in reference.probes]
+    assert orbit_hull_probe(action, origin, budget=40, seed=None).orbit_size == 41
+
+
+@WARNINGS_FAIL
 def test_orbit_probe_takes_integer_max_word_lengths():
     origin = np.array([0.5, -1.0])
     report = orbit_hull_probe(glide_action(), origin, budget=7, seed=2, max_word_length=np.int64(3))

@@ -28,6 +28,7 @@ from affine_actions.reps import CocycleError, RepresentationError, boundary_spli
 from helpers import (
     FAMILIES,
     TOL,
+    counting_solves,
     dihedral_group,
     doubled_rep,
     f2_group,
@@ -188,29 +189,6 @@ def test_commutant_identity_in_span():
     target = np.eye(3, dtype=complex).reshape(-1)
     coeffs, *_ = np.linalg.lstsq(stacked, target, rcond=None)
     assert np.linalg.norm(stacked @ coeffs - target) < 1e-10
-
-
-def counting_solves(monkeypatch) -> list:
-    """Record every commutant solve (an ``intertwiner_system`` build) and
-    every boundary split (``RangeSplit.of``) as ("commutant", rep1) and
-    ("boundary", matrix shape)."""
-    from affine_actions import reps
-    from affine_actions.linalg import RangeSplit
-
-    calls = []
-    system, split = reps.intertwiner_system, RangeSplit.of
-
-    def counted_system(rep1, rep2, tol=None):
-        calls.append(("commutant", rep1))
-        return system(rep1, rep2, tol)
-
-    def counted_split(cls, matrix, tol):
-        calls.append(("boundary", matrix.shape))
-        return split(matrix, tol)
-
-    monkeypatch.setattr(reps, "intertwiner_system", counted_system)
-    monkeypatch.setattr(RangeSplit, "of", classmethod(counted_split))
-    return calls
 
 
 def test_commutant_is_solved_once_per_representation(monkeypatch):

@@ -1,15 +1,20 @@
 """The staged commutant solve (the commutant of pi, the boundary split, a
 per-cocycle annihilator) and the two-step equivalence search, against the
 dense Kronecker system in the full unknowns (vec T, t) with a QR null space
-and a least-squares solve (``tests/helpers.py``)."""
+and a least-squares solve (``tests/helpers.py``); and the stages of a direct
+sum, assembled from its summands' solves, against the same stages solved on
+a plain representation of the sum's matrices."""
 
 import numpy as np
 import pytest
 
 from affine_actions import (
     AffineAction,
+    Cocycle,
+    GroupPresentation,
     Representation,
     affine_commutant,
+    analyze_direct_sum,
     check_equivalence,
     commutant_basis,
     conjugate_by_translation,
@@ -19,15 +24,18 @@ from affine_actions import (
 )
 from affine_actions.actions import certification_scale, unit_scale
 from affine_actions.linalg import residual_ok
+from affine_actions.reps import _generic_weights, boundary_split, hom_basis
 
 from helpers import (
     FAMILIES,
     TOL,
+    counting_solves,
     f2_group,
     kronecker_intertwiner_system,
     lstsq_solve,
     qr_null_space,
     random_action,
+    random_cocycle,
     random_dihedral_rep,
     random_field_vector,
     random_free_rep,
@@ -128,3 +136,172 @@ def test_inequivalent_pairs_are_definitely_not_found(field):
                     continue
                 result = check_equivalence(action, other)
                 assert not result.equivalent and not result.probabilistic, (group, seed)
+
+
+# -- direct sums assembled from their summands' solves ------------------------
+
+SUM_SEEDS = (0, 1, 2, 3)
+
+
+def value_equal_copy(action: AffineAction) -> AffineAction:
+    """The same action on a second representation object with copied matrices."""
+    rep = action.rep
+    copy = Representation(rep.presentation, rep.field, [m.copy() for m in rep.matrices], dim=rep.dim)
+    return AffineAction.from_values(copy, [b.copy() for b in action.cocycle.values])
+
+
+def plain(action: AffineAction) -> AffineAction:
+    """The action on a Representation of the same matrices that keeps no summands."""
+    rep = action.rep
+    flat = Representation(rep.presentation, rep.field, rep.matrices, dim=rep.dim, validate=False)
+    return AffineAction(flat, Cocycle(flat, action.cocycle.values, validate=False))
+
+
+def sum_cases(family: str, field: str):
+    """(label, sum) for every dimension and seed: a (+) a, a (+) a copy of a,
+    a (+) a' and the nested (a (+) a') (+) a."""
+    for d in DIMS:
+        for seed in SUM_SEEDS:
+            rng = np.random.default_rng(2000 * d + seed)
+            a = random_action(FAMILIES[family](rng, d, field), rng)
+            other = random_action(FAMILIES[family](rng, d, field), rng)
+            mixed = direct_sum(a, other)
+            for kind, action in (
+                ("a+a", direct_sum(a, a)),
+                ("a+copy", direct_sum(a, value_equal_copy(a))),
+                ("a+a'", mixed),
+                ("(a+a')+a", direct_sum(mixed, a)),
+            ):
+                yield (d, seed, kind), action
+
+
+def projector(columns: np.ndarray) -> np.ndarray:
+    return columns @ columns.conj().T
+
+
+def assert_same_span(got: np.ndarray, want: np.ndarray, label) -> None:
+    assert got.shape == want.shape, label
+    assert np.abs(projector(got) - projector(want)).max(initial=0.0) <= 1e-8, label
+
+
+def vec_columns(basis) -> np.ndarray:
+    return np.column_stack([np.asarray(t).reshape(-1) for t in basis])
+
+
+def generic_element(rep: Representation) -> np.ndarray:
+    z = np.einsum("s,sij->ij", _generic_weights(len(rep.matrices), rep.field), np.asarray(rep.matrices))
+    return z + z.conj().T
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_sum_stages_match_a_solve_at_the_sum_dimension(family, field):
+    for label, action in sum_cases(family, field):
+        reference = plain(action)
+        rep, ref = action.rep, reference.rep
+        assert rep._summands is not None and ref._summands is None, label
+        assert_same_span(vec_columns(commutant_basis(rep)), vec_columns(commutant_basis(ref)), label)
+        split, ref_split = boundary_split(rep), boundary_split(ref)
+        assert_same_span(split.kernel, ref_split.kernel, label)
+        assert_same_span(split.image, ref_split.image, label)
+        scale = 1.0 + np.abs(ref_split.pinv).max(initial=0.0)
+        assert np.abs(split.pinv - ref_split.pinv).max(initial=0.0) <= 1e-8 * scale, label
+        values, q, _ = rep.generic_eigenbasis
+        assert np.abs(q @ np.diag(values) @ q.conj().T - generic_element(rep)).max() <= 1e-12, label
+        verdict, ref_verdict = decide_irreducibility(action), decide_irreducibility(reference)
+        assert verdict.reducible == ref_verdict.reducible, label
+        assert len(verdict.commutant) == len(ref_verdict.commutant), label
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_hom_back_is_the_adjoint_of_hom_forth(family, field):
+    for d in DIMS:
+        rng = np.random.default_rng(3000 + d)
+        rep1, rep2 = FAMILIES[family](rng, d, field), FAMILIES[family](rng, d, field)
+        forth, back = hom_basis(rep1, rep2), hom_basis(rep2, rep1)
+        adjoints = forth.conj().transpose(0, 2, 1)
+        assert len(back) == len(forth), d
+        if len(back):
+            assert_same_span(vec_columns(adjoints), vec_columns(back), d)
+
+
+def test_sum_eigenbasis_is_assembled_block_diagonally():
+    rng = np.random.default_rng(11)
+    a = random_action(random_free_rep(f2_group(), 3, "complex", rng), rng)
+    b = random_action(random_free_rep(f2_group(), 2, "complex", rng), rng)
+    values, q, p = direct_sum(a, b).rep.generic_eigenbasis
+    (lam1, q1, p1), (lam2, q2, p2) = a.rep.generic_eigenbasis, b.rep.generic_eigenbasis
+    assert np.array_equal(values, np.concatenate([lam1, lam2]))
+    assert np.array_equal(q[:3, :3], q1) and np.array_equal(q[3:, 3:], q2)
+    assert not q[:3, 3:].any() and not q[3:, :3].any()
+    assert np.array_equal(p[:, :3, :3], p1) and np.array_equal(p[:, 3:, 3:], p2)
+
+
+def test_generator_free_sum_splits_like_its_plain_form():
+    presentation = GroupPresentation([], [])
+    reps = [Representation(presentation, "real", [], dim=d) for d in (2, 3)]
+    total = direct_sum(*(AffineAction.from_values(r, []) for r in reps))
+    split, ref = boundary_split(total.rep), boundary_split(plain(total).rep)
+    assert split.image.shape == ref.image.shape == (0, 0)
+    assert split.pinv.shape == ref.pinv.shape == (5, 0)
+    assert_same_span(split.kernel, ref.kernel, "kernel")
+    assert len(commutant_basis(total.rep)) == 25
+
+
+def commutant_solves(calls) -> int:
+    return sum(kind == "commutant" for kind, _ in calls)
+
+
+def test_double_after_deciding_its_summand_solves_nothing(monkeypatch):
+    rng = np.random.default_rng(12)
+    a = random_action(random_free_rep(f2_group(), 4, "real", rng), rng)
+    decide_irreducibility(a)
+    calls = counting_solves(monkeypatch)
+    analysis = analyze_direct_sum(a, a)
+    assert analysis.verdict.reducible and analysis.projections is not None
+    assert calls == []
+
+
+def cold_action(rep: Representation, rng) -> AffineAction:
+    """A random cocycle on a fresh copy of ``rep``, so no solve is cached on it."""
+    values = [b.copy() for b in random_cocycle(rep, rng).values]
+    fresh = Representation(rep.presentation, rep.field, [m.copy() for m in rep.matrices], dim=rep.dim)
+    return AffineAction.from_values(fresh, values)
+
+
+def test_value_equal_summands_share_one_solve(monkeypatch):
+    rng = np.random.default_rng(13)
+    rep = random_free_rep(f2_group(), 3, "complex", rng)
+    a, copy = cold_action(rep, rng), cold_action(rep, rng)
+    calls = counting_solves(monkeypatch)
+    total = direct_sum(a, copy)
+    assert total.rep._summands == (a.rep, a.rep)
+    decide_irreducibility(total)
+    assert commutant_solves(calls) == 1
+    assert [shape for kind, shape in calls if kind == "boundary"] == [(6, 3)]
+
+
+def test_distinct_summands_take_two_commutants_and_one_hom(monkeypatch):
+    rng = np.random.default_rng(14)
+    group = f2_group()
+    a = cold_action(random_free_rep(group, 3, "real", rng), rng)
+    b = cold_action(random_free_rep(group, 2, "real", rng), rng)
+    calls = counting_solves(monkeypatch)
+    decide_irreducibility(direct_sum(a, b))
+    assert commutant_solves(calls) == 3
+    assert [shape for kind, shape in calls if kind == "boundary"] == [(6, 3), (4, 2)]
+
+
+def test_assembled_arrays_are_read_only():
+    rng = np.random.default_rng(15)
+    group = f2_group()
+    a = random_action(random_free_rep(group, 3, "complex", rng), rng)
+    b = random_action(random_free_rep(group, 2, "complex", rng), rng)
+    for total in (direct_sum(a, b), direct_sum(direct_sum(a, b), a), direct_sum(a, a)):
+        split = boundary_split(total.rep)
+        arrays = [*commutant_basis(total.rep), split.image, split.kernel, split.pinv, *total.rep.generic_eigenbasis]
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 1.0
