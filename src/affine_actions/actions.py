@@ -15,13 +15,13 @@ U*U, and that witness is certified (see ``certify``) before being returned.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    REAL,
     ToleranceProfile,
     as_field_array,
     checked_seed,
@@ -34,12 +34,11 @@ from .linalg import (
     random_vectors,
     residual_ok,
     solve_affine_system,
-    unvec,
-    vec,
 )
 from .reps import (
     Cocycle,
     Representation,
+    _generic_weights,
     boundary_split,
     commutant_basis,
     fixed_subspace,
@@ -203,10 +202,6 @@ def certify(residual: float, parts, action: AffineAction, tol: ToleranceProfile,
     if not residual_ok(residual, certification_scale(parts, action), tol.eps_residual):
         raise InternalCheckError(f"{what} failed certification (residual {residual:.3e})")
     return residual
-
-
-def _split_solution(column: np.ndarray, dim: int) -> CommutantPair:
-    return CommutantPair(unvec(column[: dim * dim], dim, dim), column[dim * dim :])
 
 
 def _moved_values(ops: np.ndarray, action: AffineAction, scale: float) -> np.ndarray:
@@ -630,119 +625,95 @@ class DirectSumAnalysis:
         return self.verdict.irreducible
 
 
-def _extraction_candidates(
-    action: AffineAction, pairs: list[CommutantPair], d1: int, seed: int | None
-) -> Iterator[CommutantPair]:
-    """Commutant elements to try for the transverse-subspace extraction, made
-    only as they are asked for: the projected swap (when both summands have
-    dimension d1), the pairs by decreasing deviation, then 10 random
-    combinations."""
-    d = action.dim
-    if not pairs:
-        return
-    columns = np.column_stack([np.concatenate([vec(p.deviation), p.translation]) for p in pairs])
-    if 2 * d1 == d:
-        # the coordinate-swap element certifies the diagonal whenever the two
-        # summands literally coincide; its projection onto the solution space
-        # is always a valid commutant element
-        eye = np.eye(d1)
-        swap_dev = np.block([[-eye, eye], [eye, -eye]]).astype(action.rep.dtype)
-        target = np.concatenate([vec(swap_dev), np.zeros(d, dtype=action.rep.dtype)])
-        yield _split_solution(columns @ (columns.conj().T @ target), d)
-    yield from sorted(pairs, key=lambda p: -p.deviation_norm)
-    for coeffs in random_vectors(10, len(pairs), action.field, np.random.default_rng(seed)):
-        yield _split_solution(columns @ coeffs, d)
-
-
 def analyze_direct_sum(
-    a1: AffineAction,
-    a2: AffineAction,
-    tol: ToleranceProfile | None = None,
-    seed: int | None = 0,
+    a1: AffineAction, a2: AffineAction, tol: ToleranceProfile | None = None
 ) -> DirectSumAnalysis:
     """Decide a1 (+) a2 and, when reducible, exhibit equivalent projections.
 
-    A reducible sum of irreducible actions always admits a linear invariant
-    subspace K, transverse to both summands, on which the cocycle is a
-    coboundary; the graph map of K intertwines the projected actions. K is
-    found among eigenspaces of U*U over commutant elements; every returned
-    intertwiner is certified against the projected generator maps. The
-    decision divides both cocycles by the one scale of the sum (see
-    ``unit_scale``); the extraction is linear in the commutant translations,
+    Write a commutant pair of the sum as U = [[A, B], [C, D]] and
+    t = (t1, t2) in the summands' blocks. Its bottom row block solves
+    C b1 + D b2 = (pi2 - I) t2 with C in Hom(pi1, pi2) and D in pi2', so
+    K = {(x, y) : C x + D y + t2 = 0} is an invariant affine subspace. For
+    summands equal bit for bit the block is (I, -I, 0), and K is the
+    diagonal. Otherwise it is read from one fixed combination of the
+    verdict's pairs with U != 0 (the weights of ``reps._generic_weights``;
+    nothing is drawn) and refined: with P the projector onto range C and
+    P_R the one onto R = range(P D), the block (C, D, t2) is replaced by
+    (P_R C, P_R D, P_R t2). P_R commutes with pi2, so the refined block
+    solves the same equation, and now range C = range D = R with t2 in R.
+    (For irreducible summands every nonzero block already has
+    range C = range D, and the refinement changes nothing.) By Goursat's
+    lemma K is then the graph of a bijection: the projected actions on
+    W1 = range C* and W2 = range D* are equivalent through
+    x -> -D+(C x + t2), which is certified against the projected generator
+    maps. The decision divides both cocycles by the one scale of the sum
+    (see ``unit_scale``); the block is linear in the commutant translations,
     which come back multiplied by that scale, so it needs no rescaling.
+
+    A block that is zero or fails certification means the hypothesis of
+    the criterion fails: a reducible summand is named in an ActionError;
+    two irreducible summands raise InternalCheckError.
     """
-    seed = checked_seed(seed)
     sum_action = direct_sum(a1, a2)
     tol = tol or sum_action.tol
     verdict = decide_irreducibility(sum_action, tol)
     if verdict.irreducible:
         return DirectSumAnalysis(sum_action, verdict, None)
-
-    d1 = a1.dim
-    pairs = list(verdict.commutant)
-    for raw in _extraction_candidates(sum_action, pairs, d1, seed):
-        if raw.deviation_norm <= 1e-12:
-            continue
-        pair = CommutantPair(
-            raw.deviation / raw.deviation_norm, raw.translation / raw.deviation_norm
+    projections = _graph_projections(sum_action, a1, a2, verdict.commutant, tol)
+    if projections is None:
+        for name, summand in (("first", a1), ("second", a2)):
+            if decide_irreducibility(summand, tol).reducible:
+                raise ActionError(
+                    f"the {name} summand is reducible; the direct-sum criterion needs irreducible summands"
+                )
+        raise InternalCheckError(
+            "reducible direct sum of irreducible summands, but its commutant "
+            "gave no verified pair of equivalent projections"
         )
-        gram = pair.deviation.conj().T @ pair.deviation
-        clusters = hermitian_eigensystem(gram, tol)
-        for value, basis in reversed(clusters):
-            if value <= tol.eps_eig:
-                continue
-            projections = _try_graph_extraction(a1, a2, pair, basis, tol)
-            if projections is not None:
-                return DirectSumAnalysis(sum_action, verdict, projections)
-    raise InternalCheckError(
-        "reducible direct sum, but no commutant element produced a verified "
-        "pair of equivalent projections"
-    )
+    return DirectSumAnalysis(sum_action, verdict, projections)
 
 
-def _try_graph_extraction(
-    a1: AffineAction,
-    a2: AffineAction,
-    pair: CommutantPair,
-    basis: np.ndarray,
-    tol: ToleranceProfile,
+def _graph_projections(
+    sum_action: AffineAction, a1: AffineAction, a2: AffineAction, pairs, tol: ToleranceProfile
 ) -> EquivalentProjections | None:
-    """Attempt the graph-map construction on one U*U eigenspace."""
+    """The certified projections of one refined bottom row block (see
+    ``analyze_direct_sum``), or None."""
     d1 = a1.dim
-    k = basis.shape[1]
-    v0 = _projector_base_point(basis, pair.deviation, pair.translation)
-
-    q1, q2 = basis[:d1], basis[d1:]
-    if min(q1.shape) == 0 or min(q2.shape) == 0:
+    r1, r2 = sum_action.rep._summands
+    if r1 is r2 and all(np.array_equal(b[:d1], b[d1:]) for b in sum_action.cocycle.values):
+        # a (+) a: the block (I, -I, 0), whose subspace is the diagonal
+        w1 = w2 = np.eye(d1, dtype=r1.dtype)
+        mapping = AffineMap(w1, np.zeros(d1, dtype=r1.dtype))
+    elif (graph := _refined_graph(pairs, d1, tol)) is not None:
+        w1, w2, mapping = graph
+    else:
         return None
-    s1 = np.linalg.svd(q1, compute_uv=False)
-    s2 = np.linalg.svd(q2, compute_uv=False)
-    # transversality: both coordinate projections injective on the eigenspace;
-    # absolute floor as well, since a nearly-contained eigenspace has
-    # uniformly tiny singular values that a relative cut would keep
-    if min(s1.min(), s2.min()) <= tol.eps_rank:
-        return None
-    if numerical_rank(s1, tol) < k or numerical_rank(s2, tol) < k:
-        return None
-    w1 = orthonormal_columns(q1, tol)
-    w2 = orthonormal_columns(q2, tol)
-
-    m1 = w1.conj().T @ q1
-    m2 = w2.conj().T @ q2
-    graph = m2 @ np.linalg.inv(m1)
-    linear = np.linalg.inv(-graph.conj().T)
-
-    shift = -v0
-    c1 = w1.conj().T @ shift[:d1]
-    c2 = w2.conj().T @ shift[d1:]
-    mapping = AffineMap(linear, c2 - linear @ c1)
-
     try:
-        p1 = project_action(a1, w1, tol)
-        p2 = project_action(a2, w2, tol)
+        p1, p2 = project_action(a1, w1, tol), project_action(a2, w2, tol)
     except ValueError:  # non-invariant basis or near-tolerance rep validation
         return None
     residual = intertwining_residual(p1, p2, mapping)
-    if residual_ok(residual, certification_scale((linear, mapping.translation), a1, a2), tol.eps_residual):
+    if residual_ok(residual, certification_scale((mapping.linear, mapping.translation), a1, a2), tol.eps_residual):
         return EquivalentProjections(w1, w2, mapping, {"intertwining": residual})
     return None
+
+
+def _refined_graph(pairs, d1: int, tol: ToleranceProfile) -> tuple[np.ndarray, np.ndarray, AffineMap] | None:
+    """``(W1, W2, x -> -D+(C x + t2))`` for the refined bottom row block of
+    the generic combination of the pairs with U != 0, or None when the
+    refined block is zero."""
+    moving = [p for p in pairs if p.deviation.any()]
+    weights = _generic_weights(len(moving), REAL)
+    u = np.tensordot(weights, [p.deviation for p in moving], 1)
+    t = weights @ np.array([p.translation for p in moving])
+    # the block is scale-free; at unit ||U|| the rank cuts are relative to U
+    scale = frobenius(u)
+    c, d, t2 = u[d1:, :d1] / scale, u[d1:, d1:] / scale, t[d1:] / scale
+    q = orthonormal_columns(c, tol)
+    r = q @ orthonormal_columns(q.conj().T @ d, tol)
+    if not r.shape[1]:
+        return None
+    c, d, t2 = r.conj().T @ c, r.conj().T @ d, r.conj().T @ t2
+    w1, w2 = np.linalg.qr(c.conj().T)[0], np.linalg.qr(d.conj().T)[0]
+    dw2 = d @ w2
+    return w1, w2, AffineMap(-np.linalg.solve(dw2, c @ w1), -np.linalg.solve(dw2, t2))

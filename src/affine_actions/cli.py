@@ -188,7 +188,7 @@ def _exists_irreducible(args, problem, tol, action):
 
 
 def _direct_sum(args, problem, tol, a1, a2):
-    analysis = analyze_direct_sum(a1, a2, tol, seed=_seed(problem, args))
+    analysis = analyze_direct_sum(a1, a2, tol)
     if analysis.irreducible:
         return True, {"verdict": "IrreducibleSum"}, ["direct-sum: IrreducibleSum"]
     proj = analysis.projections
@@ -342,7 +342,7 @@ VERBS = {
     "fixed-points": Verb(_fixed_points),
     "cohomology": Verb(_cohomology),
     "exists-irreducible": Verb(_exists_irreducible, flags=("trials", "seed")),
-    "direct-sum": Verb(_direct_sum, files=2, flags=("seed",)),
+    "direct-sum": Verb(_direct_sum, files=2),
     "equivalence": Verb(_equivalence, files=2, flags=("trials", "seed")),
     "restrict": Verb(_restrict),
     "induce": Verb(_induce, files="setup"),

@@ -239,15 +239,6 @@ def frobenius(matrix: np.ndarray) -> float:
     return float(np.linalg.norm(matrix))
 
 
-def vec(matrix: np.ndarray) -> np.ndarray:
-    """Row-major flattening; inverse of ``unvec``."""
-    return np.asarray(matrix).reshape(-1)
-
-
-def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    return np.asarray(v).reshape(rows, cols)
-
-
 def random_vectors(count: int, dim: int, field: str, rng: np.random.Generator) -> np.ndarray:
     """``count`` standard Gaussian rows of length ``dim`` from one generator call.
 

@@ -22,7 +22,7 @@ from affine_actions import (
     invariant_subspace_from_witness,
     project_action,
 )
-from affine_actions.actions import ActionError, _extraction_candidates, certification_scale, direct_sum
+from affine_actions.actions import ActionError, certification_scale, direct_sum
 
 from helpers import (
     FAMILIES,
@@ -35,7 +35,6 @@ from helpers import (
     random_action_for,
     random_field_vector,
     random_free_rep,
-    random_vector,
     z2_group,
     z_group,
 )
@@ -397,32 +396,6 @@ def test_analyze_double_action_yields_identity_intertwiner():
     assert np.linalg.norm(ambient.translation) < 1e-8
 
 
-def test_a_double_is_analyzed_from_the_swap_without_a_random_draw(monkeypatch):
-    draws = []
-    monkeypatch.setattr(np.random, "default_rng", lambda *args: draws.append(args))
-    action = random_action(random_free_rep(f2_group(), 3, "complex", RNG), RNG)
-    analysis = analyze_direct_sum(action, action, seed=5)
-    assert analysis.projections is not None and draws == []
-
-
-@pytest.mark.parametrize("field", ["real", "complex"])
-def test_extraction_candidates_are_the_swap_the_pairs_then_per_call_draws(field):
-    action = random_action(random_free_rep(f2_group(), 2, field, RNG), RNG)
-    doubled = AffineAction.from_values(action.rep, [2.0 * v for v in action.cocycle.values])
-    for a2 in (action, doubled):  # both sums are reducible
-        pairs = list(decide_irreducibility(direct_sum(action, a2)).commutant)
-        got = list(_extraction_candidates(direct_sum(action, a2), pairs, 2, seed=7))
-        rng = np.random.default_rng(7)
-        columns = np.column_stack([np.concatenate([p.deviation.ravel(), p.translation]) for p in pairs])
-        draws = [columns @ random_vector(len(pairs), field, rng) for _ in range(10)]
-        assert len(got) == 1 + len(pairs) + 10
-        assert [p.deviation_norm for p in got[1 : 1 + len(pairs)]] == sorted(
-            (p.deviation_norm for p in pairs), reverse=True
-        )
-        for pair, column in zip(got[-10:], draws):
-            assert np.array_equal(np.concatenate([pair.deviation.ravel(), pair.translation]), column)
-
-
 def test_analyze_dependent_translations_scaling_intertwiner():
     analysis = analyze_direct_sum(translation_action(1.0), translation_action(2.0))
     assert analysis.verdict.reducible
@@ -454,6 +427,29 @@ def test_analyze_mixed_dimension_sum_with_shared_component():
     ambient = proj.ambient_map()
     assert np.allclose(ambient.linear, [[2.0], [0.0]], atol=1e-8)
     assert np.allclose(ambient.translation, 0.0, atol=1e-8)
+
+
+def test_translations_along_the_fixed_space_do_not_shift_the_intertwiner():
+    # pi is trivial, so every translation commutes with the sum; the block is
+    # taken from the pairs with U != 0 only, whose translations are 0 here
+    ambient = analyze_direct_sum(translation_action(1.0), translation_action(2.0)).projections.ambient_map()
+    assert np.allclose(ambient.linear, [[2.0]], atol=1e-12) and not ambient.translation.any()
+
+
+def test_a_block_with_unequal_ranges_is_refined_to_the_shared_line():
+    # Z acts on R^2 by diag(-1, 1) in both summands, with b1 = 0 (a reducible
+    # summand) and b2 = (0, 1). The bottom row block is C = diag(c1, c2),
+    # D = diag(d1, 0): range C is the plane, range D the flip line, so only
+    # the block projected onto the flip line is the graph of a bijection
+    rep = Representation(z_group(), "real", [np.diag([-1.0, 1.0])])
+    a1 = AffineAction.from_values(rep, [np.zeros(2)])
+    a2 = AffineAction.from_values(rep, [np.array([0.0, 1.0])])
+    proj = analyze_direct_sum(a1, a2).projections
+    assert proj.v1_basis.shape == proj.v2_basis.shape == (2, 1)
+    assert abs(proj.v1_basis[0, 0]) == pytest.approx(1.0) and abs(proj.v2_basis[0, 0]) == pytest.approx(1.0)
+    mapping = proj.intertwiner
+    residual = intertwining_residual(project_action(a1, proj.v1_basis), project_action(a2, proj.v2_basis), mapping)
+    assert residual < 1e-12 and abs(mapping.linear[0, 0]) > 1e-8
 
 
 def test_verdict_invariant_under_cocycle_scaling():

@@ -174,6 +174,27 @@ def test_direct_sum_disjoint_pair(capsys):
     assert doc["verdict"] == "IrreducibleSum"
 
 
+def test_direct_sum_takes_no_seed(capsys):
+    dihedral = FIXTURES / "dihedral.json"
+    code, _, err = run_cli(["direct-sum", dihedral, dihedral, "--seed", "1"], capsys)
+    assert code == 11 and "--seed" in err
+
+
+@pytest.mark.parametrize(
+    "first, second, which",
+    [
+        ("f2_trivial.json", "f2_character.json", "first"),
+        ("f2_irred2d_b1.json", "f2_trivial.json", "second"),
+        ("z_flip.json", "z_trivial_c1.json", "first"),
+    ],
+)
+def test_direct_sum_with_a_reducible_summand_is_invalid_input(capsys, first, second, which):
+    # the sum is reducible, but the criterion's hypothesis fails: no
+    # equivalent projections come out of its commutant
+    code, doc = run_machine(["direct-sum", FIXTURES / first, FIXTURES / second], capsys)
+    assert code == 12 and doc["error"].startswith(f"the {which} summand is reducible")
+
+
 def test_equivalence_command(capsys):
     code, doc = run_machine(
         ["equivalence", FIXTURES / "z_translation.json", FIXTURES / "z_even_translation.json"],
@@ -392,7 +413,6 @@ def test_equivalence_refuses_negative_trials(capsys):
     [
         ["exists-irreducible", "z_flip.json"],  # H^1 = 0: the search draws nothing
         ["equivalence", "z_translation.json", "z_even_translation.json"],
-        ["direct-sum", "z_translation.json", "z_translation.json"],  # decided by the swap
         ["orbit-probe", "glide.json"],
     ],
 )

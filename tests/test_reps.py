@@ -11,7 +11,6 @@ from affine_actions import (
     Representation,
     ToleranceProfile,
     Word,
-    analyze_direct_sum,
     check_equivalence,
     commutant_action_on_classes,
     commutant_basis,
@@ -495,8 +494,6 @@ def test_search_and_equivalence_counts_and_seeds_must_be_integers():
             search_irreducible_cocycle(rep, seed=seed)
         with pytest.raises(ValueError, match="seed"):
             check_equivalence(action, action, seed=seed)
-        with pytest.raises(ValueError, match="seed"):
-            analyze_direct_sum(action, action, seed=seed)
 
 
 def test_numpy_integer_counts_and_seeds_still_work():
@@ -509,7 +506,6 @@ def test_numpy_integer_counts_and_seeds_still_work():
     assert np.array_equal(found.witness.coordinates(), search_irreducible_cocycle(rep, 4, 9).witness.coordinates())
     action = AffineAction.from_values(Representation(z_group(), "real", [np.eye(1)]), [np.array([1.0])])
     assert check_equivalence(action, action, trials=np.int64(0), seed=np.int64(1)).equivalent
-    assert analyze_direct_sum(action, action, seed=np.int64(4)).verdict.reducible
 
 
 def test_commutant_commutes_with_random_words():

@@ -3,7 +3,8 @@ per-cocycle annihilator) and the two-step equivalence search, against the
 dense Kronecker system in the full unknowns (vec T, t) with a QR null space
 and a least-squares solve (``tests/helpers.py``); and the stages of a direct
 sum, assembled from its summands' solves, against the same stages solved on
-a plain representation of the sum's matrices."""
+a plain representation of the sum's matrices; and the equivalent projections
+a direct sum's analysis reads off one row block of its commutant."""
 
 import numpy as np
 import pytest
@@ -21,13 +22,16 @@ from affine_actions import (
     decide_irreducibility,
     direct_sum,
     intertwining_residual,
+    project_action,
 )
-from affine_actions.actions import certification_scale, unit_scale
-from affine_actions.linalg import residual_ok
+from affine_actions.actions import ActionError, certification_scale, unit_scale
+from affine_actions.linalg import numerical_rank, residual_ok
+from affine_actions.problem_io import load_problem
 from affine_actions.reps import _generic_weights, boundary_split, hom_basis
 
 from helpers import (
     FAMILIES,
+    FIXTURES,
     TOL,
     counting_solves,
     f2_group,
@@ -305,3 +309,110 @@ def test_assembled_arrays_are_read_only():
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[(0,) * array.ndim] = 1.0
+
+
+# -- equivalent projections from one commutant row block ----------------------
+
+
+def witness_cases(family: str, field: str):
+    """(label, a1, a2) for every dimension and seed: a (+) a, a (+) 2.5a,
+    a (+) a' with a' a second cocycle on pi, a (+) b with b an action on a
+    second representation of the family, and (a (+) a) (+) a."""
+    for d in DIMS:
+        for seed in SEEDS:
+            rng = np.random.default_rng(4000 * d + seed)
+            a = random_action(FAMILIES[family](rng, d, field), rng)
+            scaled = AffineAction.from_values(a.rep, [2.5 * b for b in a.cocycle.values])
+            other = random_action(a.rep, rng)
+            b = random_action(FAMILIES[family](rng, d, field), rng)
+            for kind, a1, a2 in (
+                ("a+a", a, a),
+                ("a+2.5a", a, scaled),
+                ("a+a'", a, other),
+                ("a+b", a, b),
+                ("(a+a)+a", direct_sum(a, a), a),
+            ):
+                yield (d, seed, kind), a1, a2
+
+
+def fixture_cases():
+    """(label, a1, a2): the double of every problem fixture, and the glide
+    next to the translation of Z."""
+    actions = {p.stem: load_problem(p).build_action() for p in sorted(FIXTURES.glob("*.json")) if p.stem != "c2xz_setup"}
+    for name, action in actions.items():
+        yield f"{name} double", action, action
+    yield "glide+translation", actions["glide"], actions["z_translation"]
+
+
+def analyzed(a1: AffineAction, a2: AffineAction):
+    """The projections of a1 (+) a2 (None when it is irreducible), or the
+    ActionError naming a reducible summand."""
+    try:
+        return analyze_direct_sum(a1, a2).projections
+    except ActionError as exc:
+        return exc
+
+
+def assert_certified_projections(label, a1: AffineAction, a2: AffineAction, projections) -> None:
+    """Orthonormal invariant bases of one dimension k >= 1, an invertible
+    intertwiner between the projected actions, and its residual within the
+    certification bound."""
+    k = projections.v1_basis.shape[1]
+    assert projections.v2_basis.shape[1] == k >= 1, label
+    p1, p2 = project_action(a1, projections.v1_basis), project_action(a2, projections.v2_basis)
+    mapping = projections.intertwiner
+    assert numerical_rank(np.linalg.svd(mapping.linear, compute_uv=False), TOL) == k, label
+    residual = intertwining_residual(p1, p2, mapping)
+    bound = certification_scale((mapping.linear, mapping.translation), a1, a2)
+    assert residual_ok(residual, bound, TOL.eps_residual), label
+
+
+def check_witness(label, a1: AffineAction, a2: AffineAction) -> None:
+    """A reducible sum of irreducible summands has certified projections;
+    any other reducible sum has them or names a reducible summand, and no
+    sum raises InternalCheckError."""
+    result = analyzed(a1, a2)
+    if isinstance(result, ActionError):
+        which = {"first": a1, "second": a2}[str(result).split()[1]]
+        assert "summand is reducible" in str(result), label
+        assert decide_irreducibility(which).reducible, label
+        assert not all(decide_irreducibility(a).irreducible for a in (a1, a2)), label
+    elif result is not None:
+        assert_certified_projections(label, a1, a2, result)
+    else:
+        assert decide_irreducibility(direct_sum(a1, a2)).irreducible, label
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_reducible_sums_have_certified_projections_or_a_reducible_summand(family, field):
+    for label, a1, a2 in witness_cases(family, field):
+        check_witness(label, a1, a2)
+
+
+def test_fixture_doubles_have_certified_projections():
+    for label, a1, a2 in fixture_cases():
+        check_witness(label, a1, a2)
+
+
+def same_result(left, right) -> bool:
+    if left is None or isinstance(left, ActionError):
+        return type(left) is type(right) and str(left) == str(right)
+    pieces = [(p.v1_basis, p.v2_basis, p.intertwiner.linear, p.intertwiner.translation) for p in (left, right)]
+    return all(np.array_equal(x, y) for x, y in zip(*pieces))
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_projections_draw_nothing_and_repeat_bit_for_bit(family, field, monkeypatch):
+    cases = list(witness_cases(family, field))
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("analyze_direct_sum created a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    for label, a1, a2 in cases:
+        first = analyzed(a1, a2)
+        assert same_result(first, analyzed(a1, a2)), label
+        if a1 is a2:
+            assert same_result(first, analyzed(a1, value_equal_copy(a2))), label
