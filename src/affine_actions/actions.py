@@ -9,8 +9,10 @@ iff, writing U = T - I,
 The action is irreducible exactly when every solution of this homogeneous
 system has U = 0; in that case the solutions are precisely the translations
 along the fixed space of the representation. When some solution has U != 0,
-a proper invariant affine subspace is extracted from a spectral projector of
-U*U, and that witness is certified (see ``certify``) before being returned.
+a proper invariant affine subspace is read off it: for a direct sum, from
+one row block of U (the subspace {V z + P t_i = 0}, see
+``_row_block_witness``), and otherwise from a spectral projector of U*U.
+Both witnesses are certified (see ``certify``) before being returned.
 """
 
 from __future__ import annotations
@@ -164,8 +166,9 @@ class CommutantPair:
 
 
 def cocycle_norm(*actions: AffineAction) -> float:
-    """max ||b(s)|| over every generator value of the given actions."""
-    return max((float(np.linalg.norm(b)) for a in actions for b in a.cocycle.values), default=0.0)
+    """max ||b(s)|| over every generator value of the given actions (each
+    cocycle's stored ``max_norm``)."""
+    return max((a.cocycle.max_norm for a in actions), default=0.0)
 
 
 def unit_scale(tol: ToleranceProfile, *actions: AffineAction) -> float:
@@ -231,37 +234,66 @@ def affine_commutant(action: AffineAction, tol: ToleranceProfile | None = None) 
     cocycle the x with [U_j b]_j x in range(B), with t = B+ U b, and the
     pairs (0, f) for f in the fixed space. The cocycle is taken at unit
     scale (see ``unit_scale``); the basis is orthonormal in (vec U, t/s).
-    Each pair is certified; one failing raises InternalCheckError.
+
+    For a direct sum (``direct_sum``) the third stage splits by row block,
+    since B^1(pi1 (+) pi2) = B^1(pi1) (+) B^1(pi2): U b is a coboundary iff
+    each row block of it is one. The first c1 + h elements of the sum's
+    block commutant have only top rows, the others only bottom rows, so the
+    annihilator is two problems at summand size, N1 of g d1 rows against
+    ``boundary_split(pi1)`` and N2 of g d2 rows against
+    ``boundary_split(pi2)``; their pairs are orthogonal, and each block
+    is orthonormalized on its own (``_annihilator_blocks``).
+    Each pair is certified at the action's dimension; one failing raises
+    InternalCheckError.
     """
     tol = tol or action.tol
     rep, d = action.rep, action.dim
     s = unit_scale(tol, action)
-    ops = np.asarray(commutant_basis(rep, tol))
-    split = boundary_split(rep, tol)
-    moved = _moved_values(ops, action, s)
-    coefficients = null_space_basis(moved - split.image @ (split.image.conj().T @ moved), tol)
-    pairs = tuple(CommutantPair(np.zeros((d, d), rep.dtype), s * f) for f in split.kernel.T)
-    if coefficients.shape[1]:
+    pairs = []
+    for rows, ops, split in _annihilator_blocks(rep, tol):
+        moved = _moved_values(ops[:, rows], action, s)
+        coefficients = null_space_basis(moved - split.image @ (split.image.conj().T @ moved), tol)
+        if not coefficients.shape[1]:
+            continue
         # the t = B+ U b lie off the fixed space, so only these pairs need
         # orthonormalizing in (vec U, t/s); vec U is isometric in x
         stacked = np.linalg.qr(np.vstack([coefficients, split.pinv @ (moved @ coefficients)]))[0]
         deviations = (stacked[: len(ops)].T @ ops.reshape(len(ops), d * d)).reshape(-1, d, d)
-        pairs = tuple(CommutantPair(u, s * t) for u, t in zip(deviations, stacked[len(ops) :].T)) + pairs
+        translations = np.zeros((len(deviations), d), stacked.dtype)
+        translations[:, rows] = s * stacked[len(ops) :].T
+        pairs += map(CommutantPair, deviations, translations)
+    pairs += [CommutantPair(np.zeros((d, d), rep.dtype), s * f) for f in boundary_split(rep, tol).kernel.T]
     residuals = [
         certify(commutant_residual(action, p), (p.deviation, p.translation), action, tol, "commutant basis element")
         for p in pairs
     ]
-    return AffineCommutant(pairs, {"worst_equation_defect": max(residuals, default=0.0)})
+    return AffineCommutant(tuple(pairs), {"worst_equation_defect": max(residuals, default=0.0)})
+
+
+def _annihilator_blocks(rep: Representation, tol: ToleranceProfile) -> list:
+    """``(rows, ops, split)`` per row block of the stage-3 annihilator: the
+    commutant elements whose nonzero rows are ``rows``, and the boundary
+    split those rows are solved against. A plain representation is one
+    block; a direct sum is its summands' two, with the top one holding the
+    first c1 + h elements of its block commutant (``reps.commutant_basis``)."""
+    ops = np.asarray(commutant_basis(rep, tol))
+    if rep._summands is None:
+        return [(slice(None), ops, boundary_split(rep, tol))]
+    r1, r2 = rep._summands
+    top = (len(ops) + len(commutant_basis(r1, tol)) - len(commutant_basis(r2, tol))) // 2
+    return [
+        (slice(None, r1.dim), ops[:top], boundary_split(r1, tol)),
+        (slice(r1.dim, None), ops[top:], boundary_split(r2, tol)),
+    ]
 
 
 def commutant_residual(action: AffineAction, pair_or_map) -> float:
     """Worst residual of the commutant equations over all generators."""
     u, t = pair_or_map.deviation, pair_or_map.translation
     worst = 0.0
-    eye = np.eye(action.dim)
     for m, b in zip(action.rep.matrices, action.cocycle.values):
         worst = max(worst, frobenius(u @ m - m @ u))
-        worst = max(worst, float(np.linalg.norm(u @ b - (m - eye) @ t)))
+        worst = max(worst, float(np.linalg.norm(u @ b - (m @ t - t))))
     return worst
 
 
@@ -341,7 +373,9 @@ def invariant_subspace_from_witness(
     residual = commutant_residual(action, witness)
     if not residual_ok(residual, certification_scale((u, t), action), tol.eps_residual):
         raise WitnessError(f"witness fails the commutant equations (residual {residual:.3e})")
-    return _certified_subspace(action, u, t, tol)[0]
+    subspace = _projector_subspace(action, u, t, tol)
+    certify(check_invariance(action, subspace), (subspace.base,), action, tol, "extracted subspace")
+    return subspace
 
 
 def _projector_base_point(basis: np.ndarray, u: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -353,13 +387,14 @@ def _projector_base_point(basis: np.ndarray, u: np.ndarray, t: np.ndarray) -> np
     return basis @ np.linalg.solve(compressed, basis.conj().T @ (u.conj().T @ t))
 
 
-def _certified_subspace(
+def _projector_subspace(
     action: AffineAction, u: np.ndarray, t: np.ndarray, tol: ToleranceProfile
-) -> tuple[AffineSubspace, float]:
-    """K = {x : Ex = -v0} and its certified invariance residual.
+) -> AffineSubspace:
+    """K = {x : Ex = -v0}, a proper invariant subspace.
 
     With U = T - I nonzero, the top eigenspace of U*U carries a projector E
-    commuting with the representation, so K is invariant.
+    commuting with the representation, so K is invariant; the caller
+    certifies it.
     """
     top_value, top_basis = hermitian_eigensystem(u.conj().T @ u, tol)[-1]
     if top_value <= tol.eps_eig:
@@ -368,7 +403,7 @@ def _certified_subspace(
     subspace = AffineSubspace(-v0, null_space_basis(top_basis.conj().T, tol))
     if subspace.dim >= action.dim:
         raise InternalCheckError("extracted subspace is not proper")
-    return subspace, certify(check_invariance(action, subspace), (v0,), action, tol, "extracted subspace")
+    return subspace
 
 
 def _normalized_witness(pair: CommutantPair) -> AffineMap:
@@ -397,20 +432,34 @@ def decide_irreducibility(action: AffineAction, tol: ToleranceProfile | None = N
     annihilator test of ``affine_commutant`` runs per cocycle. The commutant
     is solved at unit cocycle scale, so the verdict is invariant under
     b -> lambda b.
-    Reducible verdicts attach the max-norm witness and its extracted
-    invariant subspace, both certified; a witness failing certification
-    raises InternalCheckError. Irreducible verdicts are checked against the
-    fixed space (the commutant must be exactly the translations along it).
+    Reducible verdicts attach a witness with unit ||U|| and its invariant
+    subspace, both certified; a witness failing certification raises
+    InternalCheckError. For a plain action the witness is the max-norm pair
+    and the subspace comes from a spectral projector of U*U
+    (``_projector_subspace``). For a direct sum it is one row block
+    (``_row_block_witness``), with no factorization at the sum's
+    dimension when the summands are equal bit for bit. Irreducible verdicts
+    are checked against the fixed space (the commutant must be exactly the
+    translations along it).
     """
     tol = tol or action.tol
     pairs = affine_commutant(action, tol).pairs
     fixed = fixed_subspace(action.rep, tol)
     if len(pairs) > fixed.shape[1]:
-        witness = _normalized_witness(max(pairs, key=lambda p: p.deviation_norm))
-        u, t = witness.deviation, witness.translation
-        residual = commutant_residual(action, witness)
-        residuals = {"witness_commutant": certify(residual, (u, t), action, tol, "witness map")}
-        subspace, residuals["subspace_invariance"] = _certified_subspace(action, u, t, tol)
+        if action.rep._summands is None:
+            witness = _normalized_witness(max(pairs, key=lambda p: p.deviation_norm))
+            subspace = _projector_subspace(action, witness.deviation, witness.translation, tol)
+        else:
+            witness, subspace = _row_block_witness(action, pairs, tol)
+        residuals = {
+            "witness_commutant": certify(
+                commutant_residual(action, witness), (witness.deviation, witness.translation), action, tol,
+                "witness map",
+            ),
+            "subspace_invariance": certify(
+                check_invariance(action, subspace), (subspace.base,), action, tol, "extracted subspace"
+            ),
+        }
         return IrreducibilityVerdict(True, pairs, witness, subspace, residuals=residuals)
 
     if len(pairs) != fixed.shape[1]:
@@ -423,6 +472,54 @@ def decide_irreducibility(action: AffineAction, tol: ToleranceProfile | None = N
         if not residual_ok(float(np.linalg.norm(off)), t_norm, tol.eps_residual):
             raise InternalCheckError("commutant translation leaves the fixed space")
     return IrreducibilityVerdict(False, pairs, translation_directions=fixed)
+
+
+def _equal_summands(action: AffineAction) -> bool:
+    """The action is a direct sum a (+) a of summands equal bit for bit."""
+    r1, r2 = action.rep._summands
+    return r1 is r2 and all(np.array_equal(b[: r1.dim], b[r1.dim :]) for b in action.cocycle.values)
+
+
+def _row_block_witness(
+    action: AffineAction, pairs, tol: ToleranceProfile
+) -> tuple[AffineMap, AffineSubspace]:
+    """The witness of a reducible direct sum and its subspace, from one row
+    block of its commutant.
+
+    A pair whose U has one nonzero row block V (the rows of a summand
+    pi_i) and whose t has one block t_i solves V b = (pi_i - I) t_i with V
+    intertwining pi with pi_i. So K = {z : V z + P t_i = 0}, with P the
+    projector onto range V, is a proper invariant affine subspace: P
+    commutes with pi_i, and (I - P) t_i is fixed by pi_i because
+    (pi_i - I) t_i lies in range V. For summands equal bit for bit the
+    block is (I, -I, 0) and K is the diagonal. Otherwise it is the
+    combination, under the fixed weights of ``reps._generic_weights``, of
+    the N2 pairs of ``affine_commutant`` (bottom rows, as in
+    ``_graph_projections``), or of the N1 pairs when there are none, and K
+    comes from one SVD of V.
+    """
+    d1, d = action.rep._summands[0].dim, action.dim
+    dtype = action.rep.dtype
+    if _equal_summands(action):
+        u, t = np.zeros((d, d), dtype), np.zeros(d, dtype)
+        u[d1:, :d1], u[d1:, d1:] = np.eye(d1), -np.eye(d1)
+        u /= np.sqrt(2.0 * d1)
+        diagonal = np.vstack([np.eye(d1, dtype=dtype)] * 2) / np.sqrt(2.0)
+        return AffineMap(np.eye(d) + u, t), AffineSubspace(np.zeros(d, dtype), diagonal)
+    moving = [p for p in pairs if p.deviation.any()]
+    bottom = [p for p in moving if p.deviation[d1:].any()]
+    rows = slice(d1, None) if bottom else slice(None, d1)
+    block = bottom or moving
+    weights = _generic_weights(len(block), REAL)
+    u = np.tensordot(weights, [p.deviation for p in block], 1)
+    t = weights @ np.array([p.translation for p in block])
+    scale = frobenius(u)
+    u, t = u / scale, t / scale
+    left, singular, right = np.linalg.svd(u[rows], full_matrices=True)
+    rank = numerical_rank(singular, tol)
+    # -V+ t_i, the least-norm point of K
+    base = -right[:rank].conj().T @ ((left[:, :rank].conj().T @ t[rows]) / singular[:rank])
+    return AffineMap(np.eye(d) + u, t), AffineSubspace(base, right[rank:].conj().T)
 
 
 def project_action(action: AffineAction, basis: np.ndarray, tol: ToleranceProfile | None = None) -> AffineAction:
@@ -460,7 +557,8 @@ def direct_sum(a1: AffineAction, a2: AffineAction) -> AffineAction:
     Each summand is held to its own validity bounds; the sum is not
     re-validated, since its defects combine the summands' (the block
     isometry defect is sqrt 2 times that of two equal summands) while the
-    isometry bound does not grow with the number of blocks.
+    isometry bound does not grow with the number of blocks; the sum's
+    defects are computed only if asked for.
 
     The sum's representation keeps its two summand representations, so its
     generic eigenbasis, commutant and boundary split are assembled from the
@@ -630,36 +728,41 @@ def analyze_direct_sum(
 ) -> DirectSumAnalysis:
     """Decide a1 (+) a2 and, when reducible, exhibit equivalent projections.
 
-    Write a commutant pair of the sum as U = [[A, B], [C, D]] and
-    t = (t1, t2) in the summands' blocks. Its bottom row block solves
+    The decision solves the sum's annihilator as two problems at summand
+    size (``affine_commutant``) and certifies every pair, the witness map
+    and its subspace at the sum's dimension (``decide_irreducibility``).
+    Write the verdict's witness as U = [[A, B], [C, D]] and t = (t1, t2)
+    in the summands' blocks. Its bottom row block solves
     C b1 + D b2 = (pi2 - I) t2 with C in Hom(pi1, pi2) and D in pi2', so
     K = {(x, y) : C x + D y + t2 = 0} is an invariant affine subspace. For
-    summands equal bit for bit the block is (I, -I, 0), and K is the
-    diagonal. Otherwise it is read from one fixed combination of the
-    verdict's pairs with U != 0 (the weights of ``reps._generic_weights``;
-    nothing is drawn) and refined: with P the projector onto range C and
-    P_R the one onto R = range(P D), the block (C, D, t2) is replaced by
-    (P_R C, P_R D, P_R t2). P_R commutes with pi2, so the refined block
-    solves the same equation, and now range C = range D = R with t2 in R.
-    (For irreducible summands every nonzero block already has
-    range C = range D, and the refinement changes nothing.) By Goursat's
-    lemma K is then the graph of a bijection: the projected actions on
-    W1 = range C* and W2 = range D* are equivalent through
-    x -> -D+(C x + t2), which is certified against the projected generator
-    maps. The decision divides both cocycles by the one scale of the sum
-    (see ``unit_scale``); the block is linear in the commutant translations,
-    which come back multiplied by that scale, so it needs no rescaling.
+    summands equal bit for bit the block is (I, -I, 0), K is the diagonal,
+    and the projected actions are the summands themselves. Otherwise the
+    block is the generic combination of the N2 pairs that the witness
+    already is (``_row_block_witness``; nothing is drawn), refined: with P
+    the projector onto range C and P_R the one onto R = range(P D), the
+    block (C, D, t2) is replaced by (P_R C, P_R D, P_R t2). P_R commutes
+    with pi2, so the refined block solves the same equation, and now
+    range C = range D = R with t2 in R. (For irreducible summands every
+    nonzero block already has range C = range D, and the refinement changes
+    nothing.) By Goursat's lemma K is then the graph of a bijection: the
+    projected actions on W1 = range C* and W2 = range D* are equivalent
+    through x -> -D+(C x + t2), which is certified against the projected
+    generator maps. The decision divides both cocycles by the one scale of
+    the sum (see ``unit_scale``); the block is linear in the commutant
+    translations, which come back multiplied by that scale, so it needs no
+    rescaling.
 
-    A block that is zero or fails certification means the hypothesis of
-    the criterion fails: a reducible summand is named in an ActionError;
-    two irreducible summands raise InternalCheckError.
+    A block that is zero (the witness came from the top rows, N2 = 0) or
+    fails certification means the hypothesis of the criterion fails: a
+    reducible summand is named in an ActionError; two irreducible summands
+    raise InternalCheckError.
     """
     sum_action = direct_sum(a1, a2)
     tol = tol or sum_action.tol
     verdict = decide_irreducibility(sum_action, tol)
     if verdict.irreducible:
         return DirectSumAnalysis(sum_action, verdict, None)
-    projections = _graph_projections(sum_action, a1, a2, verdict.commutant, tol)
+    projections = _graph_projections(sum_action, a1, a2, verdict.witness_map, tol)
     if projections is None:
         for name, summand in (("first", a1), ("second", a2)):
             if decide_irreducibility(summand, tol).reducible:
@@ -674,41 +777,38 @@ def analyze_direct_sum(
 
 
 def _graph_projections(
-    sum_action: AffineAction, a1: AffineAction, a2: AffineAction, pairs, tol: ToleranceProfile
+    sum_action: AffineAction, a1: AffineAction, a2: AffineAction, witness: AffineMap, tol: ToleranceProfile
 ) -> EquivalentProjections | None:
-    """The certified projections of one refined bottom row block (see
-    ``analyze_direct_sum``), or None."""
+    """The certified projections of the witness's refined bottom row block
+    (see ``analyze_direct_sum``), or None."""
     d1 = a1.dim
-    r1, r2 = sum_action.rep._summands
-    if r1 is r2 and all(np.array_equal(b[:d1], b[d1:]) for b in sum_action.cocycle.values):
+    if _equal_summands(sum_action):
         # a (+) a: the block (I, -I, 0), whose subspace is the diagonal
-        w1 = w2 = np.eye(d1, dtype=r1.dtype)
-        mapping = AffineMap(w1, np.zeros(d1, dtype=r1.dtype))
-    elif (graph := _refined_graph(pairs, d1, tol)) is not None:
-        w1, w2, mapping = graph
+        w1 = w2 = np.eye(d1, dtype=a1.rep.dtype)
+        mapping = AffineMap(w1, np.zeros(d1, dtype=a1.rep.dtype))
+        p1, p2 = a1, a2
     else:
-        return None
-    try:
-        p1, p2 = project_action(a1, w1, tol), project_action(a2, w2, tol)
-    except ValueError:  # non-invariant basis or near-tolerance rep validation
-        return None
+        u, t = witness.deviation, witness.translation
+        graph = _refined_graph(u[d1:, :d1], u[d1:, d1:], t[d1:], tol)
+        if graph is None:
+            return None
+        w1, w2, mapping = graph
+        try:
+            p1, p2 = project_action(a1, w1, tol), project_action(a2, w2, tol)
+        except ValueError:  # non-invariant basis or near-tolerance rep validation
+            return None
     residual = intertwining_residual(p1, p2, mapping)
     if residual_ok(residual, certification_scale((mapping.linear, mapping.translation), a1, a2), tol.eps_residual):
         return EquivalentProjections(w1, w2, mapping, {"intertwining": residual})
     return None
 
 
-def _refined_graph(pairs, d1: int, tol: ToleranceProfile) -> tuple[np.ndarray, np.ndarray, AffineMap] | None:
-    """``(W1, W2, x -> -D+(C x + t2))`` for the refined bottom row block of
-    the generic combination of the pairs with U != 0, or None when the
-    refined block is zero."""
-    moving = [p for p in pairs if p.deviation.any()]
-    weights = _generic_weights(len(moving), REAL)
-    u = np.tensordot(weights, [p.deviation for p in moving], 1)
-    t = weights @ np.array([p.translation for p in moving])
-    # the block is scale-free; at unit ||U|| the rank cuts are relative to U
-    scale = frobenius(u)
-    c, d, t2 = u[d1:, :d1] / scale, u[d1:, d1:] / scale, t[d1:] / scale
+def _refined_graph(
+    c: np.ndarray, d: np.ndarray, t2: np.ndarray, tol: ToleranceProfile
+) -> tuple[np.ndarray, np.ndarray, AffineMap] | None:
+    """``(W1, W2, x -> -D+(C x + t2))`` for the refined row block
+    (C, D, t2), or None when the refined block is zero. The block is
+    scale-free; the rank cuts are relative to a witness with unit ||U||."""
     q = orthonormal_columns(c, tol)
     r = q @ orthonormal_columns(q.conj().T @ d, tol)
     if not r.shape[1]:

@@ -78,9 +78,6 @@ class Representation:
         self.matrices = matrices
         self.dim = dim
         self.tol = tol
-        eye = np.eye(dim)
-        self.isometry_defects = tuple(frobenius(m.conj().T @ m - eye) for m in matrices)
-        self.relator_defects = tuple(frobenius(self.evaluate(r) - eye) for r in presentation.relators)
         self._commutants: dict[ToleranceProfile, tuple[np.ndarray, ...]] = {}  # see commutant_basis
         self._boundaries: dict[ToleranceProfile, RangeSplit] = {}  # see boundary_split
         self._cohomology: dict[ToleranceProfile, tuple] = {}  # see first_cohomology
@@ -91,6 +88,20 @@ class Representation:
     @property
     def dtype(self) -> np.dtype:
         return np.dtype(np.float64 if self.field == REAL else np.complex128)
+
+    @cached_property
+    def isometry_defects(self) -> tuple[float, ...]:
+        """||pi(s)* pi(s) - I||_F per generator, computed on first use (at
+        construction when validating, since ``validity_report`` reads it)."""
+        eye = np.eye(self.dim)
+        return tuple(frobenius(m.conj().T @ m - eye) for m in self.matrices)
+
+    @cached_property
+    def relator_defects(self) -> tuple[float, ...]:
+        """||pi(r) - I||_F per relator, computed on first use like
+        ``isometry_defects``."""
+        eye = np.eye(self.dim)
+        return tuple(frobenius(self.evaluate(r) - eye) for r in self.presentation.relators)
 
     @cached_property
     def generic_eigenbasis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -146,10 +157,13 @@ class Representation:
 class Cocycle:
     """One vector per generator, extended to all words by the chain rule.
 
-    ``relator_defects`` are ||b(r)|| per relator, walked with ``extend``
-    unless the caller already computed them from the same values (as
-    ``first_cohomology`` does for its basis columns in one product); either
-    way they are held to the cocycle-relator bound when ``validate`` is set.
+    ``relator_defects`` are ||b(r)|| per relator, walked with ``extend`` on
+    first use unless the caller already computed them from the same values
+    (as ``first_cohomology`` does for its basis columns in one product);
+    either way they are held to the cocycle-relator bound when ``validate``
+    is set. ``max_norm`` is max_s ||b(s)||, computed once at construction:
+    the scale of that bound, of ``actions.unit_scale`` and of every
+    certification bound.
     """
 
     def __init__(
@@ -171,13 +185,15 @@ class Cocycle:
                 raise CocycleError(f"value has shape {v.shape}, expected ({representation.dim},)")
         self.representation = representation
         self.values = values
-        if relator_defects is None:
-            relator_defects = tuple(
-                float(np.linalg.norm(self.extend(r))) for r in representation.presentation.relators
-            )
-        self.relator_defects = relator_defects
+        self.max_norm = max((float(np.linalg.norm(v)) for v in values), default=0.0)
+        if relator_defects is not None:
+            self.relator_defects = relator_defects
         if validate and (failure := validity_report(tol, cocycle=self).failure):
             raise failure
+
+    @cached_property
+    def relator_defects(self) -> tuple[float, ...]:
+        return tuple(float(np.linalg.norm(self.extend(r))) for r in self.representation.presentation.relators)
 
     def extend(self, word: Word) -> np.ndarray:
         """Value on an arbitrary word via b(uv) = b(u) + pi(u) b(v)."""
@@ -260,13 +276,10 @@ def validity_report(
             lambda i, d: RepresentationError(f"relator {i} does not evaluate to the identity (defect {d:.3e})"),
         ))
     if cocycle is not None:
-        defects = cocycle.relator_defects  # the scale is only needed with relators
-        if defects:
-            values = cocycle.coordinates().reshape(len(cocycle.values), cocycle.representation.dim, 1)
-            scale = float(_cocycle_scale(values)[0])
-        else:
-            scale = 0.0
-        bounds.append(("cocycle_relators", "cocycle_relator_defects", defects, scale, _cocycle_relator_error))
+        bounds.append((
+            "cocycle_relators", "cocycle_relator_defects", cocycle.relator_defects, cocycle.max_norm,
+            _cocycle_relator_error,
+        ))
     checks, residuals, failure = {}, {}, None
     for check, key, defects, scale, error in bounds:
         bad = [i for i, d in enumerate(defects) if not residual_ok(d, scale, tol.eps_residual)]
@@ -275,12 +288,6 @@ def validity_report(
         if bad and failure is None:
             failure = error(bad[0], defects[bad[0]])
     return ValidityReport(checks, residuals, failure)
-
-
-def _cocycle_scale(values: np.ndarray) -> np.ndarray:
-    """max_s ||b(s)|| of n cocycles given as (g, d, n) generator values: the
-    scale of the cocycle-relator bound."""
-    return np.linalg.norm(values, axis=1).max(axis=0, initial=0.0)
 
 
 def _cocycle_relator_error(relator: int, defect: float) -> CocycleError:
@@ -299,7 +306,8 @@ def _certified_relator_defects(
     n = columns.shape[1]
     defects = np.linalg.norm((relators @ columns).reshape(relators.shape[0] // dim, dim, n), axis=1)
     if defects.size:
-        scales = _cocycle_scale(columns.reshape(columns.shape[0] // dim, dim, n))
+        # max_s ||b(s)|| per column, the scale of the cocycle-relator bound
+        scales = np.linalg.norm(columns.reshape(-1, dim, n), axis=1).max(axis=0, initial=0.0)
         bad = np.argwhere(~residual_ok(defects, scales, tol.eps_residual).T)
         if bad.size:
             column, relator = bad[0]

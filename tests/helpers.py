@@ -551,11 +551,16 @@ def reference_orbit_hull_probe(
 # -- reference cocycle search ----------------------------------------------
 
 
-def counting_solves(monkeypatch) -> list:
+def counting_solves(monkeypatch, factorizations: bool = False) -> list:
     """Record every commutant solve (an ``intertwiner_system`` build) and
     every boundary split (``RangeSplit.of``) as ("commutant", rep1) and
-    ("boundary", matrix shape)."""
-    from affine_actions import reps
+    ("boundary", matrix shape). With ``factorizations``, also record every
+    ``hermitian_eigensystem`` call as ("eigensystem", matrix shape) and every
+    ``null_space_basis`` input as ("null_space", matrix shape), wherever the
+    library calls them."""
+    import sys
+
+    from affine_actions import linalg, reps
     from affine_actions.linalg import RangeSplit
 
     calls = []
@@ -571,6 +576,17 @@ def counting_solves(monkeypatch) -> list:
 
     monkeypatch.setattr(reps, "intertwiner_system", counted_system)
     monkeypatch.setattr(RangeSplit, "of", classmethod(counted_split))
+    if factorizations:
+        for kind, name in (("eigensystem", "hermitian_eigensystem"), ("null_space", "null_space_basis")):
+            original = getattr(linalg, name)
+
+            def counted(matrix, *args, _kind=kind, _original=original, **kwargs):
+                calls.append((_kind, np.shape(matrix)))
+                return _original(matrix, *args, **kwargs)
+
+            for key, module in list(sys.modules.items()):
+                if key.split(".")[0] == "affine_actions" and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
     return calls
 
 

@@ -3,8 +3,10 @@ per-cocycle annihilator) and the two-step equivalence search, against the
 dense Kronecker system in the full unknowns (vec T, t) with a QR null space
 and a least-squares solve (``tests/helpers.py``); and the stages of a direct
 sum, assembled from its summands' solves, against the same stages solved on
-a plain representation of the sum's matrices; and the equivalent projections
-a direct sum's analysis reads off one row block of its commutant."""
+a plain representation of the sum's matrices, with the sum's decision split
+into two annihilators at summand size and its witness read off one row
+block; and the equivalent projections a direct sum's analysis reads off
+that row block."""
 
 import numpy as np
 import pytest
@@ -17,7 +19,9 @@ from affine_actions import (
     affine_commutant,
     analyze_direct_sum,
     check_equivalence,
+    check_invariance,
     commutant_basis,
+    commutant_residual,
     conjugate_by_translation,
     decide_irreducibility,
     direct_sum,
@@ -37,6 +41,7 @@ from helpers import (
     f2_group,
     kronecker_intertwiner_system,
     lstsq_solve,
+    permuted,
     qr_null_space,
     random_action,
     random_cocycle,
@@ -161,22 +166,33 @@ def plain(action: AffineAction) -> AffineAction:
     return AffineAction(flat, Cocycle(flat, action.cocycle.values, validate=False))
 
 
+def fixed_point_action(action: AffineAction) -> AffineAction:
+    """The zero cocycle on the action's representation: 0 is a fixed point,
+    so the action is reducible."""
+    return AffineAction.from_values(action.rep, [np.zeros_like(b) for b in action.cocycle.values])
+
+
 def sum_cases(family: str, field: str):
-    """(label, sum) for every dimension and seed: a (+) a, a (+) a copy of a,
-    a (+) a' and the nested (a (+) a') (+) a."""
+    """(label, a1, a2) for every dimension and seed: a (+) a, a (+) a copy of
+    a, a (+) a', the nested (a (+) a') (+) a, r (+) a and a (+) r, with r
+    the reducible zero-cocycle action on the representation of a'. The
+    commutant of r (+) a has only top-row pairs when a is irreducible and
+    Hom(pi', pi) = 0; that of a (+) r has bottom-row pairs with C = 0."""
     for d in DIMS:
         for seed in SUM_SEEDS:
             rng = np.random.default_rng(2000 * d + seed)
             a = random_action(FAMILIES[family](rng, d, field), rng)
             other = random_action(FAMILIES[family](rng, d, field), rng)
-            mixed = direct_sum(a, other)
-            for kind, action in (
-                ("a+a", direct_sum(a, a)),
-                ("a+copy", direct_sum(a, value_equal_copy(a))),
-                ("a+a'", mixed),
-                ("(a+a')+a", direct_sum(mixed, a)),
+            reducible = fixed_point_action(other)
+            for kind, a1, a2 in (
+                ("a+a", a, a),
+                ("a+copy", a, value_equal_copy(a)),
+                ("a+a'", a, other),
+                ("(a+a')+a", direct_sum(a, other), a),
+                ("r+a", reducible, a),
+                ("a+r", a, reducible),
             ):
-                yield (d, seed, kind), action
+                yield (d, seed, kind), a1, a2
 
 
 def projector(columns: np.ndarray) -> np.ndarray:
@@ -200,7 +216,8 @@ def generic_element(rep: Representation) -> np.ndarray:
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_sum_stages_match_a_solve_at_the_sum_dimension(family, field):
-    for label, action in sum_cases(family, field):
+    for label, a1, a2 in sum_cases(family, field):
+        action = direct_sum(a1, a2)
         reference = plain(action)
         rep, ref = action.rep, reference.rep
         assert rep._summands is not None and ref._summands is None, label
@@ -212,9 +229,103 @@ def test_sum_stages_match_a_solve_at_the_sum_dimension(family, field):
         assert np.abs(split.pinv - ref_split.pinv).max(initial=0.0) <= 1e-8 * scale, label
         values, q, _ = rep.generic_eigenbasis
         assert np.abs(q @ np.diag(values) @ q.conj().T - generic_element(rep)).max() <= 1e-12, label
+
+
+def pair_columns(pairs, scale: float) -> np.ndarray:
+    """Orthonormal columns spanning the pairs as vectors (vec U, t/s)."""
+    columns = np.column_stack([np.concatenate([p.deviation.reshape(-1), p.translation / scale]) for p in pairs])
+    return np.linalg.qr(columns)[0]
+
+
+def assert_witness_certified(label, action: AffineAction, verdict) -> None:
+    """The witness map has U != 0 and meets the commutant equations, and its
+    subspace is proper, orthonormal and invariant, each within the
+    certification bound."""
+    witness, subspace = verdict.witness_map, verdict.witness_subspace
+    u, t = witness.deviation, witness.translation
+    assert np.linalg.norm(u) > TOL.eps_residual, label
+    bound = certification_scale((u, t), action)
+    assert residual_ok(commutant_residual(action, witness), bound, TOL.eps_residual), label
+    k = subspace.directions
+    assert subspace.dim < action.dim, label
+    assert np.abs(k.conj().T @ k - np.eye(subspace.dim)).max(initial=0.0) <= 1e-10, label
+    bound = certification_scale((subspace.base,), action)
+    assert residual_ok(check_invariance(action, subspace), bound, TOL.eps_residual), label
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_sum_decision_matches_a_decision_at_the_sum_dimension(family, field):
+    """The row-block decision of a sum against the one of a plain
+    representation of its matrices: the verdict, the number of commutant
+    pairs and their span, and a certified witness on each side."""
+    for label, a1, a2 in sum_cases(family, field):
+        action = direct_sum(a1, a2)
+        reference = plain(action)
         verdict, ref_verdict = decide_irreducibility(action), decide_irreducibility(reference)
         assert verdict.reducible == ref_verdict.reducible, label
         assert len(verdict.commutant) == len(ref_verdict.commutant), label
+        if verdict.commutant:
+            s = unit_scale(TOL, action)
+            assert_same_span(pair_columns(verdict.commutant, s), pair_columns(ref_verdict.commutant, s), label)
+        if verdict.reducible:
+            assert_witness_certified(label, action, verdict)
+            assert_witness_certified(label, reference, ref_verdict)
+
+
+def test_the_grid_has_top_only_and_zero_c_blocks():
+    """On generic F2 summands of d >= 2, r (+) a has only top-row pairs, so
+    its witness comes from the top block, and a (+) r has a bottom block
+    with C = 0; both name the reducible summand. (At d = 1 two real
+    characters may be equal.)"""
+    for label, a1, a2 in sum_cases("f2", "real"):
+        if label[0] == 1 or label[2] not in ("r+a", "a+r"):
+            continue
+        d1 = a1.dim
+        verdict = decide_irreducibility(direct_sum(a1, a2))
+        moving = [p.deviation for p in verdict.commutant if p.deviation.any()]
+        u = verdict.witness_map.deviation
+        if label[2] == "r+a":
+            assert moving and not any(m[d1:].any() for m in moving), label
+            assert u[:d1].any() and not u[d1:].any(), label
+        else:
+            assert np.abs(u[d1:, :d1]).max() <= 1e-12 and u[d1:, d1:].any(), label
+        with pytest.raises(ActionError, match=f"{'first' if label[2] == 'r+a' else 'second'} summand is reducible"):
+            analyze_direct_sum(a1, a2)
+
+
+def symmetric_summands(a1: AffineAction, a2: AffineAction, rng):
+    """(kind, a1', a2') with a1' (+) a2' conjugate to a1 (+) a2: both cocycles
+    scaled by one lambda, each conjugated by a translation, each rebased by
+    a unitary (a block-diagonal change of basis of the sum), and the
+    generators of both relabelled in reverse order."""
+    yield "dilation", *(AffineAction.from_values(a.rep, [0.03 * b for b in a.cocycle.values]) for a in (a1, a2))
+    yield "translation", *(conjugate_by_translation(a, random_field_vector(a.dim, a.field, rng)) for a in (a1, a2))
+    rebased = []
+    for a in (a1, a2):
+        q = random_isometry(a.dim, a.field, rng)
+        rep = Representation(a.presentation, a.field, [q @ m @ q.conj().T for m in a.rep.matrices])
+        rebased.append(AffineAction.from_values(rep, [q @ b for b in a.cocycle.values]))
+    yield "rebasing", *rebased
+    order = list(range(a1.presentation.num_generators))[::-1]
+    yield "relabelling", permuted(a1, order), permuted(a2, order)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_sum_verdict_is_invariant_under_the_symmetries(family, field):
+    rng = np.random.default_rng(17)
+    for label, a1, a2 in sum_cases(family, field):
+        if label[1] not in SUM_SEEDS[:2]:
+            continue
+        verdict = decide_irreducibility(direct_sum(a1, a2))
+        for kind, b1, b2 in symmetric_summands(a1, a2, rng):
+            moved = direct_sum(b1, b2)
+            other = decide_irreducibility(moved)
+            assert other.reducible == verdict.reducible, (label, kind)
+            assert len(other.commutant) == len(verdict.commutant), (label, kind)
+            if other.reducible:
+                assert_witness_certified((label, kind), moved, other)
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -265,6 +376,36 @@ def test_double_after_deciding_its_summand_solves_nothing(monkeypatch):
     analysis = analyze_direct_sum(a, a)
     assert analysis.verdict.reducible and analysis.projections is not None
     assert calls == []
+
+
+def test_double_after_deciding_its_summand_factorizes_nothing_at_the_sum_dimension(monkeypatch):
+    # three generators, so the g d rows of a summand's annihilator are not 2d
+    rng = np.random.default_rng(16)
+    d = 4
+    a = random_action(random_free_rep(GroupPresentation(["a", "b", "c"]), d, "real", rng), rng)
+    decide_irreducibility(a)
+    calls = counting_solves(monkeypatch, factorizations=True)
+    analysis = analyze_direct_sum(a, a)
+    assert analysis.verdict.reducible and analysis.projections is not None
+    # no eigensolve, and two annihilators of g d rows and c + h = 2 columns
+    assert calls == [("null_space", (3 * d, 2)), ("null_space", (3 * d, 2))]
+
+
+def test_sum_defects_are_computed_only_when_asked():
+    rng = np.random.default_rng(18)
+    a = random_action(random_dihedral_rep(3, "real", rng), rng)
+    total = direct_sum(a, a)
+    decide_irreducibility(total)
+    rep, cocycle = total.rep, total.cocycle
+    assert {"isometry_defects", "relator_defects"}.isdisjoint(vars(rep)), "the unvalidated sum computed its defects"
+    assert "relator_defects" not in vars(cocycle)
+    assert {"isometry_defects", "relator_defects"} <= set(vars(a.rep)), "a validated summand computes them at once"
+    eye = np.eye(rep.dim)
+    relators = rep.presentation.relators
+    assert rep.isometry_defects == tuple(float(np.linalg.norm(m.T @ m - eye)) for m in rep.matrices)
+    assert rep.relator_defects == tuple(float(np.linalg.norm(rep.evaluate(r) - eye)) for r in relators)
+    assert cocycle.relator_defects == tuple(float(np.linalg.norm(cocycle.extend(r))) for r in relators)
+    assert cocycle.max_norm == max(float(np.linalg.norm(b)) for b in cocycle.values)
 
 
 def cold_action(rep: Representation, rng) -> AffineAction:
