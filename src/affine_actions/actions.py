@@ -9,10 +9,11 @@ iff, writing U = T - I,
 The action is irreducible exactly when every solution of this homogeneous
 system has U = 0; in that case the solutions are precisely the translations
 along the fixed space of the representation. When some solution has U != 0,
-a proper invariant affine subspace is read off it: for a direct sum, from
-one row block of U (the subspace {V z + P t_i = 0}, see
-``_row_block_witness``), and otherwise from a spectral projector of U*U.
-Both witnesses are certified (see ``certify``) before being returned.
+a proper invariant affine subspace is read off one SVD of a block V of U
+(the subspace {V_top z + P_top t_i = 0}, see ``_kernel_subspace``): U
+itself for a plain action, one row block for a direct sum
+(``_row_block_witness``). The witness and its subspace are certified (see
+``certify``) before being returned.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .linalg import (
     as_field_array,
     checked_seed,
     frobenius,
-    hermitian_eigensystem,
     int_at_least,
     null_space_basis,
     numerical_rank,
@@ -364,7 +364,9 @@ def invariant_subspace_from_witness(
     """Proper invariant affine subspace extracted from a supplied commutant element.
 
     A witness that is the identity or fails the commutant equations raises
-    WitnessError; the extracted subspace is certified (see ``certify``).
+    WitnessError. The witness is rescaled to unit ||U||, so its magnitude
+    does not matter, and K is read off one SVD of U (``_kernel_subspace``)
+    and certified (see ``certify``).
     """
     tol = tol or action.tol
     u, t = witness.deviation, witness.translation
@@ -373,48 +375,42 @@ def invariant_subspace_from_witness(
     residual = commutant_residual(action, witness)
     if not residual_ok(residual, certification_scale((u, t), action), tol.eps_residual):
         raise WitnessError(f"witness fails the commutant equations (residual {residual:.3e})")
-    subspace = _projector_subspace(action, u, t, tol)
+    unit = _normalized_witness(u, t)
+    subspace = _kernel_subspace(unit.deviation, unit.translation, tol)
     certify(check_invariance(action, subspace), (subspace.base,), action, tol, "extracted subspace")
     return subspace
 
 
-def _projector_base_point(basis: np.ndarray, u: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """v0 = (U*U|_ImE)^-1 E U* t for E the projector onto span(basis).
+def _kernel_subspace(v: np.ndarray, t_i: np.ndarray, tol: ToleranceProfile) -> AffineSubspace:
+    """K = {z : V_top z + P_top t_i = 0}, a proper invariant affine subspace
+    read off one SVD V = L S R*; the caller certifies it.
 
-    The cocycle projected by E is the coboundary of v0.
+    V solves V b = (pi_i - I) t_i and V pi = pi_i V: U itself for a plain
+    action, one row block for a sum (``_row_block_witness``). V_top = P_top V
+    keeps the top singular cluster (leading sigma whose squares chain with
+    gaps <= eps_eig, the rule of ``hermitian_eigensystem``, at most
+    ``numerical_rank`` of them). P_top = L_top L_top* is a spectral
+    projector of V V*, so it commutes with pi_i, (V_top, P_top t_i) solves
+    the same equation, and V_top(pi z + b) + P_top t_i =
+    pi_i (V_top z + P_top t_i) keeps K invariant. K has base -V_top+ t_i;
+    for V = U it is the K of the top eigenspace of U*U.
     """
-    compressed = basis.conj().T @ (u.conj().T @ u) @ basis
-    return basis @ np.linalg.solve(compressed, basis.conj().T @ (u.conj().T @ t))
+    left, singular, right = np.linalg.svd(v, full_matrices=True)
+    splits = -np.diff(singular[: numerical_rank(singular, tol)] ** 2) > tol.eps_eig
+    keep = int(np.argmax(np.append(splits, True))) + 1
+    base = -right[:keep].conj().T @ ((left[:, :keep].conj().T @ t_i) / singular[:keep])
+    return AffineSubspace(base, right[keep:].conj().T)
 
 
-def _projector_subspace(
-    action: AffineAction, u: np.ndarray, t: np.ndarray, tol: ToleranceProfile
-) -> AffineSubspace:
-    """K = {x : Ex = -v0}, a proper invariant subspace.
-
-    With U = T - I nonzero, the top eigenspace of U*U carries a projector E
-    commuting with the representation, so K is invariant; the caller
-    certifies it.
-    """
-    top_value, top_basis = hermitian_eigensystem(u.conj().T @ u, tol)[-1]
-    if top_value <= tol.eps_eig:
-        raise InternalCheckError("top eigenvalue of U*U is numerically indistinguishable from zero")
-    v0 = _projector_base_point(top_basis, u, t)
-    subspace = AffineSubspace(-v0, null_space_basis(top_basis.conj().T, tol))
-    if subspace.dim >= action.dim:
-        raise InternalCheckError("extracted subspace is not proper")
-    return subspace
-
-
-def _normalized_witness(pair: CommutantPair) -> AffineMap:
-    """The commutant element rescaled so its deviation has unit norm.
+def _normalized_witness(u: np.ndarray, t: np.ndarray) -> AffineMap:
+    """The commutant element (U, t) rescaled so U has unit norm.
 
     The system is homogeneous, so scaling preserves membership; without it a
     large cocycle makes every unit basis vector carry an almost-invisible U
-    and the spectral extraction would sit at the noise floor.
+    and the extraction would sit at the noise floor.
     """
-    scale = pair.deviation_norm
-    return AffineMap(np.eye(pair.deviation.shape[0]) + pair.deviation / scale, pair.translation / scale)
+    scale = frobenius(u)
+    return AffineMap(np.eye(u.shape[0]) + u / scale, t / scale)
 
 
 def decide_irreducibility(action: AffineAction, tol: ToleranceProfile | None = None) -> IrreducibilityVerdict:
@@ -435,8 +431,8 @@ def decide_irreducibility(action: AffineAction, tol: ToleranceProfile | None = N
     Reducible verdicts attach a witness with unit ||U|| and its invariant
     subspace, both certified; a witness failing certification raises
     InternalCheckError. For a plain action the witness is the max-norm pair
-    and the subspace comes from a spectral projector of U*U
-    (``_projector_subspace``). For a direct sum it is one row block
+    and the subspace comes from one SVD of its U (``_kernel_subspace``), with
+    no U*U eigensolve. For a direct sum it is one row block
     (``_row_block_witness``), with no factorization at the sum's
     dimension when the summands are equal bit for bit. Irreducible verdicts
     are checked against the fixed space (the commutant must be exactly the
@@ -447,8 +443,9 @@ def decide_irreducibility(action: AffineAction, tol: ToleranceProfile | None = N
     fixed = fixed_subspace(action.rep, tol)
     if len(pairs) > fixed.shape[1]:
         if action.rep._summands is None:
-            witness = _normalized_witness(max(pairs, key=lambda p: p.deviation_norm))
-            subspace = _projector_subspace(action, witness.deviation, witness.translation, tol)
+            pair = max(pairs, key=lambda p: p.deviation_norm)
+            witness = _normalized_witness(pair.deviation, pair.translation)
+            subspace = _kernel_subspace(witness.deviation, witness.translation, tol)
         else:
             witness, subspace = _row_block_witness(action, pairs, tol)
         residuals = {
@@ -488,15 +485,13 @@ def _row_block_witness(
 
     A pair whose U has one nonzero row block V (the rows of a summand
     pi_i) and whose t has one block t_i solves V b = (pi_i - I) t_i with V
-    intertwining pi with pi_i. So K = {z : V z + P t_i = 0}, with P the
-    projector onto range V, is a proper invariant affine subspace: P
-    commutes with pi_i, and (I - P) t_i is fixed by pi_i because
-    (pi_i - I) t_i lies in range V. For summands equal bit for bit the
-    block is (I, -I, 0) and K is the diagonal. Otherwise it is the
-    combination, under the fixed weights of ``reps._generic_weights``, of
-    the N2 pairs of ``affine_commutant`` (bottom rows, as in
-    ``_graph_projections``), or of the N1 pairs when there are none, and K
-    comes from one SVD of V.
+    intertwining pi with pi_i, so ``_kernel_subspace`` reads a proper
+    invariant affine subspace K off one SVD of V. For summands equal bit
+    for bit the block is (I, -I, 0) and K is the diagonal, with no
+    factorization. Otherwise it is the combination, under the fixed
+    weights of ``reps._generic_weights``, of the N2 pairs of
+    ``affine_commutant`` (bottom rows, as in ``_graph_projections``), or
+    of the N1 pairs when there are none, rescaled to unit ||U||.
     """
     d1, d = action.rep._summands[0].dim, action.dim
     dtype = action.rep.dtype
@@ -513,13 +508,8 @@ def _row_block_witness(
     weights = _generic_weights(len(block), REAL)
     u = np.tensordot(weights, [p.deviation for p in block], 1)
     t = weights @ np.array([p.translation for p in block])
-    scale = frobenius(u)
-    u, t = u / scale, t / scale
-    left, singular, right = np.linalg.svd(u[rows], full_matrices=True)
-    rank = numerical_rank(singular, tol)
-    # -V+ t_i, the least-norm point of K
-    base = -right[:rank].conj().T @ ((left[:, :rank].conj().T @ t[rows]) / singular[:rank])
-    return AffineMap(np.eye(d) + u, t), AffineSubspace(base, right[rank:].conj().T)
+    witness = _normalized_witness(u, t)
+    return witness, _kernel_subspace(witness.deviation[rows], witness.translation[rows], tol)
 
 
 def project_action(action: AffineAction, basis: np.ndarray, tol: ToleranceProfile | None = None) -> AffineAction:
@@ -755,7 +745,10 @@ def analyze_direct_sum(
     A block that is zero (the witness came from the top rows, N2 = 0) or
     fails certification means the hypothesis of the criterion fails: a
     reducible summand is named in an ActionError; two irreducible summands
-    raise InternalCheckError.
+    raise InternalCheckError. The summands are decided only then: a sum
+    with a reducible summand whose block certifies (every fixture double,
+    the reducible glide, c2_flip and z_flip among them) still returns its
+    equivalent projections.
     """
     sum_action = direct_sum(a1, a2)
     tol = tol or sum_action.tol

@@ -188,6 +188,20 @@ def test_witness_extraction_glide_hand_values():
     assert abs(abs(subspace.directions[0, 0]) - 1.0) < 1e-10
 
 
+def test_witness_extraction_does_not_depend_on_the_witness_norm():
+    # the glide witness U = c diag(0, 1), t = c (0, -1) at several c: the
+    # witness is rescaled to unit ||U|| before its subspace is read off
+    action = glide_action()
+    subspaces = [
+        invariant_subspace_from_witness(action, AffineMap(np.eye(2) + c * np.diag([0.0, 1.0]), np.array([0.0, -c])))
+        for c in (1.0, 1e-3, 1e-5, 1e-7)
+    ]
+    for subspace in subspaces:
+        assert subspace.dim == 1
+        assert np.linalg.norm(subspace.base - np.array([0.0, 1.0])) <= 1e-8
+        assert abs(abs(subspace.directions[0, 0]) - 1.0) <= 1e-8
+
+
 def test_witness_extraction_from_projection_through_fixed_point():
     # trivial rep with b = 0: the projector onto an axis commutes, and the
     # extracted subspace is an invariant line through the fixed point

@@ -37,13 +37,14 @@ from affine_actions import (
     CommutantPair,
     check_invariance,
     commutant_residual,
+    induce_action,
     intertwining_residual,
     project_action,
 )
 from affine_actions.actions import certification_scale
 from affine_actions.cli import main
 from affine_actions.linalg import residual_ok
-from affine_actions.problem_io import array_from_json, load_problem
+from affine_actions.problem_io import array_from_json, load_induction_setup, load_problem
 
 ROOT = Path(__file__).resolve().parent.parent
 SNAPSHOT = Path(__file__).resolve().parent / "cli_contract.json"
@@ -107,13 +108,20 @@ ADDED_KEYS = {"verify": {"probabilistic": False}}
 # equivalent projections came to be read off one row block of the commutant
 # instead of a search over U*U eigenspaces: the bases are now the identity
 # (some had the opposite sign) and the ambient intertwiner the identity to
-# roundoff, so only float leaves under "witness" and "residuals" changed
+# roundoff, so only float leaves under "witness" and "residuals" changed.
+# The last three were re-recorded when a plain action's invariant subspace
+# came to be read off one SVD of U instead of an eigensolve of U*U and a
+# null space of its top eigenspace: the subspace is the same, and only the
+# sign of its direction vector changed
 RERECORDED = (
     ["irreducible", "fixtures/c3_rotation.json"],
     ["commutant", "fixtures/c3_rotation.json"],
     ["commutant", "fixtures/glide.json"],
     *(["direct-sum", path, path] for path in PROBLEMS),
     ["equivalence", "fixtures/c2_flip.json", "fixtures/c2_flip.json"],
+    ["irreducible", "fixtures/glide.json"],
+    ["irreducible", "fixtures/glide.json", "--tol-residual", "1e-6"],
+    ["induce", "fixtures/z_translation.json", "fixtures/c2xz_setup.json"],
 )
 
 
@@ -191,6 +199,8 @@ def test_rerecorded_witnesses_reverify(argv, monkeypatch):
     monkeypatch.chdir(ROOT)
     doc = _recorded()[" ".join(argv)]["doc"]
     action = load_problem(argv[1]).build_action()
+    if argv[0] == "induce":
+        action = induce_action(action, load_induction_setup(argv[2]))
     field, d, tol = action.field, action.dim, action.tol
 
     def array(data, shape):
@@ -204,10 +214,11 @@ def test_rerecorded_witnesses_reverify(argv, monkeypatch):
         for element in doc["basis"]:
             pair = CommutantPair(array(element["deviation"], (d, d)), array(element["translation"], (d,)))
             assert certified(commutant_residual(action, pair), (pair.deviation, pair.translation), action)
-    elif argv[0] == "irreducible":
-        recorded = doc["witness"]["commutant_map"]
-        witness = AffineMap(array(recorded["linear"], recorded["shape"]), array(recorded["translation"], (d,)))
-        assert certified(commutant_residual(action, witness), (witness.deviation, witness.translation), action)
+    elif argv[0] in ("irreducible", "induce"):
+        if argv[0] == "irreducible":
+            recorded = doc["witness"]["commutant_map"]
+            witness = AffineMap(array(recorded["linear"], recorded["shape"]), array(recorded["translation"], (d,)))
+            assert certified(commutant_residual(action, witness), (witness.deviation, witness.translation), action)
         recorded = doc["witness"]["invariant_subspace"]
         subspace = AffineSubspace(array(recorded["base"], (d,)), array(recorded["directions"], (d, recorded["dim"])))
         assert certified(check_invariance(action, subspace), (subspace.base,), action)

@@ -5,14 +5,16 @@ and a least-squares solve (``tests/helpers.py``); and the stages of a direct
 sum, assembled from its summands' solves, against the same stages solved on
 a plain representation of the sum's matrices, with the sum's decision split
 into two annihilators at summand size and its witness read off one row
-block; and the equivalent projections a direct sum's analysis reads off
-that row block."""
+block; the equivalent projections a direct sum's analysis reads off
+that row block; and a plain action's witness subspace, read off one SVD of
+its U, against the subspace of the top eigenspace of U*U."""
 
 import numpy as np
 import pytest
 
 from affine_actions import (
     AffineAction,
+    AffineMap,
     Cocycle,
     GroupPresentation,
     Representation,
@@ -26,10 +28,11 @@ from affine_actions import (
     decide_irreducibility,
     direct_sum,
     intertwining_residual,
+    invariant_subspace_from_witness,
     project_action,
 )
 from affine_actions.actions import ActionError, certification_scale, unit_scale
-from affine_actions.linalg import numerical_rank, residual_ok
+from affine_actions.linalg import hermitian_eigensystem, numerical_rank, residual_ok
 from affine_actions.problem_io import load_problem
 from affine_actions.reps import _generic_weights, boundary_split, hom_basis
 
@@ -294,21 +297,27 @@ def test_the_grid_has_top_only_and_zero_c_blocks():
             analyze_direct_sum(a1, a2)
 
 
+def symmetric_actions(a: AffineAction, rng):
+    """(kind, a', carry) with a' conjugate to a and ``carry`` the map
+    (U, t) -> (U', t') of their commutant elements: the cocycle scaled by
+    lambda = 0.03, conjugated by a translation v (b' = b + (pi - I) v), rebased
+    by a unitary q, and the generators relabelled in reverse order."""
+    yield "dilation", AffineAction.from_values(a.rep, [0.03 * b for b in a.cocycle.values]), lambda u, t: (u, 0.03 * t)
+    v = random_field_vector(a.dim, a.field, rng)
+    yield "translation", conjugate_by_translation(a, v), lambda u, t: (u, t + u @ v)
+    q = random_isometry(a.dim, a.field, rng)
+    rep = Representation(a.presentation, a.field, [q @ m @ q.conj().T for m in a.rep.matrices])
+    rebased = AffineAction.from_values(rep, [q @ b for b in a.cocycle.values])
+    yield "rebasing", rebased, lambda u, t: (q @ u @ q.conj().T, q @ t)
+    yield "relabelling", permuted(a, list(range(a.presentation.num_generators))[::-1]), lambda u, t: (u, t)
+
+
 def symmetric_summands(a1: AffineAction, a2: AffineAction, rng):
-    """(kind, a1', a2') with a1' (+) a2' conjugate to a1 (+) a2: both cocycles
-    scaled by one lambda, each conjugated by a translation, each rebased by
-    a unitary (a block-diagonal change of basis of the sum), and the
-    generators of both relabelled in reverse order."""
-    yield "dilation", *(AffineAction.from_values(a.rep, [0.03 * b for b in a.cocycle.values]) for a in (a1, a2))
-    yield "translation", *(conjugate_by_translation(a, random_field_vector(a.dim, a.field, rng)) for a in (a1, a2))
-    rebased = []
-    for a in (a1, a2):
-        q = random_isometry(a.dim, a.field, rng)
-        rep = Representation(a.presentation, a.field, [q @ m @ q.conj().T for m in a.rep.matrices])
-        rebased.append(AffineAction.from_values(rep, [q @ b for b in a.cocycle.values]))
-    yield "rebasing", *rebased
-    order = list(range(a1.presentation.num_generators))[::-1]
-    yield "relabelling", permuted(a1, order), permuted(a2, order)
+    """(kind, a1', a2') with a1' (+) a2' conjugate to a1 (+) a2: each
+    summand moved by ``symmetric_actions`` (one lambda for both, a
+    block-diagonal change of basis of the sum)."""
+    for (kind, b1, _), (_, b2, _) in zip(symmetric_actions(a1, rng), symmetric_actions(a2, rng)):
+        yield kind, b1, b2
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -557,3 +566,76 @@ def test_projections_draw_nothing_and_repeat_bit_for_bit(family, field, monkeypa
         assert same_result(first, analyzed(a1, a2)), label
         if a1 is a2:
             assert same_result(first, analyzed(a1, value_equal_copy(a2))), label
+
+
+# -- the witness subspace of a plain action, from one SVD of U ---------------
+
+
+def plain_reducible_cases(family: str, field: str):
+    """(label, action, verdict) for every dimension and seed: a random
+    action of the family and the zero cocycle on its representation (always
+    reducible: U = I, t = 0 is a witness), whichever is reducible."""
+    for d in DIMS:
+        for seed in SEEDS:
+            rng = np.random.default_rng(5000 * d + seed)
+            a = random_action(FAMILIES[family](rng, d, field), rng)
+            for kind, action in (("b", a), ("zero", fixed_point_action(a))):
+                verdict = decide_irreducibility(action)
+                if verdict.reducible:
+                    yield (d, seed, kind), action, verdict
+
+
+def projector_reference(witness: AffineMap) -> tuple[np.ndarray, np.ndarray]:
+    """(base, projector onto the directions) of K = {x : E x = -v0}, E the
+    projector onto the top eigenspace of U*U (``hermitian_eigensystem``)
+    and v0 = (U*U|_ImE)^-1 E U* t."""
+    u, t = witness.deviation, witness.translation
+    gram = u.conj().T @ u
+    top = hermitian_eigensystem(gram, TOL)[-1][1]
+    v0 = top @ np.linalg.solve(top.conj().T @ gram @ top, top.conj().T @ (u.conj().T @ t))
+    return -v0, np.eye(len(u)) - projector(top)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_plain_witness_subspace_matches_the_u_star_u_projector(family, field):
+    cases = list(plain_reducible_cases(family, field))
+    assert cases
+    for label, _, verdict in cases:
+        base, directions = projector_reference(verdict.witness_map)
+        subspace = verdict.witness_subspace
+        assert np.abs(projector(subspace.directions) - directions).max() <= 1e-8, label
+        assert np.linalg.norm(subspace.base - base) <= 1e-8 * (1.0 + np.linalg.norm(base)), label
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_plain_verdict_is_invariant_under_the_symmetries(family, field):
+    """Each symmetry keeps the verdict and a certified witness, and the
+    verdict's witness carried over by it gives a subspace of the same
+    dimension. The moved decision's own subspace may differ in dimension:
+    its max-norm pair depends on the null-space basis of the commutant."""
+    rng = np.random.default_rng(17)
+    for label, action, verdict in plain_reducible_cases(family, field):
+        for kind, moved, carry in symmetric_actions(action, rng):
+            other = decide_irreducibility(moved)
+            assert other.reducible, (label, kind)
+            assert_witness_certified((label, kind), moved, other)
+            u, t = carry(verdict.witness_map.deviation, verdict.witness_map.translation)
+            subspace = invariant_subspace_from_witness(moved, AffineMap(np.eye(len(u)) + u, t))
+            assert subspace.dim == verdict.witness_subspace.dim, (label, kind)
+
+
+def test_plain_reducible_decision_factorizes_nothing_past_its_annihilator(monkeypatch):
+    # a rotation of R^4 has no fixed vector, so every commutant element
+    # sends b to a coboundary and the action is reducible
+    rng = np.random.default_rng(19)
+    action = random_action(FAMILIES["z"](rng, 4, "real"), rng)
+    decide_irreducibility(action)
+    calls = counting_solves(monkeypatch, factorizations=True)
+    affine_commutant(action)
+    annihilator = list(calls)
+    calls.clear()
+    assert decide_irreducibility(action).reducible
+    # no eigensolve, and no null space but the annihilator's
+    assert annihilator and calls == annihilator
