@@ -335,12 +335,19 @@ class FixedPoints:
 
 
 def fixed_points(action: AffineAction, tol: ToleranceProfile | None = None) -> FixedPoints:
-    """All points fixed by every generator, certified invariant."""
+    """All points fixed by every generator, certified invariant.
+
+    v is fixed iff B v = -b with B = [pi(s) - I]_s, so the cached
+    ``boundary_split`` decides it: consistent when b's part off its
+    ``image`` is within eps_residual (1 + ||b||); the fixed points are then
+    -B+ b plus its ``kernel``, the fixed space.
+    """
     tol = tol or action.tol
-    solution = solve_affine_system(action.rep.boundary_map(), -action.cocycle.coordinates(), tol)
-    if solution is None:
+    split, b = boundary_split(action.rep, tol), action.cocycle.coordinates()
+    off_image = float(np.linalg.norm(b - split.image @ (split.image.conj().T @ b)))
+    if not residual_ok(off_image, float(np.linalg.norm(b)), tol.eps_residual):
         return FixedPoints(None)
-    subspace = AffineSubspace(solution.particular, solution.homogeneous)
+    subspace = AffineSubspace(-split.pinv @ b, split.kernel)
     defect = certify(check_invariance(action, subspace), (subspace.base,), action, tol, "fixed-point subspace")
     return FixedPoints(subspace, {"invariance": defect})
 
@@ -614,22 +621,6 @@ def intertwining_residual(a1: AffineAction, a2: AffineAction, mapping: AffineMap
     return worst
 
 
-def equivalence_system(a1: AffineAction, a2: AffineAction, scale: float, tol: ToleranceProfile):
-    """``(homs, system, rhs)``: the Hom(pi1, pi2) basis T_j of
-    ``reps.hom_basis``, and the system
-    sum_j x_j T_j b1(s) - (pi2(s) - I) t = b2(s) in (x, t~), both cocycles
-    divided by ``scale``. As in ``intertwiner_system``, t~ = Q2* t and the
-    equations are multiplied by Q2*, which keeps a translation of order
-    1/theta along a rotation plane of angle theta off the other entries
-    (README "How the commutant is solved").
-    """
-    homs = hom_basis(a1.rep, a2.rep, tol)
-    _, q2, p2 = a2.rep.generic_eigenbasis
-    shifted = (p2 - np.eye(a2.dim)).reshape(-1, a2.dim)
-    rhs = (a2.cocycle.coordinates().reshape(-1, a2.dim) / scale) @ q2.conj()
-    return homs, np.hstack([_moved_values(q2.conj().T @ homs, a1, scale), -shifted]), rhs.reshape(-1)
-
-
 def check_equivalence(
     a1: AffineAction,
     a2: AffineAction,
@@ -642,13 +633,15 @@ def check_equivalence(
     Solves {T pi1(s) = pi2(s) T, T b1(s) - (pi2(s)-I)t = b2(s)} exactly, with
     both cocycles divided by one common scale (see ``unit_scale``), in two
     steps: a basis T_j of Hom(pi1, pi2) from the homogeneous
-    ``intertwiner_system``, then the small explicit system
-    sum_j x_j T_j b1(s) - (pi2(s) - I) t = b2(s) in (x, t) with
-    ``solve_affine_system``. It then samples the affine solution set for an
-    invertible T: the particular solution, then ``trials`` random ones
-    (``trials = 0`` tries the particular solution only). Different
-    dimensions and an unsolvable system are a definite NotFound; exhausted
-    sampling is probabilistic.
+    ``intertwiner_system``, then the coboundary rule of ``fixed_points``:
+    sum_j x_j T_j b1 - b2 lies in the ``image`` Y of the cached
+    ``boundary_split(pi2)``, so (x, c) solves sum_j x_j T_j b1 + Y c = b2
+    (``solve_affine_system``; Y is orthonormal, so no 1/theta scale of B2+
+    enters) and t = B2+ (sum_j x_j T_j b1 - b2). It then samples the x of
+    the affine solution set for an invertible T: the particular solution,
+    then ``trials`` random ones (``trials = 0`` tries the particular
+    solution only). Different dimensions and an unsolvable system are a
+    definite NotFound; exhausted sampling is probabilistic.
     """
     trials = int_at_least("trials", trials, 0)
     seed = checked_seed(seed)
@@ -661,21 +654,20 @@ def check_equivalence(
     tol = tol or a1.tol
     d = a1.dim
     s = unit_scale(tol, a1, a2)
-    homs, system, rhs = equivalence_system(a1, a2, s, tol)
-    solution = solve_affine_system(system, rhs, tol)
+    homs, split = hom_basis(a1.rep, a2.rep, tol), boundary_split(a2.rep, tol)
+    moved, rhs = _moved_values(homs, a1, s), a2.cocycle.coordinates() / s
+    solution = solve_affine_system(np.hstack([moved, split.image]), rhs, tol)
     if solution is None:
         return EquivalenceResult(False, None, probabilistic=False)
-    q2 = a2.rep.generic_eigenbasis[1]
 
     samples = random_vectors(trials, solution.dim, a1.field, np.random.default_rng(seed))
-    coeffs = np.column_stack([np.zeros(solution.dim, dtype=system.dtype), samples.T])
-    candidates = solution.particular[:, None] + solution.homogeneous @ coeffs
-    for column in candidates.T:
-        t_mat = np.tensordot(column[: len(homs)], homs, 1)
+    coeffs = np.column_stack([np.zeros(solution.dim, dtype=moved.dtype), samples.T])
+    for x in (solution.particular[:, None] + solution.homogeneous @ coeffs)[: len(homs)].T:
+        t_mat = np.tensordot(x, homs, 1)
         singular = np.linalg.svd(t_mat, compute_uv=False)
         if numerical_rank(singular, tol) < d:
             continue
-        mapping = AffineMap(t_mat, s * (q2 @ column[len(homs) :]))
+        mapping = AffineMap(t_mat, s * (split.pinv @ (moved @ x - rhs)))
         residual = intertwining_residual(a1, a2, mapping)
         if residual_ok(residual, certification_scale((t_mat, mapping.translation), a1, a2), tol.eps_residual):
             return EquivalenceResult(True, mapping, False, {"intertwining": residual})

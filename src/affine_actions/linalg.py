@@ -194,14 +194,15 @@ def solve_affine_system(matrix: np.ndarray, rhs: np.ndarray, tol: ToleranceProfi
     orthogonal to the homogeneous part (A's null space at that cutoff); if
     that misses the bound, x also uses the directions below the cutoff that
     ``numpy.linalg.lstsq`` resolves (singular values above
-    ``eps_machine * max(rows, cols) * sigma_max``).
+    ``eps_machine * max(rows, cols) * max(sigma_max, 1)``, floored at 1 as in
+    ``numerical_rank``, so a matrix vanishing within roundoff resolves none).
     """
     matrix, rhs = np.atleast_2d(np.asarray(matrix)), np.asarray(rhs)
     if matrix.shape[0] != rhs.shape[0]:
         raise ValueError(f"incompatible shapes {matrix.shape} and {rhs.shape}")
     u, s, vh = np.linalg.svd(matrix, full_matrices=matrix.shape[0] < matrix.shape[1])
     rank = numerical_rank(s, tol)
-    resolved = int(np.sum(s > np.finfo(float).eps * max(matrix.shape) * s.max(initial=0.0)))
+    resolved = int(np.sum(s > np.finfo(float).eps * max(matrix.shape) * max(s.max(initial=0.0), 1.0)))
     coordinates = u.conj().T @ rhs
     bound = tol.eps_residual * (1.0 + float(np.linalg.norm(rhs)))
     for count in (rank, resolved) if resolved > rank else (rank,):

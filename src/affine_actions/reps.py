@@ -424,7 +424,8 @@ def intertwiner_system(rep1: Representation, rep2: Representation, tol: Toleranc
     and ``apply(X)`` is A X, as 2-D arrays, for ``linalg.null_space_basis``.
     The cocycle equations are not part of it: ``affine_commutant`` and
     ``check_equivalence`` solve them in the coefficients of the
-    Hom(pi1, pi2) basis this system gives.
+    Hom(pi1, pi2) basis this system gives, as coboundaries of pi2 on its
+    cached ``boundary_split``.
 
     ``lift`` maps reduced solution columns to columns vec T (row-major). It
     is an isometric embedding, so orthonormal bases stay orthonormal. For

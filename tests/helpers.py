@@ -181,6 +181,13 @@ def identity_rep(presentation: GroupPresentation, dim: int, field: str) -> Repre
     )
 
 
+def roundoff_identity_action(seed: int) -> AffineAction:
+    """Z acting on R^4 by q q^T (q a random orthogonal matrix), the identity
+    up to roundoff, with b = e1: a translation, with no fixed point."""
+    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4)))[0]
+    return AffineAction.from_values(Representation(z_group(), "real", [q @ q.T]), [np.eye(4)[0]])
+
+
 def random_heisenberg_rep(dim: int, field: str, rng, genuine_prob: float = 0.5) -> Representation:
     """Either an abelianized representation (z -> 1) or, over C in dimension
     3, the clock-and-shift representation with central z, conjugated by a

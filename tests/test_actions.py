@@ -35,6 +35,7 @@ from helpers import (
     random_action_for,
     random_field_vector,
     random_free_rep,
+    roundoff_identity_action,
     z2_group,
     z_group,
 )
@@ -113,6 +114,13 @@ def test_fixed_points_trivial_action_whole_space():
     action = AffineAction.from_values(rep, [np.zeros(2)])
     subspace = fixed_points(action).subspace
     assert subspace is not None and subspace.dim == 2
+
+
+def test_fixed_points_of_a_roundoff_identity_translation_are_empty():
+    # every point moves by e1; the roundoff of q q^T - I must not be
+    # inverted into a whole-space "fixed" subspace with a huge base
+    for seed in range(20):
+        assert fixed_points(roundoff_identity_action(seed)).subspace is None, seed
 
 
 def test_affine_commutant_glide_structure():

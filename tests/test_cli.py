@@ -19,7 +19,7 @@ from affine_actions.problem_io import (
 )
 from affine_actions.reps import RepresentationError
 
-from helpers import FIXTURES, f2_group, random_action, random_free_rep
+from helpers import FIXTURES, f2_group, random_action, random_free_rep, roundoff_identity_action
 
 
 def run_cli(args, capsys):
@@ -128,6 +128,14 @@ def test_fixed_points_command(capsys):
     code, doc = run_machine(["fixed-points", FIXTURES / "z_flip.json"], capsys)
     assert code == 0
     assert abs(doc["subspace"]["base"][0][0] - 0.5) < 1e-10
+
+
+def test_fixed_points_command_on_a_roundoff_identity_translation(tmp_path, capsys):
+    path = tmp_path / "near_identity.json"
+    save_problem(action_to_problem(roundoff_identity_action(0)), path)
+    code, doc = run_machine(["fixed-points", path], capsys)
+    assert code == 10
+    assert doc["verdict"] == "Empty"
 
 
 def test_cohomology_dimensions(capsys):

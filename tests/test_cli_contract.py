@@ -112,7 +112,13 @@ ADDED_KEYS = {"verify": {"probabilistic": False}}
 # The last three were re-recorded when a plain action's invariant subspace
 # came to be read off one SVD of U instead of an eigensolve of U*U and a
 # null space of its top eigenspace: the subspace is the same, and only the
-# sign of its direction vector changed
+# sign of its direction vector changed. The self-equivalences after it (and
+# c2_flip once more) were re-recorded when the equivalence search came to
+# solve T b1 - b2 in range(pi2 - I) on the cached boundary split: its
+# particular solution is now the minimum-norm one in the Hom coefficients and
+# the image coordinates, not in the coefficients and the rotated translation,
+# so only float leaves under "intertwiner" changed (and "residuals" within
+# roundoff)
 RERECORDED = (
     ["irreducible", "fixtures/c3_rotation.json"],
     ["commutant", "fixtures/c3_rotation.json"],
@@ -122,6 +128,10 @@ RERECORDED = (
     ["irreducible", "fixtures/glide.json"],
     ["irreducible", "fixtures/glide.json", "--tol-residual", "1e-6"],
     ["induce", "fixtures/z_translation.json", "fixtures/c2xz_setup.json"],
+    *(
+        ["equivalence", f"fixtures/{name}.json", f"fixtures/{name}.json"]
+        for name in ("c3_rotation", "f2_trivial", "glide", "z_flip", "z_trivial_c1", "z_trivial_c2")
+    ),
 )
 
 

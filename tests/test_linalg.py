@@ -12,7 +12,7 @@ from affine_actions.linalg import (
     solve_affine_system,
 )
 
-from helpers import lstsq_solve
+from helpers import lstsq_solve, roundoff_identity_action
 
 RNG = np.random.default_rng(7)
 
@@ -217,6 +217,16 @@ def test_solve_affine_identity():
 
 def test_solve_affine_inconsistent():
     assert solve_affine_system(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([0.0, 1.0])) is None
+
+
+def test_solve_affine_refuses_a_matrix_vanishing_within_roundoff():
+    # q q^T - I is the zero matrix up to roundoff: the lstsq tier resolves
+    # singular values against max(sigma_max, 1), as numerical_rank does, so
+    # it inverts none of them and e1 stays out of the column space
+    for seed in range(20):
+        mat = roundoff_identity_action(seed).rep.matrices[0] - np.eye(4)
+        assert 0.0 < np.linalg.norm(mat) < 1e-14
+        assert solve_affine_system(mat, -np.eye(4)[0]) is None, seed
 
 
 def test_solve_affine_underdetermined():
