@@ -40,6 +40,7 @@ from .linalg import (
 from .reps import (
     Cocycle,
     Representation,
+    _block_diagonal,
     _generic_weights,
     boundary_split,
     commutant_basis,
@@ -558,10 +559,11 @@ def direct_sum(a1: AffineAction, a2: AffineAction) -> AffineAction:
     defects are computed only if asked for.
 
     The sum's representation keeps its two summand representations, so its
-    generic eigenbasis, commutant and boundary split are assembled from the
-    summands' cached solves (see ``reps.commutant_basis``). Summands whose
-    matrices are equal bit for bit are kept as the first one twice, so
-    a (+) a solves pi once, also when a is loaded twice.
+    commutant and boundary split are assembled from the summands' stored
+    solves (see ``reps.commutant_basis``); its generic eigenbasis, which
+    only nested sums and ``check_equivalence`` read, is one ``eigh`` at
+    d1 + d2. Summands whose matrices are equal bit for bit are kept as the
+    first one twice, so a (+) a solves pi once, also when a is loaded twice.
     """
     if a1.presentation != a2.presentation:
         raise ActionError("direct sum requires identical presentations")
@@ -571,15 +573,9 @@ def direct_sum(a1: AffineAction, a2: AffineAction) -> AffineAction:
         if failure := validity_report(summand.tol, summand.rep, summand.cocycle).failure:
             raise failure
     r1, r2 = a1.rep, a2.rep
-    d1, d2 = r1.dim, r2.dim
-    matrices = []
-    for m1, m2 in zip(r1.matrices, r2.matrices):
-        block = np.zeros((d1 + d2, d1 + d2), dtype=m1.dtype)
-        block[:d1, :d1] = m1
-        block[d1:, d1:] = m2
-        matrices.append(block)
-    rep = Representation(a1.presentation, a1.field, matrices, dim=d1 + d2, tol=a1.tol, validate=False)
-    if d1 == d2 and all(np.array_equal(m1, m2) for m1, m2 in zip(r1.matrices, r2.matrices)):
+    matrices = [_block_diagonal(m1, m2) for m1, m2 in zip(r1.matrices, r2.matrices)]
+    rep = Representation(a1.presentation, a1.field, matrices, dim=r1.dim + r2.dim, tol=a1.tol, validate=False)
+    if r1.dim == r2.dim and all(np.array_equal(m1, m2) for m1, m2 in zip(r1.matrices, r2.matrices)):
         r2 = r1
     rep._summands = (r1, r2)
     values = tuple(np.concatenate([v1, v2]) for v1, v2 in zip(a1.cocycle.values, a2.cocycle.values))

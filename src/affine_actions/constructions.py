@@ -355,12 +355,7 @@ def quadratic_form_test(
     window = int_at_least("window", window, 1, ConstructionError)
     k = presentation.num_generators
     s = unit_scale(tol, action)
-    cocycle = Cocycle(
-        action.rep,
-        [b / s for b in action.cocycle.values],
-        validate=False,
-        relator_defects=tuple(r / s for r in action.cocycle.relator_defects),
-    )
+    cocycle = Cocycle(action.rep, [b / s for b in action.cocycle.values], validate=False)
     if not _spans(cocycle.values, action.dim, tol):
         raise ConstructionError("cocycle values do not span the space (totality fails)")
 

@@ -34,14 +34,25 @@ def _scalar_to_json(value, field: str):
     return float(np.real(value))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _real_from_json(value, where: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ProblemFileError(f"{where}: expected a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ProblemFileError(f"{where}: integer too large for a float") from None
+
+
 def _scalar_from_json(value, field: str, where: str):
     if field == COMPLEX:
         if not (isinstance(value, list) and len(value) == 2):
             raise ProblemFileError(f"{where}: complex entries must be [re, im] pairs")
-        return complex(float(value[0]), float(value[1]))
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise ProblemFileError(f"{where}: expected a real number, got {value!r}")
+        return complex(_real_from_json(value[0], where), _real_from_json(value[1], where))
+    return _real_from_json(value, where)
 
 
 def array_to_json(array: np.ndarray, field: str) -> list:
@@ -62,6 +73,20 @@ def array_from_json(data, field: str, shape: tuple[int, ...], where: str) -> np.
     values = [_scalar_from_json(v, field, where) for v in data]
     dtype = np.complex128 if field == COMPLEX else np.float64
     return np.array(values, dtype=dtype).reshape(shape)
+
+
+def _word_strings(data, where: str) -> list[str]:
+    if not isinstance(data, list) or not all(isinstance(w, str) for w in data):
+        raise ProblemFileError(f"{where}: expected a list of word strings")
+    return data
+
+
+def _words_from_json(data, parse, where: str) -> tuple[Word, ...]:
+    """The words of a list of word strings, each parsed by ``parse``."""
+    try:
+        return tuple(parse(w) for w in _word_strings(data, where))
+    except ValueError as exc:
+        raise ProblemFileError(f"{where}: {exc}") from exc
 
 
 def _presentation_from_json(data, where: str) -> GroupPresentation:
@@ -92,7 +117,7 @@ def _coset_table_from_json(data, ambient: GroupPresentation, subgroup: GroupPres
     transversal_raw = data.get("transversal")
     if not isinstance(transversal_raw, list) or not transversal_raw:
         raise ProblemFileError(f"{where}.transversal: expected a non-empty list of word strings")
-    transversal = tuple(ambient.parse_word(w) for w in transversal_raw)
+    transversal = _words_from_json(transversal_raw, ambient.parse_word, f"{where}.transversal")
     action_raw = data.get("action")
     schreier_raw = data.get("schreier")
     if not isinstance(action_raw, dict) or not isinstance(schreier_raw, dict):
@@ -106,13 +131,10 @@ def _coset_table_from_json(data, ambient: GroupPresentation, subgroup: GroupPres
         if name not in schreier_raw:
             raise ProblemFileError(f"{where}.schreier: missing generator {name!r}")
         row = action_raw[name]
-        if not isinstance(row, list) or not all(isinstance(x, int) for x in row):
+        if not isinstance(row, list) or not all(_is_int(x) for x in row):
             raise ProblemFileError(f"{where}.action.{name}: expected a list of coset indices")
         action_rows.append(tuple(row))
-        words = schreier_raw[name]
-        if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
-            raise ProblemFileError(f"{where}.schreier.{name}: expected a list of word strings")
-        schreier_rows.append(tuple(word_parser(w) for w in words))
+        schreier_rows.append(_words_from_json(schreier_raw[name], word_parser, f"{where}.schreier.{name}"))
     extra = set(action_raw) - set(ambient.generators)
     if extra:
         raise ProblemFileError(f"{where}.action: unknown generators {sorted(extra)}")
@@ -198,7 +220,7 @@ def problem_from_dict(data: dict) -> ProblemFile:
         raise ProblemFileError(f"field: expected 'real' or 'complex', got {field!r}")
     presentation = _presentation_from_json(data.get("presentation"), "presentation")
     dim = data.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise ProblemFileError(f"dim: expected a positive integer, got {dim!r}")
 
     matrices_raw = data.get("matrices", {})
@@ -226,12 +248,9 @@ def problem_from_dict(data: dict) -> ProblemFile:
         tol_raw = data["tolerances"]
         if not isinstance(tol_raw, dict) or set(tol_raw) - {"rank", "residual", "eig"}:
             raise ProblemFileError("tolerances: expected keys among rank/residual/eig")
+        eps = {f"eps_{k}": _real_from_json(tol_raw.get(k, 1e-8), f"tolerances.{k}") for k in ("rank", "residual", "eig")}
         try:
-            tolerances = ToleranceProfile(
-                eps_rank=float(tol_raw.get("rank", 1e-8)),
-                eps_residual=float(tol_raw.get("residual", 1e-8)),
-                eps_eig=float(tol_raw.get("eig", 1e-8)),
-            )
+            tolerances = ToleranceProfile(**eps)
         except ValueError as exc:
             raise ProblemFileError(f"tolerances: {exc}") from exc
 
@@ -240,11 +259,12 @@ def problem_from_dict(data: dict) -> ProblemFile:
         sub_raw = data["subgroup"]
         if not isinstance(sub_raw, dict) or "generators" not in sub_raw:
             raise ProblemFileError("subgroup: expected an object with a generators list")
+        words = tuple(_word_strings(sub_raw["generators"], "subgroup.generators"))
         sub_pres = None
         if "presentation" in sub_raw:
             sub_pres = _presentation_from_json(sub_raw["presentation"], "subgroup.presentation")
         try:
-            subgroup = SubgroupSpec(presentation, tuple(sub_raw["generators"]), sub_pres)
+            subgroup = SubgroupSpec(presentation, words, sub_pres)
         except ValueError as exc:
             raise ProblemFileError(f"subgroup: {exc}") from exc
 
@@ -253,12 +273,9 @@ def problem_from_dict(data: dict) -> ProblemFile:
         sub_pres = subgroup.presentation if subgroup is not None else None
         coset_table = _coset_table_from_json(data["coset_table"], presentation, sub_pres, "coset_table")
 
-    central = tuple(
-        presentation.parse_word(w) if isinstance(w, str) else w
-        for w in data.get("central_words", [])
-    )
+    central = _words_from_json(data.get("central_words", []), presentation.parse_word, "central_words")
     seed = data.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and not _is_int(seed):
         raise ProblemFileError(f"seed: expected an integer, got {seed!r}")
     return ProblemFile(
         field, presentation, dim, matrices, values, tolerances, subgroup, coset_table, central, seed

@@ -78,9 +78,7 @@ class Representation:
         self.matrices = matrices
         self.dim = dim
         self.tol = tol
-        self._commutants: dict[ToleranceProfile, tuple[np.ndarray, ...]] = {}  # see commutant_basis
-        self._boundaries: dict[ToleranceProfile, RangeSplit] = {}  # see boundary_split
-        self._cohomology: dict[ToleranceProfile, tuple] = {}  # see first_cohomology
+        self._solves: dict[tuple[str, ToleranceProfile | None], object] = {}  # see _solved
         self._summands: tuple[Representation, Representation] | None = None  # see actions.direct_sum
         if validate and (failure := validity_report(tol, rep=self).failure):
             raise failure
@@ -115,19 +113,10 @@ class Representation:
         Q* pi(s) Q. The weights satisfy sum |c_s| + |c'_s| = 1, so an
         isometry defect moves H's eigenvalues by at most twice the largest
         generator defect. Real input has c' = 0, so Q stays real. Without
-        generators H = 0 and Q = I. Computed once per representation; the
-        arrays are read-only.
-
-        The weights depend only on g and the field, so a direct sum
-        pi1 (+) pi2 has H = diag(H1, H2): its eigenbasis is assembled from
-        the summands' as (concat(lambda1, lambda2), diag(Q1, Q2),
-        diag(P1, P2)), with no eigensolve at the sum's dimension. The
-        eigenvalues are then not sorted; ``intertwiner_system`` sorts them.
+        generators H = 0 and Q = I. Computed once per representation, by
+        one ``eigh`` at its dimension (a direct sum's too); the arrays are
+        read-only.
         """
-        if self._summands is not None:
-            (lam1, q1, p1), (lam2, q2, p2) = (r.generic_eigenbasis for r in self._summands)
-            parts = (np.concatenate([lam1, lam2]), _block_diagonal(q1, q2), _block_diagonal(p1, p2))
-            return tuple(read_only(a) for a in parts)
         mats = np.asarray(self.matrices, dtype=self.dtype).reshape(-1, self.dim, self.dim)
         z = np.einsum("s,sij->ij", _generic_weights(len(mats), self.field), mats)
         values, q = np.linalg.eigh(z + z.conj().T)
@@ -158,12 +147,10 @@ class Cocycle:
     """One vector per generator, extended to all words by the chain rule.
 
     ``relator_defects`` are ||b(r)|| per relator, walked with ``extend`` on
-    first use unless the caller already computed them from the same values
-    (as ``first_cohomology`` does for its basis columns in one product);
-    either way they are held to the cocycle-relator bound when ``validate``
-    is set. ``max_norm`` is max_s ||b(s)||, computed once at construction:
-    the scale of that bound, of ``actions.unit_scale`` and of every
-    certification bound.
+    first use (at construction when validating, since ``validity_report``
+    holds them to the cocycle-relator bound). ``max_norm`` is
+    max_s ||b(s)||, computed once at construction: the scale of that bound,
+    of ``actions.unit_scale`` and of every certification bound.
     """
 
     def __init__(
@@ -172,7 +159,6 @@ class Cocycle:
         values,
         tol: ToleranceProfile | None = None,
         validate: bool = True,
-        relator_defects: tuple[float, ...] | None = None,
     ) -> None:
         tol = tol or representation.tol
         values = tuple(as_field_array(v, representation.field) for v in values)
@@ -186,8 +172,6 @@ class Cocycle:
         self.representation = representation
         self.values = values
         self.max_norm = max((float(np.linalg.norm(v)) for v in values), default=0.0)
-        if relator_defects is not None:
-            self.relator_defects = relator_defects
         if validate and (failure := validity_report(tol, cocycle=self).failure):
             raise failure
 
@@ -327,6 +311,16 @@ def coboundary(rep: Representation, vector) -> Cocycle:
     return Cocycle(rep, tuple(m @ vector - vector for m in rep.matrices))
 
 
+def _solved(rep: Representation, stage: str, tol: ToleranceProfile | None, solve):
+    """``solve()`` on the first request for ``(stage, tol)``, kept in the
+    representation's one store; the ``"relators"`` matrix has ``tol`` None.
+    The store holds arrays only, so no reference cycle keeps ``rep`` alive."""
+    solved = rep._solves.get((stage, tol))
+    if solved is None:
+        solved = rep._solves[stage, tol] = solve()
+    return solved
+
+
 def fixed_subspace(rep: Representation, tol: ToleranceProfile | None = None) -> np.ndarray:
     """Orthonormal basis of the joint fixed space of all generator matrices
     (the kernel of ``boundary_split``; read-only)."""
@@ -338,8 +332,8 @@ def boundary_split(rep: Representation, tol: ToleranceProfile | None = None) -> 
 
     Its ``image`` spans the coboundaries, its ``kernel`` is the fixed space
     and ``pinv`` is B+, which solves (pi(s) - I) t = y(s) for y in the
-    image. It is solved once per tolerance profile and kept on the
-    representation, like ``commutant_basis``; the arrays are read-only.
+    image. It is solved once per tolerance profile and kept in the
+    representation's store (``_solved``); the arrays are read-only.
 
     For a direct sum (``actions.direct_sum``) B is diag(B1, B2) with its
     rows interleaved generator by generator, so the split is assembled from
@@ -349,14 +343,9 @@ def boundary_split(rep: Representation, tol: ToleranceProfile | None = None) -> 
     columns interleaved the same way.
     """
     tol = tol or rep.tol
-    split = rep._boundaries.get(tol)
-    if split is None:
-        if rep._summands is None:
-            split = RangeSplit.of(rep.boundary_map(), tol)
-        else:
-            split = _sum_boundary_split(rep, tol)
-        rep._boundaries[tol] = split
-    return split
+    if rep._summands is None:
+        return _solved(rep, "boundary", tol, lambda: RangeSplit.of(rep.boundary_map(), tol))
+    return _solved(rep, "boundary", tol, lambda: _sum_boundary_split(rep, tol))
 
 
 def _sum_boundary_split(rep: Representation, tol: ToleranceProfile) -> RangeSplit:
@@ -484,8 +473,8 @@ def commutant_basis(rep: Representation, tol: ToleranceProfile | None = None) ->
     Real representations get the real commutant; complex ones the complex
     commutant. The identity always lies in the returned span. The basis is
     ``hom_basis(rep, rep)``, orthonormal in vec T. It is solved once per
-    tolerance profile and kept on the representation; the elements are
-    read-only arrays.
+    tolerance profile and kept in the representation's store
+    (``_solved``); the elements are read-only arrays.
 
     A direct sum pi1 (+) pi2 (``actions.direct_sum``) has the block
     commutant [[pi1', Hom(pi2, pi1)], [Hom(pi1, pi2), pi2']]: each element
@@ -497,14 +486,9 @@ def commutant_basis(rep: Representation, tol: ToleranceProfile | None = None) ->
     nothing is solved.
     """
     tol = tol or rep.tol
-    basis = rep._commutants.get(tol)
-    if basis is None:
-        if rep._summands is None:
-            basis = tuple(read_only(hom_basis(rep, rep, tol)))
-        else:
-            basis = tuple(read_only(_sum_commutant(*rep._summands, tol)))
-        rep._commutants[tol] = basis
-    return list(basis)
+    if rep._summands is None:
+        return list(_solved(rep, "commutant", tol, lambda: tuple(read_only(hom_basis(rep, rep, tol)))))
+    return list(_solved(rep, "commutant", tol, lambda: tuple(read_only(_sum_commutant(*rep._summands, tol)))))
 
 
 def _sum_commutant(rep1: Representation, rep2: Representation, tol: ToleranceProfile) -> np.ndarray:
@@ -530,25 +514,21 @@ def _sum_commutant(rep1: Representation, rep2: Representation, tol: TolerancePro
 
 
 def _relator_coefficient_matrix(rep: Representation) -> np.ndarray:
-    """Stacked linear map sending generator-value tuples to relator values."""
-    d, g = rep.dim, rep.presentation.num_generators
-    rows = []
-    for relator in rep.presentation.relators:
-        coeffs = [np.zeros((d, d), dtype=rep.dtype) for _ in range(g)]
+    """Stacked linear map sending generator-value tuples to relator values:
+    the block of relator r and generator s sums pi(w) over the letters s of
+    r and -pi(w s^-1) over its letters s^-1, w the prefix before the letter."""
+    d, g, relators = rep.dim, rep.presentation.num_generators, rep.presentation.relators
+    blocks = np.zeros((len(relators), d, g, d), dtype=rep.dtype)
+    for block, relator in zip(blocks, relators):
         prefix = np.eye(d, dtype=rep.dtype)
         for gen, sign in relator.letters:
-            m = rep.matrices[gen]
             if sign > 0:
-                coeffs[gen] = coeffs[gen] + prefix
-                prefix = prefix @ m
+                block[:, gen] += prefix
+                prefix = prefix @ rep.matrices[gen]
             else:
-                minv = m.conj().T
-                coeffs[gen] = coeffs[gen] - prefix @ minv
-                prefix = prefix @ minv
-        rows.append(np.hstack(coeffs) if g else np.zeros((d, 0), dtype=rep.dtype))
-    if not rows:
-        return np.zeros((0, g * d), dtype=rep.dtype)
-    return np.vstack(rows)
+                prefix = prefix @ rep.matrices[gen].conj().T
+                block[:, gen] -= prefix
+    return blocks.reshape(len(relators) * d, g * d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -568,8 +548,9 @@ class CohomologyBasis:
     is a fresh dict on each access.
 
     ``cocycle_basis``, ``coboundary_basis`` and ``class_representatives``
-    are the same columns as tuples of ``Cocycle``, built on first access and
-    carrying the certified defects.
+    are the same columns as tuples of ``Cocycle``, built on first access.
+    They are unvalidated views of the certified columns: a view's
+    ``relator_defects`` are walked on first read.
     """
 
     representation: Representation
@@ -588,23 +569,20 @@ class CohomologyBasis:
 
     @cached_property
     def cocycle_basis(self) -> tuple[Cocycle, ...]:
-        return self._views(self.cocycles, self.relator_defects[0])
+        return self._views(self.cocycles)
 
     @cached_property
     def coboundary_basis(self) -> tuple[Cocycle, ...]:
-        return self._views(self.coboundaries, self.relator_defects[1])
+        return self._views(self.coboundaries)
 
     @cached_property
     def class_representatives(self) -> tuple[Cocycle, ...]:
-        return self._views(self.classes, self.relator_defects[2])
+        return self._views(self.classes)
 
-    def _views(self, columns: np.ndarray, defects: np.ndarray) -> tuple[Cocycle, ...]:
+    def _views(self, columns: np.ndarray) -> tuple[Cocycle, ...]:
         rep = self.representation
         shape = (rep.presentation.num_generators, rep.dim)
-        return tuple(
-            Cocycle(rep, tuple(columns[:, k].reshape(shape)), relator_defects=tuple(defects[:, k].tolist()))
-            for k in range(columns.shape[1])
-        )
+        return tuple(Cocycle(rep, tuple(column.reshape(shape)), validate=False) for column in columns.T)
 
     def class_coordinates(self, cocycle: Cocycle) -> np.ndarray:
         return self.classes.conj().T @ cocycle.coordinates()
@@ -621,14 +599,23 @@ def first_cohomology(rep: Representation, tol: ToleranceProfile | None = None) -
     All basis columns are certified in one product with the relator
     coefficient matrix; a column over the cocycle-relator bound raises
     CocycleError. It is solved once per tolerance profile and its arrays
-    are kept on the representation, like ``commutant_basis``; each call
-    wraps them in a new ``CohomologyBasis`` (the representation does not
-    hold one, which would tie the two in a reference cycle).
+    are kept in the representation's store (``_solved``), next to the
+    relator coefficient matrix that ``commutant_action_on_classes``
+    reuses; each call wraps them in a new ``CohomologyBasis`` (the
+    representation does not hold one, which would tie the two in a
+    reference cycle).
     """
     tol = tol or rep.tol
-    if (solved := rep._cohomology.get(tol)) is not None:
-        return CohomologyBasis(rep, *solved)
-    relators = _relator_coefficient_matrix(rep)
+    return CohomologyBasis(rep, *_solved(rep, "cohomology", tol, lambda: _solve_cohomology(rep, tol)))
+
+
+def _relators(rep: Representation) -> np.ndarray:
+    """The representation's stored ``_relator_coefficient_matrix``."""
+    return _solved(rep, "relators", None, lambda: read_only(_relator_coefficient_matrix(rep)))
+
+
+def _solve_cohomology(rep: Representation, tol: ToleranceProfile) -> tuple:
+    relators = _relators(rep)
     z_basis = null_space_basis(relators, tol)  # (g*d, nz)
     b_basis = boundary_split(rep, tol).image
 
@@ -645,8 +632,7 @@ def first_cohomology(rep: Representation, tol: ToleranceProfile | None = None) -
     defects = _certified_relator_defects(relators, np.hstack([z_basis, b_basis, h_basis]), rep.dim, tol)
     ends = [z_basis.shape[1], z_basis.shape[1] + b_basis.shape[1]]
     per_basis = tuple(np.split(read_only(defects), ends, axis=1))
-    solved = rep._cohomology[tol] = (read_only(z_basis), b_basis, read_only(h_basis), per_basis)
-    return CohomologyBasis(rep, *solved)
+    return read_only(z_basis), b_basis, read_only(h_basis), per_basis
 
 
 def commutant_action_on_classes(
@@ -663,9 +649,10 @@ def commutant_action_on_classes(
     components project away). All elements are applied at once, by one
     einsum over the (g, d, h) view of C, and one product with C* gives every
     matrix. The moved classes are held to the cocycle-relator bound in one
-    product with the relator coefficient matrix, so an element that does not
-    commute with the representation raises CocycleError. No (g*d)^2 matrix
-    is formed.
+    product with the relator coefficient matrix (the one ``first_cohomology``
+    stored on the representation), so an element that does not commute
+    with the representation raises CocycleError. No (g*d)^2 matrix is
+    formed.
     """
     tol = tol or rep.tol
     if commutant is None:
@@ -673,7 +660,7 @@ def commutant_action_on_classes(
     g, d, h = rep.presentation.num_generators, rep.dim, basis.classes.shape[1]
     ops = as_field_array(commutant, rep.field).reshape(-1, d, d)
     moved = np.einsum("tij,gjk->gitk", ops, basis.classes.reshape(g, d, h)).reshape(g * d, len(ops) * h)
-    _certified_relator_defects(_relator_coefficient_matrix(rep), moved, d, tol)
+    _certified_relator_defects(_relators(rep), moved, d, tol)
     action = (basis.classes.conj().T @ moved).reshape(h, len(ops), h)
     return list(action.transpose(1, 0, 2))
 

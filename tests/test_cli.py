@@ -326,6 +326,52 @@ def test_wrong_matrix_length_reports_location(tmp_path, capsys):
     assert "matrices.t" in doc["error"]
 
 
+def _set(path, value):
+    """An edit of a problem file's data: ``value`` at the key path ``path``."""
+
+    def edit(data):
+        *parents, last = path
+        for key in parents:
+            data = data.setdefault(key, {})
+        data[last] = value
+
+    return edit
+
+
+TOO_BIG_FOR_A_FLOAT = 10**400
+BAD_FIELD_TYPES = {
+    "dim-true": ("z_translation.json", _set(["dim"], True), "dim"),
+    "central-word-number": ("glide.json", _set(["central_words"], [5]), "central_words"),
+    "central-words-string": ("glide.json", _set(["central_words"], "t"), "central_words"),
+    "central-word-undeclared": ("glide.json", _set(["central_words"], ["u"]), "central_words"),
+    "subgroup-generator-number": ("glide.json", _set(["subgroup", "generators"], [5]), "subgroup.generators"),
+    "matrix-entry-overflow": ("glide.json", _set(["matrices", "t"], [TOO_BIG_FOR_A_FLOAT, 0, 0, 1]), "matrices.t"),
+    "cocycle-entry-overflow": ("glide.json", _set(["cocycle", "t"], [TOO_BIG_FOR_A_FLOAT, 0]), "cocycle.t"),
+    "seed-true": ("glide.json", _set(["seed"], True), "seed"),
+    "tolerance-string": ("glide.json", _set(["tolerances"], {"rank": "1e-9"}), "tolerances.rank"),
+    "complex-part-string": ("z_trivial_c1.json", _set(["matrices", "t"], [["1.0", 0.0]]), "matrices.t"),
+    "complex-part-bool": ("z_trivial_c1.json", _set(["matrices", "t"], [[True, 0.0]]), "matrices.t"),
+    "complex-part-word": ("z_trivial_c1.json", _set(["cocycle", "t"], [["x", 0]]), "cocycle.t"),
+    "transversal-undeclared": (
+        "glide.json",
+        _set(["coset_table"], {"transversal": ["1", "u"], "action": {"t": [0, 1]}, "schreier": {"t": ["t", "t"]}}),
+        "coset_table.transversal",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FIELD_TYPES))
+def test_a_field_of_the_wrong_json_type_is_located(case, tmp_path, capsys):
+    fixture, edit, key = BAD_FIELD_TYPES[case]
+    data = json.loads((FIXTURES / fixture).read_text())
+    edit(data)
+    bad = tmp_path / f"{case}.json"
+    bad.write_text(json.dumps(data))
+    code, doc = run_machine(["verify", bad], capsys)
+    assert code == 11, doc
+    assert doc["error"].startswith(f"{bad}: {key}"), doc["error"]
+
+
 def test_batch_mode(tmp_path, capsys):
     shutil.copy(FIXTURES / "dihedral.json", tmp_path / "a_dihedral.json")
     shutil.copy(FIXTURES / "glide.json", tmp_path / "b_glide.json")

@@ -345,6 +345,20 @@ def test_cached_cohomology_cannot_be_changed_by_a_caller():
     assert first_cohomology(rep).residuals == {"worst_cocycle_relator_defect": worst}
 
 
+def test_the_relator_matrix_is_built_once_per_representation(monkeypatch):
+    # c = h = 1, so the search builds the class action, which reads the
+    # relator coefficient matrix that first_cohomology built
+    rep = Representation(dihedral_group(), "real", [np.eye(1), -np.eye(1)])
+    builds, build = [], reps_module._relator_coefficient_matrix
+    monkeypatch.setattr(reps_module, "_relator_coefficient_matrix", lambda r: builds.append(r) or build(r))
+    basis = first_cohomology(rep)
+    assert basis.dims[2] == len(commutant_basis(rep)) == 1
+    assert search_irreducible_cocycle(rep, trials=5, seed=0).found
+    commutant_action_on_classes(rep, basis)
+    first_cohomology(rep, ToleranceProfile(eps_rank=1e-6))
+    assert builds == [rep]
+
+
 def rho_sum(rho: Representation, copies: int) -> Representation:
     """rho (+) ... (+) rho, block diagonal."""
     mats = [np.kron(np.eye(copies), m) for m in rho.matrices]
@@ -690,8 +704,10 @@ def test_validity_report_of_a_cocycle():
 def test_first_cohomology_reports_its_worst_relator_defect():
     rep = random_c3_rep(4, "real", RNG)
     basis = first_cohomology(rep)
-    worst = max((max(c.relator_defects, default=0.0) for c in basis.cocycle_basis), default=0.0)
+    worst = float(basis.relator_defects[0].max(initial=0.0))
     assert basis.residuals == {"worst_cocycle_relator_defect": worst}
+    walked = max((max(c.relator_defects, default=0.0) for c in basis.cocycle_basis), default=0.0)
+    assert abs(walked - worst) <= 1e-12
     assert worst <= 1e-12
 
 
@@ -786,10 +802,10 @@ def test_cohomology_views_carry_the_certified_columns(family):
                 assert len(views) == columns.shape[1]
                 for k, view in enumerate(views):
                     assert np.array_equal(view.coordinates(), columns[:, k])
-                    assert view.relator_defects == tuple(defects[:, k])
-                    # the batched certificate agrees with the chain-rule walk
-                    walked = Cocycle(rep, view.values).relator_defects
-                    assert np.allclose(walked, view.relator_defects, rtol=0.0, atol=1e-12)
+                    # an unvalidated view walks its defects on first read,
+                    # and the walk agrees with the batched certificate
+                    assert "relator_defects" not in vars(view)
+                    assert np.allclose(view.relator_defects, defects[:, k], rtol=0.0, atol=1e-12)
             walked_worst = max(
                 (max(Cocycle(rep, c.values).relator_defects, default=0.0) for c in basis.cocycle_basis),
                 default=0.0,

@@ -350,16 +350,41 @@ def test_hom_back_is_the_adjoint_of_hom_forth(family, field):
             assert_same_span(vec_columns(adjoints), vec_columns(back), d)
 
 
-def test_sum_eigenbasis_is_assembled_block_diagonally():
+def test_sum_eigenbasis_diagonalizes_the_generic_element():
     rng = np.random.default_rng(11)
     a = random_action(random_free_rep(f2_group(), 3, "complex", rng), rng)
     b = random_action(random_free_rep(f2_group(), 2, "complex", rng), rng)
-    values, q, p = direct_sum(a, b).rep.generic_eigenbasis
-    (lam1, q1, p1), (lam2, q2, p2) = a.rep.generic_eigenbasis, b.rep.generic_eigenbasis
-    assert np.array_equal(values, np.concatenate([lam1, lam2]))
-    assert np.array_equal(q[:3, :3], q1) and np.array_equal(q[3:, 3:], q2)
-    assert not q[:3, 3:].any() and not q[3:, :3].any()
-    assert np.array_equal(p[:, :3, :3], p1) and np.array_equal(p[:, 3:, 3:], p2)
+    rep = direct_sum(a, b).rep
+    values, q, p = rep.generic_eigenbasis
+    assert np.abs(q @ np.diag(values) @ q.conj().T - generic_element(rep)).max() <= 1e-12
+    assert np.abs(q.conj().T @ q - np.eye(5)).max() <= 1e-12
+    assert np.abs(q @ p @ q.conj().T - np.asarray(rep.matrices)).max() <= 1e-12
+
+
+def assert_certified_equivalence(label, a1: AffineAction, a2: AffineAction) -> None:
+    result = check_equivalence(a1, a2)
+    assert result.equivalent and not result.probabilistic, label
+    t_mat, t = result.intertwiner.linear, result.intertwiner.translation
+    assert numerical_rank(np.linalg.svd(t_mat, compute_uv=False), TOL) == a1.dim, label
+    residual = intertwining_residual(a1, a2, result.intertwiner)
+    assert result.residuals == {"intertwining": residual}, label
+    assert residual_ok(residual, certification_scale((t_mat, t), a1, a2), TOL.eps_residual), label
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_a_sum_is_equivalent_to_its_swap_and_its_plain_form(family, field):
+    """``check_equivalence`` reads the generic eigenbasis of a sum (one
+    ``eigh`` at d1 + d2): a (+) b against b (+) a and against a plain
+    representation of its block matrices, each Equivalent with a certified
+    intertwiner."""
+    for d1, d2 in ((1, 1), (1, 2), (2, 3), (3, 3)):
+        rng = np.random.default_rng(7000 + 10 * d1 + d2)
+        a = random_action(FAMILIES[family](rng, d1, field), rng)
+        b = random_action(FAMILIES[family](rng, d2, field), rng)
+        total = direct_sum(a, b)
+        for kind, other in (("swap", direct_sum(b, a)), ("plain", plain(total))):
+            assert_certified_equivalence((d1, d2, kind), total, other)
 
 
 def test_generator_free_sum_splits_like_its_plain_form():
