@@ -519,14 +519,13 @@ def _min_norm_points(points: np.ndarray, targets: np.ndarray) -> tuple[np.ndarra
     11 (1976). Relative to a target q the vertices are y_j = p_j - q, and
     x = sum_k w_k y_k is a convex combination of a *corral* of at most d + 1
     affinely independent vertices. A major cycle scores every vertex by
-    <x, y_j> (one (active targets) x (points) matrix for all targets), stops
+    <x, y_j> (one (running targets) x (points) matrix for all targets), stops
     the target by ``_HULL_STOP``, when the best vertex is already in its
-    corral, or at ``_HULL_MAJOR_CYCLES``, and otherwise adds that vertex. A
-    minor cycle solves, for every target that needs one at once, the KKT
-    system [[Y Y^T, 1], [1^T, 0]] of the corral's affine minimizer (empty
-    slots of the padded (n, d + 2) corral are identity rows); when a weight
-    is <= 0 it steps back to the boundary of the corral and drops the vertex
-    that reached it. The problem is solved at unit scale (centred on the
+    corral, or at ``_HULL_MAJOR_CYCLES``, and otherwise adds that vertex; the
+    minor cycles (``_minor_cycles``) then move its weights. The running
+    targets' corral, weights, mask, nearest points and targets are kept
+    compacted: a target that stops writes its row to the result once and
+    leaves the arrays. The problem is solved at unit scale (centred on the
     middle of the bounding box of points and targets, divided by its largest
     half-width), so the Gram matrices neither overflow nor underflow and the
     distances are equivariant under (P, Q) -> (lam P + c, lam Q + c).
@@ -540,8 +539,10 @@ def _min_norm_points(points: np.ndarray, targets: np.ndarray) -> tuple[np.ndarra
     weights[:, 0] = 1.0
     if not n:
         return np.zeros(0), corral, weights
-    lo = np.minimum(points.min(axis=0), targets.min(axis=0)) / 2
-    hi = np.maximum(points.max(axis=0), targets.max(axis=0)) / 2
+    # the bounding box by one min and one max over contiguous coordinate rows
+    box = np.concatenate((points.T, targets.T), axis=1)
+    lo, hi = box.min(axis=1) / 2, box.max(axis=1) / 2
+    del box
     scale = float(np.max(hi - lo, initial=0.0))
     if not scale > 0.0:
         return np.zeros(n), corral, weights
@@ -557,57 +558,78 @@ def _min_norm_points(points: np.ndarray, targets: np.ndarray) -> tuple[np.ndarra
     tol = _HULL_STOP * sq.max(axis=1)
     corral[:, 0] = np.argmin(sq, axis=1)
     del sq
+    nearest = points[corral[:, 0]] - targets
+    # the running targets: row i is target ids[i]
+    ids = np.arange(n)
+    run_corral, run_weights, x = corral.copy(), weights.copy(), nearest.copy()
     inside = np.zeros((n, d + 2), dtype=bool)
     inside[:, 0] = True
-    nearest = points[corral[:, 0]] - targets
-    active = np.arange(n)
     for _ in range(_HULL_MAJOR_CYCLES):
-        x = nearest[active]
         # <x, p_j - q> = <x, p_j> - <x, q>, and <x, q> does not move the argmin
         best = np.argmin(x @ points.T, axis=1)
-        gap = np.einsum("ij,ij->i", x, x - (points[best] - targets[active]))
-        known = ((corral[active] == best[:, None]) & inside[active]).any(axis=1)
-        go = (gap > tol[active]) & ~known
-        active, best = active[go], best[go]
-        if not active.size:
-            break
-        slot = np.argmin(inside[active], axis=1)
-        corral[active, slot] = best
-        inside[active, slot] = True
-        _minor_cycles(points, targets, corral, weights, inside, active)
-        vertices = points[corral[active]] - targets[active, None, :]
-        nearest[active] = np.einsum("ik,ikj->ij", weights[active], vertices)
+        gap = np.einsum("ij,ij->i", x, x - (points[best] - targets))
+        known = ((run_corral == best[:, None]) & inside).any(axis=1)
+        go = (gap > tol) & ~known
+        if not go.all():
+            stop = ids[~go]
+            corral[stop], weights[stop], nearest[stop] = run_corral[~go], run_weights[~go], x[~go]
+            ids, run_corral, run_weights, inside, x, targets, tol, best = (
+                a[go] for a in (ids, run_corral, run_weights, inside, x, targets, tol, best)
+            )
+            if not ids.size:
+                break
+        rows = np.arange(ids.size)
+        slot = np.argmin(inside, axis=1)
+        run_corral[rows, slot] = best
+        inside[rows, slot] = True
+        vertices = points[run_corral] - targets[:, None, :]
+        _minor_cycles(vertices, run_weights, inside)
+        x = np.einsum("ik,ikj->ij", run_weights, vertices)
+    corral[ids], weights[ids], nearest[ids] = run_corral, run_weights, x
     return np.linalg.norm(nearest, axis=1) * scale, corral, weights
 
 
-def _minor_cycles(points, targets, corral, weights, inside, rows) -> None:
-    """Wolfe's minor cycles for the given rows, updating their corrals in place.
+def _minor_cycles(vertices: np.ndarray, weights: np.ndarray, inside: np.ndarray) -> None:
+    """Wolfe's minor cycles for every row, updating its weights and corral mask in place.
 
-    Each pass solves the affine minimizers of all rows still in the loop
-    with one batched solve. A row whose minimizer has positive weights on
-    its whole corral takes them and leaves; the others move from their
-    convex weights toward the minimizer until a weight reaches 0, drop that
-    vertex (and any other weight that is not positive) and go round again.
+    ``vertices`` is the ``(n, k, d)`` stack of each row's corral slots.
+    Each row's bordered Gram [[Y Y^T, 1], [1^T, 0]] is formed once; a pass
+    masks it to the row's current corral (empty slots become identity rows)
+    and solves the KKT systems of the affine minimizers of all rows still
+    in the loop with one batched solve. A row whose minimizer has positive
+    weights on its whole corral takes them and leaves; the others move from
+    their convex weights toward the minimizer until a weight reaches 0,
+    drop that vertex (and any other weight that is not positive) and go
+    round again.
     """
-    k = corral.shape[1]
-    diag = np.arange(k)
-    while rows.size:
-        mask = inside[rows]
-        vertices = points[corral[rows]] - targets[rows, None, :]
-        kkt = np.zeros((rows.size, k + 1, k + 1))
-        kkt[:, :k, :k] = vertices @ vertices.transpose(0, 2, 1)
-        kkt[:, :k, :k] *= mask[:, :, None] & mask[:, None, :]
-        kkt[:, diag, diag] += ~mask
-        kkt[:, :k, k] = mask
-        kkt[:, k, :k] = mask
-        rhs = np.zeros((rows.size, k + 1, 1))
-        rhs[:, k] = 1.0
+    n, k = inside.shape
+    bordered = np.zeros((n, k + 1, k + 1))
+    bordered[:, :k, :k] = vertices @ vertices.transpose(0, 2, 1)
+    bordered[:, :k, k] = 1.0
+    bordered[:, k, :k] = 1.0
+    # one right-hand side, broadcast over the stack as a (1, k + 1, 1) matrix
+    rhs = np.zeros((1, k + 1, 1))
+    rhs[0, k] = 1.0
+    rows = np.arange(n)
+    # the mask with the border's slot, always set
+    mask = np.ones((n, k + 1), dtype=bool)
+    mask[:, :k] = inside
+    current = weights.copy()
+    while True:
+        # an empty slot's row and column are zeroed and its diagonal set to 1;
+        # the diagonal view also holds the corner, where ~mask adds 0
+        kkt = bordered * (mask[:, :, None] & mask[:, None, :])
+        kkt.reshape(rows.size, -1)[:, :: k + 2] += ~mask
         affine = np.linalg.solve(kkt, rhs)[:, :k, 0]
-        low = mask & (affine <= 0.0)
+        low = mask[:, :k] & (affine <= 0.0)
         done = ~low.any(axis=1)
-        weights[rows[done]] = np.where(mask[done], affine[done], 0.0)
-        rows, affine, low = rows[~done], affine[~done], low[~done]
-        current = weights[rows]
+        weights[rows[done]] = np.where(mask[done, :k], affine[done], 0.0)
+        inside[rows[done]] = mask[done, :k]
+        if done.all():
+            return
+        rows, bordered, mask, current, affine, low = (
+            a[~done] for a in (rows, bordered, mask, current, affine, low)
+        )
         # the step theta = min w_i / (w_i - a_i) over the weights a_i <= 0; a
         # zero denominator means w_i = a_i = 0, a step of 0
         step = current - affine
@@ -617,8 +639,8 @@ def _minor_cycles(points, targets, corral, weights, inside, rows) -> None:
         theta = ratio[np.arange(rows.size), blocking][:, None]
         current = theta * affine + (1.0 - theta) * current
         current[np.arange(rows.size), blocking] = 0.0
-        inside[rows] &= current > 0.0
-        weights[rows] = np.where(inside[rows], current, 0.0)
+        mask[:, :k] &= current > 0.0
+        current = np.where(mask[:, :k], current, 0.0)
 
 
 def _probe_grid(dim: int, radius: float, rng: np.random.Generator) -> np.ndarray:
@@ -676,8 +698,7 @@ def orbit_hull_probe(
     cloud = _orbit_cloud(action, origin, budget, rng, max_word_length)
     grid = _probe_grid(action.dim, radius, rng)
     probes = tuple(
-        ProbeResult(tuple(float(c) for c in q), float(dist))
-        for q, dist in zip(grid, _hull_distances(cloud, grid))
+        ProbeResult(tuple(q), dist) for q, dist in zip(grid.tolist(), _hull_distances(cloud, grid).tolist())
     )
     return OrbitHullReport(len(cloud), probes)
 
@@ -691,41 +712,54 @@ def _orbit_cloud(
     letters. The whole budget is drawn in three generator calls, in this
     order: every length, then every letter's generator, then every letter's
     inversion (``random() < 0.5``); the letters fill the words row by row.
-    The words are freely reduced by ``_free_reduce_codes`` and walked in
-    blocks of at most ``_ORBIT_BLOCK_ELEMENTS`` prefix elements, together
-    by letter position: the rows sharing a letter take one stacked
-    ``Cocycle.step``, so each point has the bits of
-    ``action.evaluate(word)(origin)``.
+    The words are freely reduced by ``_free_reduce_codes``, sorted longest
+    first and walked in blocks of at most ``_ORBIT_BLOCK_ELEMENTS`` prefix
+    elements, together by letter position: the r words still walking at a
+    position are the first r rows of the block, and they take one gathered
+    step, ``values[:r] + prefixes[:r] @ shifts[codes]`` and
+    ``prefixes[:r] @ mats[codes]``: ``shifts`` stacks b(s) and
+    b(s^-1) = -pi(s)* b(s), by the product ``Cocycle.step`` forms, and
+    ``mats`` pi(s) and pi(s)*, both ``(2g, ...)`` stacks formed for this
+    call only. Each row is the BLAS product of its own step, so each point
+    has the bits of ``action.evaluate(word)(origin)``.
     """
     g = action.presentation.num_generators
     d = action.dim
     lengths = rng.integers(0, max_word_length + 1, size=budget)
     total = int(lengths.sum())
     # letter (gen, sign) as code 2 gen + (sign < 0); -1 past the word's end;
-    # the smallest signed type that holds every code and -2
-    codes = np.full((budget, max_word_length), -1, dtype=np.min_scalar_type(-2 * g - 2))
+    # the smallest signed type that holds every code and -3
+    codes = np.full((budget, max_word_length), -1, dtype=np.min_scalar_type(-2 * g - 3))
     if g and total:
         letters = rng.integers(0, g, size=total)
         letters *= 2
         letters += rng.random(total) < 0.5
         codes[np.arange(max_word_length) < lengths[:, None]] = letters
-    codes = _free_reduce_codes(codes)
+    # one row of letter codes per position, the words longest first
+    columns = np.ascontiguousarray(_free_reduce_codes(codes).T)
+    filled = columns >= 0
+    order = np.argsort(-filled.sum(axis=0), kind="stable")
+    positions = columns.take(order, axis=1)
+    walking = filled.sum(axis=1)
+    # pi and b of every letter, row 2 gen + inverse
+    cocycle = action.cocycle
+    mats = np.array([x for m in action.rep.matrices for x in (m, m.conj().T)]).reshape(2 * g, d, d)
+    shifts = np.array([x for m, b in zip(action.rep.matrices, cocycle.values) for x in (b, -(m.conj().T @ b))])
+    shifts = shifts.reshape(2 * g, d, 1)
     cloud = np.empty((budget + 1, d))
     cloud[0] = origin
     block = max(1, _ORBIT_BLOCK_ELEMENTS // d**2)
     for start in range(0, budget, block):
         n = min(block, budget - start)
-        values = np.zeros((n, d))
+        values = np.zeros((n, d, 1))
         prefixes = np.tile(np.eye(d), (n, 1, 1))
-        for column in codes[start : start + n].T:
-            for code in range(2 * g):
-                rows = np.flatnonzero(column == code)
-                if rows.size:
-                    gen, inverse = divmod(code, 2)
-                    values[rows], prefixes[rows] = action.cocycle.step(
-                        values[rows], prefixes[rows], gen, -1 if inverse else 1
-                    )
-        cloud[1 + start : 1 + start + n] = prefixes @ origin + values
+        for column, r in zip(positions[:, start : start + n], np.clip(walking - start, 0, n).tolist()):
+            if not r:
+                break
+            letters = column[:r]
+            values[:r] += prefixes[:r] @ shifts.take(letters, axis=0)
+            prefixes[:r] = prefixes[:r] @ mats.take(letters, axis=0)
+        cloud[1 + order[start : start + n]] = prefixes @ origin + values[:, :, 0]
     return cloud
 
 
@@ -734,19 +768,26 @@ def _free_reduce_codes(codes: np.ndarray) -> np.ndarray:
 
     Codes are ``2 gen + inverse``, so a letter's inverse is ``code ^ 1``;
     -1 pads each row past its word. One pass over the columns keeps a stack
-    per row: a letter equal to ``top ^ 1`` pops the stack, any other letter
-    is pushed. The reduced words come back left-aligned and padded with -1.
+    per row in one flat array, with ``top`` the flat index of each row's top
+    letter: a letter equal to ``top ^ 1`` pops the stack, any other letter
+    is pushed. Every column is written just above the top, a push or not:
+    a slot above the top is never read before the push that moves the top
+    onto it rewrites it. The reduced words come back left-aligned and
+    padded with -1.
     """
     n, width = codes.shape
-    # column 0 is a sentinel (-2 ^ 1 = -1 never equals a letter); top indexes the top letter
-    stack = np.full((n, width + 1), -2, dtype=codes.dtype)
-    top = np.zeros(n, dtype=np.intp)
-    rows = np.arange(n)
-    for column in codes.T:
-        letter = column >= 0
-        pop = letter & (column == stack[rows, top] ^ 1)
-        push = letter & ~pop
-        top += push
+    # column 0 is a sentinel, -3 ^ 1 = -4 equals neither a letter nor the padding
+    stack = np.full((n, width + 1), -3, dtype=codes.dtype)
+    flat = stack.reshape(-1)
+    above = flat[1:]
+    base = np.arange(0, n * (width + 1), width + 1)
+    top = base.copy()
+    columns = np.ascontiguousarray(codes.T)
+    for column, inverse, letter in zip(columns, columns ^ 1, (columns >= 0).view(np.int8)):
+        pop = (flat[top] == inverse).view(np.int8)
+        above[top] = column
+        # a pop takes back the letter's push and the letter below it
+        top += letter
         top -= pop
-        stack[rows[push], top[push]] = column[push]
-    return np.where(np.arange(width) < top[:, None], stack[:, 1:], -1)
+        top -= pop
+    return np.where(np.arange(width) < (top - base)[:, None], stack[:, 1:], -1)

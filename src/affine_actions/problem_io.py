@@ -10,6 +10,7 @@ and undeclared names are errors with a pointer to the offending key.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -39,12 +40,17 @@ def _is_int(value) -> bool:
 
 
 def _real_from_json(value, where: str) -> float:
+    """A JSON number as a finite float; Python's ``json`` also reads the
+    ``NaN``, ``Infinity`` and ``-Infinity`` literals, which are refused here."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ProblemFileError(f"{where}: expected a real number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
         raise ProblemFileError(f"{where}: integer too large for a float") from None
+    if not math.isfinite(number):
+        raise ProblemFileError(f"{where}: expected a finite number, got {value!r}")
+    return number
 
 
 def _scalar_from_json(value, field: str, where: str):

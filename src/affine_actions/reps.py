@@ -194,16 +194,19 @@ class Cocycle:
         return value, prefix
 
     def step(self, value: np.ndarray, prefix: np.ndarray, gen: int, sign: int):
-        """One letter of the chain rule: (b(w), pi(w)) -> (b(w s), pi(w s)).
+        """One letter of the chain rule: (b(w), pi(w)) -> (b(w s), pi(w s)),
 
-        ``s`` is generator ``gen`` for ``sign > 0`` and its inverse otherwise,
-        with b(s^-1) = -pi(s)^-1 b(s) and pi(s)^-1 = pi(s)* (isometry).
+            b(w s) = b(w) + pi(w) b(s),    pi(w s) = pi(w) pi(s),
+
+        with ``s`` generator ``gen`` for ``sign > 0`` and its inverse
+        otherwise: pi(s^-1) = pi(s)* (isometry) and b(s^-1) = -pi(s)* b(s).
         It also takes stacks: values of shape ``(n, d)`` with prefixes of
         shape ``(n, d, d)`` step as n states at once, each row with the bits
-        of its own step. ``walk`` (so ``extend`` and ``AffineAction.evaluate``),
-        the psi fill of ``quadratic_form_test`` and the orbit sample of
-        ``orbit_hull_probe`` all apply these steps from (0, I), so one word
-        gives the same bits in each.
+        of its own step. ``walk`` (so ``extend`` and ``AffineAction.evaluate``)
+        and the psi fill of ``quadratic_form_test`` apply these steps from
+        (0, I), and the orbit sample of ``orbit_hull_probe`` the same
+        products on gathered rows of the same letter values, so one word
+        gives the same values in each.
         """
         m = self.representation.matrices[gen]
         if sign > 0:

@@ -357,17 +357,24 @@ BAD_FIELD_TYPES = {
         _set(["coset_table"], {"transversal": ["1", "u"], "action": {"t": [0, 1]}, "schreier": {"t": ["t", "t"]}}),
         "coset_table.transversal",
     ),
+    # json writes and reads the NaN, Infinity and -Infinity literals
+    "matrix-entry-nan": ("glide.json", _set(["matrices", "t"], [float("nan"), 0.0, 0.0, 1.0]), "matrices.t"),
+    "cocycle-entry-infinity": ("glide.json", _set(["cocycle", "t"], [float("inf"), 0.0]), "cocycle.t"),
+    "cocycle-entry-minus-infinity": ("glide.json", _set(["cocycle", "t"], [0.0, float("-inf")]), "cocycle.t"),
+    "complex-part-nan": ("z_trivial_c1.json", _set(["matrices", "t"], [[1.0, float("nan")]]), "matrices.t"),
+    "tolerance-infinity": ("glide.json", _set(["tolerances"], {"rank": float("inf")}), "tolerances.rank"),
 }
 
 
+@pytest.mark.parametrize("verb", ["verify", "irreducible"])
 @pytest.mark.parametrize("case", sorted(BAD_FIELD_TYPES))
-def test_a_field_of_the_wrong_json_type_is_located(case, tmp_path, capsys):
+def test_a_field_of_the_wrong_json_type_is_located(case, verb, tmp_path, capsys):
     fixture, edit, key = BAD_FIELD_TYPES[case]
     data = json.loads((FIXTURES / fixture).read_text())
     edit(data)
     bad = tmp_path / f"{case}.json"
     bad.write_text(json.dumps(data))
-    code, doc = run_machine(["verify", bad], capsys)
+    code, doc = run_machine([verb, bad], capsys)
     assert code == 11, doc
     assert doc["error"].startswith(f"{bad}: {key}"), doc["error"]
 

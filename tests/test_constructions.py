@@ -691,16 +691,20 @@ def per_word_cloud(action: AffineAction, origin, budget: int, seed: int, max_wor
 
 
 @WARNINGS_FAIL
+@pytest.mark.parametrize("max_word_length", [0, 1, 3, 12])
 @pytest.mark.parametrize("words_per_block", [None, 1, 7])
 @pytest.mark.parametrize("case", sorted(ORBIT_CASES))
-def test_orbit_cloud_equals_one_evaluate_per_word(case, words_per_block, monkeypatch):
+def test_orbit_cloud_equals_one_evaluate_per_word(case, words_per_block, max_word_length, monkeypatch):
+    # the words are walked longest first: short maxima give many ties and
+    # blocks whose rows all stop at once (at 0, every row is empty); glide
+    # and the translations have one generator, the other cases two to six
     build, budget, _, seed = ORBIT_CASES[case]
     action = build()
     if words_per_block is not None:
         monkeypatch.setattr(constructions, "_ORBIT_BLOCK_ELEMENTS", words_per_block * action.dim**2)
     for origin in (np.zeros(action.dim), np.random.default_rng(seed).standard_normal(action.dim)):
-        cloud = _orbit_cloud(action, origin, budget, np.random.default_rng(seed), 12)
-        assert np.array_equal(cloud, per_word_cloud(action, origin, budget, seed))
+        cloud = _orbit_cloud(action, origin, budget, np.random.default_rng(seed), max_word_length)
+        assert np.array_equal(cloud, per_word_cloud(action, origin, budget, seed, max_word_length))
 
 
 @WARNINGS_FAIL

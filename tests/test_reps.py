@@ -32,6 +32,7 @@ from helpers import (
     doubled_rep,
     f2_group,
     heisenberg_group,
+    random_action,
     random_c3_rep,
     random_cocycle,
     random_dihedral_rep,
@@ -145,6 +146,29 @@ def test_stacked_step_equals_per_slice_steps(dim, field):
                 value, prefix = b.step(values[i], prefixes[i], gen, sign)
                 assert np.array_equal(stacked_values[i], value)
                 assert np.array_equal(stacked_prefixes[i], prefix)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_step_has_the_bits_of_the_chain_rule(family, field):
+    # b(w s) = b(w) + pi(w) b(s) and pi(w s) = pi(w) pi(s), with
+    # b(s^-1) = -pi(s)* b(s) and pi(s^-1) = pi(s)*, for single states and stacks
+    rng = np.random.default_rng(sorted(FAMILIES).index(family) + 20 * (field == "complex"))
+    dim = 3 if family == "heisenberg" else 2
+    action = random_action(FAMILIES[family](rng, dim, field), rng)
+    cocycle, rep = action.cocycle, action.rep
+    values = np.stack([random_field_vector(dim, field, rng) for _ in range(5)])
+    prefixes = np.stack([rep.evaluate(Word(((i % rep.presentation.num_generators, 1),) * i)) for i in range(5)])
+    for gen, (m, b) in enumerate(zip(rep.matrices, cocycle.values)):
+        adjoint = m.conj().T
+        chain_rule = {
+            1: lambda v, p: (v + p @ b, p @ m),
+            -1: lambda v, p: (v - p @ (adjoint @ b), p @ adjoint),
+        }
+        for sign, rule in chain_rule.items():
+            for v, p in [(values, prefixes)] + list(zip(values, prefixes)):
+                (value, prefix), (expected_value, expected_prefix) = cocycle.step(v, p, gen, sign), rule(v, p)
+                assert np.array_equal(value, expected_value) and np.array_equal(prefix, expected_prefix)
 
 
 def test_fixed_subspace_examples():
