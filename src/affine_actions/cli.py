@@ -8,7 +8,8 @@ report (default, stdout) or a machine-readable result document
     0   affirmative verdict (pass / Irreducible / Equivalent / Quadratic / found)
     10  negative verdict (fail / Reducible / NotFound / ViolatedAt / ProbablyNo)
     11  usage errors (missing files, malformed JSON, bad flags)
-    12  invalid inputs (schema, invariant, or precondition violations)
+    12  invalid inputs (schema, invariant, or precondition violations, and
+        sizes such as --window or --budget too large to allocate)
     13  internal consistency failure (a certified result failed re-checking)
 
 Each verb is one entry of ``VERBS``; the parser, ``--batch`` and the
@@ -418,6 +419,10 @@ def _run_one(args) -> tuple[int, dict, list[str]]:
         code, payload = EXIT_USAGE, {"error": str(exc), "verdict": "error"}
     except ValueError as exc:
         code, payload = EXIT_INPUT, {"error": str(exc), "verdict": "error"}
+    except MemoryError as exc:
+        # a size flag asked for more than the host can allocate
+        error = f"{args.command}: out of memory" + (f" ({exc})" if str(exc) else "")
+        code, payload = EXIT_INPUT, {"error": error, "verdict": "error"}
     except InternalCheckError as exc:
         code, payload = EXIT_INTERNAL, {"error": str(exc), "verdict": "error"}
     skip = {"command", "machine"}

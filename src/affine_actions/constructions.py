@@ -44,7 +44,8 @@ class ConstructionError(ValueError):
 
 
 # working-memory bounds: defect elements per block of rows of the
-# parallelogram scan, and prefix elements per block of orbit words
+# parallelogram scan, and prefix elements per block of orbit words (a
+# translation action's orbit words hold no prefixes and are not blocked)
 _SCAN_BLOCK_ELEMENTS = 4096
 _ORBIT_BLOCK_ELEMENTS = 1 << 16
 
@@ -273,8 +274,9 @@ def _spans(vectors, dim: int, tol: ToleranceProfile) -> bool:
     return numerical_rank(singular, tol) == dim
 
 
-def _squared_norms(values: np.ndarray) -> list[float]:
-    """``float(np.linalg.norm(v) ** 2)`` for each row ``v``, with the same bits.
+def _squared_norms(values: np.ndarray) -> np.ndarray:
+    """``float(np.linalg.norm(v) ** 2)`` for each ``v`` along the last axis,
+    with the same bits, in an array of shape ``values.shape[:-1]``.
 
     ``norm`` takes the square root of the dot product of ``v`` with itself
     (of its real and imaginary parts, summed, for complex ``v``); the row
@@ -284,22 +286,42 @@ def _squared_norms(values: np.ndarray) -> list[float]:
     def dots(x):
         return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
 
-    squares = dots(values.real) + dots(values.imag) if np.iscomplexobj(values) else dots(values)
-    return [r**2 for r in np.sqrt(squares).tolist()]
+    rows = values.reshape(-1, values.shape[-1])
+    squares = dots(rows.real) + dots(rows.imag) if np.iscomplexobj(rows) else dots(rows)
+    roots = np.sqrt(squares).tolist()
+    return np.fromiter(map(pow, roots, itertools.repeat(2)), float, len(roots)).reshape(values.shape[:-1])
 
 
 def _powers(cocycle: Cocycle, values: np.ndarray, prefixes: np.ndarray, gen: int, reach: int):
-    """(column, b, pi) of every state times s^p for p in [-reach, reach].
+    """(columns, b, pi) of every state times s^p for p in [-reach, reach].
 
-    ``column`` is p + reach. Each side takes one stacked ``Cocycle.step`` per
-    power, and only its current layer is held.
+    ``columns`` is p + reach: one column, with ``b`` of shape ``(n, d)`` and
+    ``pi`` of shape ``(n, d, d)``, or an array of m columns (a run), with
+    ``b`` of shape ``(n, m, d)`` and ``pi`` broadcasting to ``(n, m, d, d)``.
+    A generator with pi(s) exactly I leaves every prefix as it is, so each
+    power adds the same pi(w) b(s^+-1): it is formed once per side, and the
+    side's layers, p = 0 included, are one run built by ``np.cumsum``, which
+    adds in the order the steps do; the prefixes are passed on as they are.
+    Any other generator takes one stacked ``Cocycle.step`` per power, one
+    column at a time, and only its current layer is held.
     """
-    yield reach, values, prefixes
-    for sign in (1, -1):
-        v, p = values, prefixes
-        for power in range(1, reach + 1):
-            v, p = cocycle.step(v, p, gen, sign)
-            yield reach + sign * power, v, p
+    m = cocycle.representation.matrices[gen]
+    if not np.array_equal(m, np.eye(len(m))):
+        yield reach, values, prefixes
+        for sign in (1, -1):
+            v, p = values, prefixes
+            for power in range(1, reach + 1):
+                v, p = cocycle.step(v, p, gen, sign)
+                yield reach + sign * power, v, p
+        return
+    b = cocycle.values[gen]
+    # the term Cocycle.step adds on each side; both runs start at the base layer
+    for sign, term in ((1, prefixes @ b), (-1, -(prefixes @ (m.conj().T @ b)))):
+        layers = np.empty((len(values), reach + 1, values.shape[1]), dtype=values.dtype)
+        layers[:, 0] = values
+        layers[:, 1:] = term[:, None]
+        np.cumsum(layers, axis=1, out=layers)
+        yield reach + sign * np.arange(reach + 1), layers, prefixes[:, None]
 
 
 def _psi_grid(cocycle: Cocycle, k: int, reach: int) -> np.ndarray:
@@ -307,10 +329,13 @@ def _psi_grid(cocycle: Cocycle, k: int, reach: int) -> np.ndarray:
 
     The word of x is t1^x1 ... tk^xk. The grid is filled one coordinate at a
     time: the states (b(w), pi(w)) of all points of the first j coordinates
-    take their powers of t_{j+1} together, so each point costs one row of
-    one stacked ``Cocycle.step``, in the order ``Cocycle.extend`` applies
-    them. The last coordinate reduces each layer to squared norms as it is
-    made, so at most (2 reach + 1)^(k-1) prefixes are alive at once.
+    take their powers of t_{j+1} together (``_powers``), so each point costs
+    one row of one stacked ``Cocycle.step``, or for a generator with
+    pi(s) = I one term of a running sum, in the order ``Cocycle.extend``
+    applies them. The last coordinate reduces each column or run to squared
+    norms as it is made, with one ``_squared_norms`` call each: at most
+    (2 reach + 1)^(k-1) prefixes are alive at once, and for a translation
+    generator last, one side's (reach + 1) values per prefix.
     """
     rep = cocycle.representation
     side = 2 * reach + 1
@@ -319,13 +344,13 @@ def _psi_grid(cocycle: Cocycle, k: int, reach: int) -> np.ndarray:
     for gen in range(k - 1):
         next_values = np.empty((len(values), side, rep.dim), dtype=rep.dtype)
         next_prefixes = np.empty((len(values), side, rep.dim, rep.dim), dtype=rep.dtype)
-        for column, v, p in _powers(cocycle, values, prefixes, gen, reach):
-            next_values[:, column], next_prefixes[:, column] = v, p
+        for columns, v, p in _powers(cocycle, values, prefixes, gen, reach):
+            next_values[:, columns], next_prefixes[:, columns] = v, p
         values = next_values.reshape(-1, rep.dim)
         prefixes = next_prefixes.reshape(-1, rep.dim, rep.dim)
     psi = np.empty((len(values), side))
-    for column, v, _ in _powers(cocycle, values, prefixes, k - 1, reach):
-        psi[:, column] = _squared_norms(v)
+    for columns, v, _ in _powers(cocycle, values, prefixes, k - 1, reach):
+        psi[:, columns] = _squared_norms(v)
     return psi.reshape((side,) * k)
 
 
@@ -713,15 +738,19 @@ def _orbit_cloud(
     order: every length, then every letter's generator, then every letter's
     inversion (``random() < 0.5``); the letters fill the words row by row.
     The words are freely reduced by ``_free_reduce_codes``, sorted longest
-    first and walked in blocks of at most ``_ORBIT_BLOCK_ELEMENTS`` prefix
-    elements, together by letter position: the r words still walking at a
-    position are the first r rows of the block, and they take one gathered
-    step, ``values[:r] + prefixes[:r] @ shifts[codes]`` and
-    ``prefixes[:r] @ mats[codes]``: ``shifts`` stacks b(s) and
+    first and walked together by letter position: the r words still walking
+    at a position are the first r rows. ``shifts`` stacks b(s) and
     b(s^-1) = -pi(s)* b(s), by the product ``Cocycle.step`` forms, and
     ``mats`` pi(s) and pi(s)*, both ``(2g, ...)`` stacks formed for this
-    call only. Each row is the BLAS product of its own step, so each point
-    has the bits of ``action.evaluate(word)(origin)``.
+    call only. When every pi(s) is exactly I (a translation action) a
+    position is one gathered add, ``values[:r] += shifts[codes]``, and the
+    points are ``origin + values``. Otherwise the words go in blocks of at
+    most ``_ORBIT_BLOCK_ELEMENTS`` prefix elements, and a position is one
+    gathered step, ``values[:r] + prefixes[:r] @ shifts[codes]`` and
+    ``prefixes[:r] @ mats[codes]``, each row the BLAS product of its own
+    step. Either way each point has the bits of
+    ``action.evaluate(word)(origin)``: ``I @ x`` is ``x`` up to the sign of
+    a zero, and a sum from +0 never ends on -0.
     """
     g = action.presentation.num_generators
     d = action.dim
@@ -741,13 +770,23 @@ def _orbit_cloud(
     order = np.argsort(-filled.sum(axis=0), kind="stable")
     positions = columns.take(order, axis=1)
     walking = filled.sum(axis=1)
-    # pi and b of every letter, row 2 gen + inverse
-    cocycle = action.cocycle
-    mats = np.array([x for m in action.rep.matrices for x in (m, m.conj().T)]).reshape(2 * g, d, d)
-    shifts = np.array([x for m, b in zip(action.rep.matrices, cocycle.values) for x in (b, -(m.conj().T @ b))])
-    shifts = shifts.reshape(2 * g, d, 1)
+    # b of every letter, row 2 gen + inverse
+    matrices = action.rep.matrices
+    shifts = np.array([x for m, b in zip(matrices, action.cocycle.values) for x in (b, -(m.conj().T @ b))])
+    shifts = shifts.reshape(2 * g, d)
     cloud = np.empty((budget + 1, d))
     cloud[0] = origin
+    if all(np.array_equal(m, np.eye(d)) for m in matrices):
+        values = np.zeros((budget, d))
+        for column, r in zip(positions, walking.tolist()):
+            if not r:
+                break
+            values[:r] += shifts.take(column[:r], axis=0)
+        cloud[1 + order] = origin + values
+        return cloud
+    # pi of every letter, row 2 gen + inverse
+    mats = np.array([x for m in matrices for x in (m, m.conj().T)]).reshape(2 * g, d, d)
+    shifts = shifts[:, :, None]
     block = max(1, _ORBIT_BLOCK_ELEMENTS // d**2)
     for start in range(0, budget, block):
         n = min(block, budget - start)

@@ -206,7 +206,10 @@ class Cocycle:
         and the psi fill of ``quadratic_form_test`` apply these steps from
         (0, I), and the orbit sample of ``orbit_hull_probe`` the same
         products on gathered rows of the same letter values, so one word
-        gives the same values in each.
+        gives the same values in each. Where pi(s) is exactly I the psi fill
+        and a translation action's orbit sample skip ``prefix @ pi(s)``,
+        which returns ``prefix`` up to the sign of a zero, and add the same
+        ``prefix @ b(s)`` terms as running sums.
         """
         m = self.representation.matrices[gen]
         if sign > 0:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from affine_actions import Representation, analyze_direct_sum, direct_sum
+from affine_actions import cli
 from affine_actions.cli import VERBS, build_parser, main
 from affine_actions.problem_io import (
     action_to_problem,
@@ -399,6 +400,25 @@ def test_result_documents_carry_standard_fields(capsys):
     for key in ("format_version", "command", "arguments", "wall_time_s", "exit_code", "error"):
         assert key in doc
     assert doc["exit_code"] == 11
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 1.16 TiB for an array", ""])
+@pytest.mark.parametrize(
+    "verb,name,call",
+    [("abelian-test", "z2_translations.json", "quadratic_form_test"), ("orbit-probe", "glide.json", "orbit_hull_probe")],
+)
+def test_allocation_failure_exits_as_invalid_input(verb, name, call, message, monkeypatch, capsys):
+    # what `--window 100000` or `--budget 100000000000` meet, without allocating anything
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, call, out_of_memory)
+    code, doc = run_machine([verb, FIXTURES / name], capsys)
+    assert code == doc["exit_code"] == 12
+    assert doc["verdict"] == "error"
+    assert doc["error"] == f"{verb}: out of memory" + (f" ({message})" if message else "")
+    code, out, err = run_cli([verb, FIXTURES / name], capsys)
+    assert code == 12 and out == f"error: {doc['error']}\n" and not err
 
 
 def test_console_script_entry_point():

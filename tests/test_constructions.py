@@ -37,7 +37,7 @@ from affine_actions.constructions import (
     is_free_abelian,
 )
 from affine_actions.problem_io import load_problem
-from affine_actions.reps import CocycleError, RepresentationError
+from affine_actions.reps import Cocycle, CocycleError, RepresentationError
 
 from helpers import (
     FIXTURES,
@@ -664,9 +664,32 @@ def test_orbit_probe_matches_per_probe_reference(case):
 # -- stacked walks against the per-point walks, and block edges ---------------
 
 
+def mixed_identity_actions(k: int, field: str, rng) -> list[AffineAction]:
+    """Z^k on F^2 with generators of three kinds, in two orders: the flip
+    diag(1, -1), exact identities, and I with one entry a ulp above 1. The
+    cocycle identity (pi(t) - I) b(s) = (pi(s) - I) b(t) puts b of every
+    generator but the flip on the flip's fixed line."""
+    ulp = np.eye(2)
+    ulp[1, 1] = np.nextafter(1.0, 2.0)
+    kinds = {"flip": np.diag([1.0, -1.0]), "identity": np.eye(2), "ulp": ulp}
+    names = ["flip", "identity", "ulp", "identity"][:k]
+    actions = []
+    for order in (names, names[::-1]) if k > 1 else (["identity"], ["ulp"]):
+        rep = Representation(free_abelian_group(k), field, [kinds[n] for n in order], dim=2)
+        line = np.array([1.0, 0.0])
+        values = [
+            random_field_vector(2, field, rng) if n == "flip" else random_field_vector(1, field, rng) * line
+            for n in order
+        ]
+        actions.append(AffineAction.from_values(rep, values))
+    return actions
+
+
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("k,reach", [(1, 6), (2, 4), (3, 3), (4, 2)])
-def test_psi_grid_equals_one_extend_per_point(k, reach, field):
+def test_psi_grid_equals_one_extend_per_point(k, reach, field, monkeypatch):
+    # generators with pi(s) exactly I take running sums, every other one
+    # (a ulp off I included) takes one Cocycle.step per power and side
     rng = np.random.default_rng(200 + 10 * k + (field == "complex"))
     actions = scan_inputs(k, field, rng)
     if k <= 2:
@@ -674,8 +697,20 @@ def test_psi_grid_equals_one_extend_per_point(k, reach, field):
             action = total_random_abelian_action(rng)
             if action is not None and action.presentation.num_generators == k:
                 actions.append(action)
+    actions += mixed_identity_actions(k, field, rng)
+    steps = []
+    step = Cocycle.step
+
+    def counted_step(self, value, prefix, gen, sign):
+        steps.append(gen)
+        return step(self, value, prefix, gen, sign)
+
+    monkeypatch.setattr(Cocycle, "step", counted_step)
     for action in actions:
+        steps.clear()
         psi = _psi_grid(action.cocycle, k, reach)
+        stepped = [g for g, m in enumerate(action.rep.matrices) if not np.array_equal(m, np.eye(action.dim))]
+        assert sorted(steps) == sorted(stepped * 2 * reach)
         expected = np.empty_like(psi)
         for x in itertools.product(range(-reach, reach + 1), repeat=k):
             value = action.cocycle.extend(_lattice_word(x))
