@@ -397,10 +397,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args):
-    """Load the problem file(s), resolve the tolerance, build the actions, run the verb."""
+    """Load the problem file(s), resolve the tolerance (each file's profile
+    with the flags applied; two files must agree), build the actions, run the verb."""
     verb = VERBS[args.command]
     problems = [load_problem(args.file)] + ([load_problem(args.file2)] if verb.files == 2 else [])
-    tol = problems[0].tolerance(args.tol_rank, args.tol_residual, args.tol_eig)
+    tol, *others = [p.tolerance(args.tol_rank, args.tol_residual, args.tol_eig) for p in problems]
+    if any(other != tol for other in others):
+        raise ProblemFileError(
+            f"{args.file} and {args.file2} resolve to different tolerance profiles; "
+            "choose one with --tol-rank, --tol-residual and --tol-eig"
+        )
     inputs = [p.build_action(tol) for p in problems] if verb.builds else []
     if verb.files == "setup":
         inputs.append(load_induction_setup(args.setup))

@@ -275,21 +275,14 @@ def _spans(vectors, dim: int, tol: ToleranceProfile) -> bool:
 
 
 def _squared_norms(values: np.ndarray) -> np.ndarray:
-    """``float(np.linalg.norm(v) ** 2)`` for each ``v`` along the last axis,
-    with the same bits, in an array of shape ``values.shape[:-1]``.
-
-    ``norm`` takes the square root of the dot product of ``v`` with itself
-    (of its real and imaginary parts, summed, for complex ``v``); the row
-    dots below are the same BLAS dots, and the square is a Python float
-    power as in the scalar expression (an array power can round differently).
+    """The row dot ``v . v`` of each ``v`` along the last axis (of its real
+    and imaginary parts, summed, for complex ``v``), in an array of shape
+    ``values.shape[:-1]``: each is the BLAS dot of one ``v @ v``.
     """
     def dots(x):
-        return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
+        return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
 
-    rows = values.reshape(-1, values.shape[-1])
-    squares = dots(rows.real) + dots(rows.imag) if np.iscomplexobj(rows) else dots(rows)
-    roots = np.sqrt(squares).tolist()
-    return np.fromiter(map(pow, roots, itertools.repeat(2)), float, len(roots)).reshape(values.shape[:-1])
+    return dots(values.real) + dots(values.imag) if np.iscomplexobj(values) else dots(values)
 
 
 def _powers(cocycle: Cocycle, values: np.ndarray, prefixes: np.ndarray, gen: int, reach: int):
@@ -299,11 +292,13 @@ def _powers(cocycle: Cocycle, values: np.ndarray, prefixes: np.ndarray, gen: int
     ``pi`` of shape ``(n, d, d)``, or an array of m columns (a run), with
     ``b`` of shape ``(n, m, d)`` and ``pi`` broadcasting to ``(n, m, d, d)``.
     A generator with pi(s) exactly I leaves every prefix as it is, so each
-    power adds the same pi(w) b(s^+-1): it is formed once per side, and the
-    side's layers, p = 0 included, are one run built by ``np.cumsum``, which
-    adds in the order the steps do; the prefixes are passed on as they are.
-    Any other generator takes one stacked ``Cocycle.step`` per power, one
-    column at a time, and only its current layer is held.
+    power adds the same pi(w) b(s^+-1) = +-pi(w) b(s) (pi(s)* b(s) = b(s)):
+    ``prefixes @ b(s)`` is formed once, and each side's layers, p = 0
+    included, are one run built by ``np.cumsum``, which adds in the order
+    the steps do; the prefixes are passed on as they are. The values match
+    ``Cocycle.step``'s up to the sign of a zero, which no squared norm
+    sees. Any other generator takes one stacked ``Cocycle.step`` per power,
+    one column at a time, and only its current layer is held.
     """
     m = cocycle.representation.matrices[gen]
     if not np.array_equal(m, np.eye(len(m))):
@@ -314,12 +309,12 @@ def _powers(cocycle: Cocycle, values: np.ndarray, prefixes: np.ndarray, gen: int
                 v, p = cocycle.step(v, p, gen, sign)
                 yield reach + sign * power, v, p
         return
-    b = cocycle.values[gen]
-    # the term Cocycle.step adds on each side; both runs start at the base layer
-    for sign, term in ((1, prefixes @ b), (-1, -(prefixes @ (m.conj().T @ b)))):
+    term = prefixes @ cocycle.values[gen]
+    # the term each step adds on each side; both runs start at the base layer
+    for sign, step in ((1, term), (-1, -term)):
         layers = np.empty((len(values), reach + 1, values.shape[1]), dtype=values.dtype)
         layers[:, 0] = values
-        layers[:, 1:] = term[:, None]
+        layers[:, 1:] = step[:, None]
         np.cumsum(layers, axis=1, out=layers)
         yield reach + sign * np.arange(reach + 1), layers, prefixes[:, None]
 
@@ -737,39 +732,38 @@ def _orbit_cloud(
     letters. The whole budget is drawn in three generator calls, in this
     order: every length, then every letter's generator, then every letter's
     inversion (``random() < 0.5``); the letters fill the words row by row.
-    The words are freely reduced by ``_free_reduce_codes``, sorted longest
-    first and walked together by letter position: the r words still walking
-    at a position are the first r rows. ``shifts`` stacks b(s) and
-    b(s^-1) = -pi(s)* b(s), by the product ``Cocycle.step`` forms, and
-    ``mats`` pi(s) and pi(s)*, both ``(2g, ...)`` stacks formed for this
-    call only. When every pi(s) is exactly I (a translation action) a
-    position is one gathered add, ``values[:r] += shifts[codes]``, and the
-    points are ``origin + values``. Otherwise the words go in blocks of at
-    most ``_ORBIT_BLOCK_ELEMENTS`` prefix elements, and a position is one
-    gathered step, ``values[:r] + prefixes[:r] @ shifts[codes]`` and
+    The words are not freely reduced (a letter next to its inverse gives
+    the same group element), sorted by drawn length, longest first (stable),
+    and walked together by letter position: the r words still walking at a
+    position are the first r rows. ``shifts`` stacks b(s) and b(s^-1) = -pi(s)* b(s), by the
+    product ``Cocycle.step`` forms, and ``mats`` pi(s) and pi(s)*, both
+    ``(2g, ...)`` stacks formed for this call only. When every pi(s) is
+    exactly I (a translation action) a position is one gathered add,
+    ``values[:r] += shifts[codes]``, and the points are ``origin + values``.
+    Otherwise the words go in blocks of at most ``_ORBIT_BLOCK_ELEMENTS``
+    prefix elements, and a position is one gathered step,
+    ``values[:r] + prefixes[:r] @ shifts[codes]`` and
     ``prefixes[:r] @ mats[codes]``, each row the BLAS product of its own
-    step. Either way each point has the bits of
-    ``action.evaluate(word)(origin)``: ``I @ x`` is ``x`` up to the sign of
-    a zero, and a sum from +0 never ends on -0.
+    step. Either way each point has the bits of ``pi(w) origin + b(w)``
+    walked by one ``Cocycle.step`` per drawn letter from (0, I): ``I @ x``
+    is ``x`` up to the sign of a zero, and a sum from +0 never ends on -0.
     """
     g = action.presentation.num_generators
     d = action.dim
     lengths = rng.integers(0, max_word_length + 1, size=budget)
     total = int(lengths.sum())
     # letter (gen, sign) as code 2 gen + (sign < 0); -1 past the word's end;
-    # the smallest signed type that holds every code and -3
-    codes = np.full((budget, max_word_length), -1, dtype=np.min_scalar_type(-2 * g - 3))
+    # the smallest signed type that holds every code and -1
+    codes = np.full((budget, max_word_length), -1, dtype=np.min_scalar_type(-2 * g - 1))
     if g and total:
         letters = rng.integers(0, g, size=total)
         letters *= 2
         letters += rng.random(total) < 0.5
         codes[np.arange(max_word_length) < lengths[:, None]] = letters
     # one row of letter codes per position, the words longest first
-    columns = np.ascontiguousarray(_free_reduce_codes(codes).T)
-    filled = columns >= 0
-    order = np.argsort(-filled.sum(axis=0), kind="stable")
-    positions = columns.take(order, axis=1)
-    walking = filled.sum(axis=1)
+    order = np.argsort(-lengths, kind="stable")
+    positions = np.ascontiguousarray(codes.take(order, axis=0).T)
+    walking = (positions >= 0).sum(axis=1)
     # b of every letter, row 2 gen + inverse
     matrices = action.rep.matrices
     shifts = np.array([x for m, b in zip(matrices, action.cocycle.values) for x in (b, -(m.conj().T @ b))])
@@ -801,32 +795,3 @@ def _orbit_cloud(
         cloud[1 + order[start : start + n]] = prefixes @ origin + values[:, :, 0]
     return cloud
 
-
-def _free_reduce_codes(codes: np.ndarray) -> np.ndarray:
-    """Free reduction of every row of a letter-code array, as ``Word`` reduces.
-
-    Codes are ``2 gen + inverse``, so a letter's inverse is ``code ^ 1``;
-    -1 pads each row past its word. One pass over the columns keeps a stack
-    per row in one flat array, with ``top`` the flat index of each row's top
-    letter: a letter equal to ``top ^ 1`` pops the stack, any other letter
-    is pushed. Every column is written just above the top, a push or not:
-    a slot above the top is never read before the push that moves the top
-    onto it rewrites it. The reduced words come back left-aligned and
-    padded with -1.
-    """
-    n, width = codes.shape
-    # column 0 is a sentinel, -3 ^ 1 = -4 equals neither a letter nor the padding
-    stack = np.full((n, width + 1), -3, dtype=codes.dtype)
-    flat = stack.reshape(-1)
-    above = flat[1:]
-    base = np.arange(0, n * (width + 1), width + 1)
-    top = base.copy()
-    columns = np.ascontiguousarray(codes.T)
-    for column, inverse, letter in zip(columns, columns ^ 1, (columns >= 0).view(np.int8)):
-        pop = (flat[top] == inverse).view(np.int8)
-        above[top] = column
-        # a pop takes back the letter's push and the letter below it
-        top += letter
-        top -= pop
-        top -= pop
-    return np.where(np.arange(width) < (top - base)[:, None], stack[:, 1:], -1)

@@ -185,7 +185,7 @@ class ProblemFile:
         rep = Representation(
             self.presentation, self.field, self.matrices, dim=self.dim, tol=tol, validate=False
         )
-        cocycle = Cocycle(rep, self.cocycle_values, tol, validate=False)
+        cocycle = Cocycle(rep, self.cocycle_values, validate=False)
         return validity_report(tol, rep, cocycle), AffineAction(rep, cocycle)
 
     def build_action(self, tol: ToleranceProfile | None = None) -> AffineAction:

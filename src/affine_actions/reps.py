@@ -153,14 +153,7 @@ class Cocycle:
     of ``actions.unit_scale`` and of every certification bound.
     """
 
-    def __init__(
-        self,
-        representation: Representation,
-        values,
-        tol: ToleranceProfile | None = None,
-        validate: bool = True,
-    ) -> None:
-        tol = tol or representation.tol
+    def __init__(self, representation: Representation, values, validate: bool = True) -> None:
         values = tuple(as_field_array(v, representation.field) for v in values)
         if len(values) != representation.presentation.num_generators:
             raise CocycleError(
@@ -172,7 +165,7 @@ class Cocycle:
         self.representation = representation
         self.values = values
         self.max_norm = max((float(np.linalg.norm(v)) for v in values), default=0.0)
-        if validate and (failure := validity_report(tol, cocycle=self).failure):
+        if validate and (failure := validity_report(representation.tol, cocycle=self).failure):
             raise failure
 
     @cached_property
@@ -205,11 +198,12 @@ class Cocycle:
         of its own step. ``walk`` (so ``extend`` and ``AffineAction.evaluate``)
         and the psi fill of ``quadratic_form_test`` apply these steps from
         (0, I), and the orbit sample of ``orbit_hull_probe`` the same
-        products on gathered rows of the same letter values, so one word
-        gives the same values in each. Where pi(s) is exactly I the psi fill
-        and a translation action's orbit sample skip ``prefix @ pi(s)``,
-        which returns ``prefix`` up to the sign of a zero, and add the same
-        ``prefix @ b(s)`` terms as running sums.
+        products on gathered rows of the same letter values, one per letter
+        as drawn (``walk`` takes the freely reduced letters of a ``Word``).
+        Where pi(s) is exactly I the psi fill and a translation action's
+        orbit sample skip ``prefix @ pi(s)``, which returns ``prefix`` up to
+        the sign of a zero, and add ``prefix @ b(s)`` terms as running sums;
+        the psi fill adds ``-(prefix @ b(s))`` for s^-1, as pi(s)* b(s) = b(s).
         """
         m = self.representation.matrices[gen]
         if sign > 0:

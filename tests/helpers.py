@@ -385,18 +385,21 @@ def _lattice_word(exponents: tuple[int, ...]) -> Word:
     return Word(tuple(letters))
 
 
+def squared_norm(v: np.ndarray) -> float:
+    """psi's value ``v @ v`` (for complex ``v``, of its real and imaginary
+    parts, summed)."""
+    return float(v.real @ v.real + v.imag @ v.imag) if np.iscomplexobj(v) else float(v @ v)
+
+
 def reference_quadratic_form_test(action: AffineAction, window: int = 3, tol: ToleranceProfile = TOL):
-    """The parallelogram scan pair by pair: psi from one ``Cocycle.extend`` of
-    t1^x1 ... tk^xk per lattice point, then every pair (x, y) of the inner
-    window in the library's scan order. The action is used as given, with
-    no unit scaling and no totality check, so callers pass a total,
-    unit-scaled action."""
+    """The parallelogram scan pair by pair: psi as ``squared_norm`` of one
+    ``Cocycle.extend`` of t1^x1 ... tk^xk per lattice point, then every
+    pair (x, y) of the inner window in the library's scan order. The action
+    is used as given, with no unit scaling and no totality check, so
+    callers pass a total, unit-scaled action."""
     k = action.presentation.num_generators
     span = range(-2 * window, 2 * window + 1)
-    psi = {
-        x: float(np.linalg.norm(action.cocycle.extend(_lattice_word(x))) ** 2)
-        for x in itertools.product(span, repeat=k)
-    }
+    psi = {x: squared_norm(action.cocycle.extend(_lattice_word(x))) for x in itertools.product(span, repeat=k)}
     scale = max(psi.values(), default=0.0)
     inner = sorted(
         itertools.product(range(-window, window + 1), repeat=k),
@@ -533,17 +536,26 @@ def draw_orbit_words(
     return words
 
 
+def walked_point(action: AffineAction, letters, origin: np.ndarray) -> np.ndarray:
+    """pi(w) origin + b(w), with (b(w), pi(w)) walked from (0, I) by one
+    ``Cocycle.step`` per letter as given, with no free reduction."""
+    value, prefix = np.zeros(action.dim), np.eye(action.dim)
+    for gen, sign in letters:
+        value, prefix = action.cocycle.step(value, prefix, gen, sign)
+    return prefix @ origin + value
+
+
 def reference_orbit_hull_probe(
     action: AffineAction, origin, budget: int, radius: float, seed: int, max_word_length: int = 12
 ) -> OrbitHullReport:
-    """The orbit probe with one ``action.evaluate`` per word and one
+    """The orbit probe with one ``walked_point`` per drawn word and one
     nonnegative least-squares solve per probe (``reference_nnls_hull_distance``):
     the same random words and probe grid, drawn in the same order, as the
     library."""
     rng = np.random.default_rng(seed)
     origin = np.asarray(origin, dtype=float)
     words = draw_orbit_words(rng, budget, action.presentation.num_generators, max_word_length)
-    cloud = np.array([origin] + [action.evaluate(Word(letters))(origin) for letters in words])
+    cloud = np.array([origin] + [walked_point(action, letters, origin) for letters in words])
     axis = np.linspace(-radius, radius, 5)
     if action.dim <= 3:
         grid = np.array(list(itertools.product(axis, repeat=action.dim)))

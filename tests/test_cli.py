@@ -626,3 +626,28 @@ def test_direct_sum_refuses_a_summand_beyond_the_isometry_bound(tmp_path, capsys
     save_problem(action_to_problem(action), path)
     code, doc = run_machine(["direct-sum", path, path], capsys)
     assert code == 12 and "not an isometry" in doc["error"]
+
+
+def _glide_with_its_own_profile(tmp_path):
+    """The glide fixture, and a copy a 1e-7 off isometry that declares
+    residual 1e-6, which it needs to build."""
+    data = json.loads((FIXTURES / "glide.json").read_text())
+    data["matrices"]["t"] = [1.0 + 1e-7, 0.0, 0.0, -1.0]
+    data["tolerances"] = {"residual": 1e-6}
+    path = tmp_path / "glide_loose.json"
+    path.write_text(json.dumps(data))
+    return FIXTURES / "glide.json", path
+
+
+@pytest.mark.parametrize("verb", ["direct-sum", "equivalence"])
+@pytest.mark.parametrize("swap", [False, True])
+def test_two_files_with_different_profiles_are_a_usage_error(verb, swap, tmp_path, capsys):
+    # each file's profile is resolved with the flags applied; they must agree
+    # whatever the argument order, and a --tol flag that makes them agree runs
+    files = _glide_with_its_own_profile(tmp_path)
+    files = files[::-1] if swap else files
+    code, doc = run_machine([verb, *files], capsys)
+    assert code == 11 and doc["verdict"] == "error"
+    assert all(str(path) in doc["error"] for path in files) and "--tol" in doc["error"]
+    code, doc = run_machine([verb, *files, "--tol-residual", "1e-6"], capsys)
+    assert code == 10 and doc["verdict"] != "error", doc.get("error")

@@ -45,6 +45,7 @@ from helpers import (
     TOL,
     dihedral_group,
     draw_orbit_words,
+    f2_group,
     free_abelian_group,
     heisenberg_group,
     permuted,
@@ -57,7 +58,9 @@ from helpers import (
     reference_nnls_hull_distance,
     reference_orbit_hull_probe,
     reference_quadratic_form_test,
+    squared_norm,
     total_random_abelian_action,
+    walked_point,
     z2_group,
     z_group,
 )
@@ -614,6 +617,16 @@ def test_quadratic_flag_invariant_under_cocycle_scaling(seed, log_scale):
     assert quadratic_form_test(other, 2).quadratic == quadratic_form_test(action, 2).quadratic
 
 
+def free_rotation_action() -> AffineAction:
+    """F2 on R^3 by two seeded generic rotations, with a seeded cocycle (any
+    values are a cocycle of a free group): no two letters commute, so the
+    drawn words hold letters next to their inverses that free reduction
+    would cancel."""
+    rng = np.random.default_rng(31)
+    rep = Representation(f2_group(), "real", [random_isometry(3, "real", rng) for _ in range(2)])
+    return AffineAction.from_values(rep, [rng.standard_normal(3) for _ in range(2)])
+
+
 def cubic_lattice_action(dim: int) -> AffineAction:
     """Z^dim acting by translations along a seeded orthonormal frame."""
     frame = random_isometry(dim, "real", np.random.default_rng(dim))
@@ -622,7 +635,8 @@ def cubic_lattice_action(dim: int) -> AffineAction:
 
 
 ORBIT_CASES = {
-    # (action, budget, radius, seed): the calls of the orbit tests above and of the CLI test
+    # (action, budget, radius, seed): the calls of the orbit tests above and
+    # of the CLI test, and a non-commuting, non-translation action
     "glide": (glide_action, 150, 5.0, 5),
     "glide-cli": (lambda: load_problem(FIXTURES / "glide.json").build_action(), 60, 4.0, 2),
     "translation": (z_translation_action, 150, 5.0, 5),
@@ -634,6 +648,7 @@ ORBIT_CASES = {
     "cubic-d2": (lambda: cubic_lattice_action(2), 400, 5.0, 1),
     "cubic-d3": (lambda: cubic_lattice_action(3), 400, 5.0, 1),
     "cubic-d6": (lambda: cubic_lattice_action(6), 400, 5.0, 1),
+    "free-rotations": (free_rotation_action, 240, 3.0, 7),
 }
 
 
@@ -714,32 +729,39 @@ def test_psi_grid_equals_one_extend_per_point(k, reach, field, monkeypatch):
         expected = np.empty_like(psi)
         for x in itertools.product(range(-reach, reach + 1), repeat=k):
             value = action.cocycle.extend(_lattice_word(x))
-            expected[tuple(c + reach for c in x)] = float(np.linalg.norm(value) ** 2)
+            expected[tuple(c + reach for c in x)] = squared_norm(value)
         assert np.array_equal(psi, expected)
 
 
 def per_word_cloud(action: AffineAction, origin, budget: int, seed: int, max_word_length: int = 12):
-    """One ``action.evaluate`` per word, drawn as the orbit probe draws them."""
+    """One ``walked_point`` per word, drawn as the orbit probe draws them:
+    one ``Cocycle.step`` per drawn letter."""
     rng = np.random.default_rng(seed)
     words = draw_orbit_words(rng, budget, action.presentation.num_generators, max_word_length)
-    return np.array([origin] + [action.evaluate(Word(letters))(origin) for letters in words])
+    return np.array([origin] + [walked_point(action, letters, origin) for letters in words])
 
 
 @WARNINGS_FAIL
 @pytest.mark.parametrize("max_word_length", [0, 1, 3, 12])
 @pytest.mark.parametrize("words_per_block", [None, 1, 7])
 @pytest.mark.parametrize("case", sorted(ORBIT_CASES))
-def test_orbit_cloud_equals_one_evaluate_per_word(case, words_per_block, max_word_length, monkeypatch):
-    # the words are walked longest first: short maxima give many ties and
-    # blocks whose rows all stop at once (at 0, every row is empty); glide
-    # and the translations have one generator, the other cases two to six
+def test_orbit_cloud_equals_one_step_per_drawn_letter(case, words_per_block, max_word_length, monkeypatch):
+    # the words are walked as drawn, longest first: short maxima give many
+    # ties and blocks whose rows all stop at once (at 0, every row is empty);
+    # glide and the translations have one generator, the other cases two to
+    # six. Each point is also the image of the origin under the group
+    # element of its word, up to roundoff.
     build, budget, _, seed = ORBIT_CASES[case]
     action = build()
     if words_per_block is not None:
         monkeypatch.setattr(constructions, "_ORBIT_BLOCK_ELEMENTS", words_per_block * action.dim**2)
+    words = draw_orbit_words(np.random.default_rng(seed), budget, action.presentation.num_generators, max_word_length)
     for origin in (np.zeros(action.dim), np.random.default_rng(seed).standard_normal(action.dim)):
         cloud = _orbit_cloud(action, origin, budget, np.random.default_rng(seed), max_word_length)
         assert np.array_equal(cloud, per_word_cloud(action, origin, budget, seed, max_word_length))
+        evaluated = np.array([origin] + [action.evaluate(Word(letters))(origin) for letters in words])
+        bound = 1e-12 * (np.linalg.norm(origin) + max_word_length * action.cocycle.max_norm)
+        assert np.all(np.linalg.norm(cloud - evaluated, axis=1) <= bound)
 
 
 @WARNINGS_FAIL
@@ -756,38 +778,6 @@ def test_orbit_probe_one_word_past_a_whole_block():
     assert [p.point for p in report.probes] == [p.point for p in reference.probes]
     for probe, expected in zip(report.probes, reference.probes):
         assert abs(probe.hull_distance - expected.hull_distance) <= 1e-12 * (3.0 + expected.hull_distance)
-
-
-def letter_codes(letters) -> list[int]:
-    return [2 * gen + (sign < 0) for gen, sign in letters]
-
-
-@pytest.mark.parametrize("g", [1, 2, 3, 6])
-def test_free_reduce_codes_equals_word_reduction(g):
-    rng = np.random.default_rng(500 + g)
-    width = 12
-    a, b = 0, g - 1
-    words = [
-        (),
-        tuple((int(rng.integers(0, g)), 1) for _ in range(width)),
-        # a b b^-1 a^-1 cancels fully; longer words with nested pairs reduce to b and to nothing
-        ((a, 1), (b, 1), (b, -1), (a, -1)),
-        ((a, -1), (b, 1), (b, 1), (b, -1), (b, -1), (a, 1), (b, 1)),
-        ((b, 1), (a, 1), (b, -1), (b, 1), (a, -1), (a, 1), (b, 1), (b, -1), (a, -1), (b, -1)),
-    ]
-    half = tuple((int(rng.integers(0, g)), int(rng.choice([1, -1]))) for _ in range(width // 2))
-    words.append(half + tuple((gen, -sign) for gen, sign in reversed(half)))
-    for _ in range(300):
-        length = int(rng.integers(0, width + 1))
-        words.append(tuple((int(rng.integers(0, g)), int(rng.choice([1, -1]))) for _ in range(length)))
-    codes = np.full((len(words), width), -1)
-    expected = np.full((len(words), width), -1)
-    for row, letters in enumerate(words):
-        codes[row, : len(letters)] = letter_codes(letters)
-        reduced = letter_codes(Word(letters).letters)
-        expected[row, : len(reduced)] = reduced
-    assert (expected[[0, 2, 4, 5]] == -1).all() and (expected[3, 1:] == -1).all()
-    assert np.array_equal(constructions._free_reduce_codes(codes), expected)
 
 
 @WARNINGS_FAIL

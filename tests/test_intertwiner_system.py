@@ -429,14 +429,14 @@ def test_consistency_is_decided_by_eps_residual_alone():
     center = np.array([0.3, -1.2])
     values = [(m - np.eye(2)) @ center for m in rep.matrices]
     values[1] = values[1] + np.array([1e-7, 0.0])
-    action = AffineAction(rep, Cocycle(rep, values, tol=tol))
+    action = AffineAction(rep, Cocycle(rep, values))
     assert 1e-8 < action.cocycle.relator_defects[0] < 1e-6
     fixed = fixed_points(action, tol)
     assert fixed.subspace is not None and fixed.subspace.dim == 0
     assert np.linalg.norm(fixed.subspace.base + center) <= 1e-6
     moved = conjugate_by_translation(action, np.array([1.0, 2.0]))
     perturbed = [b + np.array([0.0, 1e-7]) for b in moved.cocycle.values]
-    other = AffineAction(rep, Cocycle(rep, perturbed, tol=tol))
+    other = AffineAction(rep, Cocycle(rep, perturbed))
     assert check_equivalence(action, other, tol=tol).equivalent
 
 
