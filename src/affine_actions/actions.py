@@ -9,11 +9,11 @@ iff, writing U = T - I,
 The action is irreducible exactly when every solution of this homogeneous
 system has U = 0; in that case the solutions are precisely the translations
 along the fixed space of the representation. When some solution has U != 0,
-a proper invariant affine subspace is read off one SVD of a block V of U
-(the subspace {V_top z + P_top t_i = 0}, see ``_kernel_subspace``): U
-itself for a plain action, one row block for a direct sum
-(``_row_block_witness``). The witness and its subspace are certified (see
-``certify``) before being returned.
+the U-parts of the solutions form a left ideal pi' p of the commutant, and
+the minimal invariant affine subspace K = {z : p z + t_p = 0} is read off
+one SVD of the stacked nonzero rows of every pair's U (see
+``_kernel_subspace``). The witness is the nearest-point map onto K; both are
+certified (see ``certify``) before being returned.
 """
 
 from __future__ import annotations
@@ -302,8 +302,9 @@ def commutant_residual(action: AffineAction, pair_or_map) -> float:
 class IrreducibilityVerdict:
     """Outcome of the commutant decision, with verified witness data.
 
-    Reducible verdicts carry an affine commutant element with U != 0, the
-    invariant affine subspace extracted from it, and the residuals both were
+    Reducible verdicts carry the minimal invariant affine subspace K, the
+    nearest-point map onto it (a commutant element with U = -p != 0, p the
+    projector onto K's orthogonal directions), and the residuals both were
     certified with (``witness_commutant``, ``subspace_invariance``).
     Irreducible verdicts carry an orthonormal basis of the representation's
     fixed space: the commutant then consists exactly of the translations
@@ -373,52 +374,46 @@ def invariant_subspace_from_witness(
 
     A witness that is the identity or fails the commutant equations raises
     WitnessError. The witness is rescaled to unit ||U||, so its magnitude
-    does not matter, and K is read off one SVD of U (``_kernel_subspace``)
-    and certified (see ``certify``).
+    does not matter, and K = -U+ t + ker U is read off one SVD of U
+    (``_kernel_subspace``) and certified (see ``certify``).
     """
     tol = tol or action.tol
     u, t = witness.deviation, witness.translation
-    if frobenius(u) <= tol.eps_residual:
+    scale = frobenius(u)
+    if scale <= tol.eps_residual:
         raise WitnessError("witness has linear part equal to the identity (U = 0)")
     residual = commutant_residual(action, witness)
     if not residual_ok(residual, certification_scale((u, t), action), tol.eps_residual):
         raise WitnessError(f"witness fails the commutant equations (residual {residual:.3e})")
-    unit = _normalized_witness(u, t)
-    subspace = _kernel_subspace(unit.deviation, unit.translation, tol)
+    subspace = _kernel_subspace(u / scale, t / scale, tol)
     certify(check_invariance(action, subspace), (subspace.base,), action, tol, "extracted subspace")
     return subspace
 
 
-def _kernel_subspace(v: np.ndarray, t_i: np.ndarray, tol: ToleranceProfile) -> AffineSubspace:
-    """K = {z : V_top z + P_top t_i = 0}, a proper invariant affine subspace
-    read off one SVD V = L S R*; the caller certifies it.
+def _kernel_subspace(s: np.ndarray, t: np.ndarray, tol: ToleranceProfile) -> AffineSubspace:
+    """K = -S+ T + ker S, a proper invariant affine subspace read off one
+    thin SVD of S cut at ``numerical_rank``; the caller certifies it.
 
-    V solves V b = (pi_i - I) t_i and V pi = pi_i V: U itself for a plain
-    action, one row block for a sum (``_row_block_witness``). V_top = P_top V
-    keeps the top singular cluster (leading sigma whose squares chain with
-    gaps <= eps_eig, the rule of ``hermitian_eigensystem``, at most
-    ``numerical_rank`` of them). P_top = L_top L_top* is a spectral
-    projector of V V*, so it commutes with pi_i, (V_top, P_top t_i) solves
-    the same equation, and V_top(pi z + b) + P_top t_i =
-    pi_i (V_top z + P_top t_i) keeps K invariant. K has base -V_top+ t_i;
-    for V = U it is the K of the top eigenspace of U*U.
+    S stacks row blocks V_j with V_j pi = pi_j V_j and V_j b = (pi_j - I) t_j,
+    T the t_j. S+ intertwines back, so p = S+ S, the projector onto the
+    joint row space, has p b = (pi - I) S+ T with no squaring of S: the
+    pair (p, S+ T) keeps K = {z : p z + S+ T = 0} invariant. A tall S is
+    first reduced by one QR of [S, T] = Q [R, c], since S+ T = R+ c.
     """
-    left, singular, right = np.linalg.svd(v, full_matrices=True)
-    splits = -np.diff(singular[: numerical_rank(singular, tol)] ** 2) > tol.eps_eig
-    keep = int(np.argmax(np.append(splits, True))) + 1
-    base = -right[:keep].conj().T @ ((left[:, :keep].conj().T @ t_i) / singular[:keep])
-    return AffineSubspace(base, right[keep:].conj().T)
+    r = np.linalg.qr(np.column_stack([s, t]), mode="r")
+    left, singular, right = np.linalg.svd(r[:, :-1], full_matrices=len(r) < s.shape[1])
+    rank = numerical_rank(singular, tol)
+    base = -right[:rank].conj().T @ ((left[:, :rank].conj().T @ r[:, -1]) / singular[:rank])
+    return AffineSubspace(base, right[rank:].conj().T)
 
 
-def _normalized_witness(u: np.ndarray, t: np.ndarray) -> AffineMap:
-    """The commutant element (U, t) rescaled so U has unit norm.
-
-    The system is homogeneous, so scaling preserves membership; without it a
-    large cocycle makes every unit basis vector carry an almost-invisible U
-    and the extraction would sit at the noise floor.
-    """
-    scale = frobenius(u)
-    return AffineMap(np.eye(u.shape[0]) + u / scale, t / scale)
+def _minimal_subspace(pairs, tol: ToleranceProfile) -> AffineSubspace:
+    """The minimal invariant affine subspace of the commutant ``pairs``: K of
+    ``_kernel_subspace`` with S the nonzero rows of every pair's U stacked
+    and T the matching entries of its t (see ``decide_irreducibility``)."""
+    rows = np.vstack([p.deviation for p in pairs])
+    kept = rows.any(axis=1)
+    return _kernel_subspace(rows[kept], np.concatenate([p.translation for p in pairs])[kept], tol)
 
 
 def decide_irreducibility(action: AffineAction, tol: ToleranceProfile | None = None) -> IrreducibilityVerdict:
@@ -436,26 +431,29 @@ def decide_irreducibility(action: AffineAction, tol: ToleranceProfile | None = N
     annihilator test of ``affine_commutant`` runs per cocycle. The commutant
     is solved at unit cocycle scale, so the verdict is invariant under
     b -> lambda b.
-    Reducible verdicts attach a witness with unit ||U|| and its invariant
-    subspace, both certified; a witness failing certification raises
-    InternalCheckError. For a plain action the witness is the max-norm pair
-    and the subspace comes from one SVD of its U (``_kernel_subspace``), with
-    no U*U eigensolve. For a direct sum it is one row block
-    (``_row_block_witness``), with no factorization at the sum's
-    dimension when the summands are equal bit for bit. Irreducible verdicts
-    are checked against the fixed space (the commutant must be exactly the
-    translations along it).
+
+    A Reducible verdict carries the minimal invariant affine subspace K and
+    the nearest-point map onto it, (U, t) = (-p, base of K), both certified
+    (failing raises InternalCheckError). The U-parts of the pairs form a
+    left ideal pi' p of pi' (A U b = (pi - I) A t for A in pi'), p the
+    projector onto their joint row space, and K = {z : p z + t_p = 0} is
+    read off the stacked nonzero rows of every pair's U
+    (``_minimal_subspace``). An invariant K' gives the pair of its
+    nearest-point map, so dim K' >= dim K: K is minimal, and its dimension
+    does not depend on the null-space basis. For a (+) a with summands
+    equal bit for bit, K is read at summand size (``_double_witness``).
+    Irreducible verdicts are checked against the fixed space (the commutant
+    must be exactly the translations along it).
     """
     tol = tol or action.tol
     pairs = affine_commutant(action, tol).pairs
     fixed = fixed_subspace(action.rep, tol)
     if len(pairs) > fixed.shape[1]:
-        if action.rep._summands is None:
-            pair = max(pairs, key=lambda p: p.deviation_norm)
-            witness = _normalized_witness(pair.deviation, pair.translation)
-            subspace = _kernel_subspace(witness.deviation, witness.translation, tol)
+        if _equal_summands(action):
+            witness, subspace = _double_witness(action, pairs, tol)
         else:
-            witness, subspace = _row_block_witness(action, pairs, tol)
+            subspace = _minimal_subspace(pairs, tol)
+            witness = AffineMap(subspace.directions @ subspace.directions.conj().T, subspace.base)
         residuals = {
             "witness_commutant": certify(
                 commutant_residual(action, witness), (witness.deviation, witness.translation), action, tol,
@@ -481,43 +479,34 @@ def decide_irreducibility(action: AffineAction, tol: ToleranceProfile | None = N
 
 def _equal_summands(action: AffineAction) -> bool:
     """The action is a direct sum a (+) a of summands equal bit for bit."""
+    if action.rep._summands is None:
+        return False
     r1, r2 = action.rep._summands
     return r1 is r2 and all(np.array_equal(b[: r1.dim], b[r1.dim :]) for b in action.cocycle.values)
 
 
-def _row_block_witness(
-    action: AffineAction, pairs, tol: ToleranceProfile
-) -> tuple[AffineMap, AffineSubspace]:
-    """The witness of a reducible direct sum and its subspace, from one row
-    block of its commutant.
+def _double_witness(action: AffineAction, pairs, tol: ToleranceProfile) -> tuple[AffineMap, AffineSubspace]:
+    """The witness and minimal subspace of a (+) a at summand size.
 
-    A pair whose U has one nonzero row block V (the rows of a summand
-    pi_i) and whose t has one block t_i solves V b = (pi_i - I) t_i with V
-    intertwining pi with pi_i, so ``_kernel_subspace`` reads a proper
-    invariant affine subspace K off one SVD of V. For summands equal bit
-    for bit the block is (I, -I, 0) and K is the diagonal, with no
-    factorization. Otherwise it is the combination, under the fixed
-    weights of ``reps._generic_weights``, of the N2 pairs of
-    ``affine_commutant`` (bottom rows, as in ``_graph_projections``), or
-    of the N1 pairs when there are none, rescaled to unit ||U||.
+    The commutant of pi (+) pi is M2(pi'), and a row block [A, B] of the
+    sum's L holds A + B in a's ideal L_a, so there are 2 (c + dim L_a)
+    moving pairs, c = dim pi'. With 2c of them a is irreducible, the joint
+    row space is {(y, -y)} and K is the diagonal. Otherwise it also holds
+    (p_a y, 0), and K is the diagonal embedding {(z, z) : z in K_a} of a's
+    own minimal subspace, solved on a. The nearest-point map onto it is
+    [[P, P], [P, P]] / 2 with P that of K_a's directions.
     """
-    d1, d = action.rep._summands[0].dim, action.dim
-    dtype = action.rep.dtype
-    if _equal_summands(action):
-        u, t = np.zeros((d, d), dtype), np.zeros(d, dtype)
-        u[d1:, :d1], u[d1:, d1:] = np.eye(d1), -np.eye(d1)
-        u /= np.sqrt(2.0 * d1)
-        diagonal = np.vstack([np.eye(d1, dtype=dtype)] * 2) / np.sqrt(2.0)
-        return AffineMap(np.eye(d) + u, t), AffineSubspace(np.zeros(d, dtype), diagonal)
-    moving = [p for p in pairs if p.deviation.any()]
-    bottom = [p for p in moving if p.deviation[d1:].any()]
-    rows = slice(d1, None) if bottom else slice(None, d1)
-    block = bottom or moving
-    weights = _generic_weights(len(block), REAL)
-    u = np.tensordot(weights, [p.deviation for p in block], 1)
-    t = weights @ np.array([p.translation for p in block])
-    witness = _normalized_witness(u, t)
-    return witness, _kernel_subspace(witness.deviation[rows], witness.translation[rows], tol)
+    r1 = action.rep._summands[0]
+    d1, dtype = r1.dim, r1.dtype
+    if sum(p.deviation.any() for p in pairs) == 2 * len(commutant_basis(r1, tol)):
+        base, directions, linear = np.zeros(d1, dtype), np.eye(d1, dtype=dtype), np.eye(d1, dtype=dtype)
+    else:
+        summand = AffineAction(r1, Cocycle(r1, [b[:d1] for b in action.cocycle.values], validate=False))
+        k = _minimal_subspace(affine_commutant(summand, tol).pairs, tol)
+        base, directions = k.base, k.directions
+        linear = directions @ directions.conj().T
+    witness = AffineMap(np.kron(np.full((2, 2), 0.5), linear), np.concatenate([base, base]))
+    return witness, AffineSubspace(witness.translation, np.vstack([directions] * 2) / np.sqrt(2.0))
 
 
 def project_action(action: AffineAction, basis: np.ndarray, tol: ToleranceProfile | None = None) -> AffineAction:
@@ -709,15 +698,15 @@ def analyze_direct_sum(
     The decision solves the sum's annihilator as two problems at summand
     size (``affine_commutant``) and certifies every pair, the witness map
     and its subspace at the sum's dimension (``decide_irreducibility``).
-    Write the verdict's witness as U = [[A, B], [C, D]] and t = (t1, t2)
+    Write a commutant element as U = [[A, B], [C, D]] and t = (t1, t2)
     in the summands' blocks. Its bottom row block solves
     C b1 + D b2 = (pi2 - I) t2 with C in Hom(pi1, pi2) and D in pi2', so
     K = {(x, y) : C x + D y + t2 = 0} is an invariant affine subspace. For
     summands equal bit for bit the block is (I, -I, 0), K is the diagonal,
-    and the projected actions are the summands themselves. Otherwise the
-    block is the generic combination of the N2 pairs that the witness
-    already is (``_row_block_witness``; nothing is drawn), refined: with P
-    the projector onto range C and P_R the one onto R = range(P D), the
+    and the projected actions are the summands themselves. Otherwise it is
+    the block of the N2 pairs (bottom rows) combined under the fixed weights
+    of ``reps._generic_weights`` (nothing is drawn) at unit ||U||, refined:
+    with P the projector onto range C and P_R the one onto R = range(P D), the
     block (C, D, t2) is replaced by (P_R C, P_R D, P_R t2). P_R commutes
     with pi2, so the refined block solves the same equation, and now
     range C = range D = R with t2 in R. (For irreducible summands every
@@ -730,10 +719,9 @@ def analyze_direct_sum(
     translations, which come back multiplied by that scale, so it needs no
     rescaling.
 
-    A block that is zero (the witness came from the top rows, N2 = 0) or
-    fails certification means the hypothesis of the criterion fails: a
-    reducible summand is named in an ActionError; two irreducible summands
-    raise InternalCheckError. The summands are decided only then: a sum
+    A block that is zero (N2 = 0) or fails certification means the
+    hypothesis of the criterion fails: a reducible summand is named in an
+    ActionError; two irreducible summands raise InternalCheckError. The summands are decided only then: a sum
     with a reducible summand whose block certifies (every fixture double,
     the reducible glide, c2_flip and z_flip among them) still returns its
     equivalent projections.
@@ -743,7 +731,7 @@ def analyze_direct_sum(
     verdict = decide_irreducibility(sum_action, tol)
     if verdict.irreducible:
         return DirectSumAnalysis(sum_action, verdict, None)
-    projections = _graph_projections(sum_action, a1, a2, verdict.witness_map, tol)
+    projections = _graph_projections(sum_action, a1, a2, verdict.commutant, tol)
     if projections is None:
         for name, summand in (("first", a1), ("second", a2)):
             if decide_irreducibility(summand, tol).reducible:
@@ -758,10 +746,10 @@ def analyze_direct_sum(
 
 
 def _graph_projections(
-    sum_action: AffineAction, a1: AffineAction, a2: AffineAction, witness: AffineMap, tol: ToleranceProfile
+    sum_action: AffineAction, a1: AffineAction, a2: AffineAction, pairs, tol: ToleranceProfile
 ) -> EquivalentProjections | None:
-    """The certified projections of the witness's refined bottom row block
-    (see ``analyze_direct_sum``), or None."""
+    """The certified projections of the refined bottom row block of the
+    commutant ``pairs`` (see ``analyze_direct_sum``), or None."""
     d1 = a1.dim
     if _equal_summands(sum_action):
         # a (+) a: the block (I, -I, 0), whose subspace is the diagonal
@@ -769,8 +757,14 @@ def _graph_projections(
         mapping = AffineMap(w1, np.zeros(d1, dtype=a1.rep.dtype))
         p1, p2 = a1, a2
     else:
-        u, t = witness.deviation, witness.translation
-        graph = _refined_graph(u[d1:, :d1], u[d1:, d1:], t[d1:], tol)
+        bottom = [p for p in pairs if p.deviation[d1:].any()]
+        if not bottom:
+            return None
+        weights = _generic_weights(len(bottom), REAL)
+        u = np.tensordot(weights, [p.deviation[d1:] for p in bottom], 1)
+        t = weights @ np.array([p.translation[d1:] for p in bottom])
+        scale = frobenius(u)
+        graph = _refined_graph(u[:, :d1] / scale, u[:, d1:] / scale, t / scale, tol)
         if graph is None:
             return None
         w1, w2, mapping = graph

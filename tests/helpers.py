@@ -25,6 +25,7 @@ from affine_actions import (
     ToleranceProfile,
     Word,
     commutant_basis,
+    conjugate_by_translation,
     decide_irreducibility,
     first_cohomology,
 )
@@ -353,6 +354,27 @@ def permuted(action: AffineAction, perm: list[int]) -> AffineAction:
     )
     rep = Representation(relabelled, action.field, [action.rep.matrices[i] for i in perm], dim=action.dim)
     return AffineAction.from_values(rep, [action.cocycle.values[i] for i in perm])
+
+
+def fixed_point_action(action: AffineAction) -> AffineAction:
+    """The zero cocycle on the action's representation: 0 is a fixed point,
+    so the action is reducible."""
+    return AffineAction.from_values(action.rep, [np.zeros_like(b) for b in action.cocycle.values])
+
+
+def symmetric_actions(a: AffineAction, rng):
+    """(kind, a', carry) with a' conjugate to a and ``carry`` the map
+    (U, t) -> (U', t') of their commutant elements: the cocycle scaled by
+    lambda = 0.03, conjugated by a translation v (b' = b + (pi - I) v), rebased
+    by a unitary q, and the generators relabelled in reverse order."""
+    yield "dilation", AffineAction.from_values(a.rep, [0.03 * b for b in a.cocycle.values]), lambda u, t: (u, 0.03 * t)
+    v = random_field_vector(a.dim, a.field, rng)
+    yield "translation", conjugate_by_translation(a, v), lambda u, t: (u, t + u @ v)
+    q = random_isometry(a.dim, a.field, rng)
+    rep = Representation(a.presentation, a.field, [q @ m @ q.conj().T for m in a.rep.matrices])
+    rebased = AffineAction.from_values(rep, [q @ b for b in a.cocycle.values])
+    yield "rebasing", rebased, lambda u, t: (q @ u @ q.conj().T, q @ t)
+    yield "relabelling", permuted(a, list(range(a.presentation.num_generators))[::-1]), lambda u, t: (u, t)
 
 
 def total_random_abelian_action(rng) -> AffineAction | None:

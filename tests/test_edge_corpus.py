@@ -1,0 +1,105 @@
+"""An edge corpus of fresh draws for the irreducibility decision.
+
+Every family of ``tests/helpers.py``, real and complex, d = 1..6, seeds
+10..29, with a random cocycle and with the zero cocycle; each action is
+drawn from ``default_rng(7919 d + seed)``, which then draws its four
+``symmetric_actions`` moves. Each action and each move is decided: none may
+raise InternalCheckError, no move may flip the verdict, and a Reducible
+move keeps the dimension of the witness subspace.
+
+The tier-1 tests run seeds 15 and 24 and the first decision that exited 13
+under the former witness rule. The full sweep runs as a script:
+
+    PYTHONPATH=src python tests/test_edge_corpus.py
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+
+import numpy as np
+import pytest
+
+from affine_actions import check_invariance, commutant_residual, decide_irreducibility
+from affine_actions.actions import InternalCheckError, certification_scale
+from affine_actions.linalg import residual_ok
+
+from helpers import FAMILIES, TOL, fixed_point_action, random_action, symmetric_actions
+
+FIELDS = ("real", "complex")
+DIMS = range(1, 7)
+SEEDS = range(10, 30)
+SLICE_SEEDS = (15, 24)
+
+
+def corpus_cases(family: str, field: str, seeds):
+    """(label, action, rng) for every dimension and seed, the random
+    cocycle first; ``rng`` continues the draw the action came from."""
+    for d in DIMS:
+        for seed in seeds:
+            rng = np.random.default_rng(7919 * d + seed)
+            a = random_action(FAMILIES[family](rng, d, field), rng)
+            for kind, action in (("random", a), ("zero", fixed_point_action(a))):
+                yield (family, field, d, seed, kind), action, rng
+
+
+def check_case(label, action, rng) -> int:
+    """Decide the action and its four moves; return the number of moves."""
+    verdict = decide_irreducibility(action)
+    moves = 0
+    for kind, moved, _ in symmetric_actions(action, rng):
+        other = decide_irreducibility(moved)
+        assert other.reducible == verdict.reducible, (label, kind, "verdict flipped")
+        if other.reducible:
+            dims = (verdict.witness_subspace.dim, other.witness_subspace.dim)
+            assert dims[0] == dims[1], (label, kind, "witness dimension moved", dims)
+        moves += 1
+    return moves
+
+
+def test_zero_cocycle_on_complex_z_at_d6_seed15_is_reducible_with_a_certified_witness():
+    # the former rule cut a cluster of two singular values 3.5e-8 apart in
+    # squares and raised "extracted subspace failed certification"
+    rng = np.random.default_rng(7919 * 6 + 15)
+    action = fixed_point_action(random_action(FAMILIES["z"](rng, 6, "complex"), rng))
+    verdict = decide_irreducibility(action)
+    assert verdict.reducible
+    subspace, witness = verdict.witness_subspace, verdict.witness_map
+    assert subspace.dim == 0 and not subspace.base.any()
+    bound = certification_scale((witness.deviation, witness.translation), action)
+    assert residual_ok(commutant_residual(action, witness), bound, TOL.eps_residual)
+    bound = certification_scale((subspace.base,), action)
+    assert residual_ok(check_invariance(action, subspace), bound, TOL.eps_residual)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_corpus_slice_keeps_verdict_and_witness_dimension_under_the_symmetries(family, field):
+    for label, action, rng in corpus_cases(family, field, SLICE_SEEDS):
+        check_case(label, action, rng)
+
+
+def main() -> int:
+    start = time.perf_counter()
+    print(f"edge corpus: seeds {SEEDS.start}-{SEEDS.stop - 1}, d {DIMS.start}-{DIMS.stop - 1}, "
+          f"{len(FAMILIES)} families x {len(FIELDS)} fields x {{random, zero}} cocycle, rng 7919 d + seed")
+    decisions = moves = 0
+    failures = []
+    for family in sorted(FAMILIES):
+        for field in FIELDS:
+            for label, action, rng in corpus_cases(family, field, SEEDS):
+                try:
+                    moves += check_case(label, action, rng)
+                except (AssertionError, InternalCheckError) as exc:
+                    failures.append(f"{label}: {type(exc).__name__}: {exc}")
+                decisions += 1
+    for line in failures:
+        print("FAIL", line)
+    print(f"{decisions} actions, {moves} moved decisions, {len(failures)} failures "
+          f"in {time.perf_counter() - start:.1f} s")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,10 +4,10 @@ dense Kronecker system in the full unknowns (vec T, t) with a QR null space
 and a least-squares solve (``tests/helpers.py``); and the stages of a direct
 sum, assembled from its summands' solves, against the same stages solved on
 a plain representation of the sum's matrices, with the sum's decision split
-into two annihilators at summand size and its witness read off one row
-block; the equivalent projections a direct sum's analysis reads off
-that row block; and a plain action's witness subspace, read off one SVD of
-its U, against the subspace of the top eigenspace of U*U."""
+into two annihilators at summand size; the equivalent projections a direct
+sum's analysis reads off one row block of its commutant; and a plain
+action's witness subspace against the codimension of the minimal invariant
+subspace in the Kronecker reference."""
 
 import numpy as np
 import pytest
@@ -32,7 +32,7 @@ from affine_actions import (
     project_action,
 )
 from affine_actions.actions import ActionError, certification_scale, unit_scale
-from affine_actions.linalg import hermitian_eigensystem, numerical_rank, residual_ok
+from affine_actions.linalg import numerical_rank, residual_ok
 from affine_actions.problem_io import load_problem
 from affine_actions.reps import _generic_weights, boundary_split, hom_basis
 
@@ -42,9 +42,9 @@ from helpers import (
     TOL,
     counting_solves,
     f2_group,
+    fixed_point_action,
     kronecker_intertwiner_system,
     lstsq_solve,
-    permuted,
     qr_null_space,
     random_action,
     random_cocycle,
@@ -52,6 +52,7 @@ from helpers import (
     random_field_vector,
     random_free_rep,
     random_isometry,
+    symmetric_actions,
 )
 
 DIMS = (1, 2, 3, 4, 6)
@@ -167,12 +168,6 @@ def plain(action: AffineAction) -> AffineAction:
     rep = action.rep
     flat = Representation(rep.presentation, rep.field, rep.matrices, dim=rep.dim, validate=False)
     return AffineAction(flat, Cocycle(flat, action.cocycle.values, validate=False))
-
-
-def fixed_point_action(action: AffineAction) -> AffineAction:
-    """The zero cocycle on the action's representation: 0 is a fixed point,
-    so the action is reducible."""
-    return AffineAction.from_values(action.rep, [np.zeros_like(b) for b in action.cocycle.values])
 
 
 def sum_cases(family: str, field: str):
@@ -297,21 +292,6 @@ def test_the_grid_has_top_only_and_zero_c_blocks():
             analyze_direct_sum(a1, a2)
 
 
-def symmetric_actions(a: AffineAction, rng):
-    """(kind, a', carry) with a' conjugate to a and ``carry`` the map
-    (U, t) -> (U', t') of their commutant elements: the cocycle scaled by
-    lambda = 0.03, conjugated by a translation v (b' = b + (pi - I) v), rebased
-    by a unitary q, and the generators relabelled in reverse order."""
-    yield "dilation", AffineAction.from_values(a.rep, [0.03 * b for b in a.cocycle.values]), lambda u, t: (u, 0.03 * t)
-    v = random_field_vector(a.dim, a.field, rng)
-    yield "translation", conjugate_by_translation(a, v), lambda u, t: (u, t + u @ v)
-    q = random_isometry(a.dim, a.field, rng)
-    rep = Representation(a.presentation, a.field, [q @ m @ q.conj().T for m in a.rep.matrices])
-    rebased = AffineAction.from_values(rep, [q @ b for b in a.cocycle.values])
-    yield "rebasing", rebased, lambda u, t: (q @ u @ q.conj().T, q @ t)
-    yield "relabelling", permuted(a, list(range(a.presentation.num_generators))[::-1]), lambda u, t: (u, t)
-
-
 def symmetric_summands(a1: AffineAction, a2: AffineAction, rng):
     """(kind, a1', a2') with a1' (+) a2' conjugate to a1 (+) a2: each
     summand moved by ``symmetric_actions`` (one lambda for both, a
@@ -335,6 +315,7 @@ def test_sum_verdict_is_invariant_under_the_symmetries(family, field):
             assert len(other.commutant) == len(verdict.commutant), (label, kind)
             if other.reducible:
                 assert_witness_certified((label, kind), moved, other)
+                assert other.witness_subspace.dim == verdict.witness_subspace.dim, (label, kind)
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -423,6 +404,25 @@ def test_double_after_deciding_its_summand_factorizes_nothing_at_the_sum_dimensi
     assert analysis.verdict.reducible and analysis.projections is not None
     # no eigensolve, and two annihilators of g d rows and c + h = 2 columns
     assert calls == [("null_space", (3 * d, 2)), ("null_space", (3 * d, 2))]
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_double_witness_matches_the_stacked_rule_at_the_sum_dimension(family, field):
+    """The witness of a (+) a read at summand size (the pair count, or the
+    diagonal embedding of a's own subspace) against the stacked rule on a
+    plain representation of the sum's matrices."""
+    for label, a1, a2 in sum_cases(family, field):
+        if label[2] not in ("a+a", "a+copy"):
+            continue
+        action = direct_sum(a1, a2)
+        verdict, reference = decide_irreducibility(action), decide_irreducibility(plain(action))
+        assert verdict.reducible and reference.reducible, label
+        got, want = verdict.witness_subspace, reference.witness_subspace
+        assert got.dim == want.dim, label
+        assert np.abs(projector(got.directions) - projector(want.directions)).max(initial=0.0) <= 1e-8, label
+        assert np.linalg.norm(got.base - want.base) <= 1e-8 * (1.0 + np.linalg.norm(want.base)), label
+        assert np.abs(verdict.witness_map.linear - reference.witness_map.linear).max() <= 1e-8, label
 
 
 def test_sum_defects_are_computed_only_when_asked():
@@ -593,7 +593,7 @@ def test_projections_draw_nothing_and_repeat_bit_for_bit(family, field, monkeypa
             assert same_result(first, analyzed(a1, value_equal_copy(a2))), label
 
 
-# -- the witness subspace of a plain action, from one SVD of U ---------------
+# -- the witness subspace of a plain action: the minimal invariant subspace --
 
 
 def plain_reducible_cases(family: str, field: str):
@@ -610,42 +610,52 @@ def plain_reducible_cases(family: str, field: str):
                     yield (d, seed, kind), action, verdict
 
 
-def projector_reference(witness: AffineMap) -> tuple[np.ndarray, np.ndarray]:
-    """(base, projector onto the directions) of K = {x : E x = -v0}, E the
-    projector onto the top eigenspace of U*U (``hermitian_eigensystem``)
-    and v0 = (U*U|_ImE)^-1 E U* t."""
-    u, t = witness.deviation, witness.translation
-    gram = u.conj().T @ u
-    top = hermitian_eigensystem(gram, TOL)[-1][1]
-    v0 = top @ np.linalg.solve(top.conj().T @ gram @ top, top.conj().T @ (u.conj().T @ t))
-    return -v0, np.eye(len(u)) - projector(top)
+def reference_codimension(action: AffineAction) -> int:
+    """The rank of the U-parts of the dense Kronecker commutant (the cocycle
+    at unit scale), stacked: the codimension of the minimal invariant
+    affine subspace."""
+    rep, d = action.rep, action.dim
+    s = unit_scale(TOL, action)
+    values = [b / s for b in action.cocycle.values]
+    kernel = qr_null_space(kronecker_intertwiner_system(rep, rep, values, values)[0])
+    stacked = np.vstack([column[: d * d].reshape(d, d) for column in kernel.T])
+    return numerical_rank(np.linalg.svd(stacked, compute_uv=False), TOL)
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_plain_witness_subspace_matches_the_u_star_u_projector(family, field):
+def test_plain_witness_subspace_is_the_minimal_invariant_subspace(family, field):
+    """The witness subspace K has dimension d - rank of the stacked U-parts
+    of the Kronecker reference; the action restricted to K (translated to
+    its base, then projected) is irreducible; the zero cocycle gives the
+    fixed point 0; and the witness map is the nearest-point map onto K."""
     cases = list(plain_reducible_cases(family, field))
     assert cases
-    for label, _, verdict in cases:
-        base, directions = projector_reference(verdict.witness_map)
-        subspace = verdict.witness_subspace
-        assert np.abs(projector(subspace.directions) - directions).max() <= 1e-8, label
-        assert np.linalg.norm(subspace.base - base) <= 1e-8 * (1.0 + np.linalg.norm(base)), label
+    for label, action, verdict in cases:
+        subspace, witness = verdict.witness_subspace, verdict.witness_map
+        assert subspace.dim == action.dim - reference_codimension(action), label
+        if subspace.dim:
+            moved = conjugate_by_translation(action, subspace.base)
+            assert decide_irreducibility(project_action(moved, subspace.directions)).irreducible, label
+        if label[2] == "zero":
+            assert subspace.dim == 0 and not subspace.base.any(), label
+        assert np.abs(witness.linear - projector(subspace.directions)).max() <= 1e-12, label
+        assert np.array_equal(witness.translation, subspace.base), label
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_plain_verdict_is_invariant_under_the_symmetries(family, field):
-    """Each symmetry keeps the verdict and a certified witness, and the
-    verdict's witness carried over by it gives a subspace of the same
-    dimension. The moved decision's own subspace may differ in dimension:
-    its max-norm pair depends on the null-space basis of the commutant."""
+    """Each symmetry keeps the verdict and a certified witness whose
+    subspace has the same dimension, and the verdict's witness carried over
+    by it gives a subspace of that dimension too."""
     rng = np.random.default_rng(17)
     for label, action, verdict in plain_reducible_cases(family, field):
         for kind, moved, carry in symmetric_actions(action, rng):
             other = decide_irreducibility(moved)
             assert other.reducible, (label, kind)
             assert_witness_certified((label, kind), moved, other)
+            assert other.witness_subspace.dim == verdict.witness_subspace.dim, (label, kind)
             u, t = carry(verdict.witness_map.deviation, verdict.witness_map.translation)
             subspace = invariant_subspace_from_witness(moved, AffineMap(np.eye(len(u)) + u, t))
             assert subspace.dim == verdict.witness_subspace.dim, (label, kind)
