@@ -695,61 +695,53 @@ def analyze_direct_sum(
 ) -> DirectSumAnalysis:
     """Decide a1 (+) a2 and, when reducible, exhibit equivalent projections.
 
+    The paper's criterion is for irreducible summands, so both summands are
+    decided first, at summand size and from cached solves: a reducible one
+    is named in an ActionError and the sum is not solved. Summands equal bit
+    for bit (``_equal_summands``) are not decided: a (+) a is reducible
+    whatever a is, K is the diagonal and the projected actions are the
+    summands themselves.
+
     The decision solves the sum's annihilator as two problems at summand
     size (``affine_commutant``) and certifies every pair, the witness map
     and its subspace at the sum's dimension (``decide_irreducibility``).
     Write a commutant element as U = [[A, B], [C, D]] and t = (t1, t2)
     in the summands' blocks. Its bottom row block solves
     C b1 + D b2 = (pi2 - I) t2 with C in Hom(pi1, pi2) and D in pi2', so
-    K = {(x, y) : C x + D y + t2 = 0} is an invariant affine subspace. For
-    summands equal bit for bit the block is (I, -I, 0), K is the diagonal,
-    and the projected actions are the summands themselves. Otherwise it is
-    the block of the N2 pairs (bottom rows) combined under the fixed weights
-    of ``reps._generic_weights`` (nothing is drawn) at unit ||U||, refined:
-    with P the projector onto range C and P_R the one onto R = range(P D), the
-    block (C, D, t2) is replaced by (P_R C, P_R D, P_R t2). P_R commutes
-    with pi2, so the refined block solves the same equation, and now
-    range C = range D = R with t2 in R. (For irreducible summands every
-    nonzero block already has range C = range D, and the refinement changes
-    nothing.) By Goursat's lemma K is then the graph of a bijection: the
-    projected actions on W1 = range C* and W2 = range D* are equivalent
-    through x -> -D+(C x + t2), which is certified against the projected
-    generator maps. The decision divides both cocycles by the one scale of
-    the sum (see ``unit_scale``); the block is linear in the commutant
-    translations, which come back multiplied by that scale, so it needs no
+    K = {(x, y) : C x + D y + t2 = 0} is an invariant affine subspace. The
+    block combines the N2 pairs (bottom rows) under the fixed weights of
+    ``reps._generic_weights`` (nothing is drawn) at unit ||U||. For
+    irreducible summands range C = range D and t2 lies in it (a part of C
+    or D off the other's range would send b1 or b2 to a coboundary), so
+    with its rows compressed onto range C, K is by Goursat's lemma the graph
+    of a bijection: the projected actions on W1 = range C* and
+    W2 = range D* are equivalent through x -> -D+(C x + t2). That map is
+    certified against the projected generator maps; a zero or singular
+    block, or one that fails, raises InternalCheckError. The block is linear
+    in the commutant translations, which the decision solves at the sum's
+    unit scale (``unit_scale``) and multiplies back, so it needs no
     rescaling.
-
-    A block that is zero (N2 = 0) or fails certification means the
-    hypothesis of the criterion fails: a reducible summand is named in an
-    ActionError; two irreducible summands raise InternalCheckError. The summands are decided only then: a sum
-    with a reducible summand whose block certifies (every fixture double,
-    the reducible glide, c2_flip and z_flip among them) still returns its
-    equivalent projections.
     """
     sum_action = direct_sum(a1, a2)
     tol = tol or sum_action.tol
-    verdict = decide_irreducibility(sum_action, tol)
-    if verdict.irreducible:
-        return DirectSumAnalysis(sum_action, verdict, None)
-    projections = _graph_projections(sum_action, a1, a2, verdict.commutant, tol)
-    if projections is None:
+    if not _equal_summands(sum_action):
         for name, summand in (("first", a1), ("second", a2)):
             if decide_irreducibility(summand, tol).reducible:
                 raise ActionError(
                     f"the {name} summand is reducible; the direct-sum criterion needs irreducible summands"
                 )
-        raise InternalCheckError(
-            "reducible direct sum of irreducible summands, but its commutant "
-            "gave no verified pair of equivalent projections"
-        )
-    return DirectSumAnalysis(sum_action, verdict, projections)
+    verdict = decide_irreducibility(sum_action, tol)
+    if verdict.irreducible:
+        return DirectSumAnalysis(sum_action, verdict, None)
+    return DirectSumAnalysis(sum_action, verdict, _graph_projections(sum_action, a1, a2, verdict.commutant, tol))
 
 
 def _graph_projections(
     sum_action: AffineAction, a1: AffineAction, a2: AffineAction, pairs, tol: ToleranceProfile
-) -> EquivalentProjections | None:
-    """The certified projections of the refined bottom row block of the
-    commutant ``pairs`` (see ``analyze_direct_sum``), or None."""
+) -> EquivalentProjections:
+    """The certified projections of the bottom row block of the commutant
+    ``pairs`` (see ``analyze_direct_sum``). The block is scale-free; the
+    rank cut is relative to a witness with unit ||U||."""
     d1 = a1.dim
     if _equal_summands(sum_action):
         # a (+) a: the block (I, -I, 0), whose subspace is the diagonal
@@ -759,36 +751,21 @@ def _graph_projections(
     else:
         bottom = [p for p in pairs if p.deviation[d1:].any()]
         if not bottom:
-            return None
+            raise InternalCheckError("reducible direct sum of irreducible summands has no bottom-row commutant pair")
         weights = _generic_weights(len(bottom), REAL)
         u = np.tensordot(weights, [p.deviation[d1:] for p in bottom], 1)
         t = weights @ np.array([p.translation[d1:] for p in bottom])
         scale = frobenius(u)
-        graph = _refined_graph(u[:, :d1] / scale, u[:, d1:] / scale, t / scale, tol)
-        if graph is None:
-            return None
-        w1, w2, mapping = graph
+        rows = orthonormal_columns(u[:, :d1] / scale, tol).conj().T / scale
+        c, d, t2 = rows @ u[:, :d1], rows @ u[:, d1:], rows @ t
+        w1, w2 = np.linalg.qr(c.conj().T)[0], np.linalg.qr(d.conj().T)[0]
+        dw2 = d @ w2
         try:
+            mapping = AffineMap(-np.linalg.solve(dw2, c @ w1), -np.linalg.solve(dw2, t2))
             p1, p2 = project_action(a1, w1, tol), project_action(a2, w2, tol)
-        except ValueError:  # non-invariant basis or near-tolerance rep validation
-            return None
+        except ValueError as exc:  # a singular block, a non-invariant basis or near-tolerance validation
+            raise InternalCheckError(f"equivalent projections failed re-validation: {exc}") from exc
     residual = intertwining_residual(p1, p2, mapping)
-    if residual_ok(residual, certification_scale((mapping.linear, mapping.translation), a1, a2), tol.eps_residual):
-        return EquivalentProjections(w1, w2, mapping, {"intertwining": residual})
-    return None
-
-
-def _refined_graph(
-    c: np.ndarray, d: np.ndarray, t2: np.ndarray, tol: ToleranceProfile
-) -> tuple[np.ndarray, np.ndarray, AffineMap] | None:
-    """``(W1, W2, x -> -D+(C x + t2))`` for the refined row block
-    (C, D, t2), or None when the refined block is zero. The block is
-    scale-free; the rank cuts are relative to a witness with unit ||U||."""
-    q = orthonormal_columns(c, tol)
-    r = q @ orthonormal_columns(q.conj().T @ d, tol)
-    if not r.shape[1]:
-        return None
-    c, d, t2 = r.conj().T @ c, r.conj().T @ d, r.conj().T @ t2
-    w1, w2 = np.linalg.qr(c.conj().T)[0], np.linalg.qr(d.conj().T)[0]
-    dw2 = d @ w2
-    return w1, w2, AffineMap(-np.linalg.solve(dw2, c @ w1), -np.linalg.solve(dw2, t2))
+    if not residual_ok(residual, certification_scale((mapping.linear, mapping.translation), a1, a2), tol.eps_residual):
+        raise InternalCheckError(f"equivalent projections failed certification (residual {residual:.3e})")
+    return EquivalentProjections(w1, w2, mapping, {"intertwining": residual})

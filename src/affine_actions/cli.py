@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -464,21 +465,27 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     worst = EXIT_OK
-    for path in files:
-        args.file = path
-        code, doc, lines = _run_one(args)
-        worst = max(worst, code)
-        if batch is not None:
-            doc["file"] = path
-        if args.machine:
-            print(json.dumps(doc))
-            continue
-        if batch is not None:
-            print(f"== {path}")
-        if "error" in doc:
-            print(f"error: {doc['error']}")
-        for line in lines:
-            print(line)
+    try:
+        for path in files:
+            args.file = path
+            code, doc, lines = _run_one(args)
+            worst = max(worst, code)
+            if batch is not None:
+                doc["file"] = path
+            if args.machine:
+                print(json.dumps(doc))
+                continue
+            if batch is not None:
+                print(f"== {path}")
+            if "error" in doc:
+                print(f"error: {doc['error']}")
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): stop, and point stdout at
+        # devnull so the interpreter's final flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return worst
 
 

@@ -6,7 +6,8 @@ per-class commutant action and the search run on it used as the references
 for the array-backed cocycle search, the pair-by-pair parallelogram scan and
 per-probe Frank-Wolfe loop used as the references for the lattice scans, and
 the brute-force joint-eigenspace oracle used to cross-check the commutant
-decision on abelian groups."""
+decision on abelian groups, and the check of a direct sum's analysis that
+the stage tests and the edge corpus share."""
 
 from __future__ import annotations
 
@@ -24,11 +25,16 @@ from affine_actions import (
     Representation,
     ToleranceProfile,
     Word,
+    analyze_direct_sum,
     commutant_basis,
     conjugate_by_translation,
     decide_irreducibility,
+    direct_sum,
     first_cohomology,
+    intertwining_residual,
+    project_action,
 )
+from affine_actions.actions import ActionError, certification_scale
 from affine_actions.constructions import ProbeResult
 from affine_actions.linalg import COMPLEX, numerical_rank, residual_ok
 
@@ -884,3 +890,58 @@ def abelian_oracle_is_irreducible(
         if w.shape[1] and _is_coboundary_on(w, matrices, values, residual_tol):
             return False
     return True
+
+
+# -- the equivalent projections of a direct sum ------------------------------
+
+
+def analyzed(a1: AffineAction, a2: AffineAction):
+    """The projections of a1 (+) a2 (None when it is irreducible), or the
+    ActionError naming a reducible summand."""
+    try:
+        return analyze_direct_sum(a1, a2).projections
+    except ActionError as exc:
+        return exc
+
+
+def assert_certified_projections(label, a1: AffineAction, a2: AffineAction, projections) -> None:
+    """Orthonormal invariant bases of one dimension k >= 1, an invertible
+    intertwiner between the projected actions, and its residual within the
+    certification bound."""
+    k = projections.v1_basis.shape[1]
+    assert projections.v2_basis.shape[1] == k >= 1, label
+    p1, p2 = project_action(a1, projections.v1_basis), project_action(a2, projections.v2_basis)
+    mapping = projections.intertwiner
+    assert numerical_rank(np.linalg.svd(mapping.linear, compute_uv=False), TOL) == k, label
+    residual = intertwining_residual(p1, p2, mapping)
+    bound = certification_scale((mapping.linear, mapping.translation), a1, a2)
+    assert residual_ok(residual, bound, TOL.eps_residual), label
+
+
+def bit_equal(a1: AffineAction, a2: AffineAction) -> bool:
+    """The two actions have equal matrices and cocycle values, bit for bit."""
+    pieces = [(*a.rep.matrices, *a.cocycle.values) for a in (a1, a2)]
+    return a1.dim == a2.dim and all(np.array_equal(x, y) for x, y in zip(*pieces))
+
+
+def check_witness(label, a1: AffineAction, a2: AffineAction) -> None:
+    """A double a (+) a has the diagonal projections, whatever a is; any
+    other sum raises an ActionError naming its first reducible summand iff
+    it has one, and otherwise has certified projections or is irreducible.
+    No sum raises InternalCheckError."""
+    result = analyzed(a1, a2)
+    if bit_equal(a1, a2):
+        eye = np.eye(a1.dim)
+        assert not isinstance(result, ActionError) and result is not None, label
+        assert np.array_equal(result.v1_basis, eye) and np.array_equal(result.v2_basis, eye), label
+        assert np.array_equal(result.intertwiner.linear, eye) and not result.intertwiner.translation.any(), label
+        return
+    reducible = [name for name, a in (("first", a1), ("second", a2)) if decide_irreducibility(a).reducible]
+    if reducible:
+        assert isinstance(result, ActionError), label
+        assert str(result).startswith(f"the {reducible[0]} summand is reducible;"), label
+    elif result is not None:
+        assert not isinstance(result, ActionError), (label, str(result))
+        assert_certified_projections(label, a1, a2, result)
+    else:
+        assert decide_irreducibility(direct_sum(a1, a2)).irreducible, label

@@ -23,11 +23,13 @@ from affine_actions import (
     project_action,
 )
 from affine_actions.actions import ActionError, certification_scale, direct_sum
+from affine_actions.linalg import residual_ok
 
 from helpers import (
     FAMILIES,
     TOL,
     abelian_oracle_is_irreducible,
+    counting_solves,
     dihedral_group,
     f2_group,
     random_abelian_rep,
@@ -458,20 +460,35 @@ def test_translations_along_the_fixed_space_do_not_shift_the_intertwiner():
     assert np.allclose(ambient.linear, [[2.0]], atol=1e-12) and not ambient.translation.any()
 
 
-def test_a_block_with_unequal_ranges_is_refined_to_the_shared_line():
-    # Z acts on R^2 by diag(-1, 1) in both summands, with b1 = 0 (a reducible
-    # summand) and b2 = (0, 1). The bottom row block is C = diag(c1, c2),
-    # D = diag(d1, 0): range C is the plane, range D the flip line, so only
-    # the block projected onto the flip line is the graph of a bijection
+def flip_plane_actions():
+    """Z acting on R^2 by diag(-1, 1), with b = 0 and with b = (0, 1): both
+    are reducible (the first fixes 0, the second keeps the line x = 0)."""
     rep = Representation(z_group(), "real", [np.diag([-1.0, 1.0])])
-    a1 = AffineAction.from_values(rep, [np.zeros(2)])
-    a2 = AffineAction.from_values(rep, [np.array([0.0, 1.0])])
-    proj = analyze_direct_sum(a1, a2).projections
-    assert proj.v1_basis.shape == proj.v2_basis.shape == (2, 1)
-    assert abs(proj.v1_basis[0, 0]) == pytest.approx(1.0) and abs(proj.v2_basis[0, 0]) == pytest.approx(1.0)
-    mapping = proj.intertwiner
-    residual = intertwining_residual(project_action(a1, proj.v1_basis), project_action(a2, proj.v2_basis), mapping)
-    assert residual < 1e-12 and abs(mapping.linear[0, 0]) > 1e-8
+    return AffineAction.from_values(rep, [np.zeros(2)]), AffineAction.from_values(rep, [np.array([0.0, 1.0])])
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: (glide_action(), translation_action()), "first"),
+        (lambda: (translation_action(), glide_action()), "second"),
+        (flip_plane_actions, "first"),
+    ],
+)
+def test_a_reducible_distinct_summand_is_refused_before_the_sum_is_solved(make, name, monkeypatch):
+    # the criterion is for irreducible summands: the summands are decided
+    # first, and only their own solves run, none at d1 + d2
+    calls = counting_solves(monkeypatch, factorizations=True)
+    a1, a2 = make()
+    with pytest.raises(ActionError, match=f"^the {name} summand is reducible; the direct-sum criterion"):
+        analyze_direct_sum(a1, a2)
+    got = [(kind, shape if kind != "commutant" else None) for kind, shape in calls]
+    calls.clear()
+    b1, b2 = make()
+    for summand in (b1, b2)[: 1 if name == "first" else 2]:
+        decide_irreducibility(summand)
+    assert got == [(kind, shape if kind != "commutant" else None) for kind, shape in calls]
+    assert any(kind == "null_space" for kind, _ in got)
 
 
 def test_verdict_invariant_under_cocycle_scaling():
@@ -529,17 +546,27 @@ def test_dependent_classes_sum_reducible():
     assert total.projections is not None
 
 
-def test_analyze_sum_of_reducible_inputs_still_certifies():
-    # outside the irreducible-inputs hypothesis the extraction may still
-    # find genuinely equivalent projected sub-actions; whatever it returns
-    # must verify
-    trans = translation_action()
-    analysis = analyze_direct_sum(glide_action(), trans)
-    assert analysis.verdict.reducible
-    proj = analysis.projections
-    p1 = project_action(glide_action(), proj.v1_basis)
-    p2 = project_action(trans, proj.v2_basis)
-    assert intertwining_residual(p1, p2, proj.intertwiner) <= 1e-8
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("scale", [1e3, 1e6, 1e8, 1e9, 1e12])
+def test_a_sum_with_a_scaled_copy_has_the_scaling_as_intertwiner(field, scale):
+    # a (+) lambda a is reducible for every lambda: the projections are the
+    # whole summands and the ambient map is lambda I. The block's D is about
+    # 1/lambda of C at unit ||U||, so a rank cut on D would lose it
+    for d in (1, 3, 5):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            a = random_action(random_free_rep(f2_group(), d, field, rng), rng)
+            scaled = AffineAction.from_values(a.rep, [scale * b for b in a.cocycle.values])
+            analysis = analyze_direct_sum(a, scaled)
+            proj = analysis.projections
+            assert analysis.verdict.reducible and proj.v1_basis.shape == proj.v2_basis.shape == (d, d)
+            p1, p2 = project_action(a, proj.v1_basis), project_action(scaled, proj.v2_basis)
+            residual = intertwining_residual(p1, p2, proj.intertwiner)
+            bound = certification_scale((proj.intertwiner.linear, proj.intertwiner.translation), a, scaled)
+            assert residual_ok(residual, bound, TOL.eps_residual), (d, seed)
+            ambient = proj.ambient_map()
+            assert np.abs(ambient.linear - scale * np.eye(d)).max() <= 1e-6 * scale, (d, seed)
+            assert np.linalg.norm(ambient.translation) <= 1e-6 * scale, (d, seed)
 
 
 def test_glide_orbit_is_total_but_action_reducible():

@@ -432,6 +432,19 @@ def test_console_script_entry_point():
     assert "Irreducible" in result.stdout
 
 
+def test_a_reader_that_closes_the_pipe_early_gets_no_traceback():
+    # as `| head -c 10` does: the pipe closes before the CLI writes, so its
+    # writes fail; it stops quietly with the worst code of the calls it ran
+    argv = [sys.executable, "-m", "affine_actions.cli", "verify", "--batch", str(FIXTURES), "--machine"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    documented = (cli.EXIT_OK, cli.EXIT_NEGATIVE, cli.EXIT_USAGE, cli.EXIT_INPUT, cli.EXIT_INTERNAL)
+    assert proc.wait(timeout=60) in documented
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
 # one file per validity bound, each violating only that bound
 PERTURBED = {
     "non_isometry": ("glide.json", {"matrices": {"t": [2.0, 0.0, 0.0, 1.0]}}, "isometry"),
@@ -628,15 +641,26 @@ def test_direct_sum_refuses_a_summand_beyond_the_isometry_bound(tmp_path, capsys
     assert code == 12 and "not an isometry" in doc["error"]
 
 
-def _glide_with_its_own_profile(tmp_path):
-    """The glide fixture, and a copy a 1e-7 off isometry that declares
-    residual 1e-6, which it needs to build."""
-    data = json.loads((FIXTURES / "glide.json").read_text())
-    data["matrices"]["t"] = [1.0 + 1e-7, 0.0, 0.0, -1.0]
+def _fixture_with_its_own_profile(tmp_path, name, section, generator, value):
+    """A problem fixture, and a copy that declares residual 1e-6, with one
+    generator's entry of ``section`` replaced by ``value``."""
+    data = json.loads((FIXTURES / f"{name}.json").read_text())
+    data[section][generator] = value
     data["tolerances"] = {"residual": 1e-6}
-    path = tmp_path / "glide_loose.json"
+    path = tmp_path / f"{name}_loose.json"
     path.write_text(json.dumps(data))
-    return FIXTURES / "glide.json", path
+    return FIXTURES / f"{name}.json", path
+
+
+# equivalence takes the glide and a copy 1e-7 off isometry, which needs the
+# declared residual to build. direct-sum refuses a reducible summand as
+# invalid input, so it takes the irreducible dihedral and a copy with b(t)
+# doubled: a (+) 2a is reducible. (A copy of it 1e-7 off isometry has no
+# intertwiner from the fixture at the rank cut, and its sum is irreducible.)
+LOOSE_COPIES = {
+    "direct-sum": ("dihedral", "cocycle", "t", [[2.0, 0.0]]),
+    "equivalence": ("glide", "matrices", "t", [1.0 + 1e-7, 0.0, 0.0, -1.0]),
+}
 
 
 @pytest.mark.parametrize("verb", ["direct-sum", "equivalence"])
@@ -644,7 +668,7 @@ def _glide_with_its_own_profile(tmp_path):
 def test_two_files_with_different_profiles_are_a_usage_error(verb, swap, tmp_path, capsys):
     # each file's profile is resolved with the flags applied; they must agree
     # whatever the argument order, and a --tol flag that makes them agree runs
-    files = _glide_with_its_own_profile(tmp_path)
+    files = _fixture_with_its_own_profile(tmp_path, *LOOSE_COPIES[verb])
     files = files[::-1] if swap else files
     code, doc = run_machine([verb, *files], capsys)
     assert code == 11 and doc["verdict"] == "error"

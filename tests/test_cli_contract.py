@@ -64,6 +64,7 @@ CALLS = (
         # refused as invalid input (exit 12): the first summand is reducible,
         # so the direct-sum criterion does not apply
         ["direct-sum", "fixtures/f2_trivial.json", "fixtures/f2_character.json"],
+        ["direct-sum", "fixtures/glide.json", "fixtures/z_translation.json"],
         ["equivalence", "fixtures/z_translation.json", "fixtures/z_even_translation.json"],
         ["equivalence", "fixtures/z_translation.json", "fixtures/z_flip.json"],
         ["equivalence", "fixtures/z_translation.json", "fixtures/z_even_translation.json", "--trials", "0"],

@@ -7,6 +7,14 @@ drawn from ``default_rng(7919 d + seed)``, which then draws its four
 raise InternalCheckError, no move may flip the verdict, and a Reducible
 move keeps the dimension of the witness subspace.
 
+Each action is also summed with itself, with a second random cocycle a' on
+its representation and with a random action b on a second representation
+of the family (a' and b drawn after a from a fresh ``default_rng(7919 d +
+seed)``), and the sum analyzed (``helpers.check_witness``): a double has the
+diagonal projections, another sum raises ActionError iff a summand is
+reducible, and otherwise has certified projections or is irreducible; none
+raises InternalCheckError.
+
 The tier-1 tests run seeds 15 and 24 and the first decision that exited 13
 under the former witness rule. The full sweep runs as a script:
 
@@ -25,7 +33,7 @@ from affine_actions import check_invariance, commutant_residual, decide_irreduci
 from affine_actions.actions import InternalCheckError, certification_scale
 from affine_actions.linalg import residual_ok
 
-from helpers import FAMILIES, TOL, fixed_point_action, random_action, symmetric_actions
+from helpers import FAMILIES, TOL, check_witness, fixed_point_action, random_action, symmetric_actions
 
 FIELDS = ("real", "complex")
 DIMS = range(1, 7)
@@ -58,6 +66,20 @@ def check_case(label, action, rng) -> int:
     return moves
 
 
+def sum_cases(family: str, field: str, seeds):
+    """(label, a1, a2): each corpus action (random and zero cocycle) summed
+    with itself, with a' and with b."""
+    for d in DIMS:
+        for seed in seeds:
+            rng = np.random.default_rng(7919 * d + seed)
+            a = random_action(FAMILIES[family](rng, d, field), rng)
+            other = random_action(a.rep, rng)
+            b = random_action(FAMILIES[family](rng, d, field), rng)
+            for kind, action in (("random", a), ("zero", fixed_point_action(a))):
+                for partner, summand in (("double", action), ("a'", other), ("b", b)):
+                    yield (family, field, d, seed, kind, partner), action, summand
+
+
 def test_zero_cocycle_on_complex_z_at_d6_seed15_is_reducible_with_a_certified_witness():
     # the former rule cut a cluster of two singular values 3.5e-8 apart in
     # squares and raised "extracted subspace failed certification"
@@ -80,11 +102,19 @@ def test_corpus_slice_keeps_verdict_and_witness_dimension_under_the_symmetries(f
         check_case(label, action, rng)
 
 
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_corpus_slice_sums_are_refused_or_certified(family, field):
+    for label, a1, a2 in sum_cases(family, field, SLICE_SEEDS):
+        check_witness(label, a1, a2)
+
+
 def main() -> int:
     start = time.perf_counter()
     print(f"edge corpus: seeds {SEEDS.start}-{SEEDS.stop - 1}, d {DIMS.start}-{DIMS.stop - 1}, "
-          f"{len(FAMILIES)} families x {len(FIELDS)} fields x {{random, zero}} cocycle, rng 7919 d + seed")
-    decisions = moves = 0
+          f"{len(FAMILIES)} families x {len(FIELDS)} fields x {{random, zero}} cocycle, rng 7919 d + seed; "
+          "each action summed with itself, a' and b")
+    decisions = moves = sums = 0
     failures = []
     for family in sorted(FAMILIES):
         for field in FIELDS:
@@ -94,9 +124,15 @@ def main() -> int:
                 except (AssertionError, InternalCheckError) as exc:
                     failures.append(f"{label}: {type(exc).__name__}: {exc}")
                 decisions += 1
+            for label, a1, a2 in sum_cases(family, field, SEEDS):
+                try:
+                    check_witness(label, a1, a2)
+                except (AssertionError, InternalCheckError) as exc:
+                    failures.append(f"{label}: {type(exc).__name__}: {exc}")
+                sums += 1
     for line in failures:
         print("FAIL", line)
-    print(f"{decisions} actions, {moves} moved decisions, {len(failures)} failures "
+    print(f"{decisions} actions, {moves} moved decisions, {sums} sums, {len(failures)} failures "
           f"in {time.perf_counter() - start:.1f} s")
     return 1 if failures else 0
 

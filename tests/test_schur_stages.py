@@ -40,6 +40,8 @@ from helpers import (
     FAMILIES,
     FIXTURES,
     TOL,
+    analyzed,
+    check_witness,
     counting_solves,
     f2_group,
     fixed_point_action,
@@ -517,45 +519,6 @@ def fixture_cases():
     for name, action in actions.items():
         yield f"{name} double", action, action
     yield "glide+translation", actions["glide"], actions["z_translation"]
-
-
-def analyzed(a1: AffineAction, a2: AffineAction):
-    """The projections of a1 (+) a2 (None when it is irreducible), or the
-    ActionError naming a reducible summand."""
-    try:
-        return analyze_direct_sum(a1, a2).projections
-    except ActionError as exc:
-        return exc
-
-
-def assert_certified_projections(label, a1: AffineAction, a2: AffineAction, projections) -> None:
-    """Orthonormal invariant bases of one dimension k >= 1, an invertible
-    intertwiner between the projected actions, and its residual within the
-    certification bound."""
-    k = projections.v1_basis.shape[1]
-    assert projections.v2_basis.shape[1] == k >= 1, label
-    p1, p2 = project_action(a1, projections.v1_basis), project_action(a2, projections.v2_basis)
-    mapping = projections.intertwiner
-    assert numerical_rank(np.linalg.svd(mapping.linear, compute_uv=False), TOL) == k, label
-    residual = intertwining_residual(p1, p2, mapping)
-    bound = certification_scale((mapping.linear, mapping.translation), a1, a2)
-    assert residual_ok(residual, bound, TOL.eps_residual), label
-
-
-def check_witness(label, a1: AffineAction, a2: AffineAction) -> None:
-    """A reducible sum of irreducible summands has certified projections;
-    any other reducible sum has them or names a reducible summand, and no
-    sum raises InternalCheckError."""
-    result = analyzed(a1, a2)
-    if isinstance(result, ActionError):
-        which = {"first": a1, "second": a2}[str(result).split()[1]]
-        assert "summand is reducible" in str(result), label
-        assert decide_irreducibility(which).reducible, label
-        assert not all(decide_irreducibility(a).irreducible for a in (a1, a2)), label
-    elif result is not None:
-        assert_certified_projections(label, a1, a2, result)
-    else:
-        assert decide_irreducibility(direct_sum(a1, a2)).irreducible, label
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
