@@ -172,18 +172,19 @@ def cocycle_norm(*actions: AffineAction) -> float:
     return max((a.cocycle.max_norm for a in actions), default=0.0)
 
 
-def unit_scale(tol: ToleranceProfile, *actions: AffineAction) -> float:
+def unit_scale(*actions: AffineAction) -> float:
     """The common scale s the cocycles are divided by before a solve.
 
     Dividing every cocycle by s = max ||b(s)|| conjugates each action by the
     dilation v -> v/s, so verdicts do not depend on the magnitude of b;
     translations and subspace base points found at unit scale are multiplied
-    back by s. Near-zero policy: when max ||b(s)|| <= eps_residual the
-    cocycle is zero at the residual tolerance, s = 1 and the actions are
-    solved unscaled.
+    back by s. Near-zero policy: when max ||b(s)|| <= eps_residual (of the
+    first action's profile, which several actions share) the cocycle is
+    zero at the residual tolerance, s = 1 and the actions are solved
+    unscaled.
     """
     s = cocycle_norm(*actions)
-    return s if s > tol.eps_residual else 1.0
+    return s if s > actions[0].tol.eps_residual else 1.0
 
 
 def certification_scale(parts, *actions: AffineAction) -> float:
@@ -195,15 +196,16 @@ def certification_scale(parts, *actions: AffineAction) -> float:
     return sum(float(np.linalg.norm(p)) for p in parts) + cocycle_norm(*actions)
 
 
-def certify(residual: float, parts, action: AffineAction, tol: ToleranceProfile, what: str) -> float:
+def certify(residual: float, parts, action: AffineAction, what: str) -> float:
     """Return ``residual`` if it meets the certification bound, else raise.
 
     The one bound for every result the library certifies is
     residual <= eps_residual * (1 + scale) with scale the
-    ``certification_scale`` of the result's ``parts`` on ``action``, so the
-    bound reads the same at every magnitude of the data.
+    ``certification_scale`` of the result's ``parts`` on ``action`` and
+    eps_residual the action's, so the bound reads the same at every
+    magnitude of the data.
     """
-    if not residual_ok(residual, certification_scale(parts, action), tol.eps_residual):
+    if not residual_ok(residual, certification_scale(parts, action), action.tol.eps_residual):
         raise InternalCheckError(f"{what} failed certification (residual {residual:.3e})")
     return residual
 
@@ -224,7 +226,7 @@ class AffineCommutant:
     residuals: dict[str, float]
 
 
-def affine_commutant(action: AffineAction, tol: ToleranceProfile | None = None) -> AffineCommutant:
+def affine_commutant(action: AffineAction) -> AffineCommutant:
     """Basis of the solution space {(U, t)} of the commutant system.
 
     The full affine commutant of the action is { v -> (I+U)v + t } over the
@@ -247,13 +249,12 @@ def affine_commutant(action: AffineAction, tol: ToleranceProfile | None = None) 
     Each pair is certified at the action's dimension; one failing raises
     InternalCheckError.
     """
-    tol = tol or action.tol
     rep, d = action.rep, action.dim
-    s = unit_scale(tol, action)
+    s = unit_scale(action)
     pairs = []
-    for rows, ops, split in _annihilator_blocks(rep, tol):
+    for rows, ops, split in _annihilator_blocks(rep):
         moved = _moved_values(ops[:, rows], action, s)
-        coefficients = null_space_basis(moved - split.image @ (split.image.conj().T @ moved), tol)
+        coefficients = null_space_basis(moved - split.image @ (split.image.conj().T @ moved), action.tol)
         if not coefficients.shape[1]:
             continue
         # the t = B+ U b lie off the fixed space, so only these pairs need
@@ -263,28 +264,28 @@ def affine_commutant(action: AffineAction, tol: ToleranceProfile | None = None) 
         translations = np.zeros((len(deviations), d), stacked.dtype)
         translations[:, rows] = s * stacked[len(ops) :].T
         pairs += map(CommutantPair, deviations, translations)
-    pairs += [CommutantPair(np.zeros((d, d), rep.dtype), s * f) for f in boundary_split(rep, tol).kernel.T]
+    pairs += [CommutantPair(np.zeros((d, d), rep.dtype), s * f) for f in boundary_split(rep).kernel.T]
     residuals = [
-        certify(commutant_residual(action, p), (p.deviation, p.translation), action, tol, "commutant basis element")
+        certify(commutant_residual(action, p), (p.deviation, p.translation), action, "commutant basis element")
         for p in pairs
     ]
     return AffineCommutant(tuple(pairs), {"worst_equation_defect": max(residuals, default=0.0)})
 
 
-def _annihilator_blocks(rep: Representation, tol: ToleranceProfile) -> list:
+def _annihilator_blocks(rep: Representation) -> list:
     """``(rows, ops, split)`` per row block of the stage-3 annihilator: the
     commutant elements whose nonzero rows are ``rows``, and the boundary
     split those rows are solved against. A plain representation is one
     block; a direct sum is its summands' two, with the top one holding the
     first c1 + h elements of its block commutant (``reps.commutant_basis``)."""
-    ops = np.asarray(commutant_basis(rep, tol))
+    ops = np.asarray(commutant_basis(rep))
     if rep._summands is None:
-        return [(slice(None), ops, boundary_split(rep, tol))]
+        return [(slice(None), ops, boundary_split(rep))]
     r1, r2 = rep._summands
-    top = (len(ops) + len(commutant_basis(r1, tol)) - len(commutant_basis(r2, tol))) // 2
+    top = (len(ops) + len(commutant_basis(r1)) - len(commutant_basis(r2))) // 2
     return [
-        (slice(None, r1.dim), ops[:top], boundary_split(r1, tol)),
-        (slice(r1.dim, None), ops[top:], boundary_split(r2, tol)),
+        (slice(None, r1.dim), ops[:top], boundary_split(r1)),
+        (slice(r1.dim, None), ops[top:], boundary_split(r2)),
     ]
 
 
@@ -336,7 +337,7 @@ class FixedPoints:
     residuals: dict[str, float] = field(default_factory=dict)
 
 
-def fixed_points(action: AffineAction, tol: ToleranceProfile | None = None) -> FixedPoints:
+def fixed_points(action: AffineAction) -> FixedPoints:
     """All points fixed by every generator, certified invariant.
 
     v is fixed iff B v = -b with B = [pi(s) - I]_s, so the cached
@@ -344,13 +345,12 @@ def fixed_points(action: AffineAction, tol: ToleranceProfile | None = None) -> F
     ``image`` is within eps_residual (1 + ||b||); the fixed points are then
     -B+ b plus its ``kernel``, the fixed space.
     """
-    tol = tol or action.tol
-    split, b = boundary_split(action.rep, tol), action.cocycle.coordinates()
+    split, b = boundary_split(action.rep), action.cocycle.coordinates()
     off_image = float(np.linalg.norm(b - split.image @ (split.image.conj().T @ b)))
-    if not residual_ok(off_image, float(np.linalg.norm(b)), tol.eps_residual):
+    if not residual_ok(off_image, float(np.linalg.norm(b)), action.tol.eps_residual):
         return FixedPoints(None)
     subspace = AffineSubspace(-split.pinv @ b, split.kernel)
-    defect = certify(check_invariance(action, subspace), (subspace.base,), action, tol, "fixed-point subspace")
+    defect = certify(check_invariance(action, subspace), (subspace.base,), action, "fixed-point subspace")
     return FixedPoints(subspace, {"invariance": defect})
 
 
@@ -367,9 +367,7 @@ def check_invariance(action: AffineAction, subspace: AffineSubspace) -> float:
     return worst
 
 
-def invariant_subspace_from_witness(
-    action: AffineAction, witness: AffineMap, tol: ToleranceProfile | None = None
-) -> AffineSubspace:
+def invariant_subspace_from_witness(action: AffineAction, witness: AffineMap) -> AffineSubspace:
     """Proper invariant affine subspace extracted from a supplied commutant element.
 
     A witness that is the identity or fails the commutant equations raises
@@ -377,7 +375,7 @@ def invariant_subspace_from_witness(
     does not matter, and K = -U+ t + ker U is read off one SVD of U
     (``_kernel_subspace``) and certified (see ``certify``).
     """
-    tol = tol or action.tol
+    tol = action.tol
     u, t = witness.deviation, witness.translation
     scale = frobenius(u)
     if scale <= tol.eps_residual:
@@ -386,7 +384,7 @@ def invariant_subspace_from_witness(
     if not residual_ok(residual, certification_scale((u, t), action), tol.eps_residual):
         raise WitnessError(f"witness fails the commutant equations (residual {residual:.3e})")
     subspace = _kernel_subspace(u / scale, t / scale, tol)
-    certify(check_invariance(action, subspace), (subspace.base,), action, tol, "extracted subspace")
+    certify(check_invariance(action, subspace), (subspace.base,), action, "extracted subspace")
     return subspace
 
 
@@ -416,7 +414,7 @@ def _minimal_subspace(pairs, tol: ToleranceProfile) -> AffineSubspace:
     return _kernel_subspace(rows[kept], np.concatenate([p.translation for p in pairs])[kept], tol)
 
 
-def decide_irreducibility(action: AffineAction, tol: ToleranceProfile | None = None) -> IrreducibilityVerdict:
+def decide_irreducibility(action: AffineAction) -> IrreducibilityVerdict:
     """Decide irreducibility via the affine commutant.
 
     Irreducible iff every solution pair has U = 0 (the affine Schur lemma:
@@ -445,22 +443,20 @@ def decide_irreducibility(action: AffineAction, tol: ToleranceProfile | None = N
     Irreducible verdicts are checked against the fixed space (the commutant
     must be exactly the translations along it).
     """
-    tol = tol or action.tol
-    pairs = affine_commutant(action, tol).pairs
-    fixed = fixed_subspace(action.rep, tol)
+    pairs = affine_commutant(action).pairs
+    fixed = fixed_subspace(action.rep)
     if len(pairs) > fixed.shape[1]:
         if _equal_summands(action):
-            witness, subspace = _double_witness(action, pairs, tol)
+            witness, subspace = _double_witness(action, pairs)
         else:
-            subspace = _minimal_subspace(pairs, tol)
+            subspace = _minimal_subspace(pairs, action.tol)
             witness = AffineMap(subspace.directions @ subspace.directions.conj().T, subspace.base)
         residuals = {
             "witness_commutant": certify(
-                commutant_residual(action, witness), (witness.deviation, witness.translation), action, tol,
-                "witness map",
+                commutant_residual(action, witness), (witness.deviation, witness.translation), action, "witness map"
             ),
             "subspace_invariance": certify(
-                check_invariance(action, subspace), (subspace.base,), action, tol, "extracted subspace"
+                check_invariance(action, subspace), (subspace.base,), action, "extracted subspace"
             ),
         }
         return IrreducibilityVerdict(True, pairs, witness, subspace, residuals=residuals)
@@ -472,7 +468,7 @@ def decide_irreducibility(action: AffineAction, tol: ToleranceProfile | None = N
     for pair in pairs:
         off = pair.translation - fixed @ (fixed.conj().T @ pair.translation)
         t_norm = float(np.linalg.norm(pair.translation))
-        if not residual_ok(float(np.linalg.norm(off)), t_norm, tol.eps_residual):
+        if not residual_ok(float(np.linalg.norm(off)), t_norm, action.tol.eps_residual):
             raise InternalCheckError("commutant translation leaves the fixed space")
     return IrreducibilityVerdict(False, pairs, translation_directions=fixed)
 
@@ -485,7 +481,7 @@ def _equal_summands(action: AffineAction) -> bool:
     return r1 is r2 and all(np.array_equal(b[: r1.dim], b[r1.dim :]) for b in action.cocycle.values)
 
 
-def _double_witness(action: AffineAction, pairs, tol: ToleranceProfile) -> tuple[AffineMap, AffineSubspace]:
+def _double_witness(action: AffineAction, pairs) -> tuple[AffineMap, AffineSubspace]:
     """The witness and minimal subspace of a (+) a at summand size.
 
     The commutant of pi (+) pi is M2(pi'), and a row block [A, B] of the
@@ -498,25 +494,26 @@ def _double_witness(action: AffineAction, pairs, tol: ToleranceProfile) -> tuple
     """
     r1 = action.rep._summands[0]
     d1, dtype = r1.dim, r1.dtype
-    if sum(p.deviation.any() for p in pairs) == 2 * len(commutant_basis(r1, tol)):
+    if sum(p.deviation.any() for p in pairs) == 2 * len(commutant_basis(r1)):
         base, directions, linear = np.zeros(d1, dtype), np.eye(d1, dtype=dtype), np.eye(d1, dtype=dtype)
     else:
         summand = AffineAction(r1, Cocycle(r1, [b[:d1] for b in action.cocycle.values], validate=False))
-        k = _minimal_subspace(affine_commutant(summand, tol).pairs, tol)
+        k = _minimal_subspace(affine_commutant(summand).pairs, r1.tol)
         base, directions = k.base, k.directions
         linear = directions @ directions.conj().T
     witness = AffineMap(np.kron(np.full((2, 2), 0.5), linear), np.concatenate([base, base]))
     return witness, AffineSubspace(witness.translation, np.vstack([directions] * 2) / np.sqrt(2.0))
 
 
-def project_action(action: AffineAction, basis: np.ndarray, tol: ToleranceProfile | None = None) -> AffineAction:
+def project_action(action: AffineAction, basis: np.ndarray) -> AffineAction:
     """Compress the action onto an invariant subspace, in the supplied basis.
 
     ``basis`` must have orthonormal columns spanning a subspace invariant
     under the representation; the projected cocycle is the orthogonal
-    projection of the original one.
+    projection of the original one, and the projected representation keeps
+    the action's profile.
     """
-    tol = tol or action.tol
+    tol = action.tol
     basis = np.asarray(basis)
     if basis.ndim != 2 or basis.shape[0] != action.dim or basis.shape[1] == 0:
         raise ActionError(f"basis must be (dim x k) with k >= 1, got {basis.shape}")
@@ -541,8 +538,9 @@ def project_action(action: AffineAction, basis: np.ndarray, tol: ToleranceProfil
 def direct_sum(a1: AffineAction, a2: AffineAction) -> AffineAction:
     """Block-diagonal representation with concatenated cocycle values.
 
-    Each summand is held to its own validity bounds; the sum is not
-    re-validated, since its defects combine the summands' (the block
+    The summands need one presentation, field and tolerance profile, which
+    the sum keeps. Each summand is held to its own validity bounds; the sum
+    is not re-validated, since its defects combine the summands' (the block
     isometry defect is sqrt 2 times that of two equal summands) while the
     isometry bound does not grow with the number of blocks; the sum's
     defects are computed only if asked for.
@@ -558,6 +556,8 @@ def direct_sum(a1: AffineAction, a2: AffineAction) -> AffineAction:
         raise ActionError("direct sum requires identical presentations")
     if a1.field != a2.field:
         raise ActionError("direct sum requires a common scalar field")
+    if a1.tol != a2.tol:
+        raise ActionError("direct sum requires a common tolerance profile")
     for summand in (a1, a2):
         if failure := validity_report(summand.tol, summand.rep, summand.cocycle).failure:
             raise failure
@@ -611,7 +611,6 @@ def check_equivalence(
     a2: AffineAction,
     trials: int = 20,
     seed: int | None = 0,
-    tol: ToleranceProfile | None = None,
 ) -> EquivalenceResult:
     """Search the intertwiner system for an invertible solution.
 
@@ -626,7 +625,8 @@ def check_equivalence(
     the affine solution set for an invertible T: the particular solution,
     then ``trials`` random ones (``trials = 0`` tries the particular
     solution only). Different dimensions and an unsolvable system are a
-    definite NotFound; exhausted sampling is probabilistic.
+    definite NotFound; exhausted sampling is probabilistic. The actions need
+    one presentation, field and tolerance profile.
     """
     trials = int_at_least("trials", trials, 0)
     seed = checked_seed(seed)
@@ -634,12 +634,13 @@ def check_equivalence(
         raise ActionError("equivalence requires identical presentations")
     if a1.field != a2.field:
         raise ActionError("equivalence requires a common scalar field")
+    if a1.tol != a2.tol:
+        raise ActionError("equivalence requires a common tolerance profile")
     if a1.dim != a2.dim:
         return EquivalenceResult(False, None, probabilistic=False)
-    tol = tol or a1.tol
-    d = a1.dim
-    s = unit_scale(tol, a1, a2)
-    homs, split = hom_basis(a1.rep, a2.rep, tol), boundary_split(a2.rep, tol)
+    tol, d = a1.tol, a1.dim
+    s = unit_scale(a1, a2)
+    homs, split = hom_basis(a1.rep, a2.rep), boundary_split(a2.rep)
     moved, rhs = _moved_values(homs, a1, s), a2.cocycle.coordinates() / s
     solution = solve_affine_system(np.hstack([moved, split.image]), rhs, tol)
     if solution is None:
@@ -690,9 +691,7 @@ class DirectSumAnalysis:
         return self.verdict.irreducible
 
 
-def analyze_direct_sum(
-    a1: AffineAction, a2: AffineAction, tol: ToleranceProfile | None = None
-) -> DirectSumAnalysis:
+def analyze_direct_sum(a1: AffineAction, a2: AffineAction) -> DirectSumAnalysis:
     """Decide a1 (+) a2 and, when reducible, exhibit equivalent projections.
 
     The paper's criterion is for irreducible summands, so both summands are
@@ -723,26 +722,23 @@ def analyze_direct_sum(
     rescaling.
     """
     sum_action = direct_sum(a1, a2)
-    tol = tol or sum_action.tol
     if not _equal_summands(sum_action):
         for name, summand in (("first", a1), ("second", a2)):
-            if decide_irreducibility(summand, tol).reducible:
+            if decide_irreducibility(summand).reducible:
                 raise ActionError(
                     f"the {name} summand is reducible; the direct-sum criterion needs irreducible summands"
                 )
-    verdict = decide_irreducibility(sum_action, tol)
+    verdict = decide_irreducibility(sum_action)
     if verdict.irreducible:
         return DirectSumAnalysis(sum_action, verdict, None)
-    return DirectSumAnalysis(sum_action, verdict, _graph_projections(sum_action, a1, a2, verdict.commutant, tol))
+    return DirectSumAnalysis(sum_action, verdict, _graph_projections(sum_action, a1, a2, verdict.commutant))
 
 
-def _graph_projections(
-    sum_action: AffineAction, a1: AffineAction, a2: AffineAction, pairs, tol: ToleranceProfile
-) -> EquivalentProjections:
+def _graph_projections(sum_action: AffineAction, a1: AffineAction, a2: AffineAction, pairs) -> EquivalentProjections:
     """The certified projections of the bottom row block of the commutant
     ``pairs`` (see ``analyze_direct_sum``). The block is scale-free; the
     rank cut is relative to a witness with unit ||U||."""
-    d1 = a1.dim
+    d1, tol = a1.dim, a1.tol
     if _equal_summands(sum_action):
         # a (+) a: the block (I, -I, 0), whose subspace is the diagonal
         w1 = w2 = np.eye(d1, dtype=a1.rep.dtype)
@@ -762,7 +758,7 @@ def _graph_projections(
         dw2 = d @ w2
         try:
             mapping = AffineMap(-np.linalg.solve(dw2, c @ w1), -np.linalg.solve(dw2, t2))
-            p1, p2 = project_action(a1, w1, tol), project_action(a2, w2, tol)
+            p1, p2 = project_action(a1, w1), project_action(a2, w2)
         except ValueError as exc:  # a singular block, a non-invariant basis or near-tolerance validation
             raise InternalCheckError(f"equivalent projections failed re-validation: {exc}") from exc
     residual = intertwining_residual(p1, p2, mapping)

@@ -76,14 +76,13 @@ def _seed(problem, args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# formatters: each takes the parsed arguments, the first problem file, the
-# resolved tolerance and the verb's inputs (the built action of every problem
-# file, then the induction setup; nothing for verify, which must inspect
-# invalid data) and returns (affirmative, document, human_lines)
+# formatters: each takes the parsed arguments, the first problem file and
+# the verb's inputs (the built action of every problem file, then the
+# induction setup; for verify, which must inspect invalid data, the file's
+# validity report) and returns (affirmative, document, human_lines)
 
 
-def _verify(args, problem, tol):
-    report = problem.validate(tol)[0]
+def _verify(args, problem, report):
     res = report.residuals
     lines = [f"verify: {'pass' if report.passed else 'FAIL'}"]
     lines += [f"  {name}: {'ok' if ok else 'FAILED'}" for name, ok in report.checks.items()]
@@ -96,8 +95,8 @@ def _verify(args, problem, tol):
     return report.passed, doc, lines
 
 
-def _irreducible(args, problem, tol, action):
-    verdict = decide_irreducibility(action, tol)
+def _irreducible(args, problem, action):
+    verdict = decide_irreducibility(action)
     doc = {"verdict": verdict.tag, "commutant_dimension": len(verdict.commutant)}
     lines = [f"irreducible: {verdict.tag}"]
     if verdict.reducible:
@@ -118,8 +117,8 @@ def _irreducible(args, problem, tol, action):
     return verdict.irreducible, doc, lines
 
 
-def _commutant(args, problem, tol, action):
-    commutant = affine_commutant(action, tol)
+def _commutant(args, problem, action):
+    commutant = affine_commutant(action)
     basis = [
         {
             "deviation": array_to_json(pair.deviation, action.field),
@@ -139,8 +138,8 @@ def _commutant(args, problem, tol, action):
     return True, doc, lines
 
 
-def _fixed_points(args, problem, tol, action):
-    result = fixed_points(action, tol)
+def _fixed_points(args, problem, action):
+    result = fixed_points(action)
     subspace = result.subspace
     if subspace is None:
         return False, {"verdict": "Empty"}, ["fixed-points: Empty"]
@@ -156,8 +155,8 @@ def _fixed_points(args, problem, tol, action):
     return True, doc, lines
 
 
-def _cohomology(args, problem, tol, action):
-    basis = first_cohomology(action.rep, tol)
+def _cohomology(args, problem, action):
+    basis = first_cohomology(action.rep)
     nz, nb, nh = basis.dims
     doc = {
         "verdict": {"cocycles": nz, "coboundaries": nb, "classes": nh},
@@ -170,12 +169,10 @@ def _cohomology(args, problem, tol, action):
     return True, doc, [f"cohomology: dim Z1 = {nz}, dim B1 = {nb}, dim H1 = {nh}"]
 
 
-def _exists_irreducible(args, problem, tol, action):
+def _exists_irreducible(args, problem, action):
     # the search returns only witnesses whose action decide_irreducibility
     # found Irreducible
-    result = search_irreducible_cocycle(
-        action.rep, trials=args.trials, seed=_seed(problem, args), tol=tol
-    )
+    result = search_irreducible_cocycle(action.rep, trials=args.trials, seed=_seed(problem, args))
     if result.found:
         doc = {
             "verdict": "Yes",
@@ -189,8 +186,8 @@ def _exists_irreducible(args, problem, tol, action):
     ]
 
 
-def _direct_sum(args, problem, tol, a1, a2):
-    analysis = analyze_direct_sum(a1, a2, tol)
+def _direct_sum(args, problem, a1, a2):
+    analysis = analyze_direct_sum(a1, a2)
     if analysis.irreducible:
         return True, {"verdict": "IrreducibleSum"}, ["direct-sum: IrreducibleSum"]
     proj = analysis.projections
@@ -213,8 +210,8 @@ def _direct_sum(args, problem, tol, a1, a2):
     return False, doc, lines
 
 
-def _equivalence(args, problem, tol, a1, a2):
-    result = check_equivalence(a1, a2, trials=args.trials, seed=_seed(problem, args), tol=tol)
+def _equivalence(args, problem, a1, a2):
+    result = check_equivalence(a1, a2, trials=args.trials, seed=_seed(problem, args))
     if result.equivalent:
         doc = {
             "verdict": "Equivalent",
@@ -227,11 +224,11 @@ def _equivalence(args, problem, tol, a1, a2):
     return False, doc, [f"equivalence: NotFound{note}"]
 
 
-def _restrict(args, problem, tol, action):
+def _restrict(args, problem, action):
     if problem.subgroup is None:
         raise ValueError("restrict requires a 'subgroup' section in the problem file")
     restricted = restrict_action(action, problem.subgroup)
-    verdict = decide_irreducibility(restricted, tol)
+    verdict = decide_irreducibility(restricted)
     doc = {
         "verdict": verdict.tag,
         "restricted_action": problem_to_dict(action_to_problem(restricted)),
@@ -240,9 +237,9 @@ def _restrict(args, problem, tol, action):
     return verdict.irreducible, doc, lines
 
 
-def _induce(args, problem, tol, action, setup):
-    induced = induce_action(action, setup, tol)
-    verdict = decide_irreducibility(induced, tol)
+def _induce(args, problem, action, setup):
+    induced = induce_action(action, setup)
+    verdict = decide_irreducibility(induced)
     doc = {
         "verdict": verdict.tag,
         "induced_action": problem_to_dict(action_to_problem(induced)),
@@ -270,19 +267,19 @@ def _property_report(verb: str, report, note: str = ""):
     return report.passed, doc, lines
 
 
-def _center_check(args, problem, tol, action):
-    report = check_center_translations(action, problem.central_words, tol)
+def _center_check(args, problem, action):
+    report = check_center_translations(action, problem.central_words)
     return _property_report("center-check", report, f" ({len(problem.central_words)} central words)")
 
 
-def _nilpotent_check(args, problem, tol, action):
-    report = check_translation_characterization(action, "nilpotent", tol)
+def _nilpotent_check(args, problem, action):
+    report = check_translation_characterization(action, "nilpotent")
     return _property_report("nilpotent-check", report)
 
 
-def _abelian_test(args, problem, tol, action):
-    result = quadratic_form_test(action, window=args.window, tol=tol)
-    verdict = decide_irreducibility(action, tol)
+def _abelian_test(args, problem, action):
+    result = quadratic_form_test(action, window=args.window)
+    verdict = decide_irreducibility(action)
     agree = result.quadratic == verdict.irreducible
     doc = {
         "verdict": result.tag,
@@ -297,7 +294,7 @@ def _abelian_test(args, problem, tol, action):
     return result.quadratic, doc, lines
 
 
-def _orbit_probe(args, problem, tol, action):
+def _orbit_probe(args, problem, action):
     report = orbit_hull_probe(
         action, np.zeros(action.dim), budget=args.budget, radius=args.radius, seed=_seed(problem, args)
     )
@@ -328,7 +325,8 @@ class Verb:
     ``files`` is 1 (one problem file, or ``--batch`` over a directory), 2
     (two problem files) or "setup" (a problem file and an induction setup
     file). ``flags`` name entries of ``FLAGS``. ``builds`` is False only for
-    ``verify``, which reports on data that may not build an action.
+    ``verify``, which reports on data that may not build an action: it gets
+    the file's ``ValidityReport`` instead.
     """
 
     run: Callable
@@ -408,10 +406,10 @@ def _dispatch(args):
             f"{args.file} and {args.file2} resolve to different tolerance profiles; "
             "choose one with --tol-rank, --tol-residual and --tol-eig"
         )
-    inputs = [p.build_action(tol) for p in problems] if verb.builds else []
+    inputs = [p.build_action(tol) for p in problems] if verb.builds else [problems[0].validate(tol)[0]]
     if verb.files == "setup":
         inputs.append(load_induction_setup(args.setup))
-    return verb.run(args, problems[0], tol, *inputs)
+    return verb.run(args, problems[0], *inputs)
 
 
 def _run_one(args) -> tuple[int, dict, list[str]]:

@@ -101,7 +101,7 @@ def restrict_action(action: AffineAction, sub: SubgroupSpec) -> AffineAction:
     return AffineAction.from_values(rep, [m.translation for m in maps])
 
 
-def induce_action(action: AffineAction, setup: InducedSetup, tol: ToleranceProfile | None = None) -> AffineAction:
+def induce_action(action: AffineAction, setup: InducedSetup) -> AffineAction:
     """Induce a subgroup action to the ambient group along a coset table.
 
     Generator s sends the block at coset y to coset sigma_s(y), twisted by
@@ -109,8 +109,8 @@ def induce_action(action: AffineAction, setup: InducedSetup, tol: ToleranceProfi
     subgroup action; the induced cocycle places b(u_{s,y}) in the target
     block. Ambient relator residuals of the result validate the Schreier
     words: bad table data fails representation or cocycle construction.
+    The induced representation keeps the action's profile.
     """
-    tol = tol or action.tol
     if action.presentation != setup.subgroup:
         raise ConstructionError("action is not over the setup's subgroup presentation")
     report = validate_coset_table(setup.ambient, setup.table)
@@ -131,7 +131,7 @@ def induce_action(action: AffineAction, setup: InducedSetup, tol: ToleranceProfi
             vec_parts[x * d : (x + 1) * d] = block.translation
         matrices.append(big)
         values.append(vec_parts)
-    rep = Representation(setup.ambient, action.field, matrices, dim=n * d, tol=tol)
+    rep = Representation(setup.ambient, action.field, matrices, dim=n * d, tol=action.tol)
     return AffineAction.from_values(rep, values)
 
 
@@ -139,14 +139,12 @@ def check_restriction_theorem(
     action: AffineAction,
     sub: SubgroupSpec,
     index_certificate: CosetTable,
-    tol: ToleranceProfile | None = None,
 ) -> PropertyReport:
     """Irreducibility must survive restriction to a finite-index subgroup.
 
     The coset table only serves as a finite-index certificate here; its
     combinatorial invariants are checked, the Schreier words are not used.
     """
-    tol = tol or action.tol
     checks = []
     table_report = validate_coset_table(sub.ambient, index_certificate)
     checks.append(
@@ -156,7 +154,7 @@ def check_restriction_theorem(
             "" if table_report.passed else ", ".join(c.name for c in table_report.failures()),
         )
     )
-    ambient_verdict = decide_irreducibility(action, tol)
+    ambient_verdict = decide_irreducibility(action)
     checks.append(
         PropertyCheck(
             "ambient-irreducible",
@@ -166,7 +164,7 @@ def check_restriction_theorem(
     )
     if ambient_verdict.irreducible:
         restricted = restrict_action(action, sub)
-        verdict = decide_irreducibility(restricted, tol)
+        verdict = decide_irreducibility(restricted)
         detail = ""
         if verdict.reducible:
             detail = (
@@ -177,19 +175,17 @@ def check_restriction_theorem(
     return PropertyReport("finite-index-restriction", tuple(checks))
 
 
-def check_center_translations(
-    action: AffineAction, central_words, tol: ToleranceProfile | None = None
-) -> PropertyReport:
+def check_center_translations(action: AffineAction, central_words) -> PropertyReport:
     """Central elements of an irreducible action translate along the fixed space.
 
     Each word must first commute with every generator at the representation
     level; failing that is a precondition error for that word.
     """
-    tol = tol or action.tol
+    tol = action.tol
     presentation = action.presentation
     words = [w if isinstance(w, Word) else presentation.parse_word(w) for w in central_words]
     checks = []
-    verdict = decide_irreducibility(action, tol)
+    verdict = decide_irreducibility(action)
     checks.append(
         PropertyCheck(
             "action-irreducible",
@@ -197,7 +193,7 @@ def check_center_translations(
             "" if verdict.irreducible else "center check applies to irreducible actions",
         )
     )
-    fixed = fixed_subspace(action.rep, tol)
+    fixed = fixed_subspace(action.rep)
     for i, word in enumerate(words):
         label = presentation.format_word(word)
         value, matrix = action.cocycle.walk(word)
@@ -349,9 +345,7 @@ def _psi_grid(cocycle: Cocycle, k: int, reach: int) -> np.ndarray:
     return psi.reshape((side,) * k)
 
 
-def quadratic_form_test(
-    action: AffineAction, window: int = 3, tol: ToleranceProfile | None = None
-) -> QuadraticFormResult:
+def quadratic_form_test(action: AffineAction, window: int = 3) -> QuadraticFormResult:
     """Check ||b(.)||^2 for the parallelogram identity on a free-abelian group.
 
     Requires the cocycle values to span the whole space (totality); under
@@ -368,13 +362,13 @@ def quadratic_form_test(
     max ||b(s)|| <= eps_residual, s = 1, and values that small normally
     fall under the rank cutoff and fail the totality check.
     """
-    tol = tol or action.tol
+    tol = action.tol
     presentation = action.presentation
     if not is_free_abelian(presentation):
         raise ConstructionError("quadratic form test requires a free abelian presentation")
     window = int_at_least("window", window, 1, ConstructionError)
     k = presentation.num_generators
-    s = unit_scale(tol, action)
+    s = unit_scale(action)
     cocycle = Cocycle(action.rep, [b / s for b in action.cocycle.values], validate=False)
     if not _spans(cocycle.values, action.dim, tol):
         raise ConstructionError("cocycle values do not span the space (totality fails)")
@@ -451,16 +445,13 @@ def fixture_class(presentation: GroupPresentation) -> str | None:
     return None
 
 
-def check_translation_characterization(
-    action: AffineAction, class_tag: str, tol: ToleranceProfile | None = None
-) -> PropertyReport:
+def check_translation_characterization(action: AffineAction, class_tag: str) -> PropertyReport:
     """Irreducible abelian/nilpotent actions are spanning translation actions.
 
     Refuses presentations outside the recognized fixture classes (free
     abelian; Heisenberg-shaped for the nilpotent tag). For a reducible
     action the conclusion is vacuous and reported as such.
     """
-    tol = tol or action.tol
     tag = class_tag.lower()
     if tag not in (_ABELIAN_CLASS, "nilpotent"):
         raise ConstructionError(f"class tag must be 'abelian' or 'nilpotent', got {class_tag!r}")
@@ -469,7 +460,7 @@ def check_translation_characterization(
         raise ConstructionError(
             f"presentation is not in the {class_tag} fixture class; the characterization does not apply"
         )
-    verdict = decide_irreducibility(action, tol)
+    verdict = decide_irreducibility(action)
     if verdict.reducible:
         return PropertyReport(
             "translation-characterization",
@@ -482,11 +473,11 @@ def check_translation_characterization(
     checks.append(
         PropertyCheck(
             "linear-part-trivial",
-            residual_ok(worst, 1.0, tol.eps_residual),
+            residual_ok(worst, 1.0, action.tol.eps_residual),
             f"max generator deviation from identity {worst:.3e}",
         )
     )
-    checks.append(PropertyCheck("cocycle-spans", _spans(action.cocycle.values, action.dim, tol)))
+    checks.append(PropertyCheck("cocycle-spans", _spans(action.cocycle.values, action.dim, action.tol)))
     return PropertyReport("translation-characterization", tuple(checks))
 
 

@@ -101,26 +101,24 @@ def null_space_basis(matrix: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL, ap
     A is ``matrix``, or, with ``apply``, the operator ``X -> apply(X)`` (a
     2-D array of A times the columns of X) and ``matrix`` is its Gram matrix
     A*A. The dimension is ``cols - rank`` with rank decided by
-    ``numerical_rank`` at ``eps_rank * max(sigma_max, 1)``. A wide A goes to
-    a full SVD; a tall or implicit one is split along the eigenvectors of
-    A*A, and no ``rows x rows`` factor is formed. The candidates are the
-    eigenvectors with eigenvalue at most ``w^2 * max(lambda_max, 1)`` (w the
-    profile's ``cluster_width``). They and the other eigenvectors span
-    invariant subspaces of A*A, so A's singular values split between them,
-    and those on the others exceed ``w * max(sigma_max, 1)``, far above the
-    rank cutoff: the rank decided on the SVD of A on the candidates alone,
-    with sigma_max = sqrt(lambda_max), is the one a full SVD of A would make
+    ``numerical_rank`` at ``eps_rank * max(sigma_max, 1)``. An explicit A
+    goes to one SVD, thin unless A is wide, so no ``rows x rows`` factor is
+    formed and A is never squared. An implicit A is split along the
+    eigenvectors of its Gram matrix. The candidates are the eigenvectors
+    with eigenvalue at most ``w^2 * max(lambda_max, 1)`` (w the profile's
+    ``cluster_width``). They and the other eigenvectors span invariant
+    subspaces of A*A, so A's singular values split between them, and those
+    on the others exceed ``w * max(sigma_max, 1)``, far above the rank
+    cutoff: the rank decided on the SVD of A on the candidates alone, with
+    sigma_max = sqrt(lambda_max), is the one a full SVD of A would make
     (README "How the commutant is solved").
     """
     matrix = np.atleast_2d(np.asarray(matrix))
     if 0 in matrix.shape:
         return np.eye(matrix.shape[1], dtype=matrix.dtype)
     if apply is None:
-        if matrix.shape[0] <= matrix.shape[1]:
-            _, s, vh = np.linalg.svd(matrix, full_matrices=True)
-            return vh[numerical_rank(s, tol) :].conj().T
-        explicit = matrix
-        matrix, apply = explicit.conj().T @ explicit, lambda columns: explicit @ columns
+        _, s, vh = np.linalg.svd(matrix, full_matrices=matrix.shape[0] < matrix.shape[1])
+        return vh[numerical_rank(s, tol) :].conj().T
     values, vectors = np.linalg.eigh(matrix)
     top = max(float(values.max(initial=0.0)), 0.0)
     sigma_max = math.sqrt(top)

@@ -78,7 +78,7 @@ class Representation:
         self.matrices = matrices
         self.dim = dim
         self.tol = tol
-        self._solves: dict[tuple[str, ToleranceProfile | None], object] = {}  # see _solved
+        self._solves: dict[str, object] = {}  # see _solved
         self._summands: tuple[Representation, Representation] | None = None  # see actions.direct_sum
         if validate and (failure := validity_report(tol, rep=self).failure):
             raise failure
@@ -311,29 +311,31 @@ def coboundary(rep: Representation, vector) -> Cocycle:
     return Cocycle(rep, tuple(m @ vector - vector for m in rep.matrices))
 
 
-def _solved(rep: Representation, stage: str, tol: ToleranceProfile | None, solve):
-    """``solve()`` on the first request for ``(stage, tol)``, kept in the
-    representation's one store; the ``"relators"`` matrix has ``tol`` None.
-    The store holds arrays only, so no reference cycle keeps ``rep`` alive."""
-    solved = rep._solves.get((stage, tol))
+def _solved(rep: Representation, stage: str, solve):
+    """``solve()`` on the first request for ``stage``, kept in the
+    representation's one store. Every solve is decided at ``rep.tol``, and
+    nothing assigns ``rep.tol`` after construction, so the stage name alone
+    keys it. The store holds arrays only, so no reference cycle keeps
+    ``rep`` alive."""
+    solved = rep._solves.get(stage)
     if solved is None:
-        solved = rep._solves[stage, tol] = solve()
+        solved = rep._solves[stage] = solve()
     return solved
 
 
-def fixed_subspace(rep: Representation, tol: ToleranceProfile | None = None) -> np.ndarray:
+def fixed_subspace(rep: Representation) -> np.ndarray:
     """Orthonormal basis of the joint fixed space of all generator matrices
     (the kernel of ``boundary_split``; read-only)."""
-    return boundary_split(rep, tol).kernel
+    return boundary_split(rep).kernel
 
 
-def boundary_split(rep: Representation, tol: ToleranceProfile | None = None) -> RangeSplit:
+def boundary_split(rep: Representation) -> RangeSplit:
     """The boundary map B = [pi(s) - I]_s split by one thin SVD.
 
     Its ``image`` spans the coboundaries, its ``kernel`` is the fixed space
     and ``pinv`` is B+, which solves (pi(s) - I) t = y(s) for y in the
-    image. It is solved once per tolerance profile and kept in the
-    representation's store (``_solved``); the arrays are read-only.
+    image. It is solved once per representation, at ``rep.tol``, and kept
+    in its store (``_solved``); the arrays are read-only.
 
     For a direct sum (``actions.direct_sum``) B is diag(B1, B2) with its
     rows interleaved generator by generator, so the split is assembled from
@@ -342,15 +344,14 @@ def boundary_split(rep: Representation, tol: ToleranceProfile | None = None) -> 
     (the first summand's first) and ``pinv`` is diag(B1+, B2+) with its
     columns interleaved the same way.
     """
-    tol = tol or rep.tol
     if rep._summands is None:
-        return _solved(rep, "boundary", tol, lambda: RangeSplit.of(rep.boundary_map(), tol))
-    return _solved(rep, "boundary", tol, lambda: _sum_boundary_split(rep, tol))
+        return _solved(rep, "boundary", lambda: RangeSplit.of(rep.boundary_map(), rep.tol))
+    return _solved(rep, "boundary", lambda: _sum_boundary_split(rep))
 
 
-def _sum_boundary_split(rep: Representation, tol: ToleranceProfile) -> RangeSplit:
+def _sum_boundary_split(rep: Representation) -> RangeSplit:
     g = rep.presentation.num_generators
-    splits = [(r.dim, boundary_split(r, tol)) for r in rep._summands]
+    splits = [(r.dim, boundary_split(r)) for r in rep._summands]
     # per generator: each summand's rows of the image and columns of B+
     image = _block_diagonal(*(s.image.reshape(g, d, s.image.shape[1]) for d, s in splits))
     pinv = _block_diagonal(*(s.pinv.reshape(d, g, d).transpose(1, 0, 2) for d, s in splits))
@@ -390,7 +391,7 @@ def _generic_weights(generators: int, field: str) -> np.ndarray:
     return coefficients
 
 
-def intertwiner_system(rep1: Representation, rep2: Representation, tol: ToleranceProfile | None = None):
+def intertwiner_system(rep1: Representation, rep2: Representation):
     """Intertwiner system for T: V1 -> V2, reduced and in Gram form.
 
         T pi1(s) = pi2(s) T      for all generators s.
@@ -402,7 +403,7 @@ def intertwiner_system(rep1: Representation, rep2: Representation, tol: Toleranc
     H-eigenvalues share a cluster (T pi1(s) = pi2(s) T and, for isometries,
     T pi1(s)* = pi2(s)* T imply T H1 = H2 T), so only those entries of T~
     are unknowns. Clusters are chains over the union of both spectra with
-    links of the profile's ``cluster_width``, far wider than the eigenvalue
+    links of ``rep1.tol``'s ``cluster_width``, far wider than the eigenvalue
     shifts of an isometry accepted at its tolerances: splitting an
     eigenspace would lose solutions, while a wide cluster only relaxes the
     restriction.
@@ -420,13 +421,12 @@ def intertwiner_system(rep1: Representation, rep2: Representation, tol: Toleranc
     is an isometric embedding, so orthonormal bases stay orthonormal. For
     real representations Q and the system are real.
     """
-    tol = tol or rep1.tol
     d1, d2 = rep1.dim, rep2.dim
     (lam1, q1, p1), (lam2, q2, p2) = rep1.generic_eigenbasis, rep2.generic_eigenbasis
     spectrum = np.concatenate([lam1, lam2])
     order = np.argsort(spectrum, kind="stable")
     labels = np.empty(d1 + d2, dtype=int)
-    labels[order] = np.concatenate([[0], np.cumsum(np.diff(spectrum[order]) > tol.cluster_width)])
+    labels[order] = np.concatenate([[0], np.cumsum(np.diff(spectrum[order]) > rep1.tol.cluster_width)])
     rows_p, cols_q = np.nonzero(labels[d1:, None] == labels[None, :d1])
     g = len(p1)
 
@@ -459,22 +459,22 @@ def intertwiner_system(rep1: Representation, rep2: Representation, tol: Toleranc
     return gram, apply, lift
 
 
-def hom_basis(rep1: Representation, rep2: Representation, tol: ToleranceProfile | None = None) -> np.ndarray:
+def hom_basis(rep1: Representation, rep2: Representation) -> np.ndarray:
     """Basis of Hom(pi1, pi2) = {T : T pi1(s) = pi2(s) T for all s} as a
     ``(h, d2, d1)`` stack, orthonormal in vec T: the lifted null space of
-    ``intertwiner_system``."""
-    gram, apply, lift = intertwiner_system(rep1, rep2, tol)
-    return lift(null_space_basis(gram, tol or rep1.tol, apply)).T.reshape(-1, rep2.dim, rep1.dim)
+    ``intertwiner_system``, decided at ``rep1.tol``."""
+    gram, apply, lift = intertwiner_system(rep1, rep2)
+    return lift(null_space_basis(gram, rep1.tol, apply)).T.reshape(-1, rep2.dim, rep1.dim)
 
 
-def commutant_basis(rep: Representation, tol: ToleranceProfile | None = None) -> list[np.ndarray]:
+def commutant_basis(rep: Representation) -> list[np.ndarray]:
     """Basis over the declared field of {T : T pi(s) = pi(s) T for all s}.
 
     Real representations get the real commutant; complex ones the complex
     commutant. The identity always lies in the returned span. The basis is
     ``hom_basis(rep, rep)``, orthonormal in vec T. It is solved once per
-    tolerance profile and kept in the representation's store
-    (``_solved``); the elements are read-only arrays.
+    representation and kept in its store (``_solved``); the elements are
+    read-only arrays.
 
     A direct sum pi1 (+) pi2 (``actions.direct_sum``) has the block
     commutant [[pi1', Hom(pi2, pi1)], [Hom(pi1, pi2), pi2']]: each element
@@ -485,19 +485,18 @@ def commutant_basis(rep: Representation, tol: ToleranceProfile | None = None) ->
     both summands are one representation every block is its pi' and
     nothing is solved.
     """
-    tol = tol or rep.tol
     if rep._summands is None:
-        return list(_solved(rep, "commutant", tol, lambda: tuple(read_only(hom_basis(rep, rep, tol)))))
-    return list(_solved(rep, "commutant", tol, lambda: tuple(read_only(_sum_commutant(*rep._summands, tol)))))
+        return list(_solved(rep, "commutant", lambda: tuple(read_only(hom_basis(rep, rep)))))
+    return list(_solved(rep, "commutant", lambda: tuple(read_only(_sum_commutant(*rep._summands)))))
 
 
-def _sum_commutant(rep1: Representation, rep2: Representation, tol: ToleranceProfile) -> np.ndarray:
+def _sum_commutant(rep1: Representation, rep2: Representation) -> np.ndarray:
     d1 = rep1.dim
-    first = np.asarray(commutant_basis(rep1, tol))
+    first = np.asarray(commutant_basis(rep1))
     if rep1 is rep2:
         homs, second = first, first
     else:
-        homs, second = hom_basis(rep1, rep2, tol), np.asarray(commutant_basis(rep2, tol))
+        homs, second = hom_basis(rep1, rep2), np.asarray(commutant_basis(rep2))
     blocks = (
         (first, slice(None, d1), slice(None, d1)),
         (homs.conj().transpose(0, 2, 1), slice(None, d1), slice(d1, None)),
@@ -593,31 +592,30 @@ class CohomologyBasis:
         return cocycle_from_coordinates(self.representation, self.classes @ coefficients)
 
 
-def first_cohomology(rep: Representation, tol: ToleranceProfile | None = None) -> CohomologyBasis:
+def first_cohomology(rep: Representation) -> CohomologyBasis:
     """Cocycle space, coboundary space, and orthogonal class representatives.
 
     All basis columns are certified in one product with the relator
     coefficient matrix; a column over the cocycle-relator bound raises
-    CocycleError. It is solved once per tolerance profile and its arrays
-    are kept in the representation's store (``_solved``), next to the
+    CocycleError. It is solved once per representation and its arrays
+    are kept in its store (``_solved``), next to the
     relator coefficient matrix that ``commutant_action_on_classes``
     reuses; each call wraps them in a new ``CohomologyBasis`` (the
     representation does not hold one, which would tie the two in a
     reference cycle).
     """
-    tol = tol or rep.tol
-    return CohomologyBasis(rep, *_solved(rep, "cohomology", tol, lambda: _solve_cohomology(rep, tol)))
+    return CohomologyBasis(rep, *_solved(rep, "cohomology", lambda: _solve_cohomology(rep)))
 
 
 def _relators(rep: Representation) -> np.ndarray:
     """The representation's stored ``_relator_coefficient_matrix``."""
-    return _solved(rep, "relators", None, lambda: read_only(_relator_coefficient_matrix(rep)))
+    return _solved(rep, "relators", lambda: read_only(_relator_coefficient_matrix(rep)))
 
 
-def _solve_cohomology(rep: Representation, tol: ToleranceProfile) -> tuple:
-    relators = _relators(rep)
+def _solve_cohomology(rep: Representation) -> tuple:
+    relators, tol = _relators(rep), rep.tol
     z_basis = null_space_basis(relators, tol)  # (g*d, nz)
-    b_basis = boundary_split(rep, tol).image
+    b_basis = boundary_split(rep).image
 
     # class representatives: orthogonal complement of the coboundaries inside
     # the cocycle space; computed as the null space of the pairing B*Z whose
@@ -639,7 +637,6 @@ def commutant_action_on_classes(
     rep: Representation,
     basis: CohomologyBasis,
     commutant: list[np.ndarray] | None = None,
-    tol: ToleranceProfile | None = None,
 ) -> list[np.ndarray]:
     """Matrices of the commutant acting on cohomology-class coordinates.
 
@@ -654,13 +651,12 @@ def commutant_action_on_classes(
     with the representation raises CocycleError. No (g*d)^2 matrix is
     formed.
     """
-    tol = tol or rep.tol
     if commutant is None:
-        commutant = commutant_basis(rep, tol)
+        commutant = commutant_basis(rep)
     g, d, h = rep.presentation.num_generators, rep.dim, basis.classes.shape[1]
     ops = as_field_array(commutant, rep.field).reshape(-1, d, d)
     moved = np.einsum("tij,gjk->gitk", ops, basis.classes.reshape(g, d, h)).reshape(g * d, len(ops) * h)
-    _certified_relator_defects(_relators(rep), moved, d, tol)
+    _certified_relator_defects(_relators(rep), moved, d, rep.tol)
     action = (basis.classes.conj().T @ moved).reshape(h, len(ops), h)
     return list(action.transpose(1, 0, 2))
 
@@ -682,7 +678,6 @@ def search_irreducible_cocycle(
     rep: Representation,
     trials: int = 20,
     seed: int | None = 0,
-    tol: ToleranceProfile | None = None,
 ) -> CocycleSearchResult:
     """Look for a cocycle whose class has trivial commutant annihilator.
 
@@ -706,23 +701,22 @@ def search_irreducible_cocycle(
 
     trials = int_at_least("trials", trials, 1)
     seed = checked_seed(seed)
-    tol = tol or rep.tol
-    basis = first_cohomology(rep, tol)
+    basis = first_cohomology(rep)
     h = basis.dims[2]
     if h == 0:
         return CocycleSearchResult(False, None, 0)
-    commutant = commutant_basis(rep, tol)
+    commutant = commutant_basis(rep)
     if len(commutant) > h:
         return CocycleSearchResult(False, None, trials)
-    action_mats = np.asarray(commutant_action_on_classes(rep, basis, commutant, tol))
+    action_mats = np.asarray(commutant_action_on_classes(rep, basis, commutant))
     samples = random_vectors(trials, h, rep.field, np.random.default_rng(seed))
     # maps[trial] has the columns S_j xi for the commutant elements S_j
     maps = (action_mats @ samples.T).transpose(2, 1, 0)
     for trial, xi in enumerate(samples):
-        if numerical_rank(np.linalg.svd(maps[trial], compute_uv=False), tol) < len(commutant):
+        if numerical_rank(np.linalg.svd(maps[trial], compute_uv=False), rep.tol) < len(commutant):
             continue
         witness = basis.cocycle_from_class(xi)
-        verdict = decide_irreducibility(AffineAction(rep, witness), tol)
+        verdict = decide_irreducibility(AffineAction(rep, witness))
         if not verdict.reducible:
             return CocycleSearchResult(True, witness, trial + 1)
     return CocycleSearchResult(False, None, trials)

@@ -613,9 +613,9 @@ def counting_solves(monkeypatch, factorizations: bool = False) -> list:
     calls = []
     system, split = reps.intertwiner_system, RangeSplit.of
 
-    def counted_system(rep1, rep2, tol=None):
+    def counted_system(rep1, rep2):
         calls.append(("commutant", rep1))
-        return system(rep1, rep2, tol)
+        return system(rep1, rep2)
 
     def counted_split(cls, matrix, tol):
         calls.append(("boundary", matrix.shape))

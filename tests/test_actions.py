@@ -6,6 +6,7 @@ from affine_actions import (
     AffineMap,
     GroupPresentation,
     Representation,
+    ToleranceProfile,
     Word,
     WitnessError,
     affine_commutant,
@@ -318,6 +319,21 @@ def test_direct_sum_requires_matching_presentations_and_fields():
     # same group, different dimensions is allowed
     combined = direct_sum(glide_action(), translation_action())
     assert combined.dim == 3
+
+
+@pytest.mark.parametrize("operation", [direct_sum, analyze_direct_sum, check_equivalence], ids=lambda f: f.__name__)
+def test_two_actions_at_different_profiles_are_refused(operation):
+    # each action is decided at its representation's profile, so a call on
+    # two actions needs them to share one, in either argument order
+    loose_rep = Representation(z_group(), "real", [np.diag([1.0, -1.0])], tol=ToleranceProfile(eps_residual=1e-6))
+    loose = AffineAction.from_values(loose_rep, [np.array([1.0, 2.0])])
+    for a1, a2 in ((glide_action(), loose), (loose, glide_action())):
+        with pytest.raises(ActionError, match="common tolerance profile"):
+            operation(a1, a2)
+    # equal profiles built apart are one profile
+    operation(glide_action(), AffineAction.from_values(
+        Representation(z_group(), "real", [np.diag([1.0, -1.0])], tol=ToleranceProfile()), [np.array([1.0, 2.0])]
+    ))
 
 
 def test_conjugate_by_zero_is_identity():

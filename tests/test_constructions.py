@@ -504,7 +504,7 @@ def scan_inputs(k: int, field: str, rng) -> list[AffineAction]:
 
 def assert_matches_reference_scan(action: AffineAction, window: int) -> QuadraticFormResult:
     # the reference runs on the unit-scaled action; max_defect comes back in caller units
-    s = unit_scale(TOL, action)
+    s = unit_scale(action)
     unit = AffineAction.from_values(action.rep, [b / s for b in action.cocycle.values])
     reference = reference_quadratic_form_test(unit, window)
     result = quadratic_form_test(action, window)

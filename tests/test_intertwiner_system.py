@@ -82,7 +82,7 @@ def test_reduced_system_matches_kronecker_reference(family, field, double):
     for seed in range(12):
         action = family_action(family, field, seed, double)
         rep = action.rep
-        s = unit_scale(TOL, action)
+        s = unit_scale(action)
         values = [b / s for b in action.cocycle.values]
 
         ref_matrix = kronecker_intertwiner_system(rep, rep, values, values)[0]
@@ -117,15 +117,15 @@ def same_subspace(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a @ a.conj().T - b @ b.conj().T))
 
 
-def coboundary_rule_solution(a1: AffineAction, a2: AffineAction, s: float, tol: ToleranceProfile):
+def coboundary_rule_solution(a1: AffineAction, a2: AffineAction, s: float):
     """The solve of ``check_equivalence`` at scale s: sum_j x_j T_j b1 + c
     = b2 with c in the image of ``boundary_split(pi2)``. Returns the
     particular solution as one (vec T, t) column with t = B2+ (sum_j x_j
     T_j b1 - b2), and the vec T columns of the homogeneous part; None when
     the system is inconsistent."""
-    homs, split = hom_basis(a1.rep, a2.rep, tol), boundary_split(a2.rep, tol)
+    homs, split = hom_basis(a1.rep, a2.rep), boundary_split(a2.rep)
     moved, rhs = _moved_values(homs, a1, s), a2.cocycle.coordinates() / s
-    solution = solve_affine_system(np.hstack([moved, split.image]), rhs, tol)
+    solution = solve_affine_system(np.hstack([moved, split.image]), rhs, a1.tol)
     if solution is None:
         return None
     vec, x = homs.reshape(len(homs), -1).T, solution.particular[: len(homs)]
@@ -139,10 +139,10 @@ def against_lstsq_reference(a1: AffineAction, a2: AffineAction, tol: TolerancePr
     the rule's particular (T, t) in the joint system, the reference's bound
     eps_residual (1 + ||rhs||) on it, ||T|| + ||t||, and orthonormal bases
     of the vec T spans of the two solution sets. None when inconsistent."""
-    s = unit_scale(tol, a1, a2)
+    s = unit_scale(a1, a2)
     values1, values2 = [b / s for b in a1.cocycle.values], [b / s for b in a2.cocycle.values]
     matrix, rhs, ref_lift = row_stacked_intertwiner_system(a1.rep, a2.rep, values1, values2, tol)
-    reference, solution = lstsq_solve(matrix, rhs, tol), coboundary_rule_solution(a1, a2, s, tol)
+    reference, solution = lstsq_solve(matrix, rhs, tol), coboundary_rule_solution(a1, a2, s)
     assert (solution is None) == (reference is None), label
     if solution is None:
         return None
@@ -163,7 +163,7 @@ def test_gram_path_matches_row_stacked_qr_reference(family, field, double):
     for seed in range(12):
         action = family_action(family, field, seed, double)
         rep = action.rep
-        s = unit_scale(TOL, action)
+        s = unit_scale(action)
         values = [b / s for b in action.cocycle.values]
         gram, apply, lift = intertwiner_system(rep, rep)
         matrix, _, ref_lift = row_stacked_intertwiner_system(rep, rep)
@@ -327,7 +327,7 @@ def test_clusters_absorb_accepted_isometry_defects(tol, digits):
     m = np.array([[c, -s], [s, c + 10.0**-digits]])
     rep = Representation(z_group(), "real", [m], tol=tol)
     reference, _ = reference_null_space(kronecker_intertwiner_system(rep, rep)[0], tol)
-    assert len(commutant_basis(rep, tol)) == reference.shape[1] == 2
+    assert len(commutant_basis(rep)) == reference.shape[1] == 2
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -392,7 +392,7 @@ def test_small_angle_equivalence_is_decided_as_the_least_squares_reference(theta
         # joint system within the certification bound, which grows with ||t||
         residual, bound, size, _, _ = compared
         assert residual <= bound + tol.eps_residual * size, (seed, profile)
-        assert check_equivalence(action, other, tol=tol).equivalent, (seed, profile)
+        assert check_equivalence(action, other).equivalent, (seed, profile)
 
 
 @pytest.mark.parametrize("theta", [1e-5, 2e-4, 5e-4, 1e-3, 1e-2])
@@ -413,7 +413,7 @@ def test_small_angle_fixed_points_follow_the_coboundary_rule(theta):
         u, singular, _ = np.linalg.svd(rep.boundary_map())
         image = u[:, : numerical_rank(singular, tol)]
         off_image = float(np.linalg.norm(b - image @ (image.T @ b)))
-        fixed = fixed_points(action, tol)
+        fixed = fixed_points(action)
         assert (fixed.subspace is not None) == residual_ok(off_image, float(np.linalg.norm(b)), tol.eps_residual), seed
         if fixed.subspace is not None:
             assert fixed.subspace.contains(-shift, ToleranceProfile(eps_residual=1e-6)), seed
@@ -431,13 +431,13 @@ def test_consistency_is_decided_by_eps_residual_alone():
     values[1] = values[1] + np.array([1e-7, 0.0])
     action = AffineAction(rep, Cocycle(rep, values))
     assert 1e-8 < action.cocycle.relator_defects[0] < 1e-6
-    fixed = fixed_points(action, tol)
+    fixed = fixed_points(action)
     assert fixed.subspace is not None and fixed.subspace.dim == 0
     assert np.linalg.norm(fixed.subspace.base + center) <= 1e-6
     moved = conjugate_by_translation(action, np.array([1.0, 2.0]))
     perturbed = [b + np.array([0.0, 1e-7]) for b in moved.cocycle.values]
     other = AffineAction(rep, Cocycle(rep, perturbed))
-    assert check_equivalence(action, other, tol=tol).equivalent
+    assert check_equivalence(action, other).equivalent
 
 
 # -- near-degenerate spectra and isometry defects ---------------------------
@@ -465,7 +465,7 @@ def test_near_degenerate_generic_spectrum(gap_in_widths, multiplicity):
     rng = np.random.default_rng(int(10 * gap_in_widths) + multiplicity)
     action = AffineAction.from_values(rep, [random_field_vector(d, "complex", rng)])
     for act in (action, direct_sum(action, action)):
-        s = unit_scale(TOL, act)
+        s = unit_scale(act)
         values = [b / s for b in act.cocycle.values]
         reference, _ = reference_null_space(kronecker_intertwiner_system(act.rep, act.rep, values, values)[0])
         linear, _ = reference_null_space(kronecker_intertwiner_system(act.rep, act.rep)[0])
@@ -492,7 +492,7 @@ def test_isometry_defects_near_eps_residual(field, defect_in_eps):
         assert max(rep.isometry_defects) > 0.2 * defect_in_eps * TOL.eps_residual
         half = random_action(rep, rng)
         for action in (half, direct_sum(half, half)):
-            s = unit_scale(TOL, action)
+            s = unit_scale(action)
             values = [b / s for b in action.cocycle.values]
             reference, _ = reference_null_space(kronecker_intertwiner_system(action.rep, action.rep, values, values)[0])
             linear, _ = reference_null_space(kronecker_intertwiner_system(action.rep, action.rep)[0])

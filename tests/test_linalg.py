@@ -69,8 +69,8 @@ def test_null_space_residual_and_orthonormality_random(field):
 
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_null_space_of_tall_matrix_matches_direct_svd(field):
-    # tall inputs are decided through their Gram matrix; the rank decision
-    # and the null space must be those of a direct full SVD of the same matrix
+    # tall inputs are decided on a thin SVD; the rank decision and the null
+    # space must be those of a direct full SVD of the same matrix
     for _ in range(25):
         cols = int(RNG.integers(1, 9))
         rows = cols + int(RNG.integers(1, 30))

@@ -31,6 +31,7 @@ from helpers import (
     dihedral_group,
     doubled_rep,
     f2_group,
+    free_abelian_group,
     heisenberg_group,
     random_action,
     random_c3_rep,
@@ -217,7 +218,7 @@ def test_commutant_identity_in_span():
 def test_commutant_is_solved_once_per_representation(monkeypatch):
     calls = counting_solves(monkeypatch)
     rep = random_free_rep(f2_group(), 4, "complex", RNG)
-    first, second = commutant_basis(rep), commutant_basis(rep, TOL)
+    first, second = commutant_basis(rep), commutant_basis(rep)
     assert len(calls) == 1
     assert all(a is b for a, b in zip(first, second))
 
@@ -228,18 +229,6 @@ def test_cached_commutant_equals_a_fresh_solve():
     fresh = Representation(rep.presentation, rep.field, rep.matrices)
     for cached, new in zip(commutant_basis(rep), commutant_basis(fresh), strict=True):
         assert np.array_equal(cached, new)
-
-
-def test_commutant_cache_is_keyed_by_tolerance(monkeypatch):
-    from affine_actions import ToleranceProfile
-
-    calls = counting_solves(monkeypatch)
-    rep = doubled_rep(random_free_rep(f2_group(), 3, "real", RNG))
-    loose = ToleranceProfile(eps_rank=1e-6)
-    assert len(commutant_basis(rep)) == len(commutant_basis(rep, loose)) == 4
-    commutant_basis(rep)
-    commutant_basis(rep, loose)
-    assert len(calls) == 2
 
 
 def test_cached_commutant_is_read_only():
@@ -272,14 +261,14 @@ def test_second_decision_on_a_representation_solves_nothing_again(monkeypatch):
     assert calls == []  # neither the commutant nor the boundary map again
 
 
-def test_boundary_split_is_keyed_by_tolerance(monkeypatch):
-    calls = counting_solves(monkeypatch)
-    rep = random_free_rep(f2_group(), 3, "real", RNG)
-    loose = ToleranceProfile(eps_rank=1e-6)
-    default, other = boundary_split(rep), boundary_split(rep, loose)
-    assert other is not default
-    assert boundary_split(rep, TOL) is default and boundary_split(rep, loose) is other
-    assert [kind for kind, _ in calls] == ["boundary", "boundary"]
+def test_the_solve_store_is_keyed_by_stage_name():
+    # one profile per representation: every stage is solved once, at rep.tol
+    loose = ToleranceProfile(eps_rank=1e-6, eps_residual=1e-6)
+    rep = Representation(dihedral_group(), "real", [np.eye(1), -np.eye(1)], tol=loose)
+    basis = first_cohomology(rep)
+    assert search_irreducible_cocycle(rep, trials=5, seed=0).found
+    commutant_action_on_classes(rep, basis)
+    assert sorted(rep._solves) == ["boundary", "cohomology", "commutant", "relators"]
 
 
 def test_boundary_split_is_one_read_only_thin_svd():
@@ -341,20 +330,9 @@ def test_cohomology_is_solved_once_per_representation(monkeypatch):
     assert basis.dims == (2, 1, 1) and len(calls) == 1
     assert search_irreducible_cocycle(rep, trials=5, seed=1).found
     assert search_irreducible_cocycle(rep, trials=5, seed=2).found
-    again = first_cohomology(rep, TOL)
+    again = first_cohomology(rep)
     assert all(a is b for a, b in zip(cohomology_arrays(again), cohomology_arrays(basis), strict=True))
     assert len(calls) == 1
-
-
-def test_cohomology_cache_is_keyed_by_tolerance(monkeypatch):
-    rep = random_dihedral_rep(3, "complex", np.random.default_rng(5))
-    calls = counting_relator_solves(monkeypatch, rep)
-    loose = ToleranceProfile(eps_rank=1e-6)
-    default, other = first_cohomology(rep), first_cohomology(rep, loose)
-    assert other.classes is not default.classes and other.dims == default.dims
-    assert first_cohomology(rep).classes is default.classes
-    assert first_cohomology(rep, loose).classes is other.classes
-    assert len(calls) == 2
 
 
 def test_cached_cohomology_cannot_be_changed_by_a_caller():
@@ -379,8 +357,25 @@ def test_the_relator_matrix_is_built_once_per_representation(monkeypatch):
     assert basis.dims[2] == len(commutant_basis(rep)) == 1
     assert search_irreducible_cocycle(rep, trials=5, seed=0).found
     commutant_action_on_classes(rep, basis)
-    first_cohomology(rep, ToleranceProfile(eps_rank=1e-6))
+    first_cohomology(rep)
     assert builds == [rep]
+
+
+def test_a_search_at_a_loose_profile_validates_its_witness_at_that_profile():
+    # Z^2 by rotations through 1e-6 and 2e-6, built at a loose profile: the
+    # found class has a cocycle relator residual of about 4e-7, within that
+    # profile's bound and outside the default one, and both the search and
+    # the witness's validation decide at rep.tol
+    def rotation(theta):
+        return np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+
+    loose = ToleranceProfile(eps_rank=1e-4, eps_residual=1e-4)
+    rep = Representation(free_abelian_group(2), "real", [rotation(1e-6), rotation(2e-6)], tol=loose)
+    result = search_irreducible_cocycle(rep, trials=5, seed=0)
+    assert result.found and result.trials_used == 1
+    witness = Cocycle(rep, result.witness.values)
+    assert not validity_report(TOL, cocycle=witness).passed
+    assert decide_irreducibility(AffineAction(rep, witness)).irreducible
 
 
 def rho_sum(rho: Representation, copies: int) -> Representation:
@@ -496,8 +491,11 @@ def test_a_found_search_screens_and_confirms_only_up_to_its_trial(monkeypatch, f
         verdicts = counting(monkeypatch, actions_module, "decide_irreducibility")
         result = search_irreducible_cocycle(rep, trials=20, seed=5)
         monkeypatch.undo()
-        # one (h, c) map per screened trial, none beyond the confirmed one
-        assert result.found and [s.shape for s in spectra] == [(min(h, c),)] * result.trials_used
+        # one (h, c) map per screened trial, none beyond the confirmed one;
+        # the screens take singular values only, while the confirmation's
+        # null-space SVDs also return their factors
+        screens = [s.shape for s in spectra if isinstance(s, np.ndarray)]
+        assert result.found and screens == [(min(h, c),)] * result.trials_used
         assert len(ranks) == result.trials_used
         assert len(verdicts) == sum(rank == c for rank in ranks)
         assert [v.reducible for v in verdicts][-1] is False

@@ -77,7 +77,7 @@ def reference_dims(action: AffineAction) -> tuple[int, int, int]:
     """Dimensions of the affine commutant, the commutant of pi and the fixed
     space from the dense Kronecker system, the cocycle at unit scale."""
     rep = action.rep
-    s = unit_scale(TOL, action)
+    s = unit_scale(action)
     values = [b / s for b in action.cocycle.values]
     affine = qr_null_space(kronecker_intertwiner_system(rep, rep, values, values)[0]).shape[1]
     linear = qr_null_space(kronecker_intertwiner_system(rep, rep)[0]).shape[1]
@@ -107,7 +107,7 @@ def certified_equivalence(a1: AffineAction, a2: AffineAction) -> bool:
 def reference_consistent(a1: AffineAction, a2: AffineAction) -> bool:
     """The dense system T pi1 = pi2 T, T b1 - (pi2 - I) t = b2 has a
     least-squares solution within the residual bound."""
-    s = unit_scale(TOL, a1, a2)
+    s = unit_scale(a1, a2)
     values1, values2 = [b / s for b in a1.cocycle.values], [b / s for b in a2.cocycle.values]
     return lstsq_solve(*kronecker_intertwiner_system(a1.rep, a2.rep, values1, values2)) is not None
 
@@ -266,7 +266,7 @@ def test_sum_decision_matches_a_decision_at_the_sum_dimension(family, field):
         assert verdict.reducible == ref_verdict.reducible, label
         assert len(verdict.commutant) == len(ref_verdict.commutant), label
         if verdict.commutant:
-            s = unit_scale(TOL, action)
+            s = unit_scale(action)
             assert_same_span(pair_columns(verdict.commutant, s), pair_columns(ref_verdict.commutant, s), label)
         if verdict.reducible:
             assert_witness_certified(label, action, verdict)
@@ -578,7 +578,7 @@ def reference_codimension(action: AffineAction) -> int:
     at unit scale), stacked: the codimension of the minimal invariant
     affine subspace."""
     rep, d = action.rep, action.dim
-    s = unit_scale(TOL, action)
+    s = unit_scale(action)
     values = [b / s for b in action.cocycle.values]
     kernel = qr_null_space(kronecker_intertwiner_system(rep, rep, values, values)[0])
     stacked = np.vstack([column[: d * d].reshape(d, d) for column in kernel.T])
