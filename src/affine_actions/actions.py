@@ -42,8 +42,8 @@ from .reps import (
     Representation,
     _block_diagonal,
     _generic_weights,
+    _row_blocks,
     boundary_split,
-    commutant_basis,
     fixed_subspace,
     hom_basis,
     validity_report,
@@ -210,11 +210,24 @@ def certify(residual: float, parts, action: AffineAction, what: str) -> float:
     return residual
 
 
-def _moved_values(ops: np.ndarray, action: AffineAction, scale: float) -> np.ndarray:
-    """The (g d2, n) matrix whose column j stacks T_j b(s) / scale over the
-    generators s, for a (n, d2, d) stack of operators T_j."""
-    values = action.cocycle.coordinates().reshape(-1, action.dim) / scale
+def _moved_values(ops: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The (g d2, n) matrix whose column j stacks T_j v(s) over the generators
+    s, for a (n, d2, d) stack of operators T_j and (g, d) values v(s)."""
     return (ops @ values.T).transpose(2, 1, 0).reshape(len(values) * ops.shape[1], len(ops))
+
+
+def _frame_scales(action: AffineAction) -> np.ndarray:
+    """The diagonal of D^-1 for the frame D alpha D^-1 of stage 3: each
+    coordinate carries the ``unit_scale`` s_i of its own summand's cocycle,
+    so D = diag(I/s1, I/s2) for a direct sum and I/s for a plain one."""
+    summands = action.rep._summands
+    if summands is None:
+        return np.full(action.dim, unit_scale(action))
+    values, scales = action.cocycle.coordinates().reshape(-1, action.dim), np.empty(action.dim)
+    for rows in (slice(None, summands[0].dim), slice(summands[0].dim, None)):
+        norm = float(np.linalg.norm(values[:, rows], axis=1).max(initial=0.0))
+        scales[rows] = norm if norm > action.tol.eps_residual else 1.0
+    return scales
 
 
 @dataclass(frozen=True)
@@ -235,58 +248,49 @@ def affine_commutant(action: AffineAction) -> AffineCommutant:
     the commutant is solved"): pi' = span U_j (``commutant_basis``) and the
     boundary map B (``boundary_split``) once per representation, then per
     cocycle the x with [U_j b]_j x in range(B), with t = B+ U b, and the
-    pairs (0, f) for f in the fixed space. The cocycle is taken at unit
-    scale (see ``unit_scale``); the basis is orthonormal in (vec U, t/s).
+    pairs (0, f) for f in the fixed space. Stage 3 is solved in the frame
+    D alpha D^-1 of ``_frame_scales``: D commutes with pi, so the cocycle
+    becomes D b, each summand's at unit scale, and the pairs (U', t') map
+    back by U = D^-1 U' D, t = D^-1 t' (U = U', t = s t' for D = I/s). The
+    basis is orthonormal in the frame, in (vec D U D^-1, D t).
 
-    For a direct sum (``direct_sum``) the third stage splits by row block,
-    since B^1(pi1 (+) pi2) = B^1(pi1) (+) B^1(pi2): U b is a coboundary iff
-    each row block of it is one. The first c1 + h elements of the sum's
-    block commutant have only top rows, the others only bottom rows, so the
-    annihilator is two problems at summand size, N1 of g d1 rows against
-    ``boundary_split(pi1)`` and N2 of g d2 rows against
-    ``boundary_split(pi2)``; their pairs are orthogonal, and each block
-    is orthonormalized on its own (``_annihilator_blocks``).
-    Each pair is certified at the action's dimension; one failing raises
+    For a direct sum (``direct_sum``) stage 3 splits by row block, since
+    B^1(pi1 (+) pi2) = B^1(pi1) (+) B^1(pi2): each row block of the
+    summands' pi1', Hom and pi2' (``reps._row_blocks``) is solved at summand
+    height against its summand's ``boundary_split`` and orthonormalized on
+    its own, once when both summands are one representation. Each pair is
+    certified at the action's dimension; one failing raises
     InternalCheckError.
     """
     rep, d = action.rep, action.dim
-    s = unit_scale(action)
-    pairs = []
-    for rows, ops, split in _annihilator_blocks(rep):
-        moved = _moved_values(ops[:, rows], action, s)
+    scales = _frame_scales(action)
+    values = action.cocycle.coordinates().reshape(-1, d) / scales
+    pairs, fixed, splits = [], [], [boundary_split(r) for r in rep._summands or (rep,)]
+    for (placements, ops), split in zip(_row_blocks(rep), splits):  # one block for one representation
+        fixed += [(rows, f) for rows in placements for f in split.kernel.T]
+        moved = _moved_values(ops, values)
         coefficients = null_space_basis(moved - split.image @ (split.image.conj().T @ moved), action.tol)
         if not coefficients.shape[1]:
             continue
-        # the t = B+ U b lie off the fixed space, so only these pairs need
-        # orthonormalizing in (vec U, t/s); vec U is isometric in x
+        # the t' = B+ U' D b lie off the fixed space, so only these pairs
+        # need orthonormalizing in the frame; vec U' is isometric in x
         stacked = np.linalg.qr(np.vstack([coefficients, split.pinv @ (moved @ coefficients)]))[0]
-        deviations = (stacked[: len(ops)].T @ ops.reshape(len(ops), d * d)).reshape(-1, d, d)
-        translations = np.zeros((len(deviations), d), stacked.dtype)
-        translations[:, rows] = s * stacked[len(ops) :].T
-        pairs += map(CommutantPair, deviations, translations)
-    pairs += [CommutantPair(np.zeros((d, d), rep.dtype), s * f) for f in boundary_split(rep).kernel.T]
+        u = (stacked[: len(ops)].T @ ops.reshape(len(ops), -1)).reshape(-1, *ops.shape[1:])
+        for rows in placements:
+            deviations = np.zeros((len(u), d, d), u.dtype)
+            deviations[:, rows] = u * (scales[rows, None] / scales)
+            translations = np.zeros((len(u), d), stacked.dtype)
+            translations[:, rows] = scales[rows] * stacked[len(ops) :].T
+            pairs += map(CommutantPair, deviations, translations)
+    for rows, f in fixed:
+        translation = np.zeros(d, f.dtype)
+        translation[rows] = scales[rows] * f
+        pairs.append(CommutantPair(np.zeros((d, d), rep.dtype), translation))
     residuals = [
         certify(commutant_residual(action, p), (p.deviation, p.translation), action, "commutant basis element")
         for p in pairs
     ]
     return AffineCommutant(tuple(pairs), {"worst_equation_defect": max(residuals, default=0.0)})
-
-
-def _annihilator_blocks(rep: Representation) -> list:
-    """``(rows, ops, split)`` per row block of the stage-3 annihilator: the
-    commutant elements whose nonzero rows are ``rows``, and the boundary
-    split those rows are solved against. A plain representation is one
-    block; a direct sum is its summands' two, with the top one holding the
-    first c1 + h elements of its block commutant (``reps.commutant_basis``)."""
-    ops = np.asarray(commutant_basis(rep))
-    if rep._summands is None:
-        return [(slice(None), ops, boundary_split(rep))]
-    r1, r2 = rep._summands
-    top = (len(ops) + len(commutant_basis(r1)) - len(commutant_basis(r2))) // 2
-    return [
-        (slice(None, r1.dim), ops[:top], boundary_split(r1)),
-        (slice(r1.dim, None), ops[top:], boundary_split(r2)),
-    ]
 
 
 def commutant_residual(action: AffineAction, pair_or_map) -> float:
@@ -405,13 +409,30 @@ def _kernel_subspace(s: np.ndarray, t: np.ndarray, tol: ToleranceProfile) -> Aff
     return AffineSubspace(base, right[rank:].conj().T)
 
 
-def _minimal_subspace(pairs, tol: ToleranceProfile) -> AffineSubspace:
-    """The minimal invariant affine subspace of the commutant ``pairs``: K of
-    ``_kernel_subspace`` with S the nonzero rows of every pair's U stacked
-    and T the matching entries of its t (see ``decide_irreducibility``)."""
-    rows = np.vstack([p.deviation for p in pairs])
-    kept = rows.any(axis=1)
-    return _kernel_subspace(rows[kept], np.concatenate([p.translation for p in pairs])[kept], tol)
+def _minimal_subspace(action: AffineAction, pairs) -> AffineSubspace:
+    """K of ``_kernel_subspace`` on the nonzero rows S of every pair's U and
+    the matching entries T of its t (see ``decide_irreducibility``); a row
+    block solved for both summands is read once. Summand i's rows are scaled
+    by m / s_i, m = min s (``_frame_scales``), to the solved U' D times m,
+    which shrinks the larger summand's columns by m / max s. So the rows that
+    vanish on the other columns (one QR, then the kernel of one SVD of those
+    columns) are cut to exact zeros there and scaled back before the cut."""
+    summands, scales, tol = action.rep._summands, _frame_scales(action), action.tol
+    rows = slice(None, summands[0].dim) if summands and summands[0] is summands[1] else slice(None)
+    weights = scales.min() / scales[rows]
+    s = (np.array([p.deviation[rows] for p in pairs]) * weights[:, None]).reshape(-1, action.dim)
+    t = (np.array([p.translation[rows] for p in pairs]) * weights).reshape(-1)
+    kept = s.any(axis=1)
+    s, t = s[kept], t[kept]
+    small = scales == scales.min()
+    if not small.all():
+        r = np.linalg.qr(np.column_stack([s, t]), mode="r")
+        left, singular, _ = np.linalg.svd(r[:, :-1][:, small])
+        rank, ratio = numerical_rank(singular, tol), scales.max() / scales.min()
+        s, t = left.conj().T @ r[:, :-1], left.conj().T @ r[:, -1]
+        s[rank:, small] = 0.0
+        s[rank:], t[rank:] = ratio * s[rank:], ratio * t[rank:]
+    return _kernel_subspace(s, t, tol)
 
 
 def decide_irreducibility(action: AffineAction) -> IrreducibilityVerdict:
@@ -427,8 +448,8 @@ def decide_irreducibility(action: AffineAction) -> IrreducibilityVerdict:
     split of the boundary map, with the fixed space, are solved once per
     representation and reused by every cocycle over it; only the small
     annihilator test of ``affine_commutant`` runs per cocycle. The commutant
-    is solved at unit cocycle scale, so the verdict is invariant under
-    b -> lambda b.
+    is solved in a frame of unit cocycle scale, so the verdict is invariant
+    under b -> lambda b.
 
     A Reducible verdict carries the minimal invariant affine subspace K and
     the nearest-point map onto it, (U, t) = (-p, base of K), both certified
@@ -438,19 +459,15 @@ def decide_irreducibility(action: AffineAction) -> IrreducibilityVerdict:
     read off the stacked nonzero rows of every pair's U
     (``_minimal_subspace``). An invariant K' gives the pair of its
     nearest-point map, so dim K' >= dim K: K is minimal, and its dimension
-    does not depend on the null-space basis. For a (+) a with summands
-    equal bit for bit, K is read at summand size (``_double_witness``).
-    Irreducible verdicts are checked against the fixed space (the commutant
+    does not depend on the null-space basis. For a (+) a, K is the diagonal
+    embedding of a's own K. Irreducible verdicts are checked against the fixed space (the commutant
     must be exactly the translations along it).
     """
     pairs = affine_commutant(action).pairs
     fixed = fixed_subspace(action.rep)
     if len(pairs) > fixed.shape[1]:
-        if _equal_summands(action):
-            witness, subspace = _double_witness(action, pairs)
-        else:
-            subspace = _minimal_subspace(pairs, action.tol)
-            witness = AffineMap(subspace.directions @ subspace.directions.conj().T, subspace.base)
+        subspace = _minimal_subspace(action, pairs)
+        witness = AffineMap(subspace.directions @ subspace.directions.conj().T, subspace.base)
         residuals = {
             "witness_commutant": certify(
                 commutant_residual(action, witness), (witness.deviation, witness.translation), action, "witness map"
@@ -479,30 +496,6 @@ def _equal_summands(action: AffineAction) -> bool:
         return False
     r1, r2 = action.rep._summands
     return r1 is r2 and all(np.array_equal(b[: r1.dim], b[r1.dim :]) for b in action.cocycle.values)
-
-
-def _double_witness(action: AffineAction, pairs) -> tuple[AffineMap, AffineSubspace]:
-    """The witness and minimal subspace of a (+) a at summand size.
-
-    The commutant of pi (+) pi is M2(pi'), and a row block [A, B] of the
-    sum's L holds A + B in a's ideal L_a, so there are 2 (c + dim L_a)
-    moving pairs, c = dim pi'. With 2c of them a is irreducible, the joint
-    row space is {(y, -y)} and K is the diagonal. Otherwise it also holds
-    (p_a y, 0), and K is the diagonal embedding {(z, z) : z in K_a} of a's
-    own minimal subspace, solved on a. The nearest-point map onto it is
-    [[P, P], [P, P]] / 2 with P that of K_a's directions.
-    """
-    r1 = action.rep._summands[0]
-    d1, dtype = r1.dim, r1.dtype
-    if sum(p.deviation.any() for p in pairs) == 2 * len(commutant_basis(r1)):
-        base, directions, linear = np.zeros(d1, dtype), np.eye(d1, dtype=dtype), np.eye(d1, dtype=dtype)
-    else:
-        summand = AffineAction(r1, Cocycle(r1, [b[:d1] for b in action.cocycle.values], validate=False))
-        k = _minimal_subspace(affine_commutant(summand).pairs, r1.tol)
-        base, directions = k.base, k.directions
-        linear = directions @ directions.conj().T
-    witness = AffineMap(np.kron(np.full((2, 2), 0.5), linear), np.concatenate([base, base]))
-    return witness, AffineSubspace(witness.translation, np.vstack([directions] * 2) / np.sqrt(2.0))
 
 
 def project_action(action: AffineAction, basis: np.ndarray) -> AffineAction:
@@ -641,7 +634,7 @@ def check_equivalence(
     tol, d = a1.tol, a1.dim
     s = unit_scale(a1, a2)
     homs, split = hom_basis(a1.rep, a2.rep), boundary_split(a2.rep)
-    moved, rhs = _moved_values(homs, a1, s), a2.cocycle.coordinates() / s
+    moved, rhs = _moved_values(homs, a1.cocycle.coordinates().reshape(-1, d) / s), a2.cocycle.coordinates() / s
     solution = solve_affine_system(np.hstack([moved, split.image]), rhs, tol)
     if solution is None:
         return EquivalenceResult(False, None, probabilistic=False)
@@ -701,9 +694,9 @@ def analyze_direct_sum(a1: AffineAction, a2: AffineAction) -> DirectSumAnalysis:
     whatever a is, K is the diagonal and the projected actions are the
     summands themselves.
 
-    The decision solves the sum's annihilator as two problems at summand
-    size (``affine_commutant``) and certifies every pair, the witness map
-    and its subspace at the sum's dimension (``decide_irreducibility``).
+    The decision solves the sum's annihilator at summand height
+    (``affine_commutant``) and certifies every pair, the witness map and
+    its subspace at the sum's dimension (``decide_irreducibility``).
     Write a commutant element as U = [[A, B], [C, D]] and t = (t1, t2)
     in the summands' blocks. Its bottom row block solves
     C b1 + D b2 = (pi2 - I) t2 with C in Hom(pi1, pi2) and D in pi2', so
@@ -717,9 +710,9 @@ def analyze_direct_sum(a1: AffineAction, a2: AffineAction) -> DirectSumAnalysis:
     W2 = range D* are equivalent through x -> -D+(C x + t2). That map is
     certified against the projected generator maps; a zero or singular
     block, or one that fails, raises InternalCheckError. The block is linear
-    in the commutant translations, which the decision solves at the sum's
-    unit scale (``unit_scale``) and multiplies back, so it needs no
-    rescaling.
+    in the commutant translations, solved where each summand has unit scale
+    (``affine_commutant``) and mapped back, so it needs no rescaling, and on
+    a (+) lambda a both C and D keep their digits.
     """
     sum_action = direct_sum(a1, a2)
     if not _equal_summands(sum_action):

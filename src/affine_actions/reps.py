@@ -487,29 +487,35 @@ def commutant_basis(rep: Representation) -> list[np.ndarray]:
     """
     if rep._summands is None:
         return list(_solved(rep, "commutant", lambda: tuple(read_only(hom_basis(rep, rep)))))
-    return list(_solved(rep, "commutant", lambda: tuple(read_only(_sum_commutant(*rep._summands)))))
+    return list(_solved(rep, "commutant", lambda: tuple(read_only(_sum_commutant(rep)))))
 
 
-def _sum_commutant(rep1: Representation, rep2: Representation) -> np.ndarray:
-    d1 = rep1.dim
+def _row_blocks(rep: Representation) -> list:
+    """The commutant by distinct row block, in ``commutant_basis`` order: a
+    (n, rows, d) basis stack, with the row ranges it fills. A sum's blocks
+    hold pi1' and Hom(pi2, pi1), then Hom(pi1, pi2) and pi2'; summands on
+    one representation give one block of pi' and pi', which fills both."""
+    if rep._summands is None:
+        return [((slice(None),), np.asarray(commutant_basis(rep)))]
+
+    def row(left, right):  # the elements of left in the first columns, then those of right
+        return _block_diagonal(left.transpose(1, 0, 2), right.transpose(1, 0, 2)).transpose(1, 0, 2)
+
+    rep1, rep2 = rep._summands
+    top, bottom = slice(0, rep1.dim), slice(rep1.dim, rep.dim)
     first = np.asarray(commutant_basis(rep1))
     if rep1 is rep2:
-        homs, second = first, first
-    else:
-        homs, second = hom_basis(rep1, rep2), np.asarray(commutant_basis(rep2))
-    blocks = (
-        (first, slice(None, d1), slice(None, d1)),
-        (homs.conj().transpose(0, 2, 1), slice(None, d1), slice(d1, None)),
-        (homs, slice(d1, None), slice(None, d1)),
-        (second, slice(d1, None), slice(d1, None)),
-    )
-    size = d1 + rep2.dim
-    basis = np.zeros((sum(len(b) for b, _, _ in blocks), size, size), dtype=rep1.dtype)
-    start = 0
-    for block, rows, cols in blocks:
-        basis[start : start + len(block), rows, cols] = block
-        start += len(block)
-    return basis
+        return [((top, bottom), row(first, first))]
+    homs = _solved(rep, "hom", lambda: read_only(hom_basis(rep1, rep2)))
+    return [
+        ((top,), row(first, homs.conj().transpose(0, 2, 1))),
+        ((bottom,), row(homs, np.asarray(commutant_basis(rep2)))),
+    ]
+
+
+def _sum_commutant(rep: Representation) -> np.ndarray:
+    blocks = [(rows, basis) for placements, basis in _row_blocks(rep) for rows in placements]
+    return np.concatenate([np.pad(b, ((0, 0), (r.start, rep.dim - r.stop), (0, 0))) for r, b in blocks])
 
 
 def _relator_coefficient_matrix(rep: Representation) -> np.ndarray:

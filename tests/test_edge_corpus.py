@@ -8,12 +8,13 @@ raise InternalCheckError, no move may flip the verdict, and a Reducible
 move keeps the dimension of the witness subspace.
 
 Each action is also summed with itself, with a second random cocycle a' on
-its representation and with a random action b on a second representation
-of the family (a' and b drawn after a from a fresh ``default_rng(7919 d +
-seed)``), and the sum analyzed (``helpers.check_witness``): a double has the
-diagonal projections, another sum raises ActionError iff a summand is
-reducible, and otherwise has certified projections or is irreducible; none
-raises InternalCheckError.
+its representation, with a random action b on a second representation of
+the family (a' and b drawn after a from a fresh ``default_rng(7919 d +
+seed)``) and with lambda times itself for lambda in {1e8, 1e9}, and the
+sum analyzed (``helpers.check_witness``): a double has the diagonal
+projections, another sum raises ActionError iff a summand is reducible,
+and otherwise has certified projections or is irreducible; none raises
+InternalCheckError.
 
 The tier-1 tests run seeds 15 and 24 and the first decision that exited 13
 under the former witness rule. The full sweep runs as a script:
@@ -29,7 +30,7 @@ import time
 import numpy as np
 import pytest
 
-from affine_actions import check_invariance, commutant_residual, decide_irreducibility
+from affine_actions import AffineAction, check_invariance, commutant_residual, decide_irreducibility
 from affine_actions.actions import InternalCheckError, certification_scale
 from affine_actions.linalg import residual_ok
 
@@ -68,7 +69,7 @@ def check_case(label, action, rng) -> int:
 
 def sum_cases(family: str, field: str, seeds):
     """(label, a1, a2): each corpus action (random and zero cocycle) summed
-    with itself, with a' and with b."""
+    with itself, with a', with b and with 1e8 and 1e9 times itself."""
     for d in DIMS:
         for seed in seeds:
             rng = np.random.default_rng(7919 * d + seed)
@@ -76,7 +77,11 @@ def sum_cases(family: str, field: str, seeds):
             other = random_action(a.rep, rng)
             b = random_action(FAMILIES[family](rng, d, field), rng)
             for kind, action in (("random", a), ("zero", fixed_point_action(a))):
-                for partner, summand in (("double", action), ("a'", other), ("b", b)):
+                scaled = [
+                    (f"{lam:.0e}a", AffineAction.from_values(action.rep, [lam * v for v in action.cocycle.values]))
+                    for lam in (1e8, 1e9)
+                ]
+                for partner, summand in (("double", action), ("a'", other), ("b", b), *scaled):
                     yield (family, field, d, seed, kind, partner), action, summand
 
 
@@ -113,7 +118,7 @@ def main() -> int:
     start = time.perf_counter()
     print(f"edge corpus: seeds {SEEDS.start}-{SEEDS.stop - 1}, d {DIMS.start}-{DIMS.stop - 1}, "
           f"{len(FAMILIES)} families x {len(FIELDS)} fields x {{random, zero}} cocycle, rng 7919 d + seed; "
-          "each action summed with itself, a' and b")
+          "each action summed with itself, a', b and 1e8 and 1e9 times itself")
     decisions = moves = sums = 0
     failures = []
     for family in sorted(FAMILIES):

@@ -25,7 +25,7 @@ from affine_actions import (
     fixed_subspace,
     intertwining_residual,
 )
-from affine_actions.actions import _moved_values, unit_scale
+from affine_actions.actions import _frame_scales, _moved_values, unit_scale
 from affine_actions.linalg import (
     null_space_basis,
     numerical_rank,
@@ -82,7 +82,7 @@ def test_reduced_system_matches_kronecker_reference(family, field, double):
     for seed in range(12):
         action = family_action(family, field, seed, double)
         rep = action.rep
-        s = unit_scale(action)
+        s = _frame_scales(action)  # per coordinate: the frame stage 3 is solved in
         values = [b / s for b in action.cocycle.values]
 
         ref_matrix = kronecker_intertwiner_system(rep, rep, values, values)[0]
@@ -102,7 +102,7 @@ def test_reduced_system_matches_kronecker_reference(family, field, double):
             assert np.linalg.norm(ref_matrix @ column) <= affine_cutoff, (family, seed)
         for element in basis:
             assert np.linalg.norm(ref_linear_matrix @ element.reshape(-1)) <= linear_cutoff, (family, seed)
-        # the lifted bases are orthonormal in (vec U, t/s) and in vec T
+        # the lifted bases are orthonormal in the frame, (vec U, t/s), and in vec T
         for columns in (
             [np.concatenate([p.deviation.reshape(-1), p.translation / s]) for p in pairs],
             [element.reshape(-1) for element in basis],
@@ -124,7 +124,8 @@ def coboundary_rule_solution(a1: AffineAction, a2: AffineAction, s: float):
     T_j b1 - b2), and the vec T columns of the homogeneous part; None when
     the system is inconsistent."""
     homs, split = hom_basis(a1.rep, a2.rep), boundary_split(a2.rep)
-    moved, rhs = _moved_values(homs, a1, s), a2.cocycle.coordinates() / s
+    moved = _moved_values(homs, a1.cocycle.coordinates().reshape(-1, a1.dim) / s)
+    rhs = a2.cocycle.coordinates() / s
     solution = solve_affine_system(np.hstack([moved, split.image]), rhs, a1.tol)
     if solution is None:
         return None
@@ -163,7 +164,7 @@ def test_gram_path_matches_row_stacked_qr_reference(family, field, double):
     for seed in range(12):
         action = family_action(family, field, seed, double)
         rep = action.rep
-        s = unit_scale(action)
+        s = _frame_scales(action)  # per coordinate: the frame stage 3 is solved in
         values = [b / s for b in action.cocycle.values]
         gram, apply, lift = intertwiner_system(rep, rep)
         matrix, _, ref_lift = row_stacked_intertwiner_system(rep, rep)
