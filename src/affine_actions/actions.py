@@ -41,6 +41,7 @@ from .reps import (
     Cocycle,
     Representation,
     _block_diagonal,
+    _copies,
     _generic_weights,
     _row_blocks,
     boundary_split,
@@ -218,15 +219,13 @@ def _moved_values(ops: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def _frame_scales(action: AffineAction) -> np.ndarray:
     """The diagonal of D^-1 for the frame D alpha D^-1 of stage 3: each
-    coordinate carries the ``unit_scale`` s_i of its own summand's cocycle,
-    so D = diag(I/s1, I/s2) for a direct sum and I/s for a plain one."""
-    summands = action.rep._summands
-    if summands is None:
-        return np.full(action.dim, unit_scale(action))
-    values, scales = action.cocycle.coordinates().reshape(-1, action.dim), np.empty(action.dim)
-    for rows in (slice(None, summands[0].dim), slice(summands[0].dim, None)):
-        norm = float(np.linalg.norm(values[:, rows], axis=1).max(initial=0.0))
-        scales[rows] = norm if norm > action.tol.eps_residual else 1.0
+    coordinate carries the ``unit_scale`` s_i of its own copy's cocycle
+    (``reps._copies``): D = diag(I/s_1, .., I/s_n), I/s for a plain action."""
+    scales = np.empty(action.dim)
+    for _, placements in _copies(action.rep):
+        for rows in placements:
+            norm = max((float(np.linalg.norm(b[rows])) for b in action.cocycle.values), default=0.0)
+            scales[rows] = norm if norm > action.tol.eps_residual else 1.0
     return scales
 
 
@@ -250,23 +249,23 @@ def affine_commutant(action: AffineAction) -> AffineCommutant:
     cocycle the x with [U_j b]_j x in range(B), with t = B+ U b, and the
     pairs (0, f) for f in the fixed space. Stage 3 is solved in the frame
     D alpha D^-1 of ``_frame_scales``: D commutes with pi, so the cocycle
-    becomes D b, each summand's at unit scale, and the pairs (U', t') map
+    becomes D b, each copy's part at unit scale, and the pairs (U', t') map
     back by U = D^-1 U' D, t = D^-1 t' (U = U', t = s t' for D = I/s). The
     basis is orthonormal in the frame, in (vec D U D^-1, D t).
 
-    For a direct sum (``direct_sum``) stage 3 splits by row block, since
-    B^1(pi1 (+) pi2) = B^1(pi1) (+) B^1(pi2): each row block of the
-    summands' pi1', Hom and pi2' (``reps._row_blocks``) is solved at summand
-    height against its summand's ``boundary_split`` and orthonormalized on
-    its own, once when both summands are one representation. Each pair is
-    certified at the action's dimension; one failing raises
+    Stage 3 splits by row block, since B^1 of a direct sum is the sum of
+    its summands' B^1: the row block of each distinct summand
+    (``reps._row_blocks``) is solved once, at summand height, against its
+    ``boundary_split``, orthonormalized on its own and placed in every copy.
+    Each pair is certified at the action's dimension; one failing raises
     InternalCheckError.
     """
     rep, d = action.rep, action.dim
     scales = _frame_scales(action)
     values = action.cocycle.coordinates().reshape(-1, d) / scales
-    pairs, fixed, splits = [], [], [boundary_split(r) for r in rep._summands or (rep,)]
-    for (placements, ops), split in zip(_row_blocks(rep), splits):  # one block for one representation
+    pairs, fixed = [], []
+    for summand, placements, ops in _row_blocks(rep):
+        split = boundary_split(summand)
         fixed += [(rows, f) for rows in placements for f in split.kernel.T]
         moved = _moved_values(ops, values)
         coefficients = null_space_basis(moved - split.image @ (split.image.conj().T @ moved), action.tol)
@@ -410,29 +409,28 @@ def _kernel_subspace(s: np.ndarray, t: np.ndarray, tol: ToleranceProfile) -> Aff
 
 
 def _minimal_subspace(action: AffineAction, pairs) -> AffineSubspace:
-    """K of ``_kernel_subspace`` on the nonzero rows S of every pair's U and
-    the matching entries T of its t (see ``decide_irreducibility``); a row
-    block solved for both summands is read once. Summand i's rows are scaled
-    by m / s_i, m = min s (``_frame_scales``), to the solved U' D times m,
-    which shrinks the larger summand's columns by m / max s. So the rows that
-    vanish on the other columns (one QR, then the kernel of one SVD of those
-    columns) are cut to exact zeros there and scaled back before the cut."""
-    summands, scales, tol = action.rep._summands, _frame_scales(action), action.tol
-    rows = slice(None, summands[0].dim) if summands and summands[0] is summands[1] else slice(None)
-    weights = scales.min() / scales[rows]
-    s = (np.array([p.deviation[rows] for p in pairs]) * weights[:, None]).reshape(-1, action.dim)
-    t = (np.array([p.translation[rows] for p in pairs]) * weights).reshape(-1)
+    """K = D^-1 K' for K' the ``_kernel_subspace`` of the frame pairs
+    (D U D^-1, D t) of stage 3 (``_frame_scales``): D commutes with pi, so
+    it maps the minimal invariant subspace of alpha to the frame action's.
+    Only each distinct summand's first copy is read: every copy holds the
+    same solved rows. D = diag(m/s_i), m = min s, is I for equal scales
+    (K = K'); else K's directions are one QR of D^-1 V' on its nonzero rows,
+    keeping exact zeros, and its base D^-1 base' is taken off them for (V V*, base)."""
+    scales, d = _frame_scales(action), action.dim
+    weights = scales.min() / scales
+    firsts = [placements[0] for _, placements in _copies(action.rep)]
+    prefix = all(q.stop == r.start for q, r in zip(firsts, firsts[1:]))  # a view unless a first copy follows a repeat
+    rows = slice(0, firsts[-1].stop) if prefix else np.r_[tuple(firsts)]
+    s = (np.array([p.deviation[rows] for p in pairs]) * (weights[rows, None] / weights)).reshape(-1, d)
+    t = (np.array([p.translation[rows] for p in pairs]) * weights[rows]).reshape(-1)
     kept = s.any(axis=1)
-    s, t = s[kept], t[kept]
-    small = scales == scales.min()
-    if not small.all():
-        r = np.linalg.qr(np.column_stack([s, t]), mode="r")
-        left, singular, _ = np.linalg.svd(r[:, :-1][:, small])
-        rank, ratio = numerical_rank(singular, tol), scales.max() / scales.min()
-        s, t = left.conj().T @ r[:, :-1], left.conj().T @ r[:, -1]
-        s[rank:, small] = 0.0
-        s[rank:], t[rank:] = ratio * s[rank:], ratio * t[rank:]
-    return _kernel_subspace(s, t, tol)
+    frame = _kernel_subspace(s[kept], t[kept], action.tol)
+    if (weights == 1.0).all():
+        return frame
+    directions, base = frame.directions / weights[:, None], frame.base / weights
+    nonzero = directions.any(axis=1)
+    directions[nonzero] = np.linalg.qr(directions[nonzero])[0]
+    return AffineSubspace(base - directions @ (directions.conj().T @ base), directions)
 
 
 def decide_irreducibility(action: AffineAction) -> IrreducibilityVerdict:
@@ -444,24 +442,21 @@ def decide_irreducibility(action: AffineAction) -> IrreducibilityVerdict:
     space, that is equivalent to the scale-free test used here: the solution
     space is no larger than the fixed space. The generator equations suffice
     because commuting with each generator map forces commuting with every
-    word (tested as a property, not assumed). The commutant of pi and the
-    split of the boundary map, with the fixed space, are solved once per
-    representation and reused by every cocycle over it; only the small
-    annihilator test of ``affine_commutant`` runs per cocycle. The commutant
-    is solved in a frame of unit cocycle scale, so the verdict is invariant
-    under b -> lambda b.
+    word (tested as a property, not assumed). Only stage 3 of
+    ``affine_commutant`` runs per cocycle, in a frame of unit cocycle scale,
+    so the verdict is invariant under b -> lambda b.
 
     A Reducible verdict carries the minimal invariant affine subspace K and
     the nearest-point map onto it, (U, t) = (-p, base of K), both certified
     (failing raises InternalCheckError). The U-parts of the pairs form a
     left ideal pi' p of pi' (A U b = (pi - I) A t for A in pi'), p the
     projector onto their joint row space, and K = {z : p z + t_p = 0} is
-    read off the stacked nonzero rows of every pair's U
-    (``_minimal_subspace``). An invariant K' gives the pair of its
+    read off the stacked nonzero rows of every pair's U, in the frame of
+    stage 3 (``_minimal_subspace``). An invariant K' gives the pair of its
     nearest-point map, so dim K' >= dim K: K is minimal, and its dimension
     does not depend on the null-space basis. For a (+) a, K is the diagonal
-    embedding of a's own K. Irreducible verdicts are checked against the fixed space (the commutant
-    must be exactly the translations along it).
+    embedding of a's own K. Irreducible verdicts are checked against the
+    fixed space (the commutant must be exactly the translations along it).
     """
     pairs = affine_commutant(action).pairs
     fixed = fixed_subspace(action.rep)
@@ -488,14 +483,6 @@ def decide_irreducibility(action: AffineAction) -> IrreducibilityVerdict:
         if not residual_ok(float(np.linalg.norm(off)), t_norm, action.tol.eps_residual):
             raise InternalCheckError("commutant translation leaves the fixed space")
     return IrreducibilityVerdict(False, pairs, translation_directions=fixed)
-
-
-def _equal_summands(action: AffineAction) -> bool:
-    """The action is a direct sum a (+) a of summands equal bit for bit."""
-    if action.rep._summands is None:
-        return False
-    r1, r2 = action.rep._summands
-    return r1 is r2 and all(np.array_equal(b[: r1.dim], b[r1.dim :]) for b in action.cocycle.values)
 
 
 def project_action(action: AffineAction, basis: np.ndarray) -> AffineAction:
@@ -538,12 +525,13 @@ def direct_sum(a1: AffineAction, a2: AffineAction) -> AffineAction:
     isometry bound does not grow with the number of blocks; the sum's
     defects are computed only if asked for.
 
-    The sum's representation keeps its two summand representations, so its
-    commutant and boundary split are assembled from the summands' stored
-    solves (see ``reps.commutant_basis``); its generic eigenbasis, which
-    only nested sums and ``check_equivalence`` read, is one ``eigh`` at
-    d1 + d2. Summands whose matrices are equal bit for bit are kept as the
-    first one twice, so a (+) a solves pi once, also when a is loaded twice.
+    The sum's representation keeps one flat record of its summands'
+    representations in row order, a summand that is a sum giving its own
+    record's entries. Every stage is read off the record's distinct entries
+    and their stored solves (``reps._row_blocks``), so nothing is solved at
+    the sum's dimension and a nested sum solves each distinct summand once.
+    An entry whose matrices equal an earlier one's bit for bit is kept as
+    that object, so a (+) a solves pi once, also when a is loaded twice.
     """
     if a1.presentation != a2.presentation:
         raise ActionError("direct sum requires identical presentations")
@@ -557,9 +545,11 @@ def direct_sum(a1: AffineAction, a2: AffineAction) -> AffineAction:
     r1, r2 = a1.rep, a2.rep
     matrices = [_block_diagonal(m1, m2) for m1, m2 in zip(r1.matrices, r2.matrices)]
     rep = Representation(a1.presentation, a1.field, matrices, dim=r1.dim + r2.dim, tol=a1.tol, validate=False)
-    if r1.dim == r2.dim and all(np.array_equal(m1, m2) for m1, m2 in zip(r1.matrices, r2.matrices)):
-        r2 = r1
-    rep._summands = (r1, r2)
+    record = []
+    for entry in (*(r1._summands or (r1,)), *(r2._summands or (r2,))):
+        same = (r for r in record if r.dim == entry.dim and all(map(np.array_equal, r.matrices, entry.matrices)))
+        record.append(next(same, entry))
+    rep._summands = tuple(record)
     values = tuple(np.concatenate([v1, v2]) for v1, v2 in zip(a1.cocycle.values, a2.cocycle.values))
     return AffineAction(rep, Cocycle(rep, values, validate=False))
 
@@ -690,32 +680,29 @@ def analyze_direct_sum(a1: AffineAction, a2: AffineAction) -> DirectSumAnalysis:
     The paper's criterion is for irreducible summands, so both summands are
     decided first, at summand size and from cached solves: a reducible one
     is named in an ActionError and the sum is not solved. Summands equal bit
-    for bit (``_equal_summands``) are not decided: a (+) a is reducible
-    whatever a is, K is the diagonal and the projected actions are the
-    summands themselves.
+    for bit (as arguments, whatever their records hold) are not decided:
+    a (+) a is reducible whatever a is, K is the diagonal and the projected
+    actions are the summands themselves.
 
-    The decision solves the sum's annihilator at summand height
-    (``affine_commutant``) and certifies every pair, the witness map and
-    its subspace at the sum's dimension (``decide_irreducibility``).
-    Write a commutant element as U = [[A, B], [C, D]] and t = (t1, t2)
-    in the summands' blocks. Its bottom row block solves
-    C b1 + D b2 = (pi2 - I) t2 with C in Hom(pi1, pi2) and D in pi2', so
-    K = {(x, y) : C x + D y + t2 = 0} is an invariant affine subspace. The
-    block combines the N2 pairs (bottom rows) under the fixed weights of
-    ``reps._generic_weights`` (nothing is drawn) at unit ||U||. For
-    irreducible summands range C = range D and t2 lies in it (a part of C
-    or D off the other's range would send b1 or b2 to a coboundary), so
-    with its rows compressed onto range C, K is by Goursat's lemma the graph
-    of a bijection: the projected actions on W1 = range C* and
+    Otherwise the projections are read off the bottom row block (C, D, t2)
+    of the commutant, U = [[A, B], [C, D]] and t = (t1, t2) in the
+    summands' blocks: its bottom-row pairs combined under the fixed weights
+    of ``reps._generic_weights`` (nothing is drawn) at unit ||U||, with C
+    in Hom(pi1, pi2) and D in pi2'. For irreducible summands range C =
+    range D and t2 lies in it (a part of C or D off the other's range would
+    send b1 or b2 to a coboundary), so with its rows compressed onto
+    range C, K = {(x, y) : C x + D y + t2 = 0} is by Goursat's lemma the
+    graph of a bijection: the projected actions on W1 = range C* and
     W2 = range D* are equivalent through x -> -D+(C x + t2). That map is
     certified against the projected generator maps; a zero or singular
-    block, or one that fails, raises InternalCheckError. The block is linear
-    in the commutant translations, solved where each summand has unit scale
-    (``affine_commutant``) and mapped back, so it needs no rescaling, and on
+    block, or one that fails, raises InternalCheckError. The pairs are
+    solved where each summand has unit scale (``affine_commutant``), so on
     a (+) lambda a both C and D keep their digits.
     """
     sum_action = direct_sum(a1, a2)
-    if not _equal_summands(sum_action):
+    pieces = a1.rep.matrices + a1.cocycle.values, a2.rep.matrices + a2.cocycle.values
+    equal = a1.dim == a2.dim and all(map(np.array_equal, *pieces))
+    if not equal:
         for name, summand in (("first", a1), ("second", a2)):
             if decide_irreducibility(summand).reducible:
                 raise ActionError(
@@ -724,15 +711,15 @@ def analyze_direct_sum(a1: AffineAction, a2: AffineAction) -> DirectSumAnalysis:
     verdict = decide_irreducibility(sum_action)
     if verdict.irreducible:
         return DirectSumAnalysis(sum_action, verdict, None)
-    return DirectSumAnalysis(sum_action, verdict, _graph_projections(sum_action, a1, a2, verdict.commutant))
+    return DirectSumAnalysis(sum_action, verdict, _graph_projections(a1, a2, verdict.commutant, equal))
 
 
-def _graph_projections(sum_action: AffineAction, a1: AffineAction, a2: AffineAction, pairs) -> EquivalentProjections:
+def _graph_projections(a1: AffineAction, a2: AffineAction, pairs, equal: bool) -> EquivalentProjections:
     """The certified projections of the bottom row block of the commutant
-    ``pairs`` (see ``analyze_direct_sum``). The block is scale-free; the
-    rank cut is relative to a witness with unit ||U||."""
+    ``pairs``, or the diagonal ones of a double (see ``analyze_direct_sum``).
+    The block is scale-free; the rank cut is relative to a witness with unit ||U||."""
     d1, tol = a1.dim, a1.tol
-    if _equal_summands(sum_action):
+    if equal:
         # a (+) a: the block (I, -I, 0), whose subspace is the diagonal
         w1 = w2 = np.eye(d1, dtype=a1.rep.dtype)
         mapping = AffineMap(w1, np.zeros(d1, dtype=a1.rep.dtype))

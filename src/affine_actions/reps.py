@@ -79,7 +79,7 @@ class Representation:
         self.dim = dim
         self.tol = tol
         self._solves: dict[str, object] = {}  # see _solved
-        self._summands: tuple[Representation, Representation] | None = None  # see actions.direct_sum
+        self._summands: tuple[Representation, ...] | None = None  # see actions.direct_sum
         if validate and (failure := validity_report(tol, rep=self).failure):
             raise failure
 
@@ -114,8 +114,7 @@ class Representation:
         isometry defect moves H's eigenvalues by at most twice the largest
         generator defect. Real input has c' = 0, so Q stays real. Without
         generators H = 0 and Q = I. Computed once per representation, by
-        one ``eigh`` at its dimension (a direct sum's too); the arrays are
-        read-only.
+        one ``eigh`` at its dimension; the arrays are read-only.
         """
         mats = np.asarray(self.matrices, dtype=self.dtype).reshape(-1, self.dim, self.dim)
         z = np.einsum("s,sij->ij", _generic_weights(len(mats), self.field), mats)
@@ -337,12 +336,12 @@ def boundary_split(rep: Representation) -> RangeSplit:
     image. It is solved once per representation, at ``rep.tol``, and kept
     in its store (``_solved``); the arrays are read-only.
 
-    For a direct sum (``actions.direct_sum``) B is diag(B1, B2) with its
-    rows interleaved generator by generator, so the split is assembled from
-    the summands' splits, each rank decided at its own block's sigma_max:
-    ``image`` and ``kernel`` hold the summands' columns block-diagonally
-    (the first summand's first) and ``pinv`` is diag(B1+, B2+) with its
-    columns interleaved the same way.
+    For a direct sum (``actions.direct_sum``) B is diag(B_1, .., B_n) with
+    its rows interleaved generator by generator, so the split is assembled
+    from the summands' splits, each rank decided at its own block's
+    sigma_max: ``image`` and ``kernel`` hold the summands' columns
+    block-diagonally, in row order, and ``pinv`` is diag(B_1+, .., B_n+)
+    with its columns interleaved the same way.
     """
     if rep._summands is None:
         return _solved(rep, "boundary", lambda: RangeSplit.of(rep.boundary_map(), rep.tol))
@@ -362,13 +361,15 @@ def _sum_boundary_split(rep: Representation) -> RangeSplit:
     )
 
 
-def _block_diagonal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a and b on the diagonal of their last two axes, zeros elsewhere; any
-    leading axes are shared."""
-    (m1, n1), (m2, n2) = a.shape[-2:], b.shape[-2:]
-    out = np.zeros(a.shape[:-2] + (m1 + m2, n1 + n2), dtype=np.result_type(a, b))
-    out[..., :m1, :n1] = a
-    out[..., m1:, n1:] = b
+def _block_diagonal(*blocks: np.ndarray) -> np.ndarray:
+    """The blocks on the diagonal of their last two axes, in order, zeros
+    elsewhere; any leading axes are shared."""
+    rows, cols = sum(b.shape[-2] for b in blocks), sum(b.shape[-1] for b in blocks)
+    out = np.zeros(blocks[0].shape[:-2] + (rows, cols), dtype=np.result_type(*blocks))
+    r = c = 0
+    for b in blocks:
+        out[..., r : r + b.shape[-2], c : c + b.shape[-1]] = b
+        r, c = r + b.shape[-2], c + b.shape[-1]
     return out
 
 
@@ -476,45 +477,57 @@ def commutant_basis(rep: Representation) -> list[np.ndarray]:
     representation and kept in its store (``_solved``); the elements are
     read-only arrays.
 
-    A direct sum pi1 (+) pi2 (``actions.direct_sum``) has the block
-    commutant [[pi1', Hom(pi2, pi1)], [Hom(pi1, pi2), pi2']]: each element
-    is one basis element of one block, placed in a zero matrix, in that
-    block order. pi1' and pi2' are the summands' cached bases,
-    Hom(pi1, pi2) takes one ``hom_basis`` solve, and Hom(pi2, pi1) is its
-    adjoints (T pi1 = pi2 T gives T* pi2 = pi1 T* for isometries). When
-    both summands are one representation every block is its pi' and
-    nothing is solved.
+    A direct sum pi_1 (+) .. (+) pi_n (``actions.direct_sum``) has the
+    block commutant [Hom(pi_j, pi_i)]_ij: each element is one element of
+    one block placed in a zero matrix, by row block (``_row_blocks``), so
+    nothing is solved at the sum's dimension.
     """
     if rep._summands is None:
         return list(_solved(rep, "commutant", lambda: tuple(read_only(hom_basis(rep, rep)))))
     return list(_solved(rep, "commutant", lambda: tuple(read_only(_sum_commutant(rep)))))
 
 
+def _copies(rep: Representation) -> list:
+    """Each distinct summand of ``rep``'s record (``actions.direct_sum``),
+    in order of first appearance, with the row ranges of its copies; a
+    representation that is not a sum is its own single summand."""
+    copies, start = {}, 0
+    for summand in rep._summands or (rep,):
+        copies.setdefault(summand, []).append(slice(start, start + summand.dim))
+        start += summand.dim
+    return list(copies.items())
+
+
 def _row_blocks(rep: Representation) -> list:
-    """The commutant by distinct row block, in ``commutant_basis`` order: a
-    (n, rows, d) basis stack, with the row ranges it fills. A sum's blocks
-    hold pi1' and Hom(pi2, pi1), then Hom(pi1, pi2) and pi2'; summands on
-    one representation give one block of pi' and pi', which fills both."""
-    if rep._summands is None:
-        return [((slice(None),), np.asarray(commutant_basis(rep)))]
-
-    def row(left, right):  # the elements of left in the first columns, then those of right
-        return _block_diagonal(left.transpose(1, 0, 2), right.transpose(1, 0, 2)).transpose(1, 0, 2)
-
-    rep1, rep2 = rep._summands
-    top, bottom = slice(0, rep1.dim), slice(rep1.dim, rep.dim)
-    first = np.asarray(commutant_basis(rep1))
-    if rep1 is rep2:
-        return [((top, bottom), row(first, first))]
-    homs = _solved(rep, "hom", lambda: read_only(hom_basis(rep1, rep2)))
-    return [
-        ((top,), row(first, homs.conj().transpose(0, 2, 1))),
-        ((bottom,), row(homs, np.asarray(commutant_basis(rep2)))),
-    ]
+    """The commutant by distinct summand pi_i (``_copies``): pi_i, its
+    copies' row ranges, and one (n, d_i, d) basis stack that every copy
+    shares, holding Hom(pi_j, pi_i) in the columns of each copy of each
+    pi_j: pi_i' (its cached ``commutant_basis``) for j = i, else one stored
+    ``hom_basis`` per pair of distinct summands (the sum's "hom" stage) or
+    its adjoints (T pi_i = pi_j T gives T* pi_j = pi_i T* for isometries)."""
+    copies, homs = _copies(rep), {}
+    n = len(copies)
+    if n > 1:
+        homs = _solved(rep, "hom", lambda: {
+            (i, j): read_only(hom_basis(copies[i][0], copies[j][0])) for i in range(n) for j in range(i + 1, n)
+        })
+    blocks = []
+    for i, (pi, placements) in enumerate(copies):
+        into = [  # Hom(pi_j, pi_i) as a (h, d_i, d_j) stack
+            homs[j, i] if j < i else homs[i, j].conj().transpose(0, 2, 1) if j > i else np.asarray(commutant_basis(pi))
+            for j in range(n)
+        ]
+        columns = [(cols, into[j]) for j, (_, spans) in enumerate(copies) for cols in spans]
+        ops, k = np.zeros((sum(len(b) for _, b in columns), pi.dim, rep.dim), rep.dtype), 0
+        for cols, basis in columns:
+            ops[k : k + len(basis), :, cols] = basis
+            k += len(basis)
+        blocks.append((pi, placements, ops))
+    return blocks
 
 
 def _sum_commutant(rep: Representation) -> np.ndarray:
-    blocks = [(rows, basis) for placements, basis in _row_blocks(rep) for rows in placements]
+    blocks = [(rows, basis) for _, placements, basis in _row_blocks(rep) for rows in placements]
     return np.concatenate([np.pad(b, ((0, 0), (r.start, rep.dim - r.stop), (0, 0))) for r, b in blocks])
 
 

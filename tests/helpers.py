@@ -6,8 +6,9 @@ per-class commutant action and the search run on it used as the references
 for the array-backed cocycle search, the pair-by-pair parallelogram scan and
 per-probe Frank-Wolfe loop used as the references for the lattice scans, and
 the brute-force joint-eigenspace oracle used to cross-check the commutant
-decision on abelian groups, and the check of a direct sum's analysis that
-the stage tests and the edge corpus share."""
+decision on abelian groups, and the check of a direct sum's analysis and
+the three-scale grid of three-summand sums that the stage tests and the
+edge corpus share."""
 
 from __future__ import annotations
 
@@ -922,6 +923,45 @@ def bit_equal(a1: AffineAction, a2: AffineAction) -> bool:
     """The two actions have equal matrices and cocycle values, bit for bit."""
     pieces = [(*a.rep.matrices, *a.cocycle.values) for a in (a1, a2)]
     return a1.dim == a2.dim and all(np.array_equal(x, y) for x, y in zip(*pieces))
+
+
+THREE_SCALES = ((1.0, 1e8, 1e16), (1.0, 1e4, 1e8), (1e8, 1.0, 1e-4), (1.0, 1e8, 1.0))
+
+
+def scaled(action: AffineAction, lam: float) -> AffineAction:
+    """The action with its cocycle multiplied by lam, on the same representation."""
+    return AffineAction.from_values(action.rep, [lam * b for b in action.cocycle.values])
+
+
+def three_scale_cases(families, seeds):
+    """(label, total, reference) on the three-scale grid: for every given
+    family, real and complex, d 1..3 and seed, x is ``random_action`` drawn
+    from ``default_rng(1000 d + seed)``, total is (l1 x (+) l2 x) (+) l3 x
+    for each scale triple (l1, l2, l3) of ``THREE_SCALES``, and reference is
+    (x (+) x) (+) x. The triples give the three copies of x in the flat
+    record three different frame scales, or equal scales on the first and
+    the last copy."""
+    for family in families:
+        for field in ("real", "complex"):
+            for d in (1, 2, 3):
+                for seed in seeds:
+                    rng = np.random.default_rng(1000 * d + seed)
+                    x = random_action(FAMILIES[family](rng, d, field), rng)
+                    reference = direct_sum(direct_sum(x, x), x)
+                    for lams in THREE_SCALES:
+                        a1, a2, a3 = (scaled(x, lam) for lam in lams)
+                        yield (family, field, d, seed, lams), direct_sum(direct_sum(a1, a2), a3), reference
+
+
+def check_three_summands(label, total: AffineAction, reference: AffineAction) -> None:
+    """The sum of three copies of one x is Reducible with a certified
+    witness (``decide_irreducibility`` raises InternalCheckError otherwise)
+    of the dimension of the witness of the reference (x (+) x) (+) x: a
+    diagonal change of scale per copy commutes with the representation and
+    conjugates one sum to the other."""
+    verdict, want = decide_irreducibility(total), decide_irreducibility(reference)
+    assert verdict.reducible and want.reducible, label
+    assert verdict.witness_subspace.dim == want.witness_subspace.dim, label
 
 
 def check_witness(label, a1: AffineAction, a2: AffineAction) -> None:

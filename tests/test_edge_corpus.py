@@ -14,10 +14,15 @@ seed)``) and with lambda times itself for lambda in {1e8, 1e9}, and the
 sum analyzed (``helpers.check_witness``): a double has the diagonal
 projections, another sum raises ActionError iff a summand is reducible,
 and otherwise has certified projections or is irreducible; none raises
-InternalCheckError.
+InternalCheckError. The three-summand sum (a (+) 1e8 a) (+) 1e16 a, one
+flat record of three copies at three frame scales, is decided too: it
+raises no InternalCheckError and keeps the witness dimension of
+(a (+) a) (+) a (``helpers.check_three_summands``).
 
 The tier-1 tests run seeds 15 and 24 and the first decision that exited 13
-under the former witness rule. The full sweep runs as a script:
+under the former witness rule. The full sweep also runs the whole
+three-scale grid of ``helpers.three_scale_cases`` (every family, seeds
+40-42), of which the stage tests run a slice. It runs as a script:
 
     PYTHONPATH=src python tests/test_edge_corpus.py
 """
@@ -30,11 +35,21 @@ import time
 import numpy as np
 import pytest
 
-from affine_actions import AffineAction, check_invariance, commutant_residual, decide_irreducibility
+from affine_actions import check_invariance, commutant_residual, decide_irreducibility, direct_sum
 from affine_actions.actions import InternalCheckError, certification_scale
 from affine_actions.linalg import residual_ok
 
-from helpers import FAMILIES, TOL, check_witness, fixed_point_action, random_action, symmetric_actions
+from helpers import (
+    FAMILIES,
+    TOL,
+    check_three_summands,
+    check_witness,
+    fixed_point_action,
+    random_action,
+    scaled,
+    symmetric_actions,
+    three_scale_cases,
+)
 
 FIELDS = ("real", "complex")
 DIMS = range(1, 7)
@@ -77,12 +92,17 @@ def sum_cases(family: str, field: str, seeds):
             other = random_action(a.rep, rng)
             b = random_action(FAMILIES[family](rng, d, field), rng)
             for kind, action in (("random", a), ("zero", fixed_point_action(a))):
-                scaled = [
-                    (f"{lam:.0e}a", AffineAction.from_values(action.rep, [lam * v for v in action.cocycle.values]))
-                    for lam in (1e8, 1e9)
-                ]
-                for partner, summand in (("double", action), ("a'", other), ("b", b), *scaled):
+                multiples = [(f"{lam:.0e}a", scaled(action, lam)) for lam in (1e8, 1e9)]
+                for partner, summand in (("double", action), ("a'", other), ("b", b), *multiples):
                     yield (family, field, d, seed, kind, partner), action, summand
+
+
+def three_summand_cases(family: str, field: str, seeds):
+    """(label, (a (+) 1e8 a) (+) 1e16 a, (a (+) a) (+) a) for each corpus
+    action, random and zero cocycle."""
+    for label, action, _ in corpus_cases(family, field, seeds):
+        total = direct_sum(direct_sum(action, scaled(action, 1e8)), scaled(action, 1e16))
+        yield (*label, "1e8a+1e16a"), total, direct_sum(direct_sum(action, action), action)
 
 
 def test_zero_cocycle_on_complex_z_at_d6_seed15_is_reducible_with_a_certified_witness():
@@ -114,27 +134,44 @@ def test_corpus_slice_sums_are_refused_or_certified(family, field):
         check_witness(label, a1, a2)
 
 
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_corpus_slice_three_summand_sums_keep_the_witness_dimension(family, field):
+    for label, total, reference in three_summand_cases(family, field, SLICE_SEEDS):
+        check_three_summands(label, total, reference)
+
+
 def main() -> int:
     start = time.perf_counter()
     print(f"edge corpus: seeds {SEEDS.start}-{SEEDS.stop - 1}, d {DIMS.start}-{DIMS.stop - 1}, "
           f"{len(FAMILIES)} families x {len(FIELDS)} fields x {{random, zero}} cocycle, rng 7919 d + seed; "
-          "each action summed with itself, a', b and 1e8 and 1e9 times itself")
+          "each action summed with itself, a', b and 1e8 and 1e9 times itself, and "
+          "(a (+) 1e8 a) (+) 1e16 a; the three-scale grid, seeds 40-42")
     decisions = moves = sums = 0
     failures = []
+
+    def run(check, label, *args) -> int:
+        """check(label, *args), its failure recorded; the moves it counted."""
+        try:
+            return check(label, *args) or 0
+        except (AssertionError, InternalCheckError) as exc:
+            failures.append(f"{label}: {type(exc).__name__}: {exc}")
+            return 0
+
     for family in sorted(FAMILIES):
         for field in FIELDS:
             for label, action, rng in corpus_cases(family, field, SEEDS):
-                try:
-                    moves += check_case(label, action, rng)
-                except (AssertionError, InternalCheckError) as exc:
-                    failures.append(f"{label}: {type(exc).__name__}: {exc}")
+                moves += run(check_case, label, action, rng)
                 decisions += 1
-            for label, a1, a2 in sum_cases(family, field, SEEDS):
-                try:
-                    check_witness(label, a1, a2)
-                except (AssertionError, InternalCheckError) as exc:
-                    failures.append(f"{label}: {type(exc).__name__}: {exc}")
+            for case in sum_cases(family, field, SEEDS):
+                run(check_witness, *case)
                 sums += 1
+            for case in three_summand_cases(family, field, SEEDS):
+                run(check_three_summands, *case)
+                sums += 1
+    for case in three_scale_cases(sorted(FAMILIES), (40, 41, 42)):
+        run(check_three_summands, *case)
+        sums += 1
     for line in failures:
         print("FAIL", line)
     print(f"{decisions} actions, {moves} moved decisions, {sums} sums, {len(failures)} failures "

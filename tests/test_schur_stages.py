@@ -42,6 +42,7 @@ from helpers import (
     TOL,
     analyzed,
     assert_certified_projections,
+    check_three_summands,
     check_witness,
     counting_solves,
     f2_group,
@@ -56,6 +57,7 @@ from helpers import (
     random_free_rep,
     random_isometry,
     symmetric_actions,
+    three_scale_cases,
 )
 
 DIMS = (1, 2, 3, 4, 6)
@@ -175,10 +177,13 @@ def plain(action: AffineAction) -> AffineAction:
 
 def sum_cases(family: str, field: str):
     """(label, a1, a2) for every dimension and seed: a (+) a, a (+) a copy of
-    a, a (+) a', the nested (a (+) a') (+) a, r (+) a and a (+) r, with r
-    the reducible zero-cocycle action on the representation of a'. The
-    commutant of r (+) a has only top-row pairs when a is irreducible and
-    Hom(pi', pi) = 0; that of a (+) r has bottom-row pairs with C = 0."""
+    a, a (+) a', the nested (a (+) a') (+) a and (a (+) a) (+) a', r (+) a
+    and a (+) r, with r the reducible zero-cocycle action on the
+    representation of a'. The nested sums are flat records of three
+    summands; in the second, the first copies of its two distinct summands
+    are not adjacent. The commutant of r (+) a has only top-row pairs when a
+    is irreducible and Hom(pi', pi) = 0; that of a (+) r has bottom-row
+    pairs with C = 0."""
     for d in DIMS:
         for seed in SUM_SEEDS:
             rng = np.random.default_rng(2000 * d + seed)
@@ -190,6 +195,7 @@ def sum_cases(family: str, field: str):
                 ("a+copy", a, value_equal_copy(a)),
                 ("a+a'", a, other),
                 ("(a+a')+a", direct_sum(a, other), a),
+                ("(a+a)+a'", direct_sum(a, a), other),
                 ("r+a", reducible, a),
                 ("a+r", a, reducible),
             ):
@@ -427,6 +433,31 @@ def test_two_cocycles_on_one_representation_solve_one_annihilator(monkeypatch):
     assert calls == [("null_space", (3 * d, 2 * len(commutant_basis(a.rep))))]
     assert_witness_certified("a+conj", total, verdict)
     assert "commutant" not in total.rep._solves, "the decision assembled the sum's commutant"
+    # three cocycles on the one representation, nested: one flat record of
+    # three copies, and still one annihilator, of 3c columns
+    third = AffineAction.from_values(a.rep, [2.5 * b for b in moved.cocycle.values])
+    triple = direct_sum(direct_sum(a, moved), third)
+    assert triple.rep._summands == (a.rep, a.rep, a.rep)
+    calls.clear()
+    verdict = decide_irreducibility(triple)
+    assert verdict.reducible
+    assert calls == [("null_space", (3 * d, 3 * len(commutant_basis(a.rep))))]
+    assert_witness_certified("a+conj+2.5conj", triple, verdict)
+
+
+def test_a_double_of_a_sum_has_the_diagonal_projections():
+    """analyze_direct_sum(s, s) for a sum s is a double: the flat record of
+    s (+) s holds the summands of s twice, and s itself is reducible, but
+    the two arguments are equal bit for bit, so the verdict is Reducible
+    with the diagonal projections."""
+    rng = np.random.default_rng(21)
+    a = random_action(random_free_rep(f2_group(), 3, "real", rng), rng)
+    b = random_action(random_free_rep(f2_group(), 2, "real", rng), rng)
+    for label, s in (("a+a", direct_sum(a, a)), ("a+b", direct_sum(a, b))):
+        analysis = analyze_direct_sum(s, s)
+        assert analysis.verdict.reducible, label
+        assert len(analysis.sum_action.rep._summands) == 4, label
+        check_witness(label, s, s)
 
 
 def double_cases(family: str, field: str):
@@ -623,6 +654,22 @@ def test_large_scale_ratio_sums_have_certified_projections(family):
         projections = analyze_direct_sum(a1, a2).projections
         assert projections is not None, label
         assert_certified_projections(label, a1, a2, projections)
+
+
+@pytest.mark.parametrize("family", TRANSLATION_TYPE)
+def test_three_scale_sums_keep_the_witness_dimension_of_three_copies(family):
+    """(l1 x (+) l2 x) (+) l3 x on the three-scale grid of
+    ``helpers.three_scale_cases``, seed 40: each copy of x is solved in the
+    frame at its own scale and K is read in that frame, so no sum raises
+    InternalCheckError and each keeps the witness dimension of
+    (x (+) x) (+) x. Reading K by isolating the rows of the smallest scale,
+    as the two-summand rule did, gave wrong witness dimensions on this grid
+    once the record was flat. The full grid, seeds 40-42 of every family,
+    runs in the edge corpus's full sweep."""
+    cases = list(three_scale_cases((family,), (40,)))
+    assert cases
+    for label, total, reference in cases:
+        check_three_summands(label, total, reference)
 
 
 def same_result(left, right) -> bool:
