@@ -418,9 +418,7 @@ def _minimal_subspace(action: AffineAction, pairs) -> AffineSubspace:
     keeping exact zeros, and its base D^-1 base' is taken off them for (V V*, base)."""
     scales, d = _frame_scales(action), action.dim
     weights = scales.min() / scales
-    firsts = [placements[0] for _, placements in _copies(action.rep)]
-    prefix = all(q.stop == r.start for q, r in zip(firsts, firsts[1:]))  # a view unless a first copy follows a repeat
-    rows = slice(0, firsts[-1].stop) if prefix else np.r_[tuple(firsts)]
+    rows = np.r_[tuple(placements[0] for _, placements in _copies(action.rep))]
     s = (np.array([p.deviation[rows] for p in pairs]) * (weights[rows, None] / weights)).reshape(-1, d)
     t = (np.array([p.translation[rows] for p in pairs]) * weights[rows]).reshape(-1)
     kept = s.any(axis=1)

@@ -314,7 +314,8 @@ def _solved(rep: Representation, stage: str, solve):
     """``solve()`` on the first request for ``stage``, kept in the
     representation's one store. Every solve is decided at ``rep.tol``, and
     nothing assigns ``rep.tol`` after construction, so the stage name alone
-    keys it. The store holds arrays only, so no reference cycle keeps
+    keys it. The store holds read-only arrays, or a dict of them (a sum's
+    ``"hom"`` stage, keyed by summand pair), so no reference cycle keeps
     ``rep`` alive."""
     solved = rep._solves.get(stage)
     if solved is None:

@@ -494,10 +494,11 @@ def test_a_double_witness_matches_the_plain_reference(family, field):
 def test_x_plus_lambda_x_keeps_the_witness_dimension_of_x_plus_x(family, field):
     """diag(I, lambda I) commutes with pi (+) pi and conjugates x (+) x to
     x (+) lambda x, so K keeps its dimension. For a reducible x the normal
-    space of K holds rows (0, p y), which the frame's column scaling shrinks
-    by 1/lambda; they are isolated and rescaled before the rank cut, which
-    otherwise split them at lambda = 1e8 and failed certification. x is a,
-    and a (+) r."""
+    space of K holds rows (0, p y), which the frame's column scaling alone
+    would shrink by 1/lambda and split at the rank cut (at lambda = 1e8 that
+    failed certification); K is read in the frame D = diag(I, I/lambda),
+    which removes that shrinking, and mapped back by D^-1. x is a, and
+    a (+) r."""
     for label, a1, a2 in sum_cases(family, field):
         if label[1] not in SUM_SEEDS[:2] or label[2] not in ("a+a", "a+r"):
             continue
