@@ -154,13 +154,16 @@ class AffineAction:
 
 @dataclass(frozen=True)
 class CommutantPair:
-    """A basis solution (U, t) of the affine commutant system."""
+    """A basis solution (U, t) of the affine commutant system, held on its rows ``rows`` (all if None)."""
 
     deviation: np.ndarray
     translation: np.ndarray
+    rows: slice | None = None
 
     def as_affine_map(self) -> AffineMap:
-        return AffineMap(self.deviation + np.eye(self.deviation.shape[0]), self.translation)
+        rows, d = range(self.deviation.shape[1])[self.rows or slice(None)], self.deviation.shape[1]
+        gap = (rows.start, d - rows.stop)
+        return AffineMap(np.pad(self.deviation, (gap, (0, 0))) + np.eye(d), np.pad(self.translation, gap))
 
     @property
     def deviation_norm(self) -> float:
@@ -253,12 +256,11 @@ def affine_commutant(action: AffineAction) -> AffineCommutant:
     back by U = D^-1 U' D, t = D^-1 t' (U = U', t = s t' for D = I/s). The
     basis is orthonormal in the frame, in (vec D U D^-1, D t).
 
-    Stage 3 splits by row block, since B^1 of a direct sum is the sum of
-    its summands' B^1: the row block of each distinct summand
-    (``reps._row_blocks``) is solved once, at summand height, against its
-    ``boundary_split``, orthonormalized on its own and placed in every copy.
-    Each pair is certified at the action's dimension; one failing raises
-    InternalCheckError.
+    Stage 3 splits by row block, as B^1 of a direct sum is the sum of its
+    summands' B^1: each distinct summand's row block (``reps._row_blocks``)
+    is solved once against its ``boundary_split``, orthonormalized on its
+    own and held in the rows of each copy (``CommutantPair.rows``). Each
+    pair is certified on its rows; one failing raises InternalCheckError.
     """
     rep, d = action.rep, action.dim
     scales = _frame_scales(action)
@@ -275,16 +277,9 @@ def affine_commutant(action: AffineAction) -> AffineCommutant:
         # need orthonormalizing in the frame; vec U' is isometric in x
         stacked = np.linalg.qr(np.vstack([coefficients, split.pinv @ (moved @ coefficients)]))[0]
         u = (stacked[: len(ops)].T @ ops.reshape(len(ops), -1)).reshape(-1, *ops.shape[1:])
-        for rows in placements:
-            deviations = np.zeros((len(u), d, d), u.dtype)
-            deviations[:, rows] = u * (scales[rows, None] / scales)
-            translations = np.zeros((len(u), d), stacked.dtype)
-            translations[:, rows] = scales[rows] * stacked[len(ops) :].T
-            pairs += map(CommutantPair, deviations, translations)
-    for rows, f in fixed:
-        translation = np.zeros(d, f.dtype)
-        translation[rows] = scales[rows] * f
-        pairs.append(CommutantPair(np.zeros((d, d), rep.dtype), translation))
+        pairs += [CommutantPair(v, t, rows) for rows in placements
+                  for v, t in zip(u * (scales[rows, None] / scales), scales[rows] * stacked[len(ops) :].T)]
+    pairs += [CommutantPair(np.zeros((len(f), d), rep.dtype), scales[rows] * f, rows) for rows, f in fixed]
     residuals = [
         certify(commutant_residual(action, p), (p.deviation, p.translation), action, "commutant basis element")
         for p in pairs
@@ -293,12 +288,15 @@ def affine_commutant(action: AffineAction) -> AffineCommutant:
 
 
 def commutant_residual(action: AffineAction, pair_or_map) -> float:
-    """Worst residual of the commutant equations over all generators."""
-    u, t = pair_or_map.deviation, pair_or_map.translation
+    """Worst residual of the commutant equations over all generators, a pair read on its rows."""
+    u, rows = pair_or_map.deviation, getattr(pair_or_map, "rows", None) or slice(None)
+    t = np.asarray(pair_or_map.translation, np.result_type(u, pair_or_map.translation))
     worst = 0.0
     for m, b in zip(action.rep.matrices, action.cocycle.values):
-        worst = max(worst, frobenius(u @ m - m @ u))
-        worst = max(worst, float(np.linalg.norm(u @ b - (m @ t - t))))
+        linear, translation = m[:, rows] @ u, m[:, rows] @ t
+        linear[rows] -= u @ m
+        translation[rows] -= u @ b + t
+        worst = max(worst, frobenius(linear), float(np.linalg.norm(translation)))
     return worst
 
 
@@ -398,8 +396,8 @@ def _kernel_subspace(s: np.ndarray, t: np.ndarray, tol: ToleranceProfile) -> Aff
     S stacks row blocks V_j with V_j pi = pi_j V_j and V_j b = (pi_j - I) t_j,
     T the t_j. S+ intertwines back, so p = S+ S, the projector onto the
     joint row space, has p b = (pi - I) S+ T with no squaring of S: the
-    pair (p, S+ T) keeps K = {z : p z + S+ T = 0} invariant. A tall S is
-    first reduced by one QR of [S, T] = Q [R, c], since S+ T = R+ c.
+    pair (p, S+ T) keeps K = {z : p z + S+ T = 0} invariant. S, tall or
+    wide, is first reduced by one QR of [S, T] = Q [R, c], as S+ T = R+ c.
     """
     r = np.linalg.qr(np.column_stack([s, t]), mode="r")
     left, singular, right = np.linalg.svd(r[:, :-1], full_matrices=len(r) < s.shape[1])
@@ -412,15 +410,16 @@ def _minimal_subspace(action: AffineAction, pairs) -> AffineSubspace:
     """K = D^-1 K' for K' the ``_kernel_subspace`` of the frame pairs
     (D U D^-1, D t) of stage 3 (``_frame_scales``): D commutes with pi, so
     it maps the minimal invariant subspace of alpha to the frame action's.
-    Only each distinct summand's first copy is read: every copy holds the
-    same solved rows. D = diag(m/s_i), m = min s, is I for equal scales
-    (K = K'); else K's directions are one QR of D^-1 V' on its nonzero rows,
-    keeping exact zeros, and its base D^-1 base' is taken off them for (V V*, base)."""
-    scales, d = _frame_scales(action), action.dim
+    Only the pairs of each distinct summand's first copy are read, on their
+    rows: every copy holds the same solved rows. D = diag(m/s_i), m = min s,
+    is I for equal scales (K = K'); else K's directions are one QR of D^-1 V'
+    on its nonzero rows, keeping exact zeros, and D^-1 base' is taken off them."""
+    scales = _frame_scales(action)
     weights = scales.min() / scales
-    rows = np.r_[tuple(placements[0] for _, placements in _copies(action.rep))]
-    s = (np.array([p.deviation[rows] for p in pairs]) * (weights[rows, None] / weights)).reshape(-1, d)
-    t = (np.array([p.translation[rows] for p in pairs]) * weights[rows]).reshape(-1)
+    firsts = {placements[0].start for _, placements in _copies(action.rep)}
+    own = [p for p in pairs if p.rows.start in firsts]
+    s = np.concatenate([p.deviation * (weights[p.rows, None] / weights) for p in own])
+    t = np.concatenate([p.translation * weights[p.rows] for p in own])
     kept = s.any(axis=1)
     frame = _kernel_subspace(s[kept], t[kept], action.tol)
     if (weights == 1.0).all():
@@ -476,7 +475,8 @@ def decide_irreducibility(action: AffineAction) -> IrreducibilityVerdict:
             f"commutant dimension {len(pairs)} < fixed-space dimension {fixed.shape[1]}"
         )
     for pair in pairs:
-        off = pair.translation - fixed @ (fixed.conj().T @ pair.translation)
+        off = fixed @ (fixed[pair.rows].conj().T @ pair.translation)
+        off[pair.rows] -= pair.translation
         t_norm = float(np.linalg.norm(pair.translation))
         if not residual_ok(float(np.linalg.norm(off)), t_norm, action.tol.eps_residual):
             raise InternalCheckError("commutant translation leaves the fixed space")
@@ -517,11 +517,10 @@ def direct_sum(a1: AffineAction, a2: AffineAction) -> AffineAction:
     """Block-diagonal representation with concatenated cocycle values.
 
     The summands need one presentation, field and tolerance profile, which
-    the sum keeps. Each summand is held to its own validity bounds; the sum
-    is not re-validated, since its defects combine the summands' (the block
-    isometry defect is sqrt 2 times that of two equal summands) while the
-    isometry bound does not grow with the number of blocks; the sum's
-    defects are computed only if asked for.
+    the sum keeps. Each summand is held to its own validity bounds (a sum's
+    entries were, when it was built), not the sum: its block isometry defect
+    is sqrt 2 times that of two equal summands, while the bound does not
+    grow with the number of blocks, so its defects are computed only if asked for.
 
     The sum's representation keeps one flat record of its summands'
     representations in row order, a summand that is a sum giving its own
@@ -537,7 +536,7 @@ def direct_sum(a1: AffineAction, a2: AffineAction) -> AffineAction:
         raise ActionError("direct sum requires a common scalar field")
     if a1.tol != a2.tol:
         raise ActionError("direct sum requires a common tolerance profile")
-    for summand in (a1, a2):
+    for summand in (a for a in (a1, a2) if a.rep._summands is None):
         if failure := validity_report(summand.tol, summand.rep, summand.cocycle).failure:
             raise failure
     r1, r2 = a1.rep, a2.rep
@@ -723,12 +722,13 @@ def _graph_projections(a1: AffineAction, a2: AffineAction, pairs, equal: bool) -
         mapping = AffineMap(w1, np.zeros(d1, dtype=a1.rep.dtype))
         p1, p2 = a1, a2
     else:
-        bottom = [p for p in pairs if p.deviation[d1:].any()]
+        bottom = [p for p in pairs if p.rows.start >= d1 and p.deviation.any()]
         if not bottom:
             raise InternalCheckError("reducible direct sum of irreducible summands has no bottom-row commutant pair")
         weights = _generic_weights(len(bottom), REAL)
-        u = np.tensordot(weights, [p.deviation[d1:] for p in bottom], 1)
-        t = weights @ np.array([p.translation[d1:] for p in bottom])
+        gaps = [(p.rows.start - d1, d1 + a2.dim - p.rows.stop) for p in bottom]  # a2's copies, if a2 is a sum
+        u = np.tensordot(weights, [np.pad(p.deviation, (gap, (0, 0))) for p, gap in zip(bottom, gaps)], 1)
+        t = weights @ np.array([np.pad(p.translation, gap) for p, gap in zip(bottom, gaps)])
         scale = frobenius(u)
         rows = orthonormal_columns(u[:, :d1] / scale, tol).conj().T / scale
         c, d, t2 = rows @ u[:, :d1], rows @ u[:, d1:], rows @ t

@@ -954,11 +954,13 @@ def three_scale_cases(families, seeds):
 
 
 def check_three_summands(label, total: AffineAction, reference: AffineAction) -> None:
-    """The sum of three copies of one x is Reducible with a certified
-    witness (``decide_irreducibility`` raises InternalCheckError otherwise)
-    of the dimension of the witness of the reference (x (+) x) (+) x: a
-    diagonal change of scale per copy commutes with the representation and
-    conjugates one sum to the other."""
+    """The sum of three (or more) copies of one x is Reducible with a
+    certified witness (``decide_irreducibility`` raises InternalCheckError
+    otherwise) of the dimension of the witness of the reference, a sum of
+    copies of x at one scale ((x (+) x) (+) x, or x (+) x): a diagonal
+    change of scale per copy commutes with the representation and conjugates
+    one sum to the other, and K is the diagonal embedding of x's own K for
+    any number of copies."""
     verdict, want = decide_irreducibility(total), decide_irreducibility(reference)
     assert verdict.reducible and want.reducible, label
     assert verdict.witness_subspace.dim == want.witness_subspace.dim, label

@@ -199,6 +199,16 @@ def test_witness_extraction_glide_hand_values():
     assert abs(abs(subspace.directions[0, 0]) - 1.0) < 1e-10
 
 
+def test_witness_extraction_reads_a_complex_linear_part_with_a_real_translation():
+    # the glide witness with a complex-typed linear part and a real
+    # translation: the commutant residual takes both in the wider type
+    action = glide_action()
+    witness = AffineMap(np.eye(2, dtype=complex) + np.diag([0.0, 1.0]), np.array([0.0, -1.0]))
+    subspace = invariant_subspace_from_witness(action, witness)
+    assert subspace.dim == 1
+    assert abs(subspace.base[1] - 1.0) < 1e-10
+
+
 def test_witness_extraction_does_not_depend_on_the_witness_norm():
     # the glide witness U = c diag(0, 1), t = c (0, -1) at several c: the
     # witness is rescaled to unit ||U|| before its subspace is read off

@@ -19,6 +19,10 @@ flat record of three copies at three frame scales, is decided too: it
 raises no InternalCheckError and keeps the witness dimension of
 (a (+) a) (+) a (``helpers.check_three_summands``).
 
+The full sweep also decides the four copies ((a (+) a) (+) a) (+) a of
+each action, which must keep the witness dimension of the double a (+) a:
+four row blocks per pair, on every family and field.
+
 The tier-1 tests run seeds 15 and 24 and the first decision that exited 13
 under the former witness rule. The full sweep also runs the whole
 three-scale grid of ``helpers.three_scale_cases`` (every family, seeds
@@ -105,6 +109,14 @@ def three_summand_cases(family: str, field: str, seeds):
         yield (*label, "1e8a+1e16a"), total, direct_sum(direct_sum(action, action), action)
 
 
+def four_copy_cases(family: str, field: str, seeds):
+    """(label, ((a (+) a) (+) a) (+) a, a (+) a) for each corpus action,
+    random and zero cocycle."""
+    for label, action, _ in corpus_cases(family, field, seeds):
+        total = direct_sum(direct_sum(direct_sum(action, action), action), action)
+        yield (*label, "4a"), total, direct_sum(action, action)
+
+
 def test_zero_cocycle_on_complex_z_at_d6_seed15_is_reducible_with_a_certified_witness():
     # the former rule cut a cluster of two singular values 3.5e-8 apart in
     # squares and raised "extracted subspace failed certification"
@@ -146,7 +158,7 @@ def main() -> int:
     print(f"edge corpus: seeds {SEEDS.start}-{SEEDS.stop - 1}, d {DIMS.start}-{DIMS.stop - 1}, "
           f"{len(FAMILIES)} families x {len(FIELDS)} fields x {{random, zero}} cocycle, rng 7919 d + seed; "
           "each action summed with itself, a', b and 1e8 and 1e9 times itself, and "
-          "(a (+) 1e8 a) (+) 1e16 a; the three-scale grid, seeds 40-42")
+          "(a (+) 1e8 a) (+) 1e16 a and ((a (+) a) (+) a) (+) a; the three-scale grid, seeds 40-42")
     decisions = moves = sums = 0
     failures = []
 
@@ -166,7 +178,7 @@ def main() -> int:
             for case in sum_cases(family, field, SEEDS):
                 run(check_witness, *case)
                 sums += 1
-            for case in three_summand_cases(family, field, SEEDS):
+            for case in (*three_summand_cases(family, field, SEEDS), *four_copy_cases(family, field, SEEDS)):
                 run(check_three_summands, *case)
                 sums += 1
     for case in three_scale_cases(sorted(FAMILIES), (40, 41, 42)):

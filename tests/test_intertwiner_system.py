@@ -62,6 +62,12 @@ def family_action(family: str, field: str, seed: int, double: bool, max_dim: int
     return direct_sum(action, action) if double else action
 
 
+def pair_column(pair, scales) -> np.ndarray:
+    """A commutant pair as the vector (vec U, t / s) of its full-size embedding."""
+    full = pair.as_affine_map()
+    return np.concatenate([full.deviation.reshape(-1), full.translation / scales])
+
+
 def reference_null_space(matrix: np.ndarray, tol: ToleranceProfile = TOL) -> tuple[np.ndarray, float]:
     """Null space by a direct full SVD of the dense system, and its rank cutoff."""
     _, s, vh = np.linalg.svd(matrix, full_matrices=True)
@@ -98,13 +104,13 @@ def test_reduced_system_matches_kronecker_reference(family, field, double):
 
         # every lifted basis vector is a null vector of the dense system
         for pair in pairs:
-            column = np.concatenate([pair.deviation.reshape(-1), pair.translation / s])
+            column = pair_column(pair, s)
             assert np.linalg.norm(ref_matrix @ column) <= affine_cutoff, (family, seed)
         for element in basis:
             assert np.linalg.norm(ref_linear_matrix @ element.reshape(-1)) <= linear_cutoff, (family, seed)
         # the lifted bases are orthonormal in the frame, (vec U, t/s), and in vec T
         for columns in (
-            [np.concatenate([p.deviation.reshape(-1), p.translation / s]) for p in pairs],
+            [pair_column(p, s) for p in pairs],
             [element.reshape(-1) for element in basis],
         ):
             if columns:
@@ -175,7 +181,7 @@ def test_gram_path_matches_row_stacked_qr_reference(family, field, double):
         matrix, _, ref_lift = row_stacked_intertwiner_system(rep, rep, values)
         reference = ref_lift(qr_null_space(matrix))
         pairs = affine_commutant(action).pairs
-        basis = np.array([np.concatenate([p.deviation.reshape(-1), p.translation / s]) for p in pairs]).T
+        basis = np.array([pair_column(p, s) for p in pairs]).T
         basis = basis.reshape(len(reference), len(pairs))
         assert basis.shape == reference.shape, (family, seed)
         assert same_subspace(basis, reference) <= 1e-8, (family, seed)

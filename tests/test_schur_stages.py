@@ -9,6 +9,8 @@ equivalent projections a direct sum's analysis reads off one row block of
 its commutant; and a plain action's witness subspace against the
 codimension of the minimal invariant subspace in the Kronecker reference."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from affine_actions import (
     AffineAction,
     AffineMap,
     Cocycle,
+    CommutantPair,
     GroupPresentation,
     Representation,
     affine_commutant,
@@ -34,7 +37,7 @@ from affine_actions import (
 from affine_actions.actions import ActionError, certification_scale, unit_scale
 from affine_actions.linalg import numerical_rank, residual_ok
 from affine_actions.problem_io import load_problem
-from affine_actions.reps import _generic_weights, boundary_split, hom_basis
+from affine_actions.reps import _copies, _generic_weights, boundary_split, hom_basis
 
 from helpers import (
     FAMILIES,
@@ -240,7 +243,8 @@ def test_sum_stages_match_a_solve_at_the_sum_dimension(family, field):
 
 def pair_columns(pairs, scale: float) -> np.ndarray:
     """Orthonormal columns spanning the pairs as vectors (vec U, t/s)."""
-    columns = np.column_stack([np.concatenate([p.deviation.reshape(-1), p.translation / scale]) for p in pairs])
+    full = [p.as_affine_map() for p in pairs]
+    columns = np.column_stack([np.concatenate([m.deviation.reshape(-1), m.translation / scale]) for m in full])
     return np.linalg.qr(columns)[0]
 
 
@@ -290,7 +294,7 @@ def test_the_grid_has_top_only_and_zero_c_blocks():
             continue
         d1 = a1.dim
         verdict = decide_irreducibility(direct_sum(a1, a2))
-        moving = [p.deviation for p in verdict.commutant if p.deviation.any()]
+        moving = [p.as_affine_map().deviation for p in verdict.commutant if p.deviation.any()]
         u = verdict.witness_map.deviation
         if label[2] == "r+a":
             assert moving and not any(m[d1:].any() for m in moving), label
@@ -777,3 +781,103 @@ def test_plain_reducible_decision_factorizes_nothing_past_its_annihilator(monkey
     assert decide_irreducibility(action).reducible
     # no eigensolve, and no null space but the annihilator's
     assert annihilator and calls == annihilator
+
+
+# -- commutant pairs held as row blocks ----------------------------------------
+
+
+def padded_residual(action: AffineAction, pair) -> float:
+    """The commutant residual of a pair's zero-padded embedding (U, t), by
+    the full-size products U pi - pi U and U b - (pi - I) t."""
+    d = action.dim
+    u, t = np.zeros((d, d), action.rep.dtype), np.zeros(d, action.rep.dtype)
+    u[pair.rows], t[pair.rows] = pair.deviation, pair.translation
+    return max(
+        max(np.linalg.norm(u @ m - m @ u), np.linalg.norm(u @ b - (m @ t - t)))
+        for m, b in zip(action.rep.matrices, action.cocycle.values)
+    )
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_sum_pairs_are_row_blocks_certified_like_their_embeddings(family, field):
+    """Every pair of a sum holds the rows of one copy of a summand, with no
+    zero padding, and its residual read on those rows is that of its
+    full-size embedding to roundoff."""
+    for label, a1, a2 in sum_cases(family, field):
+        action = direct_sum(a1, a2)
+        copies = {(r.start, r.stop) for _, placements in _copies(action.rep) for r in placements}
+        for pair in affine_commutant(action).pairs:
+            rows = pair.rows
+            assert (rows.start, rows.stop) in copies, label
+            assert pair.deviation.shape == (rows.stop - rows.start, action.dim), label
+            assert pair.translation.shape == (rows.stop - rows.start,), label
+            scale = certification_scale((pair.deviation, pair.translation), action)
+            assert abs(commutant_residual(action, pair) - padded_residual(action, pair)) <= 1e-13 * scale, label
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_a_row_block_pair_on_a_plain_representation_gets_the_residual_of_its_embedding(field):
+    """A user-built pair on rows (0, 2) of a generic representation, whose
+    matrices mix those rows with the others: its residual reads the columns
+    pi(s)[:, R], not a block of pi(s)."""
+    rng = np.random.default_rng(23)
+    d = 5
+    action = random_action(random_free_rep(f2_group(), d, field, rng), rng)
+    for _ in range(4):
+        block = np.array([random_field_vector(d, field, rng) for _ in range(2)])
+        pair = CommutantPair(block, random_field_vector(2, field, rng), slice(0, 2))
+        want = padded_residual(action, pair)
+        assert want > 0.1
+        assert commutant_residual(action, pair) == pytest.approx(want, rel=1e-12)
+        assert commutant_residual(action, pair.as_affine_map()) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_summand_that_is_a_sum_gives_projections_of_its_whole_dimension(seed):
+    """a1 (+) s with s = b (+) c, two generic cocycles on one F2
+    representation (irreducible, as 2 <= d), and a1 the plain action s moved
+    by an orthogonal change of basis: a1 is equivalent to s, so the
+    projections are the whole of both, of dimension 2d. The bottom pairs sit
+    in both copies of s's representation, not only in the first."""
+    rng = np.random.default_rng(seed)
+    d = 3
+    rep = random_free_rep(f2_group(), d, "real", rng)
+    s = direct_sum(random_action(rep, rng), random_action(rep, rng))
+    q = random_isometry(2 * d, "real", rng)
+    moved = Representation(f2_group(), "real", [q @ m @ q.T for m in s.rep.matrices])
+    a1 = AffineAction.from_values(moved, [q @ b for b in s.cocycle.values])
+    analysis = analyze_direct_sum(a1, s)
+    assert analysis.verdict.reducible
+    assert analysis.projections.v1_basis.shape == (2 * d, 2 * d)
+    assert_certified_projections(seed, a1, s, analysis.projections)
+
+
+def test_nested_copies_hold_no_full_size_pair():
+    """8 nested copies of a generic F2 action at d = 16 (md = 128): the
+    decision's peak traced memory stays below half of what its pairs would
+    take zero-padded to md x md."""
+    rng = np.random.default_rng(24)
+    a = random_action(random_free_rep(f2_group(), 16, "real", rng), rng)
+    total = a
+    for _ in range(7):
+        total = direct_sum(total, a)
+    tracemalloc.start()
+    try:
+        verdict = decide_irreducibility(total)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.reducible
+    padded = len(verdict.commutant) * total.dim**2 * np.dtype(np.float64).itemsize
+    assert peak < padded / 2, (peak, padded)
+    assert all(p.deviation.shape == (16, total.dim) for p in verdict.commutant)
+
+
+def test_a_summand_that_is_a_sum_is_not_validated_again():
+    rng = np.random.default_rng(25)
+    a = random_action(random_free_rep(f2_group(), 3, "real", rng), rng)
+    inner = direct_sum(a, a)
+    direct_sum(inner, a)
+    assert "isometry_defects" not in vars(inner.rep)
+    assert "relator_defects" not in vars(inner.rep)
