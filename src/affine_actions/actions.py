@@ -396,13 +396,17 @@ def _kernel_subspace(s: np.ndarray, t: np.ndarray, tol: ToleranceProfile) -> Aff
     S stacks row blocks V_j with V_j pi = pi_j V_j and V_j b = (pi_j - I) t_j,
     T the t_j. S+ intertwines back, so p = S+ S, the projector onto the
     joint row space, has p b = (pi - I) S+ T with no squaring of S: the
-    pair (p, S+ T) keeps K = {z : p z + S+ T = 0} invariant. S, tall or
-    wide, is first reduced by one QR of [S, T] = Q [R, c], as S+ T = R+ c.
+    pair (p, S+ T) keeps K = {z : p z + S+ T = 0} invariant. A tall S is
+    first reduced by one QR of [S, T] = Q [R, c], as S+ T = R+ c; a wide S,
+    which that QR would not shorten (as on every reducible double), goes to
+    the SVD as it is.
     """
-    r = np.linalg.qr(np.column_stack([s, t]), mode="r")
-    left, singular, right = np.linalg.svd(r[:, :-1], full_matrices=len(r) < s.shape[1])
+    if len(s) > s.shape[1]:
+        r = np.linalg.qr(np.column_stack([s, t]), mode="r")
+        s, t = r[:, :-1], r[:, -1]
+    left, singular, right = np.linalg.svd(s, full_matrices=len(s) < s.shape[1])
     rank = numerical_rank(singular, tol)
-    base = -right[:rank].conj().T @ ((left[:, :rank].conj().T @ r[:, -1]) / singular[:rank])
+    base = -right[:rank].conj().T @ ((left[:, :rank].conj().T @ t) / singular[:rank])
     return AffineSubspace(base, right[rank:].conj().T)
 
 

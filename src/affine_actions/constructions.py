@@ -11,6 +11,7 @@ Heisenberg-like) plus a Monte-Carlo convex-hull probe of orbits.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -44,9 +45,11 @@ class ConstructionError(ValueError):
 
 
 # working-memory bounds: defect elements per block of rows of the
-# parallelogram scan, and prefix elements per block of orbit words (a
-# translation action's orbit words hold no prefixes and are not blocked)
-_SCAN_BLOCK_ELEMENTS = 4096
+# parallelogram scan (16384 scanned the k = 4, window = 2 and k = 3,
+# window = 3 cubes faster than 4096 and 65536; a whole k = 4, window = 3
+# scan peaks at 1.7 MB traced), and prefix elements per block of orbit words
+# (a translation action's orbit words hold no prefixes and are not blocked)
+_SCAN_BLOCK_ELEMENTS = 16384
 _ORBIT_BLOCK_ELEMENTS = 1 << 16
 
 
@@ -353,10 +356,14 @@ def quadratic_form_test(action: AffineAction, window: int = 3) -> QuadraticFormR
     irreducible, which is what the accompanying property suite asserts.
 
     The pairs (x, y) of [-window, window]^k are scanned row by row in a fixed
-    order (nearest the origin first, in blocks of about
-    ``_SCAN_BLOCK_ELEMENTS`` defects) and the first pair whose defect
-    |psi(x+y) + psi(x-y) - 2 psi(x) - 2 psi(y)| exceeds
-    eps_residual * (1 + max psi) is reported. The cocycle is divided by
+    order (nearest the origin first, ``_scan_order``) and the first pair
+    whose defect |psi(x+y) + psi(x-y) - 2 psi(x) - 2 psi(y)| exceeds
+    eps_residual * (1 + max psi) is reported, the max over the finite psi,
+    so that a NaN or infinite psi fails the first pair that reads it. The
+    rows go in blocks of about ``_SCAN_BLOCK_ELEMENTS`` defects, each block
+    decided by its largest defect; only a failing block is searched, for
+    its first failing pair, and the passing blocks' largest defects give
+    ``max_defect``. The cocycle is divided by
     ``unit_scale`` first, so the result does not depend on the magnitude of
     b; ``max_defect`` is multiplied back by s^2. Near-zero policy: when
     max ||b(s)|| <= eps_residual, s = 1, and values that small normally
@@ -375,30 +382,46 @@ def quadratic_form_test(action: AffineAction, window: int = 3) -> QuadraticFormR
 
     reach = 2 * window
     psi = _psi_grid(cocycle, k, reach).ravel()
-    scale = float(psi.max())
-    inner = np.array(list(itertools.product(range(-window, window + 1), repeat=k)))
-    size = np.abs(inner)
-    # nearest the origin first: by max |x|, then sum |x|, then -x
-    inner = inner[np.lexsort(np.vstack([-inner[:, ::-1].T, size.sum(axis=1), size.max(axis=1)]))]
+    scale = float(psi.max(where=np.isfinite(psi), initial=0.0))
+    inner = _scan_order(k, window)
     # flat index of x in the grid is centre + x . strides, so x + y and x - y
     # are index sums and differences
     strides = (2 * reach + 1) ** np.arange(k - 1, -1, -1)
     offsets = inner @ strides
     rows = reach * int(strides.sum()) + offsets
-    psi_y = psi[rows]
+    psi_y = psi.take(rows)
     block = max(1, _SCAN_BLOCK_ELEMENTS // len(offsets))
     max_defect = 0.0
     for start in range(0, len(rows), block):
         fx = rows[start : start + block, None]
-        defect = np.abs(psi[fx + offsets] + psi[fx - offsets] - 2.0 * (psi[fx] + psi_y))
-        failed = ~residual_ok(defect, scale, tol.eps_residual)  # NaN fails too
-        if failed.any():
+        # |psi(x+y) + psi(x-y) - 2 (psi(x) + psi(y))|, added in that order
+        defect = psi.take(fx + offsets)
+        defect += psi.take(fx - offsets)
+        twice = psi.take(fx) + psi_y
+        twice *= 2.0
+        defect -= twice
+        np.abs(defect, out=defect)
+        worst = float(defect.max())
+        if not residual_ok(worst, scale, tol.eps_residual):  # NaN fails too
+            failed = ~residual_ok(defect, scale, tol.eps_residual)
             # the flat argmax is the first failing row's first failing column
             i, j = np.unravel_index(np.argmax(failed), failed.shape)
             pair = (tuple(inner[start + i].tolist()), tuple(inner[j].tolist()))
             return QuadraticFormResult(False, pair, window, float(defect[i, j]) * s**2)
-        max_defect = max(max_defect, float(defect.max()))
+        max_defect = max(max_defect, worst)
     return QuadraticFormResult(True, None, window, max_defect * s**2)
+
+
+@functools.lru_cache(maxsize=32)
+def _scan_order(k: int, window: int) -> np.ndarray:
+    """The points of [-window, window]^k nearest the origin first: by max |x|,
+    then sum |x|, then -x; one read-only array per (k, window), shared by
+    every scan."""
+    inner = np.array(list(itertools.product(range(-window, window + 1), repeat=k)))
+    size = np.abs(inner)
+    inner = inner[np.lexsort(np.vstack([-inner[:, ::-1].T, size.sum(axis=1), size.max(axis=1)]))]
+    inner.setflags(write=False)
+    return inner
 
 
 _HEISENBERG_CLASS = "heisenberg"
@@ -533,13 +556,18 @@ def _min_norm_points(points: np.ndarray, targets: np.ndarray) -> tuple[np.ndarra
     <x, y_j> (one (running targets) x (points) matrix for all targets), stops
     the target by ``_HULL_STOP``, when the best vertex is already in its
     corral, or at ``_HULL_MAJOR_CYCLES``, and otherwise adds that vertex; the
-    minor cycles (``_minor_cycles``) then move its weights. The running
-    targets' corral, weights, mask, nearest points and targets are kept
-    compacted: a target that stops writes its row to the result once and
-    leaves the arrays. The problem is solved at unit scale (centred on the
-    middle of the bounding box of points and targets, divided by its largest
-    half-width), so the Gram matrices neither overflow nor underflow and the
-    distances are equivariant under (P, Q) -> (lam P + c, lam Q + c).
+    minor cycles (``_minor_cycles``) then move its weights. Each running
+    target keeps its corral's vertices ``(d + 2, d)`` and their bordered Gram
+    from one major cycle to the next: an added vertex takes the first empty
+    slot and writes one row and column of the Gram (one matrix-vector
+    product), and a dropped one stays in its slot, unread, until it is
+    overwritten. The running targets' corral, weights, mask, vertices, Gram,
+    nearest points and targets are kept compacted: a target that stops
+    writes its row to the result once and leaves the arrays. The problem is
+    solved at unit scale (centred on the middle of the bounding box of
+    points and targets, divided by its largest half-width), so the Gram
+    matrices neither overflow nor underflow and the distances are
+    equivariant under (P, Q) -> (lam P + c, lam Q + c).
 
     Row i of ``corral`` (point indices) and ``weights`` (0 on empty slots)
     gives the nearest point sum_k weights[i, k] points[corral[i, k]].
@@ -570,22 +598,31 @@ def _min_norm_points(points: np.ndarray, targets: np.ndarray) -> tuple[np.ndarra
     corral[:, 0] = np.argmin(sq, axis=1)
     del sq
     nearest = points[corral[:, 0]] - targets
-    # the running targets: row i is target ids[i]
+    # the running targets: row i is target ids[i], with its corral's vertices
+    # y_k (stale on empty slots) and their bordered Gram [[Y Y^T, 1], [1^T, 0]]
     ids = np.arange(n)
     run_corral, run_weights, x = corral.copy(), weights.copy(), nearest.copy()
     inside = np.zeros((n, d + 2), dtype=bool)
     inside[:, 0] = True
+    vertices = np.zeros((n, d + 2, d))
+    vertices[:, 0] = nearest
+    bordered = np.zeros((n, d + 3, d + 3))
+    bordered[:, 0, 0] = np.einsum("ij,ij->i", nearest, nearest)
+    bordered[:, : d + 2, d + 2] = 1.0
+    bordered[:, d + 2, : d + 2] = 1.0
     for _ in range(_HULL_MAJOR_CYCLES):
         # <x, p_j - q> = <x, p_j> - <x, q>, and <x, q> does not move the argmin
         best = np.argmin(x @ points.T, axis=1)
-        gap = np.einsum("ij,ij->i", x, x - (points[best] - targets))
+        vertex = points[best] - targets
+        gap = np.einsum("ij,ij->i", x, x - vertex)
         known = ((run_corral == best[:, None]) & inside).any(axis=1)
         go = (gap > tol) & ~known
         if not go.all():
             stop = ids[~go]
             corral[stop], weights[stop], nearest[stop] = run_corral[~go], run_weights[~go], x[~go]
-            ids, run_corral, run_weights, inside, x, targets, tol, best = (
-                a[go] for a in (ids, run_corral, run_weights, inside, x, targets, tol, best)
+            ids, run_corral, run_weights, inside, x, targets, tol, best, vertex, vertices, bordered = (
+                a[go]
+                for a in (ids, run_corral, run_weights, inside, x, targets, tol, best, vertex, vertices, bordered)
             )
             if not ids.size:
                 break
@@ -593,44 +630,43 @@ def _min_norm_points(points: np.ndarray, targets: np.ndarray) -> tuple[np.ndarra
         slot = np.argmin(inside, axis=1)
         run_corral[rows, slot] = best
         inside[rows, slot] = True
-        vertices = points[run_corral] - targets[:, None, :]
-        _minor_cycles(vertices, run_weights, inside)
+        # the added vertex's row and column of the Gram, its own square included
+        vertices[rows, slot] = vertex
+        column = (vertices @ vertex[:, :, None])[:, :, 0]
+        bordered[rows, : d + 2, slot] = column
+        bordered[rows, slot, : d + 2] = column
+        _minor_cycles(bordered, run_weights, inside)
         x = np.einsum("ik,ikj->ij", run_weights, vertices)
     corral[ids], weights[ids], nearest[ids] = run_corral, run_weights, x
     return np.linalg.norm(nearest, axis=1) * scale, corral, weights
 
 
-def _minor_cycles(vertices: np.ndarray, weights: np.ndarray, inside: np.ndarray) -> None:
+def _minor_cycles(bordered: np.ndarray, weights: np.ndarray, inside: np.ndarray) -> None:
     """Wolfe's minor cycles for every row, updating its weights and corral mask in place.
 
-    ``vertices`` is the ``(n, k, d)`` stack of each row's corral slots.
-    Each row's bordered Gram [[Y Y^T, 1], [1^T, 0]] is formed once; a pass
-    masks it to the row's current corral (empty slots become identity rows)
-    and solves the KKT systems of the affine minimizers of all rows still
-    in the loop with one batched solve. A row whose minimizer has positive
-    weights on its whole corral takes them and leaves; the others move from
-    their convex weights toward the minimizer until a weight reaches 0,
-    drop that vertex (and any other weight that is not positive) and go
-    round again.
+    ``bordered`` is the ``(n, k + 1, k + 1)`` stack of each row's bordered
+    Gram [[Y Y^T, 1], [1^T, 0]] over its k corral slots, which the caller
+    keeps up to date; it is read, never written. A pass masks it to the
+    row's current corral (empty slots become identity rows) and solves the
+    KKT systems of the affine minimizers of all rows still in the loop with
+    one batched solve. A row whose minimizer has positive weights on its
+    whole corral takes them and leaves; the others move from their convex
+    weights toward the minimizer until a weight reaches 0, drop that vertex
+    (and any other weight that is not positive) and go round again.
     """
     n, k = inside.shape
-    bordered = np.zeros((n, k + 1, k + 1))
-    bordered[:, :k, :k] = vertices @ vertices.transpose(0, 2, 1)
-    bordered[:, :k, k] = 1.0
-    bordered[:, k, :k] = 1.0
     # one right-hand side, broadcast over the stack as a (1, k + 1, 1) matrix
     rhs = np.zeros((1, k + 1, 1))
     rhs[0, k] = 1.0
+    identity = np.eye(k + 1, dtype=bool)
     rows = np.arange(n)
     # the mask with the border's slot, always set
     mask = np.ones((n, k + 1), dtype=bool)
     mask[:, :k] = inside
     current = weights.copy()
     while True:
-        # an empty slot's row and column are zeroed and its diagonal set to 1;
-        # the diagonal view also holds the corner, where ~mask adds 0
-        kkt = bordered * (mask[:, :, None] & mask[:, None, :])
-        kkt.reshape(rows.size, -1)[:, :: k + 2] += ~mask
+        # an empty slot's row and column are those of the identity
+        kkt = np.where(mask[:, :, None] & mask[:, None, :], bordered, identity)
         affine = np.linalg.solve(kkt, rhs)[:, :k, 0]
         low = mask[:, :k] & (affine <= 0.0)
         done = ~low.any(axis=1)

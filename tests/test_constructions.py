@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1030,6 +1031,68 @@ def test_quadratic_scan_matches_reference_at_small_blocks(k, window, field, rows
     rng = np.random.default_rng(300 + 10 * k + window)
     for action in scan_inputs(k, field, rng):
         assert_matches_reference_scan(action, window)
+
+
+def first_pair_reading(z: tuple[int, ...], order: dict[tuple[int, ...], int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The first pair (x, y) of the scan whose defect reads psi(z): one with
+    z among x + y, x - y, x and y."""
+    rows = sorted(order, key=order.get)
+    for x in rows:
+        if x == z:
+            return x, rows[0]
+        columns = [tuple(a - b for a, b in zip(z, x)), tuple(b - a for a, b in zip(z, x)), z]
+        columns = [y for y in columns if y in order]
+        if columns:
+            return x, min(columns, key=order.get)
+    raise AssertionError(f"no pair reads {z}")
+
+
+# inf - inf in a defect warns as it makes the NaN the scan must catch
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("planted", [np.nan, np.inf])
+@pytest.mark.parametrize("z,later_block", [((4, 0, 0), False), ((1, -1, 0), False), ((6, 6, 6), True), ((-5, 6, 1), True)])
+def test_scan_fails_at_the_first_pair_that_reads_a_nonfinite_psi(z, later_block, planted, monkeypatch):
+    # a NaN or infinite psi leaves the scale finite and fails the first pair
+    # whose defect reads it, in the first block or a later one
+    k, window = 3, 3
+    order = scan_order(k, window)
+    expected = first_pair_reading(z, order)
+    block = max(1, constructions._SCAN_BLOCK_ELEMENTS // len(order))
+    assert (order[expected[0]] >= block) == later_block
+
+    def planted_grid(cocycle, k, reach):
+        psi = _psi_grid(cocycle, k, reach)
+        psi[tuple(c + reach for c in z)] = planted
+        return psi
+
+    monkeypatch.setattr(constructions, "_psi_grid", planted_grid)
+    result = quadratic_form_test(spanning_translations(k, "real", np.random.default_rng(8)), window)
+    assert result.violation == expected
+    assert not np.isfinite(result.max_defect)
+
+
+def test_scan_order_is_cached_and_read_only():
+    inner = constructions._scan_order(3, 2)
+    assert constructions._scan_order(3, 2) is inner
+    assert not inner.flags.writeable
+    with pytest.raises(ValueError):
+        inner[0, 0] = 1
+    order = scan_order(3, 2)
+    assert [tuple(x) for x in inner.tolist()] == sorted(order, key=order.get)
+
+
+def test_quadratic_scan_memory_stays_far_below_the_pair_matrix():
+    # the (2401 x 2401) defects of all pairs would take 46 MB; every block is small
+    action = spanning_translations(4, "real", np.random.default_rng(43))
+    quadratic_form_test(action, window=3)
+    tracemalloc.start()
+    try:
+        result = quadratic_form_test(action, window=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.quadratic
+    assert peak < 8 * 2**20
 
 
 @WARNINGS_FAIL
