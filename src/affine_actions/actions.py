@@ -13,7 +13,8 @@ the U-parts of the solutions form a left ideal pi' p of the commutant, and
 the minimal invariant affine subspace K = {z : p z + t_p = 0} is read off
 one SVD of the stacked nonzero rows of every pair's U (see
 ``_kernel_subspace``). The witness is the nearest-point map onto K; both are
-certified (see ``certify``) before being returned.
+certified (see ``certify``) before being returned. The decision reads
+only whether a solved pair has U != 0 (``decide_irreducibility``).
 """
 
 from __future__ import annotations
@@ -200,18 +201,29 @@ def certification_scale(parts, *actions: AffineAction) -> float:
     return sum(float(np.linalg.norm(p)) for p in parts) + cocycle_norm(*actions)
 
 
-def certify(residual: float, parts, action: AffineAction, what: str) -> float:
+def certify(residual: float, parts, what: str, *actions: AffineAction) -> float:
     """Return ``residual`` if it meets the certification bound, else raise.
 
     The one bound for every result the library certifies is
     residual <= eps_residual * (1 + scale) with scale the
-    ``certification_scale`` of the result's ``parts`` on ``action`` and
-    eps_residual the action's, so the bound reads the same at every
-    magnitude of the data.
+    ``certification_scale`` of the result's ``parts`` on the ``actions``
+    (one, or the two an intertwiner joins) and eps_residual their common
+    profile's, so the bound reads the same at every magnitude of the data.
     """
-    if not residual_ok(residual, certification_scale(parts, action), action.tol.eps_residual):
+    if not residual_ok(residual, certification_scale(parts, *actions), actions[0].tol.eps_residual):
         raise InternalCheckError(f"{what} failed certification (residual {residual:.3e})")
     return residual
+
+
+def _require_common_setting(a1: AffineAction, a2: AffineAction, what: str) -> None:
+    """Refuse two actions that differ in presentation, field or tolerance
+    profile, naming ``what`` needs them equal."""
+    if a1.presentation != a2.presentation:
+        raise ActionError(f"{what} requires identical presentations")
+    if a1.field != a2.field:
+        raise ActionError(f"{what} requires a common scalar field")
+    if a1.tol != a2.tol:
+        raise ActionError(f"{what} requires a common tolerance profile")
 
 
 def _moved_values(ops: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -281,7 +293,7 @@ def affine_commutant(action: AffineAction) -> AffineCommutant:
                   for v, t in zip(u * (scales[rows, None] / scales), scales[rows] * stacked[len(ops) :].T)]
     pairs += [CommutantPair(np.zeros((len(f), d), rep.dtype), scales[rows] * f, rows) for rows, f in fixed]
     residuals = [
-        certify(commutant_residual(action, p), (p.deviation, p.translation), action, "commutant basis element")
+        certify(commutant_residual(action, p), (p.deviation, p.translation), "commutant basis element", action)
         for p in pairs
     ]
     return AffineCommutant(tuple(pairs), {"worst_equation_defect": max(residuals, default=0.0)})
@@ -309,8 +321,8 @@ class IrreducibilityVerdict:
     projector onto K's orthogonal directions), and the residuals both were
     certified with (``witness_commutant``, ``subspace_invariance``).
     Irreducible verdicts carry an orthonormal basis of the representation's
-    fixed space: the commutant then consists exactly of the translations
-    along it.
+    fixed space: every pair then has U = 0, and the commutant consists
+    exactly of the translations along it.
     """
 
     reducible: bool
@@ -351,7 +363,7 @@ def fixed_points(action: AffineAction) -> FixedPoints:
     if not residual_ok(off_image, float(np.linalg.norm(b)), action.tol.eps_residual):
         return FixedPoints(None)
     subspace = AffineSubspace(-split.pinv @ b, split.kernel)
-    defect = certify(check_invariance(action, subspace), (subspace.base,), action, "fixed-point subspace")
+    defect = certify(check_invariance(action, subspace), (subspace.base,), "fixed-point subspace", action)
     return FixedPoints(subspace, {"invariance": defect})
 
 
@@ -385,7 +397,7 @@ def invariant_subspace_from_witness(action: AffineAction, witness: AffineMap) ->
     if not residual_ok(residual, certification_scale((u, t), action), tol.eps_residual):
         raise WitnessError(f"witness fails the commutant equations (residual {residual:.3e})")
     subspace = _kernel_subspace(u / scale, t / scale, tol)
-    certify(check_invariance(action, subspace), (subspace.base,), action, "extracted subspace")
+    certify(check_invariance(action, subspace), (subspace.base,), "extracted subspace", action)
     return subspace
 
 
@@ -438,14 +450,14 @@ def decide_irreducibility(action: AffineAction) -> IrreducibilityVerdict:
     """Decide irreducibility via the affine commutant.
 
     Irreducible iff every solution pair has U = 0 (the affine Schur lemma:
-    no nonzero U in the commutant of pi sends b to a coboundary). Since
-    pure-translation solutions (U = 0) force their vector into the fixed
-    space, that is equivalent to the scale-free test used here: the solution
-    space is no larger than the fixed space. The generator equations suffice
-    because commuting with each generator map forces commuting with every
-    word (tested as a property, not assumed). Only stage 3 of
-    ``affine_commutant`` runs per cocycle, in a frame of unit cocycle scale,
-    so the verdict is invariant under b -> lambda b.
+    no nonzero U in the commutant of pi sends b to a coboundary), read off
+    the pairs of ``affine_commutant`` as they come: stage 3 gives a pair
+    with U != 0 for each x with [U_j b]_j x a coboundary, and the pairs
+    (0, f) for f in the fixed space, each certified against the action
+    there. The generator equations suffice because commuting with each
+    generator map forces commuting with every word (tested as a property,
+    not assumed). Only stage 3 runs per cocycle, in a frame of unit cocycle
+    scale, so the verdict is invariant under b -> lambda b.
 
     A Reducible verdict carries the minimal invariant affine subspace K and
     the nearest-point map onto it, (U, t) = (-p, base of K), both certified
@@ -456,35 +468,24 @@ def decide_irreducibility(action: AffineAction) -> IrreducibilityVerdict:
     stage 3 (``_minimal_subspace``). An invariant K' gives the pair of its
     nearest-point map, so dim K' >= dim K: K is minimal, and its dimension
     does not depend on the null-space basis. For a (+) a, K is the diagonal
-    embedding of a's own K. Irreducible verdicts are checked against the
-    fixed space (the commutant must be exactly the translations along it).
+    embedding of a's own K. An Irreducible verdict carries the fixed space
+    (``fixed_subspace``), whose translations its pairs are; only then is it
+    fetched, so a reducible direct sum assembles no boundary split of its own.
     """
     pairs = affine_commutant(action).pairs
-    fixed = fixed_subspace(action.rep)
-    if len(pairs) > fixed.shape[1]:
-        subspace = _minimal_subspace(action, pairs)
-        witness = AffineMap(subspace.directions @ subspace.directions.conj().T, subspace.base)
-        residuals = {
-            "witness_commutant": certify(
-                commutant_residual(action, witness), (witness.deviation, witness.translation), action, "witness map"
-            ),
-            "subspace_invariance": certify(
-                check_invariance(action, subspace), (subspace.base,), action, "extracted subspace"
-            ),
-        }
-        return IrreducibilityVerdict(True, pairs, witness, subspace, residuals=residuals)
-
-    if len(pairs) != fixed.shape[1]:
-        raise InternalCheckError(
-            f"commutant dimension {len(pairs)} < fixed-space dimension {fixed.shape[1]}"
-        )
-    for pair in pairs:
-        off = fixed @ (fixed[pair.rows].conj().T @ pair.translation)
-        off[pair.rows] -= pair.translation
-        t_norm = float(np.linalg.norm(pair.translation))
-        if not residual_ok(float(np.linalg.norm(off)), t_norm, action.tol.eps_residual):
-            raise InternalCheckError("commutant translation leaves the fixed space")
-    return IrreducibilityVerdict(False, pairs, translation_directions=fixed)
+    if not any(p.deviation.any() for p in pairs):
+        return IrreducibilityVerdict(False, pairs, translation_directions=fixed_subspace(action.rep))
+    subspace = _minimal_subspace(action, pairs)
+    witness = AffineMap(subspace.directions @ subspace.directions.conj().T, subspace.base)
+    residuals = {
+        "witness_commutant": certify(
+            commutant_residual(action, witness), (witness.deviation, witness.translation), "witness map", action
+        ),
+        "subspace_invariance": certify(
+            check_invariance(action, subspace), (subspace.base,), "extracted subspace", action
+        ),
+    }
+    return IrreducibilityVerdict(True, pairs, witness, subspace, residuals=residuals)
 
 
 def project_action(action: AffineAction, basis: np.ndarray) -> AffineAction:
@@ -534,12 +535,7 @@ def direct_sum(a1: AffineAction, a2: AffineAction) -> AffineAction:
     An entry whose matrices equal an earlier one's bit for bit is kept as
     that object, so a (+) a solves pi once, also when a is loaded twice.
     """
-    if a1.presentation != a2.presentation:
-        raise ActionError("direct sum requires identical presentations")
-    if a1.field != a2.field:
-        raise ActionError("direct sum requires a common scalar field")
-    if a1.tol != a2.tol:
-        raise ActionError("direct sum requires a common tolerance profile")
+    _require_common_setting(a1, a2, "direct sum")
     for summand in (a for a in (a1, a2) if a.rep._summands is None):
         if failure := validity_report(summand.tol, summand.rep, summand.cocycle).failure:
             raise failure
@@ -614,12 +610,7 @@ def check_equivalence(
     """
     trials = int_at_least("trials", trials, 0)
     seed = checked_seed(seed)
-    if a1.presentation != a2.presentation:
-        raise ActionError("equivalence requires identical presentations")
-    if a1.field != a2.field:
-        raise ActionError("equivalence requires a common scalar field")
-    if a1.tol != a2.tol:
-        raise ActionError("equivalence requires a common tolerance profile")
+    _require_common_setting(a1, a2, "equivalence")
     if a1.dim != a2.dim:
         return EquivalenceResult(False, None, probabilistic=False)
     tol, d = a1.tol, a1.dim
@@ -743,7 +734,7 @@ def _graph_projections(a1: AffineAction, a2: AffineAction, pairs, equal: bool) -
             p1, p2 = project_action(a1, w1), project_action(a2, w2)
         except ValueError as exc:  # a singular block, a non-invariant basis or near-tolerance validation
             raise InternalCheckError(f"equivalent projections failed re-validation: {exc}") from exc
-    residual = intertwining_residual(p1, p2, mapping)
-    if not residual_ok(residual, certification_scale((mapping.linear, mapping.translation), a1, a2), tol.eps_residual):
-        raise InternalCheckError(f"equivalent projections failed certification (residual {residual:.3e})")
+    residual = certify(
+        intertwining_residual(p1, p2, mapping), (mapping.linear, mapping.translation), "equivalent projections", a1, a2
+    )
     return EquivalentProjections(w1, w2, mapping, {"intertwining": residual})

@@ -18,7 +18,7 @@ import numpy as np
 
 from .actions import AffineAction, AffineMap, AffineSubspace
 from .constructions import InducedSetup, SubgroupSpec
-from .linalg import COMPLEX, REAL, ToleranceProfile
+from .linalg import COMPLEX, DEFAULT_TOL, REAL, ToleranceProfile
 from .reps import Cocycle, Representation, ValidityReport, validity_report
 from .words import CosetTable, GroupPresentation, Word
 
@@ -27,12 +27,6 @@ FORMAT_VERSION = "1"
 
 class ProblemFileError(ValueError):
     """Malformed problem file; the message names the offending location."""
-
-
-def _scalar_to_json(value, field: str):
-    if field == COMPLEX:
-        return [float(np.real(value)), float(np.imag(value))]
-    return float(np.real(value))
 
 
 def _is_int(value) -> bool:
@@ -62,7 +56,13 @@ def _scalar_from_json(value, field: str, where: str):
 
 
 def array_to_json(array: np.ndarray, field: str) -> list:
-    return [_scalar_to_json(v, field) for v in np.asarray(array).reshape(-1)]
+    """The entries in row-major order as floats: real parts, or [re, im] pairs."""
+    array = np.asarray(array).reshape(-1)
+    if field == COMPLEX:
+        pairs = np.empty((array.size, 2))
+        pairs[:, 0], pairs[:, 1] = array.real, array.imag
+        return pairs.tolist()
+    return array.real.astype(np.float64).tolist()
 
 
 def by_generator(presentation: GroupPresentation, arrays, field: str) -> dict:
@@ -81,6 +81,18 @@ def array_from_json(data, field: str, shape: tuple[int, ...], where: str) -> np.
     return np.array(values, dtype=dtype).reshape(shape)
 
 
+def _object(data, where: str, keys, expected: str = "an object") -> dict:
+    """``data`` if it is a JSON object with no key outside ``keys``, else a
+    ProblemFileError located at ``where``. Every object of a problem or
+    setup file is read through it, so a misspelt field is refused."""
+    if not isinstance(data, dict):
+        raise ProblemFileError(f"{where}: expected {expected}")
+    unknown = data.keys() - keys
+    if unknown:
+        raise ProblemFileError(f"{where}: unknown keys {sorted(unknown)}; expected keys among {list(keys)}")
+    return data
+
+
 def _word_strings(data, where: str) -> list[str]:
     if not isinstance(data, list) or not all(isinstance(w, str) for w in data):
         raise ProblemFileError(f"{where}: expected a list of word strings")
@@ -96,8 +108,7 @@ def _words_from_json(data, parse, where: str) -> tuple[Word, ...]:
 
 
 def _presentation_from_json(data, where: str) -> GroupPresentation:
-    if not isinstance(data, dict):
-        raise ProblemFileError(f"{where}: expected an object with generators/relators")
+    data = _object(data, where, ("generators", "relators"), "an object with generators/relators")
     generators = data.get("generators")
     if not isinstance(generators, list) or not all(isinstance(g, str) for g in generators):
         raise ProblemFileError(f"{where}.generators: expected a list of strings")
@@ -118,16 +129,14 @@ def presentation_to_json(presentation: GroupPresentation) -> dict:
 
 
 def _coset_table_from_json(data, ambient: GroupPresentation, subgroup: GroupPresentation | None, where: str) -> CosetTable:
-    if not isinstance(data, dict):
-        raise ProblemFileError(f"{where}: expected an object")
+    data = _object(data, where, ("transversal", "action", "schreier"))
     transversal_raw = data.get("transversal")
     if not isinstance(transversal_raw, list) or not transversal_raw:
         raise ProblemFileError(f"{where}.transversal: expected a non-empty list of word strings")
     transversal = _words_from_json(transversal_raw, ambient.parse_word, f"{where}.transversal")
-    action_raw = data.get("action")
-    schreier_raw = data.get("schreier")
-    if not isinstance(action_raw, dict) or not isinstance(schreier_raw, dict):
-        raise ProblemFileError(f"{where}: action and schreier must map generator names to rows")
+    expected = "an object mapping generator names to rows"
+    action_raw = _object(data.get("action"), f"{where}.action", ambient.generators, expected)
+    schreier_raw = _object(data.get("schreier"), f"{where}.schreier", ambient.generators, expected)
     action_rows = []
     schreier_rows = []
     word_parser = subgroup.parse_word if subgroup is not None else ambient.parse_word
@@ -141,9 +150,6 @@ def _coset_table_from_json(data, ambient: GroupPresentation, subgroup: GroupPres
             raise ProblemFileError(f"{where}.action.{name}: expected a list of coset indices")
         action_rows.append(tuple(row))
         schreier_rows.append(_words_from_json(schreier_raw[name], word_parser, f"{where}.schreier.{name}"))
-    extra = set(action_raw) - set(ambient.generators)
-    if extra:
-        raise ProblemFileError(f"{where}.action: unknown generators {sorted(extra)}")
     return CosetTable(transversal, action_rows, schreier_rows)
 
 
@@ -196,7 +202,7 @@ class ProblemFile:
         return action
 
 
-_KNOWN_KEYS = {
+_PROBLEM_KEYS = (
     "format_version",
     "field",
     "presentation",
@@ -208,15 +214,11 @@ _KNOWN_KEYS = {
     "coset_table",
     "central_words",
     "seed",
-}
+)
 
 
 def problem_from_dict(data: dict) -> ProblemFile:
-    if not isinstance(data, dict):
-        raise ProblemFileError("top level: expected a JSON object")
-    unknown = set(data) - _KNOWN_KEYS
-    if unknown:
-        raise ProblemFileError(f"unknown top-level keys: {sorted(unknown)}")
+    data = _object(data, "top level", _PROBLEM_KEYS, "a JSON object")
     if data.get("format_version") != FORMAT_VERSION:
         raise ProblemFileError(
             f"format_version: expected {FORMAT_VERSION!r}, got {data.get('format_version')!r}"
@@ -229,32 +231,26 @@ def problem_from_dict(data: dict) -> ProblemFile:
     if not _is_int(dim) or dim < 1:
         raise ProblemFileError(f"dim: expected a positive integer, got {dim!r}")
 
-    matrices_raw = data.get("matrices", {})
-    cocycle_raw = data.get("cocycle", {})
-    for key, raw in (("matrices", matrices_raw), ("cocycle", cocycle_raw)):
-        if not isinstance(raw, dict):
-            raise ProblemFileError(f"{key}: expected an object keyed by generator name")
-        extra = set(raw) - set(presentation.generators)
-        if extra:
-            raise ProblemFileError(f"{key}: undeclared generators {sorted(extra)}")
-        missing = set(presentation.generators) - set(raw)
+    raw = {}
+    for key in ("matrices", "cocycle"):
+        raw[key] = _object(data.get(key, {}), key, presentation.generators, "an object keyed by generator name")
+        missing = set(presentation.generators) - set(raw[key])
         if missing:
             raise ProblemFileError(f"{key}: missing generators {sorted(missing)}")
     matrices = tuple(
-        array_from_json(matrices_raw[name], field, (dim, dim), f"matrices.{name}")
+        array_from_json(raw["matrices"][name], field, (dim, dim), f"matrices.{name}")
         for name in presentation.generators
     )
     values = tuple(
-        array_from_json(cocycle_raw[name], field, (dim,), f"cocycle.{name}")
+        array_from_json(raw["cocycle"][name], field, (dim,), f"cocycle.{name}")
         for name in presentation.generators
     )
 
     tolerances = None
     if "tolerances" in data:
-        tol_raw = data["tolerances"]
-        if not isinstance(tol_raw, dict) or set(tol_raw) - {"rank", "residual", "eig"}:
-            raise ProblemFileError("tolerances: expected keys among rank/residual/eig")
-        eps = {f"eps_{k}": _real_from_json(tol_raw.get(k, 1e-8), f"tolerances.{k}") for k in ("rank", "residual", "eig")}
+        names = ("rank", "residual", "eig")
+        tol_raw = _object(data["tolerances"], "tolerances", names)
+        eps = {f"eps_{k}": _real_from_json(tol_raw.get(k, 1e-8), f"tolerances.{k}") for k in names}
         try:
             tolerances = ToleranceProfile(**eps)
         except ValueError as exc:
@@ -262,8 +258,8 @@ def problem_from_dict(data: dict) -> ProblemFile:
 
     subgroup = None
     if "subgroup" in data:
-        sub_raw = data["subgroup"]
-        if not isinstance(sub_raw, dict) or "generators" not in sub_raw:
+        sub_raw = _object(data["subgroup"], "subgroup", ("generators", "presentation"))
+        if "generators" not in sub_raw:
             raise ProblemFileError("subgroup: expected an object with a generators list")
         words = tuple(_word_strings(sub_raw["generators"], "subgroup.generators"))
         sub_pres = None
@@ -344,11 +340,10 @@ def load_induction_setup(path: str | Path) -> InducedSetup:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ProblemFileError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise ProblemFileError(f"{path}: top level: expected a JSON object")
-    if data.get("format_version") != FORMAT_VERSION:
-        raise ProblemFileError(f"{path}: format_version must be {FORMAT_VERSION!r}")
     try:
+        data = _object(data, "top level", ("format_version", "ambient", "subgroup", "coset_table"), "a JSON object")
+        if data.get("format_version") != FORMAT_VERSION:
+            raise ProblemFileError(f"format_version must be {FORMAT_VERSION!r}")
         ambient = _presentation_from_json(data.get("ambient"), "ambient")
         subgroup = _presentation_from_json(data.get("subgroup"), "subgroup")
         table = _coset_table_from_json(data.get("coset_table"), ambient, subgroup, "coset_table")
@@ -357,14 +352,15 @@ def load_induction_setup(path: str | Path) -> InducedSetup:
     return InducedSetup(ambient, subgroup, table)
 
 
-def action_to_problem(action: AffineAction, tolerances: ToleranceProfile | None = None) -> ProblemFile:
+def action_to_problem(action: AffineAction) -> ProblemFile:
+    """The problem file of an action, with its tolerance profile unless that is the default."""
     return ProblemFile(
         action.field,
         action.presentation,
         action.dim,
         action.rep.matrices,
         action.cocycle.values,
-        tolerances,
+        None if action.tol == DEFAULT_TOL else action.tol,
     )
 
 

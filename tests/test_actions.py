@@ -275,6 +275,20 @@ def test_project_rejects_non_invariant_subspace():
         project_action(action, bad)
 
 
+@pytest.mark.parametrize(
+    "basis, message",
+    [
+        (np.array([[2.0], [0.0]]), "not orthonormal"),
+        (np.zeros((2, 0)), r"k >= 1, got \(2, 0\)"),
+        (np.eye(3)[:, :1], r"k >= 1, got \(3, 1\)"),
+        (np.array([0.0, 1.0]), r"k >= 1, got \(2,\)"),
+    ],
+)
+def test_project_refuses_a_basis_that_is_not_an_orthonormal_frame(basis, message):
+    with pytest.raises(ActionError, match=message):
+        project_action(glide_action(), basis)
+
+
 def disjoint_irreducible_pair():
     """Two irreducible F2 actions with disjoint linear parts (1-dim vs 2-dim)."""
     f2 = f2_group()
@@ -312,6 +326,21 @@ def test_direct_sum_independent_translation_tuples_irreducible():
 def test_direct_sum_disjoint_linear_parts_irreducible():
     a1, a2 = disjoint_irreducible_pair()
     assert decide_irreducibility(direct_sum(a1, a2)).irreducible
+
+
+def test_only_an_irreducible_sum_assembles_its_boundary_split():
+    # a Reducible verdict is read off a pair with U != 0, so a double builds
+    # no split at its own size; an Irreducible one carries the fixed space,
+    # the kernel of that split
+    rng = np.random.default_rng(5)
+    half = random_action(random_free_rep(f2_group(), 3, "real", rng), rng)
+    double = direct_sum(half, half)
+    assert decide_irreducibility(double).reducible
+    assert "boundary" not in double.rep._solves
+    total = direct_sum(*disjoint_irreducible_pair())
+    verdict = decide_irreducibility(total)
+    assert verdict.irreducible and "boundary" in total.rep._solves
+    assert verdict.translation_directions is fixed_subspace(total.rep)
 
 
 def test_direct_sum_requires_matching_presentations_and_fields():

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from affine_actions import Representation, analyze_direct_sum, direct_sum
+from affine_actions import Representation, ToleranceProfile, analyze_direct_sum, direct_sum
 from affine_actions import cli
 from affine_actions.cli import VERBS, build_parser, main
 from affine_actions.problem_io import (
@@ -44,6 +44,17 @@ def test_problem_files_round_trip(name):
         assert np.array_equal(a, b)
     for a, b in zip(problem.cocycle_values, again.cocycle_values):
         assert np.array_equal(a, b)
+
+
+def test_a_profile_and_a_seed_round_trip():
+    data = json.loads((FIXTURES / "glide.json").read_text())
+    data["tolerances"] = {"rank": 1e-9, "residual": 1e-7, "eig": 1e-6}
+    data["seed"] = 11
+    dumped = problem_to_dict(problem_from_dict(data))
+    assert dumped["tolerances"] == data["tolerances"] and dumped["seed"] == 11
+    again = problem_from_dict(json.loads(json.dumps(dumped)))
+    assert again.tolerances == ToleranceProfile(1e-9, 1e-7, 1e-6) and again.seed == 11
+    assert problem_to_dict(again) == dumped
 
 
 def test_verify_glide_passes(capsys):
@@ -244,6 +255,59 @@ def test_induce_command(capsys):
     assert doc["induced_action"]["dim"] == 2
 
 
+@pytest.mark.parametrize(
+    "args, key",
+    [
+        (["restrict", FIXTURES / "dihedral.json"], "restricted_action"),
+        (["induce", FIXTURES / "z_translation.json", FIXTURES / "c2xz_setup.json"], "induced_action"),
+    ],
+    ids=["restrict", "induce"],
+)
+def test_an_emitted_action_keeps_the_profile_it_was_decided_at(args, key, tmp_path, capsys):
+    code, doc = run_machine(args, capsys)
+    assert "tolerances" not in doc[key]  # the default profile is not written
+    code, doc = run_machine(args + ["--tol-rank", "1e-10", "--tol-residual", "1e-10"], capsys)
+    assert doc[key]["tolerances"] == {"rank": 1e-10, "residual": 1e-10, "eig": 1e-8}
+    path = tmp_path / "emitted.json"
+    path.write_text(json.dumps(doc[key]))
+    assert load_problem(path).tolerance() == ToleranceProfile(1e-10, 1e-10, 1e-8)
+    again, decided = run_machine(["irreducible", path], capsys)
+    assert (again, decided["verdict"]) == (code, doc["verdict"])
+
+
+def _setup_edit(edit):
+    """A copy of the induction setup fixture's text with ``edit`` applied to its data."""
+
+    def text():
+        data = json.loads((FIXTURES / "c2xz_setup.json").read_text())
+        return json.dumps(edit(data) or data)
+
+    return text
+
+
+SETUP_REFUSALS = {
+    "malformed-json": (lambda: "{not json", "line 1, column 2"),
+    "top-level-array": (lambda: "[]", "top level: expected a JSON object"),
+    "format-version": (_setup_edit(lambda d: d.update(format_version="2")), "format_version must be '1'"),
+    "ambient-not-object": (_setup_edit(lambda d: d.update(ambient=["a"])), "ambient: expected an object"),
+    "unknown-key": (_setup_edit(lambda d: d.update(index=2)), "top level: unknown keys ['index']"),
+    "schreier-undeclared-generator": (
+        _setup_edit(lambda d: d["coset_table"]["schreier"].update(u=["1", "1"])),
+        "coset_table.schreier: unknown keys ['u']",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SETUP_REFUSALS))
+def test_a_malformed_induction_setup_is_located(case, tmp_path, capsys):
+    text, message = SETUP_REFUSALS[case]
+    setup = tmp_path / f"{case}.json"
+    setup.write_text(text())
+    code, doc = run_machine(["induce", FIXTURES / "z_translation.json", setup], capsys)
+    assert code == 11, doc
+    assert doc["error"].startswith(f"{setup}: {message}"), doc["error"]
+
+
 def test_center_check_command(capsys):
     code, doc = run_machine(["center-check", FIXTURES / "heisenberg_trivial.json"], capsys)
     assert code == 0
@@ -364,6 +428,26 @@ BAD_FIELD_TYPES = {
     "cocycle-entry-minus-infinity": ("glide.json", _set(["cocycle", "t"], [0.0, float("-inf")]), "cocycle.t"),
     "complex-part-nan": ("z_trivial_c1.json", _set(["matrices", "t"], [[1.0, float("nan")]]), "matrices.t"),
     "tolerance-infinity": ("glide.json", _set(["tolerances"], {"rank": float("inf")}), "tolerances.rank"),
+    # an unknown key of any object is refused where it stands
+    "presentation-unknown-key": ("dihedral.json", _set(["presentation", "relator"], ["s s"]), "presentation"),
+    "matrices-undeclared-generator": ("glide.json", _set(["matrices", "u"], [1.0, 0.0, 0.0, 1.0]), "matrices"),
+    "tolerances-unknown-key": ("glide.json", _set(["tolerances", "rnak"], 1e-9), "tolerances"),
+    "subgroup-unknown-key": ("glide.json", _set(["subgroup", "generator"], ["t"]), "subgroup"),
+    "subgroup-presentation-unknown-key": (
+        "glide.json",
+        _set(["subgroup", "presentation"], {"generators": ["u"], "relator": []}),
+        "subgroup.presentation",
+    ),
+    "coset-table-unknown-key": (
+        "glide.json",
+        _set(["coset_table"], {"transversal": ["1"], "action": {"t": [0]}, "schreier": {"t": ["t"]}, "index": 1}),
+        "coset_table",
+    ),
+    "schreier-undeclared-generator": (
+        "glide.json",
+        _set(["coset_table"], {"transversal": ["1"], "action": {"t": [0]}, "schreier": {"t": ["t"], "u": ["1"]}}),
+        "coset_table.schreier",
+    ),
 }
 
 
@@ -388,6 +472,28 @@ def test_batch_mode(tmp_path, capsys):
     lines = [json.loads(line) for line in out.strip().splitlines()]
     assert [doc["verdict"] for doc in lines] == ["Irreducible", "Reducible"]
     assert all("file" in doc for doc in lines)
+    # the human report heads each file's lines with its path
+    code, out, _ = run_cli(["irreducible", "--batch", tmp_path], capsys)
+    assert code == 10
+    heads = [line for line in out.splitlines() if line.startswith("== ")]
+    assert heads == [f"== {tmp_path / 'a_dihedral.json'}", f"== {tmp_path / 'b_glide.json'}"]
+    assert out.splitlines()[1] == "irreducible: Irreducible"
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["{file}", "--batch", "{dir}"], "--batch replaces the positional file argument"),
+        (["--batch", "{dir}"], "no .json files in {dir}"),
+        ([], "a problem file is required"),
+    ],
+    ids=["file-and-batch", "empty-directory", "no-file"],
+)
+def test_batch_misuse_is_a_usage_error(argv, error, tmp_path, capsys):
+    paths = {"file": FIXTURES / "dihedral.json", "dir": tmp_path}
+    code, out, err = run_cli(["irreducible", *(a.format(**paths) for a in argv), "--machine"], capsys)
+    assert code == 11 and not out
+    assert err == f"error: {error.format(**paths)}\n"
 
 
 def test_result_documents_carry_standard_fields(capsys):

@@ -5,7 +5,10 @@ Every family of ``tests/helpers.py``, real and complex, d = 1..6, seeds
 drawn from ``default_rng(7919 d + seed)``, which then draws its four
 ``symmetric_actions`` moves. Each action and each move is decided: none may
 raise InternalCheckError, no move may flip the verdict, and a Reducible
-move keeps the dimension of the witness subspace.
+move keeps the dimension of the witness subspace. Each action and each sum
+below also has its pairs checked against its verdict
+(``check_pairs_match_the_verdict``): an Irreducible verdict's pairs are the
+translations along its fixed space, a Reducible one has a pair with U != 0.
 
 Each action is also summed with itself, with a second random cocycle a' on
 its representation, with a random action b on a second representation of
@@ -86,6 +89,24 @@ def check_case(label, action, rng) -> int:
     return moves
 
 
+def check_pairs_match_the_verdict(label, action) -> None:
+    """The affine Schur lemma on the decided pairs: an Irreducible verdict's
+    pairs all have U = 0, number ``translation_directions.shape[1]`` and
+    translate within that span to eps_residual (1 + ||t||); a Reducible
+    verdict has a pair with U != 0."""
+    verdict = decide_irreducibility(action)
+    if verdict.reducible:
+        assert any(p.deviation.any() for p in verdict.commutant), (label, "no pair with U != 0")
+        return
+    fixed = verdict.translation_directions
+    assert len(verdict.commutant) == fixed.shape[1], (label, "pair count", len(verdict.commutant), fixed.shape)
+    for pair in verdict.commutant:
+        assert not pair.deviation.any(), (label, "U != 0")
+        t = pair.as_affine_map().translation
+        off = float(np.linalg.norm(t - fixed @ (fixed.conj().T @ t)))
+        assert residual_ok(off, float(np.linalg.norm(t)), TOL.eps_residual), (label, "translation off the fixed space")
+
+
 def sum_cases(family: str, field: str, seeds):
     """(label, a1, a2): each corpus action (random and zero cocycle) summed
     with itself, with a', with b and with 1e8 and 1e9 times itself."""
@@ -148,6 +169,15 @@ def test_corpus_slice_sums_are_refused_or_certified(family, field):
 
 @pytest.mark.parametrize("field", FIELDS)
 @pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_corpus_slice_pairs_match_the_verdict(family, field):
+    for label, action, _ in corpus_cases(family, field, SLICE_SEEDS):
+        check_pairs_match_the_verdict(label, action)
+    for label, a1, a2 in sum_cases(family, field, SLICE_SEEDS):
+        check_pairs_match_the_verdict(label, direct_sum(a1, a2))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_corpus_slice_three_summand_sums_keep_the_witness_dimension(family, field):
     for label, total, reference in three_summand_cases(family, field, SLICE_SEEDS):
         check_three_summands(label, total, reference)
@@ -174,9 +204,11 @@ def main() -> int:
         for field in FIELDS:
             for label, action, rng in corpus_cases(family, field, SEEDS):
                 moves += run(check_case, label, action, rng)
+                run(check_pairs_match_the_verdict, label, action)
                 decisions += 1
-            for case in sum_cases(family, field, SEEDS):
-                run(check_witness, *case)
+            for label, a1, a2 in sum_cases(family, field, SEEDS):
+                run(check_witness, label, a1, a2)
+                run(check_pairs_match_the_verdict, label, direct_sum(a1, a2))
                 sums += 1
             for case in (*three_summand_cases(family, field, SEEDS), *four_copy_cases(family, field, SEEDS)):
                 run(check_three_summands, *case)

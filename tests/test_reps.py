@@ -12,6 +12,7 @@ from affine_actions import (
     ToleranceProfile,
     Word,
     check_equivalence,
+    coboundary,
     commutant_action_on_classes,
     commutant_basis,
     decide_irreducibility,
@@ -94,6 +95,53 @@ def test_rejects_broken_relator():
     # both matrices are isometries, but (st)^2 is a nontrivial rotation
     with pytest.raises(RepresentationError):
         Representation(pres, "real", [rot, np.eye(2)])
+
+
+def _f2_rep():
+    return Representation(f2_group(), "real", [np.eye(2)] * 2)
+
+
+# the count and shape refusals of the two constructors
+BAD_CONSTRUCTIONS = {
+    "matrix-count": (lambda: Representation(f2_group(), "real", [np.eye(2)]), "expected 2 matrices, got 1"),
+    "no-generators-no-dim": (
+        lambda: Representation(GroupPresentation([]), "real", []), "dimension is required for a generator-free"
+    ),
+    "zero-dim": (lambda: Representation(GroupPresentation([]), "real", [], dim=0), "dimension must be >= 1"),
+    "matrix-shape": (
+        lambda: Representation(f2_group(), "real", [np.eye(2), np.eye(3)]),
+        r"matrix for 'b' has shape \(3, 3\), expected \(2, 2\)",
+    ),
+    "non-square-matrix": (
+        lambda: Representation(z_group(), "real", [np.ones((1, 2))]), r"shape \(1, 2\), expected \(1, 1\)"
+    ),
+    "value-count": (lambda: Cocycle(_f2_rep(), [np.zeros(2)]), "expected 2 vectors, got 1"),
+    "value-shape": (
+        lambda: Cocycle(_f2_rep(), [np.zeros(2), np.zeros(3)]), r"value has shape \(3,\), expected \(2,\)"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONSTRUCTIONS))
+def test_constructors_refuse_a_wrong_count_or_shape(case):
+    build, message = BAD_CONSTRUCTIONS[case]
+    error = CocycleError if case.startswith("value") else RepresentationError
+    with pytest.raises(error, match=message):
+        build()
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_coboundary_is_the_cocycle_of_the_action_fixing_minus_v(field):
+    rng = np.random.default_rng(3)
+    rep = random_free_rep(f2_group(), 3, field, rng)
+    v = random_field_vector(3, field, rng)
+    cocycle = coboundary(rep, v)
+    assert all(np.array_equal(b, m @ v - v) for m, b in zip(rep.matrices, cocycle.values))
+    action = AffineAction(rep, cocycle)
+    for word in ("a", "b^-1", "a b a^-1 b"):
+        moved = action.evaluate(rep.presentation.parse_word(word))(-v)
+        assert np.linalg.norm(moved + v) <= 1e-12
+    assert decide_irreducibility(action).reducible
 
 
 def test_cocycle_extension_examples():

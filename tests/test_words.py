@@ -154,3 +154,17 @@ def test_coset_table_shape_mismatch_reported():
     report = validate_coset_table(p, table)
     assert not report.passed
     assert report.checks[0].name == "shapes"
+
+
+@pytest.mark.parametrize(
+    "action, schreier, detail",
+    [
+        (((0, 1), (1,)), ((Word(), Word()), (Word(), Word())), "permutation length != coset count"),
+        (((0, 1), (1, 0)), ((Word(), Word()), (Word(),)), "schreier row length != coset count"),
+    ],
+    ids=["permutation", "schreier"],
+)
+def test_coset_table_row_of_the_wrong_length_is_a_shape_failure(action, schreier, detail):
+    p = dihedral()
+    report = validate_coset_table(p, CosetTable((Word(), p.parse_word("s")), action, schreier))
+    assert [(c.name, c.passed, c.detail) for c in report.checks] == [("shapes", False, detail)]
