@@ -491,31 +491,32 @@ def decide_irreducibility(action: AffineAction) -> IrreducibilityVerdict:
 def project_action(action: AffineAction, basis: np.ndarray) -> AffineAction:
     """Compress the action onto an invariant subspace, in the supplied basis.
 
-    ``basis`` must have orthonormal columns spanning a subspace invariant
-    under the representation; the projected cocycle is the orthogonal
-    projection of the original one, and the projected representation keeps
-    the action's profile.
+    ``basis`` must be a ``dim x k`` matrix of orthonormal columns spanning a
+    subspace invariant under the representation, or ActionError is raised.
+    The projected matrices are the compressions ``W*(pi(s) W)``, formed once
+    each by the invariance check, and the projected cocycle is ``W* b(s)``.
+    The result keeps the action's profile and inherits its validity: it is
+    not held to bounds of its own, which tighten with k (the relator bound
+    is ``eps (1 + sqrt k)``), and a caller that derives a claim from it
+    certifies that claim against the action, as ``analyze_direct_sum`` does.
     """
     tol = action.tol
     basis = np.asarray(basis)
     if basis.ndim != 2 or basis.shape[0] != action.dim or basis.shape[1] == 0:
         raise ActionError(f"basis must be (dim x k) with k >= 1, got {basis.shape}")
     k = basis.shape[1]
-    if not residual_ok(frobenius(basis.conj().T @ basis - np.eye(k)), 1.0, tol.eps_residual):
+    adjoint = basis.conj().T
+    if not residual_ok(frobenius(adjoint @ basis - np.eye(k)), 1.0, tol.eps_residual):
         raise ActionError("basis columns are not orthonormal")
+    matrices = []
     for name, m in zip(action.presentation.generators, action.rep.matrices):
         moved = m @ basis
-        defect = frobenius(moved - basis @ (basis.conj().T @ moved))
+        matrices.append(adjoint @ moved)
+        defect = frobenius(moved - basis @ matrices[-1])
         if not residual_ok(defect, 1.0, tol.eps_residual):
             raise ActionError(f"subspace is not invariant under generator {name!r} (defect {defect:.3e})")
-    rep = Representation(
-        action.presentation,
-        action.field,
-        tuple(basis.conj().T @ m @ basis for m in action.rep.matrices),
-        dim=k,
-        tol=tol,
-    )
-    return AffineAction.from_values(rep, tuple(basis.conj().T @ b for b in action.cocycle.values))
+    rep = Representation(action.presentation, action.field, matrices, dim=k, tol=tol, validate=False)
+    return AffineAction(rep, Cocycle(rep, tuple(adjoint @ b for b in action.cocycle.values), validate=False))
 
 
 def direct_sum(a1: AffineAction, a2: AffineAction) -> AffineAction:
@@ -732,8 +733,8 @@ def _graph_projections(a1: AffineAction, a2: AffineAction, pairs, equal: bool) -
         try:
             mapping = AffineMap(-np.linalg.solve(dw2, c @ w1), -np.linalg.solve(dw2, t2))
             p1, p2 = project_action(a1, w1), project_action(a2, w2)
-        except ValueError as exc:  # a singular block, a non-invariant basis or near-tolerance validation
-            raise InternalCheckError(f"equivalent projections failed re-validation: {exc}") from exc
+        except ValueError as exc:  # a singular block or a refused basis
+            raise InternalCheckError(f"equivalent projections could not be formed: {exc}") from exc
     residual = certify(
         intertwining_residual(p1, p2, mapping), (mapping.linear, mapping.translation), "equivalent projections", a1, a2
     )

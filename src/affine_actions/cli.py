@@ -273,7 +273,7 @@ def _center_check(args, problem, action):
 
 
 def _nilpotent_check(args, problem, action):
-    report = check_translation_characterization(action, "nilpotent")
+    report = check_translation_characterization(action)
     return _property_report("nilpotent-check", report)
 
 

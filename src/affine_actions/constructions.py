@@ -424,64 +424,44 @@ def _scan_order(k: int, window: int) -> np.ndarray:
     return inner
 
 
-_HEISENBERG_CLASS = "heisenberg"
-_ABELIAN_CLASS = "abelian"
-
-
 def _is_heisenberg_shaped(presentation: GroupPresentation) -> bool:
     """Three generators x, y, z with [x,y] = z central.
 
-    Matches relator sets of the form {[x,y]z^-1 or z^-1... , [x,z], [y,z]}
-    up to generator order: one relator expressing a commutator of two
-    generators as a third, plus commutators making the third central.
+    Matches relator sets of the form {[x,y] z^-1, [x,z], [y,z]} up to
+    generator order: one relator expressing a commutator of two generators
+    as a third, plus commutators making the third central.
     """
     if presentation.num_generators != 3:
         return False
     central_pairs = set()
-    bracket: tuple[int, int, int] | None = None
+    z = None
     for relator in presentation.relators:
         pair = _commutator_pair(relator)
         if pair is not None:
             central_pairs.add(pair)
             continue
-        if len(relator.letters) != 5:
+        # [x, y] z^-1: a commutator on the first four letters (a prefix of a
+        # reduced word is reduced), then the inverse of the third generator
+        pair = _commutator_pair(Word(relator.letters[:4]))
+        if pair is None or len(relator) != 5 or z is not None:
             return False
-        (g0, s0), (g1, s1), (g2, s2), (g3, s3), (g4, s4) = relator.letters
-        if g0 == g2 and g1 == g3 and s0 == -s2 and s1 == -s3 and s4 == -1 and g4 not in (g0, g1):
-            if bracket is not None:
-                return False
-            bracket = (g0, g1, g4)
-            continue
-        return False
-    if bracket is None:
-        return False
-    z = bracket[2]
-    needed = {tuple(sorted((z, g))) for g in range(3) if g != z}
-    return needed <= central_pairs
+        z, sign = relator.letters[4]
+        if sign != -1 or z in pair:
+            return False
+    return z is not None and {tuple(sorted((z, g))) for g in range(3) if g != z} <= central_pairs
 
 
-def fixture_class(presentation: GroupPresentation) -> str | None:
-    if is_free_abelian(presentation):
-        return _ABELIAN_CLASS
-    if _is_heisenberg_shaped(presentation):
-        return _HEISENBERG_CLASS
-    return None
+def check_translation_characterization(action: AffineAction) -> PropertyReport:
+    """Irreducible nilpotent actions are spanning translation actions.
 
-
-def check_translation_characterization(action: AffineAction, class_tag: str) -> PropertyReport:
-    """Irreducible abelian/nilpotent actions are spanning translation actions.
-
-    Refuses presentations outside the recognized fixture classes (free
-    abelian; Heisenberg-shaped for the nilpotent tag). For a reducible
-    action the conclusion is vacuous and reported as such.
+    Applies to the recognized nilpotent fixture classes, free abelian and
+    Heisenberg-shaped presentations, read off the action's presentation;
+    any other presentation is refused with ConstructionError. For a
+    reducible action the conclusion is vacuous and reported as such.
     """
-    tag = class_tag.lower()
-    if tag not in (_ABELIAN_CLASS, "nilpotent"):
-        raise ConstructionError(f"class tag must be 'abelian' or 'nilpotent', got {class_tag!r}")
-    cls = fixture_class(action.presentation)
-    if cls is None or (tag == _ABELIAN_CLASS and cls != _ABELIAN_CLASS):
+    if not (is_free_abelian(action.presentation) or _is_heisenberg_shaped(action.presentation)):
         raise ConstructionError(
-            f"presentation is not in the {class_tag} fixture class; the characterization does not apply"
+            "presentation is not in the nilpotent fixture class; the characterization does not apply"
         )
     verdict = decide_irreducibility(action)
     if verdict.reducible:

@@ -250,7 +250,7 @@ def problem_from_dict(data: dict) -> ProblemFile:
     if "tolerances" in data:
         names = ("rank", "residual", "eig")
         tol_raw = _object(data["tolerances"], "tolerances", names)
-        eps = {f"eps_{k}": _real_from_json(tol_raw.get(k, 1e-8), f"tolerances.{k}") for k in names}
+        eps = {f"eps_{k}": _real_from_json(tol_raw[k], f"tolerances.{k}") for k in names if k in tol_raw}
         try:
             tolerances = ToleranceProfile(**eps)
         except ValueError as exc:

@@ -653,31 +653,28 @@ def _solve_cohomology(rep: Representation) -> tuple:
     return read_only(z_basis), b_basis, read_only(h_basis), per_basis
 
 
-def commutant_action_on_classes(
-    rep: Representation,
-    basis: CohomologyBasis,
-    commutant: list[np.ndarray] | None = None,
-) -> list[np.ndarray]:
+def commutant_action_on_classes(rep: Representation) -> list[np.ndarray]:
     """Matrices of the commutant acting on cohomology-class coordinates.
 
-    An operator T commuting with the representation maps a cocycle b to the
-    cocycle T b (acting on each generator value); in class coordinates this
-    is C* (I_g (x) T) C, with C the class matrix of ``basis`` (coboundary
-    components project away). All elements are applied at once, by one
-    einsum over the (g, d, h) view of C, and one product with C* gives every
-    matrix. The moved classes are held to the cocycle-relator bound in one
-    product with the relator coefficient matrix (the one ``first_cohomology``
-    stored on the representation), so an element that does not commute
-    with the representation raises CocycleError. No (g*d)^2 matrix is
-    formed.
+    One matrix per element of ``commutant_basis(rep)``, in class
+    coordinates of ``first_cohomology(rep)``; both are read from the
+    representation's store. An operator T commuting with the representation
+    maps a cocycle b to the cocycle T b (acting on each generator value); in
+    class coordinates this is C* (I_g (x) T) C, with C the class matrix
+    (coboundary components project away). All elements are applied at once,
+    by one einsum over the (g, d, h) view of C, and one product with C*
+    gives every matrix. The moved classes are held to the cocycle-relator
+    bound in one product with the relator coefficient matrix (the one
+    ``first_cohomology`` stored on the representation), so an element that
+    does not commute with the representation raises CocycleError. No
+    (g*d)^2 matrix is formed.
     """
-    if commutant is None:
-        commutant = commutant_basis(rep)
-    g, d, h = rep.presentation.num_generators, rep.dim, basis.classes.shape[1]
-    ops = as_field_array(commutant, rep.field).reshape(-1, d, d)
-    moved = np.einsum("tij,gjk->gitk", ops, basis.classes.reshape(g, d, h)).reshape(g * d, len(ops) * h)
+    classes = first_cohomology(rep).classes
+    g, d, h = rep.presentation.num_generators, rep.dim, classes.shape[1]
+    ops = np.asarray(commutant_basis(rep), dtype=rep.dtype).reshape(-1, d, d)
+    moved = np.einsum("tij,gjk->gitk", ops, classes.reshape(g, d, h)).reshape(g * d, len(ops) * h)
     _certified_relator_defects(_relators(rep), moved, d, rep.tol)
-    action = (basis.classes.conj().T @ moved).reshape(h, len(ops), h)
+    action = (classes.conj().T @ moved).reshape(h, len(ops), h)
     return list(action.transpose(1, 0, 2))
 
 
@@ -728,7 +725,7 @@ def search_irreducible_cocycle(
     commutant = commutant_basis(rep)
     if len(commutant) > h:
         return CocycleSearchResult(False, None, trials)
-    action_mats = np.asarray(commutant_action_on_classes(rep, basis, commutant))
+    action_mats = np.asarray(commutant_action_on_classes(rep))
     samples = random_vectors(trials, h, rep.field, np.random.default_rng(seed))
     # maps[trial] has the columns S_j xi for the commutant elements S_j
     maps = (action_mats @ samples.T).transpose(2, 1, 0)

@@ -226,24 +226,21 @@ def validate_coset_table(presentation: GroupPresentation, table: CosetTable) -> 
     n = table.num_cosets
     m = presentation.num_generators
 
-    shape_ok = n >= 1 and len(table.action) == m and len(table.schreier) == m
-    detail = ""
-    if shape_ok:
-        for row in table.action:
-            if len(row) != n:
-                shape_ok, detail = False, "permutation length != coset count"
-                break
-        for row in table.schreier:
-            if len(row) != n:
-                shape_ok, detail = False, "schreier row length != coset count"
-                break
-    else:
+    if n < 1:
+        detail = "the table has no cosets"
+    elif len(table.action) != m or len(table.schreier) != m:
         detail = (
             f"expected one permutation and one schreier row per generator "
             f"({m}), got {len(table.action)} and {len(table.schreier)}"
         )
-    checks.append(PropertyCheck("shapes", shape_ok, detail))
-    if not shape_ok:
+    elif any(len(row) != n for row in table.action):
+        detail = "permutation length != coset count"
+    elif any(len(row) != n for row in table.schreier):
+        detail = "schreier row length != coset count"
+    else:
+        detail = ""
+    checks.append(PropertyCheck("shapes", not detail, detail))
+    if detail:
         return PropertyReport("coset-table", tuple(checks))
 
     checks.append(

@@ -896,6 +896,33 @@ def abelian_oracle_is_irreducible(
 # -- the equivalent projections of a direct sum ------------------------------
 
 
+def surface_group_pair(seed: int = 5) -> tuple[AffineAction, AffineAction]:
+    """Two irreducible actions of the genus-2 surface group
+    <a1, b1, a2, b2 | [a1, b1][a2, b2]> on R^9 that share a 2-dim part.
+
+    pi(b_i) = I, b(b_i) = 0 and pi(a_i) = (1 + 7e-9) rho_i (+) sigma_i, with
+    the rotations rho_i and the rho-parts of b(a_i) common to both actions
+    and random orthogonal 7-dim blocks sigma_i of their own. The relator's
+    defect, 2.8e-8 on two dimensions (3.96e-8), is within the bound
+    eps (1 + sqrt 9) = 4e-8 of the 9-dim actions but not within the bound
+    eps (1 + sqrt 2) = 2.41e-8 of their 2-dim projections, which are equal.
+    """
+    group = GroupPresentation(["a1", "b1", "a2", "b2"], ["a1 b1 a1^-1 b1^-1 a2 b2 a2^-1 b2^-1"])
+    rng = np.random.default_rng(seed)
+    rhos = [np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]) for t in (0.7, 1.9)]
+    shared = [rng.standard_normal(2) for _ in rhos]
+    actions = []
+    for _ in range(2):
+        matrices, values = [], []
+        for rho, b in zip(rhos, shared):
+            a = np.zeros((9, 9))
+            a[:2, :2], a[2:, 2:] = (1 + 7e-9) * rho, random_orthogonal(7, rng)
+            matrices += [a, np.eye(9)]
+            values += [np.concatenate([b, rng.standard_normal(7)]), np.zeros(9)]
+        actions.append(AffineAction.from_values(Representation(group, "real", matrices), values))
+    return actions[0], actions[1]
+
+
 def analyzed(a1: AffineAction, a2: AffineAction):
     """The projections of a1 (+) a2 (None when it is irreducible), or the
     ActionError naming a reducible summand."""

@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from affine_actions import Representation, ToleranceProfile, analyze_direct_sum, direct_sum
-from affine_actions import cli
+from affine_actions import Representation, ToleranceProfile, analyze_direct_sum, decide_irreducibility, direct_sum
+from affine_actions import actions as actions_module, cli
+from affine_actions.actions import InternalCheckError
 from affine_actions.cli import VERBS, build_parser, main
 from affine_actions.problem_io import (
     action_to_problem,
@@ -20,7 +21,7 @@ from affine_actions.problem_io import (
 )
 from affine_actions.reps import RepresentationError
 
-from helpers import FIXTURES, f2_group, random_action, random_free_rep, roundoff_identity_action
+from helpers import FIXTURES, f2_group, random_action, random_free_rep, roundoff_identity_action, surface_group_pair
 
 
 def run_cli(args, capsys):
@@ -448,7 +449,81 @@ BAD_FIELD_TYPES = {
         _set(["coset_table"], {"transversal": ["1"], "action": {"t": [0]}, "schreier": {"t": ["t"], "u": ["1"]}}),
         "coset_table.schreier",
     ),
+    # every other refusal of a problem file's parser
+    "array-not-a-list": ("glide.json", _set(["matrices", "t"], 1.0), "matrices.t: expected an array"),
+    "complex-entry-not-a-pair": (
+        "z_trivial_c1.json",
+        _set(["matrices", "t"], [1.0]),
+        "matrices.t: complex entries must be [re, im] pairs",
+    ),
+    "generators-not-strings": (
+        "glide.json",
+        _set(["presentation", "generators"], ["t", 5]),
+        "presentation.generators: expected a list of strings",
+    ),
+    "relators-not-a-list": (
+        "dihedral.json",
+        _set(["presentation", "relators"], "s s"),
+        "presentation.relators: expected a list of word strings",
+    ),
+    "generator-name-invalid": (
+        "glide.json",
+        _set(["presentation", "generators"], ["2t"]),
+        "presentation: invalid generator name '2t'",
+    ),
+    "generator-name-duplicate": (
+        "glide.json",
+        _set(["presentation", "generators"], ["t", "t"]),
+        "presentation: duplicate generator name 't'",
+    ),
+    "transversal-empty": (
+        "glide.json",
+        _set(["coset_table"], {"transversal": [], "action": {"t": []}, "schreier": {"t": []}}),
+        "coset_table.transversal: expected a non-empty list",
+    ),
+    "coset-action-missing-generator": (
+        "glide.json",
+        _set(["coset_table"], {"transversal": ["1"], "action": {}, "schreier": {"t": ["t"]}}),
+        "coset_table.action: missing generator 't'",
+    ),
+    "schreier-missing-generator": (
+        "glide.json",
+        _set(["coset_table"], {"transversal": ["1"], "action": {"t": [0]}, "schreier": {}}),
+        "coset_table.schreier: missing generator 't'",
+    ),
+    "coset-row-not-integers": (
+        "glide.json",
+        _set(["coset_table"], {"transversal": ["1"], "action": {"t": [0.0]}, "schreier": {"t": ["t"]}}),
+        "coset_table.action.t: expected a list of coset indices",
+    ),
+    "format-version-wrong": ("glide.json", _set(["format_version"], "2"), "format_version: expected '1', got '2'"),
+    "field-unknown": ("glide.json", _set(["field"], "quaternion"), "field: expected 'real' or 'complex'"),
+    "matrices-missing-generator": ("glide.json", _set(["matrices"], {}), "matrices: missing generators ['t']"),
+    "cocycle-missing-generator": ("glide.json", _set(["cocycle"], {}), "cocycle: missing generators ['t']"),
+    "tolerance-out-of-range": (
+        "glide.json",
+        _set(["tolerances"], {"residual": 0.5}),
+        "tolerances: eps_residual must lie in (0, 1e-2), got 0.5",
+    ),
+    "subgroup-without-generators": (
+        "glide.json",
+        _set(["subgroup"], {}),
+        "subgroup: expected an object with a generators list",
+    ),
+    "subgroup-presentation-generator-count": (
+        "glide.json",
+        _set(["subgroup", "presentation"], {"generators": ["u", "v"]}),
+        "subgroup: subgroup presentation generator count does not match the word list",
+    ),
 }
+
+
+def test_absent_tolerance_keys_take_the_profile_defaults(tmp_path):
+    data = json.loads((FIXTURES / "glide.json").read_text())
+    data["tolerances"] = {"rank": 1e-9}
+    path = tmp_path / "rank_only.json"
+    path.write_text(json.dumps(data))
+    assert load_problem(path).tolerances == ToleranceProfile(eps_rank=1e-9)
 
 
 @pytest.mark.parametrize("verb", ["verify", "irreducible"])
@@ -525,6 +600,45 @@ def test_allocation_failure_exits_as_invalid_input(verb, name, call, message, mo
     assert doc["error"] == f"{verb}: out of memory" + (f" ({message})" if message else "")
     code, out, err = run_cli([verb, FIXTURES / name], capsys)
     assert code == 12 and out == f"error: {doc['error']}\n" and not err
+
+
+def test_an_internal_check_failure_exits_13_with_an_error_document(monkeypatch, capsys):
+    # the exit code of a result the library built itself that fails its own check
+    def failed_certification(*args, **kwargs):
+        raise InternalCheckError("witness map failed certification (residual 1.000e+00)")
+
+    monkeypatch.setattr(cli, "decide_irreducibility", failed_certification)
+    code, doc = run_machine(["irreducible", FIXTURES / "glide.json"], capsys)
+    assert code == doc["exit_code"] == 13
+    assert doc["verdict"] == "error"
+    assert doc["error"] == "witness map failed certification (residual 1.000e+00)"
+    code, out, err = run_cli(["irreducible", FIXTURES / "glide.json"], capsys)
+    assert code == 13 and out == f"error: {doc['error']}\n" and not err
+
+
+def test_valid_summands_with_equal_proper_projections_are_certified(monkeypatch, tmp_path, capsys):
+    """Each summand is valid at its own dimension, 9, and the equal 2-dim
+    projections are certified against the summands: they are not held to
+    validity bounds of their own, which tighten with the dimension and would
+    refuse them (as an internal failure, exit 13)."""
+    a1, a2 = surface_group_pair()
+    assert a1.rep.relator_defects[0] == pytest.approx(3.96e-8, rel=1e-3)
+    assert not decide_irreducibility(a1).reducible and not decide_irreducibility(a2).reducible
+    paths = [tmp_path / "a1.json", tmp_path / "a2.json"]
+    for action, path in zip((a1, a2), paths):
+        save_problem(action_to_problem(action), path)
+    code, doc = run_machine(["direct-sum", *paths], capsys)
+    assert code == doc["exit_code"] == 10, doc
+    assert doc["verdict"] == "EquivalentProjections" and doc["witness"]["v_dim"] == 2
+    projected = []
+    project = actions_module.project_action
+    monkeypatch.setattr(actions_module, "project_action", lambda a, w: projected.append(project(a, w)) or projected[-1])
+    proj = analyze_direct_sum(a1, a2).projections
+    assert proj is not None and proj.v1_basis.shape == proj.v2_basis.shape == (9, 2)
+    assert proj.residuals["intertwining"] <= 1e-12
+    assert len(projected) == 2
+    for p in projected:
+        assert p.dim == 2 and {"isometry_defects", "relator_defects"}.isdisjoint(vars(p.rep))
 
 
 def test_console_script_entry_point():

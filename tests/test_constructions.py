@@ -33,8 +33,9 @@ from affine_actions.constructions import (
     _hull_distances,
     _min_norm_points,
     _orbit_cloud,
+    _commutator_pair,
+    _is_heisenberg_shaped,
     _psi_grid,
-    fixture_class,
     is_free_abelian,
 )
 from affine_actions.problem_io import load_problem
@@ -373,26 +374,71 @@ def test_quadratic_form_matches_irreducibility_on_random_actions():
     assert checked == 30
 
 
-def test_fixture_class_detection():
+def test_nilpotent_class_detection():
     assert is_free_abelian(z_group())
     assert is_free_abelian(z2_group())
     assert not is_free_abelian(dihedral_group())
-    assert fixture_class(heisenberg_group()) == "heisenberg"
-    assert fixture_class(dihedral_group()) is None
+    assert _is_heisenberg_shaped(heisenberg_group())
+    assert not _is_heisenberg_shaped(dihedral_group())
+
+
+XYZ = ["x", "y", "z"]
+CENTRAL = ["x z x^-1 z^-1", "y z y^-1 z^-1"]
+NOT_HEISENBERG = {
+    "four-generators": (["x", "y", "z", "w"], ["x y x^-1 y^-1 z^-1", *CENTRAL]),
+    "a-relator-of-another-shape": (XYZ, ["x x", *CENTRAL]),
+    "five-letters-without-a-commutator": (XYZ, ["x y x y z^-1", *CENTRAL]),
+    "a-bracket-with-a-sixth-letter": (XYZ, ["x y x^-1 y^-1 z^-1 z^-1", *CENTRAL]),
+    "two-brackets": (XYZ, ["x y x^-1 y^-1 z^-1", "y x y^-1 x^-1 z^-1", *CENTRAL]),
+    "bracket-times-z": (XYZ, ["x y x^-1 y^-1 z", *CENTRAL]),
+    "bracket-is-x": (XYZ, ["x y x^-1 y^-1 x^-1", "x y x^-1 y^-1", "x z x^-1 z^-1"]),
+    "no-bracket": (XYZ, ["x y x^-1 y^-1", *CENTRAL]),
+    "z-not-central": (XYZ, ["x y x^-1 y^-1 z^-1", "x z x^-1 z^-1"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_HEISENBERG))
+def test_a_presentation_off_the_heisenberg_shape_is_refused(case):
+    generators, relators = NOT_HEISENBERG[case]
+    presentation = GroupPresentation(generators, relators)
+    assert not _is_heisenberg_shaped(presentation)
+    if not is_free_abelian(presentation):  # "no-bracket" is Z^3, which is admitted
+        rep = Representation(presentation, "real", [np.eye(1)] * len(generators))
+        action = AffineAction.from_values(rep, [np.zeros(1)] * len(generators))
+        message = "^presentation is not in the nilpotent fixture class; the characterization does not apply$"
+        with pytest.raises(ConstructionError, match=message):
+            check_translation_characterization(action)
+
+
+@pytest.mark.parametrize(
+    "word, pair",
+    [
+        ("x y x^-1 y^-1", (0, 1)),
+        ("y^-1 x y x^-1", (0, 1)),
+        ("z x z^-1 x^-1", (0, 2)),
+        ("x y x^-1", None),  # three letters
+        ("x y z^-1 y^-1", None),  # a third generator
+        ("x y x^-1 z^-1", None),
+        ("x y x y^-1", None),  # x not inverted
+        ("x y x^-1 y", None),  # y not inverted
+    ],
+)
+def test_commutator_pair_reads_a_commutator_of_two_distinct_generators(word, pair):
+    assert _commutator_pair(GroupPresentation(XYZ).parse_word(word)) == pair
 
 
 def test_translation_characterization_heisenberg():
-    report = check_translation_characterization(heisenberg_translation_action(), "nilpotent")
+    report = check_translation_characterization(heisenberg_translation_action())
     assert report.passed
 
 
 def test_translation_characterization_refuses_dihedral():
     with pytest.raises(ConstructionError):
-        check_translation_characterization(dihedral_action(), "nilpotent")
+        check_translation_characterization(dihedral_action())
 
 
 def test_translation_characterization_abelian_translations():
-    report = check_translation_characterization(z_translation_action(), "abelian")
+    report = check_translation_characterization(z_translation_action())
     assert report.passed
 
 
@@ -400,7 +446,7 @@ def test_translation_characterization_vacuous_on_reducible():
     z = z_group()
     rep = Representation(z, "complex", [-np.eye(1, dtype=complex)])
     action = AffineAction.from_values(rep, [np.ones(1, dtype=complex)])
-    report = check_translation_characterization(action, "abelian")
+    report = check_translation_characterization(action)
     assert report.passed
     assert report.checks[0].name == "vacuous"
 

@@ -313,9 +313,9 @@ def test_the_solve_store_is_keyed_by_stage_name():
     # one profile per representation: every stage is solved once, at rep.tol
     loose = ToleranceProfile(eps_rank=1e-6, eps_residual=1e-6)
     rep = Representation(dihedral_group(), "real", [np.eye(1), -np.eye(1)], tol=loose)
-    basis = first_cohomology(rep)
+    first_cohomology(rep)
     assert search_irreducible_cocycle(rep, trials=5, seed=0).found
-    commutant_action_on_classes(rep, basis)
+    commutant_action_on_classes(rep)
     assert sorted(rep._solves) == ["boundary", "cohomology", "commutant", "relators"]
 
 
@@ -401,10 +401,9 @@ def test_the_relator_matrix_is_built_once_per_representation(monkeypatch):
     rep = Representation(dihedral_group(), "real", [np.eye(1), -np.eye(1)])
     builds, build = [], reps_module._relator_coefficient_matrix
     monkeypatch.setattr(reps_module, "_relator_coefficient_matrix", lambda r: builds.append(r) or build(r))
-    basis = first_cohomology(rep)
-    assert basis.dims[2] == len(commutant_basis(rep)) == 1
+    assert first_cohomology(rep).dims[2] == len(commutant_basis(rep)) == 1
     assert search_irreducible_cocycle(rep, trials=5, seed=0).found
-    commutant_action_on_classes(rep, basis)
+    commutant_action_on_classes(rep)
     first_cohomology(rep)
     assert builds == [rep]
 
@@ -660,27 +659,41 @@ def test_class_representatives_orthogonal_to_coboundaries():
             assert abs(b.coordinates().conj() @ h.coordinates()) < 1e-10
 
 
-def test_commutant_action_identity_on_classes():
-    rep = trivial_rep(2)
-    basis = first_cohomology(rep)
-    mats = commutant_action_on_classes(rep, basis, commutant=[np.eye(2, dtype=complex)])
-    assert np.allclose(mats[0], np.eye(2))
+def with_commutant(monkeypatch, elements) -> None:
+    """Make ``commutant_basis`` return ``elements`` for every representation."""
+    monkeypatch.setattr(reps_module, "commutant_basis", lambda rep: list(elements))
 
 
-def test_commutant_action_diagonal_operator():
+def test_commutant_action_identity_on_classes(monkeypatch):
     rep = trivial_rep(2)
-    basis = first_cohomology(rep)
-    t_mat = np.diag([2.0 + 0j, 3.0 + 0j])
-    mats = commutant_action_on_classes(rep, basis, commutant=[t_mat])
+    with_commutant(monkeypatch, [np.eye(2, dtype=complex)])
+    mats = commutant_action_on_classes(rep)
+    assert len(mats) == 1 and np.allclose(mats[0], np.eye(2))
+
+
+def test_commutant_action_diagonal_operator(monkeypatch):
+    rep = trivial_rep(2)
+    with_commutant(monkeypatch, [np.diag([2.0 + 0j, 3.0 + 0j])])
+    mats = commutant_action_on_classes(rep)
     assert np.allclose(np.sort(np.linalg.eigvals(mats[0])).round(8), [2.0, 3.0])
+
+
+def test_commutant_action_reads_the_representations_commutant_and_classes():
+    # the trivial representation on C^2: the commutant is all of M_2(C)
+    # and every cocycle is a class, so each element acts as itself
+    rep = trivial_rep(2)
+    mats = commutant_action_on_classes(rep)
+    assert len(mats) == len(commutant_basis(rep)) == 4
+    classes = first_cohomology(rep).classes
+    for t_mat, m in zip(commutant_basis(rep), mats):
+        assert np.allclose(classes @ m, t_mat @ classes)
 
 
 def test_commutant_action_trivial_cohomology_gives_empty_matrices():
     z = z_group()
     rep = Representation(z, "complex", [-np.eye(1, dtype=complex)])
-    basis = first_cohomology(rep)
-    mats = commutant_action_on_classes(rep, basis)
-    assert all(m.shape == (0, 0) for m in mats)
+    mats = commutant_action_on_classes(rep)
+    assert len(mats) == 1 and all(m.shape == (0, 0) for m in mats)
 
 
 def test_search_irreducible_cocycle_z_dim1_yes():
@@ -796,7 +809,7 @@ def test_class_action_matches_per_class_reference(family, field):
     for rep in _family_reps(family, field):
         basis = first_cohomology(rep)
         commutant = commutant_basis(rep)
-        got = commutant_action_on_classes(rep, basis, commutant)
+        got = commutant_action_on_classes(rep)
         want = reference_commutant_action_on_classes(rep, basis, commutant)
         assert len(got) == len(want) == len(commutant)
         for a, b in zip(got, want):
@@ -839,25 +852,21 @@ NON_COMMUTING = {
 
 
 @pytest.mark.parametrize("name", sorted(NON_COMMUTING))
-def test_class_action_rejects_a_non_commuting_operator(name):
+def test_class_action_rejects_a_non_commuting_operator(name, monkeypatch):
     presentation, mats = NON_COMMUTING[name]
     field = "complex" if any(np.iscomplexobj(m) for m in mats) else "real"
     rep = Representation(presentation, field, mats, dim=2)
     basis = first_cohomology(rep)
     assert basis.dims[2] > 0
     assert max(np.linalg.norm(SWAP @ m - m @ SWAP) for m in mats) > 0.1
-    identity = commutant_action_on_classes(rep, basis, commutant=[np.eye(2)])
+    with_commutant(monkeypatch, [np.eye(2)])
+    identity = commutant_action_on_classes(rep)
     assert np.allclose(identity[0], np.eye(basis.dims[2]))
+    with_commutant(monkeypatch, [np.eye(2), SWAP])
     with pytest.raises(CocycleError, match=r"^relator \d+ has cocycle residual "):
-        commutant_action_on_classes(rep, basis, commutant=[np.eye(2), SWAP])
+        commutant_action_on_classes(rep)
     with pytest.raises(CocycleError, match=r"^relator \d+ has cocycle residual "):
         reference_commutant_action_on_classes(rep, basis, [SWAP])
-
-
-def test_class_action_refuses_complex_operators_on_a_real_representation():
-    rep = trivial_rep(2, "real")
-    with pytest.raises(ValueError, match="^complex data supplied for a real-field object$"):
-        commutant_action_on_classes(rep, first_cohomology(rep), commutant=[1j * np.eye(2)])
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

@@ -588,7 +588,11 @@ def test_assembled_arrays_are_read_only():
 def witness_cases(family: str, field: str):
     """(label, a1, a2) for every dimension and seed: a (+) a, a (+) 2.5a,
     a (+) a' with a' a second cocycle on pi, a (+) b with b an action on a
-    second representation of the family, and (a (+) a) (+) a."""
+    second representation of the family, (a (+) a) (+) a, and two summands
+    that share only part of their linear part: plain representations of
+    a (+) b and a (+) c, with c an action on a third representation. When
+    both are irreducible, their equivalent projections are onto the a-part,
+    a proper subspace."""
     for d in DIMS:
         for seed in SEEDS:
             rng = np.random.default_rng(4000 * d + seed)
@@ -596,12 +600,14 @@ def witness_cases(family: str, field: str):
             scaled = AffineAction.from_values(a.rep, [2.5 * b for b in a.cocycle.values])
             other = random_action(a.rep, rng)
             b = random_action(FAMILIES[family](rng, d, field), rng)
+            c = random_action(FAMILIES[family](rng, d, field), rng)
             for kind, a1, a2 in (
                 ("a+a", a, a),
                 ("a+2.5a", a, scaled),
                 ("a+a'", a, other),
                 ("a+b", a, b),
                 ("(a+a)+a", direct_sum(a, a), a),
+                ("a+b|a+c", plain(direct_sum(a, b)), plain(direct_sum(a, c))),
             ):
                 yield (d, seed, kind), a1, a2
 

@@ -168,3 +168,10 @@ def test_coset_table_row_of_the_wrong_length_is_a_shape_failure(action, schreier
     p = dihedral()
     report = validate_coset_table(p, CosetTable((Word(), p.parse_word("s")), action, schreier))
     assert [(c.name, c.passed, c.detail) for c in report.checks] == [("shapes", False, detail)]
+
+
+def test_a_table_with_no_cosets_is_a_shape_failure_of_its_own():
+    # one permutation and one schreier row per generator, each of length 0
+    p = dihedral()
+    report = validate_coset_table(p, CosetTable((), ((), ()), ((), ())))
+    assert [(c.name, c.passed, c.detail) for c in report.checks] == [("shapes", False, "the table has no cosets")]
