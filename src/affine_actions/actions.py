@@ -14,12 +14,14 @@ the minimal invariant affine subspace K = {z : p z + t_p = 0} is read off
 one SVD of the stacked nonzero rows of every pair's U (see
 ``_kernel_subspace``). The witness is the nearest-point map onto K; both are
 certified (see ``certify``) before being returned. The decision reads
-only whether a solved pair has U != 0 (``decide_irreducibility``).
+only whether a stage-3 solution has U != 0 (``decide_irreducibility``);
+the basis pairs are built and certified when first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -235,7 +237,9 @@ def _moved_values(ops: np.ndarray, values: np.ndarray) -> np.ndarray:
 def _frame_scales(action: AffineAction) -> np.ndarray:
     """The diagonal of D^-1 for the frame D alpha D^-1 of stage 3: each
     coordinate carries the ``unit_scale`` s_i of its own copy's cocycle
-    (``reps._copies``): D = diag(I/s_1, .., I/s_n), I/s for a plain action."""
+    (``reps._copies``): D = diag(I/s_1, .., I/s_n), I/s for a plain action.
+    Each s_i is one ``np.linalg.norm`` per generator, as a batched dot would
+    round some differently and move the bits of every pair."""
     scales = np.empty(action.dim)
     for _, placements in _copies(action.rep):
         for rows in placements:
@@ -245,19 +249,77 @@ def _frame_scales(action: AffineAction) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class AffineCommutant:
-    """Certified basis pairs of the commutant system, with the worst of the
-    residuals they were certified with (``worst_equation_defect``)."""
+class SummandSolution:
+    """Stage 3 of one distinct summand pi_i of ``affine_commutant``, held
+    once for all its copies: the rows ``placements`` of each copy, the frame
+    pairs (U', t') as a ``(k, d_i, d)`` stack ``deviations`` (frame-unit
+    rows, every column of the sum) and ``(k, d_i)`` ``translations``, and
+    the summand's fixed-space columns ``kernel`` ``(d_i, f)``."""
 
-    pairs: tuple[CommutantPair, ...]
-    residuals: dict[str, float]
+    placements: tuple[slice, ...]
+    deviations: np.ndarray
+    translations: np.ndarray
+    kernel: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class AffineCommutant:
+    """The solved commutant system of ``action``: its frame ``scales``
+    (``_frame_scales``) and one ``SummandSolution`` per distinct summand.
+
+    ``pairs`` and ``residuals`` are built on first read: the basis pairs,
+    each certified on its rows, and the worst of their residuals
+    (``worst_equation_defect``); a pair failing raises InternalCheckError
+    there. ``moving`` (some pair has U != 0) reads the solution and builds
+    no pair.
+    """
+
+    action: AffineAction
+    scales: np.ndarray
+    solutions: tuple[SummandSolution, ...]
+
+    @property
+    def moving(self) -> bool:
+        return any(len(s.deviations) and s.deviations.any() for s in self.solutions)
+
+    @property
+    def pairs(self) -> tuple[CommutantPair, ...]:
+        return self._certified[0]
+
+    @property
+    def residuals(self) -> dict[str, float]:
+        return self._certified[1]
+
+    @cached_property
+    def _certified(self) -> tuple[tuple[CommutantPair, ...], dict[str, float]]:
+        """The pairs in the order of ``affine_commutant``: every copy's
+        stage-3 pairs, U = D^-1 U' D and t = D^-1 t' by distinct summand,
+        then every copy's (0, D^-1 f); and the worst residual."""
+        action, scales = self.action, self.scales
+        pairs = [
+            CommutantPair(v, t, rows)
+            for s in self.solutions
+            for rows in s.placements
+            for v, t in zip(s.deviations * (scales[rows, None] / scales), scales[rows] * s.translations)
+        ]
+        pairs += [
+            CommutantPair(np.zeros((len(f), action.dim), action.rep.dtype), scales[rows] * f, rows)
+            for s in self.solutions
+            for rows in s.placements
+            for f in s.kernel.T
+        ]
+        residuals = [
+            certify(commutant_residual(action, p), (p.deviation, p.translation), "commutant basis element", action)
+            for p in pairs
+        ]
+        return tuple(pairs), {"worst_equation_defect": max(residuals, default=0.0)}
 
 
 def affine_commutant(action: AffineAction) -> AffineCommutant:
-    """Basis of the solution space {(U, t)} of the commutant system.
+    """The solution space {(U, t)} of the commutant system, solved.
 
     The full affine commutant of the action is { v -> (I+U)v + t } over the
-    span of the returned pairs. It is solved through the affine Schur lemma
+    span of its ``pairs``. It is solved through the affine Schur lemma
     (U in the commutant pi', U b a coboundary) in three stages (README "How
     the commutant is solved"): pi' = span U_j (``commutant_basis``) and the
     boundary map B (``boundary_split``) once per representation, then per
@@ -270,33 +332,29 @@ def affine_commutant(action: AffineAction) -> AffineCommutant:
 
     Stage 3 splits by row block, as B^1 of a direct sum is the sum of its
     summands' B^1: each distinct summand's row block (``reps._row_blocks``)
-    is solved once against its ``boundary_split``, orthonormalized on its
-    own and held in the rows of each copy (``CommutantPair.rows``). Each
-    pair is certified on its rows; one failing raises InternalCheckError.
+    is solved once against its ``boundary_split`` and orthonormalized on its
+    own. The result keeps that solution once per distinct summand
+    (``SummandSolution``); the pairs, held in the rows of each copy
+    (``CommutantPair.rows``) and each certified there, are built only when
+    ``pairs`` or ``residuals`` is first read.
     """
     rep, d = action.rep, action.dim
     scales = _frame_scales(action)
     values = action.cocycle.coordinates().reshape(-1, d) / scales
-    pairs, fixed = [], []
+    solutions = []
     for summand, placements, ops in _row_blocks(rep):
         split = boundary_split(summand)
-        fixed += [(rows, f) for rows in placements for f in split.kernel.T]
         moved = _moved_values(ops, values)
         coefficients = null_space_basis(moved - split.image @ (split.image.conj().T @ moved), action.tol)
-        if not coefficients.shape[1]:
-            continue
-        # the t' = B+ U' D b lie off the fixed space, so only these pairs
-        # need orthonormalizing in the frame; vec U' is isometric in x
-        stacked = np.linalg.qr(np.vstack([coefficients, split.pinv @ (moved @ coefficients)]))[0]
-        u = (stacked[: len(ops)].T @ ops.reshape(len(ops), -1)).reshape(-1, *ops.shape[1:])
-        pairs += [CommutantPair(v, t, rows) for rows in placements
-                  for v, t in zip(u * (scales[rows, None] / scales), scales[rows] * stacked[len(ops) :].T)]
-    pairs += [CommutantPair(np.zeros((len(f), d), rep.dtype), scales[rows] * f, rows) for rows, f in fixed]
-    residuals = [
-        certify(commutant_residual(action, p), (p.deviation, p.translation), "commutant basis element", action)
-        for p in pairs
-    ]
-    return AffineCommutant(tuple(pairs), {"worst_equation_defect": max(residuals, default=0.0)})
+        u, t = ops[:0], np.zeros((0, summand.dim), rep.dtype)
+        if coefficients.shape[1]:
+            # the t' = B+ U' D b lie off the fixed space, so only these pairs
+            # need orthonormalizing in the frame; vec U' is isometric in x
+            stacked = np.linalg.qr(np.vstack([coefficients, split.pinv @ (moved @ coefficients)]))[0]
+            u = (stacked[: len(ops)].T @ ops.reshape(len(ops), -1)).reshape(-1, *ops.shape[1:])
+            t = stacked[len(ops) :].T
+        solutions.append(SummandSolution(tuple(placements), u, t, split.kernel))
+    return AffineCommutant(action, scales, tuple(solutions))
 
 
 def commutant_residual(action: AffineAction, pair_or_map) -> float:
@@ -322,15 +380,23 @@ class IrreducibilityVerdict:
     certified with (``witness_commutant``, ``subspace_invariance``).
     Irreducible verdicts carry an orthonormal basis of the representation's
     fixed space: every pair then has U = 0, and the commutant consists
-    exactly of the translations along it.
+    exactly of the translations along it, each certified as the pair
+    (0, f) it is (``fixed_translations``).
+
+    ``solved`` is the ``affine_commutant`` the verdict was read off;
+    ``commutant`` is its ``pairs``, built and certified on first read.
     """
 
     reducible: bool
-    commutant: tuple[CommutantPair, ...]
+    solved: AffineCommutant
     witness_map: AffineMap | None = None
     witness_subspace: AffineSubspace | None = None
     translation_directions: np.ndarray | None = None
     residuals: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def commutant(self) -> tuple[CommutantPair, ...]:
+        return self.solved.pairs
 
     @property
     def irreducible(self) -> bool:
@@ -422,28 +488,94 @@ def _kernel_subspace(s: np.ndarray, t: np.ndarray, tol: ToleranceProfile) -> Aff
     return AffineSubspace(base, right[rank:].conj().T)
 
 
-def _minimal_subspace(action: AffineAction, pairs) -> AffineSubspace:
+def _graded_directions(v: np.ndarray, weights: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
+    """An orthonormal basis of D^-1 span(V), D = diag(weights) > 0 and V
+    orthonormal, accurate level by level of D.
+
+    D^-1 V scales V's roundoff by the spread of D: a direction that must
+    cancel the rows of the largest D^-1 (the largest-scale copies) keeps
+    that roundoff there, times their scale, and a witness built on it fails
+    its certification. So V is first rotated level by level, from the
+    smallest weight up, so that each rotated column ends at a level: one
+    SVD of the active columns on a level's rows splits off the columns
+    that carry it, and the rest are set to exact zeros there: their
+    singular values fall under the rank cutoff (``numerical_rank``). The
+    columns of each level are then scaled by D^-1 and orthonormalized
+    against those of the levels below it first, the smallest scale first,
+    so each column's leading rows keep their relative accuracy; a QR runs
+    on a column group's nonzero rows only, keeping its exact zeros.
+    """
+    groups, active = [], v
+    for level in np.unique(weights):
+        if not active.shape[1]:
+            break
+        rows = weights == level
+        _, singular, right = np.linalg.svd(active[rows])
+        carried = numerical_rank(singular, tol)
+        active = active @ right.conj().T
+        groups.append(active[:, :carried] / weights[:, None])
+        active = active[:, carried:]
+        active[rows] = 0.0
+    basis = np.zeros((len(weights), 0), v.dtype)
+    for group in reversed(groups):
+        for _ in range(2):  # twice is enough (Kahan)
+            group = group - basis @ (basis.conj().T @ group)
+        nonzero = group.any(axis=1)
+        group[nonzero] = np.linalg.qr(group[nonzero])[0]
+        basis = np.hstack([basis, group])
+    return basis
+
+
+def _minimal_subspace(commutant: AffineCommutant) -> AffineSubspace:
     """K = D^-1 K' for K' the ``_kernel_subspace`` of the frame pairs
     (D U D^-1, D t) of stage 3 (``_frame_scales``): D commutes with pi, so
     it maps the minimal invariant subspace of alpha to the frame action's.
-    Only the pairs of each distinct summand's first copy are read, on their
-    rows: every copy holds the same solved rows. D = diag(m/s_i), m = min s,
-    is I for equal scales (K = K'); else K's directions are one QR of D^-1 V'
-    on its nonzero rows, keeping exact zeros, and D^-1 base' is taken off them."""
-    scales = _frame_scales(action)
+    Each distinct summand's solution is read once, on one copy's rows:
+    every copy holds the same solved rows. D = diag(m/s_i), m = min s, so
+    the frame pairs are (U', m t') of each ``SummandSolution``. D is I for
+    equal scales (K = K'); else K's directions are the ``_graded_directions``
+    of those of K', and D^-1 base' is taken off them."""
+    scales, solutions = commutant.scales, commutant.solutions
     weights = scales.min() / scales
-    firsts = {placements[0].start for _, placements in _copies(action.rep)}
-    own = [p for p in pairs if p.rows.start in firsts]
-    s = np.concatenate([p.deviation * (weights[p.rows, None] / weights) for p in own])
-    t = np.concatenate([p.translation * weights[p.rows] for p in own])
+    s = [x.deviations.reshape(-1, len(scales)) for x in solutions]
+    s = s[0] if len(s) == 1 else np.concatenate(s)  # one summand's stack is read in place
+    t = scales.min() * np.concatenate([x.translations.reshape(-1) for x in solutions])
     kept = s.any(axis=1)
-    frame = _kernel_subspace(s[kept], t[kept], action.tol)
+    if not kept.all():
+        s, t = s[kept], t[kept]
+    frame = _kernel_subspace(s, t, commutant.action.tol)
     if (weights == 1.0).all():
         return frame
-    directions, base = frame.directions / weights[:, None], frame.base / weights
-    nonzero = directions.any(axis=1)
-    directions[nonzero] = np.linalg.qr(directions[nonzero])[0]
+    directions, base = _graded_directions(frame.directions, weights, commutant.action.tol), frame.base / weights
     return AffineSubspace(base - directions @ (directions.conj().T @ base), directions)
+
+
+def _witness_residual(action: AffineAction, subspace: AffineSubspace) -> float:
+    """``commutant_residual`` of the nearest-point map onto K, (U, t) =
+    (W W* - I, base), read through K's orthonormal directions W with no
+    d x d product. With P = W W* and Q = I - P, U pi - pi U = P pi Q - Q pi P,
+    two blocks orthogonal in the Frobenius product, and ||P pi Q|| =
+    ||Q pi* P||, ||X P|| = ||X W||: its norm is that of [Q pi W, Q pi* W].
+    The translation residual U b - (pi - I) t is -(pi - I) base - Q b."""
+    w, base = subspace.directions, subspace.base
+    worst = 0.0
+    for m, b in zip(action.rep.matrices, action.cocycle.values):
+        moved = np.hstack([m @ w, m.conj().T @ w])
+        translation = m @ base - base + b - w @ (w.conj().T @ b)
+        worst = max(worst, frobenius(moved - w @ (w.conj().T @ moved)), float(np.linalg.norm(translation)))
+    return worst
+
+
+def _fixed_translation_residual(commutant: AffineCommutant, directions: np.ndarray) -> float:
+    """The worst ``commutant_residual`` of the pairs (0, D^-1 f), f the
+    fixed-space ``directions`` (each on one copy's rows, so D^-1 is its
+    copy's scale), each certified against the bound of its pair."""
+    action, worst = commutant.action, 0.0
+    for f in directions.T:
+        t = commutant.scales * f
+        residual = max((frobenius(m @ t - t) for m in action.rep.matrices), default=0.0)
+        worst = max(worst, certify(residual, (t,), "fixed-space translation", action))
+    return worst
 
 
 def decide_irreducibility(action: AffineAction) -> IrreducibilityVerdict:
@@ -451,41 +583,44 @@ def decide_irreducibility(action: AffineAction) -> IrreducibilityVerdict:
 
     Irreducible iff every solution pair has U = 0 (the affine Schur lemma:
     no nonzero U in the commutant of pi sends b to a coboundary), read off
-    the pairs of ``affine_commutant`` as they come: stage 3 gives a pair
-    with U != 0 for each x with [U_j b]_j x a coboundary, and the pairs
-    (0, f) for f in the fixed space, each certified against the action
-    there. The generator equations suffice because commuting with each
-    generator map forces commuting with every word (tested as a property,
-    not assumed). Only stage 3 runs per cocycle, in a frame of unit cocycle
-    scale, so the verdict is invariant under b -> lambda b.
+    the stage-3 solution of ``affine_commutant`` (``moving``), whose pairs
+    the verdict builds only when ``commutant`` is read. The generator
+    equations suffice because commuting with each generator map forces
+    commuting with every word (tested as a property, not assumed). Only
+    stage 3 runs per cocycle, in a frame of unit cocycle scale, so the
+    verdict is invariant under b -> lambda b.
 
     A Reducible verdict carries the minimal invariant affine subspace K and
     the nearest-point map onto it, (U, t) = (-p, base of K), both certified
-    (failing raises InternalCheckError). The U-parts of the pairs form a
-    left ideal pi' p of pi' (A U b = (pi - I) A t for A in pi'), p the
-    projector onto their joint row space, and K = {z : p z + t_p = 0} is
-    read off the stacked nonzero rows of every pair's U, in the frame of
-    stage 3 (``_minimal_subspace``). An invariant K' gives the pair of its
-    nearest-point map, so dim K' >= dim K: K is minimal, and its dimension
-    does not depend on the null-space basis. For a (+) a, K is the diagonal
-    embedding of a's own K. An Irreducible verdict carries the fixed space
-    (``fixed_subspace``), whose translations its pairs are; only then is it
-    fetched, so a reducible direct sum assembles no boundary split of its own.
+    (failing raises InternalCheckError); the map through K's directions
+    (``_witness_residual``). The U-parts of the pairs form a left ideal
+    pi' p of pi' (A U b = (pi - I) A t for A in pi'), p the projector onto
+    their joint row space, and K = {z : p z + t_p = 0} is read off the
+    stacked nonzero rows of every distinct summand's solved U, in the frame
+    of stage 3 (``_minimal_subspace``). An invariant K' gives the pair of
+    its nearest-point map, so dim K' >= dim K: K is minimal, and its
+    dimension does not depend on the null-space basis. For a (+) a, K is
+    the diagonal embedding of a's own K. An Irreducible verdict carries the
+    fixed space (``fixed_subspace``), whose translations its pairs are,
+    each certified against its pair's bound; only then is it fetched, so a
+    reducible direct sum assembles no boundary split of its own.
     """
-    pairs = affine_commutant(action).pairs
-    if not any(p.deviation.any() for p in pairs):
-        return IrreducibilityVerdict(False, pairs, translation_directions=fixed_subspace(action.rep))
-    subspace = _minimal_subspace(action, pairs)
+    commutant = affine_commutant(action)
+    if not commutant.moving:
+        directions = fixed_subspace(action.rep)
+        residuals = {"fixed_translations": _fixed_translation_residual(commutant, directions)}
+        return IrreducibilityVerdict(False, commutant, translation_directions=directions, residuals=residuals)
+    subspace = _minimal_subspace(commutant)
     witness = AffineMap(subspace.directions @ subspace.directions.conj().T, subspace.base)
     residuals = {
         "witness_commutant": certify(
-            commutant_residual(action, witness), (witness.deviation, witness.translation), "witness map", action
+            _witness_residual(action, subspace), (witness.deviation, witness.translation), "witness map", action
         ),
         "subspace_invariance": certify(
             check_invariance(action, subspace), (subspace.base,), "extracted subspace", action
         ),
     }
-    return IrreducibilityVerdict(True, pairs, witness, subspace, residuals=residuals)
+    return IrreducibilityVerdict(True, commutant, witness, subspace, residuals=residuals)
 
 
 def project_action(action: AffineAction, basis: np.ndarray) -> AffineAction:
@@ -537,7 +672,7 @@ def direct_sum(a1: AffineAction, a2: AffineAction) -> AffineAction:
     that object, so a (+) a solves pi once, also when a is loaded twice.
     """
     _require_common_setting(a1, a2, "direct sum")
-    for summand in (a for a in (a1, a2) if a.rep._summands is None):
+    for summand in (a for a in dict.fromkeys((a1, a2)) if a.rep._summands is None):
         if failure := validity_report(summand.tol, summand.rep, summand.cocycle).failure:
             raise failure
     r1, r2 = a1.rep, a2.rep
@@ -577,13 +712,12 @@ class EquivalenceResult:
 
 
 def intertwining_residual(a1: AffineAction, a2: AffineAction, mapping: AffineMap) -> float:
-    """Worst defect of mapping à alpha1(s) = alpha2(s) à mapping over generators."""
+    """Worst defect of mapping à alpha1(s) = alpha2(s) à mapping over generators:
+    M L1 - L2 M and (M b1 + t) - (L2 t + b2), for mapping v -> M v + t."""
+    m, t = mapping.linear, mapping.translation
     worst = 0.0
-    for g1, g2 in zip(a1.generator_maps(), a2.generator_maps()):
-        left, right = mapping.compose(g1), g2.compose(mapping)
-        worst = max(
-            worst, frobenius(left.linear - right.linear), frobenius(left.translation - right.translation)
-        )
+    for l1, b1, l2, b2 in zip(a1.rep.matrices, a1.cocycle.values, a2.rep.matrices, a2.cocycle.values):
+        worst = max(worst, frobenius(m @ l1 - l2 @ m), frobenius((m @ b1 + t) - (l2 @ t + b2)))
     return worst
 
 
@@ -675,10 +809,11 @@ def analyze_direct_sum(a1: AffineAction, a2: AffineAction) -> DirectSumAnalysis:
     is named in an ActionError and the sum is not solved. Summands equal bit
     for bit (as arguments, whatever their records hold) are not decided:
     a (+) a is reducible whatever a is, K is the diagonal and the projected
-    actions are the summands themselves.
+    actions are the summands themselves, so its verdict's pairs are never
+    built (``IrreducibilityVerdict.commutant``).
 
     Otherwise the projections are read off the bottom row block (C, D, t2)
-    of the commutant, U = [[A, B], [C, D]] and t = (t1, t2) in the
+    of the commutant pairs, U = [[A, B], [C, D]] and t = (t1, t2) in the
     summands' blocks: its bottom-row pairs combined under the fixed weights
     of ``reps._generic_weights`` (nothing is drawn) at unit ||U||, with C
     in Hom(pi1, pi2) and D in pi2'. For irreducible summands range C =
@@ -704,13 +839,14 @@ def analyze_direct_sum(a1: AffineAction, a2: AffineAction) -> DirectSumAnalysis:
     verdict = decide_irreducibility(sum_action)
     if verdict.irreducible:
         return DirectSumAnalysis(sum_action, verdict, None)
-    return DirectSumAnalysis(sum_action, verdict, _graph_projections(a1, a2, verdict.commutant, equal))
+    return DirectSumAnalysis(sum_action, verdict, _graph_projections(a1, a2, verdict, equal))
 
 
-def _graph_projections(a1: AffineAction, a2: AffineAction, pairs, equal: bool) -> EquivalentProjections:
-    """The certified projections of the bottom row block of the commutant
-    ``pairs``, or the diagonal ones of a double (see ``analyze_direct_sum``).
-    The block is scale-free; the rank cut is relative to a witness with unit ||U||."""
+def _graph_projections(a1: AffineAction, a2: AffineAction, verdict, equal: bool) -> EquivalentProjections:
+    """The certified projections of the bottom row block of the verdict's
+    commutant pairs, or the diagonal ones of a double, which reads no pair
+    (see ``analyze_direct_sum``). The block is scale-free; the rank cut is
+    relative to a witness with unit ||U||."""
     d1, tol = a1.dim, a1.tol
     if equal:
         # a (+) a: the block (I, -I, 0), whose subspace is the diagonal
@@ -718,7 +854,7 @@ def _graph_projections(a1: AffineAction, a2: AffineAction, pairs, equal: bool) -
         mapping = AffineMap(w1, np.zeros(d1, dtype=a1.rep.dtype))
         p1, p2 = a1, a2
     else:
-        bottom = [p for p in pairs if p.rows.start >= d1 and p.deviation.any()]
+        bottom = [p for p in verdict.commutant if p.rows.start >= d1 and p.deviation.any()]
         if not bottom:
             raise InternalCheckError("reducible direct sum of irreducible summands has no bottom-row commutant pair")
         weights = _generic_weights(len(bottom), REAL)

@@ -91,7 +91,14 @@ class InducedSetup:
 
 
 def restrict_action(action: AffineAction, sub: SubgroupSpec) -> AffineAction:
-    """Action of the subgroup, over the free presentation on its generators."""
+    """Action of the subgroup, over the free presentation on its generators.
+
+    The restriction keeps the action's profile and inherits its validity,
+    as ``project_action`` does: its generators are words of a valid action,
+    whose isometry defects grow with the word length (a square doubles
+    them), so they are not held to bounds of their own. A free presentation
+    has no relators, so there is nothing else to check.
+    """
     if sub.ambient != action.presentation:
         raise ConstructionError("subgroup spec targets a different presentation")
     if sub.presentation is not None:
@@ -100,8 +107,9 @@ def restrict_action(action: AffineAction, sub: SubgroupSpec) -> AffineAction:
         names = tuple(f"h{i}" for i in range(len(sub.generator_words)))
     free = free_presentation(names)
     maps = [action.evaluate(w) for w in sub.generator_words]
-    rep = Representation(free, action.field, [m.linear for m in maps], dim=action.dim, tol=action.tol)
-    return AffineAction.from_values(rep, [m.translation for m in maps])
+    linear = [m.linear for m in maps]
+    rep = Representation(free, action.field, linear, dim=action.dim, tol=action.tol, validate=False)
+    return AffineAction(rep, Cocycle(rep, [m.translation for m in maps], validate=False))
 
 
 def induce_action(action: AffineAction, setup: InducedSetup) -> AffineAction:

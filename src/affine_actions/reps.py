@@ -662,8 +662,8 @@ def commutant_action_on_classes(rep: Representation) -> list[np.ndarray]:
     maps a cocycle b to the cocycle T b (acting on each generator value); in
     class coordinates this is C* (I_g (x) T) C, with C the class matrix
     (coboundary components project away). All elements are applied at once,
-    by one einsum over the (g, d, h) view of C, and one product with C*
-    gives every matrix. The moved classes are held to the cocycle-relator
+    by one batched product over the (g, d, h) view of C, and one product
+    with C* gives every matrix. The moved classes are held to the cocycle-relator
     bound in one product with the relator coefficient matrix (the one
     ``first_cohomology`` stored on the representation), so an element that
     does not commute with the representation raises CocycleError. No
@@ -672,7 +672,7 @@ def commutant_action_on_classes(rep: Representation) -> list[np.ndarray]:
     classes = first_cohomology(rep).classes
     g, d, h = rep.presentation.num_generators, rep.dim, classes.shape[1]
     ops = np.asarray(commutant_basis(rep), dtype=rep.dtype).reshape(-1, d, d)
-    moved = np.einsum("tij,gjk->gitk", ops, classes.reshape(g, d, h)).reshape(g * d, len(ops) * h)
+    moved = (ops @ classes.reshape(g, 1, d, h)).transpose(0, 2, 1, 3).reshape(g * d, len(ops) * h)
     _certified_relator_defects(_relators(rep), moved, d, rep.tol)
     action = (classes.conj().T @ moved).reshape(h, len(ops), h)
     return list(action.transpose(1, 0, 2))

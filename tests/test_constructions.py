@@ -130,6 +130,22 @@ def test_restrict_glide_to_even_powers():
     assert decide_irreducibility(restricted).reducible
 
 
+def test_restriction_inherits_the_validity_of_its_action():
+    # pi(a) has isometry defect 1.91e-8, within the bound 2e-8; pi(a^2)
+    # doubles it to 3.8e-8, which a bound of the restriction's own refused
+    def rotation(angle):
+        return np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+
+    f2 = f2_group()
+    rep = Representation(f2, "real", [(1 + 6.75e-9) * rotation(0.7), rotation(1.3)])
+    action = AffineAction.from_values(rep, [np.array([1.0, 0.0]), np.array([0.0, 2.0])])
+    restricted = restrict_action(action, SubgroupSpec(f2, ("a a", "b")))
+    assert restricted.rep.isometry_defects[0] > 2 * action.tol.eps_residual
+    assert np.array_equal(restricted.rep.matrices[0], rep.matrices[0] @ rep.matrices[0])
+    assert np.array_equal(restricted.cocycle.values[1], action.cocycle.values[1])
+    assert restricted.tol == action.tol
+
+
 def test_induce_translations_to_c2xz_is_reducible_with_diagonal_witness():
     induced = induce_action(z_translation_action(), c2xz_setup())
     assert induced.dim == 2

@@ -26,6 +26,15 @@ The full sweep also decides the four copies ((a (+) a) (+) a) (+) a of
 each action, which must keep the witness dimension of the double a (+) a:
 four row blocks per pair, on every family and field.
 
+Each action with a random cocycle is also summed with m - 1 more actions
+on its representation, m = 2, 3, 4, with independent random cocycles
+scaled by ``MULTIPLE_SCALES``: one distinct summand in the record, with m
+copies at m frame scales (``check_multiple``). Each such sum keeps the
+verdict and the witness dimension of the plain decision at the sum's
+dimension of the same cocycles unscaled (a scale per copy commutes with
+the representation), has its pairs checked against its verdict and raises
+no InternalCheckError.
+
 The tier-1 tests run seeds 15 and 24 and the first decision that exited 13
 under the former witness rule. The full sweep also runs the whole
 three-scale grid of ``helpers.three_scale_cases`` (every family, seeds
@@ -42,9 +51,18 @@ import time
 import numpy as np
 import pytest
 
-from affine_actions import check_invariance, commutant_residual, decide_irreducibility, direct_sum
+from affine_actions import (
+    AffineAction,
+    Cocycle,
+    Representation,
+    check_invariance,
+    commutant_residual,
+    decide_irreducibility,
+    direct_sum,
+)
 from affine_actions.actions import InternalCheckError, certification_scale
 from affine_actions.linalg import residual_ok
+from affine_actions.reps import _copies
 
 from helpers import (
     FAMILIES,
@@ -62,6 +80,7 @@ FIELDS = ("real", "complex")
 DIMS = range(1, 7)
 SEEDS = range(10, 30)
 SLICE_SEEDS = (15, 24)
+MULTIPLE_SCALES = (1.0, 1e8, 1e-4, 1e4)
 
 
 def corpus_cases(family: str, field: str, seeds):
@@ -138,6 +157,38 @@ def four_copy_cases(family: str, field: str, seeds):
         yield (*label, "4a"), total, direct_sum(action, action)
 
 
+def multiple_cases(family: str, field: str, seeds):
+    """(label, total, unscaled) for each corpus action a with a random
+    cocycle: total = a_1 (+) .. (+) a_m for m = 2, 3, 4, a_1 = a and a_i a
+    fresh random cocycle on a's representation scaled by
+    ``MULTIPLE_SCALES[i - 1]``; unscaled is the same sum at scale 1."""
+    for d in DIMS:
+        for seed in seeds:
+            rng = np.random.default_rng(7919 * d + seed)
+            a = random_action(FAMILIES[family](rng, d, field), rng)
+            total = unscaled = a
+            for m, lam in zip(range(2, 5), MULTIPLE_SCALES[1:]):
+                summand = random_action(a.rep, rng)
+                total, unscaled = direct_sum(total, scaled(summand, lam)), direct_sum(unscaled, summand)
+                yield (family, field, d, seed, f"{m}a_i"), total, unscaled
+
+
+def check_multiple(label, total: AffineAction, unscaled: AffineAction) -> None:
+    """The record of m copies of one representation holds one distinct
+    summand; the verdict and witness dimension are those of the plain
+    decision of ``unscaled`` on a representation that keeps no summands,
+    and the pairs match the verdict."""
+    assert len(_copies(total.rep)) == 1, (label, "distinct summands", len(_copies(total.rep)))
+    verdict = decide_irreducibility(total)
+    flat = Representation(total.presentation, total.field, total.rep.matrices, dim=total.dim, validate=False)
+    want = decide_irreducibility(AffineAction(flat, Cocycle(flat, unscaled.cocycle.values, validate=False)))
+    assert verdict.reducible == want.reducible, (label, "verdict differs from the plain decision")
+    if verdict.reducible:
+        dims = (verdict.witness_subspace.dim, want.witness_subspace.dim)
+        assert dims[0] == dims[1], (label, "witness dimension", dims)
+    check_pairs_match_the_verdict(label, total)
+
+
 def test_zero_cocycle_on_complex_z_at_d6_seed15_is_reducible_with_a_certified_witness():
     # the former rule cut a cluster of two singular values 3.5e-8 apart in
     # squares and raised "extracted subspace failed certification"
@@ -183,12 +234,20 @@ def test_corpus_slice_three_summand_sums_keep_the_witness_dimension(family, fiel
         check_three_summands(label, total, reference)
 
 
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_corpus_slice_multiples_keep_the_plain_verdict(family, field):
+    for case in multiple_cases(family, field, SLICE_SEEDS):
+        check_multiple(*case)
+
+
 def main() -> int:
     start = time.perf_counter()
     print(f"edge corpus: seeds {SEEDS.start}-{SEEDS.stop - 1}, d {DIMS.start}-{DIMS.stop - 1}, "
           f"{len(FAMILIES)} families x {len(FIELDS)} fields x {{random, zero}} cocycle, rng 7919 d + seed; "
           "each action summed with itself, a', b and 1e8 and 1e9 times itself, and "
-          "(a (+) 1e8 a) (+) 1e16 a and ((a (+) a) (+) a) (+) a; the three-scale grid, seeds 40-42")
+          "(a (+) 1e8 a) (+) 1e16 a and ((a (+) a) (+) a) (+) a; the sums of m = 2..4 independent cocycles "
+          "on each representation; the three-scale grid, seeds 40-42")
     decisions = moves = sums = 0
     failures = []
 
@@ -212,6 +271,9 @@ def main() -> int:
                 sums += 1
             for case in (*three_summand_cases(family, field, SEEDS), *four_copy_cases(family, field, SEEDS)):
                 run(check_three_summands, *case)
+                sums += 1
+            for case in multiple_cases(family, field, SEEDS):
+                run(check_multiple, *case)
                 sums += 1
     for case in three_scale_cases(sorted(FAMILIES), (40, 41, 42)):
         run(check_three_summands, *case)

@@ -30,10 +30,12 @@ from affine_actions import (
     conjugate_by_translation,
     decide_irreducibility,
     direct_sum,
+    first_cohomology,
     intertwining_residual,
     invariant_subspace_from_witness,
     project_action,
 )
+from affine_actions import actions
 from affine_actions.actions import ActionError, certification_scale, unit_scale
 from affine_actions.linalg import numerical_rank, residual_ok
 from affine_actions.problem_io import load_problem
@@ -887,3 +889,72 @@ def test_a_summand_that_is_a_sum_is_not_validated_again():
     direct_sum(inner, a)
     assert "isometry_defects" not in vars(inner.rep)
     assert "relator_defects" not in vars(inner.rep)
+
+
+# -- the decision reads the stage-3 solution; pairs on first read ----------------
+
+
+def counting_residuals(monkeypatch) -> list:
+    """Record every pair or map ``commutant_residual`` certifies."""
+    calls, original = [], actions.commutant_residual
+
+    def counted(action, pair_or_map):
+        calls.append(pair_or_map)
+        return original(action, pair_or_map)
+
+    monkeypatch.setattr(actions, "commutant_residual", counted)
+    return calls
+
+
+def test_a_decision_certifies_its_pairs_only_when_they_are_read(monkeypatch):
+    """8 nested bit-equal copies of a generic real F2 action at d = 4, and
+    a (+) a analyzed: neither certifies a pair. Reading ``commutant``
+    afterwards builds the pairs and certifies each exactly once."""
+    rng = np.random.default_rng(26)
+    a = random_action(random_free_rep(f2_group(), 4, "real", rng), rng)
+    total = a
+    for _ in range(7):
+        total = direct_sum(total, a)
+    calls = counting_residuals(monkeypatch)
+    verdicts = (decide_irreducibility(total), analyze_direct_sum(a, a).verdict)
+    assert all(v.reducible for v in verdicts) and calls == []
+    for verdict in verdicts:
+        pairs = verdict.commutant
+        assert verdict.commutant is pairs and verdict.solved.residuals["worst_equation_defect"] >= 0.0
+        assert len(calls) == len(pairs) > 0 and all(c is p for c, p in zip(calls, pairs))
+        calls.clear()
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_copies_of_a_generic_f2_representation_are_irreducible_up_to_dim_h1(field):
+    """m pi with m independent cocycles on a generic F2 representation at
+    d = 3 (dim H^1 = d, commutant of dimension c = 1): U = A (x) I sends b
+    to a coboundary iff A kills the m classes in H^1, so the sum is
+    Irreducible for m <= 3 and Reducible, with a certified witness, at m = 4."""
+    rng = np.random.default_rng(27)
+    d = 3
+    rep = random_free_rep(f2_group(), d, field, rng)
+    assert first_cohomology(rep).dims[2] == d and len(commutant_basis(rep)) == 1
+    total = random_action(rep, rng)
+    for m in range(2, d + 2):
+        total = direct_sum(total, random_action(rep, rng))
+        verdict = decide_irreducibility(total)
+        assert verdict.reducible == (m > d), m
+        assert len(_copies(total.rep)) == 1
+    assert_witness_certified(field, total, verdict)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_the_witness_residual_through_k_is_the_one_of_the_full_map(family, field):
+    """The witness map's residual read through K's directions is its
+    ``commutant_residual`` by the d x d products, to roundoff."""
+    for label, a1, a2 in sum_cases(family, field):
+        for action in (a1, direct_sum(a1, a2)):
+            verdict = decide_irreducibility(action)
+            if verdict.irreducible:
+                continue
+            witness = verdict.witness_map
+            scale = certification_scale((witness.deviation, witness.translation), action)
+            full = commutant_residual(action, witness)
+            assert abs(verdict.residuals["witness_commutant"] - full) <= 1e-13 * scale, label
