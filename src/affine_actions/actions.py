@@ -270,8 +270,8 @@ class AffineCommutant:
     ``pairs`` and ``residuals`` are built on first read: the basis pairs,
     each certified on its rows, and the worst of their residuals
     (``worst_equation_defect``); a pair failing raises InternalCheckError
-    there. ``moving`` (some pair has U != 0) reads the solution and builds
-    no pair.
+    there. ``moving`` (some pair has U != 0) and ``dimension`` read the
+    solution and build no pair.
     """
 
     action: AffineAction
@@ -281,6 +281,12 @@ class AffineCommutant:
     @property
     def moving(self) -> bool:
         return any(len(s.deviations) and s.deviations.any() for s in self.solutions)
+
+    @property
+    def dimension(self) -> int:
+        """The number of ``pairs``, counted off the solution: each copy of a
+        summand holds its k stage-3 pairs and its f fixed-space pairs."""
+        return sum(len(s.placements) * (len(s.deviations) + s.kernel.shape[1]) for s in self.solutions)
 
     @property
     def pairs(self) -> tuple[CommutantPair, ...]:
@@ -435,14 +441,22 @@ def fixed_points(action: AffineAction) -> FixedPoints:
 
 def check_invariance(action: AffineAction, subspace: AffineSubspace) -> float:
     """Worst defect of alpha(s)K inside K over all generators."""
+    return _invariance_defect(action, subspace, _moved_subspace(action, subspace))
+
+
+def _moved_subspace(action: AffineAction, subspace: AffineSubspace) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(pi(s) base, pi(s) W) of K = base + span W, for every generator s."""
+    return [(m @ subspace.base, m @ subspace.directions) for m in action.rep.matrices]
+
+
+def _invariance_defect(action: AffineAction, subspace: AffineSubspace, moved) -> float:
+    """``check_invariance`` from the ``_moved_subspace`` products."""
     worst = 0.0
     d_mat = subspace.directions
-    for m, b in zip(action.rep.matrices, action.cocycle.values):
-        image = m @ subspace.base + b
-        worst = max(worst, subspace.residual_of(image))
+    for (base, directions), b in zip(moved, action.cocycle.values):
+        worst = max(worst, subspace.residual_of(base + b))
         if d_mat.shape[1]:
-            moved = m @ d_mat
-            worst = max(worst, frobenius(moved - d_mat @ (d_mat.conj().T @ moved)))
+            worst = max(worst, frobenius(directions - d_mat @ (d_mat.conj().T @ directions)))
     return worst
 
 
@@ -550,18 +564,19 @@ def _minimal_subspace(commutant: AffineCommutant) -> AffineSubspace:
     return AffineSubspace(base - directions @ (directions.conj().T @ base), directions)
 
 
-def _witness_residual(action: AffineAction, subspace: AffineSubspace) -> float:
+def _witness_residual(action: AffineAction, subspace: AffineSubspace, moved) -> float:
     """``commutant_residual`` of the nearest-point map onto K, (U, t) =
     (W W* - I, base), read through K's orthonormal directions W with no
-    d x d product. With P = W W* and Q = I - P, U pi - pi U = P pi Q - Q pi P,
-    two blocks orthogonal in the Frobenius product, and ||P pi Q|| =
-    ||Q pi* P||, ||X P|| = ||X W||: its norm is that of [Q pi W, Q pi* W].
-    The translation residual U b - (pi - I) t is -(pi - I) base - Q b."""
+    d x d product, from the ``_moved_subspace`` products. With P = W W* and
+    Q = I - P, U pi - pi U = P pi Q - Q pi P, two blocks orthogonal in the
+    Frobenius product, and ||P pi Q|| = ||Q pi* P||, ||X P|| = ||X W||: its
+    norm is that of [Q pi W, Q pi* W]. The translation residual
+    U b - (pi - I) t is -(pi - I) base - Q b."""
     w, base = subspace.directions, subspace.base
     worst = 0.0
-    for m, b in zip(action.rep.matrices, action.cocycle.values):
-        moved = np.hstack([m @ w, m.conj().T @ w])
-        translation = m @ base - base + b - w @ (w.conj().T @ b)
+    for m, b, (moved_base, moved_w) in zip(action.rep.matrices, action.cocycle.values, moved):
+        moved = np.hstack([moved_w, m.conj().T @ w])
+        translation = moved_base - base + b - w @ (w.conj().T @ b)
         worst = max(worst, frobenius(moved - w @ (w.conj().T @ moved)), float(np.linalg.norm(translation)))
     return worst
 
@@ -612,12 +627,13 @@ def decide_irreducibility(action: AffineAction) -> IrreducibilityVerdict:
         return IrreducibilityVerdict(False, commutant, translation_directions=directions, residuals=residuals)
     subspace = _minimal_subspace(commutant)
     witness = AffineMap(subspace.directions @ subspace.directions.conj().T, subspace.base)
+    moved = _moved_subspace(action, subspace)
     residuals = {
         "witness_commutant": certify(
-            _witness_residual(action, subspace), (witness.deviation, witness.translation), "witness map", action
+            _witness_residual(action, subspace, moved), (witness.deviation, witness.translation), "witness map", action
         ),
         "subspace_invariance": certify(
-            check_invariance(action, subspace), (subspace.base,), "extracted subspace", action
+            _invariance_defect(action, subspace, moved), (subspace.base,), "extracted subspace", action
         ),
     }
     return IrreducibilityVerdict(True, commutant, witness, subspace, residuals=residuals)

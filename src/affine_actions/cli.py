@@ -97,7 +97,7 @@ def _verify(args, problem, report):
 
 def _irreducible(args, problem, action):
     verdict = decide_irreducibility(action)
-    doc = {"verdict": verdict.tag, "commutant_dimension": len(verdict.commutant)}
+    doc = {"verdict": verdict.tag, "commutant_dimension": verdict.solved.dimension}
     lines = [f"irreducible: {verdict.tag}"]
     if verdict.reducible:
         doc["witness"] = {

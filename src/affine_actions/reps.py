@@ -149,7 +149,8 @@ class Cocycle:
     first use (at construction when validating, since ``validity_report``
     holds them to the cocycle-relator bound). ``max_norm`` is
     max_s ||b(s)||, computed once at construction: the scale of that bound,
-    of ``actions.unit_scale`` and of every certification bound.
+    of ``actions.unit_scale`` and of every certification bound. Values whose
+    norm overflows are refused with CocycleError, with or without ``validate``.
     """
 
     def __init__(self, representation: Representation, values, validate: bool = True) -> None:
@@ -163,7 +164,11 @@ class Cocycle:
                 raise CocycleError(f"value has shape {v.shape}, expected ({representation.dim},)")
         self.representation = representation
         self.values = values
-        self.max_norm = max((float(np.linalg.norm(v)) for v in values), default=0.0)
+        with np.errstate(over="ignore"):
+            self.max_norm = max((float(np.linalg.norm(v)) for v in values), default=0.0)
+        if not math.isfinite(self.max_norm):
+            # every bound and scale reads max ||b(s)||; its square overflowed
+            raise CocycleError("cocycle norm overflows: max ||b(s)|| is not finite in double precision")
         if validate and (failure := validity_report(representation.tol, cocycle=self).failure):
             raise failure
 

@@ -120,6 +120,23 @@ def test_irreducible_on_large_cocycle_double(tmp_path, capsys):
     assert doc["witness"]["invariant_subspace"]["dim"] < 8
 
 
+@pytest.mark.parametrize("verb", ["verify", "irreducible", "abelian-test"])
+def test_a_cocycle_norm_that_overflows_is_invalid_input(verb, tmp_path, capsys):
+    # Z on R by the translation 1e160: ||b||^2 overflows, so every verb
+    # refuses the file (exit 12) instead of certifying against a NaN bound
+    data = json.loads((FIXTURES / "z_translation.json").read_text())
+    for value, code, verdict in ((1e160, 12, "error"), (1e150, 0, None)):
+        data["cocycle"]["t"] = [value]
+        path = tmp_path / "z.json"
+        path.write_text(json.dumps(data))
+        got, doc = run_machine([verb, path], capsys)
+        assert got == code, (value, doc)
+        if verdict == "error":
+            assert doc["error"].startswith("cocycle norm overflows")
+    if verb == "irreducible":
+        assert doc["verdict"] == "Irreducible"
+
+
 def test_irreducible_human_output_not_json(capsys):
     code, out, _ = run_cli(["irreducible", FIXTURES / "dihedral.json"], capsys)
     assert code == 0

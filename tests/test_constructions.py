@@ -13,6 +13,7 @@ from affine_actions import (
     InducedSetup,
     Representation,
     SubgroupSpec,
+    ToleranceProfile,
     check_center_translations,
     check_restriction_theorem,
     check_translation_characterization,
@@ -568,8 +569,8 @@ def scan_inputs(k: int, field: str, rng) -> list[AffineAction]:
 def assert_matches_reference_scan(action: AffineAction, window: int) -> QuadraticFormResult:
     # the reference runs on the unit-scaled action; max_defect comes back in caller units
     s = unit_scale(action)
-    unit = AffineAction.from_values(action.rep, [b / s for b in action.cocycle.values])
-    reference = reference_quadratic_form_test(unit, window)
+    unit = AffineAction(action.rep, Cocycle(action.rep, [b / s for b in action.cocycle.values], validate=False))
+    reference = reference_quadratic_form_test(unit, window, action.tol)
     result = quadratic_form_test(action, window)
     assert result == dataclasses.replace(reference, max_defect=reference.max_defect * s**2)
     return result
@@ -1141,6 +1142,126 @@ def test_scan_order_is_cached_and_read_only():
         inner[0, 0] = 1
     order = scan_order(3, 2)
     assert [tuple(x) for x in inner.tolist()] == sorted(order, key=order.get)
+
+
+def test_scan_representatives_are_the_first_of_each_pair_and_cached():
+    for k, window in [(1, 1), (1, 4), (2, 3), (3, 2), (4, 2)]:
+        keep = constructions._scan_representatives(k, window)
+        assert constructions._scan_representatives(k, window) is keep and not keep.flags.writeable
+        inner = [tuple(x) for x in constructions._scan_order(k, window).tolist()]
+        position = {x: i for i, x in enumerate(inner)}
+        kept = [inner[i] for i in keep.tolist()]
+        # ascending, 0 included, and exactly the earlier of each {x, -x}
+        assert keep.tolist() == sorted(keep.tolist()) and (0,) * k in kept
+        assert kept == [x for x in inner if position[x] <= position[tuple(-c for c in x)]]
+        assert len(kept) == (len(inner) + 1) // 2
+
+
+def counting_representatives(monkeypatch) -> list:
+    """Record every (k, window) whose scan read one representative per +-x."""
+    calls, original = [], constructions._scan_representatives
+
+    def counted(k, window):
+        calls.append((k, window))
+        return original(k, window)
+
+    monkeypatch.setattr(constructions, "_scan_representatives", counted)
+    return calls
+
+
+# the pairwise reference reads (2w+1)^2k pairs in Python: k = 4 stops at w = 2
+EVEN_SCANS = (
+    [(k, w, field) for k in (1, 2) for w in range(1, 7) for field in ("real", "complex")]
+    + [(3, w, "real") for w in (1, 2, 3)] + [(3, 2, "complex"), (4, 1, "real"), (4, 2, "real")]
+)
+
+
+@pytest.mark.parametrize("k,window,field", EVEN_SCANS)
+def test_an_even_psi_scans_one_pair_per_orbit_with_the_pairwise_result(k, window, field, monkeypatch):
+    # translations give psi(-x) = psi(x) bit for bit; cocycle scales spread over 1e-6 .. 1e6
+    calls = counting_representatives(monkeypatch)
+    rng = np.random.default_rng(700 + 10 * k + window + 100 * (field == "complex"))
+    action = scaled(spanning_translations(k, field, rng), 10.0 ** rng.uniform(-6, 6))
+    assert assert_matches_reference_scan(action, window).quadratic
+    assert calls == [(k, window)]
+
+
+def tight_translations(k: int, eps_residual: float, rng) -> AffineAction:
+    """Spanning translations held to eps_residual, where the roundoff of psi
+    fails the identity (the cocycle relators are not checked)."""
+    rep = Representation(free_abelian_group(k), "real", [np.eye(k)] * k, dim=k, tol=ToleranceProfile(eps_residual=eps_residual))
+    return AffineAction(rep, Cocycle(rep, [rng.standard_normal(k) for _ in range(k)], validate=False))
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 3])
+@pytest.mark.parametrize("k,window", [(2, 6), (3, 3), (4, 2)])
+def test_an_even_psi_fails_at_the_first_roundoff_violation_of_the_full_scan(k, window, rows_per_block, monkeypatch):
+    # eps_residual in 1e-17.5 .. 1e-14.5: keep the first draws whose violating
+    # row is in the first block of the reduced scan and in a later one
+    if rows_per_block is not None:
+        monkeypatch.setattr(constructions, "_SCAN_BLOCK_ELEMENTS", rows_per_block * (2 * window + 1) ** k)
+    keep = constructions._scan_representatives(k, window)
+    block = max(1, constructions._SCAN_BLOCK_ELEMENTS // len(keep))
+    order = scan_order(k, window)
+    rng = np.random.default_rng(800 + 10 * k + window)
+    wanted = {False: None, True: None} if block < len(keep) else {False: None}
+    for _ in range(300):
+        action = tight_translations(k, 10.0 ** rng.uniform(-17.5, -14.5), rng)
+        result = quadratic_form_test(action, window)
+        if not result.quadratic:
+            row = int(np.searchsorted(keep, order[result.violation[0]]))
+            # the reference scans row * (2w+1)^k pairs in Python: keep it small
+            if order[result.violation[0]] < 400 and wanted.get(row >= block, 0) is None:
+                wanted[row >= block] = action
+        if all(a is not None for a in wanted.values()):
+            break
+    assert all(a is not None for a in wanted.values())
+    calls = counting_representatives(monkeypatch)
+    for action in wanted.values():
+        assert not assert_matches_reference_scan(action, window).quadratic
+    assert calls == [(k, window)] * len(wanted)
+
+
+def test_rotations_take_the_full_scan_and_flips_the_reduced_one(monkeypatch):
+    # a rotation's psi(-x) differs from psi(x) in its last bits; a flip's
+    # pi(s) = -I negates exactly, so its psi is even
+    calls = counting_representatives(monkeypatch)
+    rng = np.random.default_rng(31)
+    for k, window in [(1, 3), (2, 2), (3, 2)]:
+        for action in scan_inputs(k, "real", rng)[1:]:
+            calls.clear()
+            assert not assert_matches_reference_scan(action, window).quadratic
+            assert calls == ([(k, window)] if k == 1 else []), (k, window)
+    flips = Representation(free_abelian_group(2), "real", [np.diag([-1.0, 1.0]), np.diag([1.0, -1.0])], dim=2)
+    calls.clear()
+    assert not assert_matches_reference_scan(AffineAction.from_values(flips, [np.array([1.3, 0.0]), np.array([0.0, 0.7])]), 3).quadratic
+    assert calls == [(2, 3)]
+
+
+# inf - inf in a defect warns as it makes the NaN the scan must catch
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("planted,even", [(np.inf, True), (-np.inf, True), (np.nan, False)])
+@pytest.mark.parametrize("z", [(0, 0, 0), (4, 0, 0), (1, -1, 0), (6, 6, 6), (-5, 6, 1)])
+def test_a_symmetric_nonfinite_psi_fails_at_the_first_pair_that_reads_it(z, planted, even, monkeypatch):
+    # planted at z and -z: +-inf keeps psi even (the reduced scan), NaN does
+    # not; psi(0) is first read by the diagonal pair (0, 0)
+    k, window = 3, 3
+    order = scan_order(k, window)
+    minus = tuple(-c for c in z)
+    expected = min(first_pair_reading(z, order), first_pair_reading(minus, order), key=lambda p: (order[p[0]], order[p[1]]))
+
+    def planted_grid(cocycle, k, reach):
+        psi = _psi_grid(cocycle, k, reach)
+        for point in (z, minus):
+            psi[tuple(c + reach for c in point)] = planted
+        return psi
+
+    monkeypatch.setattr(constructions, "_psi_grid", planted_grid)
+    calls = counting_representatives(monkeypatch)
+    result = quadratic_form_test(spanning_translations(k, "real", np.random.default_rng(8)), window)
+    assert result.violation == expected
+    assert not np.isfinite(result.max_defect)
+    assert calls == ([(k, window)] if even else [])
 
 
 def test_quadratic_scan_memory_stays_far_below_the_pair_matrix():

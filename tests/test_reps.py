@@ -16,6 +16,7 @@ from affine_actions import (
     commutant_action_on_classes,
     commutant_basis,
     decide_irreducibility,
+    direct_sum,
     first_cohomology,
     fixed_subspace,
     search_irreducible_cocycle,
@@ -164,6 +165,29 @@ def test_cocycle_validation_rejects_bad_values():
     rep = Representation(dih, "complex", [-np.eye(1, dtype=complex), np.eye(1, dtype=complex)])
     with pytest.raises(CocycleError):
         Cocycle(rep, [np.array([0.0 + 0j]), np.array([0.5 + 0j])])
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_a_cocycle_whose_norm_overflows_is_refused(validate):
+    # ||b|| squares its entries: at 1e160 max_norm would be inf, and every
+    # bound and scale that reads it NaN or zero
+    rep = Representation(z_group(), "real", [np.eye(1)])
+    with pytest.raises(CocycleError, match="^cocycle norm overflows"):
+        Cocycle(rep, [np.array([1e160])], validate=validate)
+    assert Cocycle(rep, [np.array([1e154])], validate=validate).max_norm == 1e154
+
+
+def test_a_direct_sum_whose_cocycle_norm_overflows_is_refused():
+    # each summand's norm is 1e154; the sum's concatenated value squares to 2e308
+    rep = Representation(z_group(), "real", [np.eye(1)])
+    half = AffineAction.from_values(rep, [np.array([1e154])])
+    with pytest.raises(CocycleError, match="^cocycle norm overflows"):
+        direct_sum(half, half)
+
+
+def test_a_cocycle_at_1e150_is_still_decided():
+    rep = Representation(z_group(), "real", [np.eye(1)])
+    assert decide_irreducibility(AffineAction.from_values(rep, [np.array([1e150])])).irreducible
 
 
 def test_cocycle_chain_rule_random_words():

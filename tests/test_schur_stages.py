@@ -9,6 +9,7 @@ equivalent projections a direct sum's analysis reads off one row block of
 its commutant; and a plain action's witness subspace against the
 codimension of the minimal invariant subspace in the Kronecker reference."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -35,7 +36,7 @@ from affine_actions import (
     invariant_subspace_from_witness,
     project_action,
 )
-from affine_actions import actions
+from affine_actions import actions, cli
 from affine_actions.actions import ActionError, certification_scale, unit_scale
 from affine_actions.linalg import numerical_rank, residual_ok
 from affine_actions.problem_io import load_problem
@@ -958,3 +959,53 @@ def test_the_witness_residual_through_k_is_the_one_of_the_full_map(family, field
             scale = certification_scale((witness.deviation, witness.translation), action)
             full = commutant_residual(action, witness)
             assert abs(verdict.residuals["witness_commutant"] - full) <= 1e-13 * scale, label
+
+
+def fixture_actions_with_doubles():
+    """(label, action): every problem fixture a, a (+) a and a (+) 2a."""
+    for p in sorted(FIXTURES.glob("*.json")):
+        if p.stem == "c2xz_setup":
+            continue
+        a = load_problem(p).build_action()
+        twice = AffineAction.from_values(a.rep, [2.0 * b for b in a.cocycle.values])
+        yield from ((p.stem, a), (f"{p.stem} double", direct_sum(a, a)), (f"{p.stem} + 2a", direct_sum(a, twice)))
+
+
+def test_the_commutant_dimension_is_read_off_the_solution(monkeypatch):
+    calls = counting_residuals(monkeypatch)
+    for label, action in fixture_actions_with_doubles():
+        verdict = decide_irreducibility(action)
+        dimension = verdict.solved.dimension
+        assert calls == [], label
+        assert dimension == len(verdict.commutant), label
+        calls.clear()
+
+
+def test_the_irreducible_verb_certifies_no_pair(monkeypatch, capsys):
+    calls = counting_residuals(monkeypatch)
+    for p in sorted(FIXTURES.glob("*.json")):
+        if p.stem == "c2xz_setup":
+            continue
+        assert cli.main(["irreducible", str(p), "--machine"]) in (0, 10), p.stem
+        assert calls == [], p.stem
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["commutant_dimension"] == len(decide_irreducibility(load_problem(p).build_action()).commutant)
+        calls.clear()
+
+
+def test_the_witness_residuals_read_k_moved_once():
+    """The decision forms pi(s) base and pi(s) W once for both certifications;
+    each residual keeps the bits of the products formed on their own."""
+    for label, action in fixture_actions_with_doubles():
+        verdict = decide_irreducibility(action)
+        if verdict.irreducible:
+            continue
+        subspace = verdict.witness_subspace
+        w, base = subspace.directions, subspace.base
+        worst = 0.0
+        for m, b in zip(action.rep.matrices, action.cocycle.values):
+            moved = np.hstack([m @ w, m.conj().T @ w])
+            translation = m @ base - base + b - w @ (w.conj().T @ b)
+            worst = max(worst, float(np.linalg.norm(moved - w @ (w.conj().T @ moved))), float(np.linalg.norm(translation)))
+        assert verdict.residuals["witness_commutant"].hex() == worst.hex(), label
+        assert verdict.residuals["subspace_invariance"].hex() == check_invariance(action, subspace).hex(), label
