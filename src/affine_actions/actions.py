@@ -37,8 +37,10 @@ from .linalg import (
     numerical_rank,
     orthonormal_columns,
     random_vectors,
+    read_only,
     residual_ok,
     solve_affine_system,
+    worst_of,
 )
 from .reps import (
     Cocycle,
@@ -48,7 +50,6 @@ from .reps import (
     _generic_weights,
     _row_blocks,
     boundary_split,
-    fixed_subspace,
     hom_basis,
     validity_report,
 )
@@ -217,6 +218,15 @@ def certify(residual: float, parts, what: str, *actions: AffineAction) -> float:
     return residual
 
 
+def _require_shapes(error: type[ValueError], *checks) -> None:
+    """Raise ``error`` unless each (label, array, shape) of ``checks`` has
+    that shape (a ``None`` length matches any), naming both shapes."""
+    for label, array, shape in checks:
+        found = np.shape(array)
+        if len(found) != len(shape) or any(e not in (None, f) for f, e in zip(found, shape)):
+            raise error(f"{label} has shape {found}, expected {shape}".replace("None", "k"))
+
+
 def _require_common_setting(a1: AffineAction, a2: AffineAction, what: str) -> None:
     """Refuse two actions that differ in presentation, field or tolerance
     profile, naming ``what`` needs them equal."""
@@ -270,8 +280,8 @@ class AffineCommutant:
     ``pairs`` and ``residuals`` are built on first read: the basis pairs,
     each certified on its rows, and the worst of their residuals
     (``worst_equation_defect``); a pair failing raises InternalCheckError
-    there. ``moving`` (some pair has U != 0) and ``dimension`` read the
-    solution and build no pair.
+    there. ``moving`` (some pair has U != 0), ``dimension`` and
+    ``fixed_space`` read the solution and build no pair.
     """
 
     action: AffineAction
@@ -287,6 +297,16 @@ class AffineCommutant:
         """The number of ``pairs``, counted off the solution: each copy of a
         summand holds its k stage-3 pairs and its f fixed-space pairs."""
         return sum(len(s.placements) * (len(s.deviations) + s.kernel.shape[1]) for s in self.solutions)
+
+    @cached_property
+    def fixed_space(self) -> np.ndarray:
+        """The fixed space of ``action.rep``, read off the solution: each
+        distinct summand's ``kernel`` at the rows of each of its copies, in
+        row order. That is how ``reps.boundary_split`` assembles a sum's
+        kernel, so the bits are the same, and nothing of the sum's size but
+        this matrix is built; a plain action's is its cached kernel itself."""
+        copies = sorted(((rows.start, s.kernel) for s in self.solutions for rows in s.placements), key=lambda c: c[0])
+        return copies[0][1] if len(copies) == 1 else read_only(_block_diagonal(*(k for _, k in copies)))
 
     @property
     def pairs(self) -> tuple[CommutantPair, ...]:
@@ -364,30 +384,36 @@ def affine_commutant(action: AffineAction) -> AffineCommutant:
 
 
 def commutant_residual(action: AffineAction, pair_or_map) -> float:
-    """Worst residual of the commutant equations over all generators, a pair read on its rows."""
-    u, rows = pair_or_map.deviation, getattr(pair_or_map, "rows", None) or slice(None)
+    """Worst residual of the commutant equations over all generators, a pair
+    read on its rows; ActionError if its shapes do not fit the action."""
+    rows = getattr(pair_or_map, "rows", None) or slice(None)
+    n, part = len(range(action.dim)[rows]), "deviation" if isinstance(pair_or_map, CommutantPair) else "linear"
+    shapes = (part, getattr(pair_or_map, part), (n, action.dim)), ("translation", pair_or_map.translation, (n,))
+    _require_shapes(ActionError, *shapes)
+    u = pair_or_map.deviation
     t = np.asarray(pair_or_map.translation, np.result_type(u, pair_or_map.translation))
-    worst = 0.0
+    defects = []
     for m, b in zip(action.rep.matrices, action.cocycle.values):
         linear, translation = m[:, rows] @ u, m[:, rows] @ t
         linear[rows] -= u @ m
         translation[rows] -= u @ b + t
-        worst = max(worst, frobenius(linear), float(np.linalg.norm(translation)))
-    return worst
+        defects += [frobenius(linear), float(np.linalg.norm(translation))]
+    return worst_of(defects)
 
 
 @dataclass(frozen=True)
 class IrreducibilityVerdict:
     """Outcome of the commutant decision, with verified witness data.
 
-    Reducible verdicts carry the minimal invariant affine subspace K, the
-    nearest-point map onto it (a commutant element with U = -p != 0, p the
-    projector onto K's orthogonal directions), and the residuals both were
-    certified with (``witness_commutant``, ``subspace_invariance``).
+    Reducible verdicts carry the minimal invariant affine subspace K and
+    the residuals it and the nearest-point map onto it were certified with
+    (``witness_commutant``, ``subspace_invariance``). That map, a commutant
+    element with U = -p != 0 (p the projector onto K's orthogonal
+    directions), is ``witness_map``, built from K on first read.
     Irreducible verdicts carry an orthonormal basis of the representation's
-    fixed space: every pair then has U = 0, and the commutant consists
-    exactly of the translations along it, each certified as the pair
-    (0, f) it is (``fixed_translations``).
+    fixed space, the solution's ``fixed_space``: every pair then has U = 0,
+    and the commutant consists exactly of the translations along it, each
+    certified as the pair (0, f) it is (``fixed_translations``).
 
     ``solved`` is the ``affine_commutant`` the verdict was read off;
     ``commutant`` is its ``pairs``, built and certified on first read.
@@ -395,10 +421,15 @@ class IrreducibilityVerdict:
 
     reducible: bool
     solved: AffineCommutant
-    witness_map: AffineMap | None = None
     witness_subspace: AffineSubspace | None = None
     translation_directions: np.ndarray | None = None
     residuals: dict[str, float] = field(default_factory=dict)
+
+    @cached_property
+    def witness_map(self) -> AffineMap | None:
+        """The nearest-point map v -> W W* v + base onto K (None if irreducible)."""
+        k = self.witness_subspace
+        return None if k is None else AffineMap(k.directions @ k.directions.conj().T, k.base)
 
     @property
     def commutant(self) -> tuple[CommutantPair, ...]:
@@ -440,7 +471,10 @@ def fixed_points(action: AffineAction) -> FixedPoints:
 
 
 def check_invariance(action: AffineAction, subspace: AffineSubspace) -> float:
-    """Worst defect of alpha(s)K inside K over all generators."""
+    """Worst defect of alpha(s)K inside K over all generators; ActionError
+    if K's shapes do not fit the action."""
+    d = action.dim
+    _require_shapes(ActionError, ("base", subspace.base, (d,)), ("directions", subspace.directions, (d, None)))
     return _invariance_defect(action, subspace, _moved_subspace(action, subspace))
 
 
@@ -451,24 +485,26 @@ def _moved_subspace(action: AffineAction, subspace: AffineSubspace) -> list[tupl
 
 def _invariance_defect(action: AffineAction, subspace: AffineSubspace, moved) -> float:
     """``check_invariance`` from the ``_moved_subspace`` products."""
-    worst = 0.0
+    defects = []
     d_mat = subspace.directions
     for (base, directions), b in zip(moved, action.cocycle.values):
-        worst = max(worst, subspace.residual_of(base + b))
+        defects.append(subspace.residual_of(base + b))
         if d_mat.shape[1]:
-            worst = max(worst, frobenius(directions - d_mat @ (d_mat.conj().T @ directions)))
-    return worst
+            defects.append(frobenius(directions - d_mat @ (d_mat.conj().T @ directions)))
+    return worst_of(defects)
 
 
 def invariant_subspace_from_witness(action: AffineAction, witness: AffineMap) -> AffineSubspace:
     """Proper invariant affine subspace extracted from a supplied commutant element.
 
-    A witness that is the identity or fails the commutant equations raises
-    WitnessError. The witness is rescaled to unit ||U||, so its magnitude
-    does not matter, and K = -U+ t + ker U is read off one SVD of U
-    (``_kernel_subspace``) and certified (see ``certify``).
+    A witness that does not fit the action's dimension, is the identity or
+    fails the commutant equations raises WitnessError. The witness is
+    rescaled to unit ||U||, so its magnitude does not matter, and
+    K = -U+ t + ker U is read off one SVD of U (``_kernel_subspace``) and
+    certified (see ``certify``).
     """
-    tol = action.tol
+    tol, d = action.tol, action.dim
+    _require_shapes(WitnessError, ("witness linear", witness.linear, (d, d)), ("translation", witness.translation, (d,)))
     u, t = witness.deviation, witness.translation
     scale = frobenius(u)
     if scale <= tol.eps_residual:
@@ -573,24 +609,24 @@ def _witness_residual(action: AffineAction, subspace: AffineSubspace, moved) -> 
     norm is that of [Q pi W, Q pi* W]. The translation residual
     U b - (pi - I) t is -(pi - I) base - Q b."""
     w, base = subspace.directions, subspace.base
-    worst = 0.0
+    defects = []
     for m, b, (moved_base, moved_w) in zip(action.rep.matrices, action.cocycle.values, moved):
         moved = np.hstack([moved_w, m.conj().T @ w])
         translation = moved_base - base + b - w @ (w.conj().T @ b)
-        worst = max(worst, frobenius(moved - w @ (w.conj().T @ moved)), float(np.linalg.norm(translation)))
-    return worst
+        defects += [frobenius(moved - w @ (w.conj().T @ moved)), float(np.linalg.norm(translation))]
+    return worst_of(defects)
 
 
-def _fixed_translation_residual(commutant: AffineCommutant, directions: np.ndarray) -> float:
+def _fixed_translation_residual(commutant: AffineCommutant) -> float:
     """The worst ``commutant_residual`` of the pairs (0, D^-1 f), f the
-    fixed-space ``directions`` (each on one copy's rows, so D^-1 is its
+    columns of ``fixed_space`` (each on one copy's rows, so D^-1 is its
     copy's scale), each certified against the bound of its pair."""
-    action, worst = commutant.action, 0.0
-    for f in directions.T:
+    action, residuals = commutant.action, []
+    for f in commutant.fixed_space.T:
         t = commutant.scales * f
-        residual = max((frobenius(m @ t - t) for m in action.rep.matrices), default=0.0)
-        worst = max(worst, certify(residual, (t,), "fixed-space translation", action))
-    return worst
+        residual = worst_of(frobenius(m @ t - t) for m in action.rep.matrices)
+        residuals.append(certify(residual, (t,), "fixed-space translation", action))
+    return worst_of(residuals)
 
 
 def decide_irreducibility(action: AffineAction) -> IrreducibilityVerdict:
@@ -605,10 +641,12 @@ def decide_irreducibility(action: AffineAction) -> IrreducibilityVerdict:
     stage 3 runs per cocycle, in a frame of unit cocycle scale, so the
     verdict is invariant under b -> lambda b.
 
-    A Reducible verdict carries the minimal invariant affine subspace K and
-    the nearest-point map onto it, (U, t) = (-p, base of K), both certified
-    (failing raises InternalCheckError); the map through K's directions
-    (``_witness_residual``). The U-parts of the pairs form a left ideal
+    A Reducible verdict carries the minimal invariant affine subspace K,
+    certified with the nearest-point map onto it, (U, t) = (-p, base of K)
+    (failing raises InternalCheckError); the map through K's orthonormal
+    directions W (``_witness_residual``), its ||U|| = ||W W* - I|| as
+    sqrt(d - dim K), so no d x d matrix is formed (``witness_map`` builds
+    it when read). The U-parts of the pairs form a left ideal
     pi' p of pi' (A U b = (pi - I) A t for A in pi'), p the projector onto
     their joint row space, and K = {z : p z + t_p = 0} is read off the
     stacked nonzero rows of every distinct summand's solved U, in the frame
@@ -616,27 +654,27 @@ def decide_irreducibility(action: AffineAction) -> IrreducibilityVerdict:
     its nearest-point map, so dim K' >= dim K: K is minimal, and its
     dimension does not depend on the null-space basis. For a (+) a, K is
     the diagonal embedding of a's own K. An Irreducible verdict carries the
-    fixed space (``fixed_subspace``), whose translations its pairs are,
-    each certified against its pair's bound; only then is it fetched, so a
-    reducible direct sum assembles no boundary split of its own.
+    fixed space, whose translations its pairs are, each certified against
+    its pair's bound. It is read off the summands' solved kernels
+    (``AffineCommutant.fixed_space``), so no decision assembles a boundary
+    split at a direct sum's size.
     """
     commutant = affine_commutant(action)
     if not commutant.moving:
-        directions = fixed_subspace(action.rep)
-        residuals = {"fixed_translations": _fixed_translation_residual(commutant, directions)}
-        return IrreducibilityVerdict(False, commutant, translation_directions=directions, residuals=residuals)
+        residuals = {"fixed_translations": _fixed_translation_residual(commutant)}
+        return IrreducibilityVerdict(False, commutant, translation_directions=commutant.fixed_space, residuals=residuals)
     subspace = _minimal_subspace(commutant)
-    witness = AffineMap(subspace.directions @ subspace.directions.conj().T, subspace.base)
     moved = _moved_subspace(action, subspace)
+    deviation_norm = np.sqrt(action.dim - subspace.dim)  # ||W W* - I|| for orthonormal W
     residuals = {
         "witness_commutant": certify(
-            _witness_residual(action, subspace, moved), (witness.deviation, witness.translation), "witness map", action
+            _witness_residual(action, subspace, moved), (deviation_norm, subspace.base), "witness map", action
         ),
         "subspace_invariance": certify(
             _invariance_defect(action, subspace, moved), (subspace.base,), "extracted subspace", action
         ),
     }
-    return IrreducibilityVerdict(True, commutant, witness, subspace, residuals=residuals)
+    return IrreducibilityVerdict(True, commutant, subspace, residuals=residuals)
 
 
 def project_action(action: AffineAction, basis: np.ndarray) -> AffineAction:
@@ -729,12 +767,14 @@ class EquivalenceResult:
 
 def intertwining_residual(a1: AffineAction, a2: AffineAction, mapping: AffineMap) -> float:
     """Worst defect of mapping à alpha1(s) = alpha2(s) à mapping over generators:
-    M L1 - L2 M and (M b1 + t) - (L2 t + b2), for mapping v -> M v + t."""
+    M L1 - L2 M and (M b1 + t) - (L2 t + b2), for mapping v -> M v + t;
+    ActionError if its shapes do not map a1's space to a2's."""
     m, t = mapping.linear, mapping.translation
-    worst = 0.0
+    _require_shapes(ActionError, ("linear", m, (a2.dim, a1.dim)), ("translation", t, (a2.dim,)))
+    defects = []
     for l1, b1, l2, b2 in zip(a1.rep.matrices, a1.cocycle.values, a2.rep.matrices, a2.cocycle.values):
-        worst = max(worst, frobenius(m @ l1 - l2 @ m), frobenius((m @ b1 + t) - (l2 @ t + b2)))
-    return worst
+        defects += [frobenius(m @ l1 - l2 @ m), frobenius((m @ b1 + t) - (l2 @ t + b2))]
+    return worst_of(defects)
 
 
 def check_equivalence(

@@ -28,7 +28,7 @@ from .linalg import (
     numerical_rank,
     residual_ok,
 )
-from .reps import Cocycle, Representation, fixed_subspace
+from .reps import Cocycle, Representation
 from .words import (
     CosetTable,
     GroupPresentation,
@@ -174,15 +174,9 @@ def check_restriction_theorem(
         )
     )
     if ambient_verdict.irreducible:
-        restricted = restrict_action(action, sub)
-        verdict = decide_irreducibility(restricted)
-        detail = ""
-        if verdict.reducible:
-            detail = (
-                "restricted action reducible; witness deviation norm "
-                f"{max(p.deviation_norm for p in verdict.commutant):.3e}"
-            )
-        checks.append(PropertyCheck("restriction-irreducible", verdict.irreducible, detail))
+        k = decide_irreducibility(restrict_action(action, sub)).witness_subspace  # None if irreducible
+        detail = f"restricted action reducible; minimal invariant subspace of dimension {k.dim}" if k else ""
+        checks.append(PropertyCheck("restriction-irreducible", k is None, detail))
     return PropertyReport("finite-index-restriction", tuple(checks))
 
 
@@ -204,7 +198,7 @@ def check_center_translations(action: AffineAction, central_words) -> PropertyRe
             "" if verdict.irreducible else "center check applies to irreducible actions",
         )
     )
-    fixed = fixed_subspace(action.rep)
+    fixed = verdict.solved.fixed_space
     for i, word in enumerate(words):
         label = presentation.format_word(word)
         value, matrix = action.cocycle.walk(word)

@@ -238,6 +238,18 @@ def frobenius(matrix: np.ndarray) -> float:
     return float(np.linalg.norm(matrix))
 
 
+def worst_of(residuals) -> float:
+    """The largest of ``residuals`` (0.0 for none), or the first NaN among
+    them: ``max`` keeps its running value against a NaN, so a residual
+    accumulated by it reads as a number for an input that holds a NaN."""
+    worst = 0.0
+    for residual in residuals:
+        if math.isnan(residual):
+            return residual
+        worst = max(worst, residual)
+    return worst
+
+
 def random_vectors(count: int, dim: int, field: str, rng: np.random.Generator) -> np.ndarray:
     """``count`` standard Gaussian rows of length ``dim`` from one generator call.
 

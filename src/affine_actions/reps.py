@@ -48,7 +48,12 @@ class CocycleError(ValueError):
 
 
 class Representation:
-    """Per-generator isometric matrices over a declared scalar field."""
+    """Per-generator isometric matrices over a declared scalar field.
+
+    The matrices fix the dimension; ``dim`` is needed only without
+    generators, and one that contradicts the matrices raises
+    RepresentationError, with or without ``validate``.
+    """
 
     def __init__(
         self,
@@ -64,6 +69,8 @@ class Representation:
             raise RepresentationError(
                 f"expected {presentation.num_generators} matrices, got {len(matrices)}"
             )
+        if matrices and dim is not None and dim != matrices[0].shape[0]:
+            raise RepresentationError(f"dim={dim} contradicts the matrices, the first of shape {matrices[0].shape}")
         if matrices:
             dim = matrices[0].shape[0]
         elif dim is None:

@@ -4,6 +4,8 @@ import pytest
 from affine_actions import (
     AffineAction,
     AffineMap,
+    AffineSubspace,
+    CommutantPair,
     GroupPresentation,
     Representation,
     ToleranceProfile,
@@ -328,10 +330,10 @@ def test_direct_sum_disjoint_linear_parts_irreducible():
     assert decide_irreducibility(direct_sum(a1, a2)).irreducible
 
 
-def test_only_an_irreducible_sum_assembles_its_boundary_split():
-    # a Reducible verdict is read off a pair with U != 0, so a double builds
-    # no split at its own size; an Irreducible one carries the fixed space,
-    # the kernel of that split
+def test_no_decision_assembles_a_sums_boundary_split():
+    # a Reducible verdict is read off a pair with U != 0, and an Irreducible
+    # one reads the fixed space off its summands' solved kernels, so neither
+    # builds the split at the sum's own size
     rng = np.random.default_rng(5)
     half = random_action(random_free_rep(f2_group(), 3, "real", rng), rng)
     double = direct_sum(half, half)
@@ -339,8 +341,46 @@ def test_only_an_irreducible_sum_assembles_its_boundary_split():
     assert "boundary" not in double.rep._solves
     total = direct_sum(*disjoint_irreducible_pair())
     verdict = decide_irreducibility(total)
-    assert verdict.irreducible and "boundary" in total.rep._solves
-    assert verdict.translation_directions is fixed_subspace(total.rep)
+    assert verdict.irreducible and "boundary" not in total.rep._solves
+    assert verdict.translation_directions.tobytes() == fixed_subspace(total.rep).tobytes()
+    assert verdict.translation_directions.shape == (3, 0)
+
+
+NAN_CASES = {  # (linear part, translation): NaN everywhere, in one entry, in the base
+    "all": (np.full((2, 2), np.nan), np.full(2, np.nan)),
+    "one entry": (np.array([[1.0, 0.0], [np.nan, 0.0]]), np.zeros(2)),
+    "base": (np.diag([1.0, 0.0]), np.array([np.nan, 0.0])),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NAN_CASES))
+def test_residuals_of_inputs_holding_a_nan_are_nan(kind):
+    # a NaN anywhere in the input must not let a residual read as a number
+    action = AffineAction.from_values(Representation(z_group(), "real", [np.diag([1.0, -1.0])]), [np.array([1.0, 0.0])])
+    linear, translation = NAN_CASES[kind]
+    mapping = AffineMap(linear, translation)
+    assert np.isnan(commutant_residual(action, mapping))
+    assert np.isnan(intertwining_residual(action, action, mapping))
+    assert np.isnan(check_invariance(action, AffineSubspace(translation, linear[:, :1])))
+    with pytest.raises(WitnessError, match=r"fails the commutant equations \(residual nan\)"):
+        invariant_subspace_from_witness(action, mapping)
+
+
+def test_inputs_of_the_wrong_dimension_are_refused_naming_both_shapes():
+    action = glide_action()
+    big = AffineMap(np.eye(3), np.zeros(3))
+    with pytest.raises(WitnessError, match=r"witness linear has shape \(3, 3\), expected \(2, 2\)"):
+        invariant_subspace_from_witness(action, big)
+    with pytest.raises(ActionError, match=r"linear has shape \(3, 3\), expected \(2, 2\)"):
+        commutant_residual(action, big)
+    with pytest.raises(ActionError, match=r"linear has shape \(3, 3\), expected \(2, 2\)"):
+        intertwining_residual(action, action, big)
+    with pytest.raises(ActionError, match=r"translation has shape \(2,\), expected \(1,\)"):
+        commutant_residual(action, CommutantPair(np.zeros((1, 2)), np.zeros(2), slice(0, 1)))  # held on row 0
+    with pytest.raises(ActionError, match=r"base has shape \(3,\), expected \(2,\)"):
+        check_invariance(action, AffineSubspace(np.zeros(3), np.zeros((3, 1))))
+    with pytest.raises(ActionError, match=r"directions has shape \(3, 1\), expected \(2, k\)"):
+        check_invariance(action, AffineSubspace(np.zeros(2), np.zeros((3, 1))))
 
 
 def test_direct_sum_requires_matching_presentations_and_fields():

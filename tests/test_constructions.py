@@ -270,6 +270,22 @@ def test_restriction_theorem_index_one_trivial():
     assert check_restriction_theorem(action, sub, table).passed
 
 
+def test_restriction_theorem_names_the_dimension_of_k_when_the_restriction_is_reducible():
+    # the trivial subgroup has infinite index, so the certificate for 3Z
+    # does not hold for it: the restriction fixes every point, and K is one
+    action = z_translation_action()
+    z = action.presentation
+    table = CosetTable(
+        (z.parse_word("1"), z.parse_word("t"), z.parse_word("t t")),
+        ((1, 2, 0),),
+        ((z.parse_word("1"), z.parse_word("1"), z.parse_word("t")),),
+    )
+    report = check_restriction_theorem(action, SubgroupSpec(z, ("1",)), table)
+    (failure,) = report.failures()
+    assert failure.name == "restriction-irreducible"
+    assert failure.detail == "restricted action reducible; minimal invariant subspace of dimension 0"
+
+
 def test_restriction_theorem_reports_reducible_input():
     action = glide_action()
     sub = SubgroupSpec(action.presentation, ("t t",))

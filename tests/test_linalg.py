@@ -10,6 +10,7 @@ from affine_actions.linalg import (
     numerical_rank,
     orthonormal_columns,
     solve_affine_system,
+    worst_of,
 )
 
 from helpers import lstsq_solve, roundoff_identity_action
@@ -30,6 +31,13 @@ def test_as_field_array_rejects_nan_and_complex_into_real():
     with pytest.raises(ValueError):
         as_field_array([1 + 1j], "real")
     assert as_field_array([1.0], "complex").dtype == np.complex128
+
+
+def test_worst_of_keeps_a_nan_wherever_it_sits():
+    assert worst_of([]) == 0.0
+    assert worst_of(iter([1.0, 3.0, 2.0])) == 3.0
+    for values in ([np.nan, 3.0], [1.0, np.nan, 2.0], [0.0, 0.0, np.nan]):
+        assert np.isnan(worst_of(values)), values
 
 
 def test_null_space_of_zero_matrix_is_everything():

@@ -116,6 +116,14 @@ BAD_CONSTRUCTIONS = {
     "non-square-matrix": (
         lambda: Representation(z_group(), "real", [np.ones((1, 2))]), r"shape \(1, 2\), expected \(1, 1\)"
     ),
+    "dim-contradicts-matrices": (
+        lambda: Representation(z_group(), "real", [np.eye(2)], dim=3),
+        r"dim=3 contradicts the matrices, the first of shape \(2, 2\)",
+    ),
+    "dim-contradicts-matrices-unvalidated": (
+        lambda: Representation(f2_group(), "real", [np.eye(2)] * 2, dim=1, validate=False),
+        r"dim=1 contradicts the matrices, the first of shape \(2, 2\)",
+    ),
     "value-count": (lambda: Cocycle(_f2_rep(), [np.zeros(2)]), "expected 2 vectors, got 1"),
     "value-shape": (
         lambda: Cocycle(_f2_rep(), [np.zeros(2), np.zeros(3)]), r"value has shape \(3,\), expected \(2,\)"

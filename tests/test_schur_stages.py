@@ -38,9 +38,9 @@ from affine_actions import (
 )
 from affine_actions import actions, cli
 from affine_actions.actions import ActionError, certification_scale, unit_scale
-from affine_actions.linalg import numerical_rank, residual_ok
+from affine_actions.linalg import frobenius, numerical_rank, residual_ok
 from affine_actions.problem_io import load_problem
-from affine_actions.reps import _copies, _generic_weights, boundary_split, hom_basis
+from affine_actions.reps import _copies, _generic_weights, boundary_split, fixed_subspace, hom_basis
 
 from helpers import (
     FAMILIES,
@@ -53,6 +53,7 @@ from helpers import (
     counting_solves,
     f2_group,
     fixed_point_action,
+    identity_rep,
     kronecker_intertwiner_system,
     lstsq_solve,
     qr_null_space,
@@ -565,8 +566,9 @@ def test_distinct_summands_take_two_commutants_and_one_hom(monkeypatch):
     assert commutant_solves(calls) == 3
     assert [shape for kind, shape in calls if kind == "boundary"] == [(6, 3), (4, 2)]
     # the row blocks are read off pi1', Hom(pi1, pi2) and pi2'; the sum's
-    # commutant is never assembled, and Hom is kept for the next cocycle
-    assert sorted(total.rep._solves) == ["boundary", "hom"]
+    # commutant and boundary split are never assembled, and Hom is kept for
+    # the next cocycle
+    assert sorted(total.rep._solves) == ["hom"]
     decide_irreducibility(AffineAction.from_values(total.rep, [2.0 * v for v in total.cocycle.values]))
     assert commutant_solves(calls) == 3
 
@@ -883,6 +885,28 @@ def test_nested_copies_hold_no_full_size_pair():
     assert all(p.deviation.shape == (16, total.dim) for p in verdict.commutant)
 
 
+def test_irreducible_copies_assemble_no_boundary_split():
+    """16 generic cocycles on one generic real F2 representation at d = 32
+    (md = 512; Irreducible, as 16 <= dim H^1 = 32): the decision reads the
+    fixed space off the summand's solve, so its peak traced memory stays
+    below what the sum's assembled boundary split would take, its image and
+    B+ of g md x md each."""
+    rng = np.random.default_rng(26)
+    rep = random_free_rep(f2_group(), 32, "real", rng)
+    total = random_action(rep, rng)
+    for _ in range(15):
+        total = direct_sum(total, random_action(rep, rng))
+    tracemalloc.start()
+    try:
+        verdict = decide_irreducibility(total)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.irreducible and "boundary" not in total.rep._solves
+    split = 2 * 2 * total.dim**2 * np.dtype(np.float64).itemsize
+    assert peak < split, (peak, split)
+
+
 def test_a_summand_that_is_a_sum_is_not_validated_again():
     rng = np.random.default_rng(25)
     a = random_action(random_free_rep(f2_group(), 3, "real", rng), rng)
@@ -1009,3 +1033,74 @@ def test_the_witness_residuals_read_k_moved_once():
             worst = max(worst, float(np.linalg.norm(moved - w @ (w.conj().T @ moved))), float(np.linalg.norm(translation)))
         assert verdict.residuals["witness_commutant"].hex() == worst.hex(), label
         assert verdict.residuals["subspace_invariance"].hex() == check_invariance(action, subspace).hex(), label
+
+
+# -- a verdict's facts come from the solve --------------------------------------
+
+
+def hexes(array: np.ndarray) -> tuple:
+    """The shape and the bits of every real and imaginary part, as ``hex``."""
+    parts = np.ascontiguousarray(array).view(np.float64).ravel()
+    return array.shape, [float(x).hex() for x in parts]
+
+
+def fixed_space_cases():
+    """(label, action): plain actions, nested sums, the interleaved record
+    a (+) b (+) a, and sums whose summands have fixed spaces (F2 translating
+    a line, pi = I, whose fixed space is everything)."""
+    group = f2_group()
+    for field in ("real", "complex"):
+        rng = np.random.default_rng(28)
+        a = random_action(random_free_rep(group, 3, field, rng), rng)
+        b = random_action(random_free_rep(group, 2, field, rng), rng)
+        line = identity_rep(group, 1, field)
+        t1, t2 = random_action(line, rng), random_action(line, rng)
+        cases = {
+            "a": a,
+            "t1": t1,
+            "a+b": direct_sum(a, b),
+            "a+b+a": direct_sum(direct_sum(a, b), a),
+            "a+b+a'": direct_sum(direct_sum(a, b), random_action(a.rep, rng)),
+            "(a+b)+(b+a)": direct_sum(direct_sum(a, b), direct_sum(b, a)),
+            "t1+t2": direct_sum(t1, t2),
+            "t1+a": direct_sum(t1, a),
+            "t1+a+t2": direct_sum(direct_sum(t1, a), t2),
+            "(t1+b)+(a+t2)": direct_sum(direct_sum(t1, b), direct_sum(a, t2)),
+            "a+a": direct_sum(a, a),
+            "t1+t1": direct_sum(t1, t1),
+        }
+        yield from ((f"{field} {label}", action) for label, action in cases.items())
+
+
+def test_the_fixed_space_is_read_off_the_summands_kernels():
+    """Bit for bit the kernel of ``boundary_split``, assembled here only
+    after the decision, which does not assemble it."""
+    irreducible_with_fixed_space = 0
+    for label, action in fixed_space_cases():
+        verdict = decide_irreducibility(action)
+        fixed = verdict.solved.fixed_space
+        assert "boundary" not in action.rep._solves or action.rep._summands is None, label
+        want = fixed_subspace(action.rep)
+        assert hexes(fixed) == hexes(want) and fixed.dtype == want.dtype, label
+        assert not fixed.flags.writeable, label
+        if action.rep._summands is None:
+            assert fixed is want, label
+        if verdict.irreducible:
+            assert verdict.translation_directions is fixed, label
+            irreducible_with_fixed_space += fixed.shape[1] > 0
+    assert irreducible_with_fixed_space >= 8
+
+
+def test_the_witness_map_is_built_from_k_on_first_read():
+    for label, action in fixture_actions_with_doubles():
+        verdict = decide_irreducibility(action)
+        assert "witness_map" not in vars(verdict), label
+        if verdict.irreducible:
+            assert verdict.witness_map is None, label
+            continue
+        w, base = verdict.witness_subspace.directions, verdict.witness_subspace.base
+        witness = verdict.witness_map
+        assert witness is verdict.witness_map, label
+        assert hexes(witness.linear) == hexes(w @ w.conj().T) and witness.translation is base, label
+        # the bound's ||U|| = ||W W* - I|| is taken as sqrt(d - dim K)
+        assert frobenius(witness.deviation) == pytest.approx(np.sqrt(action.dim - w.shape[1]), abs=1e-13), label
