@@ -338,7 +338,7 @@ class AffineCommutant:
             certify(commutant_residual(action, p), (p.deviation, p.translation), "commutant basis element", action)
             for p in pairs
         ]
-        return tuple(pairs), {"worst_equation_defect": max(residuals, default=0.0)}
+        return tuple(pairs), {"worst_equation_defect": worst_of(residuals)}
 
 
 def affine_commutant(action: AffineAction) -> AffineCommutant:
