@@ -37,7 +37,6 @@ from .linalg import (
     numerical_rank,
     orthonormal_columns,
     random_vectors,
-    read_only,
     residual_ok,
     solve_affine_system,
     worst_of,
@@ -50,6 +49,7 @@ from .reps import (
     _generic_weights,
     _row_blocks,
     boundary_split,
+    fixed_subspace,
     hom_basis,
     validity_report,
 )
@@ -220,11 +220,10 @@ def certify(residual: float, parts, what: str, *actions: AffineAction) -> float:
 
 def _require_shapes(error: type[ValueError], *checks) -> None:
     """Raise ``error`` unless each (label, array, shape) of ``checks`` has
-    that shape (a ``None`` length matches any), naming both shapes."""
+    that shape, naming both shapes."""
     for label, array, shape in checks:
-        found = np.shape(array)
-        if len(found) != len(shape) or any(e not in (None, f) for f, e in zip(found, shape)):
-            raise error(f"{label} has shape {found}, expected {shape}".replace("None", "k"))
+        if np.shape(array) != shape:
+            raise error(f"{label} has shape {np.shape(array)}, expected {shape}")
 
 
 def _require_common_setting(a1: AffineAction, a2: AffineAction, what: str) -> None:
@@ -280,8 +279,8 @@ class AffineCommutant:
     ``pairs`` and ``residuals`` are built on first read: the basis pairs,
     each certified on its rows, and the worst of their residuals
     (``worst_equation_defect``); a pair failing raises InternalCheckError
-    there. ``moving`` (some pair has U != 0), ``dimension`` and
-    ``fixed_space`` read the solution and build no pair.
+    there. ``moving`` (some pair has U != 0) and ``dimension`` read the
+    solution and build no pair.
     """
 
     action: AffineAction
@@ -297,16 +296,6 @@ class AffineCommutant:
         """The number of ``pairs``, counted off the solution: each copy of a
         summand holds its k stage-3 pairs and its f fixed-space pairs."""
         return sum(len(s.placements) * (len(s.deviations) + s.kernel.shape[1]) for s in self.solutions)
-
-    @cached_property
-    def fixed_space(self) -> np.ndarray:
-        """The fixed space of ``action.rep``, read off the solution: each
-        distinct summand's ``kernel`` at the rows of each of its copies, in
-        row order. That is how ``reps.boundary_split`` assembles a sum's
-        kernel, so the bits are the same, and nothing of the sum's size but
-        this matrix is built; a plain action's is its cached kernel itself."""
-        copies = sorted(((rows.start, s.kernel) for s in self.solutions for rows in s.placements), key=lambda c: c[0])
-        return copies[0][1] if len(copies) == 1 else read_only(_block_diagonal(*(k for _, k in copies)))
 
     @property
     def pairs(self) -> tuple[CommutantPair, ...]:
@@ -411,7 +400,7 @@ class IrreducibilityVerdict:
     element with U = -p != 0 (p the projector onto K's orthogonal
     directions), is ``witness_map``, built from K on first read.
     Irreducible verdicts carry an orthonormal basis of the representation's
-    fixed space, the solution's ``fixed_space``: every pair then has U = 0,
+    fixed space (``fixed_subspace``): every pair then has U = 0,
     and the commutant consists exactly of the translations along it, each
     certified as the pair (0, f) it is (``fixed_translations``).
 
@@ -473,8 +462,10 @@ def fixed_points(action: AffineAction) -> FixedPoints:
 def check_invariance(action: AffineAction, subspace: AffineSubspace) -> float:
     """Worst defect of alpha(s)K inside K over all generators; ActionError
     if K's shapes do not fit the action."""
-    d = action.dim
-    _require_shapes(ActionError, ("base", subspace.base, (d,)), ("directions", subspace.directions, (d, None)))
+    d, directions = action.dim, subspace.directions
+    _require_shapes(ActionError, ("base", subspace.base, (d,)))
+    if directions.ndim != 2 or directions.shape[0] != d:
+        raise ActionError(f"directions has shape {directions.shape}, expected ({d}, k)")
     return _invariance_defect(action, subspace, _moved_subspace(action, subspace))
 
 
@@ -617,12 +608,12 @@ def _witness_residual(action: AffineAction, subspace: AffineSubspace, moved) -> 
     return worst_of(defects)
 
 
-def _fixed_translation_residual(commutant: AffineCommutant) -> float:
+def _fixed_translation_residual(commutant: AffineCommutant, directions: np.ndarray) -> float:
     """The worst ``commutant_residual`` of the pairs (0, D^-1 f), f the
-    columns of ``fixed_space`` (each on one copy's rows, so D^-1 is its
+    fixed-space ``directions`` (each on one copy's rows, so D^-1 is its
     copy's scale), each certified against the bound of its pair."""
     action, residuals = commutant.action, []
-    for f in commutant.fixed_space.T:
+    for f in directions.T:
         t = commutant.scales * f
         residual = worst_of(frobenius(m @ t - t) for m in action.rep.matrices)
         residuals.append(certify(residual, (t,), "fixed-space translation", action))
@@ -654,15 +645,16 @@ def decide_irreducibility(action: AffineAction) -> IrreducibilityVerdict:
     its nearest-point map, so dim K' >= dim K: K is minimal, and its
     dimension does not depend on the null-space basis. For a (+) a, K is
     the diagonal embedding of a's own K. An Irreducible verdict carries the
-    fixed space, whose translations its pairs are, each certified against
-    its pair's bound. It is read off the summands' solved kernels
-    (``AffineCommutant.fixed_space``), so no decision assembles a boundary
-    split at a direct sum's size.
+    fixed space (``fixed_subspace``), whose translations its pairs are, each
+    certified against its pair's bound; a direct sum's is its summands'
+    fixed spaces placed block-diagonally, so no decision assembles a
+    boundary split at a sum's size.
     """
     commutant = affine_commutant(action)
     if not commutant.moving:
-        residuals = {"fixed_translations": _fixed_translation_residual(commutant)}
-        return IrreducibilityVerdict(False, commutant, translation_directions=commutant.fixed_space, residuals=residuals)
+        directions = fixed_subspace(action.rep)
+        residuals = {"fixed_translations": _fixed_translation_residual(commutant, directions)}
+        return IrreducibilityVerdict(False, commutant, translation_directions=directions, residuals=residuals)
     subspace = _minimal_subspace(commutant)
     moved = _moved_subspace(action, subspace)
     deviation_norm = np.sqrt(action.dim - subspace.dim)  # ||W W* - I|| for orthonormal W

@@ -28,7 +28,7 @@ from .linalg import (
     numerical_rank,
     residual_ok,
 )
-from .reps import Cocycle, Representation
+from .reps import Cocycle, Representation, fixed_subspace
 from .words import (
     CosetTable,
     GroupPresentation,
@@ -175,7 +175,7 @@ def check_restriction_theorem(
     )
     if ambient_verdict.irreducible:
         k = decide_irreducibility(restrict_action(action, sub)).witness_subspace  # None if irreducible
-        detail = f"restricted action reducible; minimal invariant subspace of dimension {k.dim}" if k else ""
+        detail = f"restricted action reducible; minimal invariant subspace of dimension {k.dim}" if k is not None else ""
         checks.append(PropertyCheck("restriction-irreducible", k is None, detail))
     return PropertyReport("finite-index-restriction", tuple(checks))
 
@@ -198,7 +198,7 @@ def check_center_translations(action: AffineAction, central_words) -> PropertyRe
             "" if verdict.irreducible else "center check applies to irreducible actions",
         )
     )
-    fixed = verdict.solved.fixed_space
+    fixed = fixed_subspace(action.rep)
     for i, word in enumerate(words):
         label = presentation.format_word(word)
         value, matrix = action.cocycle.walk(word)

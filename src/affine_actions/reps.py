@@ -69,9 +69,9 @@ class Representation:
             raise RepresentationError(
                 f"expected {presentation.num_generators} matrices, got {len(matrices)}"
             )
-        if matrices and dim is not None and dim != matrices[0].shape[0]:
-            raise RepresentationError(f"dim={dim} contradicts the matrices, the first of shape {matrices[0].shape}")
         if matrices:
+            if dim not in (None, matrices[0].shape[0]):
+                raise RepresentationError(f"dim={dim} contradicts the matrices, the first of shape {matrices[0].shape}")
             dim = matrices[0].shape[0]
         elif dim is None:
             raise RepresentationError("dimension is required for a generator-free presentation")
@@ -337,8 +337,12 @@ def _solved(rep: Representation, stage: str, solve):
 
 def fixed_subspace(rep: Representation) -> np.ndarray:
     """Orthonormal basis of the joint fixed space of all generator matrices
-    (the kernel of ``boundary_split``; read-only)."""
-    return boundary_split(rep).kernel
+    (the kernel of ``boundary_split``; read-only). A direct sum's is its
+    summands' fixed spaces block-diagonally, in row order, kept in its
+    store: nothing else of the sum's boundary split is assembled."""
+    if rep._summands is None:
+        return boundary_split(rep).kernel
+    return _solved(rep, "fixed", lambda: read_only(_block_diagonal(*(fixed_subspace(r) for r in rep._summands))))
 
 
 def boundary_split(rep: Representation) -> RangeSplit:
@@ -369,7 +373,7 @@ def _sum_boundary_split(rep: Representation) -> RangeSplit:
     pinv = _block_diagonal(*(s.pinv.reshape(d, g, d).transpose(1, 0, 2) for d, s in splits))
     return RangeSplit(
         read_only(image.reshape(g * rep.dim, image.shape[2])),
-        read_only(_block_diagonal(*(s.kernel for _, s in splits))),
+        fixed_subspace(rep),
         read_only(pinv.transpose(1, 0, 2).reshape(rep.dim, g * rep.dim)),
     )
 

@@ -566,9 +566,9 @@ def test_distinct_summands_take_two_commutants_and_one_hom(monkeypatch):
     assert commutant_solves(calls) == 3
     assert [shape for kind, shape in calls if kind == "boundary"] == [(6, 3), (4, 2)]
     # the row blocks are read off pi1', Hom(pi1, pi2) and pi2'; the sum's
-    # commutant and boundary split are never assembled, and Hom is kept for
-    # the next cocycle
-    assert sorted(total.rep._solves) == ["hom"]
+    # commutant and boundary split are never assembled: it keeps Hom for
+    # the next cocycle and the fixed space placed from its summands'
+    assert sorted(total.rep._solves) == ["fixed", "hom"]
     decide_irreducibility(AffineAction.from_values(total.rep, [2.0 * v for v in total.cocycle.values]))
     assert commutant_solves(calls) == 3
 
@@ -1072,19 +1072,16 @@ def fixed_space_cases():
         yield from ((f"{field} {label}", action) for label, action in cases.items())
 
 
-def test_the_fixed_space_is_read_off_the_summands_kernels():
-    """Bit for bit the kernel of ``boundary_split``, assembled here only
-    after the decision, which does not assemble it."""
+def test_a_decided_sum_holds_its_fixed_space_and_no_boundary_split():
+    """The verdict carries ``fixed_subspace`` itself; a sum's is assembled
+    from its summands' fixed spaces, and its boundary split, built later,
+    holds that same array as its kernel."""
     irreducible_with_fixed_space = 0
     for label, action in fixed_space_cases():
         verdict = decide_irreducibility(action)
-        fixed = verdict.solved.fixed_space
+        fixed = fixed_subspace(action.rep)
         assert "boundary" not in action.rep._solves or action.rep._summands is None, label
-        want = fixed_subspace(action.rep)
-        assert hexes(fixed) == hexes(want) and fixed.dtype == want.dtype, label
-        assert not fixed.flags.writeable, label
-        if action.rep._summands is None:
-            assert fixed is want, label
+        assert boundary_split(action.rep).kernel is fixed and not fixed.flags.writeable, label
         if verdict.irreducible:
             assert verdict.translation_directions is fixed, label
             irreducible_with_fixed_space += fixed.shape[1] > 0
